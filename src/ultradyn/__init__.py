@@ -33,6 +33,7 @@ from .polyalg import (
 )
 from .spectral import (
     AdaptedNorm,
+    LinearAnalysis,
     SpectralData,
     Splitting,
     Witness,

@@ -17,20 +17,16 @@ from .errors import (
     NotAFixedPoint,
     PreconditionViolated,
     RadiusNotFound,
+    UltradynError,
 )
-from .field import DEFAULT_PRECISION, ExtContext, NONZERO, ZERO, compare_threshold
-from . import polyalg
+from .field import DEFAULT_PRECISION, NONZERO, ZERO, compare_threshold
 from .polyalg import cmat, coerce, cvec, infer_context, mat_inverse, mat_vec
 from . import spectral
-from .spectral import AdaptedNorm, NormBlock, adapted_norm, operator_norm, splitting_at
+from .spectral import AdaptedNorm, operator_norm, splitting_at
 
 # --------------------------------------------------------------------------
 # monomial-table polynomials (generic coefficients)
 # --------------------------------------------------------------------------
-
-
-def _mzero(nvars):
-    return {}
 
 
 def _madd(a, b, ctx):
@@ -42,10 +38,6 @@ def _madd(a, b, ctx):
 
 def _mscale(a, s, ctx):
     return {m: s * c for m, c in a.items()}
-
-
-def _mneg(a):
-    return {m: -c for m, c in a.items()}
 
 
 def _mmul(a, b, ctx):
@@ -239,12 +231,17 @@ def conjugate(f: PolyMap, t, tinv, ctx) -> list:
 # --------------------------------------------------------------------------
 
 
-def _adapted_tables(f: PolyMap, norm: AdaptedNorm):
-    """F conjugated into the norm's coordinates, with the norm's context."""
+def _remainder_bound(f: PolyMap, norm: AdaptedNorm):
+    """k -> remainder_lipschitz(f, k, norm), with F conjugated into the
+    norm's coordinates once, so that a radius scan conjugates once."""
     ctx = norm._ctx()
-    t = norm.transform(ctx)
-    tinv = mat_inverse(t, ctx)
-    return conjugate(f, t, tinv, ctx), ctx
+    tables = conjugate(f, norm.transform(ctx), norm._tinv, ctx)
+    q = norm.weights
+    # (v(c) + q_i - sum_l m_l q_l, |m|) for each monomial c x^m, |m| >= 2
+    terms = [(ctx.val(c) + q[i] - sum(ml * q[l] for l, ml in enumerate(m)), sum(m))
+             for i, table in enumerate(tables) for m, c in table.items()
+             if sum(m) >= 2 and ctx.val(c) != INF]
+    return lambda k: min((base + (deg - 1) * k for base, deg in terms), default=INF)
 
 
 def remainder_lipschitz(f: PolyMap, radius_exp, norm: AdaptedNorm):
@@ -256,20 +253,7 @@ def remainder_lipschitz(f: PolyMap, radius_exp, norm: AdaptedNorm):
     min over monomials and grows without bound as k -> infinity.  INF means
     R = 0 (Lipschitz constant 0).
     """
-    k = Fraction(radius_exp)
-    tables, ctx = _adapted_tables(f, norm)
-    q = norm.weights
-    best = INF
-    for i, table in enumerate(tables):
-        for m, c in table.items():
-            if sum(m) < 2:
-                continue
-            v = ctx.val(c)
-            if v == INF:
-                continue
-            e = v + q[i] + sum(ml * (k - q[l]) for l, ml in enumerate(m)) - k
-            best = min(best, e)
-    return best
+    return _remainder_bound(f, norm)(Fraction(radius_exp))
 
 
 def linearization_radius(f: PolyMap, norm: AdaptedNorm,
@@ -283,8 +267,9 @@ def linearization_radius(f: PolyMap, norm: AdaptedNorm,
     except PreconditionViolated as exc:
         raise JacobianSingular("derivative at 0 is singular") from exc
     einv = operator_norm(ainv, f.prime, norm)  # ||A^-1|| = p^-einv
+    lipschitz = _remainder_bound(f, norm)
     for k in range(min_exp, max_exp + 1):
-        lip = remainder_lipschitz(f, k, norm)
+        lip = lipschitz(k)
         if lip == INF or lip + einv > 0:
             return k
     raise RadiusNotFound(f"no radius exponent in [{min_exp}, {max_exp}] works")
@@ -332,8 +317,9 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
             raise PreconditionViolated(f"||A|| not below rate {rate_below}")
     else:
         raise PreconditionViolated(f"unknown mode {mode!r}")
+    lipschitz = _remainder_bound(f, norm)
     for k in range(min_exp, max_exp + 1):
-        lip = remainder_lipschitz(f, k, norm)
+        lip = lipschitz(k)
         if mode == INVARIANT:
             ok = lip >= 0
             c = min(op_a, lip)
@@ -406,7 +392,8 @@ def classify_fixed_point(f: PolyMap, pt=None,
     pt = [Fraction(x) for x in pt]
     g = shift_to_fixed_point(f, pt)
     a = linear_part(g)
-    spec = spectral.spectrum_abs(a, p, precision)
+    analysis = spectral.LinearAnalysis(a, p, precision)
+    spec = analysis.spectrum
     degenerate = any(v == INF for v, _ in spec)
     if degenerate:
         label = HAS_EXPANSION
@@ -422,7 +409,7 @@ def classify_fixed_point(f: PolyMap, pt=None,
     mode = {UNIFORMLY_ATTRACTIVE: CONTRACTING, STABLY_NEUTRAL: ISOMETRIC,
             NON_EXPANDING: INVARIANT}.get(label)
     if mode is not None:
-        norm = adapted_norm(a, p, precision=precision)
+        norm = analysis.norm()
         try:
             cert = invariant_ball(g, mode, norm)
         except (PreconditionViolated, RadiusNotFound):
@@ -474,19 +461,15 @@ def _bounded_orbit(f: PolyMap, x, horizon: int, bit_cap: int = 8192):
     return out
 
 
-def _component_exps(norm, a, z, ctx):
+def _component_exps(norm, a, z):
     """(stable_exp, centre_exp, unstable_exp) of z: norm exponents of the
     components of z in the spectral blocks grouped by |.| vs a."""
-    y = mat_vec(norm.transform(ctx), cvec(z, ctx))
-    q = norm.weights
+    exps = norm._coord_exps(z)
     out = {1: INF, 0: INF, -1: INF}
     off = 0
     for b in norm.blocks:
         side = compare_threshold(a, b.rho, norm.prime)
-        for i in range(off, off + len(b.t)):
-            v = ctx.val(y[i])
-            if v != INF:
-                out[side] = min(out[side], v + q[i])
+        out[side] = min([out[side]] + exps[off:off + len(b.t)])
         off += len(b.t)
     return out[1], out[0], out[-1]
 
@@ -519,16 +502,15 @@ def _linear_membership(f, a, x, horizon):
          "step in the adapted norm, so a^-n ||A^n x|| does not tend to 0"))
 
 
-def _try_graph_reduction(f, a, x, horizon, precision):
+def _try_graph_reduction(f, a, x, horizon, precision, analysis):
     """If the a-stable graph is an exactly invariant polynomial graph and x
     lies on it, reduce to the restricted map on the base coordinates."""
     from . import manifolds  # deferred: manifolds imports this module
 
-    p = f.prime
     try:
         gs = manifolds.graph_series(f, a, manifolds.STABLE, order=max(6, f.degree() ** 2),
-                                    precision=precision)
-    except Exception:
+                                    precision=precision, analysis=analysis)
+    except UltradynError:
         return None
     res = manifolds.residual(f, gs, truncate=False)
     ctx = gs._ctx()
@@ -570,14 +552,15 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         return _linear_membership(f, a, x, horizon)
 
     lin = linear_part(f)
-    spec = spectral.spectrum_abs(lin, p, precision)
+    analysis = spectral.LinearAnalysis(lin, p, precision)
+    spec = analysis.spectrum
     below = all(compare_threshold(a, v, p) == 1 for v, _ in spec)
     above = all(compare_threshold(a, v, p) == -1 for v, _ in spec)
     pts = [(e, list(z)) for e, z in _bounded_orbit(f, x, horizon)]
     trace = tuple(e for e, _ in pts)
 
     if below:
-        norm = adapted_norm(lin, p, precision=precision)
+        norm = analysis.norm()
         try:
             cert = invariant_ball(f, CONTRACTING, norm, rate_below=a)
         except (PreconditionViolated, RadiusNotFound):
@@ -593,7 +576,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                     return MembershipVerdict(CERTIFIED_MEMBER, trace, just)
     elif above:
         # ]0, a] misses the spectrum entirely: W_a^s is locally just {0}
-        norm = adapted_norm(lin, p, precision=precision)
+        norm = analysis.norm()
         try:
             k = linearization_radius(f, norm)
         except (JacobianSingular, RadiusNotFound):
@@ -621,20 +604,19 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                         "leaves the chart ball and never returns to decay",
                     )
                     return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
-    elif spectral.is_hyperbolic(lin, p, a, precision):
-        red = _try_graph_reduction(f, a, x, horizon, precision)
+    elif analysis.is_hyperbolic(a):
+        red = _try_graph_reduction(f, a, x, horizon, precision, analysis)
         if red is not None:
             return red
         # dominant-unstable certificate: inside a ball where the remainder's
         # Lipschitz bound is beaten by the slowest unstable expansion rate
         # p^-ru (ru = largest unstable valuation), unstable dominance
         # propagates exactly and the unstable norm grows by > a each step
-        norm = adapted_norm(lin, p, precision=precision)
+        norm = analysis.norm()
         ru = max(v for v, _ in spec if compare_threshold(a, v, p) == -1)
-        k = next((kk for kk in range(0, 65)
-                  if remainder_lipschitz(f, kk, norm) > ru), None)
+        lipschitz = _remainder_bound(f, norm)
+        k = next((kk for kk in range(0, 65) if lipschitz(kk) > ru), None)
         if k is not None:
-            nctx = norm._ctx()
             for n, (_, z) in enumerate(pts):
                 zc = infer_context([z], p, precision)
                 if _is_exact_zero_vec(z, zc):
@@ -642,7 +624,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                         CERTIFIED_MEMBER, trace,
                         (f"F^{n}(x) = 0 exactly",))
                 if norm.norm_exp(z) >= k:
-                    es, ec, eu = _component_exps(norm, a, z, nctx)
+                    es, ec, eu = _component_exps(norm, a, z)
                     if eu < min(es, ec):
                         just = (
                             f"F^{n}(x) lies inside the dominance ball p^-{k} "

@@ -48,30 +48,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise PreconditionViolated(f"{self.p} is not prime")
-
-    def __int__(self):
-        return self.p
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """A positive rational threshold a, compared exactly against p^{-v}."""
-
-    a: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        if self.a <= 0:
-            raise PreconditionViolated("threshold must be positive")
-
-
 def valuation_of_rational(q, p: int):
     """Exact p-adic valuation of a rational; INF for zero."""
     q = Fraction(q)
@@ -272,22 +248,6 @@ class PadicNumber:
         return out
 
     # -- misc --------------------------------------------------------------
-
-    def lift(self) -> Fraction:
-        """A rational representative (0 for O-terms and exact zero)."""
-        if self.is_exact_zero or self.is_uncertain:
-            return Fraction(0)
-        v = self.val
-        return Fraction(self.unit) * Fraction(self.prime) ** int(v)
-
-    def digits(self, n: int = 8):
-        if self.is_exact_zero or self.is_uncertain:
-            return []
-        out, u = [], self.unit
-        for _ in range(min(n, self.prec)):
-            u, r = divmod(u, self.prime)
-            out.append(r)
-        return out
 
     def __repr__(self):
         if self.is_exact_zero:
@@ -516,7 +476,3 @@ class ExtContext:
             if z == UNCERTAIN:
                 verdict = UNCERTAIN
         return verdict
-
-
-def coerce_matrix(rows, ctx):
-    return [[x if not isinstance(x, (int, Fraction)) else ctx.from_rational(x) for x in r] for r in rows]

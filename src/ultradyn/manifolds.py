@@ -9,23 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf as INF
 
 from .errors import (
     JacobianSingular,
     PreconditionViolated,
     ResonanceDetected,
 )
-from .field import DEFAULT_PRECISION, ZERO, compare_threshold
+from .field import DEFAULT_PRECISION, ZERO
 from .polyalg import cmat, coerce, cvec, infer_context, mat_inverse, mat_vec, row_reduce
 from . import spectral
 from .dynamics import (
     PolyMap,
     _madd,
-    _mmul,
+    _meval,
     _mscale,
     _msubst,
     _mtrunc,
+    conjugate,
     linear_part,
 )
 
@@ -199,8 +199,6 @@ def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
         [cols] + [[c for _, c in cmp_] for cmp_ in f.components], f.prime, precision)
     w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
     winv = mat_inverse(w, ctx)
-    from .dynamics import conjugate
-
     tables = conjugate(f, winv, w, ctx)
     # off-diagonal linear blocks must vanish (aggregates are invariant)
     for i in range(d):
@@ -214,14 +212,16 @@ def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
 
 
 def graph_series(f: PolyMap, a, mode: str, order: int = 6,
-                 precision: int = DEFAULT_PRECISION) -> GraphSeries:
-    """Solve the invariance equation order by order for the mode's graph."""
+                 precision: int = DEFAULT_PRECISION, analysis=None) -> GraphSeries:
+    """Solve the invariance equation order by order for the mode's graph.
+    analysis is the spectral.LinearAnalysis of F'(0), if the caller has one."""
     p = f.prime
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
     lin = linear_part(f)
-    if mode in (STABLE, UNSTABLE) and not spectral.is_hyperbolic(lin, p, a, precision):
+    analysis = analysis or spectral.LinearAnalysis(lin, p, precision)
+    if mode in (STABLE, UNSTABLE) and not analysis.is_hyperbolic(a):
         raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
     if mode == UNSTABLE and a < 1:
         raise PreconditionViolated("Unstable mode requires a >= 1")
@@ -234,7 +234,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     solve_map = f
     if mode == UNSTABLE:
         solve_map = formal_inverse(f, order).gmap
-    s = spectral.splitting_at(lin, p, a, precision)
+    s = analysis.splitting(a)
     tables, db, dc, ctx, w, winv = _conjugated_split_map(solve_map, s, mode, precision)
     ab = [[tables[i].get(tuple(1 if q == j else 0 for q in range(f.nvars)), ctx.zero)
            for j in range(db)] for i in range(db)]
@@ -291,8 +291,6 @@ def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
     dc = len(gs.complement_basis)
     ctx = gs._ctx()
     winv = cmat(gs.winv, ctx)
-    from .dynamics import conjugate
-
     tables = conjugate(solve_map, winv, cmat(gs.w, ctx), ctx)
     h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
     cap = gs.order if truncate else max(
@@ -327,8 +325,6 @@ def evaluate_graph(gs: GraphSeries, xi):
     """h(xi) in complement coordinates."""
     ctx = gs._ctx()
     xi = cvec(xi, ctx)
-    from .dynamics import _meval
-
     return [_meval({m: coerce(c, ctx) for m, c in t.items()}, xi, ctx)
             for t in gs.tables()]
 
@@ -342,8 +338,6 @@ def restricted_base_map(f: PolyMap, gs: GraphSeries) -> PolyMap:
     ctx = gs._ctx()
     db = len(gs.base_basis)
     dc = len(gs.complement_basis)
-    from .dynamics import conjugate
-
     tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
     h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
     cap = f.degree() * max(2, gs.order)

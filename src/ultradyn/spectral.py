@@ -8,9 +8,11 @@ comparison against a rational threshold a is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf as INF, lcm
+from operator import add, mul
 
 from .errors import PreconditionViolated
 from .field import (
@@ -18,12 +20,11 @@ from .field import (
     ExtContext,
     ExtElement,
     NONZERO,
-    PadicContext,
-    PadicNumber,
     RationalContext,
+    _bcoerce,
+    _bval,
     compare_threshold,
 )
-from . import polyalg
 from .polyalg import (
     Polynomial,
     charpoly,
@@ -37,7 +38,6 @@ from .polyalg import (
     lattice_inverse,
     mat_inverse,
     mat_mul,
-    mat_pow,
     mat_vec,
     newton_polygon,
     poly_eval_matrix,
@@ -103,9 +103,11 @@ def _pure_slope(coeffs, p):
     return None
 
 
-def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION) -> SpectralData:
+def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
+                  cp: Polynomial = None) -> SpectralData:
     """Group the spectrum of m by eigenvalue valuation and compute the
-    generalized eigenspace sum of each group.
+    generalized eigenspace sum of each group.  cp is the charpoly of m, if
+    the caller already has it.
 
     Rational charpoly factors that are already slope-pure keep exact
     rational bases; slope-mixed factors are split by Hensel lifting and
@@ -113,23 +115,19 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION) -> SpectralData
     """
     ctx = infer_context(m, p, precision)
     d = len(m)
-    cp = charpoly(m, p, precision)
+    cp = cp or charpoly(m, p, precision)
     # collect slope-pure factor coefficient lists tagged by rho
     tagged = []  # (rho, coeffs)
     if isinstance(ctx, RationalContext):
+        qctx = RationalContext(p)
         for cs, mult in _rational_factors(cp):
+            powed = [Fraction(1)]
+            for _ in range(mult):
+                powed = _pmul(powed, cs, qctx)
             rho = _pure_slope(cs, p)
             if rho is not None:
-                full = [Fraction(1)]
-                qctx = RationalContext(p)
-                for _ in range(mult):
-                    full = _pmul(full, cs, qctx)
-                tagged.append((rho, full))
+                tagged.append((rho, powed))
             else:
-                powed = [Fraction(1)]
-                qctx = RationalContext(p)
-                for _ in range(mult):
-                    powed = _pmul(powed, cs, qctx)
                 for sf in slope_factorization(Polynomial(tuple(powed), p), p, precision):
                     tagged.append((sf.root_valuation, list(sf.factor.coeffs)))
     else:
@@ -161,17 +159,12 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION) -> SpectralData
 
 def spectrum_abs(m, p: int, precision: int = DEFAULT_PRECISION):
     """[(rho, mult)] sorted by decreasing absolute value p^-rho."""
-    cp = charpoly(m, p, precision)
-    return sorted(
-        newton_polygon(cp, p).root_valuations, key=lambda t: (t[0] == INF, t[0])
-    )
+    return LinearAnalysis(m, p, precision).spectrum
 
 
 def is_hyperbolic(m, p: int, a, precision: int = DEFAULT_PRECISION) -> bool:
     """True iff no eigenvalue has absolute value exactly a."""
-    return all(
-        compare_threshold(a, rho, p) != 0 for rho, _ in spectrum_abs(m, p, precision)
-    )
+    return LinearAnalysis(m, p, precision).is_hyperbolic(a)
 
 
 # --------------------------------------------------------------------------
@@ -192,35 +185,12 @@ class Splitting:
     w: tuple  # columns: stable then centre then unstable
     winv: tuple  # rows: ambient -> block coordinates
 
-    @property
-    def centre_stable(self):
-        return self.stable + self.centre
-
     def dims(self):
         return (len(self.stable), len(self.centre), len(self.unstable))
 
 
 def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
-    a = Fraction(a)
-    data = spectral_data(m, p, precision)
-    groups = {1: [], 0: [], -1: []}
-    for b in data.blocks:
-        groups[compare_threshold(a, b.rho, p)].extend(list(v) for v in b.basis)
-    stable, centre, unstable = groups[1], groups[0], groups[-1]
-    cols = stable + centre + unstable
-    ctx = infer_context(cols, p, precision)
-    d = len(m)
-    w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
-    winv = mat_inverse(w, ctx)
-    return Splitting(
-        p,
-        a,
-        tuple(tuple(v) for v in stable),
-        tuple(tuple(v) for v in centre),
-        tuple(tuple(v) for v in unstable),
-        tuple(tuple(r) for r in w),
-        tuple(tuple(r) for r in winv),
-    )
+    return LinearAnalysis(m, p, precision).splitting(a)
 
 
 def eigenspace_sum(m, p: int, v, precision: int = DEFAULT_PRECISION):
@@ -294,13 +264,24 @@ class NormBlock:
     weights: tuple  # per-coordinate valuation offsets (Fractions)
 
 
+def _bdot(row, x, p):
+    """sum_c row[c] x[c] over the base field, promoting a Fraction next to a
+    PadicNumber as ExtElement arithmetic does."""
+    acc = None
+    for a, b in zip(row, x):
+        t = mul(*_bcoerce(a, b, p))
+        acc = t if acc is None else add(*_bcoerce(acc, t, p))
+    return acc
+
+
 @dataclass(frozen=True)
 class AdaptedNorm:
     """Ultrametric norm in which m acts with exact rate p^-rho on each
     spectral block (and with norm < eps on the nilpotent block).
 
     norm_exp(x) = min_i ( v((T Winv x)_i) + q_i ) over the global basis; the
-    norm itself is p^(-norm_exp(x)).
+    norm itself is p^(-norm_exp(x)).  T Winv is built on first use and then
+    kept (outside repr() and ==), so reuse one norm for many queries.
     """
 
     prime: int
@@ -315,46 +296,71 @@ class AdaptedNorm:
         # the block transforms (ExtElement entries) in one arithmetic domain
         return ExtContext(self.prime, self.ram)
 
+    @cached_property
+    def _planes(self):
+        """T Winv = sum_j pi^j T_j as base-field planes T_0..T_{ram-1}: Winv is
+        over the base field, so T_j is T's pi^j coefficients times Winv."""
+        ctx, p = self._ctx(), self.prime
+        planes = [[] for _ in range(self.ram)]
+        off = 0
+        for b in self.blocks:
+            cols = list(zip(*self.winv[off:off + len(b.t)]))
+            for trow in b.t:
+                coeffs = [coerce(x, ctx).coeffs for x in trow]
+                for j, plane in enumerate(planes):
+                    plane.append([_bdot([c[j] for c in coeffs], col, p) for col in cols])
+            off += len(b.t)
+        return planes
+
+    @cached_property
+    def _rows(self):
+        """(i, row i of T_j, j/ram + q_i) for each plane row not exactly zero."""
+        q = self.weights
+        return [(i, row, Fraction(j, self.ram) + q[i])
+                for j, plane in enumerate(self._planes) for i, row in enumerate(plane)
+                if any(_bval(c, self.prime) != INF for c in row)]
+
+    @cached_property
+    def _tinv(self):
+        """(T Winv)^-1 over the norm's own context."""
+        ctx = self._ctx()
+        return mat_inverse(self.transform(ctx), ctx)
+
     def transform(self, ctx=None):
         """Full matrix T (block diag of block transforms) times Winv."""
         ctx = ctx or self._ctx()
-        d = len(self.winv)
-        big = [[ctx.zero] * d for _ in range(d)]
-        off = 0
-        for b in self.blocks:
-            k = len(b.t)
-            for i in range(k):
-                for j in range(k):
-                    big[off + i][off + j] = coerce(b.t[i][j], ctx)
-            off += k
-        return mat_mul(big, cmat(self.winv, ctx))
+        planes, d = self._planes, len(self.winv)
+        return [[coerce(ExtElement(self.prime, self.ram, tuple(pl[i][c] for pl in planes)), ctx)
+                 for c in range(d)] for i in range(d)]
 
     @property
     def weights(self):
         return [q for b in self.blocks for q in b.weights]
 
+    def _coord_exps(self, x):
+        """v((T Winv x)_i) + q_i for each norm coordinate i (INF where it is
+        zero): the min over j of v((T_j x)_i) + j/ram + q_i."""
+        out = [INF] * len(self.winv)
+        for i, row, off in self._rows:
+            out[i] = min(out[i], _bval(_bdot(row, x, self.prime), self.prime) + off)
+        return out
+
     def norm_exp(self, x):
-        """Valuation exponent of ||x||; INF for the zero vector."""
-        ctx = self._ctx()
-        y = mat_vec(self.transform(ctx), cvec(x, ctx))
-        q = self.weights
-        exps = []
-        for i, c in enumerate(y):
-            v = ctx.val(c)
-            if v != INF:
-                exps.append(v + q[i])
-        return min(exps) if exps else INF
+        """Valuation exponent of ||x|| for x over the base field; INF for x = 0."""
+        return min(self._coord_exps(x))
 
 
-def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION) -> AdaptedNorm:
-    """Build an ultrametric norm adapted to the spectral decomposition of m.
+def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
+                 data: SpectralData = None) -> AdaptedNorm:
+    """Build an ultrametric norm adapted to the spectral decomposition of m
+    (data, if the caller already has it).
 
     Finite-valuation blocks: scale by pi^(-rho*e) to a flat-polygon matrix,
     take the gauge of an invariant unit lattice (an exact isometry up to the
     factor p^-rho).  Nilpotent block: Jordan chains scaled by lambda = p^j
     with p^-j < eps.
     """
-    data = spectral_data(m, p, precision)
+    data = data or spectral_data(m, p, precision)
     finite = [b for b in data.blocks if b.rho != INF]
     ram = lcm(1, *(Fraction(b.rho).denominator for b in finite)) if finite else 1
     cols = [list(v) for b in data.blocks for v in b.basis]
@@ -414,9 +420,9 @@ def operator_norm(m, p: int, norm_dom: AdaptedNorm, norm_cod: AdaptedNorm = None
     norm_cod = norm_cod or norm_dom
     ram = lcm(norm_dom.ram, norm_cod.ram)
     ctx = ExtContext(p, ram)
-    tdom = norm_dom.transform(ctx)
-    tcod = norm_cod.transform(ctx)
-    a = mat_mul(tcod, mat_mul(cmat(m, ctx), mat_inverse(tdom, ctx)))
+    tdom_inv = (norm_dom._tinv if norm_dom.ram == ram
+                else mat_inverse(norm_dom.transform(ctx), ctx))
+    a = mat_mul(norm_cod.transform(ctx), mat_mul(cmat(m, ctx), tdom_inv))
     qd, qc = norm_dom.weights, norm_cod.weights
     best = INF
     for i, row in enumerate(a):
@@ -425,6 +431,65 @@ def operator_norm(m, p: int, norm_dom: AdaptedNorm, norm_cod: AdaptedNorm = None
             if v != INF:
                 best = min(best, v + qc[i] - qd[j])
     return best
+
+
+# --------------------------------------------------------------------------
+# one analysis per matrix
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearAnalysis:
+    """Spectral analysis of one matrix m over Q_p.  Each part is computed on
+    first use and kept, so whoever holds the analysis pays once for the
+    charpoly, the blocks and each adapted norm; the spectrum needs only the charpoly."""
+
+    m: tuple
+    p: int
+    precision: int = DEFAULT_PRECISION
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", tuple(tuple(r) for r in self.m))
+
+    @cached_property
+    def charpoly(self) -> Polynomial:
+        return charpoly(self.m, self.p, self.precision)
+
+    @cached_property
+    def spectrum(self):
+        """[(rho, mult)] sorted by decreasing absolute value p^-rho."""
+        return sorted(newton_polygon(self.charpoly, self.p).root_valuations,
+                      key=lambda t: (t[0] == INF, t[0]))
+
+    @cached_property
+    def data(self) -> SpectralData:
+        return spectral_data(self.m, self.p, self.precision, cp=self.charpoly)
+
+    def is_hyperbolic(self, a) -> bool:
+        """True iff no eigenvalue has absolute value exactly a."""
+        return all(compare_threshold(a, rho, self.p) != 0 for rho, _ in self.spectrum)
+
+    def splitting(self, a) -> Splitting:
+        """The spectral blocks grouped by |eigenvalue| against a."""
+        a, p = Fraction(a), self.p
+        groups = {1: [], 0: [], -1: []}
+        for b in self.data.blocks:
+            groups[compare_threshold(a, b.rho, p)].extend(b.basis)
+        parts = groups[1], groups[0], groups[-1]  # stable, centre, unstable
+        cols = [v for part in parts for v in part]
+        ctx = infer_context(cols, p, self.precision)
+        d = len(self.m)
+        w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
+        winv = mat_inverse(w, ctx)
+        return Splitting(p, a, *(tuple(part) for part in parts),
+                         tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
+
+    def norm(self, eps=None) -> AdaptedNorm:
+        """The adapted norm of m for eps, built once per eps."""
+        norms = self.__dict__.setdefault("_norms", {})
+        if eps not in norms:
+            norms[eps] = adapted_norm(self.m, self.p, eps, self.precision, data=self.data)
+        return norms[eps]
 
 
 # --------------------------------------------------------------------------
@@ -448,14 +513,14 @@ def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
                              precision: int = DEFAULT_PRECISION):
     """Witness vector showing a is in the spectrum of absolute values."""
     a = Fraction(a)
-    data = spectral_data(m, p, precision)
+    analysis = LinearAnalysis(m, p, precision)
     centre = next(
-        (b for b in data.blocks if compare_threshold(a, b.rho, p) == 0), None
+        (b for b in analysis.data.blocks if compare_threshold(a, b.rho, p) == 0), None
     )
     if centre is None:
         raise PreconditionViolated(f"map is hyperbolic at {a}: no witness")
     v0 = list(centre.basis[0])
-    norm = adapted_norm(m, p, precision=precision)
+    norm = analysis.norm()
     ctx = infer_context([m, v0], p, precision)
     mm = cmat(m, ctx)
     exps = []

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +138,16 @@ def test_table_format(tmp_path, capsys):
                                 "--input", write(tmp_path, DIAG)])
     assert code == 0
     assert "entries.0.v\t1" in out
+
+
+# stdout of every command on the oracle inputs above (and on ramified,
+# nilpotent and slope-mixed matrices), recorded once: output must stay
+# byte-identical
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_golden_stdout(tmp_path, capsys, case):
+    code, out, _ = run(capsys, case["argv"] + ["--input", write(tmp_path, case["input"])])
+    assert (code, out) == (case["exit"], case["stdout"])
