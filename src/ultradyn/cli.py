@@ -141,10 +141,12 @@ def _cmd_spectrum(doc, p, precision, args):
 def _cmd_hyperbolic(doc, p, precision, args):
     m = _load_matrix(doc)
     a = _require_a(doc, args)
-    hyp = spectral.is_hyperbolic(m, p, a, precision)
+    analysis = spectral.LinearAnalysis(m, p, precision)
+    hyp = analysis.is_hyperbolic(a)
     out = {"a": fmt(a), "hyperbolic": hyp}
     if not hyp:
-        w = spectral.nonhyperbolicity_witness(m, p, a, precision=precision)
+        w = spectral.nonhyperbolicity_witness(m, p, a, precision=precision,
+                                              analysis=analysis)
         out["witness"] = {
             "vector": _fmt_vec(w.vector),
             "rho": fmt(w.rho),
@@ -212,7 +214,7 @@ def _cmd_graph(doc, p, precision, args):
     if mode not in (manifolds.STABLE, manifolds.CENTRE_STABLE,
                     manifolds.CENTRE, manifolds.UNSTABLE):
         raise SchemaError(f"unknown mode {mode!r}")
-    order = args.order or doc.get("order", 6)
+    order = _count(args.order, doc, "order", 6)
     gs = manifolds.graph_series(f, a, mode, order=order, precision=precision)
     return {
         "mode": gs.mode,
@@ -230,7 +232,7 @@ def _cmd_graph(doc, p, precision, args):
 def _cmd_orbit(doc, p, precision, args):
     f = _load_map(doc, p)
     x = _load_point(doc, f.nvars)
-    n = args.horizon or doc.get("steps", 8)
+    n = _count(args.horizon, doc, "steps", 8, least=0)
     pts = dynamics.orbit(f, x, n)
     return {"orbit": [
         {"point": _fmt_vec(z), "norm_exp": fmt(e)} for z, e in pts
@@ -241,7 +243,7 @@ def _cmd_member(doc, p, precision, args):
     f = _load_map(doc, p)
     a = _require_a(doc, args)
     x = _load_point(doc, f.nvars)
-    horizon = args.horizon or doc.get("horizon", 64)
+    horizon = _count(args.horizon, doc, "horizon", 64)
     v = dynamics.stable_membership(f, a, x, horizon, precision)
     return {
         "a": fmt(a),
@@ -269,6 +271,19 @@ def _require_a(doc, args):
     if "a" in doc:
         return _parse_rational(doc["a"], "threshold a")
     raise SchemaError("threshold 'a' required (flag --a or input field)")
+
+
+def _count(flag, doc, key, default, least=1):
+    """An integer option: the flag if given (it must be positive), else the
+    input field key (at least least), else default."""
+    if flag is not None:
+        if flag < 1:
+            raise SchemaError(f"flag for '{key}' must be a positive integer, got {flag}")
+        return flag
+    n = doc.get(key, default)
+    if type(n) is not int or n < least:  # a JSON true is not a count
+        raise SchemaError(f"'{key}' must be an integer >= {least}, got {n!r}")
+    return n
 
 
 def _emit_table(result, out, prefix=""):
@@ -309,10 +324,7 @@ def main(argv=None) -> int:
         p = args.prime if args.prime is not None else doc.get("prime")
         if not isinstance(p, int) or not _is_prime(p):
             raise SchemaError(f"'prime' must be a prime integer, got {p!r}")
-        precision = (args.precision if args.precision is not None
-                     else doc.get("precision", DEFAULT_PRECISION))
-        if not isinstance(precision, int) or precision < 1:
-            raise SchemaError("'precision' must be a positive integer")
+        precision = _count(args.precision, doc, "precision", DEFAULT_PRECISION)
         result = COMMANDS[args.command](doc, p, precision, args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -286,9 +286,10 @@ def _bcoerce(x, y, p):
     xp, yp = isinstance(x, PadicNumber), isinstance(y, PadicNumber)
     if xp == yp:
         return x, y
+    # an exact zero or an O-term has prec 0 and sets no precision
     if xp:
-        return x, PadicNumber.from_rational(y, p, max(x.prec, MIN_PRECISION) or DEFAULT_PRECISION)
-    return PadicNumber.from_rational(x, p, max(y.prec, MIN_PRECISION) or DEFAULT_PRECISION), y
+        return x, PadicNumber.from_rational(y, p, x.prec or DEFAULT_PRECISION)
+    return PadicNumber.from_rational(x, p, y.prec or DEFAULT_PRECISION), y
 
 
 @dataclass(frozen=True)

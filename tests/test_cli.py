@@ -1,6 +1,9 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,48 @@ def test_exit_4_on_schema_error(tmp_path, capsys, doc):
     code, out, err = run(capsys, [cmd, "--input", write(tmp_path, doc)])
     assert code == 4
     assert out == "" and "schema error" in err
+
+
+GRAPH = dict(BENCH_MAP, a="1", mode="Stable")
+MEMBER = dict(BENCH_MAP, a="1", point=["1", "2/7"])
+ORBIT = dict(BENCH_MAP, point=["1", "2/7"])
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["graph"], dict(GRAPH, order="x")),
+    (["graph"], dict(GRAPH, order=True)),
+    (["graph"], dict(GRAPH, order=0)),
+    (["member"], dict(MEMBER, horizon="5")),
+    (["orbit"], dict(ORBIT, steps=-3)),
+    (["spectrum"], dict(DIAG, precision=True)),
+    (["graph", "--order", "0"], GRAPH),
+    (["graph", "--order", "-2"], GRAPH),
+    (["member", "--horizon", "0"], MEMBER),
+    (["orbit", "--horizon", "0"], ORBIT),
+])
+def test_exit_4_on_bad_count(tmp_path, capsys, argv, doc):
+    code, out, err = run(capsys, argv + ["--input", write(tmp_path, doc)])
+    assert code == 4
+    assert out == "" and "schema error" in err
+
+
+def test_orbit_of_zero_steps(tmp_path, capsys):
+    code, out, _ = run(capsys, ["orbit", "--input", write(tmp_path, dict(ORBIT, steps=0))])
+    assert code == 0
+    assert json.loads(out)["orbit"] == [{"point": ["1", "2/7"], "norm_exp": "0"}]
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["norm"], DIAG), (["split", "--a", "1"], DIAG), (["member"], MEMBER)])
+def test_commands_run_without_sympy(tmp_path, argv, doc):
+    argv = argv + ["--input", write(tmp_path, doc)]
+    script = ("import sys\nfrom ultradyn import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "sys.exit(code or 'sympy' in sys.modules)")
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_input_file(tmp_path, capsys):

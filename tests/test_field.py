@@ -163,6 +163,15 @@ def test_ext_division_roundtrip(a, b, p):
     assert (q * xb - xa).valuation() == INF
 
 
+@pytest.mark.parametrize("other", [PadicNumber.zero(2), PadicNumber.o_term(2, 5)])
+def test_ext_sum_keeps_rational_precision(other):
+    # a Fraction promoted next to an exact zero or an O-term keeps the
+    # default precision, not one digit
+    x = ExtElement.from_base(Fraction(3), 2, 1) + ExtElement.from_base(other, 2, 1)
+    c = x.coeffs[0]
+    assert (c.unit, c.val, c.prec) == (3, 0, DEFAULT_PRECISION if other.is_exact_zero else 5)
+
+
 @settings(max_examples=40)
 @given(nonzero_rationals, nonzero_rationals, primes)
 def test_ext_ultrametric(a, b, p):

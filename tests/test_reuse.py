@@ -2,6 +2,7 @@
 adapted norm, one conjugation per radius scan; and exactness of the
 per-pi-power norm_exp kernel against the ExtContext product."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ from math import inf as INF
 
 import pytest
 
-from ultradyn import dynamics, spectral
+from ultradyn import cli, dynamics, spectral
 from ultradyn.dynamics import PolyMap
 from ultradyn.field import ExtContext, PadicNumber, RationalContext
 from ultradyn.polyalg import cmat, cvec, mat_inverse, mat_mul, mat_vec
@@ -119,6 +120,15 @@ LINEAR = PolyMap.from_tables([{(1, 0): F(2)}, {(0, 1): F(1, 2)}], p=2)
 def test_witness_analyses_its_matrix_once(spectral_calls):
     w = spectral.nonhyperbolicity_witness(DIAG, 2, F(1))
     assert w.constant
+    for calls in spectral_calls:
+        assert list(calls.values()) == [1]
+
+
+def test_cli_hyperbolic_analyses_its_matrix_once(spectral_calls, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"prime": 2, "matrix": [[str(c) for c in r] for r in DIAG]}))
+    assert cli.main(["hyperbolic", "--a", "1", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"]["constant"]
     for calls in spectral_calls:
         assert list(calls.values()) == [1]
 

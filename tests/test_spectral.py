@@ -7,9 +7,11 @@ from math import inf as INF
 import pytest
 
 from ultradyn.errors import PreconditionViolated
-from ultradyn.field import RationalContext, compare_threshold
-from ultradyn.polyalg import mat_vec, residual_in_span
+from ultradyn.field import PadicNumber, RationalContext, compare_threshold
+from ultradyn.polyalg import Polynomial, _pmul, mat_vec, residual_in_span
 from ultradyn.spectral import (
+    _monic_scale,
+    _rational_factors,
     adapted_norm,
     eigenspace_sum,
     is_hyperbolic,
@@ -179,3 +181,81 @@ def test_witness_unipotent():
 def test_witness_requires_nonhyperbolic():
     with pytest.raises(PreconditionViolated):
         nonhyperbolicity_witness(BENCH, 2, F(1))
+
+
+# -- exact slope factors -----------------------------------------------------
+
+
+def _product(p, factors):
+    cs = [F(1)]
+    for fac in factors:
+        cs = _pmul(cs, [F(c) for c in fac], RationalContext(p))
+    return cs
+
+
+def _companion(cs):
+    """Companion matrix of the monic polynomial with coefficients cs."""
+    n = len(cs) - 1
+    return [[F(int(i == j + 1)) if j < n - 1 else -F(cs[i]) for j in range(n)]
+            for i in range(n)]
+
+
+def _block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    out = [[F(0)] * d for _ in range(d)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
+# (p, monic factors of the charpoly, {rho: exact slope factor}); every slope
+# factor is known by construction
+RATIONAL_SLOPE_CASES = [
+    # t^2 + t + p has roots of valuation 0 and 1, and no rational factor
+    (3, [[3, 1, 1]], {}),
+    (5, [[5, 1, 1]], {}),
+    # t - 3 shares slope 1 and t - 2 slope 0 with the pieces of t^2 + t + 3
+    (3, [[3, 1, 1], [-3, 1], [-2, 1], [-9, 1]], {F(2): [-9, 1]}),
+    # repeated factors, t^k and negative slopes; t - 3 meets the repeated
+    # mixed factor at slope 0
+    (2, [[0, 1], [0, 1], [F(-1, 2), 1], [F(-1, 2), 1], [F(-1, 4), 1], [-3, 1],
+         [2, 1, 1], [2, 1, 1]],
+     {INF: [0, 0, 1], F(-1): [F(1, 4), -1, 1], F(-2): [F(-1, 4), 1]}),
+    # band (0, 1] holds slopes 1/2 and 2/3: g_1/2 = t^2 - 2 is rational, the
+    # 2/3 piece of t^4 + 4t + 32 is not, and its slope-3 root is not either
+    (2, [[-2, 0, 1], [32, 4, 0, 0, 1]], {F(1, 2): [-2, 0, 1]}),
+    # both slopes of the band rational
+    (2, [[-2, 0, 1], [-4, 0, 0, 1], [-1, 1]],
+     {F(1, 2): [-2, 0, 1], F(2, 3): [-4, 0, 0, 1], F(0): [-1, 1]}),
+    # one slope: the core itself
+    (3, [[F(1, 9), F(2, 3), 1], [F(-1, 3), 1]],
+     {F(-1): [F(-1, 27), F(-1, 9), F(1, 3), 1]}),
+]
+
+
+@pytest.mark.parametrize("p,factors,want", RATIONAL_SLOPE_CASES)
+def test_rational_factors_oracle(p, factors, want):
+    got = _rational_factors(Polynomial(tuple(_product(p, factors)), p))
+    assert got == {rho: [F(c) for c in cs] for rho, cs in want.items()}
+
+
+def test_monic_scale_is_minimal():
+    # (t - 1/2)^2 (t - 1/4) (t - 3): 4^4 c(t/4) is integral, the lcm of the
+    # denominators (16) is not needed
+    cs = _product(2, [[F(-1, 2), 1], [F(-1, 2), 1], [F(-1, 4), 1], [-3, 1]])
+    assert _monic_scale(cs) == 4
+    assert _monic_scale(_product(3, [[F(1, 9), 0, 1]])) == 3
+
+
+def test_shared_band_blocks_rational_and_padic():
+    # over Q_2, (t^2 - 2)(t^4 + 4t + 32): the slope-1/2 block keeps an exact
+    # basis, the slopes 2/3 and 3 get p-adic ones
+    m = _block_diag(_companion([-2, 0, 1]), _companion([32, 4, 0, 0, 1]))
+    blocks = {b.rho: b for b in spectral_data(m, 2).blocks}
+    assert {rho: b.dim for rho, b in blocks.items()} == {F(1, 2): 2, F(2, 3): 3, F(3): 1}
+    assert all(isinstance(x, F) for v in blocks[F(1, 2)].basis for x in v)
+    for rho in (F(2, 3), F(3)):
+        assert any(isinstance(x, PadicNumber) for v in blocks[rho].basis for x in v)
