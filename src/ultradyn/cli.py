@@ -3,8 +3,8 @@
 Problem files are JSON with all numbers as rational strings ("2/7"); +inf
 valuations serialize as "inf".  Output is deterministic (sorted keys, fixed
 separators).  Exit codes: 0 success, 2 certified failure (violated
-precondition, resonance, uncertifiable rank, no radius), 3 precision
-exhausted, 4 schema error.
+precondition, resonance, uncertifiable rank), 3 precision exhausted, 4
+schema error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     NotAFixedPoint,
     PrecisionExhausted,
     PreconditionViolated,
-    RadiusNotFound,
     RankUncertified,
     ResonanceDetected,
     SchemaError,
@@ -33,7 +32,6 @@ CERTIFIED_FAILURES = (
     PreconditionViolated,
     NotAFixedPoint,
     JacobianSingular,
-    RadiusNotFound,
     ResonanceDetected,
     RankUncertified,
     DivisionByZero,
@@ -46,7 +44,7 @@ CERTIFIED_FAILURES = (
 
 
 def _parse_rational(s, what="number") -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:  # a JSON true is not a number
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"{what} must be a rational string, got {s!r}")
@@ -111,7 +109,7 @@ def _load_map(doc, p):
                     "each term must be [[e_1,...,e_d], \"coeff\"]")
             exps, c = term
             if len(exps) != nvars or not all(
-                    isinstance(e, int) and e >= 0 for e in exps):
+                    type(e) is int and e >= 0 for e in exps):
                 raise SchemaError(f"bad multi-index {exps!r}")
             t[tuple(exps)] = _parse_rational(c, "coefficient")
         tables.append(t)
@@ -173,6 +171,8 @@ def _cmd_norm(doc, p, precision, args):
     m = _load_matrix(doc)
     eps = doc.get("eps")
     eps = _parse_rational(eps, "eps") if eps is not None else None
+    if eps is not None and eps <= 0:
+        raise SchemaError(f"'eps' must be positive, got {fmt(eps)}")
     n = spectral.adapted_norm(m, p, eps=eps, precision=precision)
     return {
         "ram": n.ram,

@@ -16,7 +16,7 @@ from .errors import (
     JacobianSingular,
     NotAFixedPoint,
     PreconditionViolated,
-    RadiusNotFound,
+    RadiusNotFound,  # noqa: F401  no longer raised; callers still catch it
     UltradynError,
 )
 from .field import DEFAULT_PRECISION, NONZERO, ZERO, compare_threshold
@@ -162,7 +162,8 @@ def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
     val = f(pt)
     for a, b in zip(val, pt):
         if ctx.zeroness(coerce(a, ctx) - coerce(b, ctx)) == NONZERO:
-            raise NotAFixedPoint(f"F({pt}) = {val} != {pt}")
+            x, y = (", ".join(map(str, v)) for v in (pt, val))  # "3/2", no reprs
+            raise NotAFixedPoint(f"F([{x}]) = [{y}] != [{x}]")
     n = f.nvars
     shift_polys = []
     for i in range(n):
@@ -256,8 +257,29 @@ def remainder_lipschitz(f: PolyMap, radius_exp, norm: AdaptedNorm):
     return _remainder_bound(f, norm)(Fraction(radius_exp))
 
 
-def linearization_radius(f: PolyMap, norm: AdaptedNorm,
-                         max_exp: int = 64, min_exp: int = 0):
+def _least_k(ok):
+    """Smallest k >= 0 with ok(k), for a predicate that is false below some
+    k and true from there on: double k until ok holds, then bisect.  It
+    stops where a scan k = 0, 1, 2, ... would.
+
+    Each radius predicate holds from some finite k on, since the remainder
+    bound lip(k) is a minimum of affine functions with slopes |m| - 1 >= 1
+    (or INF), so it grows without bound: linearization needs
+    lip(k) + einv > 0 and dominance lip(k) > ru, with einv and ru finite;
+    Invariant and Isometric balls need lip(k) >= 0 and > 0; Contracting at
+    c(k) = min(op_a, lip(k)) < rate_below holds once c(k) = op_a, because
+    invariant_ball's preconditions ensure rate_below > p^-op_a.
+    """
+    lo, hi = -1, 1  # ok(lo) counts as false; the answer lies in (lo, hi]
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+def linearization_radius(f: PolyMap, norm: AdaptedNorm):
     """Smallest k (largest ball p^-k) with Lip(R|B) < 1 / ||A^-1||; on that
     ball ||F(z) - F(y)|| = ||A (z - y)|| exactly."""
     a = linear_part(f)
@@ -268,11 +290,7 @@ def linearization_radius(f: PolyMap, norm: AdaptedNorm,
         raise JacobianSingular("derivative at 0 is singular") from exc
     einv = operator_norm(ainv, f.prime, norm)  # ||A^-1|| = p^-einv
     lipschitz = _remainder_bound(f, norm)
-    for k in range(min_exp, max_exp + 1):
-        lip = lipschitz(k)
-        if lip == INF or lip + einv > 0:
-            return k
-    raise RadiusNotFound(f"no radius exponent in [{min_exp}, {max_exp}] works")
+    return _least_k(lambda k: lipschitz(k) + einv > 0)
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +313,6 @@ class BallCertificate:
 
 
 def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
-                   max_exp: int = 64, min_exp: int = 0,
                    rate_below=None) -> BallCertificate:
     """Certified ball for the given mode; rate_below (a rational) optionally
     strengthens Contracting to demand c < rate_below."""
@@ -318,22 +335,13 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
     else:
         raise PreconditionViolated(f"unknown mode {mode!r}")
     lipschitz = _remainder_bound(f, norm)
-    for k in range(min_exp, max_exp + 1):
-        lip = lipschitz(k)
-        if mode == INVARIANT:
-            ok = lip >= 0
-            c = min(op_a, lip)
-        elif mode == ISOMETRIC:
-            ok = lip > 0
-            c = Fraction(0)
-        else:
-            c = min(op_a, lip)
-            ok = lip > 0 and (
-                rate_below is None or compare_threshold(rate_below, c, p) > 0
-            )
-        if ok:
-            return BallCertificate(mode, k, c, norm)
-    raise RadiusNotFound(f"no {mode} ball in exponent range [{min_exp}, {max_exp}]")
+    if mode == INVARIANT:
+        k = _least_k(lambda k: lipschitz(k) >= 0)
+    else:  # Isometric: op_a == 0, so c == 0 below
+        k = _least_k(lambda k: lipschitz(k) > 0 and (
+            mode == ISOMETRIC or rate_below is None
+            or compare_threshold(rate_below, min(op_a, lipschitz(k)), p) > 0))
+    return BallCertificate(mode, k, min(op_a, lipschitz(k)), norm)
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +420,7 @@ def classify_fixed_point(f: PolyMap, pt=None,
         norm = analysis.norm()
         try:
             cert = invariant_ball(g, mode, norm)
-        except (PreconditionViolated, RadiusNotFound):
+        except PreconditionViolated:
             cert = None
     return FixedPointReport(
         tuple(pt), tuple(tuple(r) for r in a), tuple(spec), label, degenerate,
@@ -512,9 +520,8 @@ def _try_graph_reduction(f, a, x, horizon, precision, analysis):
                                     precision=precision, analysis=analysis)
     except UltradynError:
         return None
-    res = manifolds.residual(f, gs, truncate=False)
-    ctx = gs._ctx()
-    if any(ctx.zeroness(c) != ZERO for table in res for c in table.values()):
+    fb, fc, h, ctx = manifolds._on_graph(f, gs)  # for residual and base map
+    if any(manifolds._residual_of(fb, fc, h, ctx)):  # zero terms are dropped
         return None
     # exact invariance; is x on the graph?
     base_x, comp_x = manifolds.split_point(gs, x)
@@ -522,8 +529,7 @@ def _try_graph_reduction(f, a, x, horizon, precision, analysis):
     if not all(ctx.zeroness(coerce(cv, ctx) - coerce(hv, ctx)) == ZERO
                for cv, hv in zip(comp_x, hval)):
         return None
-    g_restricted = manifolds.restricted_base_map(f, gs)
-    sub = stable_membership(g_restricted, a, base_x, horizon)
+    sub = stable_membership(PolyMap.from_tables(fb, f.prime, len(fb)), a, base_x, horizon)
     if sub.verdict != CERTIFIED_MEMBER:
         return None
     just = (
@@ -563,7 +569,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         norm = analysis.norm()
         try:
             cert = invariant_ball(f, CONTRACTING, norm, rate_below=a)
-        except (PreconditionViolated, RadiusNotFound):
+        except PreconditionViolated:
             cert = None
         if cert is not None:
             for n, (_, z) in enumerate(pts):
@@ -579,7 +585,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         norm = analysis.norm()
         try:
             k = linearization_radius(f, norm)
-        except (JacobianSingular, RadiusNotFound):
+        except JacobianSingular:
             k = None
         if k is not None:
             ctx = infer_context([lin], p, precision)
@@ -615,26 +621,25 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         norm = analysis.norm()
         ru = max(v for v, _ in spec if compare_threshold(a, v, p) == -1)
         lipschitz = _remainder_bound(f, norm)
-        k = next((kk for kk in range(0, 65) if lipschitz(kk) > ru), None)
-        if k is not None:
-            for n, (_, z) in enumerate(pts):
-                zc = infer_context([z], p, precision)
-                if _is_exact_zero_vec(z, zc):
-                    return MembershipVerdict(
-                        CERTIFIED_MEMBER, trace,
-                        (f"F^{n}(x) = 0 exactly",))
-                if norm.norm_exp(z) >= k:
-                    es, ec, eu = _component_exps(norm, a, z)
-                    if eu < min(es, ec):
-                        just = (
-                            f"F^{n}(x) lies inside the dominance ball p^-{k} "
-                            f"with strictly dominant E_(a,u) component "
-                            f"(exp {eu} < {min(es, ec)})",
-                            "dominance propagates exactly (ultrametric dominated "
-                            "sum, Lip(R) < expansion factor), so a^-m ||F^m(x)|| "
-                            "grows strictly inside the chart ball",
-                        )
-                        return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
+        k = _least_k(lambda k: lipschitz(k) > ru)
+        for n, (_, z) in enumerate(pts):
+            zc = infer_context([z], p, precision)
+            if _is_exact_zero_vec(z, zc):
+                return MembershipVerdict(
+                    CERTIFIED_MEMBER, trace,
+                    (f"F^{n}(x) = 0 exactly",))
+            if norm.norm_exp(z) >= k:
+                es, ec, eu = _component_exps(norm, a, z)
+                if eu < min(es, ec):
+                    just = (
+                        f"F^{n}(x) lies inside the dominance ball p^-{k} "
+                        f"with strictly dominant E_(a,u) component "
+                        f"(exp {eu} < {min(es, ec)})",
+                        "dominance propagates exactly (ultrametric dominated "
+                        "sum, Lip(R) < expansion factor), so a^-m ||F^m(x)|| "
+                        "grows strictly inside the chart ball",
+                    )
+                    return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
 
     # heuristics: trend of a^-n ||F^n(x)|| as exponents e_n - n * v_a where
     # a-comparisons stay exact: use t_n = trace[n] and compare consecutive

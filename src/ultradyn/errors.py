@@ -32,7 +32,7 @@ class JacobianSingular(PreconditionViolated):
 
 
 class RadiusNotFound(UltradynError):
-    """No admissible ball radius exists within the configured exponent range."""
+    """No admissible ball radius was found (no longer raised: radii are uncapped)."""
 
 
 class ResonanceDetected(UltradynError):

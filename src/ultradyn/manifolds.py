@@ -279,33 +279,35 @@ def _compose_with_graph(tables, h, db, dc, d, max_deg, ctx):
     return fb, fc
 
 
+def _on_graph(f: PolyMap, gs: GraphSeries, cap=None):
+    """(fb, fc, h, ctx): F_base(xi, h(xi)) and F_comp(xi, h(xi)) as tables
+    over the base variables, truncated at total degree cap, with the graph's
+    tables h over ctx.  cap=None truncates nothing: no term of either
+    exceeds degree deg(F) * order^2."""
+    solve_map = f
+    if gs.mode == UNSTABLE:
+        solve_map = formal_inverse(f, gs.order).gmap
+    if cap is None:
+        cap = max(gs.order, f.degree() * gs.order * max(1, gs.order))
+    ctx = gs._ctx()
+    tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
+    h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
+    fb, fc = _compose_with_graph(tables, h, len(gs.base_basis), len(h), f.nvars, cap, ctx)
+    return fb, fc, h, ctx
+
+
+def _residual_of(fb, fc, h, ctx):
+    """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) from _on_graph's result."""
+    return [_madd(_msubst(hi, fb, len(fb), ctx), _mscale(fci, ctx.zero - ctx.one, ctx), ctx)
+            for hi, fci in zip(h, fc)]
+
+
 def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) as complement-coordinate
     tables; all-zero (through the order, if truncate) iff the graph is
     invariant."""
-    solve_map = f
-    if gs.mode == UNSTABLE:
-        solve_map = formal_inverse(f, gs.order).gmap
-    d = f.nvars
-    db = len(gs.base_basis)
-    dc = len(gs.complement_basis)
-    ctx = gs._ctx()
-    winv = cmat(gs.winv, ctx)
-    tables = conjugate(solve_map, winv, cmat(gs.w, ctx), ctx)
-    h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
-    cap = gs.order if truncate else max(
-        gs.order, f.degree() * gs.order * max(1, gs.order))
-    fb, fc = _compose_with_graph(tables, h, db, dc, d, cap, ctx)
-    out = []
-    for i in range(dc):
-        lhs = _msubst(h[i], fb, db, ctx)
-        if truncate:
-            lhs = _mtrunc(lhs, gs.order)
-            fci = _mtrunc(fc[i], gs.order)
-        else:
-            fci = fc[i]
-        out.append(_madd(lhs, _mscale(fci, ctx.zero - ctx.one, ctx), ctx))
-    return out
+    res = _residual_of(*_on_graph(f, gs, gs.order if truncate else None))
+    return [_mtrunc(t, gs.order) for t in res] if truncate else res
 
 
 # --------------------------------------------------------------------------
@@ -332,14 +334,5 @@ def evaluate_graph(gs: GraphSeries, xi):
 def restricted_base_map(f: PolyMap, gs: GraphSeries) -> PolyMap:
     """G(xi) = F_base(xi, h(xi)): the dynamics on the invariant graph in
     base coordinates (exact when the graph is exactly invariant)."""
-    solve_map = f
-    if gs.mode == UNSTABLE:
-        solve_map = formal_inverse(f, gs.order).gmap
-    ctx = gs._ctx()
-    db = len(gs.base_basis)
-    dc = len(gs.complement_basis)
-    tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
-    h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
-    cap = f.degree() * max(2, gs.order)
-    fb, _ = _compose_with_graph(tables, h, db, dc, f.nvars, cap, ctx)
-    return PolyMap.from_tables(fb, gs.prime, db)
+    fb = _on_graph(f, gs, f.degree() * max(2, gs.order))[0]
+    return PolyMap.from_tables(fb, gs.prime, len(gs.base_basis))

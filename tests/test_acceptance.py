@@ -388,6 +388,17 @@ def test_criterion_8_classifier_and_certificates():
            f"{certified} ball certificates verified on 200 points per shell")
 
 
+def test_criterion_8_certificate_beyond_exponent_64():
+    # f(x) = 2x + 2^-100 x^2: the Contracting ball is p^-101, past any scan
+    # capped at exponent 64
+    f = PolyMap.from_tables([{(1,): F(2), (2,): F(1, 2**100)}], 2, 1)
+    r = classify_fixed_point(f, precision=PRECISION)
+    assert r.label == UNIFORMLY_ATTRACTIVE
+    cert = r.certificate
+    assert (cert.mode, cert.radius_exp, cert.contraction_exp) == (CONTRACTING, 101, 1)
+    _check_certificate(f, cert, 2, random.Random(818))
+
+
 def test_criterion_9_local_isometry():
     rng = random.Random(909)
     pairs = 0

@@ -79,6 +79,14 @@ def test_exit_2_on_precondition(tmp_path, capsys):
     assert json.loads(out)["error"] == "PreconditionViolated"
 
 
+def test_not_a_fixed_point_detail_is_rational(tmp_path, capsys):
+    doc = {"prime": 2, "map": [[[[1], "2"], [[0], "1"]]], "point": ["1"]}  # x -> 2x + 1
+    code, out, _ = run(capsys, ["classify", "--input", write(tmp_path, doc)])
+    assert code == 2
+    assert json.loads(out) == {"error": "NotAFixedPoint", "detail": "F([1]) = [3] != [1]"}
+    assert "Fraction(" not in out
+
+
 def test_exit_3_on_precision_exhaustion(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise PrecisionExhausted("synthetic")
@@ -94,6 +102,8 @@ def test_exit_3_on_precision_exhaustion(tmp_path, capsys, monkeypatch):
     {"prime": 2, "matrix": [["x"]]},                 # not a rational
     {"prime": 2},                                    # missing matrix
     {"prime": 2, "map": [[[[1], "1"]]], "a": "0.5.1"},
+    {"prime": 2, "matrix": [[True, False], [False, True]]},  # booleans
+    {"prime": 2, "map": [[[[True], "1"]]], "a": "1", "point": ["1"]},
 ])
 def test_exit_4_on_schema_error(tmp_path, capsys, doc):
     cmd = "member" if "map" in doc else "spectrum"
@@ -118,6 +128,10 @@ ORBIT = dict(BENCH_MAP, point=["1", "2/7"])
     (["graph", "--order", "-2"], GRAPH),
     (["member", "--horizon", "0"], MEMBER),
     (["orbit", "--horizon", "0"], ORBIT),
+    # a non-positive eps, with and without a nilpotent block
+    (["norm"], {"prime": 2, "matrix": [["2", "0"], ["0", "1"]], "eps": "-1"}),
+    (["norm"], {"prime": 2, "matrix": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "3"]],
+                "eps": "-1"}),
 ])
 def test_exit_4_on_bad_count(tmp_path, capsys, argv, doc):
     code, out, err = run(capsys, argv + ["--input", write(tmp_path, doc)])

@@ -100,6 +100,17 @@ def test_linearization_radius_oracle_p3():
     assert linearization_radius(f, n) == F(1)  # radius 1/3
 
 
+def tiny_remainder(j=100):
+    """f(x) = 2x + 2^-j x^2 over Q_2: its radii lie beyond exponent 64."""
+    return pmap([{(1,): F(2), (2,): F(1, 2**j)}], 2)
+
+
+def test_linearization_radius_beyond_exponent_64():
+    f = tiny_remainder()
+    n = adapted_norm(jacobian(f), 2)
+    assert linearization_radius(f, n) == 102  # Lip(R | p^-k) = 2^(k-100) < 1/2
+
+
 # -- classifier and ball certificates ---------------------------------------
 
 
@@ -178,6 +189,15 @@ def test_membership_bench_on_graph():
 def test_membership_bench_unstable_axis():
     v = stable_membership(bench(), F(1), [F(0), F(1)])
     assert v.verdict == CERTIFIED_NON_MEMBER
+
+
+def test_membership_dominance_ball_beyond_exponent_64():
+    # (2x, y/2 + 2^-100 x^2) at a = 1: Lip(R | p^-k) = 2^-(k-100) beats the
+    # unstable rate 2 = p^-ru, ru = -1, from k = 100 on
+    f = pmap([{(1, 0): F(2)}, {(0, 1): F(1, 2), (2, 0): F(1, 2**100)}], 2)
+    v = stable_membership(f, F(1), [F(2**150), F(2**200)])
+    assert v.verdict == CERTIFIED_NON_MEMBER
+    assert "inside the dominance ball p^-100 " in v.justification[0]
 
 
 def test_membership_origin_always_member():

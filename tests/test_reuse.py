@@ -1,8 +1,10 @@
 """Reuse of spectral work: one LinearAnalysis per matrix, one T Winv per
-adapted norm, one conjugation per radius scan; and exactness of the
+adapted norm, one conjugation per radius search (which finds the same k as
+a scan) and two per graph reduction; and exactness of the
 per-pi-power norm_exp kernel against the ExtContext product."""
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,12 +13,14 @@ from math import inf as INF
 
 import pytest
 
-from ultradyn import cli, dynamics, spectral
+from ultradyn import cli, dynamics, manifolds, spectral
 from ultradyn.dynamics import PolyMap
-from ultradyn.field import ExtContext, PadicNumber, RationalContext
+from ultradyn.errors import PreconditionViolated
+from ultradyn.field import ExtContext, PadicNumber, RationalContext, compare_threshold
 from ultradyn.polyalg import cmat, cvec, mat_inverse, mat_mul, mat_vec
 
 from helpers import _embed, frac_block, int_block, nilp_block, rand_vector, unimodular
+from helpers import rand_poly_map
 
 F = Fraction
 
@@ -208,7 +212,35 @@ def test_norm_repr_and_eq_unchanged_by_queries():
     assert n == fresh and hash(n) == hash(fresh)
 
 
-# -- one conjugation per radius scan -------------------------------------------
+# -- one conjugation per radius search -----------------------------------------
+
+
+def scaled_remainder(f, j):
+    """f with every term of degree >= 2 multiplied by p^-j."""
+    scale = F(f.prime) ** -j
+    return PolyMap.from_tables([{m: c * scale if sum(m) >= 2 else c for m, c in comp}
+                                for comp in f.components], f.prime, f.nvars)
+
+
+def radius_maps():
+    """Maps whose radii run from 0 to past 120: seeded random maps with
+    hyperbolic, contracting or unimodular linear parts and a remainder
+    scaled by p^-j, and 2x + 2^-j x^2."""
+    yield PolyMap.from_tables([{(1, 0): F(2), (0, 2): F(1, 2**10)},
+                               {(0, 1): F(4), (2, 0): F(1)}], p=2)
+    for seed in range(36):
+        rng = random.Random(seed)
+        vals = [(-2, -1, 1, 2), (1, 2), (0,)][seed % 3]
+        f = rand_poly_map(rng, (2, 3, 5)[seed // 3 % 3], 1 + seed // 9 % 3, 2 + seed % 2,
+                          valuations=vals)
+        yield scaled_remainder(f, (seed * 7) % 121)
+    for j in (63, 64, 65, 120):
+        yield PolyMap.from_tables([{(1,): F(2), (2,): F(1, 2**j)}], p=2)
+
+
+def scan(ok):
+    """The first k in 0, 1, 2, ... with ok(k)."""
+    return next(k for k in range(400) if ok(k))
 
 
 def test_radius_scans_conjugate_once(monkeypatch):
@@ -216,17 +248,63 @@ def test_radius_scans_conjugate_once(monkeypatch):
     orig = dynamics.conjugate
     monkeypatch.setattr(dynamics, "conjugate",
                         lambda *a: calls.append(1) or orig(*a))
-    f = PolyMap.from_tables([{(1, 0): F(2), (0, 2): F(1, 2**10)},
-                             {(0, 1): F(4), (2, 0): F(1)}], p=2)
-    a = dynamics.linear_part(f)
-    n = spectral.adapted_norm(a, 2)
-    k = dynamics.linearization_radius(f, n)
-    assert len(calls) == 1
-    cert = dynamics.invariant_ball(f, dynamics.CONTRACTING, n)
+    checked = Counter()
+    for f in radius_maps():
+        p = f.prime
+        a = dynamics.linear_part(f)
+        n = spectral.adapted_norm(a, p)
+        lip = dynamics._remainder_bound(f, n)  # the brute-force scans' bound
+        ctx = RationalContext(p)
+        einv = spectral.operator_norm(mat_inverse(cmat(a, ctx), ctx), p, n)
+        op_a = spectral.operator_norm(a, p, n)
+        del calls[:]
+        k = dynamics.linearization_radius(f, n)
+        assert len(calls) == 1
+        assert k == scan(lambda kk: lip(kk) + einv > 0)
+        checked["linearization", k > 64] += 1
+        # each ball mode whose precondition holds; Contracting also at a rate
+        # just above ||A|| = p^-op_a
+        rate = F(p + 1, p) * F(p) ** -math.floor(op_a)
+        for mode, rate_below, ok in [
+                (dynamics.INVARIANT, None, lambda kk: lip(kk) >= 0),
+                (dynamics.ISOMETRIC, None, lambda kk: lip(kk) > 0),
+                (dynamics.CONTRACTING, None, lambda kk: lip(kk) > 0),
+                (dynamics.CONTRACTING, rate, lambda kk: lip(kk) > 0 and compare_threshold(
+                    rate, min(op_a, lip(kk)), p) > 0)]:
+            del calls[:]
+            try:
+                cert = dynamics.invariant_ball(f, mode, n, rate_below=rate_below)
+            except PreconditionViolated:
+                continue
+            assert len(calls) == 1
+            assert cert.radius_exp == scan(ok), (mode, rate_below, f)
+            checked[mode, rate_below is not None] += 1
+        # the dominance ball of stable_membership: Lip beats the slowest
+        # unstable expansion p^-ru at a = 1
+        unstable = [v for v, _ in spectral.spectrum_abs(a, p) if v < 0]
+        if unstable and not f.is_linear():
+            ru = max(unstable)
+            assert dynamics._least_k(lambda kk: lip(kk) > ru) == scan(lambda kk: lip(kk) > ru)
+            checked["dominance"] += 1
+    assert checked["linearization", True] >= 10
+    for key in [(dynamics.INVARIANT, False), (dynamics.ISOMETRIC, False),
+                (dynamics.CONTRACTING, False), (dynamics.CONTRACTING, True), "dominance"]:
+        assert checked[key] >= 3, checked
+
+
+def test_graph_reduction_conjugates_twice(monkeypatch):
+    """graph_series conjugates F once; the residual and the restricted base
+    map share one further conjugation."""
+    calls = []
+    orig = dynamics.conjugate
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(dynamics, "conjugate", counted)
+    monkeypatch.setattr(manifolds, "conjugate", counted)
+    v = dynamics.stable_membership(GAP_MAP, F(1), [F(1), F(2, 7)])
+    assert v.verdict == dynamics.CERTIFIED_MEMBER
+    assert "untruncated invariance residual == 0" in v.justification[0]
     assert len(calls) == 2
-    # the scans still return the smallest admissible exponent
-    ctx = RationalContext(2)
-    einv = spectral.operator_norm(mat_inverse(cmat(a, ctx), ctx), 2, n)
-    lips = [dynamics.remainder_lipschitz(f, kk, n) for kk in range(65)]
-    assert k == next(kk for kk, lip in enumerate(lips) if lip + einv > 0) > 1
-    assert cert.radius_exp == next(kk for kk, lip in enumerate(lips) if lip > 0) > 1
