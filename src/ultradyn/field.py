@@ -139,9 +139,17 @@ class PadicNumber:
     def is_uncertain(self) -> bool:
         return self.prec == 0 and self.val != INF
 
-    def _check(self, other):
-        if self.prime != other.prime:
-            raise PreconditionViolated("prime mismatch")
+    def _operand(self, other):
+        """other as a PadicNumber of self's prime; None if it is not a number
+        of this ring.  An int or Fraction is promoted at self's precision, or
+        at DEFAULT_PRECISION next to an exact zero or an O-term (prec 0)."""
+        if isinstance(other, PadicNumber):
+            if self.prime != other.prime:
+                raise PreconditionViolated("prime mismatch")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PadicNumber.from_rational(other, self.prime, self.prec or DEFAULT_PRECISION)
+        return None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -166,9 +174,9 @@ class PadicNumber:
         return PadicNumber(p, val + k, unit % p**prec, prec)
 
     def __add__(self, other):
-        if not isinstance(other, PadicNumber):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         p = self.prime
         x, y = self, other
         if x.is_exact_zero:
@@ -200,14 +208,13 @@ class PadicNumber:
         return PadicNumber(self.prime, self.val, (-self.unit) % m, self.prec)
 
     def __sub__(self, other):
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, PadicNumber):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         p = self.prime
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNumber.zero(p)
@@ -218,9 +225,9 @@ class PadicNumber:
         return PadicNumber(p, self.val + other.val, unit, prec)
 
     def __truediv__(self, other):
-        if not isinstance(other, PadicNumber):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         p = self.prime
         if other.is_exact_zero:
             raise DivisionByZero("division by exact zero")
@@ -235,9 +242,26 @@ class PadicNumber:
         unit = self.unit * _inv_mod(other.unit % m, m) % m
         return PadicNumber(p, self.val - other.val, unit, prec)
 
+    # int or Fraction on the left: promote it, then operate in its place
+    def __radd__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other + self
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other - self
+
+    def __rmul__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other * self
+
+    def __rtruediv__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other / self
+
     def __pow__(self, n: int):
         if n < 0:
-            return PadicNumber.from_rational(1, self.prime, self.prec or DEFAULT_PRECISION) / self**(-n)
+            return 1 / self**(-n)
         out = PadicNumber.from_rational(1, self.prime)
         base = self
         while n:
@@ -279,17 +303,6 @@ def _bzeroness(c, p, threshold):
             return ZERO if c.val >= threshold else UNCERTAIN
         return NONZERO
     return ZERO if c == 0 else NONZERO
-
-
-def _bcoerce(x, y, p):
-    """Promote Fraction/PadicNumber pair to a common base type."""
-    xp, yp = isinstance(x, PadicNumber), isinstance(y, PadicNumber)
-    if xp == yp:
-        return x, y
-    # an exact zero or an O-term has prec 0 and sets no precision
-    if xp:
-        return x, PadicNumber.from_rational(y, p, x.prec or DEFAULT_PRECISION)
-    return PadicNumber.from_rational(x, p, y.prec or DEFAULT_PRECISION), y
 
 
 @dataclass(frozen=True)
@@ -337,12 +350,8 @@ class ExtElement:
         if not isinstance(other, ExtElement):
             return NotImplemented
         self._check(other)
-        p = self.prime
-        out = []
-        for a, b in zip(self.coeffs, other.coeffs):
-            a, b = _bcoerce(a, b, p)
-            out.append(a + b)
-        return ExtElement(p, self.ram, tuple(out))
+        return ExtElement(self.prime, self.ram,
+                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return ExtElement(self.prime, self.ram, tuple(-c for c in self.coeffs))
@@ -360,19 +369,10 @@ class ExtElement:
         acc = [Fraction(0)] * e
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                a2, b2 = _bcoerce(a, b, p)
-                term = a2 * b2
-                k = i + j
+                term, k = a * b, i + j
                 if k >= e:  # pi^e = p
-                    k -= e
-                    pp = (
-                        PadicNumber.from_rational(p, p, term.prec or DEFAULT_PRECISION)
-                        if isinstance(term, PadicNumber)
-                        else Fraction(p)
-                    )
-                    term = term * pp
-                cur, term = _bcoerce(acc[k], term, p)
-                acc[k] = cur + term
+                    term, k = term * p, k - e
+                acc[k] = acc[k] + term
         return ExtElement(p, e, tuple(acc))
 
     def __truediv__(self, other):

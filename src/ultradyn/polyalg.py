@@ -27,7 +27,6 @@ from .field import (
     PadicContext,
     PadicNumber,
     RationalContext,
-    valuation_of_rational,
 )
 
 # --------------------------------------------------------------------------
@@ -66,17 +65,14 @@ def coerce(x, ctx):
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(ctx, RationalContext):
-        return Fraction(x) if isinstance(x, Fraction) else x
+        return x
     if isinstance(ctx, PadicContext):
         return ctx.from_rational(x) if isinstance(x, Fraction) else x
     # extension context
     if isinstance(x, ExtElement):
         return x.lift_ram(ctx.ram) if x.ram != ctx.ram else x
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, PadicNumber)):
         return ExtElement.from_base(x, ctx.p, ctx.ram)
-    if isinstance(x, PadicNumber):
-        rest = tuple(Fraction(0) for _ in range(ctx.ram - 1))
-        return ExtElement(ctx.p, ctx.ram, (x,) + rest)
     raise TypeError(f"cannot coerce {type(x)}")
 
 
@@ -166,11 +162,8 @@ def row_reduce(mat, ctx, rhs=None):
             if i == r:
                 continue
             f = rows[i][c]
-            if ctx.zeroness(f) == ZERO and not isinstance(f, Fraction):
-                # keep honest O-term bookkeeping but skip exact-zero work
-                if getattr(f, "is_exact_zero", False) or getattr(f, "valuation", lambda: None)() == INF:
-                    continue
-            elif isinstance(f, Fraction) and f == 0:
+            # skip exact zeros; an O-term still enters the bookkeeping
+            if ctx.zeroness(f) == ZERO and ctx.val(f) == INF:
                 continue
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
             if aug is not None:
@@ -304,7 +297,7 @@ def _padd(a, b, ctx):
 
 
 def _pneg(a):
-    return [-(x) if not isinstance(x, Fraction) else -x for x in a]
+    return [-x for x in a]
 
 
 def _psub(a, b, ctx):
@@ -378,49 +371,10 @@ def poly_eval_matrix(coeffs, m, ctx):
 
 
 def charpoly(mat, p: int, precision: int | None = None) -> Polynomial:
-    """det(tI - M), exact (fraction-free Bareiss) for rational entries,
-    Hessenberg with valuation pivoting for p-adic entries."""
+    """det(tI - M) by reduction to Hessenberg form with valuation pivoting;
+    exact over Q, capped-precision over Q_p and Q_p(pi)."""
     ctx = infer_context(mat, p, precision)
-    if isinstance(ctx, RationalContext):
-        return _charpoly_bareiss(mat, p)
     return _charpoly_hessenberg(cmat(mat, ctx), p, ctx)
-
-
-def _charpoly_bareiss(mat, p: int) -> Polynomial:
-    n = len(mat)
-    qctx = RationalContext(p)
-    # entries of tI - M as rational-coefficient polynomials in t
-    a = [
-        [
-            _pstrip(
-                [Fraction(-mat[i][j]), Fraction(1) if i == j else Fraction(0)], qctx
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    sign = 1
-    prev = [Fraction(1)]
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                continue
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _psub(
-                    _pmul(a[i][j], a[k][k], qctx), _pmul(a[i][k], a[k][j], qctx), qctx
-                )
-                a[i][j] = _pdivexact(_pstrip(num, qctx), prev, qctx) if prev != [Fraction(1)] else _pstrip(num, qctx)
-            a[i][k] = []
-        prev = a[k][k]
-    det = a[n - 1][n - 1] if n else [Fraction(1)]
-    if sign < 0:
-        det = _pneg(det)
-    cs = list(det) + [Fraction(0)] * (n + 1 - len(det))
-    return Polynomial(tuple(cs[: n + 1]), p)
 
 
 def _charpoly_hessenberg(m, p: int, ctx) -> Polynomial:
@@ -614,8 +568,7 @@ def slope_factorization(
     lead = cs[-1]
     if qctx.zeroness(lead) != NONZERO:
         raise PreconditionViolated("leading coefficient must be nonzero")
-    if isinstance(lead, Fraction) and lead != 1 or not isinstance(lead, Fraction):
-        cs = [c / lead for c in cs]
+    cs = [c / lead for c in cs]
     # strip t^k (exact zero low coefficients)
     k = 0
     while k < len(cs) and qctx.zeroness(cs[k]) == ZERO:

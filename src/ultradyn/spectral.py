@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, inf as INF, isqrt, lcm, prod
-from operator import add, mul
 
 from .errors import PreconditionViolated
 from .field import (
@@ -21,13 +20,13 @@ from .field import (
     ExtElement,
     NONZERO,
     RationalContext,
-    _bcoerce,
     _bval,
     compare_threshold,
     valuation_of_rational,
 )
 from .polyalg import (
     Polynomial,
+    _dot,
     charpoly,
     cmat,
     coerce,
@@ -375,16 +374,6 @@ class NormBlock:
     weights: tuple  # per-coordinate valuation offsets (Fractions)
 
 
-def _bdot(row, x, p):
-    """sum_c row[c] x[c] over the base field, promoting a Fraction next to a
-    PadicNumber as ExtElement arithmetic does."""
-    acc = None
-    for a, b in zip(row, x):
-        t = mul(*_bcoerce(a, b, p))
-        acc = t if acc is None else add(*_bcoerce(acc, t, p))
-    return acc
-
-
 @dataclass(frozen=True)
 class AdaptedNorm:
     """Ultrametric norm in which m acts with exact rate p^-rho on each
@@ -411,7 +400,7 @@ class AdaptedNorm:
     def _planes(self):
         """T Winv = sum_j pi^j T_j as base-field planes T_0..T_{ram-1}: Winv is
         over the base field, so T_j is T's pi^j coefficients times Winv."""
-        ctx, p = self._ctx(), self.prime
+        ctx = self._ctx()
         planes = [[] for _ in range(self.ram)]
         off = 0
         for b in self.blocks:
@@ -419,7 +408,7 @@ class AdaptedNorm:
             for trow in b.t:
                 coeffs = [coerce(x, ctx).coeffs for x in trow]
                 for j, plane in enumerate(planes):
-                    plane.append([_bdot([c[j] for c in coeffs], col, p) for col in cols])
+                    plane.append([_dot([c[j] for c in coeffs], col) for col in cols])
             off += len(b.t)
         return planes
 
@@ -453,7 +442,7 @@ class AdaptedNorm:
         zero): the min over j of v((T_j x)_i) + j/ram + q_i."""
         out = [INF] * len(self.winv)
         for i, row, off in self._rows:
-            out[i] = min(out[i], _bval(_bdot(row, x, self.prime), self.prime) + off)
+            out[i] = min(out[i], _bval(_dot(row, x), self.prime) + off)
         return out
 
     def norm_exp(self, x):
@@ -521,26 +510,22 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                        tuple(tuple(r) for r in w), tuple(blocks), eps_exp)
 
 
-def operator_norm(m, p: int, norm_dom: AdaptedNorm, norm_cod: AdaptedNorm = None):
-    """Exact exponent r with ||Mx||_cod <= p^-r ||x||_dom, attained.
+def operator_norm(m, p: int, norm: AdaptedNorm):
+    """Exact exponent r with ||Mx|| <= p^-r ||x||, attained.
 
-    For weighted sup norms the operator norm is
-    min_{i,j} ( v(A'_ij) + q_i^cod - q_j^dom ) with A' the matrix of M in
-    the two norm bases.
+    For a weighted sup norm the operator norm is
+    min_{i,j} ( v(A'_ij) + q_i - q_j ) with A' = (T Winv) M (T Winv)^-1 the
+    matrix of M in the norm basis.
     """
-    norm_cod = norm_cod or norm_dom
-    ram = lcm(norm_dom.ram, norm_cod.ram)
-    ctx = ExtContext(p, ram)
-    tdom_inv = (norm_dom._tinv if norm_dom.ram == ram
-                else mat_inverse(norm_dom.transform(ctx), ctx))
-    a = mat_mul(norm_cod.transform(ctx), mat_mul(cmat(m, ctx), tdom_inv))
-    qd, qc = norm_dom.weights, norm_cod.weights
+    ctx = norm._ctx()
+    a = mat_mul(norm.transform(ctx), mat_mul(cmat(m, ctx), norm._tinv))
+    q = norm.weights
     best = INF
     for i, row in enumerate(a):
         for j, x in enumerate(row):
             v = ctx.val(x)
             if v != INF:
-                best = min(best, v + qc[i] - qd[j])
+                best = min(best, v + q[i] - q[j])
     return best
 
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ultradyn import cli, spectral
 from ultradyn.errors import PrecisionExhausted
@@ -210,3 +212,66 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 def test_golden_stdout(tmp_path, capsys, case):
     code, out, _ = run(capsys, case["argv"] + ["--input", write(tmp_path, case["input"])])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+# -- schema fuzz: any bounded JSON document exits 0/2/3/4, never with a
+# traceback.  Each value is well formed most of the time and otherwise of a
+# wrong type, a boolean or "1/0", so that most documents reach the
+# analysis.  d <= 3, precision <= 64 and at most 4 orbit steps keep each
+# run small.
+
+def _mostly(good, bad, one_in=8):
+    """good, except for one draw in one_in, which is bad.  The bad branch is
+    the largest draw, because Hypothesis favours the smallest."""
+    return st.integers(1, one_in).flatmap(lambda i: bad if i == one_in else good)
+
+
+_BAD = st.sampled_from(["1/0", "x", "", "inf", True, False, None, 0.5, [], {}])
+_RAT = st.one_of(st.integers(-8, 8).map(str), st.integers(-8, 8),
+                 st.fractions(min_value=-64, max_value=64, max_denominator=16).map(str))
+_NUM = _mostly(_RAT, _BAD, 50)
+_A = _mostly(st.one_of(st.sampled_from(["1", "2", "1/2", "3", "1/3", "4", "1/4", "1/5"]),
+                       _RAT), _BAD)
+
+
+def _vec(d):
+    return st.lists(_NUM, min_size=d, max_size=d)
+
+
+def _matrix(d):
+    return st.lists(_vec(d), min_size=d, max_size=d)
+
+
+def _map(d):
+    exps = st.lists(_mostly(st.integers(0, 3), st.sampled_from([-1, True, "1", 1.0]), 100),
+                    min_size=d, max_size=d).filter(any)
+    term = _mostly(st.tuples(exps, _NUM).map(list), _BAD, 100)
+    return st.lists(st.lists(term, min_size=1, max_size=4), min_size=d, max_size=d)
+
+
+_COUNT = _mostly(st.integers(1, 4), st.sampled_from([-1, 0, True, "3", 2.5, None]))
+_OPTIONAL = {
+    "eps": _A, "order": _COUNT, "horizon": _COUNT,
+    "precision": _mostly(st.integers(1, 64), st.sampled_from([0, -1, True, "8", None])),
+    "mode": _mostly(st.sampled_from(["Stable", "CentreStable", "Centre", "Unstable"]),
+                    st.sampled_from(["stable", 1, None, []])),
+}
+
+
+def _problem(d):
+    bad_shape = st.one_of(_BAD, st.lists(_NUM, max_size=2), _vec(d + 1))
+    return st.fixed_dictionaries(
+        {"prime": _mostly(st.sampled_from([2, 3, 5]),
+                          st.sampled_from([4, 1, -3, True, "2", None, 2.0])),
+         "steps": _COUNT,  # always given: the default of 8 steps is not small
+         "matrix": _mostly(_matrix(d), bad_shape), "map": _mostly(_map(d), bad_shape),
+         "point": _mostly(_vec(d), bad_shape), "a": _A},
+        optional=_OPTIONAL)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(sorted(cli.COMMANDS)), doc=st.integers(1, 3).flatmap(_problem))
+def test_schema_fuzz_exit_codes(tmp_path, capsys, cmd, doc):
+    code, out, err = run(capsys, [cmd, "--input", write(tmp_path, doc)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

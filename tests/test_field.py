@@ -16,7 +16,7 @@ from ultradyn.field import (
     compare_threshold,
     valuation_of_rational,
 )
-from ultradyn.errors import DivisionByZero
+from ultradyn.errors import DivisionByZero, PreconditionViolated
 
 PRIMES = (2, 3, 5)
 
@@ -128,6 +128,46 @@ def test_padic_division(a, b, p):
 def test_padic_divide_by_zero():
     with pytest.raises(DivisionByZero):
         PadicNumber.from_rational(Fraction(1), 2) / PadicNumber.zero(2)
+
+
+@given(nonzero_rationals, nonzero_rationals, primes, st.sampled_from((1, 8, 64, 100)))
+def test_padic_mixed_operands_promote(a, q, p, prec):
+    # an int or Fraction operand is promoted at the PadicNumber's precision
+    x = PadicNumber.from_rational(a, p, prec)
+
+    def up(r):
+        return PadicNumber.from_rational(r, p, prec)
+
+    assert q + x == up(q) + x
+    assert x - 1 == x - up(1)
+    assert 1 - x == up(1) - x
+    assert 2 * x == up(2) * x
+    assert x / q == x / up(q)
+    assert 1 / x == up(1) / x
+
+
+@pytest.mark.parametrize("x", [PadicNumber.zero(2), PadicNumber.o_term(2, 5)])
+def test_padic_mixed_operand_next_to_zero_or_o_term(x):
+    # an exact zero or an O-term sets no precision: promote at the default
+    up = PadicNumber.from_rational(3, 2, DEFAULT_PRECISION)
+    assert Fraction(3) + x == up + x == x + 3
+    assert x - Fraction(3) == x - up
+    assert 3 * x == up * x
+    assert (Fraction(3) + PadicNumber.zero(2)).prec == DEFAULT_PRECISION
+
+
+def test_padic_mixed_operand_errors():
+    x = PadicNumber.from_rational(5, 2)
+    with pytest.raises(PreconditionViolated):
+        x + PadicNumber.from_rational(5, 3)
+    with pytest.raises(PreconditionViolated):
+        x * PadicNumber.from_rational(5, 3)
+    with pytest.raises(TypeError):
+        x + 1.5
+    with pytest.raises(TypeError):
+        1.5 * x
+    with pytest.raises(TypeError):
+        x / "2"
 
 
 def test_o_term_absorbs():

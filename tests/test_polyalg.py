@@ -75,6 +75,109 @@ def test_charpoly_oracle():
     assert [F(c) for c in cp.coeffs] == [F(-8), F(-2), F(1)]
 
 
+def _companion(g):
+    """Companion matrix of monic g (ascending coefficients); charpoly g."""
+    k = len(g) - 1
+    c = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        if i:
+            c[i][i - 1] = F(1)
+        c[i][k - 1] = -g[i]
+    return c
+
+
+def _polymul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _block_diag(blocks):
+    d = sum(len(b) for b in blocks)
+    m = [[F(0)] * d for _ in range(d)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[off + i][off:off + len(b)] = row
+        off += len(b)
+    return m
+
+
+def _rand_factor(rng, p, k):
+    """Random monic degree-k g in Q[t] with coefficients of mixed valuation;
+    t^k, or g with zero t^(k-1) and t^(k-2) terms, now and then."""
+    g = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) * F(p) ** rng.randint(-2, 3)
+         for _ in range(k)] + [F(1)]
+    kind = rng.random()
+    if kind < 0.15:
+        g = [F(0)] * k + [F(1)]
+    elif kind < 0.3 and k >= 3:
+        g[k - 1] = g[k - 2] = F(0)
+    return g
+
+
+def _reversed(m):
+    """P m P^-1 for the order-reversing permutation P."""
+    return [row[::-1] for row in m[::-1]]
+
+
+def _conj(s, m, p):
+    """S m S^-1 over Q."""
+    ctx = RationalContext(p)
+    return mat_mul(mat_mul(s, m), mat_inverse(cmat(s, ctx), ctx))
+
+
+def test_charpoly_oracle_companion_blocks():
+    # S diag(C(g_1), ..., C(g_k)) S^-1 has charpoly g_1 ... g_k exactly
+    rng = random.Random(2024)
+    for d in range(1, 9):
+        for _ in range(12):
+            p = rng.choice((2, 3, 5))
+            sizes = []
+            while sum(sizes) < d:
+                sizes.append(rng.randint(1, min(3, d - sum(sizes))))
+            gs = [_rand_factor(rng, p, k) for k in sizes]
+            want = [F(1)]
+            for g in gs:
+                want = _polymul(want, g)
+            m = _conj(unimodular(rng, d), _block_diag([_companion(g) for g in gs]), p)
+            cp = charpoly(m, p)
+            assert list(cp.coeffs) == want
+            assert all(type(c) is F for c in cp.coeffs)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_charpoly_oracle_pivot_swaps(d):
+    # inputs whose Hessenberg reduction meets zero or non-minimal pivots
+    rng = random.Random(d)
+    p = 2
+    t_d = [F(0)] * d + [F(1)]
+    shift = [[F(int(j == i + 1)) for j in range(d)] for i in range(d)]
+    s = unimodular(rng, d)
+    # g with zero t^(d-1), t^(d-2) terms: its reversed companion has a zero
+    # diagonal and a zero first subdiagonal entry
+    g = [F(rng.choice((1, 3, 5))) * F(p) ** rng.randint(-2, 2)] + \
+        [F(rng.randint(-4, 4)) * p for _ in range(1, d)] + [F(1)]
+    if d >= 3:
+        g[d - 1] = g[d - 2] = F(0)
+    zero_diag = _reversed(_companion(g))
+    assert d < 3 or all(zero_diag[i][i] == 0 for i in range(d))
+    cases = [
+        ([[F(0)] * d for _ in range(d)], t_d),
+        (shift, t_d),
+        (_reversed(shift), t_d),
+        (_conj(s, shift, p), t_d),
+        (zero_diag, g),
+        (_conj(s, zero_diag, p), g),
+    ]
+    for m, want in cases:
+        cp = charpoly(m, p)
+        assert list(cp.coeffs) == want
+        assert all(type(c) is F for c in cp.coeffs)
+
+
 def test_charpoly_padic_matches_rational():
     rng = random.Random(11)
     for _ in range(5):
