@@ -40,20 +40,26 @@ def _mscale(a, s, ctx):
     return {m: s * c for m, c in a.items()}
 
 
-def _mmul(a, b, ctx):
+def _mmul(a, b, ctx, max_deg=INF):
+    """a * b, forming no term of total degree above max_deg."""
     out = {}
+    bs = [(m, c, sum(m)) for m, c in b.items()]
     for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            t = c1 * c2
-            out[m] = out[m] + t if m in out else t
+        room = max_deg - sum(m1)
+        for m2, c2, d2 in bs:
+            if d2 <= room:
+                m = tuple(x + y for x, y in zip(m1, m2))
+                t = c1 * c2
+                out[m] = out[m] + t if m in out else t
     return {m: c for m, c in out.items() if ctx.zeroness(c) != ZERO}
 
 
-def _mpow(a, k, nvars, ctx):
-    out = {tuple([0] * nvars): ctx.one}
+def _mpow(a, k, nvars, ctx, max_deg=INF):
+    """[a^0, a^1, ..., a^k], each the one before times a, with the terms of
+    total degree above max_deg dropped (they never reach a lower degree)."""
+    out = [{tuple([0] * nvars): ctx.one}]
     for _ in range(k):
-        out = _mmul(out, a, ctx)
+        out.append(_mmul(out[-1], a, ctx, max_deg))
     return out
 
 
@@ -68,20 +74,20 @@ def _meval(a, x, ctx):
     return acc
 
 
-def _msubst(a, polys, nvars_out, ctx):
-    """Substitute variable i -> polys[i] (a table over nvars_out vars)."""
+def _msubst(a, polys, nvars_out, ctx, max_deg=INF):
+    """Substitute variable i -> polys[i] (a table over nvars_out vars),
+    dropping the terms of total degree above max_deg.  Each power of
+    polys[i] is built once, from the one below, and truncated as well."""
+    pows = [_mpow(polys[i], max(col), nvars_out, ctx, max_deg)
+            for i, col in enumerate(zip(*a))]
     out = {}
     for m, c in a.items():
         term = {tuple([0] * nvars_out): c}
         for i, e in enumerate(m):
             if e:
-                term = _mmul(term, _mpow(polys[i], e, nvars_out, ctx), ctx)
+                term = _mmul(term, pows[i][e], ctx, max_deg)
         out = _madd(out, term, ctx)
     return out
-
-
-def _mtrunc(a, max_deg):
-    return {m: c for m, c in a.items() if sum(m) <= max_deg}
 
 
 @dataclass(frozen=True)
@@ -512,7 +518,14 @@ def _linear_membership(f, a, x, horizon):
 
 def _try_graph_reduction(f, a, x, horizon, precision, analysis):
     """If the a-stable graph is an exactly invariant polynomial graph and x
-    lies on it, reduce to the restricted map on the base coordinates."""
+    lies on it, reduce to the restricted map on the base coordinates.
+
+    graph_series makes the residual zero through the order.  Its terms of
+    degree order + 1 are exact from a composition truncated there (see
+    manifolds._on_graph), so a nonzero one proves the graph not invariant
+    and rejects it at once.  Only a graph whose residual is zero through
+    order + 1 is composed untruncated; that composition gives the full
+    residual and the restricted base map."""
     from . import manifolds  # deferred: manifolds imports this module
 
     try:
@@ -520,9 +533,11 @@ def _try_graph_reduction(f, a, x, horizon, precision, analysis):
                                     precision=precision, analysis=analysis)
     except UltradynError:
         return None
-    fb, fc, h, ctx = manifolds._on_graph(f, gs)  # for residual and base map
-    if any(manifolds._residual_of(fb, fc, h, ctx)):  # zero terms are dropped
-        return None
+    compose, h, ctx = manifolds._on_graph(f, gs)
+    for cap in (gs.order + 1, INF):
+        fb, fc = compose(cap)
+        if any(manifolds._residual_of(fb, fc, h, ctx, cap)):  # zero terms are dropped
+            return None
     # exact invariance; is x on the graph?
     base_x, comp_x = manifolds.split_point(gs, x)
     hval = manifolds.evaluate_graph(gs, base_x)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf as INF
 
 from .errors import (
     JacobianSingular,
@@ -24,7 +25,6 @@ from .dynamics import (
     _meval,
     _mscale,
     _msubst,
-    _mtrunc,
     conjugate,
     linear_part,
 )
@@ -97,9 +97,7 @@ def formal_inverse(f: PolyMap, order: int = 6) -> InverseSeries:
     g = [dict(pl) for pl in ainv_polys]  # start with A^-1
     ftabs = [{m: coerce(c, ctx) for m, c in comp} for comp in f.components]
     for k in range(2, order + 1):
-        comp = [
-            _mtrunc(_msubst(gi, ftabs, n, ctx), k) for gi in g
-        ]
+        comp = [_msubst(gi, ftabs, n, ctx, k) for gi in g]
         for i in range(n):
             e = tuple(1 if l == i else 0 for l in range(n))
             known = {m: c for m, c in comp[i].items() if sum(m) == k and m != e}
@@ -244,7 +242,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     h = [{} for _ in range(dc)]  # tables over db variables
     for k in range(2, order + 1):
         fb_h, fc_h = _compose_with_graph(tables, h, db, dc, f.nvars, k, ctx)
-        lhs = [_mtrunc(_msubst(h[i], fb_h, db, ctx), k) for i in range(dc)]
+        lhs = [_msubst(h[i], fb_h, db, ctx, k) for i in range(dc)]
         known = []
         for i in range(dc):
             diff = _madd(fc_h[i], _mscale(lhs[i], ctx.zero - ctx.one, ctx), ctx)
@@ -273,32 +271,38 @@ def _compose_with_graph(tables, h, db, dc, d, max_deg, ctx):
         e = tuple(1 if q == l else 0 for q in range(db))
         subs.append({e: ctx.one})
     subs.extend(h)
-    fb = [_mtrunc(_msubst(tables[i], subs, db, ctx), max_deg) for i in range(db)]
-    fc = [_mtrunc(_msubst(tables[db + i], subs, db, ctx), max_deg)
-          for i in range(dc)]
+    fb = [_msubst(tables[i], subs, db, ctx, max_deg) for i in range(db)]
+    fc = [_msubst(tables[db + i], subs, db, ctx, max_deg) for i in range(dc)]
     return fb, fc
 
 
-def _on_graph(f: PolyMap, gs: GraphSeries, cap=None):
-    """(fb, fc, h, ctx): F_base(xi, h(xi)) and F_comp(xi, h(xi)) as tables
-    over the base variables, truncated at total degree cap, with the graph's
-    tables h over ctx.  cap=None truncates nothing: no term of either
-    exceeds degree deg(F) * order^2."""
+def _on_graph(f: PolyMap, gs: GraphSeries):
+    """(compose, h, ctx), with F conjugated into the graph's coordinates
+    once: compose(cap) gives F_base(xi, h(xi)) and F_comp(xi, h(xi)) as
+    tables over the base variables, truncated at total degree cap (INF
+    truncates nothing), and h is the graph's tables over ctx.
+
+    The degree <= k part of either, and of the residual built from them,
+    depends only on the terms of degree <= k: h has no term below degree 2
+    and F_base(xi, h(xi)) has no constant term.  So a small cap gives the
+    exact low-degree residual, and only an all-zero one needs cap INF."""
     solve_map = f
     if gs.mode == UNSTABLE:
         solve_map = formal_inverse(f, gs.order).gmap
-    if cap is None:
-        cap = max(gs.order, f.degree() * gs.order * max(1, gs.order))
     ctx = gs._ctx()
     tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
     h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
-    fb, fc = _compose_with_graph(tables, h, len(gs.base_basis), len(h), f.nvars, cap, ctx)
-    return fb, fc, h, ctx
+
+    def compose(cap):
+        return _compose_with_graph(tables, h, len(gs.base_basis), len(h), f.nvars, cap, ctx)
+    return compose, h, ctx
 
 
-def _residual_of(fb, fc, h, ctx):
-    """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) from _on_graph's result."""
-    return [_madd(_msubst(hi, fb, len(fb), ctx), _mscale(fci, ctx.zero - ctx.one, ctx), ctx)
+def _residual_of(fb, fc, h, ctx, max_deg=INF):
+    """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) through total degree max_deg,
+    from compose(cap) of _on_graph with cap >= max_deg."""
+    return [_madd(_msubst(hi, fb, len(fb), ctx, max_deg),
+                  _mscale(fci, ctx.zero - ctx.one, ctx), ctx)
             for hi, fci in zip(h, fc)]
 
 
@@ -306,8 +310,9 @@ def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) as complement-coordinate
     tables; all-zero (through the order, if truncate) iff the graph is
     invariant."""
-    res = _residual_of(*_on_graph(f, gs, gs.order if truncate else None))
-    return [_mtrunc(t, gs.order) for t in res] if truncate else res
+    compose, h, ctx = _on_graph(f, gs)
+    cap = gs.order if truncate else INF
+    return _residual_of(*compose(cap), h, ctx, cap)
 
 
 # --------------------------------------------------------------------------
@@ -334,5 +339,6 @@ def evaluate_graph(gs: GraphSeries, xi):
 def restricted_base_map(f: PolyMap, gs: GraphSeries) -> PolyMap:
     """G(xi) = F_base(xi, h(xi)): the dynamics on the invariant graph in
     base coordinates (exact when the graph is exactly invariant)."""
-    fb = _on_graph(f, gs, f.degree() * max(2, gs.order))[0]
+    compose = _on_graph(f, gs)[0]
+    fb = compose(INF)[0]
     return PolyMap.from_tables(fb, gs.prime, len(gs.base_basis))

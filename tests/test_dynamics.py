@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import inf as INF
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultradyn.dynamics import (
     CERTIFIED_MEMBER,
@@ -25,7 +27,9 @@ from ultradyn.dynamics import (
     shift_to_fixed_point,
     stable_membership,
 )
+from ultradyn.dynamics import _mpow, _msubst  # noqa: the series kernel under test
 from ultradyn.errors import NotAFixedPoint
+from ultradyn.field import ZERO, PadicContext, PadicNumber, RationalContext
 from ultradyn.spectral import adapted_norm
 
 from helpers import rand_poly_map, rand_unit
@@ -235,6 +239,84 @@ def test_membership_verdicts_certified_on_random_linear(seed=123):
                      for _ in range(2)]
                 v = stable_membership(f, F(1), x)
                 assert v.verdict in (CERTIFIED_MEMBER, CERTIFIED_NON_MEMBER)
+
+
+# -- truncated series kernel -------------------------------------------------
+
+
+def _ref_mul(x, y, ctx):
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = tuple(u + v for u, v in zip(m1, m2))
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if ctx.zeroness(c) != ZERO}
+
+
+def _ref_pow(q, e, nvars, ctx):
+    out = {(0,) * nvars: ctx.one}
+    for _ in range(e):
+        out = _ref_mul(out, q, ctx)
+    return out
+
+
+def _ref_subst(a, polys, nvars, ctx):
+    """The untruncated substitution, each power built from scratch."""
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * nvars: c}
+        for i, e in enumerate(m):
+            if e:
+                term = _ref_mul(term, _ref_pow(polys[i], e, nvars, ctx), ctx)
+        for mm, cc in term.items():
+            out[mm] = out[mm] + cc if mm in out else cc
+        out = {mm: cc for mm, cc in out.items() if ctx.zeroness(cc) != ZERO}
+    return out
+
+
+def _upto(table, k):
+    return [(m, c) for m, c in table.items() if sum(m) <= k]
+
+
+@st.composite
+def series_cases(draw):
+    """(a, polys, nvars_out, ctx, k): a over len(polys) variables, polys over
+    nvars_out, rational or p-adic coefficients (exact zeros and O-terms
+    included), and a degree cap k."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    q = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+    if draw(st.booleans()):
+        ctx = RationalContext(p)
+        coeff = q
+    else:
+        ctx = PadicContext(p, 16)
+        coeff = st.one_of(
+            st.just(PadicNumber.zero(p)),
+            st.integers(0, 20).map(lambda b: PadicNumber.o_term(p, b)),
+            st.builds(lambda r, prec: PadicNumber.from_rational(r, p, prec),
+                      q.filter(bool), st.sampled_from((8, 16))))
+    nin, nout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def table(nvars, top):
+        monos = st.tuples(*[st.integers(0, top)] * nvars)
+        return draw(st.dictionaries(monos, coeff, max_size=4))
+
+    return table(nin, 3), [table(nout, 2) for _ in range(nin)], nout, ctx, \
+        draw(st.integers(0, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_cases())
+def test_msubst_truncates_inside_the_product(case):
+    a, polys, nout, ctx, k = case
+    full = _ref_subst(a, polys, nout, ctx)
+    powers = [[_ref_pow(q, e, nout, ctx) for e in range(4)] for q in polys]
+    # same terms, coefficients and term order as truncating afterwards
+    assert list(_msubst(a, polys, nout, ctx, max_deg=k).items()) == _upto(full, k)
+    assert list(_msubst(a, polys, nout, ctx).items()) == list(full.items())
+    for q, want in zip(polys, powers):
+        got = _mpow(q, 3, nout, ctx, max_deg=k)
+        assert [list(t.items()) for t in got] == [_upto(t, k) for t in want]
 
 
 # -- local isometry within the linearization radius --------------------------

@@ -1,6 +1,7 @@
 """Reuse of spectral work: one LinearAnalysis per matrix, one T Winv per
 adapted norm, one conjugation per radius search (which finds the same k as
-a scan) and two per graph reduction; and exactness of the
+a scan) and two per graph reduction, which composes a non-invariant graph
+only up to its first nonzero residual degree; and exactness of the
 per-pi-power norm_exp kernel against the ExtContext product."""
 
 import json
@@ -308,3 +309,44 @@ def test_graph_reduction_conjugates_twice(monkeypatch):
     assert v.verdict == dynamics.CERTIFIED_MEMBER
     assert "untruncated invariance residual == 0" in v.justification[0]
     assert len(calls) == 2
+
+
+# (2x + x^2, y/2 + x^2): a polynomial h of degree n >= 2 would give degree 2n
+# on the left of h(2x + x^2) = h(x)/2 + x^2 and at most n on the right, so
+# the stable graph is a genuine power series and is not exactly invariant
+SERIES_GRAPH_MAP = PolyMap.from_tables([{(1, 0): F(2), (2, 0): F(1)},
+                                        {(0, 1): F(1, 2), (2, 0): F(1)}], p=2)
+
+
+@pytest.fixture
+def composed_caps(monkeypatch):
+    """Degree caps passed to manifolds._compose_with_graph, in call order."""
+    caps = []
+    orig = manifolds._compose_with_graph
+
+    def spy(*args):
+        caps.append(args[5])
+        return orig(*args)
+
+    monkeypatch.setattr(manifolds, "_compose_with_graph", spy)
+    return caps
+
+
+def test_series_graph_rejected_at_first_residual_degree(composed_caps):
+    v = dynamics.stable_membership(SERIES_GRAPH_MAP, F(1), [F(4), F(8)])
+    assert v.verdict == dynamics.CERTIFIED_NON_MEMBER
+    assert v.justification[0] == (
+        "F^1(x) lies inside the dominance ball p^-0 with strictly dominant "
+        "E_(a,u) component (exp 2 < 3)")
+    # graph order max(6, 2^2) = 6: composed up to order + 1, never untruncated
+    assert max(composed_caps) == 7
+    gs = manifolds.graph_series(SERIES_GRAPH_MAP, F(1), manifolds.STABLE, order=6)
+    full = manifolds.residual(SERIES_GRAPH_MAP, gs, truncate=False)
+    assert min(sum(m) for m in full[0]) == 7
+
+
+def test_invariant_graph_checked_untruncated(composed_caps):
+    v = dynamics.stable_membership(GAP_MAP, F(1), [F(1), F(2, 7)])
+    assert v.verdict == dynamics.CERTIFIED_MEMBER
+    assert "untruncated invariance residual == 0" in v.justification[0]
+    assert composed_caps[-2:] == [7, INF]
