@@ -334,11 +334,3 @@ def evaluate_graph(gs: GraphSeries, xi):
     xi = cvec(xi, ctx)
     return [_meval({m: coerce(c, ctx) for m, c in t.items()}, xi, ctx)
             for t in gs.tables()]
-
-
-def restricted_base_map(f: PolyMap, gs: GraphSeries) -> PolyMap:
-    """G(xi) = F_base(xi, h(xi)): the dynamics on the invariant graph in
-    base coordinates (exact when the graph is exactly invariant)."""
-    compose = _on_graph(f, gs)[0]
-    fb = compose(INF)[0]
-    return PolyMap.from_tables(fb, gs.prime, len(gs.base_basis))

@@ -110,17 +110,6 @@ def mat_mul(a, b):
     return [[_dot(row, col) for col in bt] for row in a]
 
 
-def mat_pow(m, k, ctx):
-    out = identity(len(m), ctx)
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def row_reduce(mat, ctx, rhs=None):
     """Reduced echelon form with valuation-minimising pivoting.
 
@@ -216,15 +205,6 @@ def kernel_basis(mat, p: int, precision: int | None = None, ctx=None):
             v[c] = ctx.zero - rows[r][fc]
         basis.append(v)
     return basis
-
-
-def column_space(mat, p: int, ctx=None):
-    """Basis of the column space (reduced rows of the transpose)."""
-    ctx = ctx or infer_context(mat, p)
-    m = cmat(mat, ctx)
-    t = [list(col) for col in zip(*m)]
-    rows, pivots, _ = row_reduce(t, ctx)
-    return [rows[r] for r in range(len(pivots))]
 
 
 def residual_in_span(vec, basis, ctx):
@@ -617,7 +597,7 @@ def slope_factorization(
 
 
 # --------------------------------------------------------------------------
-# invariant unit lattice, Fitting decomposition
+# invariant unit lattice
 # --------------------------------------------------------------------------
 
 
@@ -682,14 +662,3 @@ def lattice_inverse(lat: Lattice, ctx):
     d = len(lat.basis)
     m = [[coerce(lat.basis[j][i], ctx) for j in range(d)] for i in range(d)]
     return mat_inverse(m, ctx)
-
-
-def fitting_decomposition(m, p: int, precision: int | None = None):
-    """(E0, Eplus) with E0 = ker(M^d), Eplus = im(M^d)."""
-    ctx = infer_context(m, p, precision)
-    mm = cmat(m, ctx)
-    d = len(mm)
-    md = mat_pow(mm, d, ctx)
-    e0 = kernel_basis(md, p, ctx=ctx)
-    eplus = column_space(md, p, ctx=ctx)
-    return e0, eplus

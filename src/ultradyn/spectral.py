@@ -367,10 +367,21 @@ def _nilpotent_chains(n, ctx):
     return chains
 
 
+def _base_times_ext(a, b, ctx):
+    """a b for a over the base field and b over ctx = Q_p(pi), one pi-power
+    at a time: the pi^j coefficient of each entry is a times the pi^j
+    coefficients of b, so no product of two ExtElements is formed."""
+    cols = [[coerce(x, ctx).coeffs for x in col] for col in zip(*b)]
+    return [[ExtElement(ctx.p, ctx.ram, tuple(_dot(row, [x[j] for x in col])
+                                              for j in range(ctx.ram)))
+             for col in cols] for row in a]
+
+
 @dataclass(frozen=True)
 class NormBlock:
     rho: object  # Fraction or INF
     t: tuple  # block coords -> norm coords (rows)
+    tinv: tuple  # t^-1: norm coords -> block coords (rows)
     weights: tuple  # per-coordinate valuation offsets (Fractions)
 
 
@@ -380,8 +391,10 @@ class AdaptedNorm:
     spectral block (and with norm < eps on the nilpotent block).
 
     norm_exp(x) = min_i ( v((T Winv x)_i) + q_i ) over the global basis; the
-    norm itself is p^(-norm_exp(x)).  T Winv is built on first use and then
-    kept (outside repr() and ==), so reuse one norm for many queries.
+    norm itself is p^(-norm_exp(x)).  T is block diagonal, and each block
+    keeps its own inverse, so (T Winv)^-1 = W T^-1 needs no inversion.  T Winv
+    and its inverse are built on first use and then kept (outside repr() and
+    ==), so reuse one norm for many queries.
     """
 
     prime: int
@@ -422,9 +435,14 @@ class AdaptedNorm:
 
     @cached_property
     def _tinv(self):
-        """(T Winv)^-1 over the norm's own context."""
-        ctx = self._ctx()
-        return mat_inverse(self.transform(ctx), ctx)
+        """(T Winv)^-1 = W blockdiag(T_b^-1) over the norm's own context: a
+        product with no division, from the inverse each block keeps."""
+        ctx, parts, off = self._ctx(), [], 0
+        for b in self.blocks:
+            k = len(b.tinv)
+            parts.append(_base_times_ext([r[off:off + k] for r in self.w], b.tinv, ctx))
+            off += k
+        return [[y for part in rows for y in part] for rows in zip(*parts)]
 
     def transform(self, ctx=None):
         """Full matrix T (block diag of block transforms) times Winv."""
@@ -495,7 +513,8 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                     weights.append(Fraction(-k * j))
             cw = [[cvecs[jj][ii] for jj in range(b.dim)] for ii in range(b.dim)]
             t = mat_inverse(cw, bctx)
-            blocks.append(NormBlock(INF, tuple(tuple(r) for r in t), tuple(weights)))
+            blocks.append(NormBlock(INF, tuple(tuple(r) for r in t),
+                                    tuple(tuple(r) for r in cw), tuple(weights)))
         else:
             ectx = ExtContext(p, ram, precision)
             shift = ExtElement.pi(p, ram, -int(Fraction(b.rho) * ram))
@@ -503,7 +522,7 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
             lat = invariant_unit_lattice(scaled, p, ctx=ectx)
             t = lattice_inverse(lat, ectx)
             blocks.append(
-                NormBlock(b.rho, tuple(tuple(r) for r in t),
+                NormBlock(b.rho, tuple(tuple(r) for r in t), tuple(zip(*lat.basis)),
                           tuple(Fraction(0) for _ in range(b.dim)))
             )
     return AdaptedNorm(p, ram, tuple(tuple(r) for r in winv),
@@ -515,17 +534,29 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
 
     For a weighted sup norm the operator norm is
     min_{i,j} ( v(A'_ij) + q_i - q_j ) with A' = (T Winv) M (T Winv)^-1 the
-    matrix of M in the norm basis.
+    matrix of M in the norm basis.  T is block diagonal, so with
+    X = Winv M W over the base field, block (b, c) of A' is
+    T_b X_bc T_c^-1.  A block X_bc of exact zeros gives an exact zero block
+    and is skipped; an O-term still enters.
     """
+    x = mat_mul(mat_mul(norm.winv, m), norm.w)
     ctx = norm._ctx()
-    a = mat_mul(norm.transform(ctx), mat_mul(cmat(m, ctx), norm._tinv))
-    q = norm.weights
+    spans, off = [], 0
+    for b in norm.blocks:
+        spans.append((b, range(off, off + len(b.t)), cmat(b.t, ctx)))
+        off += len(b.t)
     best = INF
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            v = ctx.val(x)
-            if v != INF:
-                best = min(best, v + q[i] - q[j])
+    for b, rows, t in spans:
+        for c, cols, _ in spans:
+            xbc = [[x[i][j] for j in cols] for i in rows]
+            if all(_bval(y, p) == INF for r in xbc for y in r):
+                continue
+            a = mat_mul(t, _base_times_ext(xbc, c.tinv, ctx))
+            for i, row in enumerate(a):
+                for j, y in enumerate(row):
+                    v = ctx.val(y)
+                    if v != INF:
+                        best = min(best, v + b.weights[i] - c.weights[j])
     return best
 
 

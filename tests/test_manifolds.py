@@ -16,7 +16,6 @@ from ultradyn.manifolds import (
     formal_inverse,
     graph_series,
     residual,
-    restricted_base_map,
     split_point,
 )
 
@@ -64,12 +63,6 @@ def test_residual_detects_perturbation():
 def test_unstable_graph_of_bench_is_flat():
     gs = graph_series(bench(), F(1), UNSTABLE, order=4)
     assert gs.coefficients == ()
-
-
-def test_restricted_base_map():
-    gs = graph_series(bench(), F(1), STABLE, order=6)
-    rb = restricted_base_map(bench(), gs)
-    assert rb.tables() == [{(1,): F(2)}]
 
 
 def test_graph_evaluation_consistency():

@@ -14,7 +14,6 @@ from ultradyn.polyalg import (
     coerce,
     charpoly,
     cmat,
-    fitting_decomposition,
     invariant_unit_lattice,
     kernel_basis,
     lattice_inverse,
@@ -22,7 +21,6 @@ from ultradyn.polyalg import (
     mat_mul,
     mat_vec,
     newton_polygon,
-    residual_in_span,
     slope_factorization,
     solve_system,
 )
@@ -314,17 +312,3 @@ def test_invariant_lattice_property():
             # B maps lattice basis vectors into the lattice (integral coords)
             for c in coords:
                 assert ctx.val(c) >= 0, (b, lat.basis)
-
-
-def test_fitting_decomposition():
-    m = _mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
-    ker, im = fitting_decomposition(m, 2)
-    assert len(ker) == 2 and len(im) == 1
-    ctx = RationalContext(2)
-    for v in ker:
-        w = mat_vec(m, v)
-        w = mat_vec(m, w)
-        w = mat_vec(m, w)
-        assert all(c == 0 for c in w)
-    for v in im:
-        assert residual_in_span(mat_vec(m, v), im, ctx) == INF

@@ -1,8 +1,10 @@
 """Reuse of spectral work: one LinearAnalysis per matrix, one T Winv per
 adapted norm, one conjugation per radius search (which finds the same k as
 a scan) and two per graph reduction, which composes a non-invariant graph
-only up to its first nonzero residual degree; and exactness of the
-per-pi-power norm_exp kernel against the ExtContext product."""
+only up to its first nonzero residual degree; exactness of the
+per-pi-power norm_exp kernel against the ExtContext product; and
+(T Winv)^-1 and the operator norm from the block inverses against an
+inversion of the whole transform."""
 
 import json
 import math
@@ -17,11 +19,11 @@ import pytest
 from ultradyn import cli, dynamics, manifolds, spectral
 from ultradyn.dynamics import PolyMap
 from ultradyn.errors import PreconditionViolated
-from ultradyn.field import ExtContext, PadicNumber, RationalContext, compare_threshold
+from ultradyn.field import ExtContext, PadicNumber, RationalContext, _bval, compare_threshold
 from ultradyn.polyalg import cmat, cvec, mat_inverse, mat_mul, mat_vec
 
 from helpers import _embed, frac_block, int_block, nilp_block, rand_vector, unimodular
-from helpers import rand_poly_map
+from helpers import rand_conjugated, rand_poly_map
 
 F = Fraction
 
@@ -89,6 +91,73 @@ def test_norm_exp_matches_ext_product(name, p, m, ram):
 def test_slope_mixed_norm_is_padic():
     n = spectral.adapted_norm(CASES[-1][2], 3)
     assert any(isinstance(c, PadicNumber) for row in n.winv for c in row)
+
+
+# -- (T Winv)^-1 and the operator norm from the block inverses ----------------
+
+
+# (seed, p, d, ram, has a nilpotent block) of rand_conjugated draws
+EXACT_DRAWS = [(0, 3, 5, 1, False), (2, 2, 4, 1, True), (4, 2, 4, 2, True),
+               (16, 2, 4, 3, False), (8, 5, 6, 6, True)]
+
+
+def full_product_operator_norm(x, p, n):
+    """min v(A'_ij) + q_i - q_j with A' = (T Winv) X (T Winv)^-1, the inverse
+    taken by elimination over the whole d x d transform."""
+    ctx = n._ctx()
+    t = n.transform(ctx)
+    a = mat_mul(t, mat_mul(cmat(x, ctx), mat_inverse(t, ctx)))
+    q = n.weights
+    return min((ctx.val(y) + q[i] - q[j] for i, row in enumerate(a)
+                for j, y in enumerate(row) if ctx.val(y) != INF), default=INF)
+
+
+@pytest.mark.parametrize("seed,p,d,ram,nil", EXACT_DRAWS,
+                         ids=[f"ram{c[3]}{'-nilpotent' * c[4]}" for c in EXACT_DRAWS])
+def test_block_inverses_match_full_inversion(seed, p, d, ram, nil):
+    rng = random.Random(seed)
+    m, spec, _ = rand_conjugated(rng, p, d)
+    assert (INF in dict(spec)) == nil
+    n = spectral.adapted_norm(m, p)
+    assert n.ram == ram and len(n.blocks) >= 2
+    ctx = n._ctx()
+    assert mat_mul(n.transform(ctx), n._tinv) == [
+        [ctx.one if i == j else ctx.zero for j in range(d)] for i in range(d)]
+    qctx = RationalContext(p)
+    x = [[F(rng.randint(-9, 9), rng.choice([1, p, 3])) for _ in range(d)] for _ in range(d)]
+    # x has a nonzero block off the diagonal, so skipping it would show
+    xb, k = mat_mul(mat_mul(n.winv, x), n.w), len(n.blocks[0].t)
+    assert any(xb[i][j] for i in range(k) for j in range(k, d))
+    xs = [m, x] if nil else [m, mat_inverse(cmat(m, qctx), qctx), x]
+    for a in xs:
+        assert spectral.operator_norm(a, p, n) == full_product_operator_norm(a, p, n)
+
+
+def _abs_prec(c):
+    """Absolute precision of a base-field coefficient: INF when exact."""
+    return c.val + c.prec if isinstance(c, PadicNumber) else INF
+
+
+@pytest.mark.parametrize("seed,p", [(0, 2), (4, 3), (0, 5)])
+def test_block_inverses_keep_padic_precision(seed, p):
+    """On p-adic bases, (T Winv)^-1 from the block inverses agrees with the
+    inverse by elimination to that inverse's precision, entry by entry and
+    pi-power by pi-power, and never holds fewer digits.  (Draws whose
+    p-adic kernels build at all: many conjugated slope-mixed matrices
+    still raise RankUncertified, the known slope-mixed-kernel defect.)"""
+    m = conjugated(random.Random(seed), [companion_mixed(p), int_block(p, 2, 2)])
+    n = spectral.adapted_norm(m, p)
+    ctx = n._ctx()
+    want = mat_inverse(n.transform(ctx), ctx)
+    padic = 0
+    for got_row, want_row in zip(n._tinv, want):
+        for got, old in zip(got_row, want_row):
+            for g, w in zip(got.coeffs, old.coeffs):
+                prec = _abs_prec(w)
+                padic += prec != INF
+                assert _abs_prec(g) >= prec
+                assert _bval(g - w, p) >= prec
+    assert padic
 
 
 # -- one spectral decomposition per matrix -----------------------------------
