@@ -38,7 +38,6 @@ from .spectral import (
     Splitting,
     Witness,
     adapted_norm,
-    eigenspace_sum,
     is_hyperbolic,
     nonhyperbolicity_witness,
     operator_norm,

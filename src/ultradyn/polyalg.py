@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, inf as INF
+from math import ceil, inf as INF, prod
 
 from .errors import (
     PrecisionExhausted,
@@ -27,6 +27,7 @@ from .field import (
     PadicContext,
     PadicNumber,
     RationalContext,
+    valuation_of_rational,
 )
 
 # --------------------------------------------------------------------------
@@ -322,19 +323,6 @@ def _pdivexact(a, b, ctx):
     return q
 
 
-def _pxgcd(a, b, ctx):
-    """Extended Euclid over the coefficient field: u*a + w*b = g."""
-    r0, r1 = _pstrip(list(a), ctx), _pstrip(list(b), ctx)
-    u0, u1 = [ctx.one], []
-    w0, w1 = [], [ctx.one]
-    while r1:
-        q, r = _pdivmod(r0, r1, ctx)
-        r0, r1 = r1, _pstrip(r, ctx)
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, ctx), ctx)
-        w0, w1 = w1, _psub(w0, _pmul(q, w1, ctx), ctx)
-    return r0, u0, w0
-
-
 def poly_eval_matrix(coeffs, m, ctx):
     n = len(m)
     acc = [[ctx.zero] * n for _ in range(n)]
@@ -457,7 +445,7 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
 
 
 # --------------------------------------------------------------------------
-# slope factorization (Hensel)
+# slope factorization: Newton lifting over Z at rational thresholds
 # --------------------------------------------------------------------------
 
 
@@ -469,80 +457,116 @@ class SlopeFactor:
     certified_precision: int
 
 
-def _hensel_split(f, m, ctx, target):
-    """Split monic f (coeff list over ctx) as h*g with deg h = m, where h
-    carries the roots of the polygon's leftmost segment.  Iterates the
-    quadratic update until the product error has valuation >= target."""
-    d = len(f) - 1
-    cm = f[m]
-    h = [f[i] / cm for i in range(m + 1)]
-    g = [f[i] for i in range(m, d + 1)]
-    last_err = -INF
-    for _ in range(200):
-        prod = _pmul(h, g, ctx)
-        err = _psub(f, prod, ctx)
-        err = _pstrip(err, ctx)
-        ev = min((ctx.val(c) for c in err), default=INF)
-        if ev == INF or ev >= target:
-            return h, g
-        if ev <= last_err:
-            raise PrecisionExhausted("Hensel iteration stalled")
-        last_err = ev
-        gcd, u, w = _pxgcd(h, g, ctx)
-        if len(gcd) != 1:
-            raise PrecisionExhausted("approximate factors not coprime")
-        c0 = gcd[0]
-        u = [x / c0 for x in u]
-        w = [x / c0 for x in w]
-        # u*h + w*g = 1; delta_g = (err*u) mod g ; delta_h = (err*w) mod h
-        _, dg = _pdivmod(_pmul(err, u, ctx), g, ctx)
-        _, dh = _pdivmod(_pmul(err, w, ctx), h, ctx)
-        h = _padd(h, dh, ctx)
-        g = _padd(g, dg, ctx)
-    raise PrecisionExhausted("Hensel iteration did not converge")
+def _zdivmod(a, b, mod=None):
+    """(a quo b, a rem b) for monic b, over Z or, given mod, over Z/mod."""
+    m = len(b) - 1
+    a = list(a) + [0] * (m - len(a))
+    q = [0] * max(0, len(a) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + m] % mod if mod else a[i + m]
+        for j in range(m):
+            a[i + j] -= c * b[j]
+    return q, [x % mod for x in a[:m]] if mod else a[:m]
 
 
-def _split_all(f, ctx, target):
-    """Recursively split a monic coeff list into pure-slope coeff lists."""
-    poly = Polynomial(tuple(f), ctx.p)
-    np_ = newton_polygon(poly, ctx.p)
-    if len(np_.segments) <= 1:
-        return [(np_.segments[0][0] if np_.segments else INF, f)]
-    # Substitute t -> p^s t (and re-monicize) so every root valuation is
-    # >= 0; Hensel lifting over the valuation ring needs a nonnegative
-    # polygon to converge.
-    s = min(floor(v) for v, _ in np_.segments)
-    if s:
-        d = len(f) - 1
-        scaled = [c * ctx.from_rational(Fraction(ctx.p) ** (s * (i - d)))
-                  for i, c in enumerate(f)]
-        out = []
-        for v, part in _split_all(scaled, ctx, target):
-            dd = len(part) - 1
-            back = [c * ctx.from_rational(Fraction(ctx.p) ** (s * (dd - i)))
-                    for i, c in enumerate(part)]
-            out.append((v + s, back))
-        return out
-    m = np_.segments[0][1]  # length of the first (largest-valuation) segment
-    h, g = _hensel_split(f, m, ctx, target)
-    return _split_all(h, ctx, target) + _split_all(g, ctx, target)
+def _zmulrem(a, b, h, mod):
+    """a b rem h (h monic) over Z/mod."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _zdivmod(out, h, mod)[1]
 
 
-def _resultant_slack(segments) -> int:
-    """Upper bound on the valuation bookkeeping lost across Hensel splits,
-    from pairwise min root valuations of distinct segments."""
-    total = Fraction(0)
-    for i, (v1, l1) in enumerate(segments):
-        for v2, l2 in segments[i + 1 :]:
-            total += abs(min(v1, v2)) * l1 * l2
-    return int(total) + 1
+def _monic_scale(cs):
+    """Smallest d with d^(n-i) c_i integral for monic c_0..c_n, so that
+    d^n c(t/d) lies in Z[t].  (The lcm of the denominators would raise every
+    root valuation and the coefficient bound, and so the working precision.)
+    Primes are found by trial division below 2^16; a larger cofactor of a
+    denominator is taken as one prime, which keeps d valid."""
+    n, need = len(cs) - 1, {}
+    for i, c in enumerate(cs[:-1]):
+        den, q = c.denominator, 2
+        while den > 1:
+            if q * q > den or q >> 16:
+                q = den
+            e = 0
+            while den % q == 0:
+                den //= q
+                e += 1
+            if e:
+                need[q] = max(need.get(q, 0), -(-e // (n - i)))
+            q += 1
+    return prod(q**e for q, e in need.items())
+
+
+def _slope_split(f, segs, p, digits):
+    """The monic factors mod p^digits of monic f in Z[t], one for each of its
+    Newton segments segs ((root valuation, length), valuations decreasing).
+
+    At the midpoint s of two adjacent valuations, the weighted Gauss valuation
+    w_s(sum c_i t^i) = min v(c_i) + i s of f is attained by c_m t^m alone, m
+    the number of roots above s, and every other term exceeds it by at least
+    the gap, half the step between the two valuations.  So the factor h of f
+    with the roots above s starts at t^m, and V = (f quo h)^-1 mod h at
+    1/c_m, both right to w_s-precision gap.  Each Newton step
+    h += (f rem h) V rem h, V := V (2 - (f quo h) V) rem h doubles it
+    (Caruso, arXiv:1701.06794, section 3).  The lift holds w_s-precision
+    K = digits + m s, which needs coefficient i mod p^ceil(K - i s); one
+    modulus covers them all.  V has w_s >= -v(c_m), so W = p^lag V with
+    lag = v(c_m) + ceil((m - 1) s) has integer coefficients, and every product
+    of a step is divisible by p^lag exactly.  Each factor is the quotient of
+    two such lifts of f, so none is lifted from an approximate cofactor."""
+    out, above = [], [1]
+    for k in range(len(segs) - 1):
+        (r1, _), (r2, _) = segs[k], segs[k + 1]
+        m = sum(l for _, l in segs[:k + 1])
+        s, gap = (r1 + r2) / 2, (r1 - r2) / 2
+        nu = int(sum(r * l for r, l in segs[k + 1:]))  # v(c_m)
+        lag = nu + ceil((m - 1) * s)
+        scale, mod = p**lag, p ** (digits + ceil(m * s) + lag)
+        h = [0] * m + [1]
+        w = [pow(f[m] // p**nu, -1, mod) * p ** (lag - nu) % mod]
+        r = _zdivmod(f, h, mod)[1]
+        while gap < digits:
+            h = [(x + y // scale) % mod for x, y in zip(h, _zmulrem(r, w, h, mod))] + [1]
+            q, r = _zdivmod(f, h, mod)
+            z = [-x % mod for x in _zmulrem(q, w, h, mod)]
+            z[0] += 2 * scale
+            w = [x // scale for x in _zmulrem(w, z, h, mod)]
+            gap *= 2
+        out.append(_zdivmod(h, above, p**digits)[0])
+        above = h
+    return out + [_zdivmod(f, above, p**digits)[0]]
+
+
+def _residue(c, p):
+    """(rational value, absolute precision) of a coefficient: a PadicNumber
+    u p^v + O(p^(v + prec)) gives u p^v, known mod p^(v + prec)."""
+    if not isinstance(c, PadicNumber):
+        return c, INF
+    if c.is_exact_zero:
+        return Fraction(0), INF
+    return Fraction(c.unit) * Fraction(c.prime) ** int(c.val), c.val + c.prec
 
 
 def slope_factorization(
     f: Polynomial, p: int, precision: int = DEFAULT_PRECISION
 ) -> list:
-    """Factor monic f into pure-slope monic factors by iterated Hensel
-    splits at Newton-polygon break points."""
+    """Factor monic f into pure-slope monic factors.
+
+    The core of f (f without its t^k factor) is scaled by _monic_scale to a
+    monic polynomial in Z[t], exact for rational input and known mod p^N for
+    PadicNumber input, split by _slope_split at the segments of the one
+    Newton polygon of the input, and scaled back.  The working precision
+    comes once from the slopes and the requested precision: the requested
+    digits, twice the valuation of the resultants between the factors, twice
+    the depth of negative coefficient valuations and 18 guard digits, all
+    doubled, which costs one Newton step.  The product of the factors must
+    match the input to the requested precision, and certifies the lesser of
+    the match and the working precision; a failed check raises
+    PrecisionExhausted.
+    """
     qctx = infer_context(list(f.coeffs), p)
     cs = cvec(f.coeffs, qctx)
     lead = cs[-1]
@@ -562,38 +586,43 @@ def slope_factorization(
     core = cs[k:]
     poly_core = Polynomial(tuple(core), p)
     np_ = newton_polygon(poly_core, p)
-    if len(np_.segments) <= 1:
-        if np_.segments:
-            factors.append(
-                SlopeFactor(np_.segments[0][0], np_.segments[0][1], poly_core, precision)
-            )
+    segs = np_.segments
+    if len(segs) <= 1:
+        if segs:
+            factors.append(SlopeFactor(segs[0][0], segs[0][1], poly_core, precision))
         return factors
-    slack = _resultant_slack(np_.segments)
-    shift = max(0, int(-min(v for _, v in np_.vertices)))
-    work = precision + 2 * slack + 2 * shift + 16
-    for attempt in range(3):
-        ctx = PadicContext(p, work, zero_threshold=precision + slack)
-        try:
-            fc = cvec(core, ctx)
-            parts = _split_all(fc, ctx, precision + slack)
-            prod = [ctx.one]
-            for _, part in parts:
-                prod = _pmul(prod, part, ctx)
-            diff = _psub(fc, prod, ctx)
-            margin = min((ctx.val(c) for c in diff), default=INF)
-            if margin < precision:
-                raise PrecisionExhausted("product check failed")
-            certified = precision if margin == INF else min(int(margin), work)
-            for v, part in sorted(parts, key=lambda t: t[0], reverse=True):
-                factors.append(
-                    SlopeFactor(v, len(part) - 1, Polynomial(tuple(part), p), certified)
-                )
-            return factors
-        except PrecisionExhausted:
-            work *= 2
-    raise PrecisionExhausted(
-        f"slope factorization could not be certified at precision {precision}"
-    )
+    loss = sum(abs(min(r, r2)) * l * l2
+               for i, (r, l) in enumerate(segs) for r2, l2 in segs[i + 1:])
+    depth = max(0, int(-min(v for _, v in np_.vertices)))
+    work = 2 * (precision + 2 * int(loss) + 2 * depth + 18)
+    vals, known = zip(*(_residue(c, p) for c in core))
+    n, d = len(core) - 1, _monic_scale(vals)
+    j = int(valuation_of_rational(d, p))
+    digits = int(min(work + j * n, *(a + j * (n - i) for i, a in enumerate(known))))
+    if digits < precision:  # the product cannot match the input any better
+        raise PrecisionExhausted(f"input known to {digits} digits, {precision} asked")
+    parts = _slope_split([int(c * d ** (n - i)) for i, c in enumerate(vals)],
+                         [(r + j, l) for r, l in segs], p, digits)
+    # back to t: coefficient i of a degree-l part is part_i / d^(l - i),
+    # known mod p^(digits - j (l - i))
+    for part in parts:
+        l = len(part) - 1
+        for i, x in enumerate(part):
+            x, a = Fraction(x, d ** (l - i)), digits - j * (l - i)
+            part[i] = (PadicNumber.from_rational(x, p, a - int(valuation_of_rational(x, p)))
+                       if x else PadicNumber.o_term(p, a))
+    ctx = PadicContext(p, work)
+    product = [ctx.one]
+    for part in parts:
+        product = _pmul(product, part, ctx)
+    margin = min((ctx.val(c) for c in _psub(cvec(core, ctx), product, ctx)), default=INF)
+    if margin < precision:
+        raise PrecisionExhausted(
+            f"slope factorization could not be certified at precision {precision}"
+        )
+    certified = int(min(margin, work))
+    return factors + [SlopeFactor(r, l, Polynomial(tuple(part), p), certified)
+                      for (r, l), part in zip(segs, parts)]
 
 
 # --------------------------------------------------------------------------

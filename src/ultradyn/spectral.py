@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, inf as INF, isqrt, lcm, prod
+from math import comb, inf as INF, isqrt, lcm
 
 from .errors import PreconditionViolated
 from .field import (
@@ -44,9 +44,10 @@ from .polyalg import (
     row_reduce,
     slope_factorization,
     solve_system,
+    _monic_scale,
     _pdivexact,
-    _pdivmod,
-    _pstrip,
+    _slope_split,
+    _zdivmod,
 )
 
 # --------------------------------------------------------------------------
@@ -80,97 +81,8 @@ class SpectralData:
 
 
 # --------------------------------------------------------------------------
-# exact slope factors: Hensel lifting over Z/p^N, checked in Q[t]
+# exact slope factors: split over Z/p^N, checked in Z[t]
 # --------------------------------------------------------------------------
-
-
-def _zdivmod(a, b, mod=None):
-    """(a quo b, a rem b) for monic b, over Z or, given mod, over Z/mod."""
-    m = len(b) - 1
-    a = list(a) + [0] * (m - len(a))
-    q = [0] * max(0, len(a) - m)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = a[i + m] % mod if mod else a[i + m]
-        for j in range(m):
-            a[i + j] -= c * b[j]
-    return q, [x % mod for x in a[:m]] if mod else a[:m]
-
-
-def _zmulrem(a, b, h, mod):
-    """a b rem h (h monic) over Z/mod."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _zdivmod(out, h, mod)[1]
-
-
-def _lift_above(f, s, p, digits):
-    """The monic factor, mod p^digits, of monic f in Z[t] whose roots are the
-    roots of f of valuation > s (s an integer).
-
-    In u = t/p^s, F(u) = f(p^s u)/p^c is u^m G mod p with G(0) a unit.  Lift
-    H = u^m by Newton steps H += (F rem H) V rem H, where V inverts F quo H
-    modulo H and is lifted alongside by V := V (2 - (F quo H) V) rem H; each
-    step doubles the digits (Caruso, arXiv:1701.06794, section 3)."""
-    vals = [int(valuation_of_rational(x, p)) + s * i if x else INF for i, x in enumerate(f)]
-    c = min(vals)
-    m = vals.index(c)
-    if m in (0, len(f) - 1):
-        return [1] if m == 0 else [x % p**digits for x in f]
-    big = [x * p ** (s * i - c) if s * i >= c else x // p ** (c - s * i)
-           for i, x in enumerate(f)]
-    q = big[m:]
-    inv = pow(q[0], -1, p)
-    v = [inv]  # power series inverse of F quo u^m, mod (u^m, p)
-    for i in range(1, m):
-        v.append(-inv * sum(q[j] * v[i - j] for j in range(1, min(i, len(q) - 1) + 1)) % p)
-    h, k = [0] * m + [1], 1
-    while k < digits:
-        k = min(2 * k, digits)
-        mod = p**k
-        r = _zdivmod(big, h, mod)[1]
-        h = [(x + y) % mod for x, y in zip(h, _zmulrem(r, v, h, mod))] + [1]
-        w = [-x % mod for x in _zmulrem(_zdivmod(big, h, mod)[0], v, h, mod)]
-        w[0] += 2
-        v = _zmulrem(v, w, h, mod)
-    return [x * p ** (s * (m - i)) % p**digits for i, x in enumerate(h)]
-
-
-def _root_powers(f, e):
-    """Monic F in Z[t] whose roots are the e-th powers of the roots of monic
-    f in Z[t], from the power sums of f's roots (Newton's identities)."""
-    n, a = len(f) - 1, f[::-1]  # a[i] is the coefficient of t^(n-i)
-    ps = [n]
-    for k in range(1, n * e + 1):
-        ps.append(-sum(a[i] * ps[k - i] for i in range(1, min(k, n + 1)))
-                  - (k * a[k] if k <= n else 0))
-    b = [1]
-    for k in range(1, n + 1):
-        b.append(-(ps[k * e] + sum(b[i] * ps[(k - i) * e] for i in range(1, k))) // k)
-    return b[::-1]
-
-
-def _monic_scale(cs):
-    """Smallest d with d^(n-i) c_i integral for monic c_0..c_n, so that
-    d^n c(t/d) lies in Z[t].  (The lcm of the denominators would raise every
-    root valuation and the coefficient bound, and so the working precision.)
-    Primes are found by trial division below 2^16; a larger cofactor of a
-    denominator is taken as one prime, which keeps d valid."""
-    n, need = len(cs) - 1, {}
-    for i, c in enumerate(cs[:-1]):
-        den, q = c.denominator, 2
-        while den > 1:
-            if q * q > den or q >> 16:
-                q = den
-            e = 0
-            while den % q == 0:
-                den //= q
-                e += 1
-            if e:
-                need[q] = max(need.get(q, 0), -(-e // (n - i)))
-            q += 1
-    return prod(q**e for q, e in need.items())
 
 
 def _rational_factors(cp: Polynomial):
@@ -178,17 +90,14 @@ def _rational_factors(cp: Polynomial):
     Q_p slope factor g_rho (the roots of valuation rho, with multiplicity)
     lies in Q[t]; such a block gets an exact rational basis.
 
-    The monic core of cp is scaled to f in Z[t].  Root valuations are
-    grouped in bands (s - 1, s]; a band holding several slopes passes to F,
-    whose roots are the e-th powers of f's roots, with e the lcm of their
-    denominators, so that its slopes become integers.  F is split mod p^N at
-    integer thresholds by Hensel lifting, with p^N > 2 B and B Mignotte's
-    bound (Math. Comp. 28, 1974) on the coefficients of a monic factor of F
-    in Z[t].  Each slope factor G of F is read in symmetric residues, and
-    g = gcd(f, G(t^e)) in Q[t] is kept when it has the slope's multiplicity
-    and only that slope, which proves g = g_rho.  By Gauss's lemma a rational
-    g_rho makes G lie in Z[t] within the bound, so it is always found."""
-    p, qctx = cp.prime, RationalContext(cp.prime)
+    The monic core of cp is scaled to f in Z[t] by _monic_scale and split at
+    its slopes by _slope_split, mod p^N with p^N > 2 B and B Mignotte's bound
+    (Math. Comp. 28, 1974) on the coefficients of a monic factor of f in
+    Z[t].  Each factor g is read in symmetric residues and kept when it
+    divides f exactly and its Newton polygon is the one segment of its slope,
+    which proves g = g_rho.  By Gauss's lemma a rational g_rho lies in Z[t]
+    within the bound, so it is always found."""
+    p = cp.prime
     k = next(i for i, c in enumerate(cp.coeffs) if c)
     out = {INF: [Fraction(0)] * k + [Fraction(1)]} if k else {}
     core = [Fraction(c) for c in cp.coeffs[k:]]
@@ -199,33 +108,17 @@ def _rational_factors(cp: Polynomial):
     n, d = len(core) - 1, _monic_scale(core)
     f = [int(c * d ** (n - i)) for i, c in enumerate(core)]
     shift = valuation_of_rational(d, p)
-    bands = []  # [(root valuation of f, multiplicity)] by band, decreasing
-    for rho, mult in segs:
-        if bands and ceil(bands[-1][0][0]) == ceil(rho + shift):
-            bands[-1].append((rho + shift, mult))
-        else:
-            bands.append([(rho + shift, mult)])
-    for band in bands:
-        e = lcm(*(r.denominator for r, _ in band)) if len(band) > 1 else 1
-        big = f if e == 1 else _root_powers(f, e)
-        bound = 2 * comb(n, n // 2) * (isqrt(sum(c * c for c in big)) + 1)
-        digits = 1
-        while p**digits <= bound:
-            digits += 1
-        mod = p**digits
-        for r, mult in band:
-            s = ceil(e * r)
-            g = _zdivmod(_lift_above(big, s - 1, p, digits), _lift_above(big, s, p, digits), mod)[0]
-            g = [x - mod if 2 * x > mod else x for x in g]
-            if any(_zdivmod(big, g)[1]):
-                continue  # G is not in Z[t], so neither is g_r
-            a, b = [Fraction(c) for c in f], [Fraction(0)] * (e * (len(g) - 1) + 1)
-            b[::e] = map(Fraction, g)  # G(t^e)
-            while b:
-                a, b = b, _pstrip(_pdivmod(a, b, qctx)[1], qctx)
-            g = [c / a[-1] for c in a]
-            if len(g) - 1 == mult and newton_polygon(Polynomial(tuple(g), p), p).segments == ((r, mult),):
-                out[r - shift] = [c / d ** (mult - i) for i, c in enumerate(g)]
+    bound = 2 * comb(n, n // 2) * (isqrt(sum(c * c for c in f)) + 1)
+    digits = 1
+    while p**digits <= bound:
+        digits += 1
+    mod = p**digits
+    scaled = [(rho + shift, mult) for rho, mult in segs]
+    for (r, mult), g in zip(scaled, _slope_split(f, scaled, p, digits)):
+        g = [x - mod if 2 * x > mod else x for x in g]
+        if (not any(_zdivmod(f, g)[1])
+                and newton_polygon(Polynomial.from_rationals(g, p), p).segments == ((r, mult),)):
+            out[r - shift] = [Fraction(c, d ** (mult - i)) for i, c in enumerate(g)]
     return out
 
 
@@ -235,9 +128,11 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
     generalized eigenspace sum of each group.  cp is the charpoly of m, if
     the caller already has it.
 
-    A valuation whose whole slope factor is rational keeps an exact rational
-    basis; the rest of the charpoly is split by slope_factorization, and
-    its blocks get capped-precision p-adic bases.
+    Both kinds of slope factor come from the one integer slope splitter,
+    polyalg._slope_split.  A valuation whose whole slope factor is rational
+    (_rational_factors) keeps an exact rational basis; the rest of the
+    charpoly is split by slope_factorization, and its blocks get
+    capped-precision p-adic bases.
     """
     ctx = infer_context(m, p, precision)
     d = len(m)
@@ -301,18 +196,6 @@ class Splitting:
 
 def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
     return LinearAnalysis(m, p, precision).splitting(a)
-
-
-def eigenspace_sum(m, p: int, v, precision: int = DEFAULT_PRECISION):
-    """Basis of the generalized eigenspace E_rho for |eigenvalue| = p^-v;
-    empty when v is not a spectrum valuation."""
-    if v != INF:
-        v = Fraction(v)
-    data = spectral_data(m, p, precision)
-    for b in data.blocks:
-        if b.rho == v:
-            return [list(x) for x in b.basis]
-    return []
 
 
 # --------------------------------------------------------------------------

@@ -123,6 +123,22 @@ def rand_conjugated(rng: random.Random, p: int, d: int,
     return m, spectrum, eigcols
 
 
+def conjugated_companion(rng: random.Random, g, p: int):
+    """S C S^-1 over Q for the companion matrix C of monic g (ascending
+    coefficients) and a random unimodular S: its charpoly is g."""
+    n = len(g) - 1
+    c = [[Fraction(int(i == j + 1)) if j < n - 1 else -Fraction(g[i]) for j in range(n)]
+         for i in range(n)]
+    s = unimodular(rng, n)
+    ctx = RationalContext(p)
+    return mat_mul(mat_mul(s, c), mat_inverse(cmat(s, ctx), ctx))
+
+
+# t^5 + 8t^3 + 768 over Q_2: root valuations 5/3 (x3) and 3/2 (x2) share the
+# band (1, 2]
+ONE_BAND = [768, 0, 0, 8, 0, 1]
+
+
 def rand_poly_map(rng: random.Random, p: int, d: int, deg: int,
                   valuations=(-2, -1, 1, 2), nterms: int = 3,
                   require_mixed: bool = False) -> PolyMap:

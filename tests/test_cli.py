@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from ultradyn import cli, spectral
 from ultradyn.errors import PrecisionExhausted
+
+from helpers import ONE_BAND, conjugated_companion
 
 DIAG = {"prime": 2,
         "matrix": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]]}
@@ -72,6 +75,14 @@ def test_orbit_command(tmp_path, capsys):
     assert code == 0
     got = json.loads(out)["orbit"]
     assert got[-1] == {"point": ["4", "32/7"], "norm_exp": "2"}
+
+
+def test_split_two_slopes_in_one_band(tmp_path, capsys):
+    m = conjugated_companion(random.Random(0), ONE_BAND, 2)
+    doc = {"prime": 2, "matrix": [[str(x) for x in row] for row in m]}
+    code, out, _ = run(capsys, ["split", "--a", "1", "--input", write(tmp_path, doc)])
+    assert code == 0
+    assert json.loads(out)["dims"] == [5, 0, 0]
 
 
 def test_exit_2_on_precondition(tmp_path, capsys):

@@ -8,7 +8,7 @@ from math import inf as INF
 import pytest
 
 from ultradyn.errors import PrecisionExhausted, PreconditionViolated
-from ultradyn.field import PadicContext, RationalContext
+from ultradyn.field import PadicContext, PadicNumber, RationalContext, valuation_of_rational
 from ultradyn.polyalg import (
     Polynomial,
     coerce,
@@ -25,7 +25,7 @@ from ultradyn.polyalg import (
     solve_system,
 )
 
-from helpers import rand_conjugated, unimodular
+from helpers import ONE_BAND, rand_conjugated, unimodular
 
 
 F = Fraction
@@ -247,6 +247,23 @@ def test_slope_factorization_oracle_ramified():
         [(INF, 1), (F(1, 2), 2)]
 
 
+def _factor_product_matches(fac, coeffs, p):
+    """The product of the slope factors equals coeffs to the certified
+    precision."""
+    ctx = PadicContext(p, 400)
+    prod = [ctx.one]
+    for s in fac:
+        fc = [coerce(c, ctx) for c in s.factor.coeffs]
+        new = [ctx.zero] * (len(prod) + len(fc) - 1)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(fc):
+                new[i + j] = new[i + j] + a * b
+        prod = new
+    return len(prod) == len(coeffs) and all(
+        ctx.val(got - coerce(want, ctx)) >= min(s.certified_precision for s in fac)
+        for got, want in zip(prod, coeffs))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_slope_factorization_product_property(p):
     """Factor product reproduces the input to the certified precision."""
@@ -264,21 +281,47 @@ def test_slope_factorization_product_property(p):
         f = Polynomial.from_rationals(coeffs, p)
         fac = slope_factorization(f, p, precision=40)
         assert sorted(s.root_valuation for s in fac) == sorted(F(v) for v in vals)
-        # multiply the factors back together
-        ctx = PadicContext(p, 200)
-        prod = [ctx.from_rational(F(1))]
-        for s in fac:
-            fc = [coerce(c, ctx) for c in s.factor.coeffs]
-            new = [ctx.from_rational(F(0))] * (len(prod) + len(fc) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(fc):
-                    new[i + j] = new[i + j] + a * b
-            prod = new
-        assert len(prod) == len(coeffs)
-        for got, want in zip(prod, coeffs):
-            diff = got - ctx.from_rational(want)
-            assert diff.is_exact_zero or diff.val >= min(
-                s.certified_precision for s in fac)
+        assert _factor_product_matches(fac, coeffs, p)
+
+
+def _congruent(got, want, p, n):
+    """Factor coefficients got agree with the rationals want mod p^n."""
+    ctx = PadicContext(p, 400)
+    return len(got) == len(want) and all(
+        ctx.val(coerce(g, ctx) - coerce(F(w), ctx)) >= n for g, w in zip(got, want))
+
+
+def test_slope_factorization_two_slopes_in_one_band():
+    fac = slope_factorization(Polynomial.from_rationals(ONE_BAND, 2), 2, precision=64)
+    assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(5, 3), 3), (F(3, 2), 2)]
+    assert min(s.certified_precision for s in fac) >= 64
+    assert _factor_product_matches(fac, ONE_BAND, 2)
+
+
+@pytest.mark.parametrize("precision", [7, 16, 32])
+def test_slope_factorization_padic_input_below_default_precision(precision):
+    # (t - 5)^2 (t^3 - 25) over Q_5 with every coefficient given mod 5^56
+    f = _polymul([F(25), F(-10), F(1)], [F(-25), 0, 0, F(1)])
+    pf = [PadicNumber.from_rational(c, 5, 56 - int(valuation_of_rational(c, 5))) for c in f]
+    fac = slope_factorization(Polynomial(tuple(pf), 5), 5, precision=precision)
+    assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(1), 2), (F(2, 3), 3)]
+    assert _congruent(fac[0].factor.coeffs, [25, -10, 1], 5, precision)
+    assert _congruent(fac[1].factor.coeffs, [-25, 0, 0, 1], 5, precision)
+
+
+@pytest.mark.parametrize("p,factors,slopes", [
+    # (t - 81)(t - 1/27): root valuations 4 and -3
+    (3, [[-81, 1], [F(-1, 27), 1]], [(F(4), 1), (F(-3), 1)]),
+    # (t - 100)(t^2 - 2t - 2/5): root valuations 2 and -1/2 (x2)
+    (5, [[-100, 1], [F(-2, 5), -2, 1]], [(F(2), 1), (F(-1, 2), 2)]),
+])
+def test_slope_factorization_far_slopes_at_low_precision(p, factors, slopes):
+    f = _polymul(*[[F(c) for c in g] for g in factors])
+    fac = slope_factorization(Polynomial.from_rationals(f, p), p, precision=16)
+    assert [(s.root_valuation, s.multiplicity) for s in fac] == slopes
+    for s, g in zip(fac, factors):
+        assert s.certified_precision >= 16
+        assert _congruent(s.factor.coeffs, g, p, 16)
 
 
 # -- invariant lattices ------------------------------------------------------

@@ -8,12 +8,10 @@ import pytest
 
 from ultradyn.errors import PreconditionViolated
 from ultradyn.field import PadicNumber, RationalContext, compare_threshold
-from ultradyn.polyalg import Polynomial, _pmul, mat_vec, residual_in_span
+from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, mat_vec, residual_in_span
 from ultradyn.spectral import (
-    _monic_scale,
     _rational_factors,
     adapted_norm,
-    eigenspace_sum,
     is_hyperbolic,
     nonhyperbolicity_witness,
     operator_norm,
@@ -22,7 +20,7 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import rand_conjugated, rand_vector
+from helpers import ONE_BAND, conjugated_companion, rand_conjugated, rand_vector
 
 F = Fraction
 
@@ -76,15 +74,11 @@ def test_eigenspace_sum_dims_and_invariance():
     data = spectral_data(BENCH, 2)
     assert data.spectrum == [(F(1), 1), (F(2), 1)]
     ctx = RationalContext(2)
-    for v, mult in data.spectrum:
-        basis = eigenspace_sum(BENCH, 2, v)
-        assert len(basis) == mult
+    for block in data.blocks:
+        basis = [list(x) for x in block.basis]
+        assert len(basis) == block.dim
         for x in basis:
             assert residual_in_span(mat_vec(BENCH, x), basis, ctx) == INF
-
-
-def test_eigenspace_sum_absent_valuation():
-    assert eigenspace_sum(BENCH, 2, F(5)) == []
 
 
 def test_splitting_oracle_diag():
@@ -248,6 +242,14 @@ def test_monic_scale_is_minimal():
     cs = _product(2, [[F(-1, 2), 1], [F(-1, 2), 1], [F(-1, 4), 1], [-3, 1]])
     assert _monic_scale(cs) == 4
     assert _monic_scale(_product(3, [[F(1, 9), 0, 1]])) == 3
+
+
+def test_two_slopes_in_one_band_blocks():
+    # kernel_basis certifies the blocks for this S; for most other S it still
+    # raises RankUncertified (the slope-mixed-kernel defect, ROADMAP item 2)
+    m = conjugated_companion(random.Random(0), ONE_BAND, 2)
+    data = spectral_data(m, 2)
+    assert {b.rho: b.dim for b in data.blocks} == {F(3, 2): 2, F(5, 3): 3}
 
 
 def test_shared_band_blocks_rational_and_padic():
