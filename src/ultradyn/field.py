@@ -337,11 +337,14 @@ class ExtElement:
             raise PreconditionViolated("extension context mismatch")
 
     def lift_ram(self, new_ram: int) -> "ExtElement":
-        """Re-express in a larger extension; new_ram must be a multiple."""
+        """Re-express in a larger extension; new_ram must be a multiple.  The
+        new pi-slots are exact zeros of the element's own coefficient ring, as
+        arithmetic in the larger extension would give them."""
         if new_ram % self.ram:
             raise PreconditionViolated("ramification indices incompatible")
         k = new_ram // self.ram
-        coeffs = [Fraction(0)] * new_ram
+        padic = any(isinstance(c, PadicNumber) for c in self.coeffs)
+        coeffs = [PadicNumber.zero(self.prime) if padic else Fraction(0)] * new_ram
         for i, c in enumerate(self.coeffs):
             coeffs[i * k] = c
         return ExtElement(self.prime, new_ram, tuple(coeffs))

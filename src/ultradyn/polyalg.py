@@ -415,15 +415,19 @@ class NewtonPolygon:
 
 
 def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
+    """Lower hull of the known coefficients.  An O-term at or above the
+    zero threshold counts as zero.  One below it is ignored when its point
+    lies between the known points and on or above their hull, where no
+    value it may take can move the hull; any other raises."""
     ctx = infer_context(list(f.coeffs), p)
-    pts = []
+    pts, vague = [], []
     for i, c in enumerate(f.coeffs):
         cc = coerce(c, ctx)
         z = ctx.zeroness(cc)
-        if z == UNCERTAIN:
-            raise PrecisionExhausted(f"coefficient {i} has uncertain valuation")
-        if z == NONZERO:
-            pts.append((i, ctx.val(cc)))
+        if z != ZERO:
+            (pts if z == NONZERO else vague).append((i, ctx.val(cc)))
+    if vague and not pts:
+        raise PrecisionExhausted(f"coefficient {vague[0][0]} has uncertain valuation")
     if not pts:
         raise PreconditionViolated("zero polynomial has no Newton polygon")
     inf_mult = pts[0][0]
@@ -437,6 +441,11 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
+    for i, v in vague:
+        if not hull[0][0] < i < hull[-1][0] or any(
+                x1 < i < x2 and (v - y1) * (x2 - x1) < (y2 - y1) * (i - x1)
+                for (x1, y1), (x2, y2) in zip(hull, hull[1:])):
+            raise PrecisionExhausted(f"coefficient {i} has uncertain valuation")
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)

@@ -122,6 +122,23 @@ def _rational_factors(cp: Polynomial):
     return out
 
 
+def _integral_eval(cs, m):
+    """E D^n g(M) by Horner over plain ints, for g = cs of degree n and M
+    rational, D and E the lcms of the denominators of M and of g.  It has the
+    kernel of g(M), and so the same reduced echelon form and kernel basis."""
+    dm = lcm(*(Fraction(x).denominator for row in m for x in row))
+    dg = lcm(*(Fraction(c).denominator for c in cs))
+    n, k = len(cs) - 1, len(m)
+    mi = [[int(x * dm) for x in row] for row in m]
+    acc = [[0] * k for _ in range(k)]
+    for i in range(n, -1, -1):
+        acc = mat_mul(acc, mi)
+        c = int(cs[i] * dg) * dm ** (n - i)
+        for j in range(k):
+            acc[j][j] += c
+    return acc
+
+
 def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
                   cp: Polynomial = None) -> SpectralData:
     """Group the spectrum of m by eigenvalue valuation and compute the
@@ -150,7 +167,10 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
     blocks = []
     for rho, cs in sorted(tagged, key=lambda t: (t[0] == INF, t[0])):
         fctx = infer_context([m, cs], p, precision)
-        fm = poly_eval_matrix(cvec(cs, fctx), cmat(m, fctx), fctx)
+        if isinstance(fctx, RationalContext):
+            fm = _integral_eval(cs, m)
+        else:
+            fm = poly_eval_matrix(cvec(cs, fctx), cmat(m, fctx), fctx)
         basis = kernel_basis(fm, p, ctx=fctx)
         if len(basis) != len(cs) - 1:
             raise PreconditionViolated(
@@ -288,8 +308,9 @@ class AdaptedNorm:
     eps_exp: object = None  # nilpotent contraction exponent j, if any
 
     def _ctx(self):
-        # a degree-1 "extension" is just Q_p; using ExtContext uniformly keeps
-        # the block transforms (ExtElement entries) in one arithmetic domain
+        # the ring of the stored block transforms: adapted_norm builds each
+        # block in its own smallest ring and lifts its t and tinv into this
+        # one, so all blocks share one arithmetic domain (ram 1 is just Q_p)
         return ExtContext(self.prime, self.ram)
 
     @cached_property
@@ -356,10 +377,13 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     """Build an ultrametric norm adapted to the spectral decomposition of m
     (data, if the caller already has it).
 
-    Finite-valuation blocks: scale by pi^(-rho*e) to a flat-polygon matrix,
-    take the gauge of an invariant unit lattice (an exact isometry up to the
-    factor p^-rho).  Nilpotent block: Jordan chains scaled by lambda = p^j
-    with p^-j < eps.
+    Finite-valuation blocks: scale by p^-rho to a flat-polygon matrix, take
+    the gauge of an invariant unit lattice (an exact isometry up to the
+    factor p^-rho).  Each is built in the smallest ring that holds it: over
+    Q for a rational block with integral rho, else over Q_p(pi_b),
+    pi_b^e = p with e the denominator of rho; only its t and tinv are lifted
+    into the norm's Q_p(pi), pi^ram = p.  Nilpotent block: Jordan chains
+    scaled by lambda = p^j with p^-j < eps.
     """
     data = data or spectral_data(m, p, precision)
     finite = [b for b in data.blocks if b.rho != INF]
@@ -370,6 +394,7 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     w = [[coerce(cols[j][i], wctx) for j in range(d)] for i in range(d)]
     winv = mat_inverse(w, wctx)
 
+    ectx = ExtContext(p, ram, precision)
     blocks = []
     eps_exp = None
     for b in data.blocks:
@@ -399,13 +424,19 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
             blocks.append(NormBlock(INF, tuple(tuple(r) for r in t),
                                     tuple(tuple(r) for r in cw), tuple(weights)))
         else:
-            ectx = ExtContext(p, ram, precision)
-            shift = ExtElement.pi(p, ram, -int(Fraction(b.rho) * ram))
-            scaled = [[coerce(x, ectx) * shift for x in row] for row in cmat(rest, ectx)]
-            lat = invariant_unit_lattice(scaled, p, ctx=ectx)
-            t = lattice_inverse(lat, ectx)
+            rho = Fraction(b.rho)
+            if isinstance(bctx, RationalContext) and rho.denominator == 1:
+                lctx = bctx
+                scaled = [[x * Fraction(p) ** -int(rho) for x in row] for row in rest]
+            else:  # ExtContext even for e = 1: PadicContext.one is capped
+                lctx = ExtContext(p, rho.denominator, precision)
+                shift = ExtElement.pi(p, rho.denominator, -rho.numerator)
+                scaled = [[x * shift for x in row] for row in cmat(rest, lctx)]
+            lat = invariant_unit_lattice(scaled, p, ctx=lctx)
+            t = lattice_inverse(lat, lctx)
             blocks.append(
-                NormBlock(b.rho, tuple(tuple(r) for r in t), tuple(zip(*lat.basis)),
+                NormBlock(b.rho, tuple(tuple(cvec(r, ectx)) for r in t),
+                          tuple(tuple(cvec(r, ectx)) for r in zip(*lat.basis)),
                           tuple(Fraction(0) for _ in range(b.dim)))
             )
     return AdaptedNorm(p, ram, tuple(tuple(r) for r in winv),

@@ -123,15 +123,19 @@ def rand_conjugated(rng: random.Random, p: int, d: int,
     return m, spectrum, eigcols
 
 
+def companion(g):
+    """Companion matrix of monic g (ascending coefficients): its charpoly is g."""
+    n = len(g) - 1
+    return [[Fraction(int(i == j + 1)) if j < n - 1 else -Fraction(g[i]) for j in range(n)]
+            for i in range(n)]
+
+
 def conjugated_companion(rng: random.Random, g, p: int):
     """S C S^-1 over Q for the companion matrix C of monic g (ascending
     coefficients) and a random unimodular S: its charpoly is g."""
-    n = len(g) - 1
-    c = [[Fraction(int(i == j + 1)) if j < n - 1 else -Fraction(g[i]) for j in range(n)]
-         for i in range(n)]
-    s = unimodular(rng, n)
+    s = unimodular(rng, len(g) - 1)
     ctx = RationalContext(p)
-    return mat_mul(mat_mul(s, c), mat_inverse(cmat(s, ctx), ctx))
+    return mat_mul(mat_mul(s, companion(g)), mat_inverse(cmat(s, ctx), ctx))
 
 
 # t^5 + 8t^3 + 768 over Q_2: root valuations 5/3 (x3) and 3/2 (x2) share the

@@ -309,6 +309,39 @@ def test_slope_factorization_padic_input_below_default_precision(precision):
     assert _congruent(fac[1].factor.coeffs, [-25, 0, 0, 1], 5, precision)
 
 
+def _o_term_quartic(o_terms):
+    """(t^3 - 25)(t - 1) over Q_5 given mod 5^40, with coefficient i given
+    as O(5^o) for each (i, o) in o_terms."""
+    f = _polymul([F(-25), 0, 0, F(1)], [F(-1), F(1)])
+    pf = [PadicNumber.from_rational(c, 5, 40 - int(valuation_of_rational(c, 5))) if c
+          else PadicNumber.zero(5) for c in f]
+    for i, o in o_terms:
+        pf[i] = PadicNumber.o_term(5, o)
+    return Polynomial(tuple(pf), 5)
+
+
+def test_o_term_above_the_polygon_is_ignored():
+    # the zero t^2 coefficient known only as O(5^40): (2, 40) lies far above
+    # the hull through (0, 2), (3, 0), (4, 0), so no value of it moves a slope
+    f = _o_term_quartic([(2, 40)])
+    assert newton_polygon(f, 5).segments == ((F(2, 3), 3), (F(0), 1))
+    fac = slope_factorization(f, 5, precision=16)
+    assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(2, 3), 3), (F(0), 1)]
+    assert _congruent(fac[0].factor.coeffs, [-25, 0, 0, 1], 5, 16)
+    assert _congruent(fac[1].factor.coeffs, [-1, 1], 5, 16)
+
+
+@pytest.mark.parametrize("o_term", [(2, 0), (0, 40)], ids=["below-hull", "constant"])
+def test_o_term_that_may_move_the_polygon_raises(o_term):
+    # O(5^0) at t^2 lies below the hull (2/3 there); an O-term constant
+    # coefficient may be zero, which would add a root of valuation INF
+    f = _o_term_quartic([o_term])
+    with pytest.raises(PrecisionExhausted, match=f"coefficient {o_term[0]} "):
+        newton_polygon(f, 5)
+    with pytest.raises(PrecisionExhausted):
+        slope_factorization(f, 5, precision=16)
+
+
 @pytest.mark.parametrize("p,factors,slopes", [
     # (t - 81)(t - 1/27): root valuations 4 and -3
     (3, [[-81, 1], [F(-1, 27), 1]], [(F(4), 1), (F(-3), 1)]),

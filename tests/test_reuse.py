@@ -2,9 +2,11 @@
 adapted norm, one conjugation per radius search (which finds the same k as
 a scan) and two per graph reduction, which composes a non-invariant graph
 only up to its first nonzero residual degree; exactness of the
-per-pi-power norm_exp kernel against the ExtContext product; and
+per-pi-power norm_exp kernel against the ExtContext product;
 (T Winv)^-1 and the operator norm from the block inverses against an
-inversion of the whole transform."""
+inversion of the whole transform; and each finite block's lattice built in
+its smallest ring (Q, or Q_p(pi_b) with e_b the denominator of its rho)
+against a build over the norm's own ring."""
 
 import json
 import math
@@ -19,11 +21,13 @@ import pytest
 from ultradyn import cli, dynamics, manifolds, spectral
 from ultradyn.dynamics import PolyMap
 from ultradyn.errors import PreconditionViolated
-from ultradyn.field import ExtContext, PadicNumber, RationalContext, _bval, compare_threshold
-from ultradyn.polyalg import cmat, cvec, mat_inverse, mat_mul, mat_vec
+from ultradyn.field import (ExtContext, ExtElement, PadicNumber, RationalContext, _bval,
+                            compare_threshold)
+from ultradyn.polyalg import (cmat, cvec, infer_context, invariant_unit_lattice, kernel_basis,
+                              lattice_inverse, mat_inverse, mat_mul, mat_vec, poly_eval_matrix)
 
 from helpers import _embed, frac_block, int_block, nilp_block, rand_vector, unimodular
-from helpers import rand_conjugated, rand_poly_map
+from helpers import companion, conjugated_companion, rand_conjugated, rand_poly_map
 
 F = Fraction
 
@@ -158,6 +162,85 @@ def test_block_inverses_keep_padic_precision(seed, p):
                 assert _abs_prec(g) >= prec
                 assert _bval(g - w, p) >= prec
     assert padic
+
+
+# -- each finite block built in its smallest ring ------------------------------
+
+
+def norm_block_over_full_ring(m, p, b, ram):
+    """The NormBlock of finite block b built with its lattice and lattice
+    inverse over ExtContext(p, ram), the norm's own ring."""
+    basis = [list(v) for v in b.basis]
+    bctx = infer_context([m] + basis, p)
+    rest = spectral._restrict(m, basis, bctx)
+    ctx = ExtContext(p, ram)
+    shift = ExtElement.pi(p, ram, -int(b.rho * ram))
+    lat = invariant_unit_lattice([[x * shift for x in row] for row in cmat(rest, ctx)],
+                                 p, ctx=ctx)
+    return spectral.NormBlock(b.rho, tuple(tuple(r) for r in lattice_inverse(lat, ctx)),
+                              tuple(zip(*lat.basis)), tuple(F(0) for _ in range(b.dim)))
+
+
+def smallest_ring_cases():
+    """rand_conjugated draws (ram 1, 2, 3 and 6, some with nilpotent
+    blocks); two slope-mixed matrices whose p-adic blocks of dimension 2 are
+    lifted into a larger ring (rho = 0 into ram 2, rho = 1/2 into ram 6); and
+    the companion matrix of t^3 + 2t + 4 over Q_2 in a new basis, whose
+    p-adic blocks have rho = 1 and rho = 1/2."""
+    for seed, p, d, _, _ in EXACT_DRAWS:
+        yield p, rand_conjugated(random.Random(seed), p, d)[0]
+    for seed in range(6):
+        p = (2, 3, 5)[seed % 3]
+        yield p, rand_conjugated(random.Random(100 + seed), p, 5)[0]
+    yield 3, block_diag([companion([3, 1, 0, 1]), frac_block(3, 1, 2)])
+    yield 5, block_diag([companion([25, 5, 0, 1]), frac_block(5, 1, 3)])
+    yield 2, conjugated_companion(random.Random(1), [4, 2, 0, 1], 2)
+
+
+def test_smallest_ring_blocks_match_full_ring_build():
+    kinds = Counter()
+    for p, m in smallest_ring_cases():
+        an = spectral.LinearAnalysis(m, p)
+        n, qctx = an.norm(), RationalContext(p)
+        factors = spectral._rational_factors(an.charpoly)
+        for b, nb in zip(an.data.blocks, n.blocks):
+            rational = all(isinstance(c, F) for v in b.basis for c in v)
+            if b.rho != INF:
+                assert nb == norm_block_over_full_ring(m, p, b, n.ram), (m, b.rho)
+                kinds[rational, Fraction(b.rho).denominator < n.ram] += 1
+            if rational:
+                g = poly_eval_matrix(factors[b.rho], cmat(m, qctx), qctx)
+                assert [list(v) for v in b.basis] == kernel_basis(g, p, ctx=qctx)
+    # rational and p-adic blocks, each both in the norm's ring and lifted
+    assert set(kinds) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_blocks_use_no_larger_ring_than_their_slope(monkeypatch):
+    divisions, rings = [], []
+    ext_div = ExtElement.__truediv__
+    monkeypatch.setattr(ExtElement, "__truediv__",
+                        lambda a, b: divisions.append(1) or ext_div(a, b))
+    lattice = spectral.invariant_unit_lattice
+
+    def spy(b, p, precision=None, ctx=None):
+        rings.append(ctx)
+        return lattice(b, p, precision, ctx)
+
+    monkeypatch.setattr(spectral, "invariant_unit_lattice", spy)
+    # a rational matrix with integral slopes only: its lattices are over Q
+    m = conjugated(random.Random(5), [int_block(3, 1, 2), int_block(3, -1, 1), nilp_block(1)])
+    spectral.adapted_norm(m, 3)
+    assert len(rings) == 2 and all(isinstance(c, RationalContext) for c in rings)
+    assert not divisions
+    # ram 6: the lattice of each block is over Q_p(pi_b), pi_b^e_b = p, with
+    # e_b the denominator of its rho (Q itself for rho = 1)
+    rings.clear()
+    m = conjugated(random.Random(6), [frac_block(5, 1, 2), frac_block(5, 2, 3),
+                                      int_block(5, 1, 1)])
+    n = spectral.adapted_norm(m, 5)
+    assert n.ram == 6
+    assert [1 if isinstance(c, RationalContext) else c.ram for c in rings] == [
+        Fraction(b.rho).denominator for b in n.blocks]
 
 
 # -- one spectral decomposition per matrix -----------------------------------
