@@ -153,14 +153,6 @@ def linear_part(f: PolyMap):
     return a
 
 
-def remainder(f: PolyMap) -> PolyMap:
-    """F minus its affine-linear part: the terms of total degree >= 2."""
-    tables = []
-    for comp in f.components:
-        tables.append({m: c for m, c in comp if sum(m) >= 2})
-    return PolyMap.from_tables(tables, f.prime, f.nvars)
-
-
 def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
     """G = kappa o F o kappa^-1 for kappa(x) = x - pt; requires F(pt) = pt."""
     pt = [Fraction(x) for x in pt]
@@ -206,20 +198,18 @@ def jacobian(f: PolyMap, pt=None):
     return rows
 
 
+def _linear_tables(a, ctx):
+    """Monomial tables of x -> a x (a given as matrix rows over ctx)."""
+    n = len(a[0])
+    return [{tuple(int(l == j) for l in range(n)): c for j, c in enumerate(row)
+             if ctx.zeroness(c) != ZERO} for row in a]
+
+
 def conjugate(f: PolyMap, t, tinv, ctx) -> list:
     """Tables of T o F o T^-1 over ctx (T given as matrix rows)."""
-    n = f.nvars
-    tinv_polys = []
-    for i in range(n):
-        poly = {}
-        for j in range(n):
-            c = tinv[i][j]
-            if ctx.zeroness(c) != ZERO:
-                e = tuple(1 if l == j else 0 for l in range(n))
-                poly[e] = c
-        tinv_polys.append(poly)
+    tinv_polys = _linear_tables(tinv, ctx)
     inner = [
-        _msubst({m: coerce(c, ctx) for m, c in comp}, tinv_polys, n, ctx)
+        _msubst({m: coerce(c, ctx) for m, c in comp}, tinv_polys, f.nvars, ctx)
         for comp in f.components
     ]
     out = []

@@ -319,10 +319,9 @@ class ExtElement:
 
     @classmethod
     def from_base(cls, c, p: int, ram: int) -> "ExtElement":
-        if isinstance(c, int):
-            c = Fraction(c)
-        rest = tuple(Fraction(0) for _ in range(ram - 1))
-        return cls(p, ram, (c,) + rest)
+        """c in Q_p(pi); the pi-slots are exact zeros of c's own ring, as
+        lift_ram gives them."""
+        return cls(p, 1, (Fraction(c) if isinstance(c, int) else c,)).lift_ram(ram)
 
     @classmethod
     def pi(cls, p: int, ram: int, k: int = 1) -> "ExtElement":

@@ -1,8 +1,11 @@
 """Truncated power-series graphs of local invariant manifolds (stable,
 centre-stable, centre, unstable) solved order by order from the invariance
 equation h(F_base(x, h(x))) = F_comp(x, h(x)), plus formal inversion.
+The unstable graph is solved for the formal inverse of F, found as a fixed
+point that composes only the remainder F - F'(0) with it.
 
-All series arithmetic reuses the monomial tables of the dynamics module; the
+All series arithmetic reuses the monomial tables of the dynamics module, and
+a linear map enters as one table per row (dynamics._linear_tables); the
 graph is computed in splitting coordinates (base block first)."""
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from .errors import (
     ResonanceDetected,
 )
 from .field import DEFAULT_PRECISION, ZERO
-from .polyalg import cmat, coerce, cvec, infer_context, mat_inverse, mat_vec, row_reduce
+from .polyalg import (
+    cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, row_reduce)
 from . import spectral
 from .dynamics import (
     PolyMap,
+    _linear_tables,
     _madd,
     _meval,
     _mscale,
@@ -77,35 +82,24 @@ class InverseSeries:
 
 
 def formal_inverse(f: PolyMap, order: int = 6) -> InverseSeries:
-    """G with G(F(x)) = x through total degree `order`, degree by degree."""
-    p = f.prime
+    """G with G(F(x)) = x through total degree `order`: the fixed point of
+    G <- A^-1 (x - R(G)), where A = F'(0) and R = F - A holds the terms of
+    degree >= 2.  R has no term below degree 2, so step k, which composes
+    only R with G truncated at degree k, leaves G exact through degree k.
+    A formal inverse is two-sided, so F(G(x)) = x as well."""
     n = f.nvars
     a = linear_part(f)
-    ctx = infer_context([a] + [[c for _, c in comp] for comp in f.components], p)
+    ctx = infer_context([a] + [[c for _, c in comp] for comp in f.components], f.prime)
     try:
-        ainv = mat_inverse(cmat(a, ctx), ctx)
+        ainv = _linear_tables(mat_inverse(cmat(a, ctx), ctx), ctx)
     except PreconditionViolated as exc:
         raise JacobianSingular("derivative at 0 is singular") from exc
-    ainv_polys = []
-    for i in range(n):
-        poly = {}
-        for j in range(n):
-            if ctx.zeroness(ainv[i][j]) != ZERO:
-                e = tuple(1 if l == j else 0 for l in range(n))
-                poly[e] = ainv[i][j]
-        ainv_polys.append(poly)
-    g = [dict(pl) for pl in ainv_polys]  # start with A^-1
-    ftabs = [{m: coerce(c, ctx) for m, c in comp} for comp in f.components]
+    minus_r = [{m: -coerce(c, ctx) for m, c in comp if sum(m) >= 2} for comp in f.components]
+    g = ainv
     for k in range(2, order + 1):
-        comp = [_msubst(gi, ftabs, n, ctx, k) for gi in g]
-        for i in range(n):
-            e = tuple(1 if l == i else 0 for l in range(n))
-            known = {m: c for m, c in comp[i].items() if sum(m) == k and m != e}
-            if not known:
-                continue
-            corr = _msubst(known, ainv_polys, n, ctx)
-            g[i] = _madd(g[i], _mscale(corr, ctx.zero - ctx.one, ctx), ctx)
-    return InverseSeries(PolyMap.from_tables(g, p, n), order)
+        minus_rg = [_msubst(r, g, n, ctx, k) for r in minus_r]
+        g = [_madd(ai, _msubst(ai, minus_rg, n, ctx), ctx) for ai in ainv]
+    return InverseSeries(PolyMap.from_tables(g, f.prime, n), order)
 
 
 # --------------------------------------------------------------------------
@@ -141,33 +135,22 @@ def _solve_degree(ab, acc_mat, known, db, dc, k, ctx):
     tables of h; raises ResonanceDetected when the operator is singular."""
     monos = _degree_monomials(db, k)
     nm = len(monos)
-    ab_polys = []
-    for l in range(db):
-        poly = {}
-        for j in range(db):
-            if ctx.zeroness(ab[l][j]) != ZERO:
-                e = tuple(1 if q == j else 0 for q in range(db))
-                poly[e] = ab[l][j]
-        ab_polys.append(poly)
-    # operator columns: unknowns indexed (comp coord i, monomial m)
-    cols = []
-    for i in range(dc):
-        for m in monos:
-            shifted = _msubst({m: ctx.one}, ab_polys, db, ctx)
-            col = [ctx.zero] * (dc * nm)
+    pos = {m: j for j, m in enumerate(monos)}
+    ab_polys = _linear_tables(ab, ctx)
+    # unknowns and equations indexed (complement coordinate i, monomial m)
+    mat = [[ctx.zero] * (dc * nm) for _ in range(dc * nm)]
+    for j, m in enumerate(monos):
+        shifted = _msubst({m: ctx.one}, ab_polys, db, ctx)
+        for i in range(dc):
             for mm, c in shifted.items():
-                col[i * nm + monos.index(mm)] = c
+                mat[i * nm + pos[mm]][i * nm + j] = c
             for ii in range(dc):
                 if ctx.zeroness(acc_mat[ii][i]) != ZERO:
-                    col[ii * nm + monos.index(m)] = (
-                        col[ii * nm + monos.index(m)] - acc_mat[ii][i]
-                    )
-            cols.append(col)
-    mat = [[cols[j][i] for j in range(dc * nm)] for i in range(dc * nm)]
+                    mat[ii * nm + j][i * nm + j] -= acc_mat[ii][i]
     rhs = [ctx.zero] * (dc * nm)
     for i in range(dc):
         for m, c in known[i].items():
-            rhs[i * nm + monos.index(m)] = c
+            rhs[i * nm + pos[m]] = c
     rows, pivots, aug = row_reduce(mat, ctx, rhs=[[b] for b in rhs])
     if len(pivots) < dc * nm:
         raise ResonanceDetected(
@@ -223,7 +206,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
     if mode == UNSTABLE and a < 1:
         raise PreconditionViolated("Unstable mode requires a >= 1")
-    if mode in (CENTRE, UNSTABLE):
+    if mode == CENTRE:  # UNSTABLE: formal_inverse raises the same
         ctx = infer_context(lin, p)
         try:
             mat_inverse(cmat(lin, ctx), ctx)
@@ -266,11 +249,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
 def _compose_with_graph(tables, h, db, dc, d, max_deg, ctx):
     """(F_base(xi, h(xi)), F_comp(xi, h(xi))) as tables over the db base
     variables, truncated at max_deg."""
-    subs = []
-    for l in range(db):
-        e = tuple(1 if q == l else 0 for q in range(db))
-        subs.append({e: ctx.one})
-    subs.extend(h)
+    subs = _linear_tables(identity(db, ctx), ctx) + list(h)
     fb = [_msubst(tables[i], subs, db, ctx, max_deg) for i in range(db)]
     fc = [_msubst(tables[db + i], subs, db, ctx, max_deg) for i in range(dc)]
     return fb, fc

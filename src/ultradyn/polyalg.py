@@ -255,18 +255,6 @@ class Polynomial:
         return acc
 
 
-def _pstrip(cs, ctx):
-    i = len(cs)
-    while i > 0:
-        z = ctx.zeroness(cs[i - 1])
-        if z == NONZERO:
-            break
-        if z == UNCERTAIN:
-            raise PrecisionExhausted("leading coefficient uncertain")
-        i -= 1
-    return cs[:i]
-
-
 def _padd(a, b, ctx):
     n = max(len(a), len(b))
     out = []
@@ -293,34 +281,6 @@ def _pmul(a, b, ctx):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
-
-
-def _pdivmod(a, b, ctx):
-    b = _pstrip(list(b), ctx)
-    if not b:
-        raise PreconditionViolated("polynomial division by zero")
-    a = list(a)
-    q = [ctx.zero] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        if len(a) < len(b) + i:
-            continue
-        c = a[len(b) - 1 + i] / lead
-        if ctx.zeroness(c) == ZERO:
-            a = a[: len(b) - 1 + i]
-            continue
-        q[i] = c
-        for j in range(len(b)):
-            a[i + j] = a[i + j] - c * b[j]
-        a = a[: len(b) - 1 + i]
-    return q, a
-
-
-def _pdivexact(a, b, ctx):
-    q, r = _pdivmod(a, b, ctx)
-    if _pstrip(r, ctx):
-        raise PreconditionViolated("inexact polynomial division")
-    return q
 
 
 def poly_eval_matrix(coeffs, m, ctx):

@@ -43,9 +43,7 @@ from .polyalg import (
     poly_eval_matrix,
     row_reduce,
     slope_factorization,
-    solve_system,
     _monic_scale,
-    _pdivexact,
     _slope_split,
     _zdivmod,
 )
@@ -159,7 +157,9 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
         tagged = list(_rational_factors(cp).items())
         cs = list(cp.coeffs)
         for _, g in tagged:
-            cs = _pdivexact(cs, g, ctx)
+            cs, r = _zdivmod(cs, g)
+            if any(r):
+                raise PreconditionViolated("inexact polynomial division")
         rest = Polynomial(tuple(cs), p)
     if rest.degree:
         tagged += [(sf.root_valuation, list(sf.factor.coeffs))
@@ -224,15 +224,17 @@ def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
 
 
 def _restrict(m, basis, ctx):
-    """Matrix of m on span(basis) in the coordinates of basis."""
-    d = len(m)
-    k = len(basis)
-    bm = [[coerce(basis[j][i], ctx) for j in range(k)] for i in range(d)]
-    cols = []
-    for j in range(k):
-        img = mat_vec(cmat(m, ctx), [coerce(x, ctx) for x in basis[j]])
-        cols.append(solve_system(bm, img, ctx))
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    """Matrix of m on span(basis) in the coordinates of basis: one
+    elimination of the basis matrix, with every image as a right-hand side."""
+    vs, mc = cmat(basis, ctx), cmat(m, ctx)
+    _, pivots, aug = row_reduce([list(r) for r in zip(*vs)], ctx,
+                                rhs=[list(r) for r in zip(*(mat_vec(mc, v) for v in vs))])
+    if any(ctx.zeroness(x) == NONZERO for r in aug[len(pivots):] for x in r):
+        raise PreconditionViolated("inconsistent linear system")
+    out = [[ctx.zero] * len(basis) for _ in basis]
+    for r, c in enumerate(pivots):
+        out[c] = aug[r]
+    return out
 
 
 def _nilpotent_chains(n, ctx):

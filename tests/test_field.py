@@ -212,6 +212,15 @@ def test_ext_sum_keeps_rational_precision(other):
     assert (c.unit, c.val, c.prec) == (3, 0, DEFAULT_PRECISION if other.is_exact_zero else 5)
 
 
+def test_ext_from_base_zero_slots_follow_the_arithmetic():
+    # the pi-slots of a p-adic x are p-adic exact zeros, as a product gives them
+    x = PadicNumber.from_rational(2, 3)
+    y = ExtElement.from_base(x, 3, 2)
+    z = y * ExtContext(3, 2).one
+    assert y == z
+    assert repr(y) == repr(z)
+
+
 @settings(max_examples=40)
 @given(nonzero_rationals, nonzero_rationals, primes)
 def test_ext_ultrametric(a, b, p):

@@ -84,6 +84,18 @@ def test_centre_graph_resonance_detected():
         graph_series(f, F(2), CENTRE, order=4)
 
 
+def test_graph_oracle_two_complement_coordinates():
+    """F = (2x, y/2 + 3x^2, z/4 + 5x^2): h(2x) = A_cc h(x) + (3, 5) x^2 per
+    coordinate, so h = (4*5/15 x^2, 2*3/7 x^2) over the complement (e_z, e_y)."""
+    f = pmap([{(1, 0, 0): F(2)},
+              {(0, 1, 0): F(1, 2), (2, 0, 0): F(3)},
+              {(0, 0, 1): F(1, 4), (2, 0, 0): F(5)}], 2)
+    gs = graph_series(f, F(1), STABLE, order=6)
+    assert gs.complement_basis == ((0, 0, 1), (0, 1, 0))
+    assert gs.coefficients == (((2,), (F(4, 3), F(6, 7))),)
+    assert residual(f, gs, truncate=False) == [{}, {}]
+
+
 def test_graph_residual_vanishes_random():
     rng = random.Random(17)
     for p in (2, 3):
@@ -98,10 +110,14 @@ def test_graph_residual_vanishes_random():
 
 
 def test_formal_inverse_oracle_1d():
+    # y = 2x + x^2 has inverse x = -1 + sqrt(1 + y) = sum_k binom(1/2, k) y^k
     f = pmap([{(1,): F(2), (2,): F(1)}], 2)
-    inv = formal_inverse(f, order=3)
-    assert inv.gmap.tables() == \
-        [{(1,): F(1, 2), (2,): F(-1, 8), (3,): F(1, 16)}]
+    binom = [F(1)]
+    for k in range(1, 9):
+        binom.append(binom[-1] * (F(1, 2) - k + 1) / k)
+    for order in (3, 8):
+        inv = formal_inverse(f, order=order)
+        assert inv.gmap.tables() == [{(k,): binom[k] for k in range(1, order + 1)}]
 
 
 def test_formal_inverse_oracle_bench():
@@ -111,24 +127,20 @@ def test_formal_inverse_oracle_bench():
 
 
 def test_formal_inverse_composes_to_identity():
-    rng = random.Random(29)
+    """G(F(x)) and F(G(x)) are both x through the order."""
     from ultradyn.dynamics import _msubst  # noqa: test-only import
-    for p in (2, 3):
-        for _ in range(4):
-            f = rand_poly_map(rng, p, 2, 2)
-            inv = formal_inverse(f, order=4)
-            ctx = f.coeff_context()
-            comp = [
-                {m: c for m, c in _msubst(t, inv.gmap.tables(), 2, ctx).items()
-                 if sum(m) <= 4}
-                for t in f.tables()
-            ]
-            for i, table in enumerate(comp):
-                want = {(1 if j == i else 0 for j in range(2))}
-                cleaned = {m: c for m, c in table.items() if c != 0}
-                e = [0, 0]
-                e[i] = 1
-                assert cleaned == {tuple(e): F(1)}, (f.tables(), cleaned)
+    rng = random.Random(29)
+    for d, deg, order in ((2, 2, 4), (3, 3, 5)):
+        for p in (2, 3):
+            for _ in range(4):
+                f = rand_poly_map(rng, p, d, deg)
+                g = formal_inverse(f, order=order).gmap
+                ctx = f.coeff_context()
+                for outer, inner in ((g, f), (f, g)):
+                    for i, t in enumerate(outer.tables()):
+                        comp = _msubst(t, inner.tables(), d, ctx, order)
+                        e = tuple(int(j == i) for j in range(d))
+                        assert comp == {e: F(1)}, (f.tables(), i, comp)
 
 
 def test_unstable_graph_matches_stable_graph_of_inverse():
