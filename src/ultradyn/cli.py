@@ -310,7 +310,19 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon", type=int, default=None)
     parser.add_argument("--format", choices=("json", "table"), default="json")
     args = parser.parse_args(argv)
+    # Exact orbit points outgrow Python's default cap on int <-> str
+    # conversion (4300 digits); lift it while one command reads and writes.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
+
+def _run(args) -> int:
     try:
         try:
             with open(args.input) as fh:

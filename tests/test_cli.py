@@ -158,6 +158,17 @@ def test_orbit_of_zero_steps(tmp_path, capsys):
     assert json.loads(out)["orbit"] == [{"point": ["1", "2/7"], "norm_exp": "0"}]
 
 
+def test_orbit_prints_points_past_the_int_str_cap(tmp_path, capsys):
+    # 61^(9^4) has 11 714 digits, past Python's default 4300-digit cap.
+    doc = {"prime": 2, "map": [[[[9], "1"]]], "point": ["61"], "steps": 4}
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["orbit", "--input", write(tmp_path, doc)])
+    assert code == 0 and err == ""
+    [last] = json.loads(out)["orbit"][-1]["point"]
+    assert len(last) == 11714 and int(last[-30:]) == pow(61, 9 ** 4, 10 ** 30)
+    assert sys.get_int_max_str_digits() == before
+
+
 @pytest.mark.parametrize("argv,doc", [
     (["norm"], DIAG), (["split", "--a", "1"], DIAG), (["member"], MEMBER)])
 def test_commands_run_without_sympy(tmp_path, argv, doc):
