@@ -1,16 +1,18 @@
 """Exact polynomial and matrix algebra over Q and Q_p.
 
 Matrices are lists of rows; vectors are lists.  Entries are Fractions,
-PadicNumbers or ExtElements; every algorithm is generic over a ring context
-(field.RationalContext / PadicContext / ExtContext) and uses
-valuation-minimising pivoting.
+PadicNumbers or ExtElements, held in a ring context
+(field.RationalContext / PadicContext / ExtContext).  Over Q_p and Q_p(pi)
+elimination and the charpoly pivot by least valuation, which keeps the
+precision.  Over Q, whose answers do not depend on the pivot order,
+row_reduce and charpoly run on plain integers and return the same Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf as INF, prod
+from math import ceil, gcd, inf as INF, lcm, prod
 
 from .errors import (
     PrecisionExhausted,
@@ -112,11 +114,19 @@ def mat_mul(a, b):
 
 
 def row_reduce(mat, ctx, rhs=None):
-    """Reduced echelon form with valuation-minimising pivoting.
+    """Reduced echelon form of mat, with the same row operations on rhs.
 
-    Returns (rows, pivot_cols, rhs_rows).  Raises RankUncertified when rank
-    depends on an entry that is indistinguishable from zero.
+    Returns (rows, pivot_cols, rhs_rows).  Over Q_p and Q_p(pi) the pivot
+    of each column has least valuation, and RankUncertified is raised when
+    the rank depends on an entry that is indistinguishable from zero.  Over
+    Q the elimination runs on integers (_zrow_reduce).  The reduced echelon
+    form does not depend on the pivot order, and neither do the pivot rows'
+    right-hand sides when the system is consistent.  Rows past the rank are
+    zero; only whether all their right-hand sides are zero is fixed, so
+    callers read them as zero or nonzero and nothing more.
     """
+    if isinstance(ctx, RationalContext):
+        return _zrow_reduce(mat, rhs)
     rows = [list(r) for r in mat]
     aug = [list(r) for r in rhs] if rhs is not None else None
     n = len(rows)
@@ -163,6 +173,44 @@ def row_reduce(mat, ctx, rhs=None):
     return rows, pivots, aug
 
 
+def _zrow_reduce(mat, rhs):
+    """row_reduce over Q on integers.  Each row of [mat | rhs] is scaled to
+    integers by the lcm of its denominators.  Gauss-Jordan then takes the
+    first nonzero pivot and replaces row_i by (piv/g) row_i - (f/g) row_r,
+    g = gcd(piv, f), after Bareiss (Math. Comp. 22, 1968), dividing out each
+    new row's content.  Each pivot row is divided by its pivot only at the
+    end, as Fractions."""
+    n, m = len(mat), len(mat[0]) if mat else 0
+    rows = []
+    for i in range(n):
+        row = list(mat[i]) + (list(rhs[i]) if rhs is not None else [])
+        # a list, not a generator: unpacking a generator grows its argument
+        # tuple step by step, which left about 1 MB more peak RSS on a
+        # linear-build benchmark run
+        den = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        best = next((i for i in range(r, n) if rows[i][c]), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        prow, piv = rows[r], rows[r][c]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    out += [[Fraction(x) for x in row] for row in rows[len(pivots):]]
+    return [r[:m] for r in out], pivots, None if rhs is None else [r[m:] for r in out]
+
+
 def mat_inverse(m, ctx):
     n = len(m)
     rows, pivots, aug = row_reduce(m, ctx, rhs=identity(n, ctx))
@@ -206,23 +254,6 @@ def kernel_basis(mat, p: int, precision: int | None = None, ctx=None):
             v[c] = ctx.zero - rows[r][fc]
         basis.append(v)
     return basis
-
-
-def residual_in_span(vec, basis, ctx):
-    """Min valuation of the residual of vec against span(basis); INF if the
-    vector lies in the span exactly (at working precision)."""
-    if not basis:
-        vals = [ctx.val(x) for x in vec]
-        return min(vals) if vals else INF
-    cols = [list(b) for b in basis]
-    mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(vec))]
-    try:
-        x = solve_system(mat, vec, ctx)
-    except PreconditionViolated:
-        return min(ctx.val(c) for c in vec)
-    approx = mat_vec(mat, x)
-    res = [a - b for a, b in zip(vec, approx)]
-    return min((ctx.val(c) for c in res), default=INF)
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +330,35 @@ def poly_eval_matrix(coeffs, m, ctx):
 
 
 def charpoly(mat, p: int, precision: int | None = None) -> Polynomial:
-    """det(tI - M) by reduction to Hessenberg form with valuation pivoting;
-    exact over Q, capped-precision over Q_p and Q_p(pi)."""
+    """det(tI - M): exact over Q by Berkowitz's division-free recurrence on
+    integers (_zcharpoly); capped-precision over Q_p and Q_p(pi) by reduction
+    to Hessenberg form with valuation pivoting."""
     ctx = infer_context(mat, p, precision)
+    if isinstance(ctx, RationalContext):
+        return Polynomial(_zcharpoly(mat), p)
     return _charpoly_hessenberg(cmat(mat, ctx), p, ctx)
+
+
+def _zcharpoly(mat):
+    """Ascending Fraction coefficients c_i of det(tI - M) for rational M.
+
+    Berkowitz (Inf. Process. Lett. 18, 1984) on A = D M over Z, D the lcm of
+    the denominators: with A_k the leading k x k block, row R = A[k][:k],
+    column C = A[:k][k] and a = A[k][k], the coefficients of det(tI - A_(k+1))
+    (descending) are the lower-triangular Toeplitz matrix with first column
+    (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) times those of
+    det(tI - A_k).  Coefficient i of det(tI - A) is D^(n-i) c_i."""
+    n = len(mat)
+    den = lcm(*[x.denominator for row in mat for x in row])
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+    cs = [1]
+    for k in range(n):
+        col, t = [a[i][k] for i in range(k)], [1, -a[k][k]]
+        for _ in range(k):
+            t.append(-sum(x * y for x, y in zip(a[k], col)))
+            col = [sum(x * y for x, y in zip(a[i], col)) for i in range(k)]
+        cs = [sum(t[i - j] * cs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return tuple(Fraction(c, den**i) for i, c in enumerate(cs))[::-1]
 
 
 def _charpoly_hessenberg(m, p: int, ctx) -> Polynomial:
@@ -534,7 +590,10 @@ def slope_factorization(
     doubled, which costs one Newton step.  The product of the factors must
     match the input to the requested precision, and certifies the lesser of
     the match and the working precision; a failed check raises
-    PrecisionExhausted.
+    PrecisionExhausted.  For PadicNumber input a factor can be short of the
+    product match by up to the valuation of the resultants between the
+    factors, so that is taken off what it certifies; a rational input is
+    factored exactly and loses nothing.
     """
     qctx = infer_context(list(f.coeffs), p)
     cs = cvec(f.coeffs, qctx)
@@ -590,6 +649,8 @@ def slope_factorization(
             f"slope factorization could not be certified at precision {precision}"
         )
     certified = int(min(margin, work))
+    if isinstance(qctx, PadicContext):  # each factor may trail the product
+        certified -= ceil(loss)
     return factors + [SlopeFactor(r, l, Polynomial(tuple(part), p), certified)
                       for (r, l), part in zip(segs, parts)]
 

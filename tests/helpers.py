@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 from math import gcd, inf as INF
 
-from ultradyn.polyalg import cmat, mat_inverse, mat_mul
+from ultradyn.errors import PreconditionViolated
+from ultradyn.polyalg import cmat, mat_inverse, mat_mul, mat_vec, solve_system
 from ultradyn.field import RationalContext
 from ultradyn.dynamics import PolyMap
 
@@ -192,3 +193,40 @@ def rand_vector(rng: random.Random, p: int, d: int, vmin: int = -2,
     """Random rational vector with entries of controlled valuation."""
     return [rand_unit(rng, p) * Fraction(p) ** rng.randint(vmin, vmax)
             if rng.random() > 0.15 else Fraction(0) for _ in range(d)]
+
+
+def residual_in_span(vec, basis, ctx):
+    """Min valuation of the residual of vec against span(basis); INF if the
+    vector lies in the span exactly (at working precision)."""
+    if not basis:
+        vals = [ctx.val(x) for x in vec]
+        return min(vals) if vals else INF
+    cols = [list(b) for b in basis]
+    mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(vec))]
+    try:
+        x = solve_system(mat, vec, ctx)
+    except PreconditionViolated:
+        return min(ctx.val(c) for c in vec)
+    approx = mat_vec(mat, x)
+    res = [a - b for a, b in zip(vec, approx)]
+    return min((ctx.val(c) for c in res), default=INF)
+
+
+def fraction_row_reduce(mat, rhs=None):
+    """Reference Gauss-Jordan over plain Fractions, first nonzero pivot:
+    (rows, pivot_cols, rhs_rows) in the shape polyalg.row_reduce returns."""
+    m = len(mat[0]) if mat else 0
+    rows = [list(r) + (list(rhs[i]) if rhs is not None else []) for i, r in enumerate(mat)]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        best = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return [r[:m] for r in rows], pivots, None if rhs is None else [r[m:] for r in rows]

@@ -35,7 +35,6 @@ from ultradyn.polyalg import (
     infer_context,
     mat_vec,
     newton_polygon,
-    residual_in_span,
 )
 from ultradyn.spectral import (
     adapted_norm,
@@ -45,7 +44,7 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import rand_conjugated, rand_poly_map, rand_unit
+from helpers import rand_conjugated, rand_poly_map, rand_unit, residual_in_span
 
 F = Fraction
 PRECISION = 64

@@ -6,11 +6,14 @@ from fractions import Fraction
 from math import inf as INF
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ultradyn.errors import PrecisionExhausted, PreconditionViolated
 from ultradyn.field import PadicContext, PadicNumber, RationalContext, valuation_of_rational
 from ultradyn.polyalg import (
     Polynomial,
+    _charpoly_hessenberg,
     coerce,
     charpoly,
     cmat,
@@ -21,11 +24,12 @@ from ultradyn.polyalg import (
     mat_mul,
     mat_vec,
     newton_polygon,
+    row_reduce,
     slope_factorization,
     solve_system,
 )
 
-from helpers import ONE_BAND, rand_conjugated, unimodular
+from helpers import ONE_BAND, fraction_row_reduce, rand_conjugated, unimodular
 
 
 F = Fraction
@@ -63,6 +67,52 @@ def test_inverse_roundtrip_random():
         sinv = mat_inverse(cmat(s, ctx), ctx)
         prod = mat_mul(s, sinv)
         assert prod == [[F(int(i == j)) for j in range(4)] for i in range(4)]
+
+
+_entries = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=12))
+_primes = st.sampled_from((2, 3, 5))
+
+
+@st.composite
+def _systems(draw):
+    """(A, rhs or None): up to 5 x 5, with a row a multiple of the first
+    (rank deficiency) and a zero column now and then."""
+    n, m, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    a = [[draw(_entries) for _ in range(m)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(st.fractions(-3, 3, max_denominator=4))
+        a[draw(st.integers(1, n - 1))] = [c * x for x in a[0]]
+    if m and draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in a:
+            row[j] = F(0)
+    rhs = [[draw(_entries) for _ in range(k)] for _ in range(n)] if draw(st.booleans()) else None
+    return a, rhs
+
+
+@given(_systems(), _primes)
+@example(([], None), 2)
+@example(([], []), 2)
+@example(([[F(3, 4)]], None), 3)
+@example(([[F(3, 4)]], [[F(1, 6)]]), 3)
+@example(([[F(0)]], [[F(1)]]), 5)
+@example(([[F(1), F(2), F(3)], [F(2), F(4), F(7)]], [[F(1)], [F(1, 2)]]), 2)
+@example(([[F(1), F(2)], [F(2), F(4)], [F(0), F(0)]], [[F(1)], [F(2)], [F(0)]]), 2)
+@example(([[F(0), F(1, 2)], [F(0), F(1, 3)]], None), 3)
+def test_row_reduce_rational_matches_fraction_gauss_jordan(system, p):
+    a, rhs = system
+    rows, pivots, aug = row_reduce(a, RationalContext(p), rhs)
+    want_rows, want_pivots, want_aug = fraction_row_reduce(a, rhs)
+    assert pivots == want_pivots
+    assert rows == want_rows and all(type(x) is F for r in rows for x in r)
+    if rhs is None:
+        assert aug is None
+        return
+    r = len(pivots)
+    consistent = all(x == 0 for row in want_aug[r:] for x in row)
+    assert consistent == all(x == 0 for row in aug[r:] for x in row)
+    if consistent:
+        assert aug == want_aug and all(type(x) is F for row in aug for x in row)
 
 
 # -- characteristic polynomial ----------------------------------------------
@@ -188,6 +238,30 @@ def test_charpoly_padic_matches_rational():
             assert diff.is_exact_zero or diff.val >= 48
 
 
+@st.composite
+def _square_matrices(draw):
+    """Square matrices up to 6 x 6: arbitrary, singular, or nilpotent (a
+    strictly upper triangular matrix conjugated by a unimodular one)."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("any", "singular", "nilpotent")))
+    m = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n >= 2:
+        m[-1] = [x + 2 * y for x, y in zip(m[0], m[1])]
+    if kind == "nilpotent":
+        m = [[x if j > i else F(0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        m = _conj(unimodular(random.Random(draw(st.integers(0, 999))), n), m, 2)
+    return kind, m
+
+
+@given(_square_matrices(), _primes)
+def test_charpoly_rational_matches_hessenberg(case, p):
+    kind, m = case
+    cp = charpoly(m, p)
+    assert repr(cp) == repr(_charpoly_hessenberg(cmat(m, RationalContext(p)), p, RationalContext(p)))
+    if kind == "nilpotent":
+        assert list(cp.coeffs) == [F(0)] * len(m) + [F(1)]
+
+
 # -- Newton polygon ----------------------------------------------------------
 
 
@@ -307,6 +381,19 @@ def test_slope_factorization_padic_input_below_default_precision(precision):
     assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(1), 2), (F(2, 3), 3)]
     assert _congruent(fac[0].factor.coeffs, [25, -10, 1], 5, precision)
     assert _congruent(fac[1].factor.coeffs, [-25, 0, 0, 1], 5, precision)
+
+
+@pytest.mark.parametrize("n", [40, 56, 80])
+def test_slope_factor_padic_input_certifies_its_own_accuracy(n):
+    # (t - 5)^2 (t^3 - 25) over Q_5 given mod 5^n: the product matches the
+    # input mod 5^n, but each factor is right only to about n minus the
+    # valuation of the resultant between them
+    f = _polymul([F(25), F(-10), F(1)], [F(-25), 0, 0, F(1)])
+    pf = [PadicNumber.from_rational(c, 5, n - int(valuation_of_rational(c, 5))) for c in f]
+    fac = slope_factorization(Polynomial(tuple(pf), 5), 5, precision=32)
+    for s, want in zip(fac, ([25, -10, 1], [-25, 0, 0, 1])):
+        assert s.certified_precision >= 32
+        assert _congruent(s.factor.coeffs, want, 5, s.certified_precision)
 
 
 def _o_term_quartic(o_terms):

@@ -8,7 +8,7 @@ import pytest
 
 from ultradyn.errors import PreconditionViolated
 from ultradyn.field import PadicNumber, RationalContext, compare_threshold
-from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, mat_vec, residual_in_span
+from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, mat_vec
 from ultradyn.spectral import (
     _rational_factors,
     adapted_norm,
@@ -20,7 +20,8 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import ONE_BAND, conjugated_companion, rand_conjugated, rand_vector
+from helpers import (ONE_BAND, conjugated_companion, rand_conjugated, rand_vector,
+                     residual_in_span)
 
 F = Fraction
 
