@@ -586,19 +586,15 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                     )
                     return MembershipVerdict(CERTIFIED_MEMBER, trace, just)
     elif above:
-        # ]0, a] misses the spectrum entirely: W_a^s is locally just {0}
+        # ]0, a] misses the spectrum entirely: W_a^s is locally just {0}.
+        # No eigenvalue is 0 here, so A is invertible; inside the
+        # linearization ball ||F(z)|| >= p^einv ||z||
         norm = analysis.norm()
-        try:
-            k = linearization_radius(f, norm)
-        except JacobianSingular:
-            k = None
-        if k is not None:
-            ctx = infer_context([lin], p, precision)
-            ainv = mat_inverse(cmat(lin, ctx), ctx)
-            einv = operator_norm(ainv, p, norm)  # ||F(z)|| >= p^einv ||z|| in-ball
-            if compare_threshold(a, -einv, p) != -1:
-                k = None  # expansion factor not certified above a
-        if k is not None:
+        ctx = infer_context([lin], p, precision)
+        einv = operator_norm(mat_inverse(cmat(lin, ctx), ctx), p, norm)
+        if compare_threshold(a, -einv, p) == -1:  # expansion certified above a
+            lipschitz = _remainder_bound(f, norm)
+            k = _least_k(lambda k: lipschitz(k) + einv > 0)
             for n, (_, z) in enumerate(pts):
                 zc = infer_context([z], p, precision)
                 if _is_exact_zero_vec(z, zc):

@@ -259,18 +259,6 @@ class PadicNumber:
         other = self._operand(other)
         return NotImplemented if other is None else other / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return 1 / self**(-n)
-        out = PadicNumber.from_rational(1, self.prime)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- misc --------------------------------------------------------------
 
     def __repr__(self):
@@ -385,16 +373,19 @@ class ExtElement:
         from . import polyalg  # local import to avoid a cycle
 
         p, e = self.prime, self.ram
-        cols = []
-        for j in range(e):
-            pij = ExtElement.pi(p, e, j)
-            cols.append((other * pij).coeffs)
-        mat = [[cols[j][i] for j in range(e)] for i in range(e)]
-        rhs = list(self.coeffs)
-        if all(_bzeroness(c, p, INF) == ZERO for c in other.coeffs):
+        zs = [_bzeroness(c, p, INF) for c in other.coeffs]
+        if NONZERO not in zs:
+            if UNCERTAIN in zs:
+                raise PrecisionExhausted("division by a value of unknown valuation")
             raise DivisionByZero("division by exact zero in extension")
-        sol = polyalg.solve_linear(mat, rhs, p)
-        return ExtElement(p, e, tuple(sol))
+        # column j is other * pi^j: its coefficients shifted down j slots,
+        # the ones that wrap past pi^(e-1) times pi^e = p
+        b = other.coeffs
+        mat = [[b[i - j] if i >= j else b[i - j] * p for j in range(e)] for i in range(e)]
+        ctx = polyalg.infer_context([mat, list(self.coeffs)], p)
+        sol = polyalg.solve(polyalg.cmat(mat, ctx),
+                            [[polyalg.coerce(c, ctx)] for c in self.coeffs], ctx)
+        return ExtElement(p, e, tuple(x for x, in sol))
 
     def valuation(self):
         """Exact valuation in (1/ram)Z; distinct pi-powers cannot collide."""

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .field import DEFAULT_PRECISION, ZERO
 from .polyalg import (
-    cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, row_reduce)
+    cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
 from . import spectral
 from .dynamics import (
     PolyMap,
@@ -151,17 +151,14 @@ def _solve_degree(ab, acc_mat, known, db, dc, k, ctx):
     for i in range(dc):
         for m, c in known[i].items():
             rhs[i * nm + pos[m]] = c
-    rows, pivots, aug = row_reduce(mat, ctx, rhs=[[b] for b in rhs])
-    if len(pivots) < dc * nm:
-        raise ResonanceDetected(
-            f"degree-{k} coefficient operator is singular")
-    x = [ctx.zero] * (dc * nm)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][0]
+    try:
+        x = solve(mat, [[b] for b in rhs], ctx)
+    except PreconditionViolated as exc:
+        raise ResonanceDetected(f"degree-{k} coefficient operator is singular") from exc
     tables = [{} for _ in range(dc)]
     for i in range(dc):
         for jm, m in enumerate(monos):
-            c = x[i * nm + jm]
+            c = x[i * nm + jm][0]
             if ctx.zeroness(c) != ZERO:
                 tables[i][m] = c
     return tables

@@ -113,6 +113,25 @@ def mat_mul(a, b):
     return [[_dot(row, col) for col in bt] for row in a]
 
 
+def _pivot(col, start, ctx, message):
+    """Row index of the first entry of least valuation among the certainly
+    nonzero col[start:], the pivot that keeps the most precision (Caruso,
+    arXiv:1701.06794); None when all of them are zero.  RankUncertified(message)
+    when only entries indistinguishable from zero remain."""
+    best, best_v, uncertain = None, None, False
+    for i in range(start, len(col)):
+        z = ctx.zeroness(col[i])
+        if z == NONZERO:
+            v = ctx.val(col[i])
+            if best is None or v < best_v:
+                best, best_v = i, v
+        elif z == UNCERTAIN:
+            uncertain = True
+    if best is None and uncertain:
+        raise RankUncertified(message)
+    return best
+
+
 def row_reduce(mat, ctx, rhs=None):
     """Reduced echelon form of mat, with the same row operations on rhs.
 
@@ -136,20 +155,9 @@ def row_reduce(mat, ctx, rhs=None):
     for c in range(m):
         if r >= n:
             break
-        best, best_v, uncertain = None, None, False
-        for i in range(r, n):
-            z = ctx.zeroness(rows[i][c])
-            if z == NONZERO:
-                v = ctx.val(rows[i][c])
-                if best is None or v < best_v:
-                    best, best_v = i, v
-            elif z == UNCERTAIN:
-                uncertain = True
+        best = _pivot([row[c] for row in rows], r, ctx,
+                      f"pivot in column {c} indistinguishable from zero")
         if best is None:
-            if uncertain:
-                raise RankUncertified(
-                    f"pivot in column {c} indistinguishable from zero"
-                )
             continue
         rows[r], rows[best] = rows[best], rows[r]
         if aug is not None:
@@ -211,32 +219,20 @@ def _zrow_reduce(mat, rhs):
     return [r[:m] for r in out], pivots, None if rhs is None else [r[m:] for r in out]
 
 
-def mat_inverse(m, ctx):
-    n = len(m)
-    rows, pivots, aug = row_reduce(m, ctx, rhs=identity(n, ctx))
-    if len(pivots) < n:
+def solve(a, b, ctx):
+    """X with a X = b, for the columns of b as right-hand sides: a square,
+    or overdetermined and consistent.  A column of a without a pivot raises
+    before a row past the rank with a nonzero right-hand side does."""
+    _, pivots, aug = row_reduce(a, ctx, rhs=b)
+    if len(pivots) < (len(a[0]) if a else 0):
         raise PreconditionViolated("matrix not invertible")
-    return aug
+    if any(ctx.zeroness(x) == NONZERO for r in aug[len(pivots):] for x in r):
+        raise PreconditionViolated("inconsistent linear system")
+    return aug[:len(pivots)]
 
 
-def solve_system(mat, rhs_vec, ctx):
-    """Solve mat x = rhs (square or overdetermined consistent system)."""
-    rows, pivots, aug = row_reduce(mat, ctx, rhs=[[b] for b in rhs_vec])
-    m = len(mat[0])
-    x = [ctx.zero] * m
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][0]
-    # consistency of the remaining rows
-    for r in range(len(pivots), len(mat)):
-        if ctx.zeroness(aug[r][0]) == NONZERO:
-            raise PreconditionViolated("inconsistent linear system")
-    return x
-
-
-def solve_linear(mat, rhs, p: int):
-    """Convenience wrapper used by field.ExtElement division."""
-    ctx = infer_context([mat, rhs], p)
-    return solve_system(cmat(mat, ctx), cvec(rhs, ctx), ctx)
+def mat_inverse(m, ctx):
+    return solve(m, identity(len(m), ctx), ctx)
 
 
 def kernel_basis(mat, p: int, precision: int | None = None, ctx=None):
@@ -275,15 +271,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        ctx = infer_context([list(self.coeffs), [x]], self.prime)
-        cs = cvec(self.coeffs, ctx)
-        xx = coerce(x, ctx)
-        acc = ctx.zero
-        for c in reversed(cs):
-            acc = acc * xx + c
-        return acc
 
 
 def _padd(a, b, ctx):
@@ -365,19 +352,8 @@ def _charpoly_hessenberg(m, p: int, ctx) -> Polynomial:
     n = len(m)
     h = [list(r) for r in m]
     for c in range(n - 2):
-        # pivot below the subdiagonal, valuation-minimising
-        best, best_v, uncertain = None, None, False
-        for i in range(c + 1, n):
-            z = ctx.zeroness(h[i][c])
-            if z == NONZERO:
-                v = ctx.val(h[i][c])
-                if best is None or v < best_v:
-                    best, best_v = i, v
-            elif z == UNCERTAIN:
-                uncertain = True
+        best = _pivot([row[c] for row in h], c + 1, ctx, "Hessenberg pivot uncertain")
         if best is None:
-            if uncertain:
-                raise RankUncertified("Hessenberg pivot uncertain")
             continue
         if best != c + 1:
             h[c + 1], h[best] = h[best], h[c + 1]
@@ -689,6 +665,9 @@ def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None) ->
     basis, pivot_vals = [], []
     remaining = cols
     for r in range(d):
+        # not _pivot: any uncertain entry raises, even beside a certain one,
+        # since an O-term could hide a lower valuation than the pivot's and
+        # leave the quotient q below non-integral
         best, best_v = None, None
         for idx, cvex in enumerate(remaining):
             z = ctx.zeroness(cvex[r])
@@ -715,9 +694,3 @@ def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None) ->
         remaining = rest
     return Lattice(tuple(tuple(c) for c in basis), tuple(pivot_vals), p)
 
-
-def lattice_inverse(lat: Lattice, ctx):
-    """Inverse of the lattice basis matrix (columns -> coordinates)."""
-    d = len(lat.basis)
-    m = [[coerce(lat.basis[j][i], ctx) for j in range(d)] for i in range(d)]
-    return mat_inverse(m, ctx)

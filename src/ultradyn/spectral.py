@@ -35,7 +35,6 @@ from .polyalg import (
     infer_context,
     kernel_basis,
     invariant_unit_lattice,
-    lattice_inverse,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -43,6 +42,7 @@ from .polyalg import (
     poly_eval_matrix,
     row_reduce,
     slope_factorization,
+    solve,
     _monic_scale,
     _slope_split,
     _zdivmod,
@@ -224,17 +224,11 @@ def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
 
 
 def _restrict(m, basis, ctx):
-    """Matrix of m on span(basis) in the coordinates of basis: one
-    elimination of the basis matrix, with every image as a right-hand side."""
+    """Matrix of m on span(basis) in the coordinates of basis: one solve of
+    the basis matrix, with every image as a right-hand side."""
     vs, mc = cmat(basis, ctx), cmat(m, ctx)
-    _, pivots, aug = row_reduce([list(r) for r in zip(*vs)], ctx,
-                                rhs=[list(r) for r in zip(*(mat_vec(mc, v) for v in vs))])
-    if any(ctx.zeroness(x) == NONZERO for r in aug[len(pivots):] for x in r):
-        raise PreconditionViolated("inconsistent linear system")
-    out = [[ctx.zero] * len(basis) for _ in basis]
-    for r, c in enumerate(pivots):
-        out[c] = aug[r]
-    return out
+    return solve([list(r) for r in zip(*vs)],
+                 [list(r) for r in zip(*(mat_vec(mc, v) for v in vs))], ctx)
 
 
 def _nilpotent_chains(n, ctx):
@@ -435,7 +429,7 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                 shift = ExtElement.pi(p, rho.denominator, -rho.numerator)
                 scaled = [[x * shift for x in row] for row in cmat(rest, lctx)]
             lat = invariant_unit_lattice(scaled, p, ctx=lctx)
-            t = lattice_inverse(lat, lctx)
+            t = mat_inverse([list(r) for r in zip(*lat.basis)], lctx)
             blocks.append(
                 NormBlock(b.rho, tuple(tuple(cvec(r, ectx)) for r in t),
                           tuple(tuple(cvec(r, ectx)) for r in zip(*lat.basis)),

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, inf as INF
 
 from ultradyn.errors import PreconditionViolated
-from ultradyn.polyalg import cmat, mat_inverse, mat_mul, mat_vec, solve_system
+from ultradyn.polyalg import cmat, mat_inverse, mat_mul, mat_vec, solve
 from ultradyn.field import RationalContext
 from ultradyn.dynamics import PolyMap
 
@@ -204,10 +204,10 @@ def residual_in_span(vec, basis, ctx):
     cols = [list(b) for b in basis]
     mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(vec))]
     try:
-        x = solve_system(mat, vec, ctx)
+        x = solve(mat, [[c] for c in vec], ctx)
     except PreconditionViolated:
         return min(ctx.val(c) for c in vec)
-    approx = mat_vec(mat, x)
+    approx = mat_vec(mat, [c for c, in x])
     res = [a - b for a, b in zip(vec, approx)]
     return min((ctx.val(c) for c in res), default=INF)
 

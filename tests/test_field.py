@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import inf as INF
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultradyn.field import (
@@ -16,7 +16,7 @@ from ultradyn.field import (
     compare_threshold,
     valuation_of_rational,
 )
-from ultradyn.errors import DivisionByZero, PreconditionViolated
+from ultradyn.errors import DivisionByZero, PrecisionExhausted, PreconditionViolated
 
 PRIMES = (2, 3, 5)
 
@@ -194,13 +194,28 @@ def test_ext_embedding_preserves_valuation(q, p, ram):
     assert x.valuation() == valuation_of_rational(q, p)
 
 
-@given(nonzero_rationals, nonzero_rationals, primes)
-def test_ext_division_roundtrip(a, b, p):
-    ram = 2
-    xa = ExtElement.from_base(Fraction(a), p, ram) * ExtElement.pi(p, ram)
-    xb = ExtElement.from_base(Fraction(b), p, ram)
+@given(st.lists(rationals, min_size=6, max_size=6),
+       st.tuples(nonzero_rationals, *[rationals] * 5), primes, st.sampled_from((2, 3, 6)))
+@example([0, 5, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0], 2, 2)  # a base-field divisor
+def test_ext_division_roundtrip(a, b, p, ram):
+    # a divisor with several nonzero pi-slots: the columns of its
+    # multiplication matrix wrap around through pi^ram = p
+    xa, xb = (ExtElement(p, ram, tuple(Fraction(c) for c in v[:ram])) for v in (a, b))
     q = xa / xb
-    assert (q * xb - xa).valuation() == INF
+    assert (q * xb).coeffs == xa.coeffs
+
+
+@pytest.mark.parametrize("ram", [1, 2])
+@pytest.mark.parametrize("num", [Fraction(1), Fraction(0), PadicNumber.from_rational(1, 2)])
+@pytest.mark.parametrize("bound", [70, 3])
+def test_ext_division_by_unknown_valuation(ram, num, bound):
+    # no certified nonzero coefficient: above the zero threshold (70) or
+    # below it (3), and whatever the numerator, as for PadicNumber
+    x = ExtElement.from_base(num, 2, ram)
+    with pytest.raises(PrecisionExhausted, match="^division by a value of unknown valuation$"):
+        x / ExtElement.from_base(PadicNumber.o_term(2, bound), 2, ram)
+    with pytest.raises(DivisionByZero):
+        x / ExtElement.from_base(PadicNumber.zero(2), 2, ram)
 
 
 @pytest.mark.parametrize("other", [PadicNumber.zero(2), PadicNumber.o_term(2, 5)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ultradyn.errors import PrecisionExhausted, PreconditionViolated
+from ultradyn.errors import PrecisionExhausted, PreconditionViolated, RankUncertified
 from ultradyn.field import PadicContext, PadicNumber, RationalContext, valuation_of_rational
 from ultradyn.polyalg import (
     Polynomial,
@@ -19,14 +19,13 @@ from ultradyn.polyalg import (
     cmat,
     invariant_unit_lattice,
     kernel_basis,
-    lattice_inverse,
     mat_inverse,
     mat_mul,
     mat_vec,
     newton_polygon,
     row_reduce,
     slope_factorization,
-    solve_system,
+    solve,
 )
 
 from helpers import ONE_BAND, fraction_row_reduce, rand_conjugated, unimodular
@@ -52,11 +51,44 @@ def test_kernel_oracle():
     assert 2 * a + 8 * b == 0 and a + 4 * b == 0
 
 
-def test_solve_system_rational():
+def test_solve_square_rational():
     ctx = RationalContext(3)
-    x = solve_system(cmat(_mat([[1, 2], [3, 4]]), ctx),
-                     [F(5), F(11)], ctx)
-    assert x == [F(1), F(2)]
+    x = solve(cmat(_mat([[1, 2], [3, 4]]), ctx), _mat([[5, 1], [11, 0]]), ctx)
+    assert x == _mat([[1, -2], [2, F(3, 2)]])
+
+
+def test_solve_overdetermined_consistent():
+    x = solve(_mat([[1, 0], [0, 1], [1, 1]]), _mat([[2], [3], [5]]), RationalContext(2))
+    assert x == _mat([[2], [3]])
+
+
+def test_solve_inconsistent():
+    with pytest.raises(PreconditionViolated, match="^inconsistent linear system$"):
+        solve(_mat([[1, 0], [0, 1], [1, 1]]), _mat([[2], [3], [4]]), RationalContext(2))
+
+
+@pytest.mark.parametrize("rhs", [[[1], [2]], [[1], [3]]])
+def test_solve_rank_deficient(rhs):
+    # a missing pivot is reported before an inconsistent row
+    with pytest.raises(PreconditionViolated, match="^matrix not invertible$"):
+        solve(_mat([[1, 2], [2, 4]]), _mat(rhs), RationalContext(2))
+
+
+@pytest.mark.parametrize("ctx", [RationalContext(2), PadicContext(2)])
+def test_solve_empty(ctx):
+    assert solve([], [], ctx) == []
+    assert mat_inverse([], ctx) == []
+
+
+def test_solve_padic_o_term_pivot():
+    ctx = PadicContext(2, precision=10)
+    a = [[PadicNumber.o_term(2, 3), ctx.one], [PadicNumber.o_term(2, 4), ctx.zero]]
+    with pytest.raises(RankUncertified, match="^pivot in column 0 indistinguishable from zero$"):
+        solve(a, [[ctx.one], [ctx.one]], ctx)
+    # beside a certainly nonzero entry the O-term is passed over
+    a[1][0] = ctx.from_rational(F(4))
+    x = solve(a, [[ctx.one], [ctx.one]], ctx)
+    assert [ctx.val(c) for c, in x] == [-2, 0]
 
 
 def test_inverse_roundtrip_random():
@@ -113,6 +145,33 @@ def test_row_reduce_rational_matches_fraction_gauss_jordan(system, p):
     assert consistent == all(x == 0 for row in aug[r:] for x in row)
     if consistent:
         assert aug == want_aug and all(type(x) is F for row in aug for x in row)
+
+
+@st.composite
+def _solvable_systems(draw):
+    """(A, X): A up to 5 x 4 with at least as many rows as columns, X with
+    1 to 3 columns; A may be rank deficient."""
+    m = draw(st.integers(0, 4))
+    n, k = draw(st.integers(m, 5)), draw(st.integers(1, 3))
+    a = [[draw(_entries) for _ in range(m)] for _ in range(n)]
+    if n >= 2 and m and draw(st.booleans()):
+        a[-1] = [F(2) * x for x in a[0]]
+    return a, [[draw(_entries) for _ in range(k)] for _ in range(m)]
+
+
+@given(_solvable_systems(), _primes)
+def test_solve_rational_matches_fraction_gauss_jordan(system, p):
+    a, x = system
+    k = len(x[0]) if x else 1
+    b = [[sum((row[l] * x[l][j] for l in range(len(x))), F(0)) for j in range(k)]
+         for row in a]
+    _, pivots, want = fraction_row_reduce(a, b)
+    if len(pivots) < len(x):
+        with pytest.raises(PreconditionViolated, match="^matrix not invertible$"):
+            solve(a, b, RationalContext(p))
+        return
+    got = solve(a, b, RationalContext(p))
+    assert got == x == want[:len(x)] and all(type(c) is F for row in got for c in row)
 
 
 # -- characteristic polynomial ----------------------------------------------
@@ -467,7 +526,7 @@ def test_invariant_lattice_property():
     for b, p in cases:
         lat = invariant_unit_lattice(b, p)
         ctx = RationalContext(p)
-        linv = lattice_inverse(lat, ctx)
+        linv = mat_inverse([list(r) for r in zip(*lat.basis)], ctx)
         d = len(b)
         for col in range(d):
             img = mat_vec(b, list(lat.basis[col]))

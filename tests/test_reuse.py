@@ -24,7 +24,7 @@ from ultradyn.errors import PreconditionViolated
 from ultradyn.field import (ExtContext, ExtElement, PadicNumber, RationalContext, _bval,
                             compare_threshold)
 from ultradyn.polyalg import (cmat, cvec, infer_context, invariant_unit_lattice, kernel_basis,
-                              lattice_inverse, mat_inverse, mat_mul, mat_vec, poly_eval_matrix)
+                              mat_inverse, mat_mul, mat_vec, poly_eval_matrix)
 
 from helpers import _embed, frac_block, int_block, nilp_block, rand_vector, unimodular
 from helpers import companion, conjugated_companion, rand_conjugated, rand_poly_map
@@ -177,7 +177,8 @@ def norm_block_over_full_ring(m, p, b, ram):
     shift = ExtElement.pi(p, ram, -int(b.rho * ram))
     lat = invariant_unit_lattice([[x * shift for x in row] for row in cmat(rest, ctx)],
                                  p, ctx=ctx)
-    return spectral.NormBlock(b.rho, tuple(tuple(r) for r in lattice_inverse(lat, ctx)),
+    linv = mat_inverse([list(r) for r in zip(*lat.basis)], ctx)
+    return spectral.NormBlock(b.rho, tuple(tuple(r) for r in linv),
                               tuple(zip(*lat.basis)), tuple(F(0) for _ in range(b.dim)))
 
 
