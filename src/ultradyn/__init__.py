@@ -26,7 +26,6 @@ from .polyalg import (
     NewtonPolygon,
     Polynomial,
     charpoly,
-    invariant_unit_lattice,
     kernel_basis,
     newton_polygon,
     slope_factorization,

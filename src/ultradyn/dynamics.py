@@ -36,7 +36,7 @@ def _madd(a, b, ctx):
     return {m: c for m, c in out.items() if ctx.zeroness(c) != ZERO}
 
 
-def _mscale(a, s, ctx):
+def _mscale(a, s):
     return {m: s * c for m, c in a.items()}
 
 
@@ -218,7 +218,7 @@ def conjugate(f: PolyMap, t, tinv, ctx) -> list:
         for j in range(len(inner)):
             c = t[i][j]
             if ctx.zeroness(c) != ZERO:
-                acc = _madd(acc, _mscale(inner[j], c, ctx), ctx)
+                acc = _madd(acc, _mscale(inner[j], c), ctx)
         out.append(acc)
     return out
 
@@ -452,14 +452,17 @@ def _rat_bits(x) -> int:
     return 64
 
 
-def _bounded_orbit(f: PolyMap, x, horizon: int, bit_cap: int = 8192):
-    """Orbit prefix, stopping early when exact-rational coordinate sizes
-    explode (quadratic maps square the bit size every step)."""
+ORBIT_BIT_CAP = 8192  # total bits of exact-rational coordinates
+
+
+def _bounded_orbit(f: PolyMap, x, horizon: int):
+    """Orbit prefix, stopping early when exact-rational coordinate sizes pass
+    ORBIT_BIT_CAP (quadratic maps square the bit size every step)."""
     out = []
     z = list(x)
     for _ in range(horizon + 1):
         out.append((standard_norm_exp(z, f.prime), tuple(z)))
-        if sum(_rat_bits(c) for c in z) > bit_cap:
+        if sum(_rat_bits(c) for c in z) > ORBIT_BIT_CAP:
             break
         z = f(z)
     return out

@@ -87,10 +87,6 @@ def compare_threshold(a, v, p: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _inv_mod(u: int, m: int) -> int:
-    return pow(u, -1, m)
-
-
 @dataclass(frozen=True)
 class PadicNumber:
     """unit * p^val + O(p^(val + prec)).
@@ -126,7 +122,7 @@ class PadicNumber:
         num //= p ** max(0, v.numerator if v >= 0 else 0)
         den //= p ** max(0, -v.numerator if v < 0 else 0)
         m = p**prec
-        unit = num % m * _inv_mod(den % m, m) % m
+        unit = num % m * pow(den % m, -1, m) % m
         return cls(p, v, unit, prec)
 
     # -- predicates --------------------------------------------------------
@@ -239,7 +235,7 @@ class PadicNumber:
             return PadicNumber.o_term(p, self.val - other.val)
         prec = min(self.prec, other.prec)
         m = p**prec
-        unit = self.unit * _inv_mod(other.unit % m, m) % m
+        unit = self.unit * pow(other.unit % m, -1, m) % m
         return PadicNumber(p, self.val - other.val, unit, prec)
 
     # int or Fraction on the left: promote it, then operate in its place
@@ -283,7 +279,7 @@ def _bval(c, p):
     return valuation_of_rational(c, p)
 
 
-def _bzeroness(c, p, threshold):
+def _bzeroness(c, threshold):
     if isinstance(c, PadicNumber):
         if c.is_exact_zero:
             return ZERO
@@ -373,7 +369,7 @@ class ExtElement:
         from . import polyalg  # local import to avoid a cycle
 
         p, e = self.prime, self.ram
-        zs = [_bzeroness(c, p, INF) for c in other.coeffs]
+        zs = [_bzeroness(c, INF) for c in other.coeffs]
         if NONZERO not in zs:
             if UNCERTAIN in zs:
                 raise PrecisionExhausted("division by a value of unknown valuation")
@@ -425,10 +421,9 @@ class RationalContext:
 
 
 class PadicContext:
-    def __init__(self, p: int, precision: int = DEFAULT_PRECISION, zero_threshold=None):
+    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
         self.p = p
         self.precision = precision
-        self.zero_threshold = precision if zero_threshold is None else zero_threshold
         self.zero = PadicNumber.zero(p)
         self.one = PadicNumber.from_rational(1, p, precision)
 
@@ -442,7 +437,7 @@ class PadicContext:
         if x.is_exact_zero:
             return ZERO
         if x.is_uncertain:
-            return ZERO if x.val >= self.zero_threshold else UNCERTAIN
+            return ZERO if x.val >= self.precision else UNCERTAIN
         return NONZERO
 
 
@@ -464,7 +459,7 @@ class ExtContext:
     def zeroness(self, x):
         verdict = ZERO
         for c in x.coeffs:
-            z = _bzeroness(c, self.p, self.zero_threshold)
+            z = _bzeroness(c, self.zero_threshold)
             if z == NONZERO:
                 return NONZERO
             if z == UNCERTAIN:

@@ -221,11 +221,11 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         for j in range(dc)] for i in range(dc)]
     h = [{} for _ in range(dc)]  # tables over db variables
     for k in range(2, order + 1):
-        fb_h, fc_h = _compose_with_graph(tables, h, db, dc, f.nvars, k, ctx)
+        fb_h, fc_h = _compose_with_graph(tables, h, db, dc, k, ctx)
         lhs = [_msubst(h[i], fb_h, db, ctx, k) for i in range(dc)]
         known = []
         for i in range(dc):
-            diff = _madd(fc_h[i], _mscale(lhs[i], ctx.zero - ctx.one, ctx), ctx)
+            diff = _madd(fc_h[i], _mscale(lhs[i], ctx.zero - ctx.one), ctx)
             known.append({m: c for m, c in diff.items() if sum(m) == k})
         hk = _solve_degree(ab, acc, known, db, dc, k, ctx)
         h = [_madd(h[i], hk[i], ctx) for i in range(dc)]
@@ -243,7 +243,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     )
 
 
-def _compose_with_graph(tables, h, db, dc, d, max_deg, ctx):
+def _compose_with_graph(tables, h, db, dc, max_deg, ctx):
     """(F_base(xi, h(xi)), F_comp(xi, h(xi))) as tables over the db base
     variables, truncated at max_deg."""
     subs = _linear_tables(identity(db, ctx), ctx) + list(h)
@@ -270,7 +270,7 @@ def _on_graph(f: PolyMap, gs: GraphSeries):
     h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
 
     def compose(cap):
-        return _compose_with_graph(tables, h, len(gs.base_basis), len(h), f.nvars, cap, ctx)
+        return _compose_with_graph(tables, h, len(gs.base_basis), len(h), cap, ctx)
     return compose, h, ctx
 
 
@@ -278,7 +278,7 @@ def _residual_of(fb, fc, h, ctx, max_deg=INF):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) through total degree max_deg,
     from compose(cap) of _on_graph with cap >= max_deg."""
     return [_madd(_msubst(hi, fb, len(fb), ctx, max_deg),
-                  _mscale(fci, ctx.zero - ctx.one, ctx), ctx)
+                  _mscale(fci, ctx.zero - ctx.one), ctx)
             for hi, fci in zip(h, fc)]
 
 

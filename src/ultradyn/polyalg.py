@@ -541,7 +541,7 @@ def _slope_split(f, segs, p, digits):
     return out + [_zdivmod(f, above, p**digits)[0]]
 
 
-def _residue(c, p):
+def _residue(c):
     """(rational value, absolute precision) of a coefficient: a PadicNumber
     u p^v + O(p^(v + prec)) gives u p^v, known mod p^(v + prec)."""
     if not isinstance(c, PadicNumber):
@@ -599,7 +599,7 @@ def slope_factorization(
                for i, (r, l) in enumerate(segs) for r2, l2 in segs[i + 1:])
     depth = max(0, int(-min(v for _, v in np_.vertices)))
     work = 2 * (precision + 2 * int(loss) + 2 * depth + 18)
-    vals, known = zip(*(_residue(c, p) for c in core))
+    vals, known = zip(*(_residue(c) for c in core))
     n, d = len(core) - 1, _monic_scale(vals)
     j = int(valuation_of_rational(d, p))
     digits = int(min(work + j * n, *(a + j * (n - i) for i, a in enumerate(known))))
@@ -636,33 +636,28 @@ def slope_factorization(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Full-rank lattice given by triangular basis columns over the
-    valuation ring; pivot_vals[i] is the valuation of the pivot in row i."""
+def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None):
+    """(L, L^-1) with B L inside L certified: L is the lattice spanned by the
+    Krylov vectors B^k e_i, k < d, its lower-triangular Hermite basis the
+    columns of the matrix L.
 
-    basis: tuple  # tuple of column vectors
-    pivot_vals: tuple
-    prime: int
-
-
-def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None) -> Lattice:
-    """A lattice L with B L = L, for B with flat Newton polygon (all
-    eigenvalue valuations zero): Hermite-reduced Krylov span of B^n e_i."""
+    B L lies in L exactly when every B^d e_i does, that is when every entry
+    of L^-1 [B^d e_0 ... B^d e_(d-1)] is integral, an O-term counting by its
+    bound; otherwise PreconditionViolated.  B L = L then needs det B to be a
+    unit, which the caller ensures: adapted_norm passes the block
+    ker g_rho(M) of a certified slope factor g_rho, scaled by p^-rho.
+    """
     ctx = ctx or infer_context(b, p, precision)
     bm = cmat(b, ctx)
     d = len(bm)
-    cp = charpoly(b, p, precision)
-    np_ = newton_polygon(cp, p)
-    if np_.inf_multiplicity or any(v != 0 for v, _ in np_.segments):
-        raise PreconditionViolated("Newton polygon of charpoly is not flat")
-    cols = []
+    cols, tops = [], []
     for i in range(d):
         v = [ctx.one if j == i else ctx.zero for j in range(d)]
         for _ in range(d):
             cols.append(v)
             v = mat_vec(bm, v)
-    basis, pivot_vals = [], []
+        tops.append(v)  # B^d e_i
+    basis = []
     remaining = cols
     for r in range(d):
         # not _pivot: any uncertain entry raises, even beside a certain one,
@@ -690,7 +685,10 @@ def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None) ->
                 cvex = [a - q * bq for a, bq in zip(cvex, piv)]
             rest.append(cvex)
         basis.append(piv)
-        pivot_vals.append(best_v)
         remaining = rest
-    return Lattice(tuple(tuple(c) for c in basis), tuple(pivot_vals), p)
+    lat = [list(r) for r in zip(*basis)]
+    linv = mat_inverse(lat, ctx)
+    if any(ctx.val(x) < 0 for v in tops for x in mat_vec(linv, v)):
+        raise PreconditionViolated("B maps the Krylov lattice outside itself")
+    return lat, linv
 

@@ -375,11 +375,13 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
 
     Finite-valuation blocks: scale by p^-rho to a flat-polygon matrix, take
     the gauge of an invariant unit lattice (an exact isometry up to the
-    factor p^-rho).  Each is built in the smallest ring that holds it: over
-    Q for a rational block with integral rho, else over Q_p(pi_b),
-    pi_b^e = p with e the denominator of rho; only its t and tinv are lifted
-    into the norm's Q_p(pi), pi^ram = p.  Nilpotent block: Jordan chains
-    scaled by lambda = p^j with p^-j < eps.
+    factor p^-rho).  invariant_unit_lattice certifies B L inside L; the
+    block is ker g_rho(M) for a certified slope factor g_rho, so the scaled
+    B has unit determinant and B L = L.  Each is built in the smallest ring
+    that holds it: over Q for a rational block with integral rho, else over
+    Q_p(pi_b), pi_b^e = p with e the denominator of rho; only its t and tinv
+    are lifted into the norm's Q_p(pi), pi^ram = p.  Nilpotent block: Jordan
+    chains scaled by lambda = p^j with p^-j < eps.
     """
     data = data or spectral_data(m, p, precision)
     finite = [b for b in data.blocks if b.rho != INF]
@@ -428,11 +430,10 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                 lctx = ExtContext(p, rho.denominator, precision)
                 shift = ExtElement.pi(p, rho.denominator, -rho.numerator)
                 scaled = [[x * shift for x in row] for row in cmat(rest, lctx)]
-            lat = invariant_unit_lattice(scaled, p, ctx=lctx)
-            t = mat_inverse([list(r) for r in zip(*lat.basis)], lctx)
+            lat, t = invariant_unit_lattice(scaled, p, ctx=lctx)
             blocks.append(
                 NormBlock(b.rho, tuple(tuple(cvec(r, ectx)) for r in t),
-                          tuple(tuple(cvec(r, ectx)) for r in zip(*lat.basis)),
+                          tuple(tuple(cvec(r, ectx)) for r in lat),
                           tuple(Fraction(0) for _ in range(b.dim)))
             )
     return AdaptedNorm(p, ram, tuple(tuple(r) for r in winv),

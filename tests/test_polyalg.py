@@ -28,7 +28,7 @@ from ultradyn.polyalg import (
     solve,
 )
 
-from helpers import ONE_BAND, fraction_row_reduce, rand_conjugated, unimodular
+from helpers import ONE_BAND, frac_block, fraction_row_reduce, int_block, rand_conjugated, unimodular
 
 
 F = Fraction
@@ -508,7 +508,18 @@ def test_slope_factorization_far_slopes_at_low_precision(p, factors, slopes):
 
 def test_invariant_lattice_requires_flat_polygon():
     with pytest.raises(PreconditionViolated):
-        invariant_unit_lattice(_mat([[2, 0], [0, 1]]), 2)
+        invariant_unit_lattice(_mat([[F(1, 2), 0], [0, 1]]), 2)
+
+
+@pytest.mark.parametrize("b,p", [
+    (int_block(3, -1, 2), 3),   # eigenvalue 1/3, twice, in a Jordan block
+    (frac_block(2, -1, 2), 2),  # companion of t^2 - 1/2: valuation -1/2
+])
+def test_invariant_lattice_rejects_non_integral_block(b, p):
+    """Passed unscaled, a block with an eigenvalue of negative valuation
+    maps every lattice outside itself."""
+    with pytest.raises(PreconditionViolated):
+        invariant_unit_lattice(b, p)
 
 
 def test_invariant_lattice_property():
@@ -524,13 +535,14 @@ def test_invariant_lattice_property():
         d = _mat([[1, 1, 0], [0, 1, F(1, 4)], [0, 0, 1]])
         cases.append((mat_mul(mat_mul(s, d), mat_inverse(cmat(s, ctx), ctx)), 2))
     for b, p in cases:
-        lat = invariant_unit_lattice(b, p)
+        lat, linv = invariant_unit_lattice(b, p)
         ctx = RationalContext(p)
-        linv = mat_inverse([list(r) for r in zip(*lat.basis)], ctx)
         d = len(b)
+        assert all(lat[i][j] == 0 for i in range(d) for j in range(i + 1, d))
+        assert mat_mul(lat, linv) == [[F(i == j) for j in range(d)] for i in range(d)]
         for col in range(d):
-            img = mat_vec(b, list(lat.basis[col]))
+            img = mat_vec(b, [row[col] for row in lat])
             coords = mat_vec(linv, img)
             # B maps lattice basis vectors into the lattice (integral coords)
             for c in coords:
-                assert ctx.val(c) >= 0, (b, lat.basis)
+                assert ctx.val(c) >= 0, (b, lat)

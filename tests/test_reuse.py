@@ -18,7 +18,7 @@ from math import inf as INF
 
 import pytest
 
-from ultradyn import cli, dynamics, manifolds, spectral
+from ultradyn import cli, dynamics, manifolds, polyalg, spectral
 from ultradyn.dynamics import PolyMap
 from ultradyn.errors import PreconditionViolated
 from ultradyn.field import (ExtContext, ExtElement, PadicNumber, RationalContext, _bval,
@@ -175,11 +175,10 @@ def norm_block_over_full_ring(m, p, b, ram):
     rest = spectral._restrict(m, basis, bctx)
     ctx = ExtContext(p, ram)
     shift = ExtElement.pi(p, ram, -int(b.rho * ram))
-    lat = invariant_unit_lattice([[x * shift for x in row] for row in cmat(rest, ctx)],
-                                 p, ctx=ctx)
-    linv = mat_inverse([list(r) for r in zip(*lat.basis)], ctx)
+    lat, linv = invariant_unit_lattice([[x * shift for x in row] for row in cmat(rest, ctx)],
+                                       p, ctx=ctx)
     return spectral.NormBlock(b.rho, tuple(tuple(r) for r in linv),
-                              tuple(zip(*lat.basis)), tuple(F(0) for _ in range(b.dim)))
+                              tuple(tuple(r) for r in lat), tuple(F(0) for _ in range(b.dim)))
 
 
 def smallest_ring_cases():
@@ -242,6 +241,22 @@ def test_blocks_use_no_larger_ring_than_their_slope(monkeypatch):
     assert n.ram == 6
     assert [1 if isinstance(c, RationalContext) else c.ram for c in rings] == [
         Fraction(b.rho).denominator for b in n.blocks]
+
+
+@pytest.mark.parametrize("p,blocks", [
+    (3, [int_block(3, 1, 2), int_block(3, -1, 1), nilp_block(1)]),  # rational
+    (5, [frac_block(5, 1, 2), frac_block(5, 2, 3), int_block(5, 1, 1)]),  # ram 6
+])
+def test_adapted_norm_computes_no_charpoly(monkeypatch, p, blocks):
+    """Given the spectral data, the norm certifies each block's lattice
+    without recomputing a characteristic polynomial."""
+    m = conjugated(random.Random(7), blocks)
+    data = spectral.spectral_data(m, p)
+    calls = []
+    cp = polyalg.charpoly
+    monkeypatch.setattr(polyalg, "charpoly", lambda *a, **k: calls.append(1) or cp(*a, **k))
+    spectral.adapted_norm(m, p, data=data)
+    assert not calls
 
 
 # -- one spectral decomposition per matrix -----------------------------------
@@ -478,7 +493,7 @@ def composed_caps(monkeypatch):
     orig = manifolds._compose_with_graph
 
     def spy(*args):
-        caps.append(args[5])
+        caps.append(args[4])
         return orig(*args)
 
     monkeypatch.setattr(manifolds, "_compose_with_graph", spy)

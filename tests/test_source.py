@@ -1,6 +1,9 @@
-"""Source hygiene: no dead private helpers in the library."""
+"""Source hygiene: no dead private helpers in the library, and every name
+the benchmark's tracer rebinds still resolves."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -30,3 +33,18 @@ def test_private_helpers_are_used():
     dead = [f"{mod}:{node.name}" for mod, node in helpers
             if used[node.name] == list(_names(node)).count(node.name)]
     assert not dead, f"private helpers with no caller: {dead}"
+
+
+def test_traced_names_resolve():
+    """Every (module, attr) the benchmark's tracer rebinds names something in
+    ultradyn.<module>; a "Class.method" entry resolves on its class."""
+    path = SRC.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANS, "no traced names found: wrong bench path?"
+    for module, attr, _ in tracing.SPANS:
+        obj = importlib.import_module(f"ultradyn.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"ultradyn.{module}.{attr} does not resolve"
+            obj = getattr(obj, part)
