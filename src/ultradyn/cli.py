@@ -139,12 +139,10 @@ def _cmd_spectrum(doc, p, precision, args):
 def _cmd_hyperbolic(doc, p, precision, args):
     m = _load_matrix(doc)
     a = _require_a(doc, args)
-    analysis = spectral.LinearAnalysis(m, p, precision)
-    hyp = analysis.is_hyperbolic(a)
+    hyp = spectral.is_hyperbolic(m, p, a, precision)
     out = {"a": fmt(a), "hyperbolic": hyp}
     if not hyp:
-        w = spectral.nonhyperbolicity_witness(m, p, a, precision=precision,
-                                              analysis=analysis)
+        w = spectral.nonhyperbolicity_witness(m, p, a, precision=precision)
         out["witness"] = {
             "vector": _fmt_vec(w.vector),
             "rho": fmt(w.rho),

@@ -396,7 +396,7 @@ def classify_fixed_point(f: PolyMap, pt=None,
     pt = [Fraction(x) for x in pt]
     g = shift_to_fixed_point(f, pt)
     a = linear_part(g)
-    analysis = spectral.LinearAnalysis(a, p, precision)
+    analysis = spectral._analysis(a, p, precision)
     spec = analysis.spectrum
     degenerate = any(v == INF for v, _ in spec)
     if degenerate:
@@ -509,7 +509,7 @@ def _linear_membership(f, a, x, horizon):
          "step in the adapted norm, so a^-n ||A^n x|| does not tend to 0"))
 
 
-def _try_graph_reduction(f, a, x, horizon, precision, analysis):
+def _try_graph_reduction(f, a, x, horizon, precision):
     """If the a-stable graph is an exactly invariant polynomial graph and x
     lies on it, reduce to the restricted map on the base coordinates.
 
@@ -523,7 +523,7 @@ def _try_graph_reduction(f, a, x, horizon, precision, analysis):
 
     try:
         gs = manifolds.graph_series(f, a, manifolds.STABLE, order=max(6, f.degree() ** 2),
-                                    precision=precision, analysis=analysis)
+                                    precision=precision)
     except UltradynError:
         return None
     compose, h, ctx = manifolds._on_graph(f, gs)
@@ -566,7 +566,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         return _linear_membership(f, a, x, horizon)
 
     lin = linear_part(f)
-    analysis = spectral.LinearAnalysis(lin, p, precision)
+    analysis = spectral._analysis(lin, p, precision)
     spec = analysis.spectrum
     below = all(compare_threshold(a, v, p) == 1 for v, _ in spec)
     above = all(compare_threshold(a, v, p) == -1 for v, _ in spec)
@@ -615,7 +615,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                     )
                     return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
     elif analysis.is_hyperbolic(a):
-        red = _try_graph_reduction(f, a, x, horizon, precision, analysis)
+        red = _try_graph_reduction(f, a, x, horizon, precision)
         if red is not None:
             return red
         # dominant-unstable certificate: inside a ball where the remainder's

@@ -190,15 +190,14 @@ def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
 
 
 def graph_series(f: PolyMap, a, mode: str, order: int = 6,
-                 precision: int = DEFAULT_PRECISION, analysis=None) -> GraphSeries:
-    """Solve the invariance equation order by order for the mode's graph.
-    analysis is the spectral.LinearAnalysis of F'(0), if the caller has one."""
+                 precision: int = DEFAULT_PRECISION) -> GraphSeries:
+    """Solve the invariance equation order by order for the mode's graph."""
     p = f.prime
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
     lin = linear_part(f)
-    analysis = analysis or spectral.LinearAnalysis(lin, p, precision)
+    analysis = spectral._analysis(lin, p, precision)
     if mode in (STABLE, UNSTABLE) and not analysis.is_hyperbolic(a):
         raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
     if mode == UNSTABLE and a < 1:

@@ -688,7 +688,10 @@ def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None):
         remaining = rest
     lat = [list(r) for r in zip(*basis)]
     linv = mat_inverse(lat, ctx)
-    if any(ctx.val(x) < 0 for v in tops for x in mat_vec(linv, v)):
+    # exact zeros of L^-1 (over Q its upper triangle) are skipped; O-terms enter
+    nz = [[j for j, x in enumerate(r) if ctx.zeroness(x) != ZERO] for r in linv]
+    if any(ctx.val(_dot([r[j] for j in js], [v[j] for j in js])) < 0
+           for v in tops for r, js in zip(linv, nz)):
         raise PreconditionViolated("B maps the Krylov lattice outside itself")
     return lat, linv
 

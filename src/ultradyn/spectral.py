@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, inf as INF, isqrt, lcm
 
 from .errors import PreconditionViolated
@@ -184,12 +184,12 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
 
 def spectrum_abs(m, p: int, precision: int = DEFAULT_PRECISION):
     """[(rho, mult)] sorted by decreasing absolute value p^-rho."""
-    return LinearAnalysis(m, p, precision).spectrum
+    return list(_analysis(m, p, precision).spectrum)
 
 
 def is_hyperbolic(m, p: int, a, precision: int = DEFAULT_PRECISION) -> bool:
     """True iff no eigenvalue has absolute value exactly a."""
-    return LinearAnalysis(m, p, precision).is_hyperbolic(a)
+    return _analysis(m, p, precision).is_hyperbolic(a)
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +215,7 @@ class Splitting:
 
 
 def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
-    return LinearAnalysis(m, p, precision).splitting(a)
+    return _analysis(m, p, precision).splitting(a)
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +293,7 @@ class AdaptedNorm:
     norm itself is p^(-norm_exp(x)).  T is block diagonal, and each block
     keeps its own inverse, so (T Winv)^-1 = W T^-1 needs no inversion.  T Winv
     and its inverse are built on first use and then kept (outside repr() and
-    ==), so reuse one norm for many queries.
+    ==); adapted_norm(m, p) returns one interned norm per matrix and eps.
     """
 
     prime: int
@@ -371,7 +371,7 @@ class AdaptedNorm:
 def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                  data: SpectralData = None) -> AdaptedNorm:
     """Build an ultrametric norm adapted to the spectral decomposition of m
-    (data, if the caller already has it).
+    (data, if given; else the norm kept by m's interned analysis).
 
     Finite-valuation blocks: scale by p^-rho to a flat-polygon matrix, take
     the gauge of an invariant unit lattice (an exact isometry up to the
@@ -383,7 +383,8 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     are lifted into the norm's Q_p(pi), pi^ram = p.  Nilpotent block: Jordan
     chains scaled by lambda = p^j with p^-j < eps.
     """
-    data = data or spectral_data(m, p, precision)
+    if data is None:
+        return _analysis(m, p, precision).norm(eps)
     finite = [b for b in data.blocks if b.rho != INF]
     ram = lcm(1, *(Fraction(b.rho).denominator for b in finite)) if finite else 1
     cols = [list(v) for b in data.blocks for v in b.basis]
@@ -480,7 +481,8 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
 class LinearAnalysis:
     """Spectral analysis of one matrix m over Q_p.  Each part is computed on
     first use and kept, so whoever holds the analysis pays once for the
-    charpoly, the blocks and each adapted norm; the spectrum needs only the charpoly."""
+    charpoly, the blocks and each adapted norm; the spectrum needs only the
+    charpoly.  The free functions share an interned one per matrix (_analysis)."""
 
     m: tuple
     p: int
@@ -530,6 +532,17 @@ class LinearAnalysis:
         return norms[eps]
 
 
+@lru_cache(maxsize=16)
+def _interned(m, p, precision):
+    return LinearAnalysis(m, p, precision)
+
+
+def _analysis(m, p, precision=DEFAULT_PRECISION) -> LinearAnalysis:
+    """m's LinearAnalysis, interned by content for the 16 most recent: equal
+    entries (a PadicNumber with its prec), p and precision share one."""
+    return _interned(tuple(tuple(r) for r in m), p, precision)
+
+
 # --------------------------------------------------------------------------
 # non-hyperbolicity witness
 # --------------------------------------------------------------------------
@@ -548,12 +561,10 @@ class Witness:
 
 
 def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
-                             precision: int = DEFAULT_PRECISION,
-                             analysis: LinearAnalysis = None):
-    """Witness vector showing a is in the spectrum of absolute values.
-    analysis is the caller's LinearAnalysis of m, if it has one."""
+                             precision: int = DEFAULT_PRECISION):
+    """Witness vector showing a is in the spectrum of absolute values."""
     a = Fraction(a)
-    analysis = analysis or LinearAnalysis(m, p, precision)
+    analysis = _analysis(m, p, precision)
     centre = next(
         (b for b in analysis.data.blocks if compare_threshold(a, b.rho, p) == 0), None
     )

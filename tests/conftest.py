@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from ultradyn import spectral
 
 settings.register_profile(
     "suite",
@@ -7,3 +10,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_analyses():
+    """Start each test with an empty LinearAnalysis intern, so a test that
+    counts the spectral work done for a matrix does not see an analysis
+    that an earlier test left behind."""
+    spectral._interned.cache_clear()

@@ -1,6 +1,7 @@
-"""Reuse of spectral work: one LinearAnalysis per matrix, one T Winv per
-adapted norm, one conjugation per radius search (which finds the same k as
-a scan) and two per graph reduction, which composes a non-invariant graph
+"""Reuse of spectral work: one LinearAnalysis per matrix, interned by
+content and bounded across calls, one T Winv per adapted norm, one
+conjugation per radius search (which finds the same k as a scan) and two
+per graph reduction, which composes a non-invariant graph
 only up to its first nonzero residual degree; exactness of the
 per-pi-power norm_exp kernel against the ExtContext product;
 (T Winv)^-1 and the operator norm from the block inverses against an
@@ -325,6 +326,68 @@ def test_membership_analyses_each_matrix_once(spectral_calls, f, x, verdict):
     data_calls, charpoly_calls = spectral_calls
     assert data_calls and max(data_calls.values()) == 1
     assert max(charpoly_calls.values()) == 1
+
+
+def test_norm_then_witness_analyses_its_matrix_once(spectral_calls):
+    """A norm query asks for the adapted norm and then for a witness, which
+    needs the same norm: both come from one interned analysis."""
+    n = spectral.adapted_norm(DIAG, 2)
+    assert spectral.nonhyperbolicity_witness(DIAG, 2, F(1)).constant
+    assert spectral.adapted_norm(DIAG, 2) is n
+    for calls in spectral_calls:
+        assert list(calls.values()) == [1]
+
+
+# integral entries, ram 2 and a nilpotent block
+INTEGRAL = conjugated(random.Random(3), [frac_block(3, 1, 2), int_block(3, 0, 1),
+                                         nilp_block(2)])
+
+
+def interned_outputs(m, p):
+    return (spectral.spectrum_abs(m, p), spectral.is_hyperbolic(m, p, F(1, 3)),
+            spectral.splitting_at(m, p, F(1, 2)), spectral.adapted_norm(m, p),
+            spectral.nonhyperbolicity_witness(m, p, F(1)))
+
+
+def test_intern_keys_on_content():
+    m = [list(r) for r in INTEGRAL]
+    before, an = interned_outputs(m, 3), spectral._analysis(m, 3)
+    m[0][0] += 1  # the caller's list changes after the call
+    assert an.m == tuple(tuple(r) for r in INTEGRAL)
+    assert interned_outputs(INTEGRAL, 3) == before
+    assert spectral.spectrum_abs(m, 3) != before[0]
+    assert spectral.adapted_norm(INTEGRAL, 3) is before[3]
+    # a list or a tuple of rows, int or Fraction entries: the same key, and
+    # each built afresh gives the same answers
+    variants = [INTEGRAL, tuple(tuple(r) for r in INTEGRAL),
+                [[int(x) for x in r] for r in INTEGRAL]]
+    fresh = []
+    for v in variants:
+        spectral._interned.cache_clear()
+        fresh.append(repr(interned_outputs(v, 3)))
+    assert fresh == [repr(before)] * len(variants)
+    assert len({id(spectral.adapted_norm(v, 3)) for v in variants}) == 1
+
+
+def test_intern_separates_padic_precisions():
+    """Equal p-adic entries known to different precisions are different
+    inputs, and get different analyses."""
+    coarse, fine = ([[PadicNumber.from_rational(x, 2, prec) for x in r] for r in DIAG]
+                    for prec in (20, 40))
+    a = spectral._analysis(coarse, 2)
+    assert spectral._analysis(fine, 2) is not a
+    assert spectral._analysis(coarse, 2) is a
+    assert spectral._interned.cache_info().currsize == 2
+
+
+def test_intern_is_bounded():
+    size = spectral._interned.cache_info().maxsize
+    for k in range(size + 1):
+        spectral.spectrum_abs([[F(k + 1)]], 2)
+    info = spectral._interned.cache_info()
+    assert info.currsize == size and info.misses == size + 1
+    spectral.spectrum_abs([[F(1)]], 2)  # the least recently used was dropped
+    assert spectral._interned.cache_info().misses == size + 2
 
 
 def test_analysis_parts_are_cached():

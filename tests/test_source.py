@@ -1,5 +1,6 @@
-"""Source hygiene: no dead private helpers in the library, and every name
-the benchmark's tracer rebinds still resolves."""
+"""Source hygiene: no dead private helpers in the library, one place that
+builds a LinearAnalysis, and every name the benchmark's tracer rebinds
+still resolves."""
 
 import ast
 import importlib
@@ -33,6 +34,20 @@ def test_private_helpers_are_used():
     dead = [f"{mod}:{node.name}" for mod, node in helpers
             if used[node.name] == list(_names(node)).count(node.name)]
     assert not dead, f"private helpers with no caller: {dead}"
+
+
+def test_analysis_built_only_by_the_intern():
+    """Only spectral._interned calls LinearAnalysis(...): every other entry
+    point takes the interned analysis, so none rebuilds it quietly."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            sites += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and "LinearAnalysis" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))]
+    assert sites == [("spectral.py", "_interned")], sites
 
 
 def test_traced_names_resolve():
