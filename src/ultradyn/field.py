@@ -48,21 +48,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _ival(n: int, p: int) -> int:
+    """v_p of a nonzero integer."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
+
+
 def valuation_of_rational(q, p: int):
     """Exact p-adic valuation of a rational; INF for zero."""
     q = Fraction(q)
     if q == 0:
         return INF
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Fraction(v)
+    return Fraction(_ival(q.numerator, p) - _ival(q.denominator, p))
 
 
 def compare_threshold(a, v, p: int) -> int:
@@ -446,7 +446,6 @@ class ExtContext:
         self.p = p
         self.ram = ram
         self.precision = precision
-        self.zero_threshold = Fraction(precision)
         self.zero = ExtElement.from_base(Fraction(0), p, ram)
         self.one = ExtElement.from_base(Fraction(1), p, ram)
 
@@ -459,7 +458,7 @@ class ExtContext:
     def zeroness(self, x):
         verdict = ZERO
         for c in x.coeffs:
-            z = _bzeroness(c, self.zero_threshold)
+            z = _bzeroness(c, self.precision)
             if z == NONZERO:
                 return NONZERO
             if z == UNCERTAIN:

@@ -181,6 +181,16 @@ def row_reduce(mat, ctx, rhs=None):
     return rows, pivots, aug
 
 
+def _zscale(v):
+    """(D, D v) for a list v of rationals (Fractions or ints), D the lcm of
+    their denominators: D v is a list of ints."""
+    # a list, not a generator: unpacking a generator grows its argument
+    # tuple step by step, which left about 1 MB more peak RSS on a
+    # linear-build benchmark run
+    den = lcm(*[x.denominator for x in v])
+    return den, [x.numerator * (den // x.denominator) for x in v]
+
+
 def _zrow_reduce(mat, rhs):
     """row_reduce over Q on integers.  Each row of [mat | rhs] is scaled to
     integers by the lcm of its denominators.  Gauss-Jordan then takes the
@@ -189,14 +199,8 @@ def _zrow_reduce(mat, rhs):
     new row's content.  Each pivot row is divided by its pivot only at the
     end, as Fractions."""
     n, m = len(mat), len(mat[0]) if mat else 0
-    rows = []
-    for i in range(n):
-        row = list(mat[i]) + (list(rhs[i]) if rhs is not None else [])
-        # a list, not a generator: unpacking a generator grows its argument
-        # tuple step by step, which left about 1 MB more peak RSS on a
-        # linear-build benchmark run
-        den = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+    rows = [_zscale(list(mat[i]) + (list(rhs[i]) if rhs is not None else []))[1]
+            for i in range(n)]
     pivots = []
     for c in range(m):
         r = len(pivots)
@@ -336,8 +340,8 @@ def _zcharpoly(mat):
     (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) times those of
     det(tI - A_k).  Coefficient i of det(tI - A) is D^(n-i) c_i."""
     n = len(mat)
-    den = lcm(*[x.denominator for row in mat for x in row])
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+    den, flat = _zscale([x for row in mat for x in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     cs = [1]
     for k in range(n):
         col, t = [a[i][k] for i in range(k)], [1, -a[k][k]]

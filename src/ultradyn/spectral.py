@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, inf as INF, isqrt, lcm
+from operator import mul
 
 from .errors import PreconditionViolated
 from .field import (
@@ -19,8 +20,10 @@ from .field import (
     ExtContext,
     ExtElement,
     NONZERO,
+    PadicNumber,
     RationalContext,
     _bval,
+    _ival,
     compare_threshold,
     valuation_of_rational,
 )
@@ -46,6 +49,7 @@ from .polyalg import (
     _monic_scale,
     _slope_split,
     _zdivmod,
+    _zscale,
 )
 
 # --------------------------------------------------------------------------
@@ -124,14 +128,14 @@ def _integral_eval(cs, m):
     """E D^n g(M) by Horner over plain ints, for g = cs of degree n and M
     rational, D and E the lcms of the denominators of M and of g.  It has the
     kernel of g(M), and so the same reduced echelon form and kernel basis."""
-    dm = lcm(*(Fraction(x).denominator for row in m for x in row))
-    dg = lcm(*(Fraction(c).denominator for c in cs))
     n, k = len(cs) - 1, len(m)
-    mi = [[int(x * dm) for x in row] for row in m]
+    dm, flat = _zscale([x for row in m for x in row])
+    mi = [flat[i * k:(i + 1) * k] for i in range(k)]
+    gi = _zscale(cs)[1]
     acc = [[0] * k for _ in range(k)]
     for i in range(n, -1, -1):
         acc = mat_mul(acc, mi)
-        c = int(cs[i] * dg) * dm ** (n - i)
+        c = gi[i] * dm ** (n - i)
         for j in range(k):
             acc[j][j] += c
     return acc
@@ -294,6 +298,9 @@ class AdaptedNorm:
     keeps its own inverse, so (T Winv)^-1 = W T^-1 needs no inversion.  T Winv
     and its inverse are built on first use and then kept (outside repr() and
     ==); adapted_norm(m, p) returns one interned norm per matrix and eps.
+    Queries over Q run on integers: when every row of T Winv is rational,
+    norm_exp takes p-adic valuations of integer dot products; a PadicNumber
+    in T Winv or in x keeps the ring arithmetic.
     """
 
     prime: int
@@ -355,17 +362,56 @@ class AdaptedNorm:
     def weights(self):
         return [q for b in self.blocks for q in b.weights]
 
+    @cached_property
+    def _zrows(self):
+        """_rows over Z when every plane row is rational, else None:
+        (i, D row, ram (j/ram + q_i - v(D))) for D the lcm of the row's
+        denominators.  The offset is an int, since the weights q_i are."""
+        rows, p, ram = self._rows, self.prime, self.ram
+        if not isinstance(infer_context([r for _, r, _ in rows], p), RationalContext):
+            return None
+        out = []
+        for i, row, off in rows:
+            den, zrow = _zscale(row)
+            out.append((i, zrow, int(off * ram) - ram * _ival(den, p)))
+        return out
+
+    def _zcoords(self, x):
+        """Over Q, (u, s) with v((T Winv x)_i) + q_i = (u_i - s)/ram (u_i INF
+        where it is zero): each v((T_j x)_i) is read off an integer dot product
+        with E x, E the lcm of the denominators of x, and s = ram v(E).  None
+        when the norm or x holds a PadicNumber."""
+        zrows = self._zrows
+        if zrows is None or any(isinstance(c, PadicNumber) for c in x):
+            return None
+        p, ram = self.prime, self.ram
+        den, zx = _zscale(list(x))
+        units = [INF] * len(self.winv)
+        for i, zrow, off in zrows:
+            s = sum(map(mul, zrow, zx))
+            if s:
+                units[i] = min(units[i], ram * _ival(s, p) + off)
+        return units, ram * _ival(den, p)
+
     def _coord_exps(self, x):
         """v((T Winv x)_i) + q_i for each norm coordinate i (INF where it is
         zero): the min over j of v((T_j x)_i) + j/ram + q_i."""
-        out = [INF] * len(self.winv)
-        for i, row, off in self._rows:
-            out[i] = min(out[i], _bval(_dot(row, x), self.prime) + off)
-        return out
+        z = self._zcoords(x)
+        if z is None:
+            out = [INF] * len(self.winv)
+            for i, row, off in self._rows:
+                out[i] = min(out[i], _bval(_dot(row, x), self.prime) + off)
+            return out
+        units, shift = z
+        return [u if u == INF else Fraction(u - shift, self.ram) for u in units]
 
     def norm_exp(self, x):
         """Valuation exponent of ||x|| for x over the base field; INF for x = 0."""
-        return min(self._coord_exps(x))
+        z = self._zcoords(x)
+        if z is None:
+            return min(self._coord_exps(x))
+        u = min(z[0])
+        return u if u == INF else Fraction(u - z[1], self.ram)
 
 
 def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
@@ -510,8 +556,12 @@ class LinearAnalysis:
         return all(compare_threshold(a, rho, self.p) != 0 for rho, _ in self.spectrum)
 
     def splitting(self, a) -> Splitting:
-        """The spectral blocks grouped by |eigenvalue| against a."""
+        """The spectral blocks grouped by |eigenvalue| against a, built once
+        per a."""
         a, p = Fraction(a), self.p
+        splittings = self.__dict__.setdefault("_splittings", {})
+        if a in splittings:
+            return splittings[a]
         groups = {1: [], 0: [], -1: []}
         for b in self.data.blocks:
             groups[compare_threshold(a, b.rho, p)].extend(b.basis)
@@ -521,8 +571,9 @@ class LinearAnalysis:
         d = len(self.m)
         w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
         winv = mat_inverse(w, ctx)
-        return Splitting(p, a, *(tuple(part) for part in parts),
-                         tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
+        splittings[a] = Splitting(p, a, *(tuple(part) for part in parts),
+                                  tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
+        return splittings[a]
 
     def norm(self, eps=None) -> AdaptedNorm:
         """The adapted norm of m for eps, built once per eps."""
@@ -562,7 +613,10 @@ class Witness:
 
 def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
                              precision: int = DEFAULT_PRECISION):
-    """Witness vector showing a is in the spectrum of absolute values."""
+    """Witness vector showing a is in the spectrum of absolute values: the
+    first basis vector v0 of the centre block, with norm_exp(m^n v0) for
+    n = 0..horizon.  Over Q the orbit runs on integers, as D^n E m^n v0;
+    p-adic data keeps the ring arithmetic."""
     a = Fraction(a)
     analysis = _analysis(m, p, precision)
     centre = next(
@@ -573,11 +627,20 @@ def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
     v0 = list(centre.basis[0])
     norm = analysis.norm()
     ctx = infer_context([m, v0], p, precision)
-    mm = cmat(m, ctx)
+    if isinstance(ctx, RationalContext):
+        # the orbit V_n = D^n E m^n v0 over Z, for D and E the lcms of the
+        # denominators of m and v0: norm_exp is linear in its argument, so
+        # norm_exp(m^n v0) = norm_exp(V_n) - n v(D) - v(E)
+        d = len(m)
+        dm, flat = _zscale([x for row in m for x in row])
+        mm = [flat[i * d:(i + 1) * d] for i in range(d)]
+        den, v = _zscale(v0)
+        vd, ve = _ival(dm, p), _ival(den, p)
+    else:
+        mm, v, vd, ve = cmat(m, ctx), cvec(v0, ctx), 0, 0
     exps = []
-    v = cvec(v0, ctx)
-    for _ in range(horizon + 1):
-        exps.append(norm.norm_exp(v))
+    for n in range(horizon + 1):
+        exps.append(norm.norm_exp(v) - (n * vd + ve))
         v = mat_vec(mm, v)
     rho = Fraction(centre.rho)
     constant = all(e == exps[0] + n * rho for n, e in enumerate(exps))

@@ -401,6 +401,28 @@ def test_analysis_parts_are_cached():
     assert repr(an) == before and an == spectral.LinearAnalysis(DIAG, 2)
 
 
+def test_splitting_built_once_per_threshold(monkeypatch):
+    """A second splitting_at for the same matrix and a inverts nothing and
+    returns the same Splitting; another a builds its own."""
+    inversions = []
+    orig = polyalg.mat_inverse
+
+    def spy(*args, **kwargs):
+        inversions.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(polyalg, "mat_inverse", spy)
+    monkeypatch.setattr(spectral, "mat_inverse", spy)
+    s = spectral.splitting_at(INTEGRAL, 3, F(1, 2))
+    assert inversions
+    inversions.clear()
+    assert spectral.splitting_at(INTEGRAL, 3, F(1, 2)) is s
+    assert not inversions
+    other = spectral.splitting_at(INTEGRAL, 3, 1)
+    assert other is not s and len(inversions) == 1
+    assert spectral.splitting_at(INTEGRAL, 3, F(1)) is other and len(inversions) == 1
+
+
 # -- one T Winv per norm -------------------------------------------------------
 
 

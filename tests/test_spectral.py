@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import inf as INF
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ultradyn import spectral
 from ultradyn.errors import PreconditionViolated
-from ultradyn.field import PadicNumber, RationalContext, compare_threshold
-from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, mat_vec
+from ultradyn.field import ExtContext, PadicNumber, RationalContext, compare_threshold
+from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cvec, mat_vec
 from ultradyn.spectral import (
     _rational_factors,
     adapted_norm,
@@ -155,7 +159,156 @@ def test_operator_norm_ramified():
     assert operator_norm(m, 2, n) == F(1, 2)
 
 
+# (seed, p, d, ram, weights) of rand_conjugated draws: ram 1, 2, 3 and 6, and
+# nilpotent blocks of size 2, whose adapted weights are 0 and -j.  Each is
+# used as drawn and conjugated by diag(p^-1, p, 1, p^-1, ...), which puts p
+# into the denominators of the rows of T Winv.
+NORM_DRAWS = [(0, 3, 5, 1, (0,) * 5), (16, 2, 4, 3, (0,) * 4), (8, 5, 6, 6, (0,) * 6),
+              (4, 3, 5, 2, (0, 0, 0, 0, -2)), (6, 2, 4, 1, (0, 0, 0, -1))]
+
+
+@lru_cache(maxsize=None)
+def _drawn_norm(k, rescaled=False):
+    """(m, p, norm, T Winv over ExtContext) for NORM_DRAWS[k]."""
+    seed, p, d, ram, weights = NORM_DRAWS[k]
+    m, _, _ = rand_conjugated(random.Random(seed), p, d)
+    if rescaled:
+        s = [F(p) ** ((2 * i) % 3 - 1) for i in range(d)]
+        m = [[m[i][j] * s[i] / s[j] for j in range(d)] for i in range(d)]
+    n = adapted_norm(m, p)
+    assert n.ram == ram and list(n.weights) == list(weights)
+    return m, p, n, n.transform(ExtContext(p, ram))
+
+
+@lru_cache(maxsize=None)
+def _padic_row_norm():
+    """The norm of the companion block of t^2 + t + 3 (roots of valuation 0
+    and 1, no rational slope factor) beside 9: its plane rows hold
+    PadicNumbers."""
+    m = _block_diag(_companion([3, 1, 1]), [[F(9)]])
+    n = adapted_norm(m, 3)
+    assert any(isinstance(c, PadicNumber) for plane in n._planes for row in plane for c in row)
+    return m, 3, n, n.transform(ExtContext(3, n.ram))
+
+
+def _oracle_exps(n, t, x):
+    """v((T Winv x)_i) + q_i for each i, through the ExtContext product."""
+    ctx = ExtContext(n.prime, n.ram)
+    return [ctx.val(c) + q for c, q in zip(mat_vec(t, cvec(x, ctx)), n.weights)]
+
+
+def _assert_norm_exp_matches_oracle(n, t, x):
+    want = _oracle_exps(n, t, x)
+    got = n._coord_exps(x)
+    assert got == want, x
+    assert all(e == INF or type(e) is F for e in got), got
+    e = n.norm_exp(x)
+    assert e == min(want) and (e == INF or type(e) is F), x
+
+
+def _entries(p):
+    """int entries, p-powers in numerators, and p-powers in denominators."""
+    small = st.integers(-60, 60)
+    return st.one_of(
+        small,
+        st.builds(lambda a, e: a * p**e, small, st.integers(1, 5)),
+        st.builds(lambda a, e, u: F(a, p**e * u), small, st.integers(0, 5),
+                  st.sampled_from([1, 7, 11])))
+
+
+@st.composite
+def _norm_queries(draw):
+    key = draw(st.integers(0, len(NORM_DRAWS) - 1)), draw(st.booleans())
+    _, p, n, _ = _drawn_norm(*key)
+    d = len(n.winv)
+    x = draw(st.one_of(st.lists(st.integers(-60, 60), min_size=d, max_size=d),
+                       st.lists(_entries(p), min_size=d, max_size=d),
+                       st.just([0] * d), st.just([F(0)] * d)))
+    return key, x
+
+
+@given(_norm_queries())
+def test_norm_exp_matches_ext_oracle(query):
+    """norm_exp over Q, on integer dot products, against
+    min_i v((T Winv x)_i) + q_i over ExtContext: the same Fractions, and INF
+    for the zero vector."""
+    key, x = query
+    _, _, n, t = _drawn_norm(*key)
+    _assert_norm_exp_matches_oracle(n, t, x)
+    if not any(x):
+        assert n.norm_exp(x) == INF
+
+
+def test_norm_exp_ring_path_padic_vector():
+    for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
+        _, p, n, t = _drawn_norm(*key)
+        rng = random.Random(repr(key))
+        for _ in range(5):
+            x = rand_vector(rng, p, len(n.winv))
+            x[0] = PadicNumber.from_rational(x[0] or 1, p, rng.choice([8, 30]))
+            _assert_norm_exp_matches_oracle(n, t, x)
+
+
+def test_norm_exp_ring_path_padic_rows():
+    _, p, n, t = _padic_row_norm()
+    rng = random.Random(5)
+    for _ in range(10):
+        x = rand_vector(rng, p, 3)
+        _assert_norm_exp_matches_oracle(n, t, x)
+        _assert_norm_exp_matches_oracle(n, t, [PadicNumber.from_rational(c, p, 20) for c in x])
+    _assert_norm_exp_matches_oracle(n, t, [F(0)] * 3)
+
+
 # -- non-hyperbolicity witness ----------------------------------------------
+
+
+def _witness_cases():
+    """(m, p, a) over Q for every centre of integral rho of the norm draws,
+    DIAG, and a rational centre beside p-adic blocks."""
+    for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
+        m, p, _, _ = _drawn_norm(*key)
+        yield from ((m, p, F(p) ** -rho) for rho, _ in spectrum_abs(m, p)
+                    if rho != INF and rho.denominator == 1)
+    yield DIAG, 2, F(1, 2)
+    yield _padic_row_norm()[0], 3, F(1, 9)
+
+
+def test_witness_exponents_are_norm_exp_of_fraction_orbit(monkeypatch):
+    """Over Q the witness orbit runs on integers; its exponents are those of
+    the Fraction orbit m^k v0."""
+    seen = []
+    orig = spectral.AdaptedNorm.norm_exp
+    monkeypatch.setattr(spectral.AdaptedNorm, "norm_exp",
+                        lambda self, x: seen.append(x) or orig(self, x))
+    cases = list(_witness_cases())
+    assert len(cases) >= 14
+    for m, p, a in cases:
+        seen.clear()
+        w = nonhyperbolicity_witness(m, p, a)
+        assert len(seen) == 21 and all(type(c) is int for x in seen for c in x)
+        n = adapted_norm(m, p)
+        v, want = [F(c) for c in w.vector], []
+        for _ in range(21):
+            want.append(n.norm_exp(v))
+            v = mat_vec(m, v)
+        assert w.exponents == tuple(want), (m, p, a)
+        assert all(type(e) is F for e in w.exponents)
+        assert w.constant
+
+
+def test_witness_padic_centre_keeps_ring_path(monkeypatch):
+    """t^2 + t + 5 over Q_5 at a = 1: the centre block's basis is p-adic, so
+    the orbit runs on PadicNumbers, with the output the Fraction-orbit code
+    gave."""
+    seen = []
+    orig = spectral.AdaptedNorm.norm_exp
+    monkeypatch.setattr(spectral.AdaptedNorm, "norm_exp",
+                        lambda self, x: seen.append(x) or orig(self, x))
+    w = nonhyperbolicity_witness(_mat([[0, 1], [-5, -1]]), 5, F(1), precision=3)
+    assert [repr(c) for c in w.vector] == ["69*5^0+O(5^3)", "1*5^0+O(5^3)"]
+    assert w.rho == 0 and w.constant and w.exponents == (F(0),) * 21
+    assert len(seen) == 21
+    assert all(isinstance(c, PadicNumber) for x in seen for c in x)
 
 
 def test_witness_oracle_diag():
