@@ -230,12 +230,17 @@ def conjugate(f: PolyMap, t, tinv, ctx) -> list:
 
 def _remainder_bound(f: PolyMap, norm: AdaptedNorm):
     """k -> remainder_lipschitz(f, k, norm), with F conjugated into the
-    norm's coordinates once, so that a radius scan conjugates once."""
-    ctx = norm._ctx()
-    tables = conjugate(f, norm.transform(ctx), norm._tinv, ctx)
+    norm's coordinates once, so that a radius scan conjugates once: with
+    T Winv = diag(pi^s) P and its inverse R diag(pi^s') (AdaptedNorm), P F R
+    is conjugated over the base field, and the pi-powers enter as offsets."""
+    (s, pr), (s2, r) = norm._pi_rows, norm._pi_cols
+    ctx = infer_context([pr, r, f.components], norm.prime)
+    tables = conjugate(f, pr, r, ctx)
     q = norm.weights
-    # (v(c) + q_i - sum_l m_l q_l, |m|) for each monomial c x^m, |m| >= 2
-    terms = [(ctx.val(c) + q[i] - sum(ml * q[l] for l, ml in enumerate(m)), sum(m))
+    # (v(c) + (s_i + sum_l m_l s'_l)/ram + q_i - sum_l m_l q_l, |m|) for each
+    # monomial c x^m of P F R, |m| >= 2
+    terms = [(ctx.val(c) + Fraction(s[i] + sum(ml * s2[l] for l, ml in enumerate(m)), norm.ram)
+              + q[i] - sum(ml * q[l] for l, ml in enumerate(m)), sum(m))
              for i, table in enumerate(tables) for m, c in table.items()
              if sum(m) >= 2 and ctx.val(c) != INF]
     return lambda k: min((base + (deg - 1) * k for base, deg in terms), default=INF)

@@ -430,15 +430,12 @@ class PadicContext:
     def from_rational(self, q):
         return PadicNumber.from_rational(q, self.p, self.precision)
 
+    # val and zeroness take an exact Fraction too, held beside PadicNumbers
     def val(self, x):
-        return x.val
+        return _bval(x, self.p)
 
     def zeroness(self, x):
-        if x.is_exact_zero:
-            return ZERO
-        if x.is_uncertain:
-            return ZERO if x.val >= self.precision else UNCERTAIN
-        return NONZERO
+        return _bzeroness(x, self.precision)
 
 
 class ExtContext:

@@ -29,6 +29,8 @@ from .field import (
     PadicContext,
     PadicNumber,
     RationalContext,
+    _bval,
+    _bzeroness,
     valuation_of_rational,
 )
 
@@ -640,62 +642,60 @@ def slope_factorization(
 # --------------------------------------------------------------------------
 
 
-def invariant_unit_lattice(b, p: int, precision: int | None = None, ctx=None):
-    """(L, L^-1) with B L inside L certified: L is the lattice spanned by the
-    Krylov vectors B^k e_i, k < d, its lower-triangular Hermite basis the
-    columns of the matrix L.
+def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION):
+    """(k, W, W^-1) with L = W diag(pi^k_j) the lower-triangular Hermite
+    basis of the lattice of the Krylov vectors B^j e_i, j < d, of
+    B = pi^-n R, for rho = n/e, pi^e = p and R over Q or Q_p.
 
-    B L lies in L exactly when every B^d e_i does, that is when every entry
-    of L^-1 [B^d e_0 ... B^d e_(d-1)] is integral, an O-term counting by its
-    bound; otherwise PreconditionViolated.  B L = L then needs det B to be a
-    unit, which the caller ensures: adapted_norm passes the block
-    ker g_rho(M) of a certified slope factor g_rho, scaled by p^-rho.
+    B^j e_i = pi^(-jn) R^j e_i, and a Hermite step keeps each vector in its
+    own pi-slot: the pivot of row r is the first vector of least
+    v(w_r) + k/e, and no Q_p(pi) arithmetic is needed.  W^-1 is taken in the
+    ring of W's entries.  B L inside L is certified when
+    v((W^-1 R^d e_i)_j) >= (d n + k_j)/e, an O-term counting by its bound;
+    else PreconditionViolated.  B L = L then needs det B to be a unit:
+    adapted_norm passes ker g_rho(M) for a certified slope factor g_rho.
     """
-    ctx = ctx or infer_context(b, p, precision)
-    bm = cmat(b, ctx)
-    d = len(bm)
-    cols, tops = [], []
+    n, e = Fraction(rho).as_integer_ratio()
+
+    def zeroness(x, k):  # of pi^k x, by its pi-slot coefficient x p^(k // e)
+        return _bzeroness(x, precision - k // e)
+
+    d = len(r)
+    vecs, tops = [], []
     for i in range(d):
-        v = [ctx.one if j == i else ctx.zero for j in range(d)]
+        k, v = 0, [Fraction(int(j == i)) for j in range(d)]
         for _ in range(d):
-            cols.append(v)
-            v = mat_vec(bm, v)
-        tops.append(v)  # B^d e_i
-    basis = []
-    remaining = cols
-    for r in range(d):
+            vecs.append((k, v))
+            k, v = k - n, mat_vec(r, v)
+        tops.append(v)  # R^d e_i, with B^d e_i = pi^(-dn) R^d e_i
+    ks, basis = [], []
+    for row in range(d):
         # not _pivot: any uncertain entry raises, even beside a certain one,
         # since an O-term could hide a lower valuation than the pivot's and
         # leave the quotient q below non-integral
         best, best_v = None, None
-        for idx, cvex in enumerate(remaining):
-            z = ctx.zeroness(cvex[r])
+        for idx, (k, w) in enumerate(vecs):
+            z = zeroness(w[row], k)
             if z == NONZERO:
-                v = ctx.val(cvex[r])
+                v = _bval(w[row], p) + Fraction(k, e)
                 if best is None or v < best_v:
                     best, best_v = idx, v
             elif z == UNCERTAIN:
                 raise RankUncertified("lattice pivot uncertain")
         if best is None:
             raise PreconditionViolated("Krylov span not full rank")
-        piv = remaining[best]
-        rest = []
-        for idx, cvex in enumerate(remaining):
-            if idx == best:
-                continue
-            z = ctx.zeroness(cvex[r])
-            if z == NONZERO:
-                q = cvex[r] / piv[r]
-                cvex = [a - q * bq for a, bq in zip(cvex, piv)]
-            rest.append(cvex)
+        k, piv = vecs.pop(best)
+        for idx, (kw, w) in enumerate(vecs):
+            if zeroness(w[row], kw) == NONZERO:
+                q = w[row] / piv[row]
+                vecs[idx] = kw, [a - q * b for a, b in zip(w, piv)]
+        ks.append(k)
         basis.append(piv)
-        remaining = rest
-    lat = [list(r) for r in zip(*basis)]
-    linv = mat_inverse(lat, ctx)
-    # exact zeros of L^-1 (over Q its upper triangle) are skipped; O-terms enter
-    nz = [[j for j, x in enumerate(r) if ctx.zeroness(x) != ZERO] for r in linv]
-    if any(ctx.val(_dot([r[j] for j in js], [v[j] for j in js])) < 0
-           for v in tops for r, js in zip(linv, nz)):
+    w = [list(c) for c in zip(*basis)]
+    winv = solve(w, identity(d, RationalContext(p)), infer_context(w, p, precision))
+    # exact zeros of L^-1 = diag(pi^-k) W^-1 are skipped; O-terms enter
+    nz = [[j for j, x in enumerate(row) if zeroness(x, -k) != ZERO] for row, k in zip(winv, ks)]
+    if any(_bval(_dot([row[j] for j in js], [v[j] for j in js]), p) < Fraction(d * n + k, e)
+           for v in tops for row, js, k in zip(winv, nz, ks)):
         raise PreconditionViolated("B maps the Krylov lattice outside itself")
-    return lat, linv
-
+    return ks, w, winv

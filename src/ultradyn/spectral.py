@@ -17,7 +17,6 @@ from operator import mul
 from .errors import PreconditionViolated
 from .field import (
     DEFAULT_PRECISION,
-    ExtContext,
     ExtElement,
     NONZERO,
     PadicNumber,
@@ -270,14 +269,28 @@ def _nilpotent_chains(n, ctx):
     return chains
 
 
-def _base_times_ext(a, b, ctx):
-    """a b for a over the base field and b over ctx = Q_p(pi), one pi-power
-    at a time: the pi^j coefficient of each entry is a times the pi^j
-    coefficients of b, so no product of two ExtElements is formed."""
-    cols = [[coerce(x, ctx).coeffs for x in col] for col in zip(*b)]
-    return [[ExtElement(ctx.p, ctx.ram, tuple(_dot(row, [x[j] for x in col])
-                                              for j in range(ctx.ram)))
-             for col in cols] for row in a]
+def _pi_power(x, k, p, ram):
+    """pi^k x in Q_p(pi), pi^ram = p, for x over the base field: x p^(k // ram)
+    in slot k mod ram, exact zeros of x's own ring (as lift_ram) elsewhere."""
+    q, r = divmod(k, ram)
+    coeffs = [PadicNumber.zero(p) if isinstance(x, PadicNumber) else Fraction(0)] * ram
+    coeffs[r] = x * Fraction(p) ** q if q else x
+    return ExtElement(p, ram, tuple(coeffs))
+
+
+def _pi_split(rows, p):
+    """(s, base) with row i of rows equal to pi^(s_i) base[i], base over the
+    base field: the entries of a row are base-field values or ExtElements
+    with one common nonzero pi-slot, as adapted_norm builds them."""
+    exps, base = [], []
+    for row in rows:
+        xs = [x.coeffs if isinstance(x, ExtElement) else (x,) for x in row]
+        slots = {j for c in xs for j, y in enumerate(c) if _bval(y, p) != INF} or {0}
+        if len(slots) > 1:
+            raise PreconditionViolated("a transform row is not one pi-power")
+        exps.append(slots.pop())
+        base.append([c[exps[-1]] for c in xs])
+    return exps, base
 
 
 @dataclass(frozen=True)
@@ -294,13 +307,15 @@ class AdaptedNorm:
     spectral block (and with norm < eps on the nilpotent block).
 
     norm_exp(x) = min_i ( v((T Winv x)_i) + q_i ) over the global basis; the
-    norm itself is p^(-norm_exp(x)).  T is block diagonal, and each block
-    keeps its own inverse, so (T Winv)^-1 = W T^-1 needs no inversion.  T Winv
-    and its inverse are built on first use and then kept (outside repr() and
-    ==); adapted_norm(m, p) returns one interned norm per matrix and eps.
-    Queries over Q run on integers: when every row of T Winv is rational,
-    norm_exp takes p-adic valuations of integer dot products; a PadicNumber
-    in T Winv or in x keeps the ring arithmetic.
+    norm itself is p^(-norm_exp(x)).  T is block diagonal over Q_p(pi),
+    pi^ram = p; adapted_norm builds each row of a block's t, and each column
+    of its tinv, as one pi-power times a base-field vector, so
+    v((T Winv x)_i) = v(row_i . x) + s_i/ram with row_i over the base field.
+    The rows are built on first use and then kept (outside repr() and ==);
+    adapted_norm(m, p) returns one interned norm per matrix and eps.
+    Queries over Q run on integers: when every row_i is rational, norm_exp
+    takes p-adic valuations of integer dot products; a PadicNumber in them
+    or in x keeps the ring arithmetic.
     """
 
     prime: int
@@ -310,53 +325,43 @@ class AdaptedNorm:
     blocks: tuple  # NormBlocks in stacking order
     eps_exp: object = None  # nilpotent contraction exponent j, if any
 
-    def _ctx(self):
-        # the ring of the stored block transforms: adapted_norm builds each
-        # block in its own smallest ring and lifts its t and tinv into this
-        # one, so all blocks share one arithmetic domain (ram 1 is just Q_p)
-        return ExtContext(self.prime, self.ram)
-
     @cached_property
-    def _planes(self):
-        """T Winv = sum_j pi^j T_j as base-field planes T_0..T_{ram-1}: Winv is
-        over the base field, so T_j is T's pi^j coefficients times Winv."""
-        ctx = self._ctx()
-        planes = [[] for _ in range(self.ram)]
-        off = 0
+    def _pi_blocks(self):
+        """(s, T_0, s', T'_0) for each block: t = diag(pi^s) T_0 and
+        tinv = T'_0 diag(pi^s'), with T_0 and T'_0 over the base field."""
+        out = []
         for b in self.blocks:
-            cols = list(zip(*self.winv[off:off + len(b.t)]))
-            for trow in b.t:
-                coeffs = [coerce(x, ctx).coeffs for x in trow]
-                for j, plane in enumerate(planes):
-                    plane.append([_dot([c[j] for c in coeffs], col) for col in cols])
-            off += len(b.t)
-        return planes
+            s2, cols = _pi_split(zip(*b.tinv), self.prime)
+            out.append((*_pi_split(b.t, self.prime), s2, [list(r) for r in zip(*cols)]))
+        return out
 
     @cached_property
-    def _rows(self):
-        """(i, row i of T_j, j/ram + q_i) for each plane row not exactly zero."""
-        q = self.weights
-        return [(i, row, Fraction(j, self.ram) + q[i])
-                for j, plane in enumerate(self._planes) for i, row in enumerate(plane)
-                if any(_bval(c, self.prime) != INF for c in row)]
+    def _pi_rows(self):
+        """(s, T_0 Winv): row i of T Winv is pi^(s_i) times row i of the
+        base-field T_0 Winv."""
+        s, rows, off = [], [], 0
+        for sb, t0, _, _ in self._pi_blocks:
+            s += sb
+            rows += mat_mul(t0, self.winv[off:off + len(t0)])
+            off += len(t0)
+        return s, rows
 
     @cached_property
-    def _tinv(self):
-        """(T Winv)^-1 = W blockdiag(T_b^-1) over the norm's own context: a
-        product with no division, from the inverse each block keeps."""
-        ctx, parts, off = self._ctx(), [], 0
-        for b in self.blocks:
-            k = len(b.tinv)
-            parts.append(_base_times_ext([r[off:off + k] for r in self.w], b.tinv, ctx))
-            off += k
-        return [[y for part in rows for y in part] for rows in zip(*parts)]
+    def _pi_cols(self):
+        """(s', W T'_0): column j of (T Winv)^-1 = W T^-1 is pi^(s'_j) times
+        column j of the base-field W T'_0."""
+        s, parts, off = [], [], 0
+        for _, _, sb, t0inv in self._pi_blocks:
+            s += sb
+            parts.append(mat_mul([r[off:off + len(sb)] for r in self.w], t0inv))
+            off += len(sb)
+        return s, [sum(rows, []) for rows in zip(*parts)]
 
     def transform(self, ctx=None):
-        """Full matrix T (block diag of block transforms) times Winv."""
-        ctx = ctx or self._ctx()
-        planes, d = self._planes, len(self.winv)
-        return [[coerce(ExtElement(self.prime, self.ram, tuple(pl[i][c] for pl in planes)), ctx)
-                 for c in range(d)] for i in range(d)]
+        """T Winv as a matrix over Q_p(pi), pi^ram = p (or over ctx)."""
+        s, rows = self._pi_rows
+        t = [[_pi_power(x, si, self.prime, self.ram) for x in row] for si, row in zip(s, rows)]
+        return cmat(t, ctx) if ctx else t
 
     @property
     def weights(self):
@@ -364,44 +369,42 @@ class AdaptedNorm:
 
     @cached_property
     def _zrows(self):
-        """_rows over Z when every plane row is rational, else None:
-        (i, D row, ram (j/ram + q_i - v(D))) for D the lcm of the row's
-        denominators.  The offset is an int, since the weights q_i are."""
-        rows, p, ram = self._rows, self.prime, self.ram
-        if not isinstance(infer_context([r for _, r, _ in rows], p), RationalContext):
+        """Over Q, (D row_i, s_i + ram (q_i - v(D))) for each norm coordinate
+        i, D the lcm of the denominators of row_i; None when a row holds a
+        PadicNumber.  The offset is an int, since the weights q_i are."""
+        (s, rows), p, ram = self._pi_rows, self.prime, self.ram
+        if not isinstance(infer_context(rows, p), RationalContext):
             return None
         out = []
-        for i, row, off in rows:
+        for si, row, q in zip(s, rows, self.weights):
             den, zrow = _zscale(row)
-            out.append((i, zrow, int(off * ram) - ram * _ival(den, p)))
+            out.append((zrow, si + int(q * ram) - ram * _ival(den, p)))
         return out
 
     def _zcoords(self, x):
         """Over Q, (u, s) with v((T Winv x)_i) + q_i = (u_i - s)/ram (u_i INF
-        where it is zero): each v((T_j x)_i) is read off an integer dot product
-        with E x, E the lcm of the denominators of x, and s = ram v(E).  None
-        when the norm or x holds a PadicNumber."""
+        where it is zero): each v(row_i . x) is read off an integer dot
+        product with E x, E the lcm of the denominators of x, and
+        s = ram v(E).  None when the norm or x holds a PadicNumber."""
         zrows = self._zrows
         if zrows is None or any(isinstance(c, PadicNumber) for c in x):
             return None
         p, ram = self.prime, self.ram
         den, zx = _zscale(list(x))
-        units = [INF] * len(self.winv)
-        for i, zrow, off in zrows:
+        units = []
+        for zrow, off in zrows:
             s = sum(map(mul, zrow, zx))
-            if s:
-                units[i] = min(units[i], ram * _ival(s, p) + off)
+            units.append(ram * _ival(s, p) + off if s else INF)
         return units, ram * _ival(den, p)
 
     def _coord_exps(self, x):
-        """v((T Winv x)_i) + q_i for each norm coordinate i (INF where it is
-        zero): the min over j of v((T_j x)_i) + j/ram + q_i."""
+        """v((T Winv x)_i) + q_i = v(row_i . x) + s_i/ram + q_i for each norm
+        coordinate i (INF where it is zero)."""
         z = self._zcoords(x)
         if z is None:
-            out = [INF] * len(self.winv)
-            for i, row, off in self._rows:
-                out[i] = min(out[i], _bval(_dot(row, x), self.prime) + off)
-            return out
+            s, rows = self._pi_rows
+            return [_bval(_dot(row, x), self.prime) + Fraction(si, self.ram) + q
+                    for si, row, q in zip(s, rows, self.weights)]
         units, shift = z
         return [u if u == INF else Fraction(u - shift, self.ram) for u in units]
 
@@ -423,11 +426,11 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     the gauge of an invariant unit lattice (an exact isometry up to the
     factor p^-rho).  invariant_unit_lattice certifies B L inside L; the
     block is ker g_rho(M) for a certified slope factor g_rho, so the scaled
-    B has unit determinant and B L = L.  Each is built in the smallest ring
-    that holds it: over Q for a rational block with integral rho, else over
-    Q_p(pi_b), pi_b^e = p with e the denominator of rho; only its t and tinv
-    are lifted into the norm's Q_p(pi), pi^ram = p.  Nilpotent block: Jordan
-    chains scaled by lambda = p^j with p^-j < eps.
+    B has unit determinant and B L = L.  It comes over the base field as
+    L = W diag(pi_b^k), pi_b^e = p for e the denominator of rho, and its
+    t = L^-1 and tinv = L are written into the norm's Q_p(pi), pi^ram = p,
+    one pi-power per row of t and per column of tinv.  Nilpotent block:
+    Jordan chains scaled by lambda = p^j with p^-j < eps.
     """
     if data is None:
         return _analysis(m, p, precision).norm(eps)
@@ -439,7 +442,6 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     w = [[coerce(cols[j][i], wctx) for j in range(d)] for i in range(d)]
     winv = mat_inverse(w, wctx)
 
-    ectx = ExtContext(p, ram, precision)
     blocks = []
     eps_exp = None
     for b in data.blocks:
@@ -469,20 +471,15 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
             blocks.append(NormBlock(INF, tuple(tuple(r) for r in t),
                                     tuple(tuple(r) for r in cw), tuple(weights)))
         else:
-            rho = Fraction(b.rho)
-            if isinstance(bctx, RationalContext) and rho.denominator == 1:
-                lctx = bctx
-                scaled = [[x * Fraction(p) ** -int(rho) for x in row] for row in rest]
-            else:  # ExtContext even for e = 1: PadicContext.one is capped
-                lctx = ExtContext(p, rho.denominator, precision)
-                shift = ExtElement.pi(p, rho.denominator, -rho.numerator)
-                scaled = [[x * shift for x in row] for row in cmat(rest, lctx)]
-            lat, t = invariant_unit_lattice(scaled, p, ctx=lctx)
-            blocks.append(
-                NormBlock(b.rho, tuple(tuple(cvec(r, ectx)) for r in t),
-                          tuple(tuple(cvec(r, ectx)) for r in lat),
-                          tuple(Fraction(0) for _ in range(b.dim)))
-            )
+            ks, lat, linv = invariant_unit_lattice(rest, p, b.rho, precision)
+            s = ram // Fraction(b.rho).denominator  # pi_b = pi^s
+            blocks.append(NormBlock(
+                b.rho,
+                tuple(tuple(_pi_power(x, -k * s, p, ram) for x in row)
+                      for k, row in zip(ks, linv)),
+                tuple(tuple(_pi_power(x, k * s, p, ram) for x, k in zip(row, ks))
+                      for row in lat),
+                tuple(Fraction(0) for _ in range(b.dim))))
     return AdaptedNorm(p, ram, tuple(tuple(r) for r in winv),
                        tuple(tuple(r) for r in w), tuple(blocks), eps_exp)
 
@@ -493,28 +490,29 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
     For a weighted sup norm the operator norm is
     min_{i,j} ( v(A'_ij) + q_i - q_j ) with A' = (T Winv) M (T Winv)^-1 the
     matrix of M in the norm basis.  T is block diagonal, so with
-    X = Winv M W over the base field, block (b, c) of A' is
-    T_b X_bc T_c^-1.  A block X_bc of exact zeros gives an exact zero block
-    and is skipped; an O-term still enters.
+    X = Winv M W, block (b, c) of A' is T_b X_bc T_c^-1, and with
+    T_b = diag(pi^s) T_0 and T_c^-1 = T'_0 diag(pi^s') (AdaptedNorm._pi_blocks)
+    v(A'_ij) = v((T_0 X_bc T'_0)_ij) + (s_i + s'_j)/ram, all over the base
+    field.  A block X_bc of exact zeros gives an exact zero block and is
+    skipped; an O-term still enters.
     """
     x = mat_mul(mat_mul(norm.winv, m), norm.w)
-    ctx = norm._ctx()
     spans, off = [], 0
-    for b in norm.blocks:
-        spans.append((b, range(off, off + len(b.t)), cmat(b.t, ctx)))
-        off += len(b.t)
+    for (s, t0, s2, t0inv), b in zip(norm._pi_blocks, norm.blocks):
+        spans.append((range(off, off + len(t0)), s, t0, s2, t0inv, b.weights))
+        off += len(t0)
     best = INF
-    for b, rows, t in spans:
-        for c, cols, _ in spans:
+    for rows, s, t0, _, _, qb in spans:
+        for cols, _, _, s2, t0inv, qc in spans:
             xbc = [[x[i][j] for j in cols] for i in rows]
             if all(_bval(y, p) == INF for r in xbc for y in r):
                 continue
-            a = mat_mul(t, _base_times_ext(xbc, c.tinv, ctx))
+            a = mat_mul(t0, mat_mul(xbc, t0inv))
             for i, row in enumerate(a):
                 for j, y in enumerate(row):
-                    v = ctx.val(y)
+                    v = _bval(y, p)
                     if v != INF:
-                        best = min(best, v + b.weights[i] - c.weights[j])
+                        best = min(best, v + Fraction(s[i] + s2[j], norm.ram) + qb[i] - qc[j])
     return best
 
 

@@ -11,9 +11,9 @@ import random
 from fractions import Fraction
 from math import gcd, inf as INF
 
-from ultradyn.errors import PreconditionViolated
-from ultradyn.polyalg import cmat, mat_inverse, mat_mul, mat_vec, solve
-from ultradyn.field import RationalContext
+from ultradyn.errors import PreconditionViolated, RankUncertified
+from ultradyn.polyalg import _dot, cmat, mat_inverse, mat_mul, mat_vec, solve
+from ultradyn.field import NONZERO, UNCERTAIN, ZERO, RationalContext
 from ultradyn.dynamics import PolyMap
 
 
@@ -230,3 +230,56 @@ def fraction_row_reduce(mat, rhs=None):
                 rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
         pivots.append(c)
     return [r[:m] for r in rows], pivots, None if rhs is None else [r[m:] for r in rows]
+
+
+
+def reference_unit_lattice(b, p: int, ctx):
+    """Reference Krylov lattice over any ring context, every entry held in
+    ctx (so Q_p(pi) arithmetic for an ExtContext): (L, L^-1) with the columns
+    of L the lower-triangular Hermite basis of the span of the vectors
+    B^k e_i, k < d, the pivot of each row the first vector of least
+    valuation; PreconditionViolated unless every entry of
+    L^-1 [B^d e_0 ... B^d e_(d-1)] is integral, an O-term counting by its
+    bound."""
+    bm = cmat(b, ctx)
+    d = len(bm)
+    cols, tops = [], []
+    for i in range(d):
+        v = [ctx.one if j == i else ctx.zero for j in range(d)]
+        for _ in range(d):
+            cols.append(v)
+            v = mat_vec(bm, v)
+        tops.append(v)  # B^d e_i
+    basis = []
+    remaining = cols
+    for r in range(d):
+        best, best_v = None, None
+        for idx, cvex in enumerate(remaining):
+            z = ctx.zeroness(cvex[r])
+            if z == NONZERO:
+                v = ctx.val(cvex[r])
+                if best is None or v < best_v:
+                    best, best_v = idx, v
+            elif z == UNCERTAIN:
+                raise RankUncertified("lattice pivot uncertain")
+        if best is None:
+            raise PreconditionViolated("Krylov span not full rank")
+        piv = remaining[best]
+        rest = []
+        for idx, cvex in enumerate(remaining):
+            if idx == best:
+                continue
+            if ctx.zeroness(cvex[r]) == NONZERO:
+                q = cvex[r] / piv[r]
+                cvex = [a - q * bq for a, bq in zip(cvex, piv)]
+            rest.append(cvex)
+        basis.append(piv)
+        remaining = rest
+    lat = [list(r) for r in zip(*basis)]
+    linv = mat_inverse(lat, ctx)
+    # exact zeros of L^-1 are skipped; O-terms enter
+    nz = [[j for j, x in enumerate(r) if ctx.zeroness(x) != ZERO] for r in linv]
+    if any(ctx.val(_dot([r[j] for j in js], [v[j] for j in js])) < 0
+           for v in tops for r, js in zip(linv, nz)):
+        raise PreconditionViolated("B maps the Krylov lattice outside itself")
+    return lat, linv

@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ultradyn.errors import PrecisionExhausted, PreconditionViolated, RankUncertified
-from ultradyn.field import PadicContext, PadicNumber, RationalContext, valuation_of_rational
+from ultradyn.field import (ExtContext, ExtElement, PadicContext, PadicNumber, RationalContext,
+                           valuation_of_rational)
 from ultradyn.polyalg import (
     Polynomial,
     _charpoly_hessenberg,
@@ -21,7 +22,6 @@ from ultradyn.polyalg import (
     kernel_basis,
     mat_inverse,
     mat_mul,
-    mat_vec,
     newton_polygon,
     row_reduce,
     slope_factorization,
@@ -509,6 +509,8 @@ def test_slope_factorization_far_slopes_at_low_precision(p, factors, slopes):
 def test_invariant_lattice_requires_flat_polygon():
     with pytest.raises(PreconditionViolated):
         invariant_unit_lattice(_mat([[F(1, 2), 0], [0, 1]]), 2)
+    with pytest.raises(PreconditionViolated):  # scaled by 2^-1: valuations 0 and -1
+        invariant_unit_lattice(_mat([[2, 0], [0, 1]]), 2, 1)
 
 
 @pytest.mark.parametrize("b,p", [
@@ -522,27 +524,49 @@ def test_invariant_lattice_rejects_non_integral_block(b, p):
         invariant_unit_lattice(b, p)
 
 
+@pytest.mark.parametrize("b,p,rho", [
+    (frac_block(2, 1, 2), 2, 1),        # t^2 - 2 scaled by pi^-2: valuation -1/2
+    (frac_block(3, 1, 3), 3, F(2, 3)),  # t^3 - 3 scaled by pi^-2: valuation -1/3
+])
+def test_invariant_lattice_rejects_block_scaled_past_its_slope(b, p, rho):
+    """Scaled by pi^-n past its slope, a block gets an eigenvalue of negative
+    valuation, which the certificate's pi-offsets (d n + k_j)/e must catch."""
+    with pytest.raises(PreconditionViolated):
+        invariant_unit_lattice(b, p, rho)
+
+
 def test_invariant_lattice_property():
-    """The returned lattice is genuinely invariant and spans unit vectors."""
+    """The returned lattice L = W diag(pi^k), pi^e = p, is genuinely
+    invariant under B = pi^-n R for rho = n/e: W is lower triangular with
+    W W^-1 = I, and L^-1 B L is integral."""
     cases = [
-        (_mat([[1, F(1, 2)], [0, 1]]), 2),
-        (_mat([[0, F(1, 3)], [-3, 1]]), 3),   # det unit, flat polygon
+        (_mat([[1, F(1, 2)], [0, 1]]), 2, F(0)),
+        (_mat([[0, F(1, 3)], [-3, 1]]), 3, F(0)),   # det unit, flat polygon
+        (frac_block(2, 1, 2), 2, F(1, 2)),
+        (frac_block(5, 2, 3), 5, F(2, 3)),
+        (_mat([[3, 1], [0, 3]]), 3, F(1)),
     ]
     rng = random.Random(5)
+    ctx = RationalContext(2)
     for _ in range(6):
         s = unimodular(rng, 3)
-        ctx = RationalContext(2)
         d = _mat([[1, 1, 0], [0, 1, F(1, 4)], [0, 0, 1]])
-        cases.append((mat_mul(mat_mul(s, d), mat_inverse(cmat(s, ctx), ctx)), 2))
-    for b, p in cases:
-        lat, linv = invariant_unit_lattice(b, p)
-        ctx = RationalContext(p)
-        d = len(b)
-        assert all(lat[i][j] == 0 for i in range(d) for j in range(i + 1, d))
-        assert mat_mul(lat, linv) == [[F(i == j) for j in range(d)] for i in range(d)]
-        for col in range(d):
-            img = mat_vec(b, [row[col] for row in lat])
-            coords = mat_vec(linv, img)
-            # B maps lattice basis vectors into the lattice (integral coords)
-            for c in coords:
-                assert ctx.val(c) >= 0, (b, lat)
+        cases.append((mat_mul(mat_mul(s, d), mat_inverse(cmat(s, ctx), ctx)), 2, F(0)))
+    s = unimodular(rng, 3)
+    cases.append((mat_mul(mat_mul(s, frac_block(2, 1, 3)), mat_inverse(cmat(s, ctx), ctx)),
+                  2, F(1, 3)))
+    for r, p, rho in cases:
+        ks, w, winv = invariant_unit_lattice(r, p, rho)
+        d, e = len(r), rho.denominator
+        assert all(w[i][j] == 0 for i in range(d) for j in range(i + 1, d))
+        assert mat_mul(w, winv) == [[F(i == j) for j in range(d)] for i in range(d)]
+        ectx = ExtContext(p, e)
+        lat = [[coerce(x, ectx) * ExtElement.pi(p, e, k) for x, k in zip(row, ks)] for row in w]
+        linv = [[coerce(x, ectx) * ExtElement.pi(p, e, -k) for x in row]
+                for k, row in zip(ks, winv)]
+        b = [[coerce(x, ectx) * ExtElement.pi(p, e, -rho.numerator) for x in row] for row in r]
+        assert mat_mul(linv, lat) == [[ectx.one if i == j else ectx.zero for j in range(d)]
+                                      for i in range(d)]
+        # B maps lattice basis vectors into the lattice (integral coords)
+        for row in mat_mul(linv, mat_mul(b, lat)):
+            assert all(ectx.val(x) >= 0 for x in row), (r, rho)

@@ -183,11 +183,11 @@ def _drawn_norm(k, rescaled=False):
 @lru_cache(maxsize=None)
 def _padic_row_norm():
     """The norm of the companion block of t^2 + t + 3 (roots of valuation 0
-    and 1, no rational slope factor) beside 9: its plane rows hold
+    and 1, no rational slope factor) beside 9: its base-field rows hold
     PadicNumbers."""
     m = _block_diag(_companion([3, 1, 1]), [[F(9)]])
     n = adapted_norm(m, 3)
-    assert any(isinstance(c, PadicNumber) for plane in n._planes for row in plane for c in row)
+    assert any(isinstance(c, PadicNumber) for row in n._pi_rows[1] for c in row)
     return m, 3, n, n.transform(ExtContext(3, n.ram))
 
 
