@@ -5,7 +5,8 @@ PadicNumbers or ExtElements, held in a ring context
 (field.RationalContext / PadicContext / ExtContext).  Over Q_p and Q_p(pi)
 elimination and the charpoly pivot by least valuation, which keeps the
 precision.  Over Q, whose answers do not depend on the pivot order,
-row_reduce and charpoly run on plain integers and return the same Fractions.
+row_reduce, charpoly and invariant_unit_lattice run on plain integers and
+return the same Fractions; over Q_p and Q_p(pi) they keep the ring path.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, inf as INF, lcm, prod
+from operator import mul
 
 from .errors import (
     PrecisionExhausted,
@@ -31,6 +33,7 @@ from .field import (
     RationalContext,
     _bval,
     _bzeroness,
+    _ival,
     valuation_of_rational,
 )
 
@@ -193,6 +196,14 @@ def _zscale(v):
     return den, [x.numerator * (den // x.denominator) for x in v]
 
 
+def _zmat(m):
+    """(D, D m) for a square rational matrix m, D the lcm of its
+    denominators: D m is a list of rows of ints."""
+    d = len(m)
+    den, flat = _zscale([x for row in m for x in row])
+    return den, [flat[i * d:(i + 1) * d] for i in range(d)]
+
+
 def _zrow_reduce(mat, rhs):
     """row_reduce over Q on integers.  Each row of [mat | rhs] is scaled to
     integers by the lcm of its denominators.  Gauss-Jordan then takes the
@@ -342,8 +353,7 @@ def _zcharpoly(mat):
     (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) times those of
     det(tI - A_k).  Coefficient i of det(tI - A) is D^(n-i) c_i."""
     n = len(mat)
-    den, flat = _zscale([x for row in mat for x in row])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    den, a = _zmat(mat)
     cs = [1]
     for k in range(n):
         col, t = [a[i][k] for i in range(k)], [1, -a[k][k]]
@@ -654,8 +664,12 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     v((W^-1 R^d e_i)_j) >= (d n + k_j)/e, an O-term counting by its bound;
     else PreconditionViolated.  B L = L then needs det B to be a unit:
     adapted_norm passes ker g_rho(M) for a certified slope factor g_rho.
+    Over Q the Krylov vectors, the Hermite steps and the certificate run on
+    plain integers (_zunit_lattice); over Q_p they keep the ring arithmetic.
     """
     n, e = Fraction(rho).as_integer_ratio()
+    if isinstance(infer_context(r, p), RationalContext):
+        return _zunit_lattice(r, p, n, e)
 
     def zeroness(x, k):  # of pi^k x, by its pi-slot coefficient x p^(k // e)
         return _bzeroness(x, precision - k // e)
@@ -698,4 +712,58 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     if any(_bval(_dot([row[j] for j in js], [v[j] for j in js]), p) < Fraction(d * n + k, e)
            for v in tops for row, js, k in zip(winv, nz, ks)):
         raise PreconditionViolated("B maps the Krylov lattice outside itself")
+    return ks, w, winv
+
+
+def _zunit_lattice(r, p, n, e):
+    """invariant_unit_lattice for rational R on integers.  Each Krylov
+    vector is kept as (k, den, u) with u / den the vector, u integral and
+    gcd(content u, den) = 1: R v is A u / (D den) for A = D R integral.  A
+    Hermite step on w = U / den by the pivot P / den' is
+    ((P_r/g) U - (U_r/g) P) / (den (P_r/g)), g = gcd(U_r, P_r), the
+    pivot chosen by v(U_r) - v(den) + k/e as over Q_p.  Only the basis
+    leaves as Fractions; the certificate takes p-adic valuations of integer
+    dot products of the rows of W^-1, scaled to integers, with R^d e_i."""
+    d = len(r)
+    dr, a = _zmat(r)
+
+    def reduced(k, den, u):
+        g = gcd(den, *u)
+        return (k, den // g, [x // g for x in u]) if g > 1 else (k, den, u)
+
+    vecs, tops = [], []
+    for i in range(d):
+        v = (0, 1, [int(j == i) for j in range(d)])
+        for _ in range(d):
+            vecs.append(v)
+            k, den, u = v
+            v = reduced(k - n, den * dr, [sum(map(mul, row, u)) for row in a])
+        tops.append(v[1:])  # R^d e_i = u / den
+    ks, basis = [], []
+    for row in range(d):
+        best, best_v = None, None
+        for idx, (k, den, u) in enumerate(vecs):
+            if u[row]:
+                v = e * (_ival(u[row], p) - _ival(den, p)) + k  # e times v(w_r) + k/e
+                if best is None or v < best_v:
+                    best, best_v = idx, v
+        if best is None:
+            raise PreconditionViolated("Krylov span not full rank")
+        k, pden, pu = vecs.pop(best)
+        pr = pu[row]
+        for idx, (kw, den, u) in enumerate(vecs):
+            if u[row]:
+                g = gcd(u[row], pr) if pr > 0 else -gcd(u[row], pr)  # pr/g > 0 keeps den > 0
+                f, c = pr // g, u[row] // g
+                vecs[idx] = reduced(kw, den * f, [f * x - c * y for x, y in zip(u, pu)])
+        ks.append(k)
+        basis.append([Fraction(x, pden) for x in pu])
+    w = [list(c) for c in zip(*basis)]
+    winv = solve(w, identity(d, RationalContext(p)), RationalContext(p))
+    zinv = [_zscale(row) for row in winv]
+    for den, u in tops:
+        for (rden, zrow), k in zip(zinv, ks):
+            t = sum(map(mul, zrow, u))
+            if t and e * (_ival(t, p) - _ival(rden * den, p)) < d * n + k:
+                raise PreconditionViolated("B maps the Krylov lattice outside itself")
     return ks, w, winv

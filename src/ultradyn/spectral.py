@@ -48,6 +48,7 @@ from .polyalg import (
     _monic_scale,
     _slope_split,
     _zdivmod,
+    _zmat,
     _zscale,
 )
 
@@ -128,8 +129,7 @@ def _integral_eval(cs, m):
     rational, D and E the lcms of the denominators of M and of g.  It has the
     kernel of g(M), and so the same reduced echelon form and kernel basis."""
     n, k = len(cs) - 1, len(m)
-    dm, flat = _zscale([x for row in m for x in row])
-    mi = [flat[i * k:(i + 1) * k] for i in range(k)]
+    dm, mi = _zmat(m)
     gi = _zscale(cs)[1]
     acc = [[0] * k for _ in range(k)]
     for i in range(n, -1, -1):
@@ -314,8 +314,9 @@ class AdaptedNorm:
     The rows are built on first use and then kept (outside repr() and ==);
     adapted_norm(m, p) returns one interned norm per matrix and eps.
     Queries over Q run on integers: when every row_i is rational, norm_exp
-    takes p-adic valuations of integer dot products; a PadicNumber in them
-    or in x keeps the ring arithmetic.
+    takes p-adic valuations of integer dot products, and operator_norm one
+    integer product of the rows, M and the columns of (T Winv)^-1; a
+    PadicNumber in them, in x or in M keeps the ring arithmetic.
     """
 
     prime: int
@@ -367,19 +368,29 @@ class AdaptedNorm:
     def weights(self):
         return [q for b in self.blocks for q in b.weights]
 
-    @cached_property
-    def _zrows(self):
-        """Over Q, (D row_i, s_i + ram (q_i - v(D))) for each norm coordinate
-        i, D the lcm of the denominators of row_i; None when a row holds a
-        PadicNumber.  The offset is an int, since the weights q_i are."""
-        (s, rows), p, ram = self._pi_rows, self.prime, self.ram
-        if not isinstance(infer_context(rows, p), RationalContext):
+    def _zscaled(self, s, vecs, sign):
+        """Over Q, (D v_i, s_i + ram (sign q_i - v(D))) for each base-field
+        vector v_i of vecs, D the lcm of its denominators; None when one holds
+        a PadicNumber.  The offset is an int, since the weights q_i are."""
+        p, ram = self.prime, self.ram
+        if not isinstance(infer_context(vecs, p), RationalContext):
             return None
         out = []
-        for si, row, q in zip(s, rows, self.weights):
-            den, zrow = _zscale(row)
-            out.append((zrow, si + int(q * ram) - ram * _ival(den, p)))
+        for si, v, q in zip(s, vecs, self.weights):
+            den, zv = _zscale(list(v))
+            out.append((zv, si + sign * int(q * ram) - ram * _ival(den, p)))
         return out
+
+    @cached_property
+    def _zrows(self):
+        """_zscaled of the rows of T_0 Winv (_pi_rows), with +q_i."""
+        return self._zscaled(*self._pi_rows, 1)
+
+    @cached_property
+    def _zcols(self):
+        """_zscaled of the columns of W T'_0 (_pi_cols), with -q_j."""
+        s, rows = self._pi_cols
+        return self._zscaled(s, list(zip(*rows)), -1)
 
     def _zcoords(self, x):
         """Over Q, (u, s) with v((T Winv x)_i) + q_i = (u_i - s)/ram (u_i INF
@@ -494,8 +505,15 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
     T_b = diag(pi^s) T_0 and T_c^-1 = T'_0 diag(pi^s') (AdaptedNorm._pi_blocks)
     v(A'_ij) = v((T_0 X_bc T'_0)_ij) + (s_i + s'_j)/ram, all over the base
     field.  A block X_bc of exact zeros gives an exact zero block and is
-    skipped; an O-term still enters.
+    skipped; an O-term still enters.  Over Q, with M rational, the whole of
+    A' is read off one integer product instead (_zoperator_norm); a
+    PadicNumber in M or in the norm keeps the block-pair path.
     """
+    # a PadicNumber in the norm shows in W; checking W first leaves the
+    # rows and columns of a p-adic norm unbuilt
+    if isinstance(infer_context([m, norm.w], p), RationalContext) \
+            and norm._zrows is not None and norm._zcols is not None:
+        return _zoperator_norm(m, p, norm)
     x = mat_mul(mat_mul(norm.winv, m), norm.w)
     spans, off = [], 0
     for (s, t0, s2, t0inv), b in zip(norm._pi_blocks, norm.blocks):
@@ -514,6 +532,23 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
                     if v != INF:
                         best = min(best, v + Fraction(s[i] + s2[j], norm.ram) + qb[i] - qc[j])
     return best
+
+
+def _zoperator_norm(m, p, norm):
+    """operator_norm over Q on integers.  With D_i row_i and E_j col_j the
+    integer rows and columns of _zrows and _zcols, offsets off_i and coff_j,
+    and A = D_M M integral, entry ij of t = (D_i row_i) A (E_j col_j) gives
+    v(A'_ij) + q_i - q_j = (ram v(t_ij) + off_i + coff_j)/ram - v(D_M)."""
+    dm, a = _zmat(m)
+    ram = norm.ram
+    acols = [([sum(map(mul, row, zcol)) for row in a], coff) for zcol, coff in norm._zcols]
+    best = INF
+    for zrow, off in norm._zrows:
+        for acol, coff in acols:
+            t = sum(map(mul, zrow, acol))
+            if t:
+                best = min(best, ram * _ival(t, p) + off + coff)
+    return best if best == INF else Fraction(best, ram) - _ival(dm, p)
 
 
 # --------------------------------------------------------------------------
@@ -629,9 +664,7 @@ def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
         # the orbit V_n = D^n E m^n v0 over Z, for D and E the lcms of the
         # denominators of m and v0: norm_exp is linear in its argument, so
         # norm_exp(m^n v0) = norm_exp(V_n) - n v(D) - v(E)
-        d = len(m)
-        dm, flat = _zscale([x for row in m for x in row])
-        mm = [flat[i * d:(i + 1) * d] for i in range(d)]
+        dm, mm = _zmat(m)
         den, v = _zscale(v0)
         vd, ve = _ival(dm, p), _ival(den, p)
     else:

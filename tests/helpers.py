@@ -13,7 +13,7 @@ from math import gcd, inf as INF
 
 from ultradyn.errors import PreconditionViolated, RankUncertified
 from ultradyn.polyalg import _dot, cmat, mat_inverse, mat_mul, mat_vec, solve
-from ultradyn.field import NONZERO, UNCERTAIN, ZERO, RationalContext
+from ultradyn.field import NONZERO, UNCERTAIN, ZERO, ExtContext, RationalContext
 from ultradyn.dynamics import PolyMap
 
 
@@ -283,3 +283,16 @@ def reference_unit_lattice(b, p: int, ctx):
            for v in tops for r, js in zip(linv, nz)):
         raise PreconditionViolated("B maps the Krylov lattice outside itself")
     return lat, linv
+
+
+def ext_operator_norm(x, n):
+    """min v(A'_ij) + q_i - q_j over the entries of A' = (T Winv) X (T Winv)^-1,
+    the matrix of X in the basis of the adapted norm n, with every product
+    and the inverse of the whole d x d transform taken in Q_p(pi) arithmetic
+    (ExtContext); INF for A' = 0."""
+    ctx = ExtContext(n.prime, n.ram)
+    t = n.transform(ctx)
+    a = mat_mul(t, mat_mul(cmat(x, ctx), mat_inverse(t, ctx)))
+    q = n.weights
+    return min((ctx.val(y) + q[i] - q[j] for i, row in enumerate(a)
+                for j, y in enumerate(row) if ctx.val(y) != INF), default=INF)

@@ -8,7 +8,8 @@ per-pi-power norm_exp kernel against the ExtContext product;
 inversion of the whole transform; and each finite block's lattice, built
 over the base field as pi-powers times base-field vectors, against a
 reference build with Q_p(pi) arithmetic over the norm's own ring, with no
-ExtElement product or quotient on the way."""
+ExtElement product or quotient on the way; over Q, the lattices and operator
+norms on plain integers, with no ring product at all."""
 
 import json
 import math
@@ -32,7 +33,7 @@ from ultradyn.polyalg import (cmat, cvec, infer_context, kernel_basis, mat_inver
 
 from helpers import _embed, frac_block, int_block, nilp_block, rand_vector, unimodular
 from helpers import companion, conjugated_companion, rand_conjugated, rand_poly_map
-from helpers import reference_unit_lattice
+from helpers import ext_operator_norm, reference_unit_lattice
 
 F = Fraction
 
@@ -117,17 +118,6 @@ def inverse_from_blocks(n):
     return [[spectral._pi_power(x, sj, n.prime, n.ram) for x, sj in zip(row, s)] for row in r]
 
 
-def full_product_operator_norm(x, p, n):
-    """min v(A'_ij) + q_i - q_j with A' = (T Winv) X (T Winv)^-1, the inverse
-    taken by elimination over the whole d x d transform."""
-    ctx = ExtContext(p, n.ram)
-    t = n.transform(ctx)
-    a = mat_mul(t, mat_mul(cmat(x, ctx), mat_inverse(t, ctx)))
-    q = n.weights
-    return min((ctx.val(y) + q[i] - q[j] for i, row in enumerate(a)
-                for j, y in enumerate(row) if ctx.val(y) != INF), default=INF)
-
-
 @pytest.mark.parametrize("seed,p,d,ram,nil", EXACT_DRAWS,
                          ids=[f"ram{c[3]}{'-nilpotent' * c[4]}" for c in EXACT_DRAWS])
 def test_block_inverses_match_full_inversion(seed, p, d, ram, nil):
@@ -146,7 +136,7 @@ def test_block_inverses_match_full_inversion(seed, p, d, ram, nil):
     assert any(xb[i][j] for i in range(k) for j in range(k, d))
     xs = [m, x] if nil else [m, mat_inverse(cmat(m, qctx), qctx), x]
     for a in xs:
-        assert spectral.operator_norm(a, p, n) == full_product_operator_norm(a, p, n)
+        assert spectral.operator_norm(a, p, n) == ext_operator_norm(a, n)
 
 
 def _abs_prec(c):
@@ -274,6 +264,12 @@ def lattice_matrices(draw):
 @example((3, block_diag([companion_mixed(3), frac_block(3, 1, 2)])))
 @example((5, block_diag([companion([25, 5, 0, 1]), frac_block(5, 1, 3)])))
 @example((2, conjugated_companion(random.Random(1), [4, 2, 0, 1], 2)))
+# rational only, so compared with exact ==: ram 6 conjugated, and integral
+# slopes beside a nilpotent block
+@example((5, conjugated(random.Random(6), [frac_block(5, 1, 2), frac_block(5, 2, 3),
+                                          int_block(5, 1, 1)])))
+@example((3, conjugated(random.Random(5), [int_block(3, 1, 2), nilp_block(2),
+                                          int_block(3, -1, 1)])))
 @settings(max_examples=30)
 def test_monomial_lattices_match_reference_build(case):
     """Every finite block's t and tinv, built as pi-powers times base-field
@@ -346,6 +342,49 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
         dynamics.remainder_lipschitz(f, 1, n)
     assert any(isinstance(c, PadicNumber) for row in n._pi_rows[1] for c in row)
     assert not products
+
+
+def test_rational_lattices_and_operator_norms_take_no_ring_products(monkeypatch):
+    """Over Q, invariant_unit_lattice and operator_norm (given the norm's
+    integer rows and columns, built once per norm) run on plain integers:
+    they call none of the ring helpers mat_vec, mat_mul and _dot, so a
+    silent fallback to Fraction products fails.  A block or a norm holding
+    PadicNumbers keeps the ring path, and the spy sees it."""
+    cases = [(3, conjugated(random.Random(5), [int_block(3, 1, 2), int_block(3, -1, 1),
+                                              nilp_block(2)])),
+             (5, conjugated(random.Random(6), [frac_block(5, 1, 2), frac_block(5, 2, 3),
+                                              int_block(5, 1, 1)])),
+             (3, block_diag([companion([3, 1, 1]), [[F(9)]]]))]
+    runs = []  # (p, m, norm, [(rho, restriction, rational)])
+    for p, m in cases:
+        an = spectral.LinearAnalysis(m, p)
+        n = an.norm()
+        assert (n._zrows is None) == (n._zcols is None)  # built once, outside the spy
+        rests = []
+        for b in an.data.blocks:
+            if b.rho != INF:
+                basis = [list(v) for v in b.basis]
+                rests.append((b.rho, spectral._restrict(m, basis, infer_context([m] + basis, p)),
+                              all(isinstance(c, F) for v in basis for c in v)))
+        runs.append((p, m, n, rests))
+    calls = []
+    for module in (polyalg, spectral):
+        for name in ("mat_vec", "mat_mul", "_dot"):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    kinds = Counter()
+    for p, m, n, rests in runs:
+        for rho, rest, rational in rests:
+            calls.clear()
+            spectral.invariant_unit_lattice(rest, p, rho)
+            assert bool(calls) != rational, (m, rho)
+            kinds["lattice", rational] += 1
+        calls.clear()
+        spectral.operator_norm(m, p, n)
+        rational = n._zrows is not None
+        assert bool(calls) != rational, m
+        kinds["operator_norm", rational] += 1
+    assert set(kinds) == {(f, r) for f in ("lattice", "operator_norm") for r in (True, False)}
 
 
 @pytest.mark.parametrize("p,blocks", [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ultradyn import spectral
 from ultradyn.errors import PreconditionViolated
 from ultradyn.field import ExtContext, PadicNumber, RationalContext, compare_threshold
-from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cvec, mat_vec
+from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cmat, cvec, mat_inverse, mat_vec
 from ultradyn.spectral import (
     _rational_factors,
     adapted_norm,
@@ -24,8 +24,8 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import (ONE_BAND, conjugated_companion, rand_conjugated, rand_vector,
-                     residual_in_span)
+from helpers import (ONE_BAND, conjugated_companion, ext_operator_norm, rand_conjugated,
+                     rand_vector, residual_in_span)
 
 F = Fraction
 
@@ -257,6 +257,37 @@ def test_norm_exp_ring_path_padic_rows():
         _assert_norm_exp_matches_oracle(n, t, x)
         _assert_norm_exp_matches_oracle(n, t, [PadicNumber.from_rational(c, p, 20) for c in x])
     _assert_norm_exp_matches_oracle(n, t, [F(0)] * 3)
+
+
+def test_operator_norm_matches_ext_oracle(monkeypatch):
+    """operator_norm against min_ij v(A'_ij) + q_i - q_j for
+    A' = (T Winv) M (T Winv)^-1 over Q_p(pi): every NORM_DRAWS entry, as
+    drawn and rescaled, on m, on m^-1 when m is invertible, on a rational x
+    with p in its denominators and on 0, all on the integer path; and the
+    norm with p-adic rows on the ring path, with the same values."""
+    zpath = []
+    orig = spectral._zoperator_norm
+    monkeypatch.setattr(spectral, "_zoperator_norm",
+                        lambda m, p, n: zpath.append(n) or orig(m, p, n))
+    for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
+        m, p, n, _ = _drawn_norm(*key)
+        d, rng, qctx = len(m), random.Random(repr(key)), RationalContext(p)
+        xs = [m, [[F(rng.randint(-9, 9), rng.choice([1, p, p * p, 7])) for _ in range(d)]
+                  for _ in range(d)], [[F(0)] * d for _ in range(d)]]
+        if INF not in dict(spectrum_abs(m, p)):
+            xs.append(mat_inverse(cmat(m, qctx), qctx))
+        for x in xs:
+            zpath.clear()
+            got = spectral.operator_norm(x, p, n)
+            assert zpath == [n]
+            assert got == ext_operator_norm(x, n), (key, x)
+            assert got == INF or type(got) is F
+    m, p, n, _ = _padic_row_norm()
+    for x in (m, [[F(1, 3), F(2), F(0)], [F(0), F(5), F(1, 9)], [F(7), F(0), F(3)]]):
+        zpath.clear()
+        got = spectral.operator_norm(x, p, n)
+        assert not zpath
+        assert got == ext_operator_norm(x, n) and type(got) is F
 
 
 # -- non-hyperbolicity witness ----------------------------------------------
