@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, wraps
 from math import inf as INF
 
 from .errors import (
@@ -154,7 +155,8 @@ def linear_part(f: PolyMap):
 
 
 def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
-    """G = kappa o F o kappa^-1 for kappa(x) = x - pt; requires F(pt) = pt."""
+    """G = kappa o F o kappa^-1 for kappa(x) = x - pt (F itself at pt = 0);
+    requires F(pt) = pt."""
     pt = [Fraction(x) for x in pt]
     ctx = f.coeff_context()
     val = f(pt)
@@ -162,6 +164,8 @@ def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
         if ctx.zeroness(coerce(a, ctx) - coerce(b, ctx)) == NONZERO:
             x, y = (", ".join(map(str, v)) for v in (pt, val))  # "3/2", no reprs
             raise NotAFixedPoint(f"F([{x}]) = [{y}] != [{x}]")
+    if not any(pt):
+        return f
     n = f.nvars
     shift_polys = []
     for i in range(n):
@@ -228,24 +232,6 @@ def conjugate(f: PolyMap, t, tinv, ctx) -> list:
 # --------------------------------------------------------------------------
 
 
-def _remainder_bound(f: PolyMap, norm: AdaptedNorm):
-    """k -> remainder_lipschitz(f, k, norm), with F conjugated into the
-    norm's coordinates once, so that a radius scan conjugates once: with
-    T Winv = diag(pi^s) P and its inverse R diag(pi^s') (AdaptedNorm), P F R
-    is conjugated over the base field, and the pi-powers enter as offsets."""
-    (s, pr), (s2, r) = norm._pi_rows, norm._pi_cols
-    ctx = infer_context([pr, r, f.components], norm.prime)
-    tables = conjugate(f, pr, r, ctx)
-    q = norm.weights
-    # (v(c) + (s_i + sum_l m_l s'_l)/ram + q_i - sum_l m_l q_l, |m|) for each
-    # monomial c x^m of P F R, |m| >= 2
-    terms = [(ctx.val(c) + Fraction(s[i] + sum(ml * s2[l] for l, ml in enumerate(m)), norm.ram)
-              + q[i] - sum(ml * q[l] for l, ml in enumerate(m)), sum(m))
-             for i, table in enumerate(tables) for m, c in table.items()
-             if sum(m) >= 2 and ctx.val(c) != INF]
-    return lambda k: min((base + (deg - 1) * k for base, deg in terms), default=INF)
-
-
 def remainder_lipschitz(f: PolyMap, radius_exp, norm: AdaptedNorm):
     """Exponent L with Lip(R | B_r(0)) <= p^-L for r = p^-radius_exp, where
     R = F - F'(0).
@@ -255,7 +241,7 @@ def remainder_lipschitz(f: PolyMap, radius_exp, norm: AdaptedNorm):
     min over monomials and grows without bound as k -> infinity.  INF means
     R = 0 (Lipschitz constant 0).
     """
-    return _remainder_bound(f, norm)(Fraction(radius_exp))
+    return _map_analysis(f, DEFAULT_PRECISION).lipschitz(norm)(Fraction(radius_exp))
 
 
 def _least_k(ok):
@@ -283,15 +269,7 @@ def _least_k(ok):
 def linearization_radius(f: PolyMap, norm: AdaptedNorm):
     """Smallest k (largest ball p^-k) with Lip(R|B) < 1 / ||A^-1||; on that
     ball ||F(z) - F(y)|| = ||A (z - y)|| exactly."""
-    a = linear_part(f)
-    ctx = infer_context(a, f.prime)
-    try:
-        ainv = mat_inverse(cmat(a, ctx), ctx)
-    except PreconditionViolated as exc:
-        raise JacobianSingular("derivative at 0 is singular") from exc
-    einv = operator_norm(ainv, f.prime, norm)  # ||A^-1|| = p^-einv
-    lipschitz = _remainder_bound(f, norm)
-    return _least_k(lambda k: lipschitz(k) + einv > 0)
+    return _map_analysis(f, DEFAULT_PRECISION).radius(norm)[1]
 
 
 # --------------------------------------------------------------------------
@@ -318,15 +296,13 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
     """Certified ball for the given mode; rate_below (a rational) optionally
     strengthens Contracting to demand c < rate_below."""
     p = f.prime
-    a = linear_part(f)
-    op_a = operator_norm(a, p, norm)
+    an = _map_analysis(f, DEFAULT_PRECISION)
+    op_a = operator_norm(an.lin, p, norm)
     if mode == INVARIANT:
         if op_a < 0:
             raise PreconditionViolated(f"||A|| = p^{-op_a} > 1")
     elif mode == ISOMETRIC:
-        ctx = infer_context(a, p)
-        ainv = mat_inverse(cmat(a, ctx), ctx)
-        if op_a != 0 or operator_norm(ainv, p, norm) != 0:
+        if op_a != 0 or an.radius(norm)[0] != 0:
             raise PreconditionViolated("A is not an isometry in this norm")
     elif mode == CONTRACTING:
         if op_a <= 0:
@@ -335,7 +311,7 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
             raise PreconditionViolated(f"||A|| not below rate {rate_below}")
     else:
         raise PreconditionViolated(f"unknown mode {mode!r}")
-    lipschitz = _remainder_bound(f, norm)
+    lipschitz = an.lipschitz(norm)
     if mode == INVARIANT:
         k = _least_k(lambda k: lipschitz(k) >= 0)
     else:  # Isometric: op_a == 0, so c == 0 below
@@ -360,12 +336,134 @@ def standard_norm_exp(x, p: int):
 
 def orbit(f: PolyMap, x, n: int):
     """[(point, sup-norm exponent)] for x, F(x), ..., F^n(x), exact."""
+    return _orbit(f, x, n, INF)
+
+
+def _rat_bits(x) -> int:
+    if isinstance(x, Fraction):
+        return x.numerator.bit_length() + x.denominator.bit_length()
+    return 64
+
+
+ORBIT_BIT_CAP = 8192  # total bits of exact-rational coordinates
+
+
+def _orbit(f: PolyMap, x, n: int, bit_cap):
+    """orbit(f, x, n), cut after the first point whose exact-rational
+    coordinates pass bit_cap bits in all (a quadratic F squares them)."""
     out = []
     z = list(x)
     for _ in range(n + 1):
         out.append((tuple(z), standard_norm_exp(z, f.prime)))
+        if bit_cap < INF and sum(_rat_bits(c) for c in z) > bit_cap:
+            break
         z = f(z)
     return out
+
+
+# --------------------------------------------------------------------------
+# one analysis per map
+# --------------------------------------------------------------------------
+
+
+def _kept(size=INF):
+    """Method decorator: keep the results in the instance, per argument
+    tuple (the size latest); the table holds no reference back to it."""
+    def keep(method):
+        @wraps(method)
+        def kept(self, *key):
+            table = self.__dict__.setdefault("_" + method.__name__, {})
+            value = table.get(key, table)  # one hash of the key on a hit
+            if value is table:
+                if len(table) >= size:
+                    del table[next(iter(table))]  # the oldest
+                value = table[key] = method(self, *key)
+            return value
+        return kept
+    return keep
+
+
+@dataclass(frozen=True)
+class MapAnalysis:
+    """One map F at its fixed point 0, each part built on first use and kept:
+    A = F'(0) and its LinearAnalysis; per adapted norm, the remainder bound
+    and linearization radius; per (point, horizon), the orbit (the ORBITS
+    latest); per threshold a, the stable-graph reduction.  All are pure
+    functions of (f, precision) and the key; the free functions share one
+    interned analysis per map (_map_analysis)."""
+
+    f: PolyMap
+    precision: int = DEFAULT_PRECISION
+    ORBITS = 4
+
+    @cached_property
+    def lin(self):
+        return linear_part(self.f)
+
+    @cached_property
+    def linear(self) -> spectral.LinearAnalysis:
+        return spectral._analysis(self.lin, self.f.prime, self.precision)
+
+    @_kept()
+    def lipschitz(self, norm: AdaptedNorm):
+        """k -> remainder_lipschitz(f, k, norm), with F conjugated into the
+        norm's coordinates once: with T Winv = diag(pi^s) P and its inverse
+        R diag(pi^s') (AdaptedNorm), P F R is conjugated over the base
+        field, and the pi-powers enter as offsets."""
+        (s, pr), (s2, r) = norm._pi_rows, norm._pi_cols
+        ctx = infer_context([pr, r, self.f.components], norm.prime)
+        tables = conjugate(self.f, pr, r, ctx)
+        q = norm.weights
+        # (v(c) + (s_i + sum_l m_l s'_l)/ram + q_i - sum_l m_l q_l, |m|) for
+        # each monomial c x^m of P F R, |m| >= 2
+        terms = [(ctx.val(c) + Fraction(s[i] + sum(ml * s2[l] for l, ml in enumerate(m)), norm.ram)
+                  + q[i] - sum(ml * q[l] for l, ml in enumerate(m)), sum(m))
+                 for i, table in enumerate(tables) for m, c in table.items()
+                 if sum(m) >= 2 and ctx.val(c) != INF]
+        return lambda k: min((base + (deg - 1) * k for base, deg in terms), default=INF)
+
+    @_kept()
+    def radius(self, norm: AdaptedNorm):
+        """(einv, k): ||A^-1|| = p^-einv, and k = linearization_radius(f, norm)."""
+        ctx = infer_context(self.lin, self.f.prime, self.precision)
+        try:
+            ainv = mat_inverse(cmat(self.lin, ctx), ctx)
+        except PreconditionViolated as exc:
+            raise JacobianSingular("derivative at 0 is singular") from exc
+        einv = operator_norm(ainv, self.f.prime, norm)
+        lipschitz = self.lipschitz(norm)
+        return einv, _least_k(lambda k: lipschitz(k) + einv > 0)
+
+    @_kept(ORBITS)
+    def orbit(self, x: tuple, horizon: int):
+        return _orbit(self.f, x, horizon, ORBIT_BIT_CAP)
+
+    @_kept()
+    def stable_graph(self, a):
+        """(gs, restricted base map, ctx) if the a-stable graph gs of order
+        max(6, deg F^2) is an exactly invariant polynomial graph, else None.
+        graph_series zeroes the residual through the order, and its degree
+        order + 1 terms are exact from a composition truncated there (see
+        manifolds._on_graph); only a graph they pass is composed in full."""
+        from . import manifolds  # deferred: manifolds imports this module
+
+        f = self.f
+        try:
+            gs = manifolds.graph_series(f, a, manifolds.STABLE, order=max(6, f.degree() ** 2),
+                                        precision=self.precision)
+        except UltradynError:
+            return None
+        compose, h, ctx = manifolds._on_graph(f, gs)
+        for cap in (gs.order + 1, INF):
+            fb, fc = compose(cap)
+            if any(manifolds._residual_of(fb, fc, h, ctx, cap)):  # zero terms are dropped
+                return None
+        return gs, PolyMap.from_tables(fb, f.prime, len(fb)), ctx
+
+
+# f's MapAnalysis, interned by content (PolyMap hashes by value) for the 16
+# most recent (f, precision); call it with both arguments positional
+_map_analysis = lru_cache(maxsize=16)(MapAnalysis)
 
 
 # --------------------------------------------------------------------------
@@ -400,8 +498,8 @@ def classify_fixed_point(f: PolyMap, pt=None,
         pt = [Fraction(0)] * f.nvars
     pt = [Fraction(x) for x in pt]
     g = shift_to_fixed_point(f, pt)
-    a = linear_part(g)
-    analysis = spectral._analysis(a, p, precision)
+    an = _map_analysis(g, precision)
+    a, analysis = an.lin, an.linear
     spec = analysis.spectrum
     degenerate = any(v == INF for v, _ in spec)
     if degenerate:
@@ -447,30 +545,9 @@ class MembershipVerdict:
     justification: tuple  # human-readable inequality chain
 
 
-def _is_exact_zero_vec(x, ctx):
+def _is_exact_zero_vec(x, p, precision):
+    ctx = infer_context([list(x)], p, precision)
     return all(ctx.zeroness(coerce(c, ctx)) == ZERO for c in x)
-
-
-def _rat_bits(x) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator.bit_length() + x.denominator.bit_length()
-    return 64
-
-
-ORBIT_BIT_CAP = 8192  # total bits of exact-rational coordinates
-
-
-def _bounded_orbit(f: PolyMap, x, horizon: int):
-    """Orbit prefix, stopping early when exact-rational coordinate sizes pass
-    ORBIT_BIT_CAP (quadratic maps square the bit size every step)."""
-    out = []
-    z = list(x)
-    for _ in range(horizon + 1):
-        out.append((standard_norm_exp(z, f.prime), tuple(z)))
-        if sum(_rat_bits(c) for c in z) > ORBIT_BIT_CAP:
-            break
-        z = f(z)
-    return out
 
 
 def _component_exps(norm, a, z):
@@ -514,35 +591,21 @@ def _linear_membership(f, a, x, horizon):
          "step in the adapted norm, so a^-n ||A^n x|| does not tend to 0"))
 
 
-def _try_graph_reduction(f, a, x, horizon, precision):
-    """If the a-stable graph is an exactly invariant polynomial graph and x
-    lies on it, reduce to the restricted map on the base coordinates.
+def _try_graph_reduction(an, a, x, horizon):
+    """If x lies on an's exactly invariant a-stable graph, reduce to the
+    restricted map on the base coordinates."""
+    from . import manifolds
 
-    graph_series makes the residual zero through the order.  Its terms of
-    degree order + 1 are exact from a composition truncated there (see
-    manifolds._on_graph), so a nonzero one proves the graph not invariant
-    and rejects it at once.  Only a graph whose residual is zero through
-    order + 1 is composed untruncated; that composition gives the full
-    residual and the restricted base map."""
-    from . import manifolds  # deferred: manifolds imports this module
-
-    try:
-        gs = manifolds.graph_series(f, a, manifolds.STABLE, order=max(6, f.degree() ** 2),
-                                    precision=precision)
-    except UltradynError:
+    reduction = an.stable_graph(a)
+    if reduction is None:
         return None
-    compose, h, ctx = manifolds._on_graph(f, gs)
-    for cap in (gs.order + 1, INF):
-        fb, fc = compose(cap)
-        if any(manifolds._residual_of(fb, fc, h, ctx, cap)):  # zero terms are dropped
-            return None
-    # exact invariance; is x on the graph?
+    gs, base_map, ctx = reduction
     base_x, comp_x = manifolds.split_point(gs, x)
     hval = manifolds.evaluate_graph(gs, base_x)
     if not all(ctx.zeroness(coerce(cv, ctx) - coerce(hv, ctx)) == ZERO
                for cv, hv in zip(comp_x, hval)):
         return None
-    sub = stable_membership(PolyMap.from_tables(fb, f.prime, len(fb)), a, base_x, horizon)
+    sub = stable_membership(base_map, a, base_x, horizon)
     if sub.verdict != CERTIFIED_MEMBER:
         return None
     just = (
@@ -563,19 +626,18 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
-    ctx0 = infer_context([list(x)], p, precision)
-    if _is_exact_zero_vec(x, ctx0):
+    if _is_exact_zero_vec(x, p, precision):
         return MembershipVerdict(CERTIFIED_MEMBER, (INF,),
                                  ("x is the fixed point itself",))
     if f.is_linear():
         return _linear_membership(f, a, x, horizon)
 
-    lin = linear_part(f)
-    analysis = spectral._analysis(lin, p, precision)
+    an = _map_analysis(f, precision)
+    analysis = an.linear
     spec = analysis.spectrum
     below = all(compare_threshold(a, v, p) == 1 for v, _ in spec)
     above = all(compare_threshold(a, v, p) == -1 for v, _ in spec)
-    pts = [(e, list(z)) for e, z in _bounded_orbit(f, x, horizon)]
+    pts = [(e, list(z)) for z, e in an.orbit(tuple(x), horizon)]
     trace = tuple(e for e, _ in pts)
 
     if below:
@@ -598,14 +660,10 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         # No eigenvalue is 0 here, so A is invertible; inside the
         # linearization ball ||F(z)|| >= p^einv ||z||
         norm = analysis.norm()
-        ctx = infer_context([lin], p, precision)
-        einv = operator_norm(mat_inverse(cmat(lin, ctx), ctx), p, norm)
+        einv, k = an.radius(norm)
         if compare_threshold(a, -einv, p) == -1:  # expansion certified above a
-            lipschitz = _remainder_bound(f, norm)
-            k = _least_k(lambda k: lipschitz(k) + einv > 0)
             for n, (_, z) in enumerate(pts):
-                zc = infer_context([z], p, precision)
-                if _is_exact_zero_vec(z, zc):
+                if _is_exact_zero_vec(z, p, precision):
                     return MembershipVerdict(
                         CERTIFIED_MEMBER, trace,
                         (f"F^{n}(x) = 0 exactly; the orbit is eventually the "
@@ -620,7 +678,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                     )
                     return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
     elif analysis.is_hyperbolic(a):
-        red = _try_graph_reduction(f, a, x, horizon, precision)
+        red = _try_graph_reduction(an, a, x, horizon)
         if red is not None:
             return red
         # dominant-unstable certificate: inside a ball where the remainder's
@@ -629,11 +687,10 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         # propagates exactly and the unstable norm grows by > a each step
         norm = analysis.norm()
         ru = max(v for v, _ in spec if compare_threshold(a, v, p) == -1)
-        lipschitz = _remainder_bound(f, norm)
+        lipschitz = an.lipschitz(norm)
         k = _least_k(lambda k: lipschitz(k) > ru)
         for n, (_, z) in enumerate(pts):
-            zc = infer_context([z], p, precision)
-            if _is_exact_zero_vec(z, zc):
+            if _is_exact_zero_vec(z, p, precision):
                 return MembershipVerdict(
                     CERTIFIED_MEMBER, trace,
                     (f"F^{n}(x) = 0 exactly",))

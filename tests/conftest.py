@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ultradyn import spectral
+from ultradyn import dynamics, spectral
 
 settings.register_profile(
     "suite",
@@ -14,7 +14,8 @@ settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def _fresh_analyses():
-    """Start each test with an empty LinearAnalysis intern, so a test that
-    counts the spectral work done for a matrix does not see an analysis
-    that an earlier test left behind."""
+    """Start each test with empty LinearAnalysis and MapAnalysis interns, so
+    a test that counts the work done for a matrix or a map does not see an
+    analysis that an earlier test left behind."""
     spectral._interned.cache_clear()
+    dynamics._map_analysis.cache_clear()

@@ -61,6 +61,19 @@ def test_shift_rejects_non_fixed_point():
         shift_to_fixed_point(f, [F(3)])
 
 
+def test_shift_to_origin_is_the_map_itself():
+    """At pt = 0 the shift returns F itself, after the same fixed-point
+    check and with the same message when F(0) != 0."""
+    f = bench()
+    assert shift_to_fixed_point(f, [0, F(0)]) is f
+    with pytest.raises(NotAFixedPoint) as exc:
+        shift_to_fixed_point(pmap([{(1,): F(2), (0,): F(3, 2)}], 2), [F(0)])
+    assert str(exc.value) == "F([0]) = [3/2] != [0]"
+    with pytest.raises(NotAFixedPoint) as exc:
+        shift_to_fixed_point(pmap([{(2,): F(1)}], 2), [F(3)])
+    assert str(exc.value) == "F([3]) = [9] != [3]"
+
+
 def test_jacobian_oracle():
     assert jacobian(bench()) == [[F(2), F(0)], [F(0), F(1, 2)]]
 

@@ -9,7 +9,10 @@ inversion of the whole transform; and each finite block's lattice, built
 over the base field as pi-powers times base-field vectors, against a
 reference build with Q_p(pi) arithmetic over the norm's own ring, with no
 ExtElement product or quotient on the way; over Q, the lattices and operator
-norms on plain integers, with no ring product at all."""
+norms on plain integers, with no ring product at all; and one MapAnalysis
+per map, interned by content and bounded, that conjugates F once per norm,
+builds each stable graph once per threshold and each orbit once per point
+and horizon, and whose warm answers equal cold ones."""
 
 import json
 import math
@@ -25,9 +28,9 @@ from hypothesis import strategies as st
 
 from ultradyn import cli, dynamics, manifolds, polyalg, spectral
 from ultradyn.dynamics import PolyMap
-from ultradyn.errors import PreconditionViolated, RankUncertified
-from ultradyn.field import (ExtContext, ExtElement, PadicNumber, RationalContext, _bval,
-                            compare_threshold)
+from ultradyn.errors import PreconditionViolated, RankUncertified, UltradynError
+from ultradyn.field import (DEFAULT_PRECISION, ExtContext, ExtElement, PadicNumber,
+                            RationalContext, _bval, compare_threshold)
 from ultradyn.polyalg import (cmat, cvec, infer_context, kernel_basis, mat_inverse, mat_mul,
                               mat_vec, poly_eval_matrix)
 
@@ -641,6 +644,9 @@ def scan(ok):
 
 
 def test_radius_scans_conjugate_once(monkeypatch):
+    """Each radius search finds the k of a scan, and the map's interned
+    analysis conjugates F once per norm: the linearization radius and
+    every ball that follows share that one conjugation."""
     calls = []
     orig = dynamics.conjugate
     monkeypatch.setattr(dynamics, "conjugate",
@@ -650,7 +656,7 @@ def test_radius_scans_conjugate_once(monkeypatch):
         p = f.prime
         a = dynamics.linear_part(f)
         n = spectral.adapted_norm(a, p)
-        lip = dynamics._remainder_bound(f, n)  # the brute-force scans' bound
+        lip = dynamics.MapAnalysis(f).lipschitz(n)  # the brute-force scans' bound
         ctx = RationalContext(p)
         einv = spectral.operator_norm(mat_inverse(cmat(a, ctx), ctx), p, n)
         op_a = spectral.operator_norm(a, p, n)
@@ -668,7 +674,6 @@ def test_radius_scans_conjugate_once(monkeypatch):
                 (dynamics.CONTRACTING, None, lambda kk: lip(kk) > 0),
                 (dynamics.CONTRACTING, rate, lambda kk: lip(kk) > 0 and compare_threshold(
                     rate, min(op_a, lip(kk)), p) > 0)]:
-            del calls[:]
             try:
                 cert = dynamics.invariant_ball(f, mode, n, rate_below=rate_below)
             except PreconditionViolated:
@@ -746,3 +751,171 @@ def test_invariant_graph_checked_untruncated(composed_caps):
     assert v.verdict == dynamics.CERTIFIED_MEMBER
     assert "untruncated invariance residual == 0" in v.justification[0]
     assert composed_caps[-2:] == [7, INF]
+
+
+# -- one analysis per map -----------------------------------------------------
+
+
+@pytest.fixture
+def conjugations(monkeypatch):
+    """Per-map counts of dynamics.conjugate while the test runs."""
+    calls = Counter()
+    orig = dynamics.conjugate
+
+    def counted(f, *args):
+        calls[f] += 1
+        return orig(f, *args)
+
+    monkeypatch.setattr(dynamics, "conjugate", counted)
+    return calls
+
+
+def test_map_analysis_conjugates_once_per_norm(conjugations):
+    """Classification, the linearization radius and membership at two
+    thresholds below and two above the whole spectrum share one
+    conjugation of F into the norm's coordinates."""
+    for f, x in ((CONTRACTING, [F(4), F(8)]), (EXPANDING, [F(64), F(64)])):
+        dynamics.classify_fixed_point(f)
+        norm = spectral.adapted_norm(dynamics.linear_part(f), 2)
+        dynamics.linearization_radius(f, norm)
+        for a in (F(1, 8), F(1, 16), F(8), F(16)):
+            dynamics.stable_membership(f, a, x)
+    assert conjugations == Counter({CONTRACTING: 1, EXPANDING: 1})
+
+
+def test_stable_graph_built_once_per_threshold(monkeypatch, conjugations):
+    """Points on and off the graph, each asked twice at two thresholds of
+    one gap: one graph_series (and one further conjugation, for the
+    untruncated residual) per (map, a, order)."""
+    calls = Counter()
+    orig = manifolds.graph_series
+
+    def counted(f, a, mode, order=6, precision=None):
+        calls[f, a, mode, order] += 1
+        return orig(f, a, mode, order, precision)
+
+    monkeypatch.setattr(manifolds, "graph_series", counted)
+    monkeypatch.setattr(manifolds, "conjugate", dynamics.conjugate)
+    on, off = [F(1), F(2, 7)], [F(1024), F(1024)]
+    for a in (F(1), F(3, 2), F(1)):
+        for x, verdict in ((on, dynamics.CERTIFIED_MEMBER), (off, dynamics.CERTIFIED_NON_MEMBER),
+                           (on, dynamics.CERTIFIED_MEMBER)):
+            assert dynamics.stable_membership(GAP_MAP, a, x).verdict == verdict
+    assert calls == Counter({(GAP_MAP, F(1), manifolds.STABLE, 6): 1,
+                             (GAP_MAP, F(3, 2), manifolds.STABLE, 6): 1})
+    # graph_series and the residual per threshold, and the dominance
+    # ball's remainder bound once
+    assert conjugations == Counter({GAP_MAP: 2 * 2 + 1})
+
+
+@pytest.fixture
+def orbits(monkeypatch):
+    """Counts of dynamics._orbit per (map, point, horizon)."""
+    calls = Counter()
+    orig = dynamics._orbit
+
+    def counted(f, x, n, bit_cap):
+        calls[f, tuple(x), n] += 1
+        return orig(f, x, n, bit_cap)
+
+    monkeypatch.setattr(dynamics, "_orbit", counted)
+    return calls
+
+
+def test_orbit_built_once_per_point_and_horizon(orbits):
+    for a in (F(1), F(2), F(1)):
+        for x in ([F(4), F(8)], (F(8), F(4))):
+            for horizon in (64, 8):
+                dynamics.stable_membership(CONTRACTING, a, x, horizon)
+    assert len(orbits) == 4 and set(orbits.values()) == {1}
+
+
+def test_orbit_table_is_bounded(orbits):
+    size = dynamics.MapAnalysis.ORBITS
+    points = [[F(4 * (k + 1)), F(8)] for k in range(size + 1)]
+    for x in points:
+        dynamics.stable_membership(CONTRACTING, F(1), x)
+    assert sum(orbits.values()) == size + 1
+    dynamics.stable_membership(CONTRACTING, F(1), points[-1])  # kept
+    assert sum(orbits.values()) == size + 1
+    dynamics.stable_membership(CONTRACTING, F(1), points[0])  # the oldest was dropped
+    assert sum(orbits.values()) == size + 2
+
+
+def test_map_intern_keys_on_content_and_is_bounded():
+    size = dynamics._map_analysis.cache_info().maxsize
+    maps = [PolyMap.from_tables([{(1,): F(2), (2,): F(k + 1)}], p=2) for k in range(size + 1)]
+    norm = spectral.adapted_norm([[F(2)]], 2)
+    for f in maps:
+        dynamics.remainder_lipschitz(f, 1, norm)
+    info = dynamics._map_analysis.cache_info()
+    assert info.currsize == size and info.misses == size + 1
+    dynamics.remainder_lipschitz(maps[0], 1, norm)  # the least recently used was dropped
+    assert dynamics._map_analysis.cache_info().misses == size + 2
+    # an equal map built apart shares the analysis; another precision does not
+    twin = PolyMap.from_tables([{(1,): F(2), (2,): F(size + 1)}], p=2)
+    an = dynamics._map_analysis(maps[-1], DEFAULT_PRECISION)
+    assert twin is not maps[-1] and dynamics._map_analysis(twin, DEFAULT_PRECISION) is an
+    assert dynamics._map_analysis(twin, DEFAULT_PRECISION // 2) is not an
+
+
+def warm_cold_queries(seed):
+    """(name, query) pairs over seeded maps: classification, the
+    linearization radius, each ball mode, and membership of two points at
+    two thresholds inside each gap of the spectrum and outside it, with
+    horizons 64 and 8."""
+    rng = random.Random(seed)
+    queries = []
+    maps = [(GAP_MAP, [[F(1), F(2, 7)], [F(1024), F(1024)]])]  # on and off its graph
+    for i in range(4):
+        p, d = (2, 3, 5)[(seed + i) % 3], 1 + i // 2
+        f = rand_poly_map(rng, p, d, 2, valuations=[(1, 2), (-2, -1, 1, 2)][i % 2],
+                          require_mixed=i == 3)
+        maps.append((f, [[F(rng.randint(1, 9)) * F(p) ** rng.randint(1, 4) for _ in range(d)]
+                         for _ in range(2)]))
+    for i, (f, pts) in enumerate(maps):
+        p, lin = f.prime, dynamics.linear_part(f)
+        vs = sorted({v for v, _ in spectral.spectrum_abs(lin, p)})
+        # a * p^-v1 for a in (2/3, 3/4) lies in the gap below p^-v1
+        thresholds = [F(p) ** -v1 * t for v1 in vs for t in (F(2, 3), F(3, 4))]
+        thresholds += [F(p) ** -vs[0] * t for t in (2, 3)]
+        queries.append((f"classify {i}", lambda f=f: dynamics.classify_fixed_point(f)))
+        queries.append((f"radius {i}", lambda f=f, lin=lin, p=p:
+                        dynamics.linearization_radius(f, spectral.adapted_norm(lin, p))))
+        for mode in (dynamics.INVARIANT, dynamics.ISOMETRIC, dynamics.CONTRACTING):
+            queries.append((f"ball {mode} {i}", lambda f=f, lin=lin, p=p, mode=mode:
+                            dynamics.invariant_ball(f, mode, spectral.adapted_norm(lin, p))))
+        for j, x in enumerate(pts):
+            for k, a in enumerate(thresholds):
+                horizon = (64, 8)[k % 2]
+                queries.append((f"member {i}.{j} {a} {horizon}", lambda f=f, a=a, x=x, h=horizon:
+                                dynamics.stable_membership(f, a, x, h)))
+    return queries
+
+
+def answer(query):
+    try:
+        return query()
+    except UltradynError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_warm_answers_equal_cold(seed):
+    """Every answer through warm interns, in two call orders, equals the
+    answer from empty ones."""
+    queries = warm_cold_queries(seed)
+    cold = {}
+    for name, query in queries:
+        spectral._interned.cache_clear()
+        dynamics._map_analysis.cache_clear()
+        cold[name] = answer(query)
+    rng = random.Random(seed)
+    for _ in range(2):
+        rng.shuffle(queries)
+        warm = {name: answer(query) for name, query in queries}
+        assert warm == cold
+        assert {k: repr(v) for k, v in warm.items()} == {k: repr(v) for k, v in cold.items()}
+    kinds = Counter(type(v).__name__ for v in cold.values())
+    assert kinds["MembershipVerdict"] and kinds["FixedPointReport"] and kinds["int"]
+    assert kinds["BallCertificate"]

@@ -1,6 +1,6 @@
 """Source hygiene: no dead private helpers in the library, one place that
-builds a LinearAnalysis, and every name the benchmark's tracer rebinds
-still resolves."""
+builds a LinearAnalysis and one that builds a MapAnalysis, and every name
+the benchmark's tracer rebinds still resolves."""
 
 import ast
 import importlib
@@ -48,6 +48,23 @@ def test_analysis_built_only_by_the_intern():
                       and "LinearAnalysis" in (getattr(node.func, "id", None),
                                                getattr(node.func, "attr", None))]
     assert sites == [("spectral.py", "_interned")], sites
+
+
+def test_map_analysis_built_only_by_the_intern():
+    """MapAnalysis is named only where dynamics._map_analysis wraps it in
+    its LRU cache, and called nowhere: every entry point takes the interned
+    analysis of its map."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and top.name == "MapAnalysis":
+                continue
+            name = getattr(top, "name", None) or next(
+                (t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)), None)
+            sites += [(path.name, name) for node in ast.walk(top)
+                      if "MapAnalysis" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert sites == [("dynamics.py", "_map_analysis")], sites
 
 
 def test_traced_names_resolve():
