@@ -21,7 +21,7 @@ from .errors import (
     UltradynError,
 )
 from .field import DEFAULT_PRECISION, NONZERO, ZERO, compare_threshold
-from .polyalg import cmat, coerce, cvec, infer_context, mat_inverse, mat_vec
+from .polyalg import _hash_once, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec
 from . import spectral
 from .spectral import AdaptedNorm, operator_norm, splitting_at
 
@@ -101,6 +101,8 @@ class PolyMap:
     prime: int
     nvars: int
     components: tuple
+
+    __hash__ = _hash_once
 
     @classmethod
     def from_tables(cls, tables, p: int, nvars: int = None) -> "PolyMap":

@@ -11,7 +11,7 @@ return the same Fractions; over Q_p and Q_p(pi) they keep the ring path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, gcd, inf as INF, lcm, prod
 from operator import mul
@@ -90,6 +90,14 @@ def cmat(rows, ctx):
 
 def cvec(v, ctx):
     return [coerce(x, ctx) for x in v]
+
+
+def _hash_once(self):
+    """__hash__ of a frozen dataclass: its field hash, computed on first use
+    and kept in the instance, outside == and repr()."""
+    if "_hash" not in self.__dict__:
+        self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+    return self.__dict__["_hash"]
 
 
 # --------------------------------------------------------------------------

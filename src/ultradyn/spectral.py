@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb, inf as INF, isqrt, lcm
 from operator import mul
 
@@ -29,6 +29,7 @@ from .field import (
 from .polyalg import (
     Polynomial,
     _dot,
+    _hash_once,
     charpoly,
     cmat,
     coerce,
@@ -226,21 +227,40 @@ def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
 # --------------------------------------------------------------------------
 
 
+def _zimage(den, zm, v):
+    """M v over Q from the integer zm = D M, D = den: (D M)(E v) over D E,
+    E the lcm of the denominators of v."""
+    e, zv = _zscale(v)
+    return [Fraction(sum(map(mul, row, zv)), den * e) for row in zm]
+
+
 def _restrict(m, basis, ctx):
     """Matrix of m on span(basis) in the coordinates of basis: one solve of
-    the basis matrix, with every image as a right-hand side."""
-    vs, mc = cmat(basis, ctx), cmat(m, ctx)
-    return solve([list(r) for r in zip(*vs)],
-                 [list(r) for r in zip(*(mat_vec(mc, v) for v in vs))], ctx)
+    the basis matrix, with every image as a right-hand side (over Q, each
+    from one integer product)."""
+    vs = cmat(basis, ctx)
+    image = (partial(_zimage, *_zmat(m)) if isinstance(ctx, RationalContext)
+             else partial(mat_vec, cmat(m, ctx)))
+    return solve([list(r) for r in zip(*vs)], [list(r) for r in zip(*map(image, vs))], ctx)
 
 
 def _nilpotent_chains(n, ctx):
     """Jordan chain starters for a nilpotent matrix; returns a basis as
-    chains [v_0, ..., v_{l-1}] with N v_k = v_{k-1} (v_0 in ker N)."""
+    chains [v_0, ..., v_{l-1}] with N v_k = v_{k-1} (v_0 in ker N).  Over Q
+    the powers are those of the integer D N, D the lcm of the denominators of
+    N: (D N)^i has the kernel of N^i, and N^i v is _zimage(D^i, (D N)^i, v)."""
     d = len(n)
-    powers = [identity(d, ctx)]
-    for _ in range(d):
-        powers.append(mat_mul(n, powers[-1]))
+    if isinstance(ctx, RationalContext):
+        den, zn = _zmat(n)
+        powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
+        for _ in range(d):
+            powers.append([[sum(map(mul, row, c)) for c in zip(*powers[-1])] for row in zn])
+        image = lambda i, v: _zimage(den**i, powers[i], v)
+    else:
+        powers = [identity(d, ctx)]
+        for _ in range(d):
+            powers.append(mat_mul(n, powers[-1]))
+        image = lambda i, v: mat_vec(powers[i], v)
     s = next(i for i in range(d + 1) if all(
         ctx.zeroness(x) != NONZERO for row in powers[i] for x in row))
     kernels = [kernel_basis(powers[i], ctx.p, ctx=ctx) if i else [] for i in range(s + 1)]
@@ -257,16 +277,13 @@ def _nilpotent_chains(n, ctx):
         base = [list(v) for v in kernels[i - 1]]
         for v, l in starters:
             if l > i:
-                base.append(mat_vec(powers[l - i], list(v)))
+                base.append(image(l - i, list(v)))
         reduced = base
         for v in kernels[i]:
             if independent(v):
                 starters.append((list(v), i))
                 reduced.append(list(v))
-    chains = []
-    for v, l in starters:
-        chains.append([mat_vec(powers[l - 1 - k], v) for k in range(l)])
-    return chains
+    return [[image(l - 1 - k, v) for k in range(l)] for v, l in starters]
 
 
 def _pi_power(x, k, p, ram):
@@ -278,14 +295,15 @@ def _pi_power(x, k, p, ram):
     return ExtElement(p, ram, tuple(coeffs))
 
 
-def _pi_split(rows, p):
+def _pi_split(rows):
     """(s, base) with row i of rows equal to pi^(s_i) base[i], base over the
     base field: the entries of a row are base-field values or ExtElements
     with one common nonzero pi-slot, as adapted_norm builds them."""
     exps, base = [], []
     for row in rows:
         xs = [x.coeffs if isinstance(x, ExtElement) else (x,) for x in row]
-        slots = {j for c in xs for j, y in enumerate(c) if _bval(y, p) != INF} or {0}
+        slots = {j for c in xs for j, y in enumerate(c)
+                 if (y.val != INF if isinstance(y, PadicNumber) else y != 0)} or {0}
         if len(slots) > 1:
             raise PreconditionViolated("a transform row is not one pi-power")
         exps.append(slots.pop())
@@ -311,12 +329,15 @@ class AdaptedNorm:
     pi^ram = p; adapted_norm builds each row of a block's t, and each column
     of its tinv, as one pi-power times a base-field vector, so
     v((T Winv x)_i) = v(row_i . x) + s_i/ram with row_i over the base field.
-    The rows are built on first use and then kept (outside repr() and ==);
-    adapted_norm(m, p) returns one interned norm per matrix and eps.
-    Queries over Q run on integers: when every row_i is rational, norm_exp
-    takes p-adic valuations of integer dot products, and operator_norm one
-    integer product of the rows, M and the columns of (T Winv)^-1; a
-    PadicNumber in them, in x or in M keeps the ring arithmetic.
+    The rows are built on first use and then kept (outside repr() and ==),
+    as is the hash; adapted_norm(m, p) returns one interned norm per matrix
+    and eps.  Over Q the norm is built on integers (block restrictions,
+    Jordan chains, and _zrows and _zcols straight from T_0, Winv, W and
+    T'_0), and norm_exp takes p-adic valuations of integer dot products and
+    operator_norm one integer product; a PadicNumber in the norm, in x or in
+    M keeps the ring arithmetic.  The base-field T_0 Winv (_pi_rows) and
+    W T'_0 (_pi_cols) are built only for transform(), that ring path and the
+    remainder bounds of dynamics.
     """
 
     prime: int
@@ -326,14 +347,16 @@ class AdaptedNorm:
     blocks: tuple  # NormBlocks in stacking order
     eps_exp: object = None  # nilpotent contraction exponent j, if any
 
+    __hash__ = _hash_once
+
     @cached_property
     def _pi_blocks(self):
         """(s, T_0, s', T'_0) for each block: t = diag(pi^s) T_0 and
         tinv = T'_0 diag(pi^s'), with T_0 and T'_0 over the base field."""
         out = []
         for b in self.blocks:
-            s2, cols = _pi_split(zip(*b.tinv), self.prime)
-            out.append((*_pi_split(b.t, self.prime), s2, [list(r) for r in zip(*cols)]))
+            s2, cols = _pi_split(zip(*b.tinv))
+            out.append((*_pi_split(b.t), s2, [list(r) for r in zip(*cols)]))
         return out
 
     @cached_property
@@ -368,29 +391,36 @@ class AdaptedNorm:
     def weights(self):
         return [q for b in self.blocks for q in b.weights]
 
-    def _zscaled(self, s, vecs, sign):
-        """Over Q, (D v_i, s_i + ram (sign q_i - v(D))) for each base-field
-        vector v_i of vecs, D the lcm of its denominators; None when one holds
-        a PadicNumber.  The offset is an int, since the weights q_i are."""
+    def _zproducts(self, y, blocks, sign):
+        """Over Q, (z_i, s_i + ram (sign q_i - v(E_i D))) for each vector u_i
+        of blocks, (s, vectors) over consecutive row spans y_b of y, with
+        z_i = (E_i u_i)(D y_b) the integer form of u_i y_b, and E_i and D the
+        lcms of the denominators of u_i and of y.  None if one is p-adic."""
         p, ram = self.prime, self.ram
-        if not isinstance(infer_context(vecs, p), RationalContext):
+        if any(isinstance(x, PadicNumber) for v in (*y, *(u for _, us in blocks for u in us))
+               for x in v):
             return None
-        out = []
-        for si, v, q in zip(s, vecs, self.weights):
-            den, zv = _zscale(list(v))
-            out.append((zv, si + sign * int(q * ram) - ram * _ival(den, p)))
+        dy, zy = _zmat(y)
+        out, off, qs = [], 0, iter(self.weights)
+        for s, us in blocks:
+            cols = list(zip(*zy[off:off + len(s)]))
+            off += len(s)
+            for si, u in zip(s, us):
+                den, zu = _zscale(u)
+                out.append(([sum(map(mul, zu, c)) for c in cols],
+                            si + sign * int(next(qs) * ram) - ram * _ival(den * dy, p)))
         return out
 
     @cached_property
     def _zrows(self):
-        """_zscaled of the rows of T_0 Winv (_pi_rows), with +q_i."""
-        return self._zscaled(*self._pi_rows, 1)
+        """Integer rows of T_0 Winv (_zproducts, with +q_i), without _pi_rows."""
+        return self._zproducts(self.winv, [(s, t0) for s, t0, _, _ in self._pi_blocks], 1)
 
     @cached_property
     def _zcols(self):
-        """_zscaled of the columns of W T'_0 (_pi_cols), with -q_j."""
-        s, rows = self._pi_cols
-        return self._zscaled(s, list(zip(*rows)), -1)
+        """Integer columns of W T'_0 (_zproducts, with -q_j), without _pi_cols."""
+        return self._zproducts(list(zip(*self.w)),
+                               [(s, list(zip(*t))) for _, _, s, t in self._pi_blocks], -1)
 
     def _zcoords(self, x):
         """Over Q, (u, s) with v((T Winv x)_i) + q_i = (u_i - s)/ram (u_i INF

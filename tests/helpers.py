@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, inf as INF
+from math import gcd, inf as INF, lcm
 
 from ultradyn.errors import PreconditionViolated, RankUncertified
 from ultradyn.polyalg import _dot, cmat, mat_inverse, mat_mul, mat_vec, solve
-from ultradyn.field import NONZERO, UNCERTAIN, ZERO, ExtContext, RationalContext
+from ultradyn.field import (NONZERO, UNCERTAIN, ZERO, ExtContext, RationalContext,
+                           valuation_of_rational)
 from ultradyn.dynamics import PolyMap
 
 
@@ -296,3 +297,41 @@ def ext_operator_norm(x, n):
     q = n.weights
     return min((ctx.val(y) + q[i] - q[j] for i, row in enumerate(a)
                 for j, y in enumerate(row) if ctx.val(y) != INF), default=INF)
+
+
+def reference_restrict(m, basis):
+    """Matrix of the rational m on span(basis) in the coordinates of basis:
+    every image M v by Fraction mat_vec, then one Fraction Gauss-Jordan of
+    [basis | images] (fraction_row_reduce)."""
+    vs = [[Fraction(c) for c in v] for v in basis]
+    images = [mat_vec([[Fraction(c) for c in row] for row in m], v) for v in vs]
+    _, pivots, rhs = fraction_row_reduce([list(r) for r in zip(*vs)],
+                                         [list(r) for r in zip(*images)])
+    assert len(pivots) == len(vs) and not any(x for r in rhs[len(pivots):] for x in r)
+    return rhs[:len(pivots)]
+
+
+def _reference_zscaled(n, s, vecs, sign):
+    """(D v_i, s_i + ram (sign q_i - v(D))) for each base-field Fraction
+    vector v_i of vecs, D the lcm of its denominators."""
+    out = []
+    for si, v, q in zip(s, vecs, n.weights):
+        den = lcm(*(Fraction(x).denominator for x in v))
+        out.append(([int(x * den) for x in v],
+                    si + sign * int(q * n.ram) - n.ram * valuation_of_rational(den, n.prime)))
+    return out
+
+
+def reference_zrows(n):
+    """The integer rows of a rational adapted norm n, each row_i of the
+    Fraction product T_0 Winv (AdaptedNorm._pi_rows) scaled by the lcm D_i
+    of its denominators: v(row_i . x) + s_i/ram + q_i equals
+    (ram v(D_i row_i . x) + offset_i)/ram."""
+    return _reference_zscaled(n, *n._pi_rows, 1)
+
+
+def reference_zcols(n):
+    """The integer columns of n scaled back from the Fraction product
+    W T'_0 (AdaptedNorm._pi_cols), with offsets -q_j."""
+    s, rows = n._pi_cols
+    return _reference_zscaled(n, s, list(zip(*rows)), -1)

@@ -1,5 +1,6 @@
 """Reuse of spectral work: one LinearAnalysis per matrix, interned by
-content and bounded across calls, one T Winv per adapted norm, one
+content and bounded across calls, no Fraction T Winv for a rational adapted
+norm and one for a p-adic one, one
 conjugation per radius search (which finds the same k as a scan) and two
 per graph reduction, which composes a non-invariant graph
 only up to its first nonzero residual degree; exactness of the
@@ -8,11 +9,12 @@ per-pi-power norm_exp kernel against the ExtContext product;
 inversion of the whole transform; and each finite block's lattice, built
 over the base field as pi-powers times base-field vectors, against a
 reference build with Q_p(pi) arithmetic over the norm's own ring, with no
-ExtElement product or quotient on the way; over Q, the lattices and operator
-norms on plain integers, with no ring product at all; and one MapAnalysis
-per map, interned by content and bounded, that conjugates F once per norm,
-builds each stable graph once per threshold and each orbit once per point
-and horizon, and whose warm answers equal cold ones."""
+ExtElement product or quotient on the way; over Q, the whole norm build and
+its queries on plain integers, with no ring product at all; and one
+MapAnalysis per map, interned by content and bounded, that conjugates F once
+per norm, builds each stable graph once per threshold and each orbit once
+per point and horizon, and whose warm answers equal cold ones; norms and
+maps hash once, by content."""
 
 import json
 import math
@@ -348,46 +350,51 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
 
 
 def test_rational_lattices_and_operator_norms_take_no_ring_products(monkeypatch):
-    """Over Q, invariant_unit_lattice and operator_norm (given the norm's
-    integer rows and columns, built once per norm) run on plain integers:
-    they call none of the ring helpers mat_vec, mat_mul and _dot, so a
-    silent fallback to Fraction products fails.  A block or a norm holding
+    """Over Q the whole adapted-norm build from the spectral data (block
+    restrictions, Jordan chains, lattices, the integer rows and columns)
+    and its queries norm_exp and operator_norm run on plain integers: they
+    call none of the ring helpers mat_vec, mat_mul and _dot, so a silent
+    fallback to Fraction products fails.  A block or a norm holding
     PadicNumbers keeps the ring path, and the spy sees it."""
     cases = [(3, conjugated(random.Random(5), [int_block(3, 1, 2), int_block(3, -1, 1),
                                               nilp_block(2)])),
              (5, conjugated(random.Random(6), [frac_block(5, 1, 2), frac_block(5, 2, 3),
                                               int_block(5, 1, 1)])),
              (3, block_diag([companion([3, 1, 1]), [[F(9)]]]))]
-    runs = []  # (p, m, norm, [(rho, restriction, rational)])
+    runs = []  # (p, m, spectral data, [(rho, restriction, rational)], query vectors)
+    rng = random.Random(4)
     for p, m in cases:
-        an = spectral.LinearAnalysis(m, p)
-        n = an.norm()
-        assert (n._zrows is None) == (n._zcols is None)  # built once, outside the spy
+        data = spectral.spectral_data(m, p)
         rests = []
-        for b in an.data.blocks:
+        for b in data.blocks:
             if b.rho != INF:
                 basis = [list(v) for v in b.basis]
                 rests.append((b.rho, spectral._restrict(m, basis, infer_context([m] + basis, p)),
                               all(isinstance(c, F) for v in basis for c in v)))
-        runs.append((p, m, n, rests))
+        runs.append((p, m, data, rests, [rand_vector(rng, p, len(m)) for _ in range(3)]))
     calls = []
     for module in (polyalg, spectral):
         for name in ("mat_vec", "mat_mul", "_dot"):
             f = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
     kinds = Counter()
-    for p, m, n, rests in runs:
+    for p, m, data, rests, xs in runs:
         for rho, rest, rational in rests:
             calls.clear()
             spectral.invariant_unit_lattice(rest, p, rho)
             assert bool(calls) != rational, (m, rho)
             kinds["lattice", rational] += 1
         calls.clear()
+        n = spectral.adapted_norm(m, p, data=data)
+        for x in xs:
+            n.norm_exp(x)
         spectral.operator_norm(m, p, n)
         rational = n._zrows is not None
+        assert rational == all(isinstance(c, F) for v in n.w for c in v)
         assert bool(calls) != rational, m
-        kinds["operator_norm", rational] += 1
-    assert set(kinds) == {(f, r) for f in ("lattice", "operator_norm") for r in (True, False)}
+        kinds["norm", rational] += 1
+    assert kinds[("norm", True)] == 2
+    assert set(kinds) == {(f, r) for f in ("lattice", "norm") for r in (True, False)}
 
 
 @pytest.mark.parametrize("p,blocks", [
@@ -569,10 +576,13 @@ def test_splitting_built_once_per_threshold(monkeypatch):
     assert spectral.splitting_at(INTEGRAL, 3, F(1)) is other and len(inversions) == 1
 
 
-# -- one T Winv per norm -------------------------------------------------------
+# -- T Winv over the base field only where a query needs it ------------------
 
 
 def test_transform_built_once_per_norm(monkeypatch):
+    """A rational norm answers norm_exp and operator_norm from its integer
+    rows and columns and never builds the Fraction T_0 Winv (_pi_rows); a
+    norm with p-adic rows builds it once, on its first query."""
     builds = []
     orig = spectral.AdaptedNorm.__dict__["_pi_rows"].func
 
@@ -588,15 +598,17 @@ def test_transform_built_once_per_norm(monkeypatch):
     monkeypatch.setattr(spectral.AdaptedNorm, "transform",
                         lambda self, ctx=None: transforms.append(1) or orig_transform(self, ctx))
     rng = random.Random(7)
-    m = conjugated(rng, [frac_block(3, 1, 3), int_block(3, 0, 2)])
-    n = spectral.adapted_norm(m, 3)
-    assert builds == []  # nothing is built before the first query
-    for _ in range(50):
-        n.norm_exp(rand_vector(rng, 3, 5))
-    assert len(builds) == 1
+    rational = conjugated(rng, [frac_block(3, 1, 3), int_block(3, 0, 2)])
+    padic = block_diag([companion([3, 1, 1]), [[F(9)]]])
+    for m, want in ((rational, 0), (padic, 1)):
+        n = spectral.LinearAnalysis(m, 3).norm()
+        assert builds == []  # nothing is built before the first query
+        for _ in range(50):
+            n.norm_exp(rand_vector(rng, 3, len(m)))
+        spectral.operator_norm(m, 3, n)
+        assert len(builds) == want
+        builds.clear()
     assert not transforms  # norm_exp never rebuilds the ExtElement matrix
-    spectral.operator_norm(m, 3, n)
-    assert len(builds) == 1
 
 
 def test_norm_repr_and_eq_unchanged_by_queries():
@@ -857,6 +869,32 @@ def test_map_intern_keys_on_content_and_is_bounded():
     an = dynamics._map_analysis(maps[-1], DEFAULT_PRECISION)
     assert twin is not maps[-1] and dynamics._map_analysis(twin, DEFAULT_PRECISION) is an
     assert dynamics._map_analysis(twin, DEFAULT_PRECISION // 2) is not an
+
+
+def test_norms_and_maps_hash_once_by_content(monkeypatch):
+    """An AdaptedNorm and a PolyMap hash their fields once, on first use:
+    an equal norm or map built apart still hashes and compares equal and
+    shares one intern entry, and the kept hash shows in neither == nor
+    repr()."""
+    tables = [{(1, 0): F(3), (0, 2): F(1)}, {(0, 1): F(1, 3), (1, 1): F(2)}]
+    f, twin = PolyMap.from_tables(tables, p=3), PolyMap.from_tables(tables, p=3)
+    lin = dynamics.linear_part(f)
+    n, twin_n = spectral.LinearAnalysis(lin, 3).norm(), spectral.LinearAnalysis(lin, 3).norm()
+    assert n is not twin_n and twin is not f
+    want = hash((n.prime, n.ram, n.winv, n.w, n.blocks, n.eps_exp))
+    block_hashes = []
+    orig = spectral.NormBlock.__hash__
+    monkeypatch.setattr(spectral.NormBlock, "__hash__",
+                        lambda b: block_hashes.append(b) or orig(b))
+    assert [hash(n) for _ in range(3)] == [want] * 3
+    assert len(block_hashes) == len(n.blocks)  # the fields are hashed once
+    assert hash(f) == hash((f.prime, f.nvars, f.components))
+    assert hash(n) == hash(twin_n) and n == twin_n and repr(n) == repr(twin_n)
+    assert hash(f) == hash(twin) and f == twin and repr(f) == repr(twin)
+    an = dynamics._map_analysis(f, DEFAULT_PRECISION)
+    assert dynamics._map_analysis(twin, DEFAULT_PRECISION) is an
+    assert an.lipschitz(twin_n) is an.lipschitz(n)
+    assert len(vars(an)["_lipschitz"]) == 1
 
 
 def warm_cold_queries(seed):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ultradyn import spectral
 from ultradyn.errors import PreconditionViolated
-from ultradyn.field import ExtContext, PadicNumber, RationalContext, compare_threshold
+from ultradyn.field import (ExtContext, PadicNumber, RationalContext, compare_threshold,
+                           valuation_of_rational)
 from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cmat, cvec, mat_inverse, mat_vec
 from ultradyn.spectral import (
     _rational_factors,
@@ -25,7 +26,8 @@ from ultradyn.spectral import (
 )
 
 from helpers import (ONE_BAND, conjugated_companion, ext_operator_norm, rand_conjugated,
-                     rand_vector, residual_in_span)
+                     rand_vector, reference_restrict, reference_zcols, reference_zrows,
+                     residual_in_span)
 
 F = Fraction
 
@@ -288,6 +290,38 @@ def test_operator_norm_matches_ext_oracle(monkeypatch):
         got = spectral.operator_norm(x, p, n)
         assert not zpath
         assert got == ext_operator_norm(x, n) and type(got) is F
+
+
+def _unit_exps(zvecs, ram, p, x):
+    """ram v(z . x) + offset for each integer vector z and offset of zvecs."""
+    out = []
+    for z, off in zvecs:
+        t = sum(a * b for a, b in zip(z, x))
+        out.append(ram * valuation_of_rational(t, p) + off if t else INF)
+    return out
+
+
+def test_integer_norm_parts_match_fraction_references():
+    """Every NORM_DRAWS entry, as drawn and rescaled, against the Fraction
+    references of tests/helpers.py: each block restriction equals the
+    mat_vec reference exactly, and each integer row and column of the norm,
+    built from integer products of T_0 and Winv (of W and T'_0), gives the
+    same v(row_i . x) + offset as the scaled Fraction products T_0 Winv
+    (W T'_0), on every unit vector and on random rational x."""
+    for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
+        m, p, n, _ = _drawn_norm(*key)
+        d, ctx = len(m), RationalContext(p)
+        for b in spectral_data(m, p).blocks:
+            basis = [list(v) for v in b.basis]
+            assert spectral._restrict(m, basis, ctx) == reference_restrict(m, basis), key
+        rng = random.Random(repr(key))
+        xs = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+        xs += [[F(rng.randint(-60, 60), rng.choice([1, p, p**3, 7])) for _ in range(d)]
+               for _ in range(10)]
+        for got, want in ((n._zrows, reference_zrows(n)), (n._zcols, reference_zcols(n))):
+            assert len(got) == len(want) == d
+            for x in xs:
+                assert _unit_exps(got, n.ram, p, x) == _unit_exps(want, n.ram, p, x), (key, x)
 
 
 # -- non-hyperbolicity witness ----------------------------------------------
