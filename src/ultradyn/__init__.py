@@ -14,8 +14,6 @@ from .errors import (
 )
 from .field import (
     DEFAULT_PRECISION,
-    ExtContext,
-    ExtElement,
     PadicContext,
     PadicNumber,
     RationalContext,

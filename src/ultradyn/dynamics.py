@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from math import inf as INF
 
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     UltradynError,
 )
 from .field import DEFAULT_PRECISION, NONZERO, ZERO, compare_threshold
-from .polyalg import _hash_once, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec
+from .polyalg import _hash_once, _kept, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec
 from . import spectral
 from .spectral import AdaptedNorm, operator_norm, splitting_at
 
@@ -366,23 +366,6 @@ def _orbit(f: PolyMap, x, n: int, bit_cap):
 # --------------------------------------------------------------------------
 # one analysis per map
 # --------------------------------------------------------------------------
-
-
-def _kept(size=INF):
-    """Method decorator: keep the results in the instance, per argument
-    tuple (the size latest); the table holds no reference back to it."""
-    def keep(method):
-        @wraps(method)
-        def kept(self, *key):
-            table = self.__dict__.setdefault("_" + method.__name__, {})
-            value = table.get(key, table)  # one hash of the key on a hit
-            if value is table:
-                if len(table) >= size:
-                    del table[next(iter(table))]  # the oldest
-                value = table[key] = method(self, *key)
-            return value
-        return kept
-    return keep
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Ground-field arithmetic: exact rationals with p-adic valuation, capped
-precision p-adic numbers, and totally ramified Eisenstein extensions pi^e = p.
+"""Ground-field arithmetic: exact rationals with p-adic valuation and capped
+precision p-adic numbers, and a print-only record (ExtElement) of values of
+the totally ramified Eisenstein extensions pi^e = p.
 
 Valuations are Fractions (math.inf for exact zero).  Absolute values are
 never materialised as floats; all order comparisons against a rational
@@ -269,7 +270,7 @@ class PadicNumber:
 
 
 # --------------------------------------------------------------------------
-# Eisenstein extensions pi^e = p
+# base-field valuations and zeroness; Eisenstein extension records pi^e = p
 # --------------------------------------------------------------------------
 
 
@@ -291,106 +292,14 @@ def _bzeroness(c, threshold):
 
 @dataclass(frozen=True)
 class ExtElement:
-    """Element of Q_p(pi), pi^ram = p: a polynomial in pi of degree < ram.
-
-    Coefficients are exact Fractions or capped PadicNumbers; the value group
-    is (1/ram) Z.
-    """
+    """A value of Q_p(pi), pi^ram = p, as the coefficients of 1, pi, ...,
+    pi^(ram-1): exact Fractions or capped PadicNumbers.  A record for repr()
+    and the CLI, with no arithmetic: the library reads each adapted norm as
+    pi-exponents and base-field rows instead."""
 
     prime: int
     ram: int
     coeffs: tuple
-
-    @classmethod
-    def from_base(cls, c, p: int, ram: int) -> "ExtElement":
-        """c in Q_p(pi); the pi-slots are exact zeros of c's own ring, as
-        lift_ram gives them."""
-        return cls(p, 1, (Fraction(c) if isinstance(c, int) else c,)).lift_ram(ram)
-
-    @classmethod
-    def pi(cls, p: int, ram: int, k: int = 1) -> "ExtElement":
-        """pi^k for any integer k (negative powers use pi^{-1} = pi^{e-1}/p)."""
-        q, r = divmod(k, ram)
-        coeffs = [Fraction(0)] * ram
-        coeffs[r] = Fraction(p) ** q
-        return cls(p, ram, tuple(coeffs))
-
-    def _check(self, other):
-        if (self.prime, self.ram) != (other.prime, other.ram):
-            raise PreconditionViolated("extension context mismatch")
-
-    def lift_ram(self, new_ram: int) -> "ExtElement":
-        """Re-express in a larger extension; new_ram must be a multiple.  The
-        new pi-slots are exact zeros of the element's own coefficient ring, as
-        arithmetic in the larger extension would give them."""
-        if new_ram % self.ram:
-            raise PreconditionViolated("ramification indices incompatible")
-        k = new_ram // self.ram
-        padic = any(isinstance(c, PadicNumber) for c in self.coeffs)
-        coeffs = [PadicNumber.zero(self.prime) if padic else Fraction(0)] * new_ram
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * k] = c
-        return ExtElement(self.prime, new_ram, tuple(coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        self._check(other)
-        return ExtElement(self.prime, self.ram,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return ExtElement(self.prime, self.ram, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        self._check(other)
-        p, e = self.prime, self.ram
-        acc = [Fraction(0)] * e
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                term, k = a * b, i + j
-                if k >= e:  # pi^e = p
-                    term, k = term * p, k - e
-                acc[k] = acc[k] + term
-        return ExtElement(p, e, tuple(acc))
-
-    def __truediv__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        self._check(other)
-        # solve (mult-by-other) y = self in the power basis of pi
-        from . import polyalg  # local import to avoid a cycle
-
-        p, e = self.prime, self.ram
-        zs = [_bzeroness(c, INF) for c in other.coeffs]
-        if NONZERO not in zs:
-            if UNCERTAIN in zs:
-                raise PrecisionExhausted("division by a value of unknown valuation")
-            raise DivisionByZero("division by exact zero in extension")
-        # column j is other * pi^j: its coefficients shifted down j slots,
-        # the ones that wrap past pi^(e-1) times pi^e = p
-        b = other.coeffs
-        mat = [[b[i - j] if i >= j else b[i - j] * p for j in range(e)] for i in range(e)]
-        ctx = polyalg.infer_context([mat, list(self.coeffs)], p)
-        sol = polyalg.solve(polyalg.cmat(mat, ctx),
-                            [[polyalg.coerce(c, ctx)] for c in self.coeffs], ctx)
-        return ExtElement(p, e, tuple(x for x, in sol))
-
-    def valuation(self):
-        """Exact valuation in (1/ram)Z; distinct pi-powers cannot collide."""
-        best = INF
-        for i, c in enumerate(self.coeffs):
-            v = _bval(c, self.prime)
-            if v != INF:
-                best = min(best, v + Fraction(i, self.ram))
-        return best
 
     def __repr__(self):
         return f"Ext(p={self.prime},e={self.ram},{list(self.coeffs)})"
@@ -411,7 +320,7 @@ class RationalContext:
     one = Fraction(1)
 
     def from_rational(self, q):
-        return Fraction(q)
+        return q if type(q) is Fraction else Fraction(q)  # no copy of a Fraction
 
     def val(self, x):
         return valuation_of_rational(x, self.p)
@@ -436,28 +345,3 @@ class PadicContext:
 
     def zeroness(self, x):
         return _bzeroness(x, self.precision)
-
-
-class ExtContext:
-    def __init__(self, p: int, ram: int, precision: int = DEFAULT_PRECISION):
-        self.p = p
-        self.ram = ram
-        self.precision = precision
-        self.zero = ExtElement.from_base(Fraction(0), p, ram)
-        self.one = ExtElement.from_base(Fraction(1), p, ram)
-
-    def from_rational(self, q):
-        return ExtElement.from_base(Fraction(q), self.p, self.ram)
-
-    def val(self, x):
-        return x.valuation()
-
-    def zeroness(self, x):
-        verdict = ZERO
-        for c in x.coeffs:
-            z = _bzeroness(c, self.precision)
-            if z == NONZERO:
-                return NONZERO
-            if z == UNCERTAIN:
-                verdict = UNCERTAIN
-        return verdict

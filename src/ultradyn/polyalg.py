@@ -1,18 +1,19 @@
 """Exact polynomial and matrix algebra over Q and Q_p.
 
-Matrices are lists of rows; vectors are lists.  Entries are Fractions,
-PadicNumbers or ExtElements, held in a ring context
-(field.RationalContext / PadicContext / ExtContext).  Over Q_p and Q_p(pi)
-elimination and the charpoly pivot by least valuation, which keeps the
-precision.  Over Q, whose answers do not depend on the pivot order,
-row_reduce, charpoly and invariant_unit_lattice run on plain integers and
-return the same Fractions; over Q_p and Q_p(pi) they keep the ring path.
+Matrices are lists of rows; vectors are lists.  Entries are Fractions or
+PadicNumbers, held in a ring context (field.RationalContext /
+PadicContext).  Over Q_p elimination and the charpoly pivot by least
+valuation, which keeps the precision.  Over Q, whose answers do not depend
+on the pivot order, row_reduce, charpoly and invariant_unit_lattice run on
+plain integers and return the same Fractions; over Q_p they keep the ring
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import wraps
 from math import ceil, gcd, inf as INF, lcm, prod
 from operator import mul
 
@@ -26,8 +27,6 @@ from .field import (
     NONZERO,
     UNCERTAIN,
     ZERO,
-    ExtContext,
-    ExtElement,
     PadicContext,
     PadicNumber,
     RationalContext,
@@ -42,46 +41,21 @@ from .field import (
 # --------------------------------------------------------------------------
 
 
-def _scan(obj):
-    if isinstance(obj, (list, tuple)):
-        for x in obj:
-            yield from _scan(x)
-    else:
-        yield obj
-
-
 def infer_context(data, p: int, precision: int | None = None):
-    """Pick the weakest ring context able to hold every entry of *data*."""
-    ram = 1
-    has_padic = False
-    has_ext = False
-    prec = precision or DEFAULT_PRECISION
-    for x in _scan(data):
-        if isinstance(x, ExtElement):
-            has_ext = True
-            ram = max(ram, x.ram)
+    """PadicContext if any entry of the nested lists and tuples of *data* is
+    a PadicNumber, else RationalContext."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple)):
+            stack.extend(x)
         elif isinstance(x, PadicNumber):
-            has_padic = True
-    if has_ext:
-        return ExtContext(p, ram, prec)
-    if has_padic:
-        return PadicContext(p, prec)
+            return PadicContext(p, precision or DEFAULT_PRECISION)
     return RationalContext(p)
 
 
 def coerce(x, ctx):
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(ctx, RationalContext):
-        return x
-    if isinstance(ctx, PadicContext):
-        return ctx.from_rational(x) if isinstance(x, Fraction) else x
-    # extension context
-    if isinstance(x, ExtElement):
-        return x.lift_ram(ctx.ram) if x.ram != ctx.ram else x
-    if isinstance(x, (Fraction, PadicNumber)):
-        return ExtElement.from_base(x, ctx.p, ctx.ram)
-    raise TypeError(f"cannot coerce {type(x)}")
+    return ctx.from_rational(x) if isinstance(x, (int, Fraction)) else x
 
 
 def cmat(rows, ctx):
@@ -98,6 +72,29 @@ def _hash_once(self):
     if "_hash" not in self.__dict__:
         self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
     return self.__dict__["_hash"]
+
+
+def _kept(size=INF):
+    """Method decorator: keep the results in the instance, per argument
+    tuple with the method's defaults filled in (the size latest); the table
+    holds no reference back to it."""
+    def keep(method):
+        nargs = method.__code__.co_argcount - 1
+        defaults = method.__defaults__ or ()
+
+        @wraps(method)
+        def kept(self, *key):
+            if len(key) < nargs:  # norm() and norm(None) share one entry
+                key += defaults[len(key) - nargs:]
+            table = self.__dict__.setdefault("_" + method.__name__, {})
+            value = table.get(key, table)  # one hash of the key on a hit
+            if value is table:
+                if len(table) >= size:
+                    del table[next(iter(table))]  # the oldest
+                value = table[key] = method(self, *key)
+            return value
+        return kept
+    return keep
 
 
 # --------------------------------------------------------------------------
@@ -148,8 +145,8 @@ def _pivot(col, start, ctx, message):
 def row_reduce(mat, ctx, rhs=None):
     """Reduced echelon form of mat, with the same row operations on rhs.
 
-    Returns (rows, pivot_cols, rhs_rows).  Over Q_p and Q_p(pi) the pivot
-    of each column has least valuation, and RankUncertified is raised when
+    Returns (rows, pivot_cols, rhs_rows).  Over Q_p the pivot of each
+    column has least valuation, and RankUncertified is raised when
     the rank depends on an entry that is indistinguishable from zero.  Over
     Q the elimination runs on integers (_zrow_reduce).  The reduced echelon
     form does not depend on the pivot order, and neither do the pivot rows'
@@ -343,7 +340,7 @@ def poly_eval_matrix(coeffs, m, ctx):
 
 def charpoly(mat, p: int, precision: int | None = None) -> Polynomial:
     """det(tI - M): exact over Q by Berkowitz's division-free recurrence on
-    integers (_zcharpoly); capped-precision over Q_p and Q_p(pi) by reduction
+    integers (_zcharpoly); capped-precision over Q_p by reduction
     to Hessenberg form with valuation pivoting."""
     ctx = infer_context(mat, p, precision)
     if isinstance(ctx, RationalContext):

@@ -30,6 +30,7 @@ from .polyalg import (
     Polynomial,
     _dot,
     _hash_once,
+    _kept,
     charpoly,
     cmat,
     coerce,
@@ -287,8 +288,8 @@ def _nilpotent_chains(n, ctx):
 
 
 def _pi_power(x, k, p, ram):
-    """pi^k x in Q_p(pi), pi^ram = p, for x over the base field: x p^(k // ram)
-    in slot k mod ram, exact zeros of x's own ring (as lift_ram) elsewhere."""
+    """The record of pi^k x, pi^ram = p, for x over the base field:
+    x p^(k // ram) in slot k mod ram, exact zeros of x's own ring elsewhere."""
     q, r = divmod(k, ram)
     coeffs = [PadicNumber.zero(p) if isinstance(x, PadicNumber) else Fraction(0)] * ram
     coeffs[r] = x * Fraction(p) ** q if q else x
@@ -325,9 +326,10 @@ class AdaptedNorm:
     spectral block (and with norm < eps on the nilpotent block).
 
     norm_exp(x) = min_i ( v((T Winv x)_i) + q_i ) over the global basis; the
-    norm itself is p^(-norm_exp(x)).  T is block diagonal over Q_p(pi),
-    pi^ram = p; adapted_norm builds each row of a block's t, and each column
-    of its tinv, as one pi-power times a base-field vector, so
+    norm itself is p^(-norm_exp(x)).  T is block diagonal, with entries in
+    Q_p(pi), pi^ram = p; adapted_norm builds each row of a block's t, and
+    each column of its tinv, as one pi-power times a base-field vector, held
+    as ExtElement records (pi-slot coefficients, no arithmetic), so
     v((T Winv x)_i) = v(row_i . x) + s_i/ram with row_i over the base field.
     The rows are built on first use and then kept (outside repr() and ==),
     as is the hash; adapted_norm(m, p) returns one interned norm per matrix
@@ -381,11 +383,11 @@ class AdaptedNorm:
             off += len(sb)
         return s, [sum(rows, []) for rows in zip(*parts)]
 
-    def transform(self, ctx=None):
-        """T Winv as a matrix over Q_p(pi), pi^ram = p (or over ctx)."""
+    def transform(self):
+        """T Winv as a matrix of ExtElement records, pi^ram = p."""
         s, rows = self._pi_rows
-        t = [[_pi_power(x, si, self.prime, self.ram) for x in row] for si, row in zip(s, rows)]
-        return cmat(t, ctx) if ctx else t
+        return [[_pi_power(x, si, self.prime, self.ram) for x in row]
+                for si, row in zip(s, rows)]
 
     @property
     def weights(self):
@@ -469,9 +471,9 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     block is ker g_rho(M) for a certified slope factor g_rho, so the scaled
     B has unit determinant and B L = L.  It comes over the base field as
     L = W diag(pi_b^k), pi_b^e = p for e the denominator of rho, and its
-    t = L^-1 and tinv = L are written into the norm's Q_p(pi), pi^ram = p,
-    one pi-power per row of t and per column of tinv.  Nilpotent block:
-    Jordan chains scaled by lambda = p^j with p^-j < eps.
+    t = L^-1 and tinv = L are written as ExtElement records of the norm's
+    Q_p(pi), pi^ram = p, one pi-power per row of t and per column of tinv.
+    Nilpotent block: Jordan chains scaled by lambda = p^j with p^-j < eps.
     """
     if data is None:
         return _analysis(m, p, precision).norm(eps)
@@ -618,13 +620,11 @@ class LinearAnalysis:
         """True iff no eigenvalue has absolute value exactly a."""
         return all(compare_threshold(a, rho, self.p) != 0 for rho, _ in self.spectrum)
 
+    @_kept()
     def splitting(self, a) -> Splitting:
         """The spectral blocks grouped by |eigenvalue| against a, built once
         per a."""
         a, p = Fraction(a), self.p
-        splittings = self.__dict__.setdefault("_splittings", {})
-        if a in splittings:
-            return splittings[a]
         groups = {1: [], 0: [], -1: []}
         for b in self.data.blocks:
             groups[compare_threshold(a, b.rho, p)].extend(b.basis)
@@ -634,16 +634,13 @@ class LinearAnalysis:
         d = len(self.m)
         w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
         winv = mat_inverse(w, ctx)
-        splittings[a] = Splitting(p, a, *(tuple(part) for part in parts),
-                                  tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
-        return splittings[a]
+        return Splitting(p, a, *(tuple(part) for part in parts),
+                         tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
 
+    @_kept()
     def norm(self, eps=None) -> AdaptedNorm:
         """The adapted norm of m for eps, built once per eps."""
-        norms = self.__dict__.setdefault("_norms", {})
-        if eps not in norms:
-            norms[eps] = adapted_norm(self.m, self.p, eps, self.precision, data=self.data)
-        return norms[eps]
+        return adapted_norm(self.m, self.p, eps, self.precision, data=self.data)
 
 
 @lru_cache(maxsize=16)

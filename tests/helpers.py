@@ -1,4 +1,5 @@
-"""Shared constructors for randomized test suites.
+"""Shared constructors for randomized test suites (the reference oracles
+they are checked against live in reference.py).
 
 Matrices are built as S * D * S^-1 over the rationals with prescribed block
 valuations, so the exact spectrum (and the exact generalized eigenspaces,
@@ -9,12 +10,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, inf as INF, lcm
+from math import gcd, inf as INF
 
-from ultradyn.errors import PreconditionViolated, RankUncertified
-from ultradyn.polyalg import _dot, cmat, mat_inverse, mat_mul, mat_vec, solve
-from ultradyn.field import (NONZERO, UNCERTAIN, ZERO, ExtContext, RationalContext,
-                           valuation_of_rational)
+from ultradyn.polyalg import cmat, mat_inverse, mat_mul
+from ultradyn.field import RationalContext
 from ultradyn.dynamics import PolyMap
 
 
@@ -194,144 +193,3 @@ def rand_vector(rng: random.Random, p: int, d: int, vmin: int = -2,
     """Random rational vector with entries of controlled valuation."""
     return [rand_unit(rng, p) * Fraction(p) ** rng.randint(vmin, vmax)
             if rng.random() > 0.15 else Fraction(0) for _ in range(d)]
-
-
-def residual_in_span(vec, basis, ctx):
-    """Min valuation of the residual of vec against span(basis); INF if the
-    vector lies in the span exactly (at working precision)."""
-    if not basis:
-        vals = [ctx.val(x) for x in vec]
-        return min(vals) if vals else INF
-    cols = [list(b) for b in basis]
-    mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(vec))]
-    try:
-        x = solve(mat, [[c] for c in vec], ctx)
-    except PreconditionViolated:
-        return min(ctx.val(c) for c in vec)
-    approx = mat_vec(mat, [c for c, in x])
-    res = [a - b for a, b in zip(vec, approx)]
-    return min((ctx.val(c) for c in res), default=INF)
-
-
-def fraction_row_reduce(mat, rhs=None):
-    """Reference Gauss-Jordan over plain Fractions, first nonzero pivot:
-    (rows, pivot_cols, rhs_rows) in the shape polyalg.row_reduce returns."""
-    m = len(mat[0]) if mat else 0
-    rows = [list(r) + (list(rhs[i]) if rhs is not None else []) for i, r in enumerate(mat)]
-    pivots = []
-    for c in range(m):
-        r = len(pivots)
-        best = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c] != 0:
-                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
-        pivots.append(c)
-    return [r[:m] for r in rows], pivots, None if rhs is None else [r[m:] for r in rows]
-
-
-
-def reference_unit_lattice(b, p: int, ctx):
-    """Reference Krylov lattice over any ring context, every entry held in
-    ctx (so Q_p(pi) arithmetic for an ExtContext): (L, L^-1) with the columns
-    of L the lower-triangular Hermite basis of the span of the vectors
-    B^k e_i, k < d, the pivot of each row the first vector of least
-    valuation; PreconditionViolated unless every entry of
-    L^-1 [B^d e_0 ... B^d e_(d-1)] is integral, an O-term counting by its
-    bound."""
-    bm = cmat(b, ctx)
-    d = len(bm)
-    cols, tops = [], []
-    for i in range(d):
-        v = [ctx.one if j == i else ctx.zero for j in range(d)]
-        for _ in range(d):
-            cols.append(v)
-            v = mat_vec(bm, v)
-        tops.append(v)  # B^d e_i
-    basis = []
-    remaining = cols
-    for r in range(d):
-        best, best_v = None, None
-        for idx, cvex in enumerate(remaining):
-            z = ctx.zeroness(cvex[r])
-            if z == NONZERO:
-                v = ctx.val(cvex[r])
-                if best is None or v < best_v:
-                    best, best_v = idx, v
-            elif z == UNCERTAIN:
-                raise RankUncertified("lattice pivot uncertain")
-        if best is None:
-            raise PreconditionViolated("Krylov span not full rank")
-        piv = remaining[best]
-        rest = []
-        for idx, cvex in enumerate(remaining):
-            if idx == best:
-                continue
-            if ctx.zeroness(cvex[r]) == NONZERO:
-                q = cvex[r] / piv[r]
-                cvex = [a - q * bq for a, bq in zip(cvex, piv)]
-            rest.append(cvex)
-        basis.append(piv)
-        remaining = rest
-    lat = [list(r) for r in zip(*basis)]
-    linv = mat_inverse(lat, ctx)
-    # exact zeros of L^-1 are skipped; O-terms enter
-    nz = [[j for j, x in enumerate(r) if ctx.zeroness(x) != ZERO] for r in linv]
-    if any(ctx.val(_dot([r[j] for j in js], [v[j] for j in js])) < 0
-           for v in tops for r, js in zip(linv, nz)):
-        raise PreconditionViolated("B maps the Krylov lattice outside itself")
-    return lat, linv
-
-
-def ext_operator_norm(x, n):
-    """min v(A'_ij) + q_i - q_j over the entries of A' = (T Winv) X (T Winv)^-1,
-    the matrix of X in the basis of the adapted norm n, with every product
-    and the inverse of the whole d x d transform taken in Q_p(pi) arithmetic
-    (ExtContext); INF for A' = 0."""
-    ctx = ExtContext(n.prime, n.ram)
-    t = n.transform(ctx)
-    a = mat_mul(t, mat_mul(cmat(x, ctx), mat_inverse(t, ctx)))
-    q = n.weights
-    return min((ctx.val(y) + q[i] - q[j] for i, row in enumerate(a)
-                for j, y in enumerate(row) if ctx.val(y) != INF), default=INF)
-
-
-def reference_restrict(m, basis):
-    """Matrix of the rational m on span(basis) in the coordinates of basis:
-    every image M v by Fraction mat_vec, then one Fraction Gauss-Jordan of
-    [basis | images] (fraction_row_reduce)."""
-    vs = [[Fraction(c) for c in v] for v in basis]
-    images = [mat_vec([[Fraction(c) for c in row] for row in m], v) for v in vs]
-    _, pivots, rhs = fraction_row_reduce([list(r) for r in zip(*vs)],
-                                         [list(r) for r in zip(*images)])
-    assert len(pivots) == len(vs) and not any(x for r in rhs[len(pivots):] for x in r)
-    return rhs[:len(pivots)]
-
-
-def _reference_zscaled(n, s, vecs, sign):
-    """(D v_i, s_i + ram (sign q_i - v(D))) for each base-field Fraction
-    vector v_i of vecs, D the lcm of its denominators."""
-    out = []
-    for si, v, q in zip(s, vecs, n.weights):
-        den = lcm(*(Fraction(x).denominator for x in v))
-        out.append(([int(x * den) for x in v],
-                    si + sign * int(q * n.ram) - n.ram * valuation_of_rational(den, n.prime)))
-    return out
-
-
-def reference_zrows(n):
-    """The integer rows of a rational adapted norm n, each row_i of the
-    Fraction product T_0 Winv (AdaptedNorm._pi_rows) scaled by the lcm D_i
-    of its denominators: v(row_i . x) + s_i/ram + q_i equals
-    (ram v(D_i row_i . x) + offset_i)/ram."""
-    return _reference_zscaled(n, *n._pi_rows, 1)
-
-
-def reference_zcols(n):
-    """The integer columns of n scaled back from the Fraction product
-    W T'_0 (AdaptedNorm._pi_cols), with offsets -q_j."""
-    s, rows = n._pi_cols
-    return _reference_zscaled(n, s, list(zip(*rows)), -1)

@@ -44,7 +44,8 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import rand_conjugated, rand_poly_map, rand_unit, residual_in_span
+from helpers import rand_conjugated, rand_poly_map, rand_unit
+from reference import residual_in_span
 
 F = Fraction
 PRECISION = 64

@@ -1,4 +1,6 @@
-"""Base arithmetic: valuations, threshold comparison, capped precision."""
+"""Base arithmetic: valuations, threshold comparison, capped precision; the
+ExtElement record, and the Q_p(pi) ring of tests/reference.py that the
+adapted-norm oracles compute in."""
 
 from fractions import Fraction
 from math import inf as INF
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from ultradyn.field import (
     DEFAULT_PRECISION,
-    ExtContext,
     ExtElement,
     PadicContext,
     PadicNumber,
@@ -17,6 +18,8 @@ from ultradyn.field import (
     valuation_of_rational,
 )
 from ultradyn.errors import DivisionByZero, PrecisionExhausted, PreconditionViolated
+
+from reference import PiElement, PiRing
 
 PRIMES = (2, 3, 5)
 
@@ -182,15 +185,25 @@ def test_o_term_absorbs():
 # -- Eisenstein extension elements ------------------------------------------
 
 
+def test_ext_element_is_a_print_only_record():
+    x = ExtElement(3, 2, (Fraction(1, 3), PadicNumber.zero(3)))
+    assert repr(x) == "Ext(p=3,e=2,[Fraction(1, 3), 0 (p=3)])"
+    with pytest.raises(TypeError):
+        x * x
+    # the reference ring reads a record of a smaller ram into its own
+    assert PiRing(3, 4).lift(x).coeffs == (Fraction(1, 3), PadicNumber.zero(3),
+                                           PadicNumber.zero(3), PadicNumber.zero(3))
+
+
 def test_pi_valuation():
-    pi = ExtElement.pi(2, 3)
+    pi = PiElement.pi(2, 3)
     assert pi.valuation() == Fraction(1, 3)
     assert (pi * pi * pi).valuation() == 1  # pi^ram = p
 
 
 @given(nonzero_rationals, primes, st.sampled_from((2, 3)))
 def test_ext_embedding_preserves_valuation(q, p, ram):
-    x = ExtElement.from_base(Fraction(q), p, ram)
+    x = PiElement.from_base(Fraction(q), p, ram)
     assert x.valuation() == valuation_of_rational(q, p)
 
 
@@ -200,7 +213,7 @@ def test_ext_embedding_preserves_valuation(q, p, ram):
 def test_ext_division_roundtrip(a, b, p, ram):
     # a divisor with several nonzero pi-slots: the columns of its
     # multiplication matrix wrap around through pi^ram = p
-    xa, xb = (ExtElement(p, ram, tuple(Fraction(c) for c in v[:ram])) for v in (a, b))
+    xa, xb = (PiElement(p, ram, tuple(Fraction(c) for c in v[:ram])) for v in (a, b))
     q = xa / xb
     assert (q * xb).coeffs == xa.coeffs
 
@@ -211,18 +224,18 @@ def test_ext_division_roundtrip(a, b, p, ram):
 def test_ext_division_by_unknown_valuation(ram, num, bound):
     # no certified nonzero coefficient: above the zero threshold (70) or
     # below it (3), and whatever the numerator, as for PadicNumber
-    x = ExtElement.from_base(num, 2, ram)
+    x = PiElement.from_base(num, 2, ram)
     with pytest.raises(PrecisionExhausted, match="^division by a value of unknown valuation$"):
-        x / ExtElement.from_base(PadicNumber.o_term(2, bound), 2, ram)
+        x / PiElement.from_base(PadicNumber.o_term(2, bound), 2, ram)
     with pytest.raises(DivisionByZero):
-        x / ExtElement.from_base(PadicNumber.zero(2), 2, ram)
+        x / PiElement.from_base(PadicNumber.zero(2), 2, ram)
 
 
 @pytest.mark.parametrize("other", [PadicNumber.zero(2), PadicNumber.o_term(2, 5)])
 def test_ext_sum_keeps_rational_precision(other):
     # a Fraction promoted next to an exact zero or an O-term keeps the
     # default precision, not one digit
-    x = ExtElement.from_base(Fraction(3), 2, 1) + ExtElement.from_base(other, 2, 1)
+    x = PiElement.from_base(Fraction(3), 2, 1) + PiElement.from_base(other, 2, 1)
     c = x.coeffs[0]
     assert (c.unit, c.val, c.prec) == (3, 0, DEFAULT_PRECISION if other.is_exact_zero else 5)
 
@@ -230,8 +243,8 @@ def test_ext_sum_keeps_rational_precision(other):
 def test_ext_from_base_zero_slots_follow_the_arithmetic():
     # the pi-slots of a p-adic x are p-adic exact zeros, as a product gives them
     x = PadicNumber.from_rational(2, 3)
-    y = ExtElement.from_base(x, 3, 2)
-    z = y * ExtContext(3, 2).one
+    y = PiElement.from_base(x, 3, 2)
+    z = y * PiRing(3, 2).one
     assert y == z
     assert repr(y) == repr(z)
 
@@ -240,8 +253,8 @@ def test_ext_from_base_zero_slots_follow_the_arithmetic():
 @given(nonzero_rationals, nonzero_rationals, primes)
 def test_ext_ultrametric(a, b, p):
     ram = 3
-    xa = ExtElement.from_base(Fraction(a), p, ram) * ExtElement.pi(p, ram)
-    xb = ExtElement.from_base(Fraction(b), p, ram) * ExtElement.pi(p, ram, 2)
+    xa = PiElement.from_base(Fraction(a), p, ram) * PiElement.pi(p, ram)
+    xb = PiElement.from_base(Fraction(b), p, ram) * PiElement.pi(p, ram, 2)
     s = xa + xb
     assert s.valuation() == min(xa.valuation(), xb.valuation())
 
@@ -258,6 +271,6 @@ def test_padic_context_zeroness_thresholds():
 
 
 def test_ext_context_roundtrip():
-    ctx = ExtContext(3, 2)
+    ctx = PiRing(3, 2)
     x = ctx.from_rational(Fraction(5, 9))
     assert ctx.val(x) == -2

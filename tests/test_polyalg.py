@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ultradyn.errors import PrecisionExhausted, PreconditionViolated, RankUncertified
-from ultradyn.field import (ExtContext, ExtElement, PadicContext, PadicNumber, RationalContext,
+from ultradyn.field import (PadicContext, PadicNumber, RationalContext,
                            valuation_of_rational)
 from ultradyn.polyalg import (
     Polynomial,
@@ -28,7 +28,8 @@ from ultradyn.polyalg import (
     solve,
 )
 
-from helpers import ONE_BAND, frac_block, fraction_row_reduce, int_block, rand_conjugated, unimodular
+from helpers import ONE_BAND, frac_block, int_block, rand_conjugated, unimodular
+from reference import PiElement, PiRing, fraction_row_reduce
 
 
 F = Fraction
@@ -560,13 +561,13 @@ def test_invariant_lattice_property():
         d, e = len(r), rho.denominator
         assert all(w[i][j] == 0 for i in range(d) for j in range(i + 1, d))
         assert mat_mul(w, winv) == [[F(i == j) for j in range(d)] for i in range(d)]
-        ectx = ExtContext(p, e)
-        lat = [[coerce(x, ectx) * ExtElement.pi(p, e, k) for x, k in zip(row, ks)] for row in w]
-        linv = [[coerce(x, ectx) * ExtElement.pi(p, e, -k) for x in row]
+        ring = PiRing(p, e)
+        lat = [[ring.lift(x) * PiElement.pi(p, e, k) for x, k in zip(row, ks)] for row in w]
+        linv = [[ring.lift(x) * PiElement.pi(p, e, -k) for x in row]
                 for k, row in zip(ks, winv)]
-        b = [[coerce(x, ectx) * ExtElement.pi(p, e, -rho.numerator) for x in row] for row in r]
-        assert mat_mul(linv, lat) == [[ectx.one if i == j else ectx.zero for j in range(d)]
+        b = [[ring.lift(x) * PiElement.pi(p, e, -rho.numerator) for x in row] for row in r]
+        assert mat_mul(linv, lat) == [[ring.one if i == j else ring.zero for j in range(d)]
                                       for i in range(d)]
         # B maps lattice basis vectors into the lattice (integral coords)
         for row in mat_mul(linv, mat_mul(b, lat)):
-            assert all(ectx.val(x) >= 0 for x in row), (r, rho)
+            assert all(ring.val(x) >= 0 for x in row), (r, rho)

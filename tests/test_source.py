@@ -1,6 +1,7 @@
 """Source hygiene: no dead private helpers in the library, one place that
-builds a LinearAnalysis and one that builds a MapAnalysis, and every name
-the benchmark's tracer rebinds still resolves."""
+builds a LinearAnalysis and one that builds a MapAnalysis, every name the
+benchmark's tracer rebinds still resolves, no Q_p(pi) ring context left in
+the library, and the public names all import."""
 
 import ast
 import importlib
@@ -67,16 +68,55 @@ def test_map_analysis_built_only_by_the_intern():
     assert sites == [("dynamics.py", "_map_analysis")], sites
 
 
-def test_traced_names_resolve():
-    """Every (module, attr) the benchmark's tracer rebinds names something in
-    ultradyn.<module>; a "Class.method" entry resolves on its class."""
+def load_tracing():
+    """bench/tracing.py as a module, without putting bench/ on the path."""
     path = SRC.parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    """Every (module, attr) the benchmark's tracer rebinds names something in
+    ultradyn.<module>; a "Class.method" entry resolves on its class."""
+    tracing = load_tracing()
     assert tracing.SPANS, "no traced names found: wrong bench path?"
     for module, attr, _ in tracing.SPANS:
         obj = importlib.import_module(f"ultradyn.{module}")
         for part in attr.split("."):
             assert hasattr(obj, part), f"ultradyn.{module}.{attr} does not resolve"
             obj = getattr(obj, part)
+
+
+def test_no_extension_ring_in_the_library():
+    """No module under src/ names ExtContext, and field.py imports nothing
+    from polyalg: values of Q_p(pi) are print-only ExtElement records."""
+    named = [path.name for path in sorted(SRC.glob("*.py"))
+             if "ExtContext" in set(_names(ast.parse(path.read_text())))]
+    assert not named, named
+    tree = ast.parse((SRC / "field.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports, "no imports found in field.py: wrong source path?"
+    assert not [ast.dump(node) for node in imports
+                if "polyalg" in (getattr(node, "module", None) or "")
+                or any("polyalg" in a.name for a in node.names)]
+
+
+# every top-level name of ultradyn except the retired ExtContext and ExtElement
+PUBLIC = """DivisionByZero JacobianSingular NotAFixedPoint PrecisionExhausted
+PreconditionViolated RadiusNotFound RankUncertified ResonanceDetected SchemaError
+UltradynError DEFAULT_PRECISION PadicContext PadicNumber RationalContext
+compare_threshold valuation_of_rational NewtonPolygon Polynomial charpoly kernel_basis
+newton_polygon slope_factorization AdaptedNorm LinearAnalysis SpectralData Splitting
+Witness adapted_norm is_hyperbolic nonhyperbolicity_witness operator_norm spectral_data
+spectrum_abs splitting_at BallCertificate FixedPointReport MembershipVerdict PolyMap
+classify_fixed_point invariant_ball jacobian linearization_radius orbit
+remainder_lipschitz shift_to_fixed_point stable_membership GraphSeries InverseSeries
+formal_inverse graph_series residual""".split()
+
+
+def test_public_names_import():
+    ultradyn = importlib.import_module("ultradyn")
+    assert not [name for name in PUBLIC if not hasattr(ultradyn, name)]
+    assert not hasattr(ultradyn, "ExtContext") and not hasattr(ultradyn, "ExtElement")

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from ultradyn import spectral
 from ultradyn.errors import PreconditionViolated
-from ultradyn.field import (ExtContext, PadicNumber, RationalContext, compare_threshold,
+from ultradyn.field import (PadicNumber, RationalContext, compare_threshold,
                            valuation_of_rational)
-from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cmat, cvec, mat_inverse, mat_vec
+from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cmat, mat_inverse, mat_vec
 from ultradyn.spectral import (
     _rational_factors,
     adapted_norm,
@@ -25,9 +25,9 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import (ONE_BAND, conjugated_companion, ext_operator_norm, rand_conjugated,
-                     rand_vector, reference_restrict, reference_zcols, reference_zrows,
-                     residual_in_span)
+from helpers import ONE_BAND, conjugated_companion, rand_conjugated, rand_vector
+from reference import (PiRing, ext_operator_norm, reference_exps, reference_restrict,
+                       reference_transform, reference_zcols, reference_zrows, residual_in_span)
 
 F = Fraction
 
@@ -171,7 +171,7 @@ NORM_DRAWS = [(0, 3, 5, 1, (0,) * 5), (16, 2, 4, 3, (0,) * 4), (8, 5, 6, 6, (0,)
 
 @lru_cache(maxsize=None)
 def _drawn_norm(k, rescaled=False):
-    """(m, p, norm, T Winv over ExtContext) for NORM_DRAWS[k]."""
+    """(m, p, norm, T Winv over Q_p(pi)) for NORM_DRAWS[k]."""
     seed, p, d, ram, weights = NORM_DRAWS[k]
     m, _, _ = rand_conjugated(random.Random(seed), p, d)
     if rescaled:
@@ -179,7 +179,7 @@ def _drawn_norm(k, rescaled=False):
         m = [[m[i][j] * s[i] / s[j] for j in range(d)] for i in range(d)]
     n = adapted_norm(m, p)
     assert n.ram == ram and list(n.weights) == list(weights)
-    return m, p, n, n.transform(ExtContext(p, ram))
+    return m, p, n, reference_transform(n, PiRing(p, ram))
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +190,11 @@ def _padic_row_norm():
     m = _block_diag(_companion([3, 1, 1]), [[F(9)]])
     n = adapted_norm(m, 3)
     assert any(isinstance(c, PadicNumber) for row in n._pi_rows[1] for c in row)
-    return m, 3, n, n.transform(ExtContext(3, n.ram))
-
-
-def _oracle_exps(n, t, x):
-    """v((T Winv x)_i) + q_i for each i, through the ExtContext product."""
-    ctx = ExtContext(n.prime, n.ram)
-    return [ctx.val(c) + q for c, q in zip(mat_vec(t, cvec(x, ctx)), n.weights)]
+    return m, 3, n, reference_transform(n, PiRing(3, n.ram))
 
 
 def _assert_norm_exp_matches_oracle(n, t, x):
-    want = _oracle_exps(n, t, x)
+    want = reference_exps(n, x, t)
     got = n._coord_exps(x)
     assert got == want, x
     assert all(e == INF or type(e) is F for e in got), got
@@ -232,7 +226,7 @@ def _norm_queries(draw):
 @given(_norm_queries())
 def test_norm_exp_matches_ext_oracle(query):
     """norm_exp over Q, on integer dot products, against
-    min_i v((T Winv x)_i) + q_i over ExtContext: the same Fractions, and INF
+    min_i v((T Winv x)_i) + q_i over Q_p(pi): the same Fractions, and INF
     for the zero vector."""
     key, x = query
     _, _, n, t = _drawn_norm(*key)
@@ -302,12 +296,13 @@ def _unit_exps(zvecs, ram, p, x):
 
 
 def test_integer_norm_parts_match_fraction_references():
-    """Every NORM_DRAWS entry, as drawn and rescaled, against the Fraction
-    references of tests/helpers.py: each block restriction equals the
-    mat_vec reference exactly, and each integer row and column of the norm,
-    built from integer products of T_0 and Winv (of W and T'_0), gives the
-    same v(row_i . x) + offset as the scaled Fraction products T_0 Winv
-    (W T'_0), on every unit vector and on random rational x."""
+    """Every NORM_DRAWS entry, as drawn and rescaled, against the
+    references of tests/reference.py: each block restriction equals the
+    Fraction mat_vec reference exactly, and each integer row and column of
+    the norm, built from integer products of T_0 and Winv (of W and T'_0),
+    gives the same v(row_i . x) + offset as the rows of T Winv (columns of
+    W T^-1) multiplied out over Q_p(pi) from the blocks' records and scaled,
+    on every unit vector and on random rational x."""
     for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
         m, p, n, _ = _drawn_norm(*key)
         d, ctx = len(m), RationalContext(p)
