@@ -3,7 +3,12 @@ Lipschitz bounds, certified invariant balls, fixed-point classification and
 a-stable set membership.
 
 Polynomials are stored as multi-index tables {(m_1,...,m_d): coeff}; all
-radii and norms are handled as valuation exponents (r = p^-k).
+radii and norms are handled as valuation exponents (r = p^-k).  Each ring
+has one arithmetic path, picked by the ring context as in polyalg.row_reduce:
+over Q series composition (_msubst) and evaluation (_zeval) run on integers
+with one denominator per table, and remainder bounds conjugate F by the
+adapted norm's integer rows and columns; over Q_p the same tables run in the
+ring (_mmul, _mpow, _meval).
 """
 
 from __future__ import annotations
@@ -11,22 +16,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import inf as INF
+from math import inf as INF, lcm
+from operator import add, mul
 
 from .errors import (
     JacobianSingular,
     NotAFixedPoint,
     PreconditionViolated,
-    RadiusNotFound,  # noqa: F401  no longer raised; callers still catch it
+    RadiusNotFound,  # noqa: F401  no longer raised; caught only at bench/workloads.py:586
     UltradynError,
 )
-from .field import DEFAULT_PRECISION, NONZERO, ZERO, compare_threshold
-from .polyalg import _hash_once, _kept, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec
+from .field import (
+    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, compare_threshold)
+from .polyalg import (
+    _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
 from . import spectral
 from .spectral import AdaptedNorm, operator_norm, splitting_at
 
 # --------------------------------------------------------------------------
-# monomial-table polynomials (generic coefficients)
+# monomial-table polynomials: over Q on integers, over Q_p in the ring
 # --------------------------------------------------------------------------
 
 
@@ -78,7 +86,11 @@ def _meval(a, x, ctx):
 def _msubst(a, polys, nvars_out, ctx, max_deg=INF):
     """Substitute variable i -> polys[i] (a table over nvars_out vars),
     dropping the terms of total degree above max_deg.  Each power of
-    polys[i] is built once, from the one below, and truncated as well."""
+    polys[i] is built once, from the one below, and truncated as well.
+    Over Q it runs on integers (_zsubst), with one Fraction per term."""
+    if isinstance(ctx, RationalContext):
+        den, out = _zsubst(a, polys, nvars_out, max_deg)
+        return {m: Fraction(c, den) for m, c in out.items()}
     pows = [_mpow(polys[i], max(col), nvars_out, ctx, max_deg)
             for i, col in enumerate(zip(*a))]
     out = {}
@@ -89,6 +101,98 @@ def _msubst(a, polys, nvars_out, ctx, max_deg=INF):
                 term = _mmul(term, pows[i][e], ctx, max_deg)
         out = _madd(out, term, ctx)
     return out
+
+
+def _zadd(out, b, s=1):
+    """out += s b for integer tables, in place and in the order of _madd:
+    a sum that cancels leaves out, and re-enters at the end."""
+    for m, c in b.items():
+        c *= s
+        if m in out:
+            c += out[m]
+            if not c:
+                del out[m]
+                continue
+        elif not c:
+            continue
+        out[m] = c
+
+
+def _zmmul(a, b, max_deg):
+    """_mmul of integer tables."""
+    out = {}
+    bs = [(m, c, sum(m)) for m, c in b.items()]
+    for m1, c1 in a.items():
+        room = max_deg - sum(m1)
+        for m2, c2, d2 in bs:
+            if d2 <= room:
+                m = tuple(map(add, m1, m2))
+                t = c1 * c2
+                out[m] = out[m] + t if m in out else t
+    return {m: c for m, c in out.items() if c}
+
+
+def _zsubst(a, polys, nvars_out, max_deg):
+    """_msubst over Q on integers: (N, table) with table / N the result.
+    With E a and D polys[i] = P_i integral (E and D the lcms of the
+    denominators), x_i -> P_i / D turns the term c x^m into
+    E c P^m D^(K-|m|) over N = E D^K, K the top degree of a.  Every product
+    and sum is that of the ring path times N, so the same terms survive, in
+    the same order: scaling by c commutes with every product and moves no
+    term, so P^m is built unscaled and scaled as it is added."""
+    e, za = _zscale(list(a.values()))
+    d, flat = _zscale([c for q in polys for c in q.values()])
+    it = iter(flat)
+    zpolys = [{m: next(it) for m in q} for q in polys]
+    top = max(map(sum, a), default=0)
+    zero = tuple([0] * nvars_out)
+    pows = []
+    for q, col in zip(zpolys, zip(*a)):
+        pows.append([{zero: 1}])
+        for _ in range(max(col)):
+            pows[-1].append(_zmmul(pows[-1][-1], q, max_deg))
+    out = {}
+    for m, c in zip(a, za):
+        if not c:
+            continue
+        term = None  # P^m, scaled by c as it enters out
+        for i, k in enumerate(m):
+            if k:
+                term = pows[i][k] if term is None else _zmmul(term, pows[i][k], max_deg)
+        _zadd(out, {zero: 1} if term is None else term, c * d ** (top - sum(m)))
+    return e * d ** top, out
+
+
+def _ztable(table):
+    """A rational table on integers: (E, [(m, E c_m, K - |m|)], K), with E
+    the lcm of its denominators and K its top degree."""
+    e, zc = _zscale(list(table.values()))
+    top = max(map(sum, table), default=0)
+    return e, [(m, c, top - sum(m)) for m, c in zip(table, zc) if c], top
+
+
+def _zeval(ztables, x):
+    """Each _ztable at the rational point x = X / D, as a Fraction:
+    sum E c_m X^m D^(K-|m|) over E D^K."""
+    d, zx = _zscale(list(x))
+    out = []
+    for e, items, top in ztables:
+        dpow = [d ** k for k in range(top + 1)]
+        acc = 0
+        for m, c, k in items:
+            t = c * dpow[k]
+            for xi, mi in zip(zx, m):
+                if mi:
+                    t *= xi ** mi
+            acc += t
+        out.append(Fraction(acc, e * dpow[top]))
+    return out
+
+
+def _check_point(f, x):
+    if len(x) != f.nvars:
+        raise PreconditionViolated(
+            f"point has {len(x)} coordinates, the map {f.nvars} variables")
 
 
 @dataclass(frozen=True)
@@ -136,7 +240,18 @@ class PolyMap:
         return infer_context([[c for _, c in comp] for comp in self.components],
                              self.prime, precision)
 
+    @cached_property
+    def _ztables(self):
+        """The components as _ztables, kept outside == and repr(); None if
+        a coefficient is a PadicNumber."""
+        if isinstance(self.coeff_context(), RationalContext):
+            return [_ztable(dict(comp)) for comp in self.components]
+        return None
+
     def __call__(self, x):
+        _check_point(self, x)
+        if self._ztables is not None and not any(isinstance(c, PadicNumber) for c in x):
+            return _zeval(self._ztables, x)
         ctx = infer_context(
             [[c for _, c in comp] for comp in self.components] + [list(x)],
             self.prime)
@@ -212,8 +327,21 @@ def _linear_tables(a, ctx):
 
 
 def conjugate(f: PolyMap, t, tinv, ctx) -> list:
-    """Tables of T o F o T^-1 over ctx (T given as matrix rows)."""
+    """Tables of T o F o T^-1 over ctx (T given as matrix rows).  Over Q
+    the rows of T combine the integer _zsubst tables, over one denominator."""
     tinv_polys = _linear_tables(tinv, ctx)
+    if isinstance(ctx, RationalContext):
+        inner = [_zsubst(dict(comp), tinv_polys, f.nvars, INF) for comp in f.components]
+        den = lcm(*[n for n, _ in inner])
+        dt, zt = _zscale([c for row in t for c in row])
+        out = []
+        for i in range(len(t)):
+            acc = {}
+            for c, (n, table) in zip(zt[i * len(inner):(i + 1) * len(inner)], inner):
+                if c:
+                    _zadd(acc, table, c * (den // n))
+            out.append({m: Fraction(c, dt * den) for m, c in acc.items()})
+        return out
     inner = [
         _msubst({m: coerce(c, ctx) for m, c in comp}, tinv_polys, f.nvars, ctx)
         for comp in f.components
@@ -338,12 +466,15 @@ def standard_norm_exp(x, p: int):
 
 def orbit(f: PolyMap, x, n: int):
     """[(point, sup-norm exponent)] for x, F(x), ..., F^n(x), exact."""
+    _check_point(f, x)
     return _orbit(f, x, n, INF)
 
 
 def _rat_bits(x) -> int:
     if isinstance(x, Fraction):
         return x.numerator.bit_length() + x.denominator.bit_length()
+    if isinstance(x, int):
+        return x.bit_length()
     return 64
 
 
@@ -392,17 +523,28 @@ class MapAnalysis:
     @_kept()
     def lipschitz(self, norm: AdaptedNorm):
         """k -> remainder_lipschitz(f, k, norm), with F conjugated into the
-        norm's coordinates once: with T Winv = diag(pi^s) P and its inverse
-        R diag(pi^s') (AdaptedNorm), P F R is conjugated over the base
-        field, and the pi-powers enter as offsets."""
-        (s, pr), (s2, r) = norm._pi_rows, norm._pi_cols
-        ctx = infer_context([pr, r, self.f.components], norm.prime)
+        norm's coordinates once, as P F R over the base field with offsets
+        off_i and coff_l in units of 1/ram: the monomial c x^m of component
+        i gives v(c) + (off_i + sum_l m_l coff_l)/ram.  Over Q, P and R are
+        the norm's integer rows and columns (_zrows, _zcols) with their
+        offsets, as in spectral._zoperator_norm.  Otherwise, with
+        T Winv = diag(pi^s) P and its inverse R diag(pi^s') (_pi_rows,
+        _pi_cols), off_i = s_i + ram q_i and coff_l = s'_l - ram q_l."""
+        ctx, ram = self.f.coeff_context(), norm.ram
+        if isinstance(ctx, RationalContext) and norm._zrows is not None \
+                and norm._zcols is not None:
+            pr, offs = zip(*norm._zrows)
+            cols, coffs = zip(*norm._zcols)
+            r = [list(row) for row in zip(*cols)]
+        else:
+            (s, pr), (s2, r) = norm._pi_rows, norm._pi_cols
+            ctx = infer_context([pr, r, self.f.components], norm.prime)
+            offs = [si + int(q * ram) for si, q in zip(s, norm.weights)]
+            coffs = [si - int(q * ram) for si, q in zip(s2, norm.weights)]
         tables = conjugate(self.f, pr, r, ctx)
-        q = norm.weights
-        # (v(c) + (s_i + sum_l m_l s'_l)/ram + q_i - sum_l m_l q_l, |m|) for
-        # each monomial c x^m of P F R, |m| >= 2
-        terms = [(ctx.val(c) + Fraction(s[i] + sum(ml * s2[l] for l, ml in enumerate(m)), norm.ram)
-                  + q[i] - sum(ml * q[l] for l, ml in enumerate(m)), sum(m))
+        # (v(c) + (off_i + sum_l m_l coff_l)/ram, |m|) for each monomial
+        # c x^m of P F R, |m| >= 2
+        terms = [(ctx.val(c) + Fraction(offs[i] + sum(map(mul, m, coffs)), ram), sum(m))
                  for i, table in enumerate(tables) for m, c in table.items()
                  if sum(m) >= 2 and ctx.val(c) != INF]
         return lambda k: min((base + (deg - 1) * k for base, deg in terms), default=INF)
@@ -611,6 +753,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
+    _check_point(f, x)
     if _is_exact_zero_vec(x, p, precision):
         return MembershipVerdict(CERTIFIED_MEMBER, (INF,),
                                  ("x is the fixed point itself",))

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionViolated,
     ResonanceDetected,
 )
-from .field import DEFAULT_PRECISION, ZERO
+from .field import DEFAULT_PRECISION, ZERO, RationalContext
 from .polyalg import (
     cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
 from . import spectral
@@ -30,6 +30,8 @@ from .dynamics import (
     _meval,
     _mscale,
     _msubst,
+    _zeval,
+    _ztable,
     conjugate,
     linear_part,
 )
@@ -304,8 +306,11 @@ def split_point(gs: GraphSeries, x):
 
 
 def evaluate_graph(gs: GraphSeries, xi):
-    """h(xi) in complement coordinates."""
+    """h(xi) in complement coordinates (over Q on integers, _zeval)."""
     ctx = gs._ctx()
+    if isinstance(ctx, RationalContext) and isinstance(infer_context(list(xi), gs.prime),
+                                                       RationalContext):
+        return _zeval([_ztable(t) for t in gs.tables()], xi)
     xi = cvec(xi, ctx)
     return [_meval({m: coerce(c, ctx) for m, c in t.items()}, xi, ctx)
             for t in gs.tables()]

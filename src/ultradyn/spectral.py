@@ -338,8 +338,10 @@ class AdaptedNorm:
     T'_0), and norm_exp takes p-adic valuations of integer dot products and
     operator_norm one integer product; a PadicNumber in the norm, in x or in
     M keeps the ring arithmetic.  The base-field T_0 Winv (_pi_rows) and
-    W T'_0 (_pi_cols) are built only for transform(), that ring path and the
-    remainder bounds of dynamics.
+    W T'_0 (_pi_cols) are built only for transform() and the ring paths:
+    norm_exp and operator_norm as above, and the remainder bounds of
+    dynamics when the norm or the map holds a PadicNumber (over Q those
+    conjugate the map by _zrows and _zcols).
     """
 
     prime: int

@@ -1,6 +1,7 @@
 """Test-only reference oracles: the ring Q_p(pi), pi^ram = p, with full
 arithmetic (PiElement, PiRing), and plain reference computations that the
-library's fast paths are checked against.
+library's fast paths are checked against, among them polynomial maps
+expanded term by term over Fractions.
 
 The library holds values of Q_p(pi) only as print-only ExtElement records
 and reads its adapted norms as pi-exponents and base-field rows; these
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf as INF, lcm
+from math import inf as INF, lcm, prod
 
 from ultradyn.errors import (DivisionByZero, PrecisionExhausted, PreconditionViolated,
                              RankUncertified)
@@ -351,3 +352,66 @@ def reference_zcols(n):
     scaled likewise, with offsets -q_j."""
     cols = zip(*reference_inverse_transform(n, PiRing(n.prime, n.ram)))
     return _reference_zscaled(n, list(cols), -1)
+
+
+# --------------------------------------------------------------------------
+# polynomial maps over Q
+# --------------------------------------------------------------------------
+
+
+def _expand(a, polys, nvars_out):
+    """a with x_i -> polys[i], every term multiplied out with the values' own
+    + and *, nothing dropped and no zero removed."""
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * nvars_out: c}
+        for i, e in enumerate(m):
+            for _ in range(e):
+                nxt = {}
+                for m1, c1 in term.items():
+                    for m2, c2 in polys[i].items():
+                        mm = tuple(x + y for x, y in zip(m1, m2))
+                        nxt[mm] = nxt[mm] + c1 * c2 if mm in nxt else c1 * c2
+                term = nxt
+        for mm, cc in term.items():
+            out[mm] = out[mm] + cc if mm in out else cc
+    return out
+
+
+def reference_msubst(a, polys, nvars_out, max_deg=INF):
+    """dynamics._msubst over Q by plain Fraction products: the whole
+    substitution expanded (_expand), then the zero terms and those of total
+    degree above max_deg dropped."""
+    full = _expand({m: Fraction(c) for m, c in a.items()},
+                   [{m: Fraction(c) for m, c in q.items()} for q in polys], nvars_out)
+    return {m: c for m, c in full.items() if c != 0 and sum(m) <= max_deg}
+
+
+def reference_call(f, x):
+    """F(x) for a rational map and point: sum c x^m per component, over
+    Fractions."""
+    return [sum((Fraction(c) * prod(Fraction(xi) ** e for xi, e in zip(x, m)) for m, c in comp),
+                Fraction(0)) for comp in f.components]
+
+
+def reference_lipschitz(f, n):
+    """k -> the remainder bound of dynamics.remainder_lipschitz, from the
+    conjugate G = (T Winv) F (T Winv)^-1 of the rational map F expanded over
+    Q_p(pi) (reference_transform, reference_inverse_transform, _expand):
+    the least v(c) + q_i - sum_l m_l q_l + (|m| - 1) k over the monomials
+    c y^m of G_i with |m| >= 2; INF if there are none."""
+    ring = PiRing(n.prime, n.ram)
+    t, tinv = reference_transform(n, ring), reference_inverse_transform(n, ring)
+    d = len(t)
+    lin = [{tuple(int(l == j) for l in range(d)): c for j, c in enumerate(row)} for row in tinv]
+    inner = [_expand({m: ring.lift(c) for m, c in comp}, lin, d) for comp in f.components]
+    q = n.weights
+    terms = []
+    for i, row in enumerate(t):
+        g = {}
+        for tij, h in zip(row, inner):
+            for m, c in h.items():
+                g[m] = g[m] + tij * c if m in g else tij * c
+        terms += [(ring.val(c) + q[i] - sum(ml * ql for ml, ql in zip(m, q)), sum(m))
+                  for m, c in g.items() if sum(m) >= 2 and ring.val(c) != INF]
+    return lambda k: min((b + (deg - 1) * k for b, deg in terms), default=INF)

@@ -2,6 +2,7 @@
 orbits, stable-set membership."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf as INF
 
@@ -21,6 +22,7 @@ from ultradyn.dynamics import (
     classify_fixed_point,
     invariant_ball,
     jacobian,
+    linear_part,
     linearization_radius,
     orbit,
     remainder_lipschitz,
@@ -28,11 +30,13 @@ from ultradyn.dynamics import (
     stable_membership,
 )
 from ultradyn.dynamics import _mpow, _msubst  # noqa: the series kernel under test
-from ultradyn.errors import NotAFixedPoint
+from ultradyn.dynamics import ORBIT_BIT_CAP, _orbit, _rat_bits  # noqa: the orbit cut
+from ultradyn.errors import NotAFixedPoint, PreconditionViolated
 from ultradyn.field import ZERO, PadicContext, PadicNumber, RationalContext
 from ultradyn.spectral import adapted_norm
 
-from helpers import rand_poly_map, rand_unit
+from helpers import rand_conjugated, rand_poly_map, rand_unit
+from reference import reference_call, reference_lipschitz, reference_msubst
 
 F = Fraction
 
@@ -195,6 +199,32 @@ def test_orbit_oracle():
     assert [e for _, e in pts] == [F(0), F(1), F(2)]
 
 
+def test_rat_bits_counts_integer_bits():
+    """An int counts its own bits, so an orbit from a large integer point
+    is cut after that point, as the equal Fraction point is; a small
+    Fraction point runs the whole horizon."""
+    big = 10**3000
+    assert _rat_bits(big) == big.bit_length() > ORBIT_BIT_CAP
+    assert _rat_bits(F(-3, 4)) == 2 + 3
+    f = bench()
+    assert len(_orbit(f, [big, 0], 5, ORBIT_BIT_CAP)) == 1
+    assert len(_orbit(f, [F(big), F(0)], 5, ORBIT_BIT_CAP)) == 1
+    assert len(_orbit(f, [F(1, 2), 3], 5, ORBIT_BIT_CAP)) == 6
+
+
+@pytest.mark.parametrize("x", [[F(1), F(2), F(3)], [F(1)], [0, 0, 0], []])
+def test_points_of_the_wrong_length_are_rejected(x):
+    """A point with more or fewer coordinates than the map has variables
+    raises PreconditionViolated, even where nothing is evaluated (a zero
+    point, a zero-step orbit)."""
+    f = bench()
+    for call in (lambda: f(x), lambda: orbit(f, x, 3), lambda: orbit(f, x, 0),
+                 lambda: stable_membership(f, F(1), x),
+                 lambda: classify_fixed_point(f, pt=x)):
+        with pytest.raises(PreconditionViolated, match="coordinates"):
+            call()
+
+
 # -- stable-set membership ---------------------------------------------------
 
 
@@ -330,6 +360,81 @@ def test_msubst_truncates_inside_the_product(case):
     for q, want in zip(polys, powers):
         got = _mpow(q, 3, nout, ctx, max_deg=k)
         assert [list(t.items()) for t in got] == [_upto(t, k) for t in want]
+
+
+def _rational_maps():
+    """Seeded rational maps fixing 0: d = 1..3, degree 2..3, p = 2, 3, 5."""
+    rng = random.Random(2100)
+    return [rand_poly_map(rng, p, d, deg) for p in (2, 3, 5) for d in (1, 2, 3) for deg in (2, 3)]
+
+
+def _mixed(rng, c):
+    """c, or int(c) half the time where c is integral."""
+    return int(c) if c.denominator == 1 and rng.random() < 0.5 else c
+
+
+def test_msubst_matches_fraction_reference():
+    """Over Q, _msubst equals the term-by-term Fraction expansion, every
+    coefficient a Fraction: tables mixing ints and Fractions, substitutions
+    x_j -> x_j + c_j (shift_to_fixed_point's), linear ones (conjugate's)
+    and empty ones, under degree caps; an empty table gives an empty one."""
+    rng = random.Random(21)
+    for f in _rational_maps():
+        p, d = f.prime, f.nvars
+        ctx = RationalContext(p)
+        e = [tuple(int(l == j) for l in range(d)) for j in range(d)]
+        shift = [{e[j]: F(1), (0,) * d: rand_unit(rng, p) * F(p) ** rng.randint(-1, 2)}
+                 for j in range(d)]
+        linear = [{e[j]: F(rng.randint(-9, 9), rng.choice([1, p, 7])) for j in range(d)}
+                  for _ in range(d)]
+        mixed = [{m: _mixed(rng, c) for m, c in q.items()} for q in linear]
+        for comp in f.tables():
+            a = {m: _mixed(rng, c) for m, c in comp.items()}
+            for polys in (shift, linear, mixed, [{}] * d):
+                for k in (1, 2, 3, 5, INF):
+                    got = _msubst(a, polys, d, ctx, k)
+                    assert got == reference_msubst(a, polys, d, k), (f, polys, k)
+                    assert all(type(c) is F for c in got.values())
+        assert _msubst({}, shift, d, ctx) == {}
+
+
+def test_call_matches_fraction_reference():
+    """F(x) over Q equals the Fraction sum, as Fractions, at points mixing
+    ints and Fractions and at the zero point; an empty component is 0."""
+    rng = random.Random(22)
+    for f in _rational_maps():
+        p, d = f.prime, f.nvars
+        pts = [[0] * d, [F(0)] * d] + [
+            [_mixed(rng, rand_unit(rng, p) * F(p) ** rng.randint(-2, 3)) for _ in range(d)]
+            for _ in range(6)]
+        for x in pts:
+            got = f(x)
+            assert got == reference_call(f, x), (f, x)
+            assert all(type(c) is F for c in got)
+    g = pmap([{}, {(1, 0): F(3, 4)}], 3)
+    assert g([2, F(1, 3)]) == [F(0), F(3, 2)]
+
+
+def test_remainder_bound_matches_fraction_reference():
+    """Over Q the remainder bound, from F conjugated by the norm's integer
+    rows and columns, equals the bound read off F conjugated over Q_p(pi)
+    by the whole transform, at integral and fractional k; norms of the
+    map's own linear part and of seeded matrices with nilpotent blocks and
+    ram > 1."""
+    rng = random.Random(23)
+    seen = Counter()
+    for f in _rational_maps():
+        p, d = f.prime, f.nvars
+        norms = [adapted_norm(linear_part(f), p)]
+        norms += [adapted_norm(rand_conjugated(rng, p, d)[0], p) for _ in range(3)]
+        for n in norms:
+            assert n._zrows is not None  # a rational norm
+            want = reference_lipschitz(f, n)
+            for k in [*range(-2, 10), F(1, 2), F(-5, 3), F(7, 6)]:
+                assert remainder_lipschitz(f, k, n) == want(F(k)), (f, n, k)
+            seen["ram > 1"] += n.ram > 1
+            seen["nilpotent"] += n.eps_exp is not None
+    assert seen["ram > 1"] >= 5 and seen["nilpotent"] >= 5, seen
 
 
 # -- local isometry within the linearization radius --------------------------

@@ -15,7 +15,8 @@ and one
 MapAnalysis per map, interned by content and bounded, that conjugates F once
 per norm, builds each stable graph once per threshold and each orbit once
 per point and horizon, and whose warm answers equal cold ones; norms and
-maps hash once, by content."""
+maps hash once, by content; and over Q a map's certification, like the
+norm build, takes no ring product."""
 
 import json
 import math
@@ -823,6 +824,46 @@ def test_stable_graph_built_once_per_threshold(monkeypatch, conjugations):
     # graph_series and the residual per threshold, and the dominance
     # ball's remainder bound once
     assert conjugations == Counter({GAP_MAP: 2 * 2 + 1})
+
+
+def test_rational_maps_take_no_ring_products(monkeypatch):
+    """Over Q a map's certification runs on integers: classification, the
+    linearization radius, membership below and above the spectrum and in a
+    gap (by the dominance ball and by graph reduction), and a graph series
+    with its residual call neither the ring kernels _mmul and _meval nor
+    the Fraction rows and columns _pi_rows and _pi_cols of a norm, so a
+    silent fallback to Fraction products fails.  One PadicNumber
+    coefficient keeps the ring path, and the spies see all four."""
+    dynamics._map_analysis.cache_clear()  # every remainder bound is built here
+    calls = Counter()
+    for module, name in ((dynamics, "_mmul"), (dynamics, "_meval"), (manifolds, "_meval")):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, orig=orig, name=name: calls.update([name]) or orig(*a))
+    for name in ("_pi_rows", "_pi_cols"):
+        orig = getattr(spectral.AdaptedNorm, name)
+        monkeypatch.setattr(spectral.AdaptedNorm, name, property(
+            lambda self, orig=orig, name=name: calls.update([name]) or orig.__get__(self)))
+
+    def certify(f, a, x, verdict, why):
+        dynamics.classify_fixed_point(f)
+        dynamics.linearization_radius(f, spectral.adapted_norm(dynamics.linear_part(f), f.prime))
+        v = dynamics.stable_membership(f, a, x)
+        assert v.verdict == verdict and why in " ".join(v.justification), v
+
+    certify(CONTRACTING, F(1), [F(4), F(8)], dynamics.CERTIFIED_MEMBER, "Contracting certificate")
+    certify(EXPANDING, F(1), [F(4), F(8)], dynamics.CERTIFIED_NON_MEMBER, "linearization ball")
+    certify(SERIES_GRAPH_MAP, F(1), [F(4), F(8)], dynamics.CERTIFIED_NON_MEMBER, "dominance ball")
+    certify(GAP_MAP, F(1), [F(1), F(2, 7)], dynamics.CERTIFIED_MEMBER, "untruncated invariance")
+    for f in (GAP_MAP, SERIES_GRAPH_MAP):
+        gs = manifolds.graph_series(f, F(1), manifolds.STABLE, order=6)
+        assert not any(manifolds.residual(f, gs))
+    assert not calls, calls
+    tables = CONTRACTING.tables()
+    tables[0][0, 2] = PadicNumber.from_rational(1, 2, 20)
+    certify(PolyMap.from_tables(tables, 2), F(1), [F(4), F(8)], dynamics.CERTIFIED_MEMBER,
+            "Contracting certificate")
+    assert set(calls) == {"_mmul", "_meval", "_pi_rows", "_pi_cols"}, calls
 
 
 @pytest.fixture
