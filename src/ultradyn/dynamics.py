@@ -27,7 +27,7 @@ from .errors import (
     UltradynError,
 )
 from .field import (
-    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, compare_threshold)
+    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _ival, compare_threshold)
 from .polyalg import (
     _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
 from . import spectral
@@ -457,7 +457,11 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
 
 
 def standard_norm_exp(x, p: int):
-    """Exponent of the sup norm max |x_i| (INF for the zero vector)."""
+    """Exponent of the sup norm max |x_i| (INF for the zero vector).  Over
+    Q each v(x_i) is v_p(numerator) - v_p(denominator), read directly."""
+    if not any(isinstance(c, PadicNumber) for c in x):
+        vals = [_ival(c.numerator, p) - _ival(c.denominator, p) for c in x if c]
+        return Fraction(min(vals)) if vals else INF
     ctx = infer_context(list(x), p)
     vals = [ctx.val(coerce(c, ctx)) for c in x]
     vals = [v for v in vals if v != INF]

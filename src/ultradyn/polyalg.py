@@ -4,9 +4,11 @@ Matrices are lists of rows; vectors are lists.  Entries are Fractions or
 PadicNumbers, held in a ring context (field.RationalContext /
 PadicContext).  Over Q_p elimination and the charpoly pivot by least
 valuation, which keeps the precision.  Over Q, whose answers do not depend
-on the pivot order, row_reduce, charpoly and invariant_unit_lattice run on
-plain integers and return the same Fractions; over Q_p they keep the ring
-path.
+on the pivot order, row_reduce, kernel_basis, mat_inverse, charpoly and
+invariant_unit_lattice run on plain integers (one Gauss-Jordan elimination,
+_zrow_reduce, with kernels and inverses read off it as (denominator,
+integer vector) pairs) and return the same Fractions; over Q_p they keep
+the ring path.
 """
 
 from __future__ import annotations
@@ -148,18 +150,24 @@ def row_reduce(mat, ctx, rhs=None):
     Returns (rows, pivot_cols, rhs_rows).  Over Q_p the pivot of each
     column has least valuation, and RankUncertified is raised when
     the rank depends on an entry that is indistinguishable from zero.  Over
-    Q the elimination runs on integers (_zrow_reduce).  The reduced echelon
+    Q the rows of [mat | rhs], scaled to integers, go through _zrow_reduce
+    and are divided by their pivots only at the end.  The reduced echelon
     form does not depend on the pivot order, and neither do the pivot rows'
     right-hand sides when the system is consistent.  Rows past the rank are
     zero; only whether all their right-hand sides are zero is fixed, so
     callers read them as zero or nonzero and nothing more.
     """
+    n = len(mat)
+    m = len(mat[0]) if n else 0
     if isinstance(ctx, RationalContext):
-        return _zrow_reduce(mat, rhs)
+        rows = [_zscale(list(mat[i]) + (list(rhs[i]) if rhs is not None else []))[1]
+                for i in range(n)]
+        pivots = _zrow_reduce(rows, m)
+        out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+        out += [[Fraction(x) for x in row] for row in rows[len(pivots):]]
+        return [r[:m] for r in out], pivots, None if rhs is None else [r[m:] for r in out]
     rows = [list(r) for r in mat]
     aug = [list(r) for r in rhs] if rhs is not None else None
-    n = len(rows)
-    m = len(rows[0]) if n else 0
     pivots = []
     r = 0
     for c in range(m):
@@ -209,17 +217,16 @@ def _zmat(m):
     return den, [flat[i * d:(i + 1) * d] for i in range(d)]
 
 
-def _zrow_reduce(mat, rhs):
-    """row_reduce over Q on integers.  Each row of [mat | rhs] is scaled to
-    integers by the lcm of its denominators.  Gauss-Jordan then takes the
-    first nonzero pivot and replaces row_i by (piv/g) row_i - (f/g) row_r,
-    g = gcd(piv, f), after Bareiss (Math. Comp. 22, 1968), dividing out each
-    new row's content.  Each pivot row is divided by its pivot only at the
-    end, as Fractions."""
-    n, m = len(mat), len(mat[0]) if mat else 0
-    rows = [_zscale(list(mat[i]) + (list(rhs[i]) if rhs is not None else []))[1]
-            for i in range(n)]
-    pivots = []
+def _zrow_reduce(rows, m):
+    """The one integer Gauss-Jordan elimination: rows, lists of ints, are
+    reduced in place over their first m columns, and the pivot columns are
+    returned.  Each column's first nonzero entry from the current rank down
+    is its pivot, and row_i becomes (piv/g) row_i - (f/g) row_r,
+    g = gcd(piv, f), after Bareiss (Math. Comp. 22, 1968), with each new
+    row's content divided out.  Pivot row r is then piv_r times row r of the
+    reduced echelon form; rows past the rank are zero in the first m
+    columns."""
+    n, pivots = len(rows), []
     for c in range(m):
         r = len(pivots)
         best = next((i for i in range(r, n) if rows[i][c]), None)
@@ -236,9 +243,40 @@ def _zrow_reduce(mat, rhs):
                 g = gcd(*new)
                 rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-    out += [[Fraction(x) for x in row] for row in rows[len(pivots):]]
-    return [r[:m] for r in out], pivots, None if rhs is None else [r[m:] for r in out]
+    return pivots
+
+
+def _zkernel(rows):
+    """Right kernel of the integer matrix rows (reduced in place by
+    _zrow_reduce) as (D, u) pairs: one per free column fc, with u[fc] = D,
+    u[c_r] = -row_r[fc] (D / row_r[c_r]) at each pivot column c_r and D the
+    lcm of the pivots it uses.  u / D is kernel_basis's vector."""
+    ncols = len(rows[0]) if rows else 0
+    pivots = _zrow_reduce(rows, ncols)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        used = [(c, row) for c, row in zip(pivots, rows) if row[fc]]
+        den = lcm(*[row[c] for c, row in used])
+        u = [0] * ncols
+        u[fc] = den
+        for c, row in used:
+            u[c] = -row[fc] * (den // row[c])
+        out.append((den, u))
+    return out
+
+
+def _zinverse(cols):
+    """W^-1 = diag(D_j) U^-1 for W with columns u_j / D_j, given as the
+    integer pairs (D_j, u_j), as one (D, row) pair per row: row r of W^-1
+    is u[:d] / D for the r-th kernel vector (D, u) of the rows
+    u_j ++ (-D_j e_j), as u_j . u[:d] = D_j D [j = r].  A kernel vector
+    with u[d:] = 0 lies in the kernel of U^T, and then W is singular."""
+    d = len(cols)
+    ker = _zkernel([u + [-den if i == j else 0 for i in range(d)]
+                    for j, (den, u) in enumerate(cols)])
+    if any(not any(u[d:]) for _, u in ker):
+        raise PreconditionViolated("matrix not invertible")
+    return [(den, u[:d]) for den, u in ker]
 
 
 def solve(a, b, ctx):
@@ -254,12 +292,21 @@ def solve(a, b, ctx):
 
 
 def mat_inverse(m, ctx):
+    """m^-1; over Q on integers (_zinverse of m's columns)."""
+    if isinstance(ctx, RationalContext):
+        return [[Fraction(x, den) for x in row]
+                for den, row in _zinverse([_zscale(list(c)) for c in zip(*m)])]
     return solve(m, identity(len(m), ctx), ctx)
 
 
 def kernel_basis(mat, p: int, precision: int | None = None, ctx=None):
-    """Basis of the right kernel, via valuation-pivoted elimination."""
+    """Basis of the right kernel, one vector per free column: over Q read
+    off the integer elimination (_zkernel), over Q_p by valuation-pivoted
+    elimination."""
     ctx = ctx or infer_context(mat, p, precision)
+    if isinstance(ctx, RationalContext):
+        return [[Fraction(x, den) for x in u]
+                for den, u in _zkernel([_zscale(list(r))[1] for r in mat])]
     m = cmat(mat, ctx)
     ncols = len(m[0]) if m else 0
     rows, pivots, _ = row_reduce(m, ctx)
@@ -433,12 +480,16 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
     lies between the known points and on or above their hull, where no
     value it may take can move the hull; any other raises."""
     ctx = infer_context(list(f.coeffs), p)
-    pts, vague = [], []
-    for i, c in enumerate(f.coeffs):
-        cc = coerce(c, ctx)
-        z = ctx.zeroness(cc)
-        if z != ZERO:
-            (pts if z == NONZERO else vague).append((i, ctx.val(cc)))
+    pts, vague, rational = [], [], isinstance(ctx, RationalContext)
+    if rational:  # v_p(num) - v_p(den) as ints, read directly
+        pts = [(i, _ival(c.numerator, p) - _ival(c.denominator, p))
+               for i, c in enumerate(f.coeffs) if c]
+    else:
+        for i, c in enumerate(f.coeffs):
+            cc = coerce(c, ctx)
+            z = ctx.zeroness(cc)
+            if z != ZERO:
+                (pts if z == NONZERO else vague).append((i, ctx.val(cc)))
     if vague and not pts:
         raise PrecisionExhausted(f"coefficient {vague[0][0]} has uncertain valuation")
     if not pts:
@@ -463,6 +514,7 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
         segments.append((-slope, x2 - x1))
+    hull = [(i, Fraction(v)) for i, v in hull] if rational else hull
     return NewtonPolygon(tuple(hull), tuple(segments), inf_mult, p)
 
 
@@ -674,7 +726,7 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     """
     n, e = Fraction(rho).as_integer_ratio()
     if isinstance(infer_context(r, p), RationalContext):
-        return _zunit_lattice(r, p, n, e)
+        return _zunit_lattice(*_zmat(r), p, n, e)
 
     def zeroness(x, k):  # of pi^k x, by its pi-slot coefficient x p^(k // e)
         return _bzeroness(x, precision - k // e)
@@ -720,17 +772,17 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     return ks, w, winv
 
 
-def _zunit_lattice(r, p, n, e):
-    """invariant_unit_lattice for rational R on integers.  Each Krylov
-    vector is kept as (k, den, u) with u / den the vector, u integral and
-    gcd(content u, den) = 1: R v is A u / (D den) for A = D R integral.  A
+def _zunit_lattice(dr, a, p, n, e):
+    """invariant_unit_lattice for rational R = A / dr, A integral, on
+    integers.  Each Krylov vector is kept as (k, den, u) with u / den the
+    vector, u integral and gcd(content u, den) = 1: R v is A u / (dr den).  A
     Hermite step on w = U / den by the pivot P / den' is
     ((P_r/g) U - (U_r/g) P) / (den (P_r/g)), g = gcd(U_r, P_r), the
-    pivot chosen by v(U_r) - v(den) + k/e as over Q_p.  Only the basis
-    leaves as Fractions; the certificate takes p-adic valuations of integer
-    dot products of the rows of W^-1, scaled to integers, with R^d e_i."""
-    d = len(r)
-    dr, a = _zmat(r)
+    pivot chosen by v(U_r) - v(den) + k/e as over Q_p.  W^-1 comes from the
+    (den, u) basis by one integer elimination (_zinverse), and only W and
+    W^-1 leave as Fractions; the certificate takes p-adic valuations of
+    integer dot products of the integer rows of W^-1 with R^d e_i."""
+    d = len(a)
 
     def reduced(k, den, u):
         g = gcd(den, *u)
@@ -762,13 +814,12 @@ def _zunit_lattice(r, p, n, e):
                 f, c = pr // g, u[row] // g
                 vecs[idx] = reduced(kw, den * f, [f * x - c * y for x, y in zip(u, pu)])
         ks.append(k)
-        basis.append([Fraction(x, pden) for x in pu])
-    w = [list(c) for c in zip(*basis)]
-    winv = solve(w, identity(d, RationalContext(p)), RationalContext(p))
-    zinv = [_zscale(row) for row in winv]
+        basis.append((pden, pu))
+    zinv = _zinverse(basis)
     for den, u in tops:
         for (rden, zrow), k in zip(zinv, ks):
             t = sum(map(mul, zrow, u))
             if t and e * (_ival(t, p) - _ival(rden * den, p)) < d * n + k:
                 raise PreconditionViolated("B maps the Krylov lattice outside itself")
-    return ks, w, winv
+    w = [[Fraction(u[i], den) for den, u in basis] for i in range(d)]
+    return ks, w, [[Fraction(x, den) for x in row] for den, row in zinv]

@@ -8,10 +8,10 @@ comparison against a rational threshold a is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from math import comb, inf as INF, isqrt, lcm
+from functools import cached_property, lru_cache
+from math import comb, gcd, inf as INF, isqrt, lcm
 from operator import mul
 
 from .errors import PreconditionViolated
@@ -50,8 +50,12 @@ from .polyalg import (
     _monic_scale,
     _slope_split,
     _zdivmod,
+    _zinverse,
+    _zkernel,
     _zmat,
+    _zrow_reduce,
     _zscale,
+    _zunit_lattice,
 )
 
 # --------------------------------------------------------------------------
@@ -64,12 +68,15 @@ class SpectralBlock:
     """Generalized eigenspace sum for one eigenvalue valuation rho.
 
     |eigenvalue| = p^-rho; rho == INF is the nilpotent part.  The basis is
-    exact rational whenever the corresponding charpoly factor is rational.
+    exact rational whenever the corresponding charpoly factor is rational,
+    and is then also kept as the integer kernel vectors it came from, (D, u)
+    pairs with u / D the vector (_zbasis, outside ==, hash and repr()).
     """
 
     rho: object  # Fraction or INF
     dim: int
     basis: tuple  # ambient column vectors
+    _zbasis: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,16 @@ class SpectralData:
     def spectrum(self):
         """[(rho, multiplicity)] with |eigenvalue| = p^-rho."""
         return [(b.rho, b.dim) for b in self.blocks]
+
+    @cached_property
+    def _winv(self):
+        """Over Q, W^-1 for W the block bases side by side, from the blocks'
+        integer vectors by one integer elimination (_zinverse); kept outside
+        == and repr(), None if a block is p-adic."""
+        if any(b._zbasis is None for b in self.blocks):
+            return None
+        return [[Fraction(x, den) for x in row]
+                for den, row in _zinverse([z for b in self.blocks for z in b._zbasis])]
 
 
 # --------------------------------------------------------------------------
@@ -126,16 +143,16 @@ def _rational_factors(cp: Polynomial):
     return out
 
 
-def _integral_eval(cs, m):
+def _integral_eval(cs, dm, mi):
     """E D^n g(M) by Horner over plain ints, for g = cs of degree n and M
-    rational, D and E the lcms of the denominators of M and of g.  It has the
-    kernel of g(M), and so the same reduced echelon form and kernel basis."""
-    n, k = len(cs) - 1, len(m)
-    dm, mi = _zmat(m)
+    rational, given as D M = mi, D = dm the lcm of its denominators, and E
+    the lcm of those of g.  It has the kernel of g(M)."""
+    n, k = len(cs) - 1, len(mi)
+    cols = list(zip(*mi))
     gi = _zscale(cs)[1]
     acc = [[0] * k for _ in range(k)]
     for i in range(n, -1, -1):
-        acc = mat_mul(acc, mi)
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
         c = gi[i] * dm ** (n - i)
         for j in range(k):
             acc[j][j] += c
@@ -150,15 +167,17 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
 
     Both kinds of slope factor come from the one integer slope splitter,
     polyalg._slope_split.  A valuation whose whole slope factor is rational
-    (_rational_factors) keeps an exact rational basis; the rest of the
-    charpoly is split by slope_factorization, and its blocks get
-    capped-precision p-adic bases.
+    (_rational_factors) keeps an exact rational basis, read as integer
+    vectors off the integer kernel of _integral_eval (_zkernel) and kept so
+    in the block; the rest of the charpoly is split by slope_factorization,
+    and its blocks get capped-precision p-adic bases.
     """
     ctx = infer_context(m, p, precision)
     d = len(m)
     cp = cp or charpoly(m, p, precision)
     rest, tagged = cp, []  # (rho, slope factor coefficients)
     if isinstance(ctx, RationalContext):
+        zm = _zmat(m)
         tagged = list(_rational_factors(cp).items())
         cs = list(cp.coeffs)
         for _, g in tagged:
@@ -171,17 +190,19 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
                    for sf in slope_factorization(rest, p, precision)]
     blocks = []
     for rho, cs in sorted(tagged, key=lambda t: (t[0] == INF, t[0])):
-        fctx = infer_context([m, cs], p, precision)
+        fctx = infer_context(cs, p, precision) if isinstance(ctx, RationalContext) else ctx
         if isinstance(fctx, RationalContext):
-            fm = _integral_eval(cs, m)
+            zbasis = _zkernel(_integral_eval(cs, *zm))
+            basis = [[Fraction(x, den) for x in u] for den, u in zbasis]
         else:
-            fm = poly_eval_matrix(cvec(cs, fctx), cmat(m, fctx), fctx)
-        basis = kernel_basis(fm, p, ctx=fctx)
+            zbasis = None
+            basis = kernel_basis(poly_eval_matrix(cvec(cs, fctx), cmat(m, fctx), fctx),
+                                 p, ctx=fctx)
         if len(basis) != len(cs) - 1:
             raise PreconditionViolated(
                 f"eigenspace dimension {len(basis)} != multiplicity {len(cs) - 1}"
             )
-        blocks.append(SpectralBlock(rho, len(basis), tuple(tuple(v) for v in basis)))
+        blocks.append(SpectralBlock(rho, len(basis), tuple(tuple(v) for v in basis), zbasis))
     if sum(b.dim for b in blocks) != d:
         raise PreconditionViolated("eigenspace dimensions do not sum to dim")
     return SpectralData(p, cp, tuple(blocks))
@@ -228,62 +249,63 @@ def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
 # --------------------------------------------------------------------------
 
 
-def _zimage(den, zm, v):
-    """M v over Q from the integer zm = D M, D = den: (D M)(E v) over D E,
-    E the lcm of the denominators of v."""
-    e, zv = _zscale(v)
-    return [Fraction(sum(map(mul, row, zv)), den * e) for row in zm]
-
-
 def _restrict(m, basis, ctx):
-    """Matrix of m on span(basis) in the coordinates of basis: one solve of
-    the basis matrix, with every image as a right-hand side (over Q, each
-    from one integer product)."""
-    vs = cmat(basis, ctx)
-    image = (partial(_zimage, *_zmat(m)) if isinstance(ctx, RationalContext)
-             else partial(mat_vec, cmat(m, ctx)))
-    return solve([list(r) for r in zip(*vs)], [list(r) for r in zip(*map(image, vs))], ctx)
+    """R with M B = B R, B the basis side by side: over Q_p one solve of B
+    with every image as a right-hand side.  Over Q, m comes as (D_M, D_M M),
+    the basis as (D_j, u_j) pairs and R goes as (den, A) in lowest terms:
+    V = L B is integral for L the lcm of the D_j, and Y = D_M R solves
+    V Y = (D_M M) V, one elimination (_zrow_reduce) of [V | D_M M V]."""
+    if not isinstance(ctx, RationalContext):
+        vs, mm = cmat(basis, ctx), cmat(m, ctx)
+        return solve([list(r) for r in zip(*vs)],
+                     [list(r) for r in zip(*(mat_vec(mm, v) for v in vs))], ctx)
+    dm, a = m
+    k, ld = len(basis), lcm(*[den for den, _ in basis])
+    vs = [[x * (ld // den) for x in u] for den, u in basis]
+    rows = [[v[i] for v in vs] + [sum(map(mul, row, v)) for v in vs] for i, row in enumerate(a)]
+    if len(_zrow_reduce(rows, k)) < k or any(x for row in rows[k:] for x in row[k:]):
+        raise PreconditionViolated("basis not independent or its span not invariant")
+    lp = lcm(*[rows[r][r] for r in range(k)])
+    out = [[x * (lp // row[r]) for x in row[k:]] for r, row in enumerate(rows[:k])]
+    g = gcd(dm * lp, *[x for row in out for x in row])
+    return dm * lp // g, [[x // g for x in row] for row in out]
 
 
 def _nilpotent_chains(n, ctx):
     """Jordan chain starters for a nilpotent matrix; returns a basis as
     chains [v_0, ..., v_{l-1}] with N v_k = v_{k-1} (v_0 in ker N).  Over Q
-    the powers are those of the integer D N, D the lcm of the denominators of
-    N: (D N)^i has the kernel of N^i, and N^i v is _zimage(D^i, (D N)^i, v)."""
-    d = len(n)
+    n comes as (D, A) with N = A / D, A integral, as _restrict gives it, and
+    the vectors are (E, u) pairs: the powers A^i have the kernels of N^i
+    (_zkernel), N^i v is (D^i E, A^i u), and independence is the rank of the
+    integer vectors (_zrow_reduce)."""
     if isinstance(ctx, RationalContext):
-        den, zn = _zmat(n)
+        den, zn = n
+        d = len(zn)
         powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
         for _ in range(d):
             powers.append([[sum(map(mul, row, c)) for c in zip(*powers[-1])] for row in zn])
-        image = lambda i, v: _zimage(den**i, powers[i], v)
+        kernel = lambda a: _zkernel([list(r) for r in a])
+        image = lambda i, v: (v[0] * den**i, [sum(map(mul, row, v[1])) for row in powers[i]])
+        rank = lambda vs: len(_zrow_reduce([list(u) for _, u in vs], d))
     else:
+        d = len(n)
         powers = [identity(d, ctx)]
         for _ in range(d):
             powers.append(mat_mul(n, powers[-1]))
+        kernel = lambda a: kernel_basis(a, ctx.p, ctx=ctx)
         image = lambda i, v: mat_vec(powers[i], v)
+        rank = lambda vs: len(row_reduce(vs, ctx)[1])
     s = next(i for i in range(d + 1) if all(
         ctx.zeroness(x) != NONZERO for row in powers[i] for x in row))
-    kernels = [kernel_basis(powers[i], ctx.p, ctx=ctx) if i else [] for i in range(s + 1)]
-
-    reduced = []  # accumulating independent vectors (row-reduced snapshot)
-
-    def independent(v):
-        trial = reduced + [list(v)]
-        _, pivots, _ = row_reduce(trial, ctx)
-        return len(pivots) == len(trial)
+    kernels = [kernel(powers[i]) if i else [] for i in range(s + 1)]
 
     starters = []  # (vector, length)
     for i in range(s, 0, -1):
-        base = [list(v) for v in kernels[i - 1]]
-        for v, l in starters:
-            if l > i:
-                base.append(image(l - i, list(v)))
-        reduced = base
+        reduced = list(kernels[i - 1]) + [image(l - i, v) for v, l in starters if l > i]
         for v in kernels[i]:
-            if independent(v):
-                starters.append((list(v), i))
-                reduced.append(list(v))
+            if rank(reduced + [v]) == len(reduced) + 1:
+                starters.append((v, i))
+                reduced.append(v)
     return [[image(l - 1 - k, v) for k in range(l)] for v, l in starters]
 
 
@@ -333,16 +355,17 @@ class AdaptedNorm:
     v((T Winv x)_i) = v(row_i . x) + s_i/ram with row_i over the base field.
     The rows are built on first use and then kept (outside repr() and ==),
     as is the hash; adapted_norm(m, p) returns one interned norm per matrix
-    and eps.  Over Q the norm is built on integers (block restrictions,
-    Jordan chains, and _zrows and _zcols straight from T_0, Winv, W and
-    T'_0), and norm_exp takes p-adic valuations of integer dot products and
-    operator_norm one integer product; a PadicNumber in the norm, in x or in
-    M keeps the ring arithmetic.  The base-field T_0 Winv (_pi_rows) and
-    W T'_0 (_pi_cols) are built only for transform() and the ring paths:
-    norm_exp and operator_norm as above, and the remainder bounds of
-    dynamics when the norm or the map holds a PadicNumber (over Q those
-    conjugate the map by _zrows and _zcols).
-    """
+    and eps.  Over Q the norm is built on integers, from the blocks' integer
+    kernel vectors (SpectralBlock._zbasis) to Fractions only in its records:
+    Winv (the analysis's, SpectralData._winv), the block restrictions, the
+    Jordan chains and lattices with their inverses, and _zrows and _zcols
+    straight from T_0, Winv, W and T'_0; norm_exp takes p-adic valuations
+    of integer dot products and operator_norm one integer product; a
+    PadicNumber in the norm, in x or in M keeps the ring arithmetic.  The
+    base-field T_0 Winv (_pi_rows) and W T'_0 (_pi_cols) are built only for
+    transform() and the ring paths: norm_exp and operator_norm as above,
+    and the remainder bounds of dynamics when the norm or the map holds a
+    PadicNumber (over Q those conjugate the map by _zrows and _zcols)."""
 
     prime: int
     ram: int
@@ -485,13 +508,17 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     wctx = infer_context(cols, p, precision)
     d = len(m)
     w = [[coerce(cols[j][i], wctx) for j in range(d)] for i in range(d)]
-    winv = mat_inverse(w, wctx)
+    winv = data._winv if data._winv is not None else mat_inverse(w, wctx)
 
-    blocks = []
-    eps_exp = None
+    blocks, eps_exp, zm = [], None, None
     for b in data.blocks:
-        bctx = infer_context([m] + [list(v) for v in b.basis], p, precision)
-        rest = _restrict(m, [list(v) for v in b.basis], bctx)
+        rational = b._zbasis is not None  # and then so is m
+        if rational:
+            bctx, zm = RationalContext(p), zm or _zmat(m)
+            rest = _restrict(zm, b._zbasis, bctx)
+        else:
+            bctx = infer_context([m] + [list(v) for v in b.basis], p, precision)
+            rest = _restrict(m, [list(v) for v in b.basis], bctx)
         if b.rho == INF:
             if eps is None:
                 # default: subordinate to the smallest nonzero |eigenvalue|
@@ -511,12 +538,17 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                 for k, v in enumerate(chain):
                     cvecs.append(v)
                     weights.append(Fraction(-k * j))
+            if rational:  # (E, u) pairs: t by _zinverse
+                t = [[Fraction(x, den) for x in row] for den, row in _zinverse(cvecs)]
+                cvecs = [[Fraction(x, den) for x in u] for den, u in cvecs]
             cw = [[cvecs[jj][ii] for jj in range(b.dim)] for ii in range(b.dim)]
-            t = mat_inverse(cw, bctx)
+            if not rational:
+                t = mat_inverse(cw, bctx)
             blocks.append(NormBlock(INF, tuple(tuple(r) for r in t),
                                     tuple(tuple(r) for r in cw), tuple(weights)))
         else:
-            ks, lat, linv = invariant_unit_lattice(rest, p, b.rho, precision)
+            ks, lat, linv = (_zunit_lattice(*rest, p, *Fraction(b.rho).as_integer_ratio())
+                             if rational else invariant_unit_lattice(rest, p, b.rho, precision))
             s = ram // Fraction(b.rho).denominator  # pi_b = pi^s
             blocks.append(NormBlock(
                 b.rho,
@@ -627,15 +659,20 @@ class LinearAnalysis:
         """The spectral blocks grouped by |eigenvalue| against a, built once
         per a."""
         a, p = Fraction(a), self.p
-        groups = {1: [], 0: [], -1: []}
+        groups, order, off = {1: [], 0: [], -1: []}, {1: [], 0: [], -1: []}, 0
         for b in self.data.blocks:
-            groups[compare_threshold(a, b.rho, p)].extend(b.basis)
+            side = compare_threshold(a, b.rho, p)
+            groups[side].extend(b.basis)
+            order[side].extend(range(off, off + b.dim))
+            off += b.dim
         parts = groups[1], groups[0], groups[-1]  # stable, centre, unstable
         cols = [v for part in parts for v in part]
         ctx = infer_context(cols, p, self.precision)
         d = len(self.m)
         w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
-        winv = mat_inverse(w, ctx)
+        winv = self.data._winv  # over Q: permute the rows as W's columns
+        winv = (mat_inverse(w, ctx) if winv is None
+                else [winv[i] for i in order[1] + order[0] + order[-1]])
         return Splitting(p, a, *(tuple(part) for part in parts),
                          tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
 
@@ -646,14 +683,17 @@ class LinearAnalysis:
 
 
 @lru_cache(maxsize=16)
-def _interned(m, p, precision):
-    return LinearAnalysis(m, p, precision)
+def _interned(key, d, p, precision):
+    xs = [x if isinstance(x, PadicNumber) else Fraction(*x) for x in key]
+    return LinearAnalysis([xs[i * d:(i + 1) * d] for i in range(d)], p, precision)
 
 
 def _analysis(m, p, precision=DEFAULT_PRECISION) -> LinearAnalysis:
     """m's LinearAnalysis, interned by content for the 16 most recent: equal
-    entries (a PadicNumber with its prec), p and precision share one."""
-    return _interned(tuple(tuple(r) for r in m), p, precision)
+    entries (a PadicNumber with its prec, a rational as its integer ratio,
+    which hashes faster than a Fraction), p and precision share one."""
+    return _interned(tuple([x if isinstance(x, PadicNumber) else x.as_integer_ratio()
+                            for r in m for x in r]), len(m), p, precision)
 
 
 # --------------------------------------------------------------------------

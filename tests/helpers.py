@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 from math import gcd, inf as INF
 
-from ultradyn.polyalg import cmat, mat_inverse, mat_mul
+from ultradyn import spectral
+from ultradyn.polyalg import _zmat, cmat, infer_context, mat_inverse, mat_mul
 from ultradyn.field import RationalContext
 from ultradyn.dynamics import PolyMap
 
@@ -193,3 +194,16 @@ def rand_vector(rng: random.Random, p: int, d: int, vmin: int = -2,
     """Random rational vector with entries of controlled valuation."""
     return [rand_unit(rng, p) * Fraction(p) ** rng.randint(vmin, vmax)
             if rng.random() > 0.15 else Fraction(0) for _ in range(d)]
+
+
+def block_restriction(m, block, p: int):
+    """The matrix of m on the span of a SpectralBlock, in its basis: over Q
+    from m and the block's integer vectors (spectral._restrict gives (den, A)
+    with R = A / den, written out here as Fractions), over Q_p from its
+    basis."""
+    basis = [list(v) for v in block.basis]
+    ctx = infer_context([m] + basis, p)
+    if isinstance(ctx, RationalContext):
+        den, a = spectral._restrict(_zmat(m), block._zbasis, ctx)
+        return [[Fraction(x, den) for x in row] for row in a]
+    return spectral._restrict(m, basis, ctx)

@@ -28,11 +28,13 @@ from ultradyn.dynamics import (
     remainder_lipschitz,
     shift_to_fixed_point,
     stable_membership,
+    standard_norm_exp,
 )
 from ultradyn.dynamics import _mpow, _msubst  # noqa: the series kernel under test
 from ultradyn.dynamics import ORBIT_BIT_CAP, _orbit, _rat_bits  # noqa: the orbit cut
 from ultradyn.errors import NotAFixedPoint, PreconditionViolated
-from ultradyn.field import ZERO, PadicContext, PadicNumber, RationalContext
+from ultradyn.field import (ZERO, PadicContext, PadicNumber, RationalContext,
+                           valuation_of_rational)
 from ultradyn.spectral import adapted_norm
 
 from helpers import rand_conjugated, rand_poly_map, rand_unit
@@ -197,6 +199,26 @@ def test_orbit_oracle():
     assert [list(z) for z, _ in pts] == \
         [[F(1), F(2, 7)], [F(2), F(8, 7)], [F(4), F(32, 7)]]
     assert [e for _, e in pts] == [F(0), F(1), F(2)]
+
+
+def test_standard_norm_exp_reads_rational_valuations():
+    """Over Q the sup-norm exponent is min v_p(num) - v_p(den) over the
+    nonzero coordinates, a Fraction as valuation_of_rational gives it (INF
+    for the zero vector), for Fraction and int coordinates alike; a
+    PadicNumber coordinate keeps the ring path with the same value."""
+    rng = random.Random(9)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            x = [F(rng.randint(-60, 60), rng.choice((1, p, p**3, 7, 9 * p))) * p**rng.randint(0, 3)
+                 for _ in range(rng.randint(0, 4))]
+            vals = [valuation_of_rational(c, p) for c in x if c]
+            want = min(vals) if vals else INF
+            got = standard_norm_exp(x, p)
+            assert got == want and (got == INF or type(got) is F), (x, p)
+            assert standard_norm_exp([int(c) if c.denominator == 1 else c for c in x], p) == want
+            if x:
+                padic = [PadicNumber.from_rational(x[0], p, 30)] + x[1:]
+                assert standard_norm_exp(padic, p) == want, (x, p)
 
 
 def test_rat_bits_counts_integer_bits():

@@ -3,7 +3,7 @@ Newton polygons, slope factorization, invariant lattices."""
 
 import random
 from fractions import Fraction
-from math import inf as INF
+from math import inf as INF, lcm
 
 import pytest
 from hypothesis import example, given
@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 from ultradyn.errors import PrecisionExhausted, PreconditionViolated, RankUncertified
 from ultradyn.field import (PadicContext, PadicNumber, RationalContext,
                            valuation_of_rational)
+from ultradyn import spectral
 from ultradyn.polyalg import (
     Polynomial,
     _charpoly_hessenberg,
+    _zinverse,
+    _zkernel,
+    _zunit_lattice,
+    _zmat,
+    _zscale,
     coerce,
     charpoly,
     cmat,
@@ -29,7 +35,7 @@ from ultradyn.polyalg import (
 )
 
 from helpers import ONE_BAND, frac_block, int_block, rand_conjugated, unimodular
-from reference import PiElement, PiRing, fraction_row_reduce
+from reference import PiElement, PiRing, fraction_row_reduce, reference_restrict
 
 
 F = Fraction
@@ -173,6 +179,128 @@ def test_solve_rational_matches_fraction_gauss_jordan(system, p):
         return
     got = solve(a, b, RationalContext(p))
     assert got == x == want[:len(x)] and all(type(c) is F for row in got for c in row)
+
+
+# -- integer kernels, inverses and restrictions against Fraction references --
+
+
+def _fraction_kernel(a):
+    """kernel_basis over Q as a Fraction Gauss-Jordan gives it: one vector
+    per free column, 1 there, 0 at the other free columns and minus the
+    pivot rows' entries at the pivot columns."""
+    rows, pivots, _ = fraction_row_reduce(a)
+    ncols = len(a[0]) if a else 0
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][fc]
+        out.append(v)
+    return out
+
+
+def _fraction_inverse(w):
+    n = len(w)
+    _, pivots, inv = fraction_row_reduce(w, [[F(int(i == j)) for j in range(n)] for i in range(n)])
+    assert len(pivots) == n
+    return inv
+
+
+def _seeded_matrices(rng, count):
+    """n x m rational matrices, n, m <= 6, entries -9..9 over 1, 2, 3, 4, 6
+    or 9 (so negative pivots and several denominators per row), a zero
+    column now and then, and rows past a drawn rank replaced by integer
+    combinations of the rows before them."""
+    for _ in range(count):
+        n, m = rng.randint(0, 6), rng.randint(1, 6)
+        a = [[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(m)]
+             for _ in range(n)]
+        if m > 1 and rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in a:
+                row[j] = F(0)
+        for i in range(rng.randint(1, n + 1) if n else 1, n):
+            a[i] = [sum((rng.randint(-2, 2) * a[k][j] for k in range(i)), F(0))
+                    for j in range(m)]
+        yield a
+
+
+def _scaled(pairs, rng):
+    """The (D, u) pairs times 1, 2 or 6 each: denominators not in lowest terms."""
+    out = []
+    for den, u in pairs:
+        k = rng.choice((1, 2, 6))
+        out.append((k * den, [k * x for x in u]))
+    return out
+
+
+def test_integer_kernels_match_fraction_references():
+    """The integer kernel (_zkernel) and the public kernel_basis and solve
+    over Q give exactly the Fractions of a plain Fraction Gauss-Jordan, on
+    seeded matrices with negative pivots, mixed denominators and rank
+    deficiency, and on 0 x 0, 1 x 1 and zero matrices.  The column-scaled
+    inverse of the analysis, W^-1 = diag(D_j) U^-1 read off _zkernel, equals
+    the Fraction inverse of W for (D_j, u_j) columns whose D_j are not in
+    lowest terms (_zinverse, and mat_inverse over Q through it); a singular
+    square matrix raises."""
+    rng = random.Random(22)
+    cases = [[], [[F(0)]], [[F(-3, 4)]], [[F(0), F(0)], [F(0), F(0)]],
+             [[F(-2), F(4), F(1, 3)], [F(1), F(-2), F(5)]]] + list(_seeded_matrices(rng, 150))
+    ranks, singular = set(), set()
+    for a in cases:
+        want = _fraction_kernel(a)
+        got = [[F(x, den) for x in u] for den, u in _zkernel([_zscale(r)[1] for r in a])]
+        assert got == want, a
+        for p in (2, 3):
+            basis = kernel_basis(a, p)
+            assert basis == want and all(type(x) is F for v in basis for x in v), a
+        n, m = len(a), len(a[0]) if a else 0
+        ranks.add((n, m, m - len(want)))
+        if n == m and len(want) == 0:
+            b = [[F(rng.randint(-5, 5), rng.choice((1, 7))) for _ in range(2)] for _ in range(n)]
+            assert solve(a, b, RationalContext(3)) == fraction_row_reduce(a, b)[2], a
+            cols = [list(c) for c in zip(*a)]
+            pairs = _scaled([_zscale(c) for c in cols], rng)
+            block = spectral.SpectralBlock(F(0), n, tuple(map(tuple, cols)), pairs)
+            data = spectral.SpectralData(3, Polynomial((F(1),), 3), (block,) if n else ())
+            assert data._winv == _fraction_inverse(a), a
+            assert [[F(x, den) for x in row] for den, row in _zinverse(pairs)] == data._winv
+            assert mat_inverse(a, RationalContext(3)) == data._winv, a
+        elif n == m:
+            singular.add(n)
+            with pytest.raises(PreconditionViolated, match="not invertible"):
+                mat_inverse(a, RationalContext(3))
+    assert any(r < min(n, m) for n, m, r in ranks)  # rank-deficient cases were drawn
+    assert {(0, 0, 0), (1, 1, 0), (1, 1, 1)} <= ranks
+    assert {1, 2} <= singular
+
+
+def test_integer_restrictions_and_inverses_match_fraction_references():
+    """Over Q each block restriction, from the block's integer kernel
+    vectors with denominators not in lowest terms, is (den, A) with
+    A / den the Fraction reference restriction and den the lcm of its
+    denominators; each lattice's W^-1 and each nilpotent block's t equal
+    the Fraction inverses of the W and the chains they come with."""
+    rng = random.Random(23)
+    seen = set()
+    for p in (2, 3, 5):
+        for _ in range(12):
+            m, _, _ = rand_conjugated(rng, p, rng.randint(1, 5))
+            data = spectral.spectral_data(m, p)
+            for b in data.blocks:
+                basis = [list(v) for v in b.basis]
+                rest = spectral._restrict(_zmat(m), _scaled(b._zbasis, rng), RationalContext(p))
+                assert rest == _zmat(reference_restrict(m, basis)), (m, b.rho)
+                seen.add(b.dim)
+                if b.rho != INF:
+                    _, w, winv = _zunit_lattice(*rest, p, *F(b.rho).as_integer_ratio())
+                    assert winv == _fraction_inverse(w), (m, b.rho)
+            for nb in spectral.adapted_norm(m, p, data=data).blocks:
+                if nb.rho == INF:
+                    seen.add("nilpotent")
+                    assert [list(r) for r in nb.t] == _fraction_inverse([list(r) for r in nb.tinv])
+    assert {1, 2, "nilpotent"} <= seen
 
 
 # -- characteristic polynomial ----------------------------------------------

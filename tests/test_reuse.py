@@ -35,10 +35,11 @@ from ultradyn.dynamics import PolyMap
 from ultradyn.errors import PreconditionViolated, RankUncertified, UltradynError
 from ultradyn.field import (DEFAULT_PRECISION, ExtElement, PadicNumber, RationalContext, _bval,
                             compare_threshold)
-from ultradyn.polyalg import (cmat, infer_context, kernel_basis, mat_inverse, mat_mul,
+from ultradyn.polyalg import (_zmat, cmat, infer_context, kernel_basis, mat_inverse, mat_mul,
                               poly_eval_matrix)
 
-from helpers import _embed, frac_block, int_block, nilp_block, rand_vector, unimodular
+from helpers import (_embed, block_restriction, frac_block, int_block, nilp_block, rand_vector,
+                     unimodular)
 from helpers import companion, conjugated_companion, rand_conjugated, rand_poly_map
 from reference import (PiElement, PiRing, ext_operator_norm, reference_exps, reference_transform,
                        reference_unit_lattice)
@@ -180,9 +181,7 @@ def norm_block_over_full_ring(m, p, b, ram):
     """The NormBlock of finite block b built by the reference lattice over
     PiRing(p, ram), the norm's own ring, with B = pi^(-rho ram) R, its
     entries written back as ExtElement records."""
-    basis = [list(v) for v in b.basis]
-    bctx = infer_context([m] + basis, p)
-    rest = spectral._restrict(m, basis, bctx)
+    rest = block_restriction(m, b, p)
     ring = PiRing(p, ram)
     shift = PiElement.pi(p, ram, -int(b.rho * ram))
     lat, linv = reference_unit_lattice([[x * shift for x in row] for row in ring.mat(rest)],
@@ -320,14 +319,20 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
     assert "__mul__" in dunders and "__truediv__" in dunders
     assert not [d for d in dunders if hasattr(ExtElement, d)]
     lattices = []
-    lattice = spectral.invariant_unit_lattice
+    lattice, zlattice = spectral.invariant_unit_lattice, spectral._zunit_lattice
 
     def spy(r, p, rho=0, precision=None):
         out = lattice(r, p, rho, precision)
         lattices.append((rho, out))
         return out
 
+    def zspy(dr, a, p, n, e):  # adapted_norm's rational blocks
+        out = zlattice(dr, a, p, n, e)
+        lattices.append((F(n, e), out))
+        return out
+
     monkeypatch.setattr(spectral, "invariant_unit_lattice", spy)
+    monkeypatch.setattr(spectral, "_zunit_lattice", zspy)
     # a rational matrix with integral slopes only: its lattices are over Q
     m = conjugated(random.Random(5), [int_block(3, 1, 2), int_block(3, -1, 1), nilp_block(1)])
     spectral.LinearAnalysis(m, 3).norm()
@@ -355,49 +360,55 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
 
 
 def test_rational_lattices_and_operator_norms_take_no_ring_products(monkeypatch):
-    """Over Q the whole adapted-norm build from the spectral data (block
-    restrictions, Jordan chains, lattices, the integer rows and columns)
-    and its queries norm_exp and operator_norm run on plain integers: they
-    call none of the ring helpers mat_vec, mat_mul and _dot, so a silent
-    fallback to Fraction products fails.  A block or a norm holding
-    PadicNumbers keeps the ring path, and the spy sees it."""
+    """Over Q the whole build from the matrix (the spectral data, each
+    splitting, the adapted norm with its block restrictions, Jordan chains
+    and lattices, the integer rows and columns) and the queries norm_exp and
+    operator_norm run on plain integers: they call none of the ring helpers
+    kernel_basis, mat_inverse, solve, mat_vec, mat_mul and _dot, so a silent
+    fallback to Fraction arithmetic fails.  A block or a norm holding
+    PadicNumbers (the companion of t^2 + t + 3) keeps the ring path, and the
+    spy sees it."""
     cases = [(3, conjugated(random.Random(5), [int_block(3, 1, 2), int_block(3, -1, 1),
                                               nilp_block(2)])),
              (5, conjugated(random.Random(6), [frac_block(5, 1, 2), frac_block(5, 2, 3),
                                               int_block(5, 1, 1)])),
              (3, block_diag([companion([3, 1, 1]), [[F(9)]]]))]
-    runs = []  # (p, m, spectral data, [(rho, restriction, rational)], query vectors)
-    rng = random.Random(4)
-    for p, m in cases:
-        data = spectral.spectral_data(m, p)
-        rests = []
-        for b in data.blocks:
-            if b.rho != INF:
-                basis = [list(v) for v in b.basis]
-                rests.append((b.rho, spectral._restrict(m, basis, infer_context([m] + basis, p)),
-                              all(isinstance(c, F) for v in basis for c in v)))
-        runs.append((p, m, data, rests, [rand_vector(rng, p, len(m)) for _ in range(3)]))
     calls = []
     for module in (polyalg, spectral):
-        for name in ("mat_vec", "mat_mul", "_dot"):
+        for name in ("kernel_basis", "mat_inverse", "solve", "mat_vec", "mat_mul", "_dot"):
             f = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+            monkeypatch.setattr(module, name, lambda *a, f=f, name=name, **k:
+                                calls.append(name) or f(*a, **k))
     kinds = Counter()
-    for p, m, data, rests, xs in runs:
-        for rho, rest, rational in rests:
-            calls.clear()
-            spectral.invariant_unit_lattice(rest, p, rho)
-            assert bool(calls) != rational, (m, rho)
-            kinds["lattice", rational] += 1
+    rng = random.Random(4)
+    for p, m in cases:
+        xs = [rand_vector(rng, p, len(m)) for _ in range(3)]
         calls.clear()
-        n = spectral.adapted_norm(m, p, data=data)
+        data = spectral.spectral_data(m, p)
+        splits = [spectral.splitting_at(m, p, a) for a in (F(1, p), F(1), F(p))]
+        n = spectral.adapted_norm(m, p)
         for x in xs:
             n.norm_exp(x)
         spectral.operator_norm(m, p, n)
-        rational = n._zrows is not None
-        assert rational == all(isinstance(c, F) for v in n.w for c in v)
-        assert bool(calls) != rational, m
+        rational = all(b._zbasis is not None for b in data.blocks)
+        assert rational == (n._zrows is not None)
+        assert rational == all(isinstance(c, F) for s in splits for row in s.winv for c in row)
+        assert bool(calls) != rational, (m, calls)
         kinds["norm", rational] += 1
+        for b in data.blocks:
+            if b.rho != INF:
+                basis = [list(v) for v in b.basis]
+                block_rational = b._zbasis is not None
+                rest = (spectral._restrict(_zmat(m), b._zbasis, RationalContext(p))
+                        if block_rational else
+                        spectral._restrict(m, basis, infer_context([m] + basis, p)))
+                calls.clear()
+                if block_rational:
+                    spectral._zunit_lattice(*rest, p, *F(b.rho).as_integer_ratio())
+                else:
+                    spectral.invariant_unit_lattice(rest, p, b.rho)
+                assert bool(calls) != block_rational, (m, b.rho)
+                kinds["lattice", block_rational] += 1
     assert kinds[("norm", True)] == 2
     assert set(kinds) == {(f, r) for f in ("lattice", "norm") for r in (True, False)}
 
@@ -561,25 +572,32 @@ def test_analysis_parts_are_cached():
 
 
 def test_splitting_built_once_per_threshold(monkeypatch):
-    """A second splitting_at for the same matrix and a inverts nothing and
-    returns the same Splitting; another a builds its own."""
-    inversions = []
-    orig = polyalg.mat_inverse
-
-    def spy(*args, **kwargs):
-        inversions.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(polyalg, "mat_inverse", spy)
-    monkeypatch.setattr(spectral, "mat_inverse", spy)
+    """Over Q the analysis inverts W, the blocks' integer kernel vectors side
+    by side, once, by one integer elimination, and a splitting permutes the
+    rows of that W^-1: no threshold inverts again, and mat_inverse is never
+    called.  A second splitting_at for the same matrix and a returns the
+    same Splitting; another a builds its own."""
+    eliminations, inversions = [], []
+    orig = polyalg._zrow_reduce
+    monkeypatch.setattr(polyalg, "_zrow_reduce",
+                        lambda rows, m: eliminations.append((len(rows), m)) or orig(rows, m))
+    for module in (polyalg, spectral):
+        inverse = module.mat_inverse
+        monkeypatch.setattr(module, "mat_inverse",
+                            lambda *a, f=inverse: inversions.append(a) or f(*a))
+    spectral._analysis(INTEGRAL, 3).data  # the blocks' kernels
+    eliminations.clear()
     s = spectral.splitting_at(INTEGRAL, 3, F(1, 2))
-    assert inversions
-    inversions.clear()
+    assert eliminations == [(5, 10)]  # the rows u_j ++ (-D_j e_j)
+    eliminations.clear()
     assert spectral.splitting_at(INTEGRAL, 3, F(1, 2)) is s
-    assert not inversions
     other = spectral.splitting_at(INTEGRAL, 3, 1)
-    assert other is not s and len(inversions) == 1
-    assert spectral.splitting_at(INTEGRAL, 3, F(1)) is other and len(inversions) == 1
+    assert other is not s and other.dims() != s.dims()
+    assert spectral.splitting_at(INTEGRAL, 3, F(1)) is other
+    assert not eliminations and not inversions
+    for split in (s, other):
+        assert mat_mul(split.winv, split.w) == [[F(int(i == j)) for j in range(5)]
+                                                 for i in range(5)]
 
 
 # -- T Winv over the base field only where a query needs it ------------------

@@ -25,7 +25,7 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import ONE_BAND, conjugated_companion, rand_conjugated, rand_vector
+from helpers import ONE_BAND, block_restriction, conjugated_companion, rand_conjugated, rand_vector
 from reference import (PiRing, ext_operator_norm, reference_exps, reference_restrict,
                        reference_transform, reference_zcols, reference_zrows, residual_in_span)
 
@@ -308,7 +308,7 @@ def test_integer_norm_parts_match_fraction_references():
         d, ctx = len(m), RationalContext(p)
         for b in spectral_data(m, p).blocks:
             basis = [list(v) for v in b.basis]
-            assert spectral._restrict(m, basis, ctx) == reference_restrict(m, basis), key
+            assert block_restriction(m, b, p) == reference_restrict(m, basis), key
         rng = random.Random(repr(key))
         xs = [[F(int(i == j)) for j in range(d)] for i in range(d)]
         xs += [[F(rng.randint(-60, 60), rng.choice([1, p, p**3, 7])) for _ in range(d)]
