@@ -6,9 +6,10 @@ Polynomials are stored as multi-index tables {(m_1,...,m_d): coeff}; all
 radii and norms are handled as valuation exponents (r = p^-k).  Each ring
 has one arithmetic path, picked by the ring context as in polyalg.row_reduce:
 over Q series composition (_msubst) and evaluation (_zeval) run on integers
-with one denominator per table, and remainder bounds conjugate F by the
-adapted norm's integer rows and columns; over Q_p the same tables run in the
-ring (_mmul, _mpow, _meval).
+with one denominator per table; over Q_p the same tables run in the ring
+(_mmul, _mpow, _meval).  Remainder bounds conjugate F by the rows and
+columns of the adapted norm's one read-out (AdaptedNorm._readout), on
+integers over Q and in the ring when the norm or F holds a PadicNumber.
 """
 
 from __future__ import annotations
@@ -527,28 +528,22 @@ class MapAnalysis:
     @_kept()
     def lipschitz(self, norm: AdaptedNorm):
         """k -> remainder_lipschitz(f, k, norm), with F conjugated into the
-        norm's coordinates once, as P F R over the base field with offsets
-        off_i and coff_l in units of 1/ram: the monomial c x^m of component
-        i gives v(c) + (off_i + sum_l m_l coff_l)/ram.  Over Q, P and R are
-        the norm's integer rows and columns (_zrows, _zcols) with their
-        offsets, as in spectral._zoperator_norm.  Otherwise, with
-        T Winv = diag(pi^s) P and its inverse R diag(pi^s') (_pi_rows,
-        _pi_cols), off_i = s_i + ram q_i and coff_l = s'_l - ram q_l."""
-        ctx, ram = self.f.coeff_context(), norm.ram
-        if isinstance(ctx, RationalContext) and norm._zrows is not None \
-                and norm._zcols is not None:
-            pr, offs = zip(*norm._zrows)
-            cols, coffs = zip(*norm._zcols)
-            r = [list(row) for row in zip(*cols)]
-        else:
-            (s, pr), (s2, r) = norm._pi_rows, norm._pi_cols
-            ctx = infer_context([pr, r, self.f.components], norm.prime)
-            offs = [si + int(q * ram) for si, q in zip(s, norm.weights)]
-            coffs = [si - int(q * ram) for si, q in zip(s2, norm.weights)]
-        tables = conjugate(self.f, pr, r, ctx)
+        norm's coordinates once, as P F R with P the norm's rows and R its
+        columns (AdaptedNorm._readout), offsets off_i and coff_l in units of
+        1/ram: the monomial c x^m of component i gives
+        v(c) + (off_i + sum_l m_l coff_l)/ram.  Over Q they are integer
+        rows and columns; a PadicNumber in the norm or the map keeps the
+        ring."""
+        f, ctx = self.f, self.f.coeff_context()
+        sizes, rational = {f.nvars, f.dim}, isinstance(ctx, RationalContext)
+        exact, rows = norm._readout(f.prime, sizes, rational)
+        cols, coffs = zip(*norm._readout(f.prime, sizes, rational, cols=True)[1])
+        pr, offs = zip(*rows)
+        ctx = ctx if exact else infer_context([pr, cols, f.components], f.prime)
+        tables = conjugate(f, pr, list(zip(*cols)), ctx)
         # (v(c) + (off_i + sum_l m_l coff_l)/ram, |m|) for each monomial
         # c x^m of P F R, |m| >= 2
-        terms = [(ctx.val(c) + Fraction(offs[i] + sum(map(mul, m, coffs)), ram), sum(m))
+        terms = [(ctx.val(c) + Fraction(offs[i] + sum(map(mul, m, coffs)), norm.ram), sum(m))
                  for i, table in enumerate(tables) for m, c in table.items()
                  if sum(m) >= 2 and ctx.val(c) != INF]
         return lambda k: min((base + (deg - 1) * k for base, deg in terms), default=INF)

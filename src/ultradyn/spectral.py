@@ -359,13 +359,13 @@ class AdaptedNorm:
     kernel vectors (SpectralBlock._zbasis) to Fractions only in its records:
     Winv (the analysis's, SpectralData._winv), the block restrictions, the
     Jordan chains and lattices with their inverses, and _zrows and _zcols
-    straight from T_0, Winv, W and T'_0; norm_exp takes p-adic valuations
-    of integer dot products and operator_norm one integer product; a
-    PadicNumber in the norm, in x or in M keeps the ring arithmetic.  The
-    base-field T_0 Winv (_pi_rows) and W T'_0 (_pi_cols) are built only for
-    transform() and the ring paths: norm_exp and operator_norm as above,
-    and the remainder bounds of dynamics when the norm or the map holds a
-    PadicNumber (over Q those conjugate the map by _zrows and _zcols)."""
+    straight from T_0, Winv, W and T'_0.  Every query reads the norm
+    through one read-out (_readout): the rows of T Winv and the columns of
+    its inverse as (vector, offset) pairs, the integer _zrows and _zcols
+    over Q, and the base-field T_0 Winv (_pi_rows) and W T'_0 (_pi_cols)
+    when the norm or the query (x for norm_exp, M for operator_norm, the
+    map for the remainder bounds of dynamics) holds a PadicNumber; those
+    two are otherwise built only for transform()."""
 
     prime: int
     ram: int
@@ -379,12 +379,9 @@ class AdaptedNorm:
     @cached_property
     def _pi_blocks(self):
         """(s, T_0, s', T'_0) for each block: t = diag(pi^s) T_0 and
-        tinv = T'_0 diag(pi^s'), with T_0 and T'_0 over the base field."""
-        out = []
-        for b in self.blocks:
-            s2, cols = _pi_split(zip(*b.tinv))
-            out.append((*_pi_split(b.t), s2, [list(r) for r in zip(*cols)]))
-        return out
+        tinv = T'_0 diag(pi^s'), with T_0 and T'_0 over the base field, T_0
+        as its rows and T'_0 as its columns."""
+        return [(*_pi_split(b.t), *_pi_split(zip(*b.tinv))) for b in self.blocks]
 
     @cached_property
     def _pi_rows(self):
@@ -399,14 +396,15 @@ class AdaptedNorm:
 
     @cached_property
     def _pi_cols(self):
-        """(s', W T'_0): column j of (T Winv)^-1 = W T^-1 is pi^(s'_j) times
-        column j of the base-field W T'_0."""
-        s, parts, off = [], [], 0
-        for _, _, sb, t0inv in self._pi_blocks:
+        """(s', the columns of W T'_0): column j of (T Winv)^-1 = W T^-1 is
+        pi^(s'_j) times column j of the base-field W T'_0."""
+        s, cols, off = [], [], 0
+        for _, _, sb, t0cols in self._pi_blocks:
+            wb = [r[off:off + len(sb)] for r in self.w]
             s += sb
-            parts.append(mat_mul([r[off:off + len(sb)] for r in self.w], t0inv))
+            cols += [mat_vec(wb, c) for c in t0cols]
             off += len(sb)
-        return s, [sum(rows, []) for rows in zip(*parts)]
+        return s, cols
 
     def transform(self):
         """T Winv as a matrix of ExtElement records, pi^ram = p."""
@@ -446,43 +444,55 @@ class AdaptedNorm:
     @cached_property
     def _zcols(self):
         """Integer columns of W T'_0 (_zproducts, with -q_j), without _pi_cols."""
-        return self._zproducts(list(zip(*self.w)),
-                               [(s, list(zip(*t))) for _, _, s, t in self._pi_blocks], -1)
+        return self._zproducts(list(zip(*self.w)), [b[2:] for b in self._pi_blocks], -1)
 
-    def _zcoords(self, x):
-        """Over Q, (u, s) with v((T Winv x)_i) + q_i = (u_i - s)/ram (u_i INF
-        where it is zero): each v(row_i . x) is read off an integer dot
-        product with E x, E the lcm of the denominators of x, and
-        s = ram v(E).  None when the norm or x holds a PadicNumber."""
-        zrows = self._zrows
-        if zrows is None or any(isinstance(c, PadicNumber) for c in x):
-            return None
+    def _readout(self, p, sizes, rational, cols=False):
+        """(exact, pairs): the rows of T Winv, or with cols the columns of
+        (T Winv)^-1, as (vector, offset) pairs, offsets in units of 1/ram:
+        v((T Winv)_il) + q_i = v(row_il) + off_i/ram and
+        v(((T Winv)^-1)_lj) - q_j = v(col_jl) + coff_j/ram.  Over Q, when the
+        query's vector, matrix or map holds no PadicNumber (rational), the
+        integer _zrows or _zcols; else _pi_rows or _pi_cols with offsets
+        s_i + ram q_i or s'_j - ram q_j.  p must be the norm's prime, and
+        sizes, the set of the query's sizes, {d} for its dimension d."""
+        if p != self.prime or sizes != {len(self.w)}:
+            raise PreconditionViolated(f"a query over Q_{p} of size {sorted(sizes)} of a"
+                                       f" norm over Q_{self.prime} in dimension {len(self.w)}")
+        pairs = self._zcols if cols else self._zrows
+        if pairs is not None and rational:
+            return True, pairs
+        sign, (s, vs) = (-1, self._pi_cols) if cols else (1, self._pi_rows)
+        return False, [(v, si + sign * int(q * self.ram)) for si, v, q in zip(s, vs, self.weights)]
+
+    def _read(self, rows, exact, y):
+        """ram v(row . y) + off for each (row, off) of rows from _readout,
+        INF where it is zero: integer dot products if exact, else ring ones."""
         p, ram = self.prime, self.ram
-        den, zx = _zscale(list(x))
-        units = []
-        for zrow, off in zrows:
-            s = sum(map(mul, zrow, zx))
-            units.append(ram * _ival(s, p) + off if s else INF)
-        return units, ram * _ival(den, p)
+        if exact:
+            return [ram * _ival(t, p) + off if (t := sum(map(mul, row, y))) else INF
+                    for row, off in rows]
+        return [ram * _bval(_dot(row, y), p) + off for row, off in rows]
+
+    def _units(self, x):
+        """(units, shift) with v((T Winv x)_i) + q_i = (u_i - shift)/ram for
+        each norm coordinate i (u_i INF where it is zero): over Q read off
+        E x, E the lcm of the denominators of x, with shift = ram v(E)."""
+        exact, rows = self._readout(self.prime, {len(x)},
+                                    not any(isinstance(c, PadicNumber) for c in x))
+        den, y = _zscale(list(x)) if exact else (1, x)
+        return self._read(rows, exact, y), self.ram * _ival(den, self.prime)
 
     def _coord_exps(self, x):
-        """v((T Winv x)_i) + q_i = v(row_i . x) + s_i/ram + q_i for each norm
-        coordinate i (INF where it is zero)."""
-        z = self._zcoords(x)
-        if z is None:
-            s, rows = self._pi_rows
-            return [_bval(_dot(row, x), self.prime) + Fraction(si, self.ram) + q
-                    for si, row, q in zip(s, rows, self.weights)]
-        units, shift = z
+        """v((T Winv x)_i) + q_i for each norm coordinate i (INF where it is
+        zero)."""
+        units, shift = self._units(x)
         return [u if u == INF else Fraction(u - shift, self.ram) for u in units]
 
     def norm_exp(self, x):
         """Valuation exponent of ||x|| for x over the base field; INF for x = 0."""
-        z = self._zcoords(x)
-        if z is None:
-            return min(self._coord_exps(x))
-        u = min(z[0])
-        return u if u == INF else Fraction(u - z[1], self.ram)
+        units, shift = self._units(x)
+        u = min(units)
+        return u if u == INF else Fraction(u - shift, self.ram)
 
 
 def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
@@ -566,55 +576,22 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
 
     For a weighted sup norm the operator norm is
     min_{i,j} ( v(A'_ij) + q_i - q_j ) with A' = (T Winv) M (T Winv)^-1 the
-    matrix of M in the norm basis.  T is block diagonal, so with
-    X = Winv M W, block (b, c) of A' is T_b X_bc T_c^-1, and with
-    T_b = diag(pi^s) T_0 and T_c^-1 = T'_0 diag(pi^s') (AdaptedNorm._pi_blocks)
-    v(A'_ij) = v((T_0 X_bc T'_0)_ij) + (s_i + s'_j)/ram, all over the base
-    field.  A block X_bc of exact zeros gives an exact zero block and is
-    skipped; an O-term still enters.  Over Q, with M rational, the whole of
-    A' is read off one integer product instead (_zoperator_norm); a
-    PadicNumber in M or in the norm keeps the block-pair path.
+    matrix of M in the norm basis, that is min_ij v(P_i M R_j) +
+    (off_i + coff_j)/ram over the norm's rows P_i and columns R_j with
+    their offsets (AdaptedNorm._readout).  Over Q, with M rational, each
+    entry is an integer dot product of P_i with (D_M M) R_j, less v(D_M);
+    a PadicNumber in M or in the norm takes ring dot products instead
+    (AdaptedNorm._read).  An exact zero entry is skipped; an O-term still
+    enters.
     """
-    # a PadicNumber in the norm shows in W; checking W first leaves the
-    # rows and columns of a p-adic norm unbuilt
-    if isinstance(infer_context([m, norm.w], p), RationalContext) \
-            and norm._zrows is not None and norm._zcols is not None:
-        return _zoperator_norm(m, p, norm)
-    x = mat_mul(mat_mul(norm.winv, m), norm.w)
-    spans, off = [], 0
-    for (s, t0, s2, t0inv), b in zip(norm._pi_blocks, norm.blocks):
-        spans.append((range(off, off + len(t0)), s, t0, s2, t0inv, b.weights))
-        off += len(t0)
+    sizes, rational = {len(m), *map(len, m)}, isinstance(infer_context(m, p), RationalContext)
+    exact, rows = norm._readout(p, sizes, rational)
+    dm, a = _zmat(m) if exact else (1, m)
     best = INF
-    for rows, s, t0, _, _, qb in spans:
-        for cols, _, _, s2, t0inv, qc in spans:
-            xbc = [[x[i][j] for j in cols] for i in rows]
-            if all(_bval(y, p) == INF for r in xbc for y in r):
-                continue
-            a = mat_mul(t0, mat_mul(xbc, t0inv))
-            for i, row in enumerate(a):
-                for j, y in enumerate(row):
-                    v = _bval(y, p)
-                    if v != INF:
-                        best = min(best, v + Fraction(s[i] + s2[j], norm.ram) + qb[i] - qc[j])
-    return best
-
-
-def _zoperator_norm(m, p, norm):
-    """operator_norm over Q on integers.  With D_i row_i and E_j col_j the
-    integer rows and columns of _zrows and _zcols, offsets off_i and coff_j,
-    and A = D_M M integral, entry ij of t = (D_i row_i) A (E_j col_j) gives
-    v(A'_ij) + q_i - q_j = (ram v(t_ij) + off_i + coff_j)/ram - v(D_M)."""
-    dm, a = _zmat(m)
-    ram = norm.ram
-    acols = [([sum(map(mul, row, zcol)) for row in a], coff) for zcol, coff in norm._zcols]
-    best = INF
-    for zrow, off in norm._zrows:
-        for acol, coff in acols:
-            t = sum(map(mul, zrow, acol))
-            if t:
-                best = min(best, ram * _ival(t, p) + off + coff)
-    return best if best == INF else Fraction(best, ram) - _ival(dm, p)
+    for c, coff in norm._readout(p, sizes, rational, cols=True)[1]:
+        y = [sum(map(mul, row, c)) for row in a] if exact else mat_vec(a, c)
+        best = min(best, coff + min(norm._read(rows, exact, y)))
+    return best if best == INF else Fraction(best - norm.ram * _ival(dm, p), norm.ram)
 
 
 # --------------------------------------------------------------------------

@@ -459,6 +459,15 @@ def test_remainder_bound_matches_fraction_reference():
     assert seen["ram > 1"] >= 5 and seen["nilpotent"] >= 5, seen
 
 
+def test_remainder_lipschitz_refuses_another_dimension():
+    """A one-variable map is not conjugated by the rows of a norm in
+    dimension 2."""
+    n = adapted_norm([[Fraction(0), Fraction(8)], [Fraction(1), Fraction(2)]], 2)
+    f = PolyMap.from_tables([{(1,): Fraction(2), (2,): Fraction(1)}], 2, 1)
+    with pytest.raises(PreconditionViolated):
+        remainder_lipschitz(f, 1, n)
+
+
 # -- local isometry within the linearization radius --------------------------
 
 

@@ -121,8 +121,9 @@ EXACT_DRAWS = [(0, 3, 5, 1, False), (2, 2, 4, 1, True), (4, 2, 4, 2, True),
 def inverse_from_blocks(n):
     """(T Winv)^-1 = W T^-1 over Q_p(pi), written from the base-field columns
     and pi-exponents that the norm keeps (AdaptedNorm._pi_cols)."""
-    s, r = n._pi_cols
-    return [[spectral._pi_power(x, sj, n.prime, n.ram) for x, sj in zip(row, s)] for row in r]
+    s, cols = n._pi_cols
+    return [[spectral._pi_power(x, sj, n.prime, n.ram) for x, sj in zip(row, s)]
+            for row in zip(*cols)]
 
 
 @pytest.mark.parametrize("seed,p,d,ram,nil", EXACT_DRAWS,

@@ -1,5 +1,6 @@
 """Spectrum, hyperbolicity, invariant splittings, adapted norms, witnesses."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,10 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ultradyn import spectral
-from ultradyn.errors import PreconditionViolated
+from ultradyn.dynamics import MapAnalysis, PolyMap
+from ultradyn.errors import PreconditionViolated, RankUncertified
 from ultradyn.field import (PadicNumber, RationalContext, compare_threshold,
                            valuation_of_rational)
-from ultradyn.polyalg import Polynomial, _monic_scale, _pmul, cmat, mat_inverse, mat_vec
+from ultradyn.polyalg import (Polynomial, _monic_scale, _pmul, cmat, mat_inverse, mat_mul,
+                              mat_vec)
 from ultradyn.spectral import (
     _rational_factors,
     adapted_norm,
@@ -25,7 +28,8 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import ONE_BAND, block_restriction, conjugated_companion, rand_conjugated, rand_vector
+from helpers import (ONE_BAND, block_restriction, conjugated_companion, rand_conjugated,
+                     rand_vector, unimodular)
 from reference import (PiRing, ext_operator_norm, reference_exps, reference_restrict,
                        reference_transform, reference_zcols, reference_zrows, residual_in_span)
 
@@ -260,11 +264,17 @@ def test_operator_norm_matches_ext_oracle(monkeypatch):
     A' = (T Winv) M (T Winv)^-1 over Q_p(pi): every NORM_DRAWS entry, as
     drawn and rescaled, on m, on m^-1 when m is invertible, on a rational x
     with p in its denominators and on 0, all on the integer path; and the
-    norm with p-adic rows on the ring path, with the same values."""
-    zpath = []
-    orig = spectral._zoperator_norm
-    monkeypatch.setattr(spectral, "_zoperator_norm",
-                        lambda m, p, n: zpath.append(n) or orig(m, p, n))
+    norm with p-adic rows on the ring path, with the same values.  A spy on
+    the norm's read-out records which ring each query took."""
+    exact = []
+    orig = spectral.AdaptedNorm._readout
+
+    def readout(self, *a, **k):
+        out = orig(self, *a, **k)
+        exact.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral.AdaptedNorm, "_readout", readout)
     for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
         m, p, n, _ = _drawn_norm(*key)
         d, rng, qctx = len(m), random.Random(repr(key)), RationalContext(p)
@@ -273,16 +283,16 @@ def test_operator_norm_matches_ext_oracle(monkeypatch):
         if INF not in dict(spectrum_abs(m, p)):
             xs.append(mat_inverse(cmat(m, qctx), qctx))
         for x in xs:
-            zpath.clear()
+            exact.clear()
             got = spectral.operator_norm(x, p, n)
-            assert zpath == [n]
+            assert exact == [True, True]  # rows and columns on integers
             assert got == ext_operator_norm(x, n), (key, x)
             assert got == INF or type(got) is F
     m, p, n, _ = _padic_row_norm()
     for x in (m, [[F(1, 3), F(2), F(0)], [F(0), F(5), F(1, 9)], [F(7), F(0), F(3)]]):
-        zpath.clear()
+        exact.clear()
         got = spectral.operator_norm(x, p, n)
-        assert not zpath
+        assert exact == [False, False]  # the ring
         assert got == ext_operator_norm(x, n) and type(got) is F
 
 
@@ -317,6 +327,103 @@ def test_integer_norm_parts_match_fraction_references():
             assert len(got) == len(want) == d
             for x in xs:
                 assert _unit_exps(got, n.ram, p, x) == _unit_exps(want, n.ram, p, x), (key, x)
+
+
+def _ring_readout(n):
+    """A copy of the rational norm n, equal to it, with its integer rows and
+    columns unset: every query reads it through the ring (_pi_rows,
+    _pi_cols)."""
+    c = dataclasses.replace(n)
+    c.__dict__.update(_zrows=None, _zcols=None)
+    return c
+
+
+def test_integer_and_ring_readouts_agree():
+    """Every NORM_DRAWS entry, as drawn and rescaled, read on integers and,
+    forced, through the ring: the same norm_exp and _coord_exps on random
+    rational x and on 0, the same operator norms of m, of m^-1 when m is
+    invertible and of a random x, and the same remainder bounds of a map
+    with linear part m, all to the repr."""
+    for key in ((k, r) for k in range(len(NORM_DRAWS)) for r in (False, True)):
+        m, p, n, _ = _drawn_norm(*key)
+        ring, d = _ring_readout(n), len(m)
+        assert ring == n and n._readout(p, {d}, True)[0] and not ring._readout(p, {d}, True)[0]
+        rng = random.Random(repr(key))
+        for x in [rand_vector(rng, p, d) for _ in range(8)] + [[F(0)] * d]:
+            assert repr(ring._coord_exps(x)) == repr(n._coord_exps(x)), (key, x)
+            assert repr(ring.norm_exp(x)) == repr(n.norm_exp(x)), (key, x)
+        mats = [m, [[F(rng.randint(-9, 9), rng.choice([1, p, 7])) for _ in range(d)]
+                    for _ in range(d)]]
+        if INF not in dict(spectrum_abs(m, p)):
+            mats.append(mat_inverse(cmat(m, RationalContext(p)), RationalContext(p)))
+        for a in mats:
+            assert repr(operator_norm(a, p, ring)) == repr(operator_norm(a, p, n)), (key, a)
+        tables = [{**{tuple(int(l == j) for l in range(d)): c for j, c in enumerate(row) if c},
+                   tuple(2 * int(l == i) for l in range(d)): F(p),
+                   tuple(int(l in (i, (i + 1) % d)) for l in range(d)): F(1, p)}
+                  for i, row in enumerate(m)]
+        f = PolyMap.from_tables(tables, p, d)
+        # fresh analyses: an interned one keeps its bound per equal norm
+        want, got = MapAnalysis(f).lipschitz(n), MapAnalysis(f).lipschitz(ring)
+        for k in (-2, 0, 1, F(1, 2), 5):
+            assert repr(got(k)) == repr(want(k)), (key, k)
+
+
+def test_operator_norm_oracle_padic_norms():
+    """M = S (C + (p^k)) S^-1, with C the companion of t^2 + t + p (roots of
+    valuation 0 and 1, no rational slope factor, so the norm is p-adic) and
+    S unimodular, at precision 6 to 64: in the adapted norm
+    operator_norm(M) = min rho and operator_norm(M^-1) = -max rho over
+    rho in {0, 1, k}.  Matrices whose norm raises RankUncertified (the known
+    slope-mixed kernel defect, which most conjugated slope-mixed matrices
+    hit) are skipped and counted."""
+    built = skipped = 0
+    for p in (2, 3, 5):
+        for prec in (6, 8, 12, 64):
+            rng, ctx = random.Random(100 * p + prec), RationalContext(p)
+            for k in [k for k in (-2, -1, 0, 1, 2, 3) for _ in range(3)]:
+                s = unimodular(rng, 3)
+                m = mat_mul(mat_mul(s, _block_diag(_companion([p, 1, 1]), [[F(p) ** k]])),
+                            mat_inverse(cmat(s, ctx), ctx))
+                try:
+                    n = adapted_norm(m, p, precision=prec)
+                except RankUncertified:
+                    skipped += 1
+                    continue
+                assert any(isinstance(c, PadicNumber) for row in n.w for c in row)
+                rhos = (0, 1, k)
+                assert operator_norm(m, p, n) == min(rhos), (p, prec, k)
+                assert operator_norm(mat_inverse(m, ctx), p, n) == -max(rhos), (p, prec, k)
+                built += 1
+    assert built >= 72 and built + skipped == 216, (built, skipped)
+
+
+# -- a query over another prime or dimension is refused ----------------------
+
+
+def test_operator_norm_refuses_another_prime():
+    """A 3-adic valuation of M is not read against the 2-adic offsets of a
+    norm over Q_2."""
+    n = adapted_norm(BENCH, 2)
+    with pytest.raises(PreconditionViolated):
+        operator_norm([[3, 0], [0, 3]], 3, n)
+
+
+def test_norm_exp_refuses_another_dimension():
+    n = adapted_norm(BENCH, 2)
+    for x in ([4], [4, 0, 1]):
+        with pytest.raises(PreconditionViolated):
+            n.norm_exp(x)
+        with pytest.raises(PreconditionViolated):
+            n._coord_exps(x)
+
+
+def test_operator_norm_refuses_another_dimension():
+    n = adapted_norm(BENCH, 2)
+    for m in ([[F(3)]], [[F(int(i == j)) for j in range(3)] for i in range(3)],
+              [[F(1), F(0)], [F(0), F(1), F(0)]]):
+        with pytest.raises(PreconditionViolated):
+            operator_norm(m, 2, n)
 
 
 # -- non-hyperbolicity witness ----------------------------------------------
