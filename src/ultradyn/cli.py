@@ -4,7 +4,8 @@ Problem files are JSON with all numbers as rational strings ("2/7"); +inf
 valuations serialize as "inf".  Output is deterministic (sorted keys, fixed
 separators).  Exit codes: 0 success, 2 certified failure (violated
 precondition, resonance, uncertifiable rank), 3 precision exhausted, 4
-schema error.
+schema error.  The map commands import dynamics (and graph manifolds) when
+they run, so a matrix command loads neither.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .field import DEFAULT_PRECISION, PadicNumber, ExtElement, _is_prime
-from . import dynamics, manifolds, spectral
+from . import spectral
 
 CERTIFIED_FAILURES = (
     PreconditionViolated,
@@ -113,7 +114,8 @@ def _load_map(doc, p):
                 raise SchemaError(f"bad multi-index {exps!r}")
             t[tuple(exps)] = _parse_rational(c, "coefficient")
         tables.append(t)
-    return dynamics.PolyMap.from_tables(tables, p, nvars)
+    from .dynamics import PolyMap
+    return PolyMap.from_tables(tables, p, nvars)
 
 
 def _load_point(doc, nvars, key="point"):
@@ -185,6 +187,7 @@ def _cmd_norm(doc, p, precision, args):
 
 
 def _cmd_classify(doc, p, precision, args):
+    from . import dynamics
     f = _load_map(doc, p)
     pt = (_load_point(doc, f.nvars) if "point" in doc
           else [Fraction(0)] * f.nvars)
@@ -206,6 +209,7 @@ def _cmd_classify(doc, p, precision, args):
 
 
 def _cmd_graph(doc, p, precision, args):
+    from . import manifolds
     f = _load_map(doc, p)
     a = _require_a(doc, args)
     mode = doc.get("mode", "Stable")
@@ -228,6 +232,7 @@ def _cmd_graph(doc, p, precision, args):
 
 
 def _cmd_orbit(doc, p, precision, args):
+    from . import dynamics
     f = _load_map(doc, p)
     x = _load_point(doc, f.nvars)
     n = _count(args.horizon, doc, "steps", 8, least=0)
@@ -238,6 +243,7 @@ def _cmd_orbit(doc, p, precision, args):
 
 
 def _cmd_member(doc, p, precision, args):
+    from . import dynamics
     f = _load_map(doc, p)
     a = _require_a(doc, args)
     x = _load_point(doc, f.nvars)

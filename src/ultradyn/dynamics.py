@@ -14,7 +14,6 @@ integers over Q and in the ring when the norm or F holds a PadicNumber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf as INF, lcm
@@ -28,7 +27,8 @@ from .errors import (
     UltradynError,
 )
 from .field import (
-    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _ival, compare_threshold)
+    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _Record, _ival,
+    compare_threshold)
 from .polyalg import (
     _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
 from . import spectral
@@ -196,8 +196,7 @@ def _check_point(f, x):
             f"point has {len(x)} coordinates, the map {f.nvars} variables")
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Record):
     """nvars -> len(components) polynomial map.
 
     Each component is a tuple of (multi_index, coefficient) pairs in a
@@ -410,8 +409,7 @@ def linearization_radius(f: PolyMap, norm: AdaptedNorm):
 INVARIANT, ISOMETRIC, CONTRACTING = "Invariant", "Isometric", "Contracting"
 
 
-@dataclass(frozen=True)
-class BallCertificate:
+class BallCertificate(_Record):
     """On B_r, r = p^-radius_exp (in the attached norm):
     Invariant: ||F(x)|| <= ||x||; Isometric: ||F(x)|| = ||x|| exactly;
     Contracting: ||F(x)|| <= c ||x|| with c = p^-contraction_exp < 1."""
@@ -504,8 +502,7 @@ def _orbit(f: PolyMap, x, n: int, bit_cap):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapAnalysis:
+class MapAnalysis(_Record):
     """One map F at its fixed point 0, each part built on first use and kept:
     A = F'(0) and its LinearAnalysis; per adapted norm, the remainder bound
     and linearization radius; per (point, horizon), the orbit (the ORBITS
@@ -602,8 +599,7 @@ UNIFORMLY_ATTRACTIVE = "UniformlyAttractive"
 HAS_EXPANSION = "HasExpansion"
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(_Record):
     point: tuple
     jacobian: tuple
     spectrum: tuple  # ((valuation, multiplicity), ...)
@@ -664,8 +660,7 @@ HEURISTIC_NON_MEMBER = "HeuristicNonMember"
 UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(_Record):
     verdict: str
     trace: tuple  # sup-norm exponents of the orbit prefix
     justification: tuple  # human-readable inequality chain

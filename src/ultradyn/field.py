@@ -9,9 +9,9 @@ threshold are done in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf as INF
+from operator import attrgetter
 
 from .errors import DivisionByZero, PrecisionExhausted, PreconditionViolated
 
@@ -88,19 +88,86 @@ def compare_threshold(a, v, p: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-@dataclass(frozen=True)
-class PadicNumber:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's immutable value records, built with no code
+    generation.  Fields are the class's annotated names in order, taken by
+    position or keyword, defaulting to the class attribute.  repr() is
+    Name(field=value, ...), == holds within one class, hash is the fields'
+    hash, and a field named _x stays out of all three.  cached_property works."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)  # own annotations only, since 3.10
+        cls._shown = tuple(f for f in cls._fields if not f.startswith("_"))
+        cls._key = attrgetter(*cls._shown)
+
+    def __init__(self, *args, **kw):
+        names, cls = self._fields, type(self)
+        if kw or len(args) != len(names):
+            rest = names[len(args):]
+            if (len(args) > len(names) or kw.keys() - set(rest)
+                    or [f for f in rest if f not in kw and not hasattr(cls, f)]):
+                raise TypeError(f"{cls.__name__}{args}, {kw}: the fields are {names}")
+            args += tuple(kw[f] if f in kw else getattr(cls, f) for f in rest)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass  # a record may normalise its fields here (LinearAnalysis does)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PadicNumber(_Record):
     """unit * p^val + O(p^(val + prec)).
 
     Exact zero is val == INF.  prec == 0 with unit == 0 is an O-term: a value
     only known to have valuation >= val.  Otherwise unit is a p-adic unit
-    reduced mod p^prec.
+    reduced mod p^prec.  Every operation builds one, so the constructor,
+    == and hash are written out, and the fields are slots.
     """
 
+    __slots__ = ("prime", "val", "unit", "prec")
     prime: int
     val: object  # Fraction/int, INF for exact zero
     unit: int
     prec: int
+
+    def __init__(self, prime, val, unit, prec):
+        _set(self, "prime", prime)
+        _set(self, "val", val)
+        _set(self, "unit", unit)
+        _set(self, "prec", prec)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.prime, self.val, self.unit, self.prec)
+                    == (other.prime, other.val, other.unit, other.prec))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prime, self.val, self.unit, self.prec))
 
     # -- constructors ------------------------------------------------------
 
@@ -290,8 +357,7 @@ def _bzeroness(c, threshold):
     return ZERO if c == 0 else NONZERO
 
 
-@dataclass(frozen=True)
-class ExtElement:
+class ExtElement(_Record):
     """A value of Q_p(pi), pi^ram = p, as the coefficients of 1, pi, ...,
     pi^(ram-1): exact Fractions or capped PadicNumbers.  A record for repr()
     and the CLI, with no arithmetic: the library reads each adapted norm as

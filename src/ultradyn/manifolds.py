@@ -10,7 +10,6 @@ graph is computed in splitting coordinates (base block first)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf as INF
 
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionViolated,
     ResonanceDetected,
 )
-from .field import DEFAULT_PRECISION, ZERO, RationalContext
+from .field import DEFAULT_PRECISION, ZERO, RationalContext, _Record
 from .polyalg import (
     cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
 from . import spectral
@@ -42,8 +41,7 @@ CENTRE = "Centre"
 UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class GraphSeries:
+class GraphSeries(_Record):
     """h: base -> complement with h(0) = 0, Dh(0) = 0; the manifold is
     {W.(xi, h(xi))} in ambient coordinates."""
 
@@ -72,8 +70,7 @@ class GraphSeries:
         return out
 
 
-@dataclass(frozen=True)
-class InverseSeries:
+class InverseSeries(_Record):
     gmap: PolyMap  # G with G(F(x)) == x mod degree order+1
     order: int
 

@@ -13,7 +13,6 @@ the ring path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import wraps
 from math import ceil, gcd, inf as INF, lcm, prod
@@ -32,6 +31,7 @@ from .field import (
     PadicContext,
     PadicNumber,
     RationalContext,
+    _Record,
     _bval,
     _bzeroness,
     _ival,
@@ -69,10 +69,10 @@ def cvec(v, ctx):
 
 
 def _hash_once(self):
-    """__hash__ of a frozen dataclass: its field hash, computed on first use
-    and kept in the instance, outside == and repr()."""
+    """__hash__ of a record: the hash of its compared fields, computed on
+    first use and kept in the instance, outside == and repr()."""
     if "_hash" not in self.__dict__:
-        self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        self.__dict__["_hash"] = hash(self._key(self))
     return self.__dict__["_hash"]
 
 
@@ -326,8 +326,7 @@ def kernel_basis(mat, p: int, precision: int | None = None, ctx=None):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Coefficients in ascending degree; entries rational or p-adic."""
 
     coeffs: tuple
@@ -455,8 +454,7 @@ def _charpoly_hessenberg(m, p: int, ctx) -> Polynomial:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Record):
     """Lower convex hull of (i, v(c_i)); segments carry ROOT valuations
     (negated hull slopes), listed in decreasing order."""
 
@@ -523,8 +521,7 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeFactor:
+class SlopeFactor(_Record):
     root_valuation: object  # Fraction or INF
     multiplicity: int
     factor: Polynomial

@@ -8,7 +8,6 @@ comparison against a rational threshold a is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, inf as INF, isqrt, lcm
@@ -21,6 +20,7 @@ from .field import (
     NONZERO,
     PadicNumber,
     RationalContext,
+    _Record,
     _bval,
     _ival,
     compare_threshold,
@@ -63,8 +63,7 @@ from .polyalg import (
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralBlock:
+class SpectralBlock(_Record):
     """Generalized eigenspace sum for one eigenvalue valuation rho.
 
     |eigenvalue| = p^-rho; rho == INF is the nilpotent part.  The basis is
@@ -76,11 +75,10 @@ class SpectralBlock:
     rho: object  # Fraction or INF
     dim: int
     basis: tuple  # ambient column vectors
-    _zbasis: object = field(default=None, compare=False, repr=False)
+    _zbasis: object = None
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(_Record):
     prime: int
     charpoly: Polynomial
     blocks: tuple  # SpectralBlocks, rho increasing (INF last)
@@ -223,8 +221,7 @@ def is_hyperbolic(m, p: int, a, precision: int = DEFAULT_PRECISION) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(_Record):
     """Direct sum decomposition at radius a: stable (|.| < a), centre
     (|.| = a), unstable (|.| > a), with the basis change to block coords."""
 
@@ -334,16 +331,14 @@ def _pi_split(rows):
     return exps, base
 
 
-@dataclass(frozen=True)
-class NormBlock:
+class NormBlock(_Record):
     rho: object  # Fraction or INF
     t: tuple  # block coords -> norm coords (rows)
     tinv: tuple  # t^-1: norm coords -> block coords (rows)
     weights: tuple  # per-coordinate valuation offsets (Fractions)
 
 
-@dataclass(frozen=True)
-class AdaptedNorm:
+class AdaptedNorm(_Record):
     """Ultrametric norm in which m acts with exact rate p^-rho on each
     spectral block (and with norm < eps on the nilpotent block).
 
@@ -475,12 +470,16 @@ class AdaptedNorm:
 
     def _units(self, x):
         """(units, shift) with v((T Winv x)_i) + q_i = (u_i - shift)/ram for
-        each norm coordinate i (u_i INF where it is zero): over Q read off
-        E x, E the lcm of the denominators of x, with shift = ram v(E)."""
-        exact, rows = self._readout(self.prime, {len(x)},
-                                    not any(isinstance(c, PadicNumber) for c in x))
-        den, y = _zscale(list(x)) if exact else (1, x)
-        return self._read(rows, exact, y), self.ram * _ival(den, self.prime)
+        each norm coordinate i (u_i INF where it is zero): over Q, with x
+        rational and of the norm's size, read off _zrows and E x, E the lcm
+        of the denominators of x, with shift = ram v(E); else the ring
+        read-out, with shift 0, which refuses x of another size."""
+        rows = self._zrows
+        if (rows is not None and len(x) == len(rows)
+                and not any(isinstance(c, PadicNumber) for c in x)):
+            den, y = _zscale(x)
+            return self._read(rows, True, y), self.ram * _ival(den, self.prime)
+        return self._read(self._readout(self.prime, {len(x)}, False)[1], False, x), 0
 
     def _coord_exps(self, x):
         """v((T Winv x)_i) + q_i for each norm coordinate i (INF where it is
@@ -599,8 +598,7 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearAnalysis:
+class LinearAnalysis(_Record):
     """Spectral analysis of one matrix m over Q_p.  Each part is computed on
     first use and kept, so whoever holds the analysis pays once for the
     charpoly, the blocks and each adapted norm; the spectrum needs only the
@@ -678,8 +676,7 @@ def _analysis(m, p, precision=DEFAULT_PRECISION) -> LinearAnalysis:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A vector v with a^-n ||m^n v|| constant in the adapted norm: the
     defining obstruction to hyperbolicity at radius a."""
 

@@ -199,21 +199,57 @@ def test_determinism(tmp_path, capsys):
     assert len(outs) == 1
 
 
+ALL_COMMANDS = [
+    (["spectrum"], DIAG),
+    (["split", "--a", "1"], DIAG),
+    (["hyperbolic", "--a", "1"], DIAG),
+    (["norm"], DIAG),
+    (["classify"], BENCH_MAP),
+    (["graph", "--a", "1"], dict(BENCH_MAP, mode="Stable")),
+    (["orbit", "--horizon", "2"], dict(BENCH_MAP, point=["2", "4"])),
+    (["member", "--a", "1"], dict(BENCH_MAP, point=["0", "0"])),
+]
+
+
 def test_round_trip_all_commands(tmp_path, capsys):
-    cases = [
-        (["spectrum"], DIAG),
-        (["split", "--a", "1"], DIAG),
-        (["hyperbolic", "--a", "1"], DIAG),
-        (["norm"], DIAG),
-        (["classify"], BENCH_MAP),
-        (["graph", "--a", "1"], dict(BENCH_MAP, mode="Stable")),
-        (["orbit", "--horizon", "2"], dict(BENCH_MAP, point=["2", "4"])),
-        (["member", "--a", "1"], dict(BENCH_MAP, point=["0", "0"])),
-    ]
-    for argv, doc in cases:
+    for argv, doc in ALL_COMMANDS:
         code, out, err = run(capsys, argv + ["--input", write(tmp_path, doc)])
         assert code == 0, (argv, err)
         json.loads(out)  # every report re-parses
+
+
+def _modules_after(tmp_path, script):
+    """sys.modules at the end of script, run in a fresh interpreter with no
+    site hooks (-S), so that only ultradyn and the standard library load."""
+    listing = tmp_path / "modules.txt"
+    script += f"\nopen({str(listing)!r}, 'w').write(' '.join(sys.modules))"
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys\n" + script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(listing.read_text().split())
+
+
+@pytest.mark.parametrize("argv,doc", ALL_COMMANDS, ids=[argv[0] for argv, _ in ALL_COMMANDS])
+def test_command_loads_only_what_it_runs(tmp_path, argv, doc):
+    """No command loads dataclasses or inspect, and the matrix commands load
+    neither dynamics nor manifolds."""
+    argv = argv + ["--input", write(tmp_path, doc)]
+    mods = _modules_after(tmp_path, f"from ultradyn import cli\nassert cli.main({argv!r}) == 0")
+    assert "ultradyn.spectral" in mods
+    assert not mods & {"dataclasses", "inspect"}
+    if argv[0] in ("spectrum", "hyperbolic", "split", "norm"):
+        assert not mods & {"ultradyn.dynamics", "ultradyn.manifolds"}
+    else:
+        assert "ultradyn.dynamics" in mods
+
+
+def test_bare_import_loads_no_analysis_module(tmp_path):
+    mods = _modules_after(tmp_path, "import ultradyn")
+    assert "ultradyn" in mods
+    assert not mods & {"ultradyn.polyalg", "ultradyn.spectral", "ultradyn.dynamics",
+                       "ultradyn.manifolds", "dataclasses", "inspect"}
 
 
 def test_table_format(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Source hygiene: no dead private helpers in the library, one place that
 builds a LinearAnalysis and one that builds a MapAnalysis, every name the
 benchmark's tracer rebinds still resolves, no Q_p(pi) ring context left in
-the library, and the public names all import."""
+the library, no dataclasses, and the public names all import, on first use."""
 
 import ast
 import importlib
@@ -117,6 +117,32 @@ formal_inverse graph_series residual""".split()
 
 
 def test_public_names_import():
+    """The package resolves its names on first use (PEP 562): __all__ is
+    exactly PUBLIC, dir() lists it, every name is its module's, a star
+    import binds every name, an unknown or retired name raises
+    AttributeError and submodules still import."""
     ultradyn = importlib.import_module("ultradyn")
-    assert not [name for name in PUBLIC if not hasattr(ultradyn, name)]
-    assert not hasattr(ultradyn, "ExtContext") and not hasattr(ultradyn, "ExtElement")
+    assert sorted(ultradyn.__all__) == sorted(PUBLIC)
+    assert set(PUBLIC) <= set(dir(ultradyn))
+    for name in PUBLIC:
+        module = importlib.import_module(f"ultradyn.{ultradyn._MODULE[name]}")
+        assert getattr(ultradyn, name) is getattr(module, name), name
+    namespace = {}
+    exec("from ultradyn import *", namespace)
+    assert not [name for name in PUBLIC if name not in namespace]
+    for name in ("ExtContext", "ExtElement", "no_such_name"):
+        assert not hasattr(ultradyn, name), name  # AttributeError, nothing else
+    from ultradyn import spectral
+    assert spectral is importlib.import_module("ultradyn.spectral")
+
+
+def test_no_dataclasses_in_the_library():
+    """Records are plain classes on field._Record: no module imports
+    dataclasses (nor inspect, which it loads)."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not imported & {"dataclasses", "inspect"}, path.name

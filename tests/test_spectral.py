@@ -1,6 +1,5 @@
 """Spectrum, hyperbolicity, invariant splittings, adapted norms, witnesses."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +17,7 @@ from ultradyn.field import (PadicNumber, RationalContext, compare_threshold,
 from ultradyn.polyalg import (Polynomial, _monic_scale, _pmul, cmat, mat_inverse, mat_mul,
                               mat_vec)
 from ultradyn.spectral import (
+    AdaptedNorm,
     _rational_factors,
     adapted_norm,
     is_hyperbolic,
@@ -332,8 +332,8 @@ def test_integer_norm_parts_match_fraction_references():
 def _ring_readout(n):
     """A copy of the rational norm n, equal to it, with its integer rows and
     columns unset: every query reads it through the ring (_pi_rows,
-    _pi_cols)."""
-    c = dataclasses.replace(n)
+    _pi_cols).  The AdaptedNorm constructor builds it from n's fields."""
+    c = AdaptedNorm(n.prime, n.ram, n.winv, n.w, n.blocks, n.eps_exp)
     c.__dict__.update(_zrows=None, _zcols=None)
     return c
 
