@@ -115,10 +115,6 @@ class _Record:
             args += tuple(kw[f] if f in kw else getattr(cls, f) for f in rest)
         for name, value in zip(names, args):
             _set(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass  # a record may normalise its fields here (LinearAnalysis does)
 
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
@@ -144,8 +140,9 @@ class PadicNumber(_Record):
 
     Exact zero is val == INF.  prec == 0 with unit == 0 is an O-term: a value
     only known to have valuation >= val.  Otherwise unit is a p-adic unit
-    reduced mod p^prec.  Every operation builds one, so the constructor,
-    == and hash are written out, and the fields are slots.
+    reduced mod p^prec.  Every operation builds one, so the constructor is
+    written out and the fields are slots; __reduce__ rebuilds one through it
+    for copy and pickle, which would otherwise assign the slots.
     """
 
     __slots__ = ("prime", "val", "unit", "prec")
@@ -160,14 +157,8 @@ class PadicNumber(_Record):
         _set(self, "unit", unit)
         _set(self, "prec", prec)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.prime, self.val, self.unit, self.prec)
-                    == (other.prime, other.val, other.unit, other.prec))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime, self.val, self.unit, self.prec))
+    def __reduce__(self):
+        return PadicNumber, (self.prime, self.val, self.unit, self.prec)
 
     # -- constructors ------------------------------------------------------
 

@@ -608,8 +608,8 @@ class LinearAnalysis(_Record):
     p: int
     precision: int = DEFAULT_PRECISION
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(tuple(r) for r in self.m))
+    def __init__(self, m, p, precision=DEFAULT_PRECISION):
+        super().__init__(tuple(tuple(r) for r in m), p, precision)
 
     @cached_property
     def charpoly(self) -> Polynomial:

@@ -1,8 +1,11 @@
 """Value records: every record class of the library keeps the semantics of
 the frozen dataclass it replaced (field order, defaults, repr, == and hash,
-immutability), with fields named _x outside repr, == and hash."""
+immutability, copy and pickle), with fields named _x outside repr, == and
+hash."""
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction as F
 from functools import cached_property
 
@@ -102,13 +105,34 @@ def test_record_arguments_are_checked(cls):
             cls(**{f: v for f, v in zip(cls._fields, vals) if f != required[-1]})
 
 
-def test_defaults_and_post_init():
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_survives_copy_and_pickle(cls):
+    rec = cls(*_values(cls))
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is cls and twin == rec and hash(twin) == hash(rec)
+        if "__repr__" not in vars(cls):  # PadicNumber's repr needs real values
+            assert repr(twin) == repr(rec)
+        assert [getattr(twin, f) for f in cls._fields] == list(_values(cls))
+
+
+def test_padic_values_survive_copy_and_pickle():
+    """A PadicNumber, and a record holding them (x^2 + x + 3 splits only
+    3-adically, so the norm's w holds PadicNumbers)."""
+    x = PadicNumber.from_rational(F(7, 3), 3)
+    n = spectral.adapted_norm([[F(0), F(-3)], [F(1), F(-1)]], 3)
+    assert any(isinstance(c, PadicNumber) for row in n.w for c in row)
+    for obj in (x, n):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+
+def test_defaults_and_linear_analysis_rows():
     b = SpectralBlock(F(1), 1, ((F(1),),))
     assert b._zbasis is None
     assert b == SpectralBlock(F(1), 1, ((F(1),),), _zbasis=[(1, [1])])
     an = LinearAnalysis([[F(2), F(0)], [F(0), F(1, 2)]], 2)
     assert an.precision == field.DEFAULT_PRECISION
-    assert an.m == ((F(2), F(0)), (F(0), F(1, 2)))  # __post_init__ made rows tuples
+    assert an.m == ((F(2), F(0)), (F(0), F(1, 2)))  # its constructor made rows tuples
     assert spectral.AdaptedNorm(2, 1, (), (), ()).eps_exp is None
     assert dynamics.MapAnalysis(dynamics.PolyMap(2, 1, ())).precision == field.DEFAULT_PRECISION
 
