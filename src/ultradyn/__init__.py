@@ -7,19 +7,16 @@ from importlib import import_module
 
 _NAMES = {
     "errors": """DivisionByZero JacobianSingular NotAFixedPoint PrecisionExhausted
-        PreconditionViolated RadiusNotFound RankUncertified ResonanceDetected
-        SchemaError UltradynError""",
-    "field": """DEFAULT_PRECISION PadicContext PadicNumber RationalContext
-        compare_threshold valuation_of_rational""",
-    "polyalg": """NewtonPolygon Polynomial charpoly kernel_basis newton_polygon
-        slope_factorization""",
+        PreconditionViolated RankUncertified ResonanceDetected SchemaError UltradynError""",
+    "field": "DEFAULT_PRECISION PadicNumber compare_threshold valuation_of_rational",
+    "polyalg": "NewtonPolygon Polynomial charpoly newton_polygon slope_factorization",
     "spectral": """AdaptedNorm LinearAnalysis SpectralData Splitting Witness
         adapted_norm is_hyperbolic nonhyperbolicity_witness operator_norm
         spectral_data spectrum_abs splitting_at""",
     "dynamics": """BallCertificate FixedPointReport MembershipVerdict PolyMap
         classify_fixed_point invariant_ball jacobian linearization_radius orbit
         remainder_lipschitz shift_to_fixed_point stable_membership""",
-    "manifolds": "GraphSeries InverseSeries formal_inverse graph_series residual",
+    "manifolds": "GraphSeries formal_inverse graph_series residual",
 }
 _MODULE = {name: module for module, names in _NAMES.items() for name in names.split()}
 __all__ = list(_MODULE)

@@ -70,22 +70,18 @@ class GraphSeries(_Record):
         return out
 
 
-class InverseSeries(_Record):
-    gmap: PolyMap  # G with G(F(x)) == x mod degree order+1
-    order: int
-
-
 # --------------------------------------------------------------------------
 # formal inverse
 # --------------------------------------------------------------------------
 
 
-def formal_inverse(f: PolyMap, order: int = 6) -> InverseSeries:
-    """G with G(F(x)) = x through total degree `order`: the fixed point of
-    G <- A^-1 (x - R(G)), where A = F'(0) and R = F - A holds the terms of
-    degree >= 2.  R has no term below degree 2, so step k, which composes
-    only R with G truncated at degree k, leaves G exact through degree k.
-    A formal inverse is two-sided, so F(G(x)) = x as well."""
+def formal_inverse(f: PolyMap, order: int = 6) -> PolyMap:
+    """G with G(F(x)) = x through total degree `order`, as a PolyMap of
+    degree at most `order`: the fixed point of G <- A^-1 (x - R(G)), where
+    A = F'(0) and R = F - A holds the terms of degree >= 2.  R has no term
+    below degree 2, so step k, which composes only R with G truncated at
+    degree k, leaves G exact through degree k.  A formal inverse is
+    two-sided, so F(G(x)) = x as well."""
     n = f.nvars
     a = linear_part(f)
     ctx = infer_context([a] + [[c for _, c in comp] for comp in f.components], f.prime)
@@ -98,7 +94,7 @@ def formal_inverse(f: PolyMap, order: int = 6) -> InverseSeries:
     for k in range(2, order + 1):
         minus_rg = [_msubst(r, g, n, ctx, k) for r in minus_r]
         g = [_madd(ai, _msubst(ai, minus_rg, n, ctx), ctx) for ai in ainv]
-    return InverseSeries(PolyMap.from_tables(g, f.prime, n), order)
+    return PolyMap.from_tables(g, f.prime, n)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
             raise JacobianSingular("derivative at 0 is singular") from exc
     solve_map = f
     if mode == UNSTABLE:
-        solve_map = formal_inverse(f, order).gmap
+        solve_map = formal_inverse(f, order)
     s = analysis.splitting(a)
     tables, db, dc, ctx, w, winv = _conjugated_split_map(solve_map, s, mode, precision)
     ab = [[tables[i].get(tuple(1 if q == j else 0 for q in range(f.nvars)), ctx.zero)
@@ -262,7 +258,7 @@ def _on_graph(f: PolyMap, gs: GraphSeries):
     exact low-degree residual, and only an all-zero one needs cap INF."""
     solve_map = f
     if gs.mode == UNSTABLE:
-        solve_map = formal_inverse(f, gs.order).gmap
+        solve_map = formal_inverse(f, gs.order)
     ctx = gs._ctx()
     tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
     h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]

@@ -45,15 +45,18 @@ from .field import (
 
 def infer_context(data, p: int, precision: int | None = None):
     """PadicContext if any entry of the nested lists and tuples of *data* is
-    a PadicNumber, else RationalContext."""
-    stack = [data]
+    a PadicNumber, else RationalContext; PreconditionViolated if one is a
+    PadicNumber of a prime other than p."""
+    stack, padic = [data], False
     while stack:
         x = stack.pop()
         if isinstance(x, (list, tuple)):
             stack.extend(x)
         elif isinstance(x, PadicNumber):
-            return PadicContext(p, precision or DEFAULT_PRECISION)
-    return RationalContext(p)
+            if x.prime != p:
+                raise PreconditionViolated(f"prime mismatch: a {x.prime}-adic number over Q_{p}")
+            padic = True
+    return PadicContext(p, precision or DEFAULT_PRECISION) if padic else RationalContext(p)
 
 
 def coerce(x, ctx):
@@ -299,11 +302,11 @@ def mat_inverse(m, ctx):
     return solve(m, identity(len(m), ctx), ctx)
 
 
-def kernel_basis(mat, p: int, precision: int | None = None, ctx=None):
+def kernel_basis(mat, p: int, precision: int | None = None):
     """Basis of the right kernel, one vector per free column: over Q read
     off the integer elimination (_zkernel), over Q_p by valuation-pivoted
     elimination."""
-    ctx = ctx or infer_context(mat, p, precision)
+    ctx = infer_context(mat, p, precision)
     if isinstance(ctx, RationalContext):
         return [[Fraction(x, den) for x in u]
                 for den, u in _zkernel([_zscale(list(r))[1] for r in mat])]
@@ -472,11 +475,13 @@ class NewtonPolygon(_Record):
         return out
 
 
-def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
-    """Lower hull of the known coefficients.  An O-term at or above the
-    zero threshold counts as zero.  One below it is ignored when its point
-    lies between the known points and on or above their hull, where no
-    value it may take can move the hull; any other raises."""
+def newton_polygon(f: Polynomial) -> NewtonPolygon:
+    """Lower hull of the known coefficients, over Q_p for p = f.prime.  An
+    O-term at or above the zero threshold counts as zero.  One below it is
+    ignored when its point lies between the known points and on or above
+    their hull, where no value it may take can move the hull; any other
+    raises."""
+    p = f.prime
     ctx = infer_context(list(f.coeffs), p)
     pts, vague, rational = [], [], isinstance(ctx, RationalContext)
     if rational:  # v_p(num) - v_p(den) as ints, read directly
@@ -621,10 +626,8 @@ def _residue(c):
     return Fraction(c.unit) * Fraction(c.prime) ** int(c.val), c.val + c.prec
 
 
-def slope_factorization(
-    f: Polynomial, p: int, precision: int = DEFAULT_PRECISION
-) -> list:
-    """Factor monic f into pure-slope monic factors.
+def slope_factorization(f: Polynomial, precision: int = DEFAULT_PRECISION) -> list:
+    """Factor monic f into pure-slope monic factors over Q_p, p = f.prime.
 
     The core of f (f without its t^k factor) is scaled by _monic_scale to a
     monic polynomial in Z[t], exact for rational input and known mod p^N for
@@ -641,6 +644,7 @@ def slope_factorization(
     factors, so that is taken off what it certifies; a rational input is
     factored exactly and loses nothing.
     """
+    p = f.prime
     qctx = infer_context(list(f.coeffs), p)
     cs = cvec(f.coeffs, qctx)
     lead = cs[-1]
@@ -659,7 +663,7 @@ def slope_factorization(
         )
     core = cs[k:]
     poly_core = Polynomial(tuple(core), p)
-    np_ = newton_polygon(poly_core, p)
+    np_ = newton_polygon(poly_core)
     segs = np_.segments
     if len(segs) <= 1:
         if segs:

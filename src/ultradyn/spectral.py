@@ -83,11 +83,6 @@ class SpectralData(_Record):
     charpoly: Polynomial
     blocks: tuple  # SpectralBlocks, rho increasing (INF last)
 
-    @property
-    def spectrum(self):
-        """[(rho, multiplicity)] with |eigenvalue| = p^-rho."""
-        return [(b.rho, b.dim) for b in self.blocks]
-
     @cached_property
     def _winv(self):
         """Over Q, W^-1 for W the block bases side by side, from the blocks'
@@ -120,7 +115,7 @@ def _rational_factors(cp: Polynomial):
     k = next(i for i, c in enumerate(cp.coeffs) if c)
     out = {INF: [Fraction(0)] * k + [Fraction(1)]} if k else {}
     core = [Fraction(c) for c in cp.coeffs[k:]]
-    segs = newton_polygon(Polynomial(tuple(core), p), p).segments
+    segs = newton_polygon(Polynomial(tuple(core), p)).segments
     if len(segs) <= 1:
         out.update((rho, core) for rho, _ in segs)
         return out
@@ -136,7 +131,7 @@ def _rational_factors(cp: Polynomial):
     for (r, mult), g in zip(scaled, _slope_split(f, scaled, p, digits)):
         g = [x - mod if 2 * x > mod else x for x in g]
         if (not any(_zdivmod(f, g)[1])
-                and newton_polygon(Polynomial.from_rationals(g, p), p).segments == ((r, mult),)):
+                and newton_polygon(Polynomial.from_rationals(g, p)).segments == ((r, mult),)):
             out[r - shift] = [Fraction(c, d ** (mult - i)) for i, c in enumerate(g)]
     return out
 
@@ -185,7 +180,7 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
         rest = Polynomial(tuple(cs), p)
     if rest.degree:
         tagged += [(sf.root_valuation, list(sf.factor.coeffs))
-                   for sf in slope_factorization(rest, p, precision)]
+                   for sf in slope_factorization(rest, precision)]
     blocks = []
     for rho, cs in sorted(tagged, key=lambda t: (t[0] == INF, t[0])):
         fctx = infer_context(cs, p, precision) if isinstance(ctx, RationalContext) else ctx
@@ -195,7 +190,7 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
         else:
             zbasis = None
             basis = kernel_basis(poly_eval_matrix(cvec(cs, fctx), cmat(m, fctx), fctx),
-                                 p, ctx=fctx)
+                                 p, precision)
         if len(basis) != len(cs) - 1:
             raise PreconditionViolated(
                 f"eigenspace dimension {len(basis)} != multiplicity {len(cs) - 1}"
@@ -289,7 +284,7 @@ def _nilpotent_chains(n, ctx):
         powers = [identity(d, ctx)]
         for _ in range(d):
             powers.append(mat_mul(n, powers[-1]))
-        kernel = lambda a: kernel_basis(a, ctx.p, ctx=ctx)
+        kernel = lambda a: kernel_basis(a, ctx.p, ctx.precision)
         image = lambda i, v: mat_vec(powers[i], v)
         rank = lambda vs: len(row_reduce(vs, ctx)[1])
     s = next(i for i in range(d + 1) if all(
@@ -473,12 +468,13 @@ class AdaptedNorm(_Record):
         each norm coordinate i (u_i INF where it is zero): over Q, with x
         rational and of the norm's size, read off _zrows and E x, E the lcm
         of the denominators of x, with shift = ram v(E); else the ring
-        read-out, with shift 0, which refuses x of another size."""
+        read-out, with shift 0, which refuses x of another size or prime."""
         rows = self._zrows
         if (rows is not None and len(x) == len(rows)
                 and not any(isinstance(c, PadicNumber) for c in x)):
             den, y = _zscale(x)
             return self._read(rows, True, y), self.ram * _ival(den, self.prime)
+        infer_context(x, self.prime)  # refuses a PadicNumber of another prime
         return self._read(self._readout(self.prime, {len(x)}, False)[1], False, x), 0
 
     def _coord_exps(self, x):
@@ -511,6 +507,10 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     """
     if data is None:
         return _analysis(m, p, precision).norm(eps)
+    if eps is not None:
+        eps = Fraction(eps)
+        if eps <= 0:
+            raise PreconditionViolated("eps must be positive")
     finite = [b for b in data.blocks if b.rho != INF]
     ram = lcm(1, *(Fraction(b.rho).denominator for b in finite)) if finite else 1
     cols = [list(v) for b in data.blocks for v in b.basis]
@@ -534,9 +534,6 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                 vmax = max((Fraction(f.rho) for f in finite), default=Fraction(0))
                 j = int(vmax) + 1
             else:
-                eps = Fraction(eps)
-                if eps <= 0:
-                    raise PreconditionViolated("eps must be positive")
                 j = 0
                 while compare_threshold(eps, Fraction(j), p) <= 0:
                     j += 1  # smallest j with p^-j < eps
@@ -618,7 +615,7 @@ class LinearAnalysis(_Record):
     @cached_property
     def spectrum(self):
         """[(rho, mult)] sorted by decreasing absolute value p^-rho."""
-        return sorted(newton_polygon(self.charpoly, self.p).root_valuations,
+        return sorted(newton_polygon(self.charpoly).root_valuations,
                       key=lambda t: (t[0] == INF, t[0]))
 
     @cached_property

@@ -125,6 +125,19 @@ def test_exit_4_on_schema_error(tmp_path, capsys, doc):
     assert out == "" and "schema error" in err
 
 
+def test_prime_past_trial_division(tmp_path, capsys):
+    """The prime check goes past trial division by the primes up to 37:
+    10007 is accepted, and 1763 = 41 * 43 and the strong pseudoprime to
+    the bases 2, 3, 5 and 7, 3215031751 = 151 * 751 * 28351, are refused."""
+    doc = {"prime": 10007, "matrix": [["10007", "0"], ["1", "1/10007"]]}
+    code, out, err = run(capsys, ["spectrum", "--input", write(tmp_path, doc)])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"entries": [{"m": 1, "v": "1"}, {"m": 1, "v": "-1"}]}
+    for p in (1763, 3215031751):
+        code, out, err = run(capsys, ["spectrum", "--input", write(tmp_path, dict(doc, prime=p))])
+        assert code == 4 and out == "" and "schema error" in err, p
+
+
 GRAPH = dict(BENCH_MAP, a="1", mode="Stable")
 MEMBER = dict(BENCH_MAP, a="1", point=["1", "2/7"])
 ORBIT = dict(BENCH_MAP, point=["1", "2/7"])

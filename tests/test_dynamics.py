@@ -221,6 +221,13 @@ def test_standard_norm_exp_reads_rational_valuations():
                 assert standard_norm_exp(padic, p) == want, (x, p)
 
 
+def test_standard_norm_exp_refuses_a_padic_number_of_another_prime():
+    with pytest.raises(PreconditionViolated, match="prime mismatch"):
+        standard_norm_exp([PadicNumber.from_rational(25, 5)], 3)
+    with pytest.raises(PreconditionViolated, match="prime mismatch"):
+        standard_norm_exp([PadicNumber.from_rational(1, 3), PadicNumber.from_rational(25, 5)], 3)
+
+
 def test_rat_bits_counts_integer_bits():
     """An int counts its own bits, so an orbit from a large integer point
     is cut after that point, as the equal Fraction point is; a small

@@ -14,6 +14,7 @@ from ultradyn.field import (
     ExtElement,
     PadicContext,
     PadicNumber,
+    _is_prime,
     compare_threshold,
     valuation_of_rational,
 )
@@ -27,6 +28,25 @@ rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 primes = st.sampled_from(PRIMES)
+
+
+# -- primality ----------------------------------------------------------------
+
+
+def test_is_prime_past_trial_division():
+    """Miller-Rabin past trial division by the primes up to 37: a sieve
+    below 10^4, the Mersenne prime 2^61 - 1, and two composites with no
+    factor up to 37, 1763 = 41 * 43 and 3215031751 = 151 * 751 * 28351,
+    a strong pseudoprime to the bases 2, 3, 5 and 7."""
+    n = 10**4
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, 100):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+    assert _is_prime(2**61 - 1) and _is_prime(10007)
+    assert 41 * 43 == 1763 and 151 * 751 * 28351 == 3215031751
+    assert not _is_prime(1763) and not _is_prime(3215031751)
 
 
 # -- valuation of rationals --------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 
 from ultradyn.dynamics import PolyMap, jacobian
 from ultradyn.errors import PreconditionViolated, ResonanceDetected
+from ultradyn.field import PadicNumber
 from ultradyn.manifolds import (
     CENTRE,
+    CENTRE_STABLE,
     STABLE,
     GraphSeries,
     UNSTABLE,
@@ -102,6 +104,63 @@ def test_graph_oracle_two_complement_coordinates():
     assert residual(f, gs, truncate=False) == [{}, {}]
 
 
+# -- centre-stable, centre and unstable graphs with nonzero terms ------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_centre_stable_graph_oracle(p):
+    """F(x, y, z) = (p x, y, z/p + x^2) at a = 1: the centre-stable graph
+    over (x, y) is z = c x^2 with c p^2 = c/p + 1, so c = p/(p^3 - 1)."""
+    f = pmap([{(1, 0, 0): F(p)}, {(0, 1, 0): F(1)}, {(0, 0, 1): F(1, p), (2, 0, 0): F(1)}], p)
+    gs = graph_series(f, F(1), CENTRE_STABLE, order=5)
+    assert gs.base_basis == ((1, 0, 0), (0, 1, 0)) and gs.complement_basis == ((0, 0, 1),)
+    assert gs.coefficients == (((2, 0), (F(p, p**3 - 1),)),)
+    assert residual(f, gs, truncate=False) == [{}]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_centre_graph_oracle(p):
+    """F = (p x + y^2, y, z/p + y^2) at a = 1: the centre graph over y is
+    (x, z) = (c y^2, c' y^2) with c = p c + 1 and c' = c'/p + 1, so
+    c = 1/(1 - p) and c' = p/(p - 1)."""
+    f = pmap([{(1, 0, 0): F(p), (0, 2, 0): F(1)}, {(0, 1, 0): F(1)},
+              {(0, 0, 1): F(1, p), (0, 2, 0): F(1)}], p)
+    gs = graph_series(f, F(1), CENTRE, order=5)
+    assert gs.base_basis == ((0, 1, 0),) and gs.complement_basis == ((1, 0, 0), (0, 0, 1))
+    assert gs.coefficients == (((2,), (F(1, 1 - p), F(p, p - 1))),)
+    assert residual(f, gs, truncate=False) == [{}, {}]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unstable_graph_residual(p):
+    """F = (p x + y^2, y/p) at a = 1: the unstable graph over y is x = c y^2
+    with c/p^2 = p c + 1, so c = p^2/(1 - p^3).  Its residual, taken through
+    the formal inverse G = ((x - p^2 y^2)/p, p y), vanishes; for the graph
+    x = y^2 it is h(p y) - (y^2 - p^2 y^2)/p = (p^3 + p^2 - 1)/p y^2."""
+    f = pmap([{(1, 0): F(p), (0, 2): F(1)}, {(0, 1): F(1, p)}], p)
+    gs = graph_series(f, F(1), UNSTABLE, order=5)
+    assert gs.base_basis == ((0, 1),) and gs.complement_basis == ((1, 0),)
+    assert gs.coefficients == (((2,), (F(p * p, 1 - p**3),)),)
+    assert residual(f, gs) == [{}]
+    bad = _with_coefficients(gs, (((2,), (F(1),)),))
+    assert residual(f, bad) == [{(2,): F(p**3 + p**2 - 1, p)}]
+
+
+def test_graph_evaluation_over_qp():
+    """At a point of PadicNumbers the graph is evaluated in the ring, and
+    agrees with the rational evaluation to the point's precision."""
+    cases = [(graph_series(bench(), F(1), STABLE, order=6), 2, [F(3, 2)])]
+    for p in (3, 5):
+        f = pmap([{(1, 0, 0): F(p), (0, 2, 0): F(1)}, {(0, 1, 0): F(1)},
+                  {(0, 0, 1): F(1, p), (0, 2, 0): F(1)}], p)
+        cases.append((graph_series(f, F(1), CENTRE, order=4), p, [F(7, p)]))
+    for gs, p, xi in cases:
+        want = evaluate_graph(gs, xi)
+        got = evaluate_graph(gs, [PadicNumber.from_rational(x, p, 40) for x in xi])
+        assert len(got) == len(want) and all(isinstance(g, PadicNumber) for g in got)
+        assert all((g - w).val >= 30 for g, w in zip(got, want)), (got, want)
+
+
 def test_graph_residual_vanishes_random():
     rng = random.Random(17)
     for p in (2, 3):
@@ -123,12 +182,12 @@ def test_formal_inverse_oracle_1d():
         binom.append(binom[-1] * (F(1, 2) - k + 1) / k)
     for order in (3, 8):
         inv = formal_inverse(f, order=order)
-        assert inv.gmap.tables() == [{(k,): binom[k] for k in range(1, order + 1)}]
+        assert inv.tables() == [{(k,): binom[k] for k in range(1, order + 1)}]
 
 
 def test_formal_inverse_oracle_bench():
     inv = formal_inverse(bench(), order=2)
-    assert inv.gmap.tables() == \
+    assert inv.tables() == \
         [{(1, 0): F(1, 2)}, {(0, 1): F(2), (2, 0): F(-1, 2)}]
 
 
@@ -140,7 +199,7 @@ def test_formal_inverse_composes_to_identity():
         for p in (2, 3):
             for _ in range(4):
                 f = rand_poly_map(rng, p, d, deg)
-                g = formal_inverse(f, order=order).gmap
+                g = formal_inverse(f, order=order)
                 ctx = f.coeff_context()
                 for outer, inner in ((g, f), (f, g)):
                     for i, t in enumerate(outer.tables()):
@@ -153,5 +212,5 @@ def test_unstable_graph_matches_stable_graph_of_inverse():
     f = pmap([{(1, 0): F(2)}, {(0, 1): F(1, 2), (0, 2): F(1)}], 2)
     # unstable graph over y: x = h(y); equivalently the stable graph of f^-1
     gu = graph_series(f, F(1), UNSTABLE, order=4)
-    ginv = graph_series(formal_inverse(f, 4).gmap, F(1), STABLE, order=4)
+    ginv = graph_series(formal_inverse(f, 4), F(1), STABLE, order=4)
     assert gu.coefficients == ginv.coefficients

@@ -460,7 +460,7 @@ def _expand(pairs):
 
 def test_polygon_oracle():
     f = Polynomial.from_rationals([F(-8), F(-2), F(1)], 2)
-    np_ = newton_polygon(f, 2)
+    np_ = newton_polygon(f)
     assert np_.inf_multiplicity == 0
     # roots of t^2 - 2t - 8 = (t-4)(t+2): valuations 2 and 1
     assert sorted(_expand(np_.root_valuations)) == [F(1), F(2)]
@@ -468,9 +468,21 @@ def test_polygon_oracle():
 
 def test_polygon_with_zero_roots():
     f = Polynomial.from_rationals([F(0), F(0), F(3), F(1)], 3)
-    np_ = newton_polygon(f, 3)
+    np_ = newton_polygon(f)
     assert np_.inf_multiplicity == 2
     assert (INF, 2) in np_.root_valuations
+
+
+def test_polygon_refuses_coefficients_of_another_prime():
+    """A polynomial declared over Q_5 with 3-adic coefficients has no
+    5-adic Newton polygon to read off them."""
+    f = Polynomial(tuple(PadicNumber.from_rational(c, 3) for c in (9, 1, 1)), 5)
+    with pytest.raises(PreconditionViolated, match="prime mismatch"):
+        newton_polygon(f)
+    with pytest.raises(PreconditionViolated, match="prime mismatch"):
+        slope_factorization(f)
+    with pytest.raises(PreconditionViolated, match="prime mismatch"):
+        kernel_basis([[PadicNumber.from_rational(1, 3)]], 5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -487,7 +499,7 @@ def test_polygon_of_product_is_multiset_union(p):
                 new[i] -= root * c
             coeffs = new
         f = Polynomial.from_rationals(coeffs, p)
-        np_ = newton_polygon(f, p)
+        np_ = newton_polygon(f)
         assert sorted(_expand(np_.root_valuations)) == sorted(F(v) for v in vals)
 
 
@@ -497,14 +509,14 @@ def test_polygon_of_product_is_multiset_union(p):
 def test_slope_factorization_oracle_split_cubic():
     # (t-1)(t-2)(t-8) = t^3 - 11 t^2 + 26 t - 16
     f = Polynomial.from_rationals([F(-16), F(26), F(-11), F(1)], 2)
-    fac = slope_factorization(f, 2)
+    fac = slope_factorization(f)
     assert [(s.root_valuation, s.multiplicity) for s in fac] == \
         [(F(3), 1), (F(1), 1), (F(0), 1)]
 
 
 def test_slope_factorization_oracle_ramified():
     f = Polynomial.from_rationals([F(0), F(-2), F(0), F(1)], 2)  # t^3 - 2t
-    fac = slope_factorization(f, 2)
+    fac = slope_factorization(f)
     assert [(s.root_valuation, s.multiplicity) for s in fac] == \
         [(INF, 1), (F(1, 2), 2)]
 
@@ -541,7 +553,7 @@ def test_slope_factorization_product_property(p):
                 new[i] -= root * c
             coeffs = new
         f = Polynomial.from_rationals(coeffs, p)
-        fac = slope_factorization(f, p, precision=40)
+        fac = slope_factorization(f, precision=40)
         assert sorted(s.root_valuation for s in fac) == sorted(F(v) for v in vals)
         assert _factor_product_matches(fac, coeffs, p)
 
@@ -554,7 +566,7 @@ def _congruent(got, want, p, n):
 
 
 def test_slope_factorization_two_slopes_in_one_band():
-    fac = slope_factorization(Polynomial.from_rationals(ONE_BAND, 2), 2, precision=64)
+    fac = slope_factorization(Polynomial.from_rationals(ONE_BAND, 2), precision=64)
     assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(5, 3), 3), (F(3, 2), 2)]
     assert min(s.certified_precision for s in fac) >= 64
     assert _factor_product_matches(fac, ONE_BAND, 2)
@@ -565,7 +577,7 @@ def test_slope_factorization_padic_input_below_default_precision(precision):
     # (t - 5)^2 (t^3 - 25) over Q_5 with every coefficient given mod 5^56
     f = _polymul([F(25), F(-10), F(1)], [F(-25), 0, 0, F(1)])
     pf = [PadicNumber.from_rational(c, 5, 56 - int(valuation_of_rational(c, 5))) for c in f]
-    fac = slope_factorization(Polynomial(tuple(pf), 5), 5, precision=precision)
+    fac = slope_factorization(Polynomial(tuple(pf), 5), precision=precision)
     assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(1), 2), (F(2, 3), 3)]
     assert _congruent(fac[0].factor.coeffs, [25, -10, 1], 5, precision)
     assert _congruent(fac[1].factor.coeffs, [-25, 0, 0, 1], 5, precision)
@@ -578,7 +590,7 @@ def test_slope_factor_padic_input_certifies_its_own_accuracy(n):
     # valuation of the resultant between them
     f = _polymul([F(25), F(-10), F(1)], [F(-25), 0, 0, F(1)])
     pf = [PadicNumber.from_rational(c, 5, n - int(valuation_of_rational(c, 5))) for c in f]
-    fac = slope_factorization(Polynomial(tuple(pf), 5), 5, precision=32)
+    fac = slope_factorization(Polynomial(tuple(pf), 5), precision=32)
     for s, want in zip(fac, ([25, -10, 1], [-25, 0, 0, 1])):
         assert s.certified_precision >= 32
         assert _congruent(s.factor.coeffs, want, 5, s.certified_precision)
@@ -599,8 +611,8 @@ def test_o_term_above_the_polygon_is_ignored():
     # the zero t^2 coefficient known only as O(5^40): (2, 40) lies far above
     # the hull through (0, 2), (3, 0), (4, 0), so no value of it moves a slope
     f = _o_term_quartic([(2, 40)])
-    assert newton_polygon(f, 5).segments == ((F(2, 3), 3), (F(0), 1))
-    fac = slope_factorization(f, 5, precision=16)
+    assert newton_polygon(f).segments == ((F(2, 3), 3), (F(0), 1))
+    fac = slope_factorization(f, precision=16)
     assert [(s.root_valuation, s.multiplicity) for s in fac] == [(F(2, 3), 3), (F(0), 1)]
     assert _congruent(fac[0].factor.coeffs, [-25, 0, 0, 1], 5, 16)
     assert _congruent(fac[1].factor.coeffs, [-1, 1], 5, 16)
@@ -612,9 +624,9 @@ def test_o_term_that_may_move_the_polygon_raises(o_term):
     # coefficient may be zero, which would add a root of valuation INF
     f = _o_term_quartic([o_term])
     with pytest.raises(PrecisionExhausted, match=f"coefficient {o_term[0]} "):
-        newton_polygon(f, 5)
+        newton_polygon(f)
     with pytest.raises(PrecisionExhausted):
-        slope_factorization(f, 5, precision=16)
+        slope_factorization(f, precision=16)
 
 
 @pytest.mark.parametrize("p,factors,slopes", [
@@ -625,7 +637,7 @@ def test_o_term_that_may_move_the_polygon_raises(o_term):
 ])
 def test_slope_factorization_far_slopes_at_low_precision(p, factors, slopes):
     f = _polymul(*[[F(c) for c in g] for g in factors])
-    fac = slope_factorization(Polynomial.from_rationals(f, p), p, precision=16)
+    fac = slope_factorization(Polynomial.from_rationals(f, p), precision=16)
     assert [(s.root_valuation, s.multiplicity) for s in fac] == slopes
     for s, g in zip(fac, factors):
         assert s.certified_precision >= 16

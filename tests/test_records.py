@@ -43,7 +43,7 @@ def _dataclass_twin(cls):
 
 
 def test_every_record_is_found():
-    assert len(RECORDS) == 19, [cls.__name__ for cls in RECORDS]
+    assert len(RECORDS) == 18, [cls.__name__ for cls in RECORDS]
     assert all(cls.__module__.startswith("ultradyn.") for cls in RECORDS)
 
 

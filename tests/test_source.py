@@ -103,24 +103,31 @@ def test_no_extension_ring_in_the_library():
                 or any("polyalg" in a.name for a in node.names)]
 
 
-# every top-level name of ultradyn except the retired ExtContext and ExtElement
+# every top-level name of ultradyn: the paper's objects, their inputs and the errors
 PUBLIC = """DivisionByZero JacobianSingular NotAFixedPoint PrecisionExhausted
-PreconditionViolated RadiusNotFound RankUncertified ResonanceDetected SchemaError
-UltradynError DEFAULT_PRECISION PadicContext PadicNumber RationalContext
-compare_threshold valuation_of_rational NewtonPolygon Polynomial charpoly kernel_basis
-newton_polygon slope_factorization AdaptedNorm LinearAnalysis SpectralData Splitting
-Witness adapted_norm is_hyperbolic nonhyperbolicity_witness operator_norm spectral_data
-spectrum_abs splitting_at BallCertificate FixedPointReport MembershipVerdict PolyMap
-classify_fixed_point invariant_ball jacobian linearization_radius orbit
-remainder_lipschitz shift_to_fixed_point stable_membership GraphSeries InverseSeries
-formal_inverse graph_series residual""".split()
+PreconditionViolated RankUncertified ResonanceDetected SchemaError UltradynError
+DEFAULT_PRECISION PadicNumber compare_threshold valuation_of_rational NewtonPolygon
+Polynomial charpoly newton_polygon slope_factorization AdaptedNorm LinearAnalysis
+SpectralData Splitting Witness adapted_norm is_hyperbolic nonhyperbolicity_witness
+operator_norm spectral_data spectrum_abs splitting_at BallCertificate FixedPointReport
+MembershipVerdict PolyMap classify_fixed_point invariant_ball jacobian
+linearization_radius orbit remainder_lipschitz shift_to_fixed_point stable_membership
+GraphSeries formal_inverse graph_series residual""".split()
+
+# names no longer in the package, with the module that still holds each one
+# (None: deleted)
+RETIRED = {"ExtContext": None, "ExtElement": "field", "PadicContext": "field",
+           "RationalContext": "field", "RadiusNotFound": "errors", "kernel_basis": "polyalg",
+           "InverseSeries": None}
 
 
 def test_public_names_import():
     """The package resolves its names on first use (PEP 562): __all__ is
     exactly PUBLIC, dir() lists it, every name is its module's, a star
     import binds every name, an unknown or retired name raises
-    AttributeError and submodules still import."""
+    AttributeError, a retired name that was kept still imports from its
+    module (RadiusNotFound from dynamics too, where the benchmark catches
+    it), a deleted one from none, and submodules still import."""
     ultradyn = importlib.import_module("ultradyn")
     assert sorted(ultradyn.__all__) == sorted(PUBLIC)
     assert set(PUBLIC) <= set(dir(ultradyn))
@@ -130,8 +137,16 @@ def test_public_names_import():
     namespace = {}
     exec("from ultradyn import *", namespace)
     assert not [name for name in PUBLIC if name not in namespace]
-    for name in ("ExtContext", "ExtElement", "no_such_name"):
+    for name in [*RETIRED, "no_such_name"]:
         assert not hasattr(ultradyn, name), name  # AttributeError, nothing else
+    modules = {m: importlib.import_module(f"ultradyn.{m}") for m in ultradyn._NAMES}
+    for name, module in RETIRED.items():
+        if module:
+            assert getattr(modules[module], name).__module__ == f"ultradyn.{module}", name
+        else:
+            assert not [m for m in modules.values() if hasattr(m, name)], name
+    from ultradyn import dynamics, errors
+    assert dynamics.RadiusNotFound is errors.RadiusNotFound
     from ultradyn import spectral
     assert spectral is importlib.import_module("ultradyn.spectral")
 

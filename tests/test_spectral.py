@@ -83,7 +83,7 @@ def test_is_hyperbolic_oracle():
 
 def test_eigenspace_sum_dims_and_invariance():
     data = spectral_data(BENCH, 2)
-    assert data.spectrum == [(F(1), 1), (F(2), 1)]
+    assert [(b.rho, b.dim) for b in data.blocks] == [(F(1), 1), (F(2), 1)]
     ctx = RationalContext(2)
     for block in data.blocks:
         basis = [list(x) for x in block.basis]
@@ -133,6 +133,42 @@ def test_adapted_norm_nilpotent_weights():
     n = adapted_norm(m, 2, eps=F(1, 2))
     assert list(n.weights) == [F(0), F(-2)]
     assert operator_norm(m, 2, n) == F(2)  # operator norm 1/4 < eps
+
+
+@pytest.mark.parametrize("eps", [-1, 0, F(-1, 3)])
+def test_adapted_norm_refuses_eps_without_a_nilpotent_block(eps):
+    """eps <= 0 is refused for every matrix, not only inside the nilpotent
+    block's build."""
+    for m in (_mat([[2, 0], [0, F(1, 3)]]), _mat([[0, 1], [0, 0]])):
+        with pytest.raises(PreconditionViolated, match="eps must be positive"):
+            adapted_norm(m, 3, eps=eps)
+
+
+def test_adapted_norm_padic_nilpotent_block():
+    """A p-adic matrix with a nilpotent block: its Jordan chains come from
+    the ring path (valuation-pivoted kernels of the powers of N), with the
+    precision of the build.  M = [[0, 1, 0], [0, 0, 0], [0, 0, 5]] over
+    Q_3, with exact zeros, at precision 32: M contracts the nilpotent block
+    by exactly p^-eps_exp on the chain top and is an isometry on the unit
+    block."""
+    p, prec = 3, 32
+    z, one = PadicNumber.zero(p), PadicNumber.from_rational(1, p, prec)
+    m = [[z, one, z], [z, z, z], [z, z, PadicNumber.from_rational(5, p, prec)]]
+    assert spectrum_abs(m, p, prec) == [(F(0), 1), (INF, 2)]
+    n = adapted_norm(m, p, precision=prec)
+    assert n.eps_exp == 1 and [b.rho for b in n.blocks] == [F(0), INF]
+    rng = random.Random(32)
+    gaps = set()
+    for _ in range(20):
+        a, b, c = (PadicNumber.from_rational(F(rng.randint(-9, 9), rng.choice((1, 3, 9))), p, prec)
+                   for _ in range(3))
+        x = [a, b, z]
+        if n.norm_exp(x) != INF:
+            gaps.add(n.norm_exp(mat_vec(m, x)) - n.norm_exp(x))
+        y = [z, z, c]
+        assert n.norm_exp(mat_vec(m, y)) == n.norm_exp(y)
+    assert min(gaps) == n.eps_exp, gaps
+    assert operator_norm(m, p, n) == 0
 
 
 def test_adapted_norm_is_ultranorm():
@@ -407,6 +443,26 @@ def test_operator_norm_refuses_another_prime():
     n = adapted_norm(BENCH, 2)
     with pytest.raises(PreconditionViolated):
         operator_norm([[3, 0], [0, 3]], 3, n)
+
+
+def test_norm_exp_refuses_a_padic_number_of_another_prime():
+    """A 5-adic coordinate is refused by a norm over Q_3: its valuation
+    (2 for 25) is not the 3-adic one (0)."""
+    m = _mat([[3, 1, 0], [0, 1, 2], [0, 0, F(1, 3)]])
+    n = adapted_norm(m, 3)
+    assert n.norm_exp([F(25)] * 3) == 0
+    x = [PadicNumber.from_rational(25, 5)] * 3
+    for read in (n.norm_exp, n._coord_exps):
+        with pytest.raises(PreconditionViolated, match="prime mismatch"):
+            read(x)
+
+
+def test_operator_norm_refuses_a_padic_entry_of_another_prime():
+    m = _mat([[3, 1, 0], [0, 1, 2], [0, 0, F(1, 3)]])
+    n = adapted_norm(m, 3)
+    m[0][0] = PadicNumber.from_rational(25, 5)
+    with pytest.raises(PreconditionViolated, match="prime mismatch"):
+        operator_norm(m, 3, n)
 
 
 def test_norm_exp_refuses_another_dimension():
