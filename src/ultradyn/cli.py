@@ -313,7 +313,12 @@ def main(argv=None) -> int:
     parser.add_argument("--order", type=int, default=None)
     parser.add_argument("--horizon", type=int, default=None)
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error, its message on stderr
+        if exc.code != 2:  # --help
+            raise
+        return 4
     # Exact orbit points outgrow Python's default cap on int <-> str
     # conversion (4300 digits); lift it while one command reads and writes.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -464,7 +464,7 @@ def standard_norm_exp(x, p: int):
     ctx = infer_context(list(x), p)
     vals = [ctx.val(coerce(c, ctx)) for c in x]
     vals = [v for v in vals if v != INF]
-    return min(vals) if vals else INF
+    return Fraction(min(vals)) if vals else INF
 
 
 def orbit(f: PolyMap, x, n: int):

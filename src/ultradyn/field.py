@@ -2,15 +2,17 @@
 precision p-adic numbers, and a print-only record (ExtElement) of values of
 the totally ramified Eisenstein extensions pi^e = p.
 
-Valuations are Fractions (math.inf for exact zero).  Absolute values are
-never materialised as floats; all order comparisons against a rational
-threshold are done in integer arithmetic.
+A PadicNumber's valuation is an int (math.inf for exact zero), since every
+value held is in Q_p itself; valuation_of_rational and the library's public
+readers (spectra, norm exponents, operator norms) give Fractions.  Absolute
+values are never materialised as floats; all order comparisons against a
+rational threshold are done in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf as INF
+from math import ceil, inf as INF
 from operator import attrgetter
 
 from .errors import DivisionByZero, PrecisionExhausted, PreconditionViolated
@@ -147,7 +149,7 @@ class PadicNumber(_Record):
 
     __slots__ = ("prime", "val", "unit", "prec")
     prime: int
-    val: object  # Fraction/int, INF for exact zero
+    val: object  # int, INF for exact zero
     unit: int
     prec: int
 
@@ -168,21 +170,19 @@ class PadicNumber(_Record):
 
     @classmethod
     def o_term(cls, p: int, bound) -> "PadicNumber":
-        """A value known only to satisfy v >= bound."""
-        return cls(p, bound, 0, 0)
+        """A value known only to satisfy v >= bound, that is v >= ceil(bound)."""
+        return cls(p, ceil(bound), 0, 0)
 
     @classmethod
     def from_rational(cls, q, p: int, prec: int = DEFAULT_PRECISION) -> "PadicNumber":
-        q = Fraction(q)
-        if q == 0:
+        q = q if q.__class__ in (int, Fraction) else Fraction(q)
+        if not q:
             return cls.zero(p)
-        v = valuation_of_rational(q, p)
         num, den = q.numerator, q.denominator
-        num //= p ** max(0, v.numerator if v >= 0 else 0)
-        den //= p ** max(0, -v.numerator if v < 0 else 0)
+        vn, vd = _ival(num, p), _ival(den, p)
         m = p**prec
-        unit = num % m * pow(den % m, -1, m) % m
-        return cls(p, v, unit, prec)
+        unit = num // p**vn % m * pow(den // p**vd % m, -1, m) % m
+        return cls(p, vn - vd, unit, prec)
 
     # -- predicates --------------------------------------------------------
 
@@ -228,56 +228,56 @@ class PadicNumber(_Record):
             )
         return PadicNumber(p, val + k, unit % p**prec, prec)
 
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        p = self.prime
-        x, y = self, other
-        if x.is_exact_zero:
+    def _sum(self, y, sign):
+        """self + sign * y.  Two known values (prec > 0: neither an exact
+        zero nor an O-term) of one prime take the first branch, with no
+        promotion and no negated copy of y."""
+        x, p = self, self.prime
+        if y.__class__ is not PadicNumber or y.prime != p:
+            y = x._operand(y)
+            if y is None:
+                return NotImplemented
+        if x.prec and y.prec:
+            if x.val <= y.val:
+                prec = min(x.prec, y.val + y.prec - x.val)
+                return x._known(p, x.val, x.unit + sign * y.unit * p ** (y.val - x.val), prec)
+            prec = min(y.prec, x.val + x.prec - y.val)
+            return x._known(p, y.val, x.unit * p ** (x.val - y.val) + sign * y.unit, prec)
+        y = -y if sign < 0 else y
+        if x.val == INF:
             return y
-        if y.is_exact_zero:
+        if y.val == INF:
             return x
-        if x.is_uncertain or y.is_uncertain:
-            if x.is_uncertain and not y.is_uncertain:
-                x, y = y, x  # x known, y O-term
-            if x.is_uncertain:  # both uncertain
-                return PadicNumber.o_term(p, min(x.val, y.val))
-            # x known, y = O(p^{y.val})
-            if y.val <= x.val:
-                return PadicNumber.o_term(p, min(x.val, y.val))
-            prec = min(x.prec, int(y.val - x.val))
-            return self._known(p, x.val, x.unit, prec)
-        if x.val > y.val:
-            x, y = y, x
-        shift = int(y.val - x.val)
-        abs_prec = min(x.val + x.prec, y.val + y.prec)
-        prec = int(abs_prec - x.val)
-        unit = x.unit + y.unit * p**shift
-        return self._known(p, x.val, unit, prec)
+        if x.prec:
+            x, y = y, x  # x = O(p^{x.val}), y known or an O-term
+        if not y.prec or x.val <= y.val:
+            return PadicNumber.o_term(p, min(x.val, y.val))
+        return x._known(p, y.val, y.unit, min(y.prec, x.val - y.val))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
 
     def __neg__(self):
-        if self.is_exact_zero or self.is_uncertain:
+        if not self.prec:  # an exact zero or an O-term
             return self
         m = self.prime**self.prec
         return PadicNumber(self.prime, self.val, (-self.unit) % m, self.prec)
 
-    def __sub__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else self + (-other)
-
     def __mul__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        p = self.prime
-        if self.is_exact_zero or other.is_exact_zero:
+        p, y = self.prime, other
+        if y.__class__ is not PadicNumber or y.prime != p:
+            y = self._operand(y)
+            if y is None:
+                return NotImplemented
+        if self.prec and y.prec:
+            prec = min(self.prec, y.prec)
+            return PadicNumber(p, self.val + y.val, self.unit * y.unit % p**prec, prec)
+        if self.val == INF or y.val == INF:
             return PadicNumber.zero(p)
-        if self.is_uncertain or other.is_uncertain:
-            return PadicNumber.o_term(p, self.val + other.val)
-        prec = min(self.prec, other.prec)
-        unit = self.unit * other.unit % p**prec
-        return PadicNumber(p, self.val + other.val, unit, prec)
+        return PadicNumber.o_term(p, self.val + y.val)
 
     def __truediv__(self, other):
         other = self._operand(other)

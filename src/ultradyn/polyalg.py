@@ -517,8 +517,7 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
         segments.append((-slope, x2 - x1))
-    hull = [(i, Fraction(v)) for i, v in hull] if rational else hull
-    return NewtonPolygon(tuple(hull), tuple(segments), inf_mult, p)
+    return NewtonPolygon(tuple((i, Fraction(v)) for i, v in hull), tuple(segments), inf_mult, p)
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +622,7 @@ def _residue(c):
         return c, INF
     if c.is_exact_zero:
         return Fraction(0), INF
-    return Fraction(c.unit) * Fraction(c.prime) ** int(c.val), c.val + c.prec
+    return Fraction(c.unit) * Fraction(c.prime) ** c.val, c.val + c.prec
 
 
 def slope_factorization(f: Polynomial, precision: int = DEFAULT_PRECISION) -> list:
@@ -675,7 +674,7 @@ def slope_factorization(f: Polynomial, precision: int = DEFAULT_PRECISION) -> li
     work = 2 * (precision + 2 * int(loss) + 2 * depth + 18)
     vals, known = zip(*(_residue(c) for c in core))
     n, d = len(core) - 1, _monic_scale(vals)
-    j = int(valuation_of_rational(d, p))
+    j = _ival(d, p)
     digits = int(min(work + j * n, *(a + j * (n - i) for i, a in enumerate(known))))
     if digits < precision:  # the product cannot match the input any better
         raise PrecisionExhausted(f"input known to {digits} digits, {precision} asked")

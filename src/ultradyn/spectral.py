@@ -82,6 +82,7 @@ class SpectralData(_Record):
     prime: int
     charpoly: Polynomial
     blocks: tuple  # SpectralBlocks, rho increasing (INF last)
+    _zm: object = None  # over Q, (D_M, D_M M) for adapted_norm (_zmat)
 
     @cached_property
     def _winv(self):
@@ -168,7 +169,7 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
     ctx = infer_context(m, p, precision)
     d = len(m)
     cp = cp or charpoly(m, p, precision)
-    rest, tagged = cp, []  # (rho, slope factor coefficients)
+    rest, tagged, zm = cp, [], None  # (rho, slope factor coefficients)
     if isinstance(ctx, RationalContext):
         zm = _zmat(m)
         tagged = list(_rational_factors(cp).items())
@@ -198,7 +199,7 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
         blocks.append(SpectralBlock(rho, len(basis), tuple(tuple(v) for v in basis), zbasis))
     if sum(b.dim for b in blocks) != d:
         raise PreconditionViolated("eigenspace dimensions do not sum to dim")
-    return SpectralData(p, cp, tuple(blocks))
+    return SpectralData(p, cp, tuple(blocks), zm)
 
 
 def spectrum_abs(m, p: int, precision: int = DEFAULT_PRECISION):
@@ -519,12 +520,12 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
     w = [[coerce(cols[j][i], wctx) for j in range(d)] for i in range(d)]
     winv = data._winv if data._winv is not None else mat_inverse(w, wctx)
 
-    blocks, eps_exp, zm = [], None, None
+    blocks, eps_exp = [], None
     for b in data.blocks:
-        rational = b._zbasis is not None  # and then so is m
+        rational = b._zbasis is not None  # and then so is m, and data._zm is set
         if rational:
-            bctx, zm = RationalContext(p), zm or _zmat(m)
-            rest = _restrict(zm, b._zbasis, bctx)
+            bctx = RationalContext(p)
+            rest = _restrict(data._zm, b._zbasis, bctx)
         else:
             bctx = infer_context([m] + [list(v) for v in b.basis], p, precision)
             rest = _restrict(m, [list(v) for v in b.basis], bctx)

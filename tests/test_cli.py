@@ -125,6 +125,26 @@ def test_exit_4_on_schema_error(tmp_path, capsys, doc):
     assert out == "" and "schema error" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--input", "{}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["spectrum", "--input", "{}", "--precision", "abc"], "invalid int value: 'abc'"),
+    (["eigen", "--input", "{}"], "invalid choice: 'eigen'"),
+    (["spectrum"], "the following arguments are required: --input"),
+])
+def test_exit_4_on_usage_error(tmp_path, capsys, argv, message):
+    """A usage error exits 4, as a schema error does, with argparse's usage
+    message on stderr; exit 2 stays for certified failures."""
+    code, out, err = run(capsys, [a.format(write(tmp_path, DIAG)) for a in argv])
+    assert code == 4 and out == ""
+    assert err.startswith("usage: ultradyn") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ultradyn")
+
+
 def test_prime_past_trial_division(tmp_path, capsys):
     """The prime check goes past trial division by the primes up to 37:
     10007 is accepted, and 1763 = 41 * 43 and the strong pseudoprime to

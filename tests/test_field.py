@@ -4,6 +4,7 @@ adapted-norm oracles compute in."""
 
 from fractions import Fraction
 from math import inf as INF
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +201,143 @@ def test_o_term_absorbs():
     s = x + o
     assert s.val == 0
     assert s.prec <= 5
+
+
+# -- integer valuations --------------------------------------------------------
+
+
+def _old_rule(p, q, a):
+    """q known to absolute precision a (INF: exactly), as PadicNumber held it
+    with Fraction valuations: an exact zero, the O-term O(p^a) when v(q) >= a,
+    else the unit of q / p^v(q) to a - v(q) digits."""
+    if a == INF:
+        assert q == 0
+        return PadicNumber(p, INF, 0, 0)
+    v = valuation_of_rational(q, p)
+    if v >= a:
+        return PadicNumber(p, Fraction(a), 0, 0)
+    u, m = q / Fraction(p) ** v, p ** int(a - v)
+    return PadicNumber(p, v, u.numerator * pow(u.denominator, -1, m) % m, int(a - v))
+
+
+def _lift(x):
+    """(rational value, absolute precision) of x: an O-term is 0 to its bound."""
+    if not x.prec:
+        return Fraction(0), x.val
+    return x.unit * Fraction(x.prime) ** x.val, x.val + x.prec
+
+
+def _old_op(op, x, y):
+    """x op y by the old rule, from the operands' rational values."""
+    (qx, ax), (qy, ay) = _lift(x), _lift(y)
+    if op in "+-":
+        return _old_rule(x.prime, qx + qy if op == "+" else qx - qy, min(ax, ay))
+    if x.val == INF or (op == "*" and y.val == INF):
+        return PadicNumber.zero(x.prime)
+    rel = min(x.prec, y.prec)
+    if op == "*":
+        return _old_rule(x.prime, qx * qy, x.val + y.val + rel)
+    return _old_rule(x.prime, qx / qy if x.prec else 0, x.val - y.val + rel)
+
+
+def _int_valued(x):
+    return type(x.val) is int or x.val == INF
+
+
+@st.composite
+def padics(draw, p):
+    """Exact zeros, O-terms and known values of either sign of valuation, at
+    low precision so that sums cancel digits."""
+    kind = draw(st.sampled_from(("zero", "o", "known", "known")))
+    if kind == "zero":
+        return PadicNumber.zero(p)
+    if kind == "o":
+        return PadicNumber.o_term(p, draw(st.integers(-4, 8)))
+    q = draw(nonzero_rationals) * Fraction(p) ** draw(st.integers(-4, 4))
+    return PadicNumber.from_rational(q, p, draw(st.integers(1, 12)))
+
+
+OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+
+def _check_op(op, a, b, ua, ub):
+    """a op b, with ua and ub the PadicNumbers a and b stand for."""
+    try:
+        out = OPS[op](a, b)
+    except (DivisionByZero, PrecisionExhausted):
+        assert op == "/" and not ub.prec  # by an exact zero or an O-term
+        return
+    assert _int_valued(out) and out == _old_op(op, ua, ub), (a, op, b)
+
+
+@given(st.data(), primes)
+@example(None, 2)
+def test_padic_valuations_are_ints_and_follow_the_old_rule(data, p):
+    if data is None:  # x + y == 0 and x - x: full cancellation to an O-term
+        x = PadicNumber.from_rational(Fraction(5, 4), p, 6)
+        cases = [(x, PadicNumber.from_rational(Fraction(-5, 4), p, 6)), (x, x)]
+        q = Fraction(7, 3) * p**2
+    else:
+        cases = [(data.draw(padics(p)), data.draw(padics(p))) for _ in range(8)]
+        q = data.draw(nonzero_rationals)
+    for x, y in cases:
+        assert _int_valued(x) and _int_valued(y)
+        for op in OPS:
+            _check_op(op, x, y, x, y)
+        # an int or Fraction beside x, on either side, is promoted at x's
+        # precision (the default next to a zero or an O-term)
+        prec = x.prec or DEFAULT_PRECISION
+        for r in (q, q.numerator):
+            up = _old_rule(p, Fraction(r), valuation_of_rational(r, p) + prec)
+            assert PadicNumber.from_rational(r, p, prec) == up
+            for op in OPS:
+                _check_op(op, x, r, x, up)
+                _check_op(op, r, x, up, x)
+
+
+def test_o_term_takes_the_ceiling_of_its_bound():
+    assert PadicNumber.o_term(3, Fraction(3, 2)) == PadicNumber.o_term(3, 2)
+    assert type(PadicNumber.o_term(3, Fraction(-4, 2)).val) is int
+
+
+def _padic_numbers(obj):
+    """Every PadicNumber inside a record, tuple, list or ExtElement, with the
+    records' private fields."""
+    if isinstance(obj, PadicNumber):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _padic_numbers(x)
+    elif hasattr(obj, "_fields"):
+        for f in obj._fields:
+            yield from _padic_numbers(getattr(obj, f))
+
+
+def test_padic_build_holds_int_valuations_and_reads_fractions():
+    """Over Q_3 the companion of t^2 + t + 3 (roots of valuation 0 and 1)
+    beside a ram 2 block and a nilpotent one: every PadicNumber of the
+    spectral data, the splitting and the adapted norm has an int valuation,
+    and the public readers still give Fractions."""
+    from ultradyn import dynamics, spectral
+    from helpers import _embed, companion, frac_block, nilp_block
+
+    p, d = 3, 5
+    m = [[Fraction(0)] * d for _ in range(d)]
+    for off, block in ((0, companion([p, 1, 1])), (2, frac_block(p, 1, 2)), (4, nilp_block(1))):
+        _embed(m, block, off)
+    an = spectral.LinearAnalysis(m, p)
+    norm = an.norm()
+    xs = [[PadicNumber.from_rational(Fraction(i - j, p ** j), p, 20) for j in range(d)]
+          for i in range(3)]
+    built = list(_padic_numbers([an.data, an.splitting(1), norm, norm._pi_rows, norm._pi_cols]))
+    assert len(built) > 50 and all(map(_int_valued, built))
+    assert sum(x.val < 0 for x in built if x.val != INF) > 0
+    rhos = [r for r, _ in an.spectrum]
+    assert INF in rhos and all(type(r) is Fraction for r in rhos if r != INF)
+    assert all(type(norm.norm_exp(x)) is Fraction for x in xs)
+    assert type(spectral.operator_norm(m, p, norm)) is Fraction
+    assert type(dynamics.standard_norm_exp(xs[1], p)) is Fraction
+    assert type(valuation_of_rational(9, p)) is Fraction
 
 
 # -- Eisenstein extension elements ------------------------------------------
