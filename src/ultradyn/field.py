@@ -275,8 +275,8 @@ class PadicNumber(_Record):
         if self.prec and y.prec:
             prec = min(self.prec, y.prec)
             return PadicNumber(p, self.val + y.val, self.unit * y.unit % p**prec, prec)
-        if self.val == INF or y.val == INF:
-            return PadicNumber.zero(p)
+        if self.val == INF or y.val == INF:  # records are immutable: hand the zero back
+            return self if self.val == INF else y
         return PadicNumber.o_term(p, self.val + y.val)
 
     def __truediv__(self, other):
