@@ -206,10 +206,11 @@ def test_o_term_absorbs():
 # -- integer valuations --------------------------------------------------------
 
 
-def _old_rule(p, q, a):
-    """q known to absolute precision a (INF: exactly), as PadicNumber held it
-    with Fraction valuations: an exact zero, the O-term O(p^a) when v(q) >= a,
-    else the unit of q / p^v(q) to a - v(q) digits."""
+def _capped(p, q, a):
+    """The capped-precision value of q known to absolute precision a (INF:
+    exactly), with the Fraction valuation of valuation_of_rational: an exact
+    zero, the O-term O(p^a) when v(q) >= a, else the unit of q / p^v(q) to
+    a - v(q) digits."""
     if a == INF:
         assert q == 0
         return PadicNumber(p, INF, 0, 0)
@@ -227,17 +228,18 @@ def _lift(x):
     return x.unit * Fraction(x.prime) ** x.val, x.val + x.prec
 
 
-def _old_op(op, x, y):
-    """x op y by the old rule, from the operands' rational values."""
+def _reference_op(op, x, y):
+    """x op y as _capped gives it from the operands' rational values and
+    absolute precisions."""
     (qx, ax), (qy, ay) = _lift(x), _lift(y)
     if op in "+-":
-        return _old_rule(x.prime, qx + qy if op == "+" else qx - qy, min(ax, ay))
+        return _capped(x.prime, qx + qy if op == "+" else qx - qy, min(ax, ay))
     if x.val == INF or (op == "*" and y.val == INF):
         return PadicNumber.zero(x.prime)
     rel = min(x.prec, y.prec)
     if op == "*":
-        return _old_rule(x.prime, qx * qy, x.val + y.val + rel)
-    return _old_rule(x.prime, qx / qy if x.prec else 0, x.val - y.val + rel)
+        return _capped(x.prime, qx * qy, x.val + y.val + rel)
+    return _capped(x.prime, qx / qy if x.prec else 0, x.val - y.val + rel)
 
 
 def _int_valued(x):
@@ -267,12 +269,12 @@ def _check_op(op, a, b, ua, ub):
     except (DivisionByZero, PrecisionExhausted):
         assert op == "/" and not ub.prec  # by an exact zero or an O-term
         return
-    assert _int_valued(out) and out == _old_op(op, ua, ub), (a, op, b)
+    assert _int_valued(out) and out == _reference_op(op, ua, ub), (a, op, b)
 
 
 @given(st.data(), primes)
 @example(None, 2)
-def test_padic_valuations_are_ints_and_follow_the_old_rule(data, p):
+def test_padic_valuations_are_ints_and_results_match_the_reference(data, p):
     if data is None:  # x + y == 0 and x - x: full cancellation to an O-term
         x = PadicNumber.from_rational(Fraction(5, 4), p, 6)
         cases = [(x, PadicNumber.from_rational(Fraction(-5, 4), p, 6)), (x, x)]
@@ -288,7 +290,7 @@ def test_padic_valuations_are_ints_and_follow_the_old_rule(data, p):
         # precision (the default next to a zero or an O-term)
         prec = x.prec or DEFAULT_PRECISION
         for r in (q, q.numerator):
-            up = _old_rule(p, Fraction(r), valuation_of_rational(r, p) + prec)
+            up = _capped(p, Fraction(r), valuation_of_rational(r, p) + prec)
             assert PadicNumber.from_rational(r, p, prec) == up
             for op in OPS:
                 _check_op(op, x, r, x, up)
