@@ -4,8 +4,9 @@ Problem files are JSON with all numbers as rational strings ("2/7"); +inf
 valuations serialize as "inf".  Output is deterministic (sorted keys, fixed
 separators).  Exit codes: 0 success, 2 certified failure (violated
 precondition, resonance, uncertifiable rank), 3 precision exhausted, 4
-schema error.  The map commands import dynamics (and graph manifolds) when
-they run, so a matrix command loads neither.
+schema error.  Each command checks every field and flag it reads before it
+imports an analysis module (spectral, dynamics, manifolds), so a rejected
+file loads none of them, and an orbit loads no spectral.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .errors import (
     ResonanceDetected,
     SchemaError,
 )
-from .field import DEFAULT_PRECISION, PadicNumber, ExtElement, _is_prime
-from . import spectral
+from .field import DEFAULT_PRECISION, MODES, STABLE, PadicNumber, ExtElement, _is_prime
 
 CERTIFIED_FAILURES = (
     PreconditionViolated,
@@ -93,7 +93,8 @@ def _load_matrix(doc):
     return [[_parse_rational(c, "matrix entry") for c in r] for r in m]
 
 
-def _load_map(doc, p):
+def _load_map(doc):
+    """The map's checked monomial tables, one per component."""
     comps = doc.get("map")
     if not isinstance(comps, list) or not comps:
         raise SchemaError("'map' must be a nonempty list of components")
@@ -114,8 +115,7 @@ def _load_map(doc, p):
                 raise SchemaError(f"bad multi-index {exps!r}")
             t[tuple(exps)] = _parse_rational(c, "coefficient")
         tables.append(t)
-    from .dynamics import PolyMap
-    return PolyMap.from_tables(tables, p, nvars)
+    return tables
 
 
 def _load_point(doc, nvars, key="point"):
@@ -132,6 +132,7 @@ def _load_point(doc, nvars, key="point"):
 
 def _cmd_spectrum(doc, p, precision, args):
     m = _load_matrix(doc)
+    from . import spectral
     entries = spectral.spectrum_abs(m, p, precision)
     # smallest absolute value (largest valuation) first
     ordered = sorted(entries, key=lambda e: (e[0] != INF, -e[0] if e[0] != INF else 0))
@@ -141,6 +142,7 @@ def _cmd_spectrum(doc, p, precision, args):
 def _cmd_hyperbolic(doc, p, precision, args):
     m = _load_matrix(doc)
     a = _require_a(doc, args)
+    from . import spectral
     hyp = spectral.is_hyperbolic(m, p, a, precision)
     out = {"a": fmt(a), "hyperbolic": hyp}
     if not hyp:
@@ -157,6 +159,7 @@ def _cmd_hyperbolic(doc, p, precision, args):
 def _cmd_split(doc, p, precision, args):
     m = _load_matrix(doc)
     a = _require_a(doc, args)
+    from . import spectral
     s = spectral.splitting_at(m, p, a, precision)
     return {
         "a": fmt(a),
@@ -173,6 +176,7 @@ def _cmd_norm(doc, p, precision, args):
     eps = _parse_rational(eps, "eps") if eps is not None else None
     if eps is not None and eps <= 0:
         raise SchemaError(f"'eps' must be positive, got {fmt(eps)}")
+    from . import spectral
     n = spectral.adapted_norm(m, p, eps=eps, precision=precision)
     return {
         "ram": n.ram,
@@ -187,10 +191,11 @@ def _cmd_norm(doc, p, precision, args):
 
 
 def _cmd_classify(doc, p, precision, args):
+    tables = _load_map(doc)
+    pt = (_load_point(doc, len(tables)) if "point" in doc
+          else [Fraction(0)] * len(tables))
     from . import dynamics
-    f = _load_map(doc, p)
-    pt = (_load_point(doc, f.nvars) if "point" in doc
-          else [Fraction(0)] * f.nvars)
+    f = dynamics.PolyMap.from_tables(tables, p)
     r = dynamics.classify_fixed_point(f, pt, precision)
     out = {
         "point": _fmt_vec(r.point),
@@ -209,14 +214,14 @@ def _cmd_classify(doc, p, precision, args):
 
 
 def _cmd_graph(doc, p, precision, args):
-    from . import manifolds
-    f = _load_map(doc, p)
+    tables = _load_map(doc)
     a = _require_a(doc, args)
-    mode = doc.get("mode", "Stable")
-    if mode not in (manifolds.STABLE, manifolds.CENTRE_STABLE,
-                    manifolds.CENTRE, manifolds.UNSTABLE):
+    mode = doc.get("mode", STABLE)
+    if mode not in MODES:
         raise SchemaError(f"unknown mode {mode!r}")
     order = _count(args.order, doc, "order", 6)
+    from . import dynamics, manifolds
+    f = dynamics.PolyMap.from_tables(tables, p)
     gs = manifolds.graph_series(f, a, mode, order=order, precision=precision)
     return {
         "mode": gs.mode,
@@ -232,10 +237,11 @@ def _cmd_graph(doc, p, precision, args):
 
 
 def _cmd_orbit(doc, p, precision, args):
-    from . import dynamics
-    f = _load_map(doc, p)
-    x = _load_point(doc, f.nvars)
+    tables = _load_map(doc)
+    x = _load_point(doc, len(tables))
     n = _count(args.horizon, doc, "steps", 8, least=0)
+    from . import dynamics
+    f = dynamics.PolyMap.from_tables(tables, p)
     pts = dynamics.orbit(f, x, n)
     return {"orbit": [
         {"point": _fmt_vec(z), "norm_exp": fmt(e)} for z, e in pts
@@ -243,11 +249,12 @@ def _cmd_orbit(doc, p, precision, args):
 
 
 def _cmd_member(doc, p, precision, args):
-    from . import dynamics
-    f = _load_map(doc, p)
+    tables = _load_map(doc)
     a = _require_a(doc, args)
-    x = _load_point(doc, f.nvars)
+    x = _load_point(doc, len(tables))
     horizon = _count(args.horizon, doc, "horizon", 64)
+    from . import dynamics
+    f = dynamics.PolyMap.from_tables(tables, p)
     v = dynamics.stable_membership(f, a, x, horizon, precision)
     return {
         "a": fmt(a),
@@ -270,11 +277,12 @@ COMMANDS = {
 
 
 def _require_a(doc, args):
-    if args.a is not None:
-        return _parse_rational(args.a, "threshold a")
-    if "a" in doc:
-        return _parse_rational(doc["a"], "threshold a")
-    raise SchemaError("threshold 'a' required (flag --a or input field)")
+    if args.a is None and "a" not in doc:
+        raise SchemaError("threshold 'a' required (flag --a or input field)")
+    a = _parse_rational(args.a if args.a is not None else doc["a"], "threshold a")
+    if a <= 0:
+        raise SchemaError(f"threshold 'a' must be positive, got {fmt(a)}")
+    return a
 
 
 def _count(flag, doc, key, default, least=1):

@@ -10,6 +10,7 @@ with one denominator per table; over Q_p the same tables run in the ring
 (_mmul, _mpow, _meval).  Remainder bounds conjugate F by the rows and
 columns of the adapted norm's one read-out (AdaptedNorm._readout), on
 integers over Q and in the ring when the norm or F holds a PadicNumber.
+Spectral is imported by the functions that use it, so an orbit loads none.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .field import (
     compare_threshold)
 from .polyalg import (
     _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
-from . import spectral
-from .spectral import AdaptedNorm, operator_norm, splitting_at
 
 # --------------------------------------------------------------------------
 # monomial-table polynomials: over Q on integers, over Q_p in the ring
@@ -424,6 +423,7 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
                    rate_below=None) -> BallCertificate:
     """Certified ball for the given mode; rate_below (a rational) optionally
     strengthens Contracting to demand c < rate_below."""
+    from .spectral import operator_norm
     p = f.prime
     an = _map_analysis(f, DEFAULT_PRECISION)
     op_a = operator_norm(an.lin, p, norm)
@@ -520,6 +520,7 @@ class MapAnalysis(_Record):
 
     @cached_property
     def linear(self) -> spectral.LinearAnalysis:
+        from . import spectral
         return spectral._analysis(self.lin, self.f.prime, self.precision)
 
     @_kept()
@@ -548,6 +549,7 @@ class MapAnalysis(_Record):
     @_kept()
     def radius(self, norm: AdaptedNorm):
         """(einv, k): ||A^-1|| = p^-einv, and k = linearization_radius(f, norm)."""
+        from .spectral import operator_norm
         ctx = infer_context(self.lin, self.f.prime, self.precision)
         try:
             ainv = mat_inverse(cmat(self.lin, ctx), ctx)
@@ -685,6 +687,7 @@ def _component_exps(norm, a, z):
 
 
 def _linear_membership(f, a, x, horizon):
+    from .spectral import splitting_at
     p = f.prime
     s = splitting_at(linear_part(f), p, a)
     ctx = infer_context([list(s.winv), list(x)], p)

@@ -23,6 +23,10 @@ MIN_PRECISION = 1
 
 DEFAULT_PRECISION = 64
 
+# The graph modes of manifolds.graph_series, defined here so that the CLI
+# checks a mode before it loads any analysis module.
+MODES = STABLE, CENTRE_STABLE, CENTRE, UNSTABLE = "Stable", "CentreStable", "Centre", "Unstable"
+
 # Zeroness verdicts used by linear algebra.
 ZERO, NONZERO, UNCERTAIN = 0, 1, 2
 

@@ -18,7 +18,8 @@ from .errors import (
     PreconditionViolated,
     ResonanceDetected,
 )
-from .field import DEFAULT_PRECISION, ZERO, RationalContext, _Record
+from .field import (
+    CENTRE, CENTRE_STABLE, DEFAULT_PRECISION, STABLE, UNSTABLE, ZERO, RationalContext, _Record)
 from .polyalg import (
     cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
 from . import spectral
@@ -34,11 +35,6 @@ from .dynamics import (
     conjugate,
     linear_part,
 )
-
-STABLE = "Stable"
-CENTRE_STABLE = "CentreStable"
-CENTRE = "Centre"
-UNSTABLE = "Unstable"
 
 
 class GraphSeries(_Record):

@@ -163,26 +163,38 @@ MEMBER = dict(BENCH_MAP, a="1", point=["1", "2/7"])
 ORBIT = dict(BENCH_MAP, point=["1", "2/7"])
 
 
-@pytest.mark.parametrize("argv,doc", [
-    (["graph"], dict(GRAPH, order="x")),
-    (["graph"], dict(GRAPH, order=True)),
-    (["graph"], dict(GRAPH, order=0)),
-    (["member"], dict(MEMBER, horizon="5")),
-    (["orbit"], dict(ORBIT, steps=-3)),
-    (["spectrum"], dict(DIAG, precision=True)),
-    (["graph", "--order", "0"], GRAPH),
-    (["graph", "--order", "-2"], GRAPH),
-    (["member", "--horizon", "0"], MEMBER),
-    (["orbit", "--horizon", "0"], ORBIT),
+BAD_COUNTS = [
+    (["graph"], dict(GRAPH, order="x"), "'order' must be an integer >= 1, got 'x'"),
+    (["graph"], dict(GRAPH, order=True), "'order' must be an integer >= 1, got True"),
+    (["graph"], dict(GRAPH, order=0), "'order' must be an integer >= 1, got 0"),
+    (["member"], dict(MEMBER, horizon="5"), "'horizon' must be an integer >= 1, got '5'"),
+    (["orbit"], dict(ORBIT, steps=-3), "'steps' must be an integer >= 0, got -3"),
+    (["spectrum"], dict(DIAG, precision=True), "'precision' must be an integer >= 1, got True"),
+    (["graph", "--order", "0"], GRAPH, "flag for 'order' must be a positive integer, got 0"),
+    (["graph", "--order", "-2"], GRAPH, "flag for 'order' must be a positive integer, got -2"),
+    (["member", "--horizon", "0"], MEMBER,
+     "flag for 'horizon' must be a positive integer, got 0"),
+    (["orbit", "--horizon", "0"], ORBIT, "flag for 'steps' must be a positive integer, got 0"),
     # a non-positive eps, with and without a nilpotent block
-    (["norm"], {"prime": 2, "matrix": [["2", "0"], ["0", "1"]], "eps": "-1"}),
+    (["norm"], {"prime": 2, "matrix": [["2", "0"], ["0", "1"]], "eps": "-1"},
+     "'eps' must be positive, got -1"),
     (["norm"], {"prime": 2, "matrix": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "3"]],
-                "eps": "-1"}),
-])
-def test_exit_4_on_bad_count(tmp_path, capsys, argv, doc):
+                "eps": "-1"}, "'eps' must be positive, got -1"),
+    # a non-positive threshold is bad input, not a certified failure (exit 2)
+    (["hyperbolic", "--a", "0"], DIAG, "threshold 'a' must be positive, got 0"),
+    (["split", "--a=-1/2"], DIAG, "threshold 'a' must be positive, got -1/2"),
+    (["graph", "--a", "0"], GRAPH, "threshold 'a' must be positive, got 0"),
+    (["member"], dict(MEMBER, a="-3"), "threshold 'a' must be positive, got -3"),
+]
+
+
+@pytest.mark.parametrize("argv,doc,message", BAD_COUNTS,
+                         ids=[f"argv{i}-doc{i}" for i in range(len(BAD_COUNTS))])
+def test_exit_4_on_bad_count(tmp_path, capsys, argv, doc, message):
+    """The whole message is pinned, so that no reordering of the checks
+    blames another field."""
     code, out, err = run(capsys, argv + ["--input", write(tmp_path, doc)])
-    assert code == 4
-    assert out == "" and "schema error" in err
+    assert (code, out, err) == (4, "", f"schema error: {message}\n")
 
 
 def test_orbit_of_zero_steps(tmp_path, capsys):
@@ -264,25 +276,56 @@ def _modules_after(tmp_path, script):
     return set(listing.read_text().split())
 
 
+ANALYSIS = {"ultradyn.polyalg", "ultradyn.spectral", "ultradyn.dynamics", "ultradyn.manifolds"}
+# the analysis modules each command of ALL_COMMANDS loads; member's point 0
+# is decided without a splitting, and an orbit needs none
+LOADS = {
+    "spectrum": "polyalg spectral", "split": "polyalg spectral",
+    "hyperbolic": "polyalg spectral", "norm": "polyalg spectral",
+    "classify": "polyalg spectral dynamics", "graph": "polyalg spectral dynamics manifolds",
+    "orbit": "polyalg dynamics", "member": "polyalg dynamics",
+}
+
+
 @pytest.mark.parametrize("argv,doc", ALL_COMMANDS, ids=[argv[0] for argv, _ in ALL_COMMANDS])
 def test_command_loads_only_what_it_runs(tmp_path, argv, doc):
-    """No command loads dataclasses or inspect, and the matrix commands load
-    neither dynamics nor manifolds."""
+    """Each command loads exactly the ultradyn modules it runs, and none
+    loads dataclasses or inspect."""
     argv = argv + ["--input", write(tmp_path, doc)]
     mods = _modules_after(tmp_path, f"from ultradyn import cli\nassert cli.main({argv!r}) == 0")
-    assert "ultradyn.spectral" in mods
     assert not mods & {"dataclasses", "inspect"}
-    if argv[0] in ("spectrum", "hyperbolic", "split", "norm"):
-        assert not mods & {"ultradyn.dynamics", "ultradyn.manifolds"}
-    else:
-        assert "ultradyn.dynamics" in mods
+    assert {m for m in mods if m.split(".")[0] == "ultradyn"} == {
+        "ultradyn", "ultradyn.cli", "ultradyn.errors", "ultradyn.field",
+        *(f"ultradyn.{m}" for m in LOADS[argv[0]].split())}
+
+
+# a document per command that fails the last check the command makes
+REJECTED = [
+    (["spectrum"], {"prime": 2, "matrix": [["1", "0"], ["0", "x"]]}, "bad matrix entry: 'x'"),
+    (["split", "--a", "0"], DIAG, "threshold 'a' must be positive, got 0"),
+    (["hyperbolic", "--a=-1/2"], DIAG, "threshold 'a' must be positive, got -1/2"),
+    (["norm"], dict(DIAG, eps="0"), "'eps' must be positive, got 0"),
+    (["classify"], dict(BENCH_MAP, point=["0"]), "'point' must be a list of 2 rationals"),
+    (["graph"], dict(GRAPH, order="x"), "'order' must be an integer >= 1, got 'x'"),
+    (["orbit"], dict(ORBIT, steps=-3), "'steps' must be an integer >= 0, got -3"),
+    (["member"], dict(MEMBER, horizon="5"), "'horizon' must be an integer >= 1, got '5'"),
+]
+
+
+@pytest.mark.parametrize("argv,doc,message", REJECTED, ids=[argv[0] for argv, *_ in REJECTED])
+def test_schema_error_loads_no_analysis_module(tmp_path, capsys, argv, doc, message):
+    """Each command checks every field and flag it reads before it imports
+    an analysis module, so a rejected file loads none of them."""
+    argv = argv + ["--input", write(tmp_path, doc)]
+    assert run(capsys, argv) == (4, "", f"schema error: {message}\n")
+    mods = _modules_after(tmp_path, f"from ultradyn import cli\nassert cli.main({argv!r}) == 4")
+    assert not mods & ANALYSIS
 
 
 def test_bare_import_loads_no_analysis_module(tmp_path):
     mods = _modules_after(tmp_path, "import ultradyn")
     assert "ultradyn" in mods
-    assert not mods & {"ultradyn.polyalg", "ultradyn.spectral", "ultradyn.dynamics",
-                       "ultradyn.manifolds", "dataclasses", "inspect"}
+    assert not mods & (ANALYSIS | {"dataclasses", "inspect"})
 
 
 def test_table_format(tmp_path, capsys):
@@ -303,6 +346,20 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 def test_golden_stdout(tmp_path, capsys, case):
     code, out, _ = run(capsys, case["argv"] + ["--input", write(tmp_path, case["input"])])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+FIRST_GOLDEN = {case["argv"][0]: case for case in reversed(GOLDEN)}  # first case per command
+
+
+@pytest.mark.parametrize("case", FIRST_GOLDEN.values(), ids=list(FIRST_GOLDEN))
+def test_golden_through_python_m(tmp_path, case):
+    """The path the shell and the benchmark take: `python -m ultradyn.cli`
+    in a fresh interpreter, its exit code from sys.exit(main())."""
+    argv = case["argv"] + ["--input", write(tmp_path, case["input"])]
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "ultradyn.cli"] + argv, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], "")
 
 
 # -- schema fuzz: any bounded JSON document exits 0/2/3/4, never with a
