@@ -27,7 +27,8 @@ from .errors import (
     ResonanceDetected,
     SchemaError,
 )
-from .field import DEFAULT_PRECISION, MODES, STABLE, PadicNumber, ExtElement, _is_prime
+from .field import (
+    DEFAULT_PRECISION, MODES, PRIME_LIMIT, STABLE, PadicNumber, ExtElement, _is_prime)
 
 CERTIFIED_FAILURES = (
     PreconditionViolated,
@@ -351,6 +352,8 @@ def _run(args) -> int:
         if not isinstance(doc, dict):
             raise SchemaError("input must be a JSON object")
         p = args.prime if args.prime is not None else doc.get("prime")
+        if isinstance(p, int) and p >= PRIME_LIMIT:
+            raise SchemaError(f"'prime' must be below {PRIME_LIMIT} to be proven prime, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise SchemaError(f"'prime' must be a prime integer, got {p!r}")
         precision = _count(args.precision, doc, "precision", DEFAULT_PRECISION)

@@ -31,18 +31,24 @@ MODES = STABLE, CENTRE_STABLE, CENTRE, UNSTABLE = "Stable", "CentreStable", "Cen
 ZERO, NONZERO, UNCERTAIN = 0, 1, 2
 
 
+# psi_13: below it Miller-Rabin on the primes up to 41 is deterministic
+# (Sorenson and Webster, Math. Comp. 86, 2017); the CLI refuses the rest.
+PRIME_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond 64-bit inputs we see
+    """Miller-Rabin on _BASES, deterministic for n < PRIME_LIMIT."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -99,15 +99,15 @@ def formal_inverse(f: PolyMap, order: int = 6) -> PolyMap:
 
 
 def _mode_split(s: "spectral.Splitting", mode: str):
-    if mode == STABLE:
-        return list(s.stable), list(s.centre) + list(s.unstable)
-    if mode == CENTRE_STABLE:
-        return list(s.stable) + list(s.centre), list(s.unstable)
-    if mode == CENTRE:
-        return list(s.centre), list(s.stable) + list(s.unstable)
-    if mode == UNSTABLE:
-        return list(s.unstable), list(s.stable) + list(s.centre)
-    raise PreconditionViolated(f"unknown mode {mode!r}")
+    """(base, complement) of the mode, as positions in s's stable, centre,
+    unstable order."""
+    ns, nc, nu = s.dims()
+    st, ce, un = [*range(ns)], [*range(ns, ns + nc)], [*range(ns + nc, ns + nc + nu)]
+    parts = {STABLE: (st, ce + un), CENTRE_STABLE: (st + ce, un),
+             CENTRE: (ce, st + un), UNSTABLE: (un, st + ce)}
+    if mode not in parts:
+        raise PreconditionViolated(f"unknown mode {mode!r}")
+    return parts[mode]
 
 
 def _degree_monomials(nvars, k):
@@ -162,12 +162,11 @@ def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
     db, dc = len(base), len(comp)
     if db == 0:
         raise PreconditionViolated(f"{mode} base subspace is zero")
-    cols = base + comp
+    vecs = [*s.stable, *s.centre, *s.unstable]
     d = f.nvars
     ctx = infer_context(
-        [cols] + [[c for _, c in cmp_] for cmp_ in f.components], f.prime, precision)
-    w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
-    winv = mat_inverse(w, ctx)
+        [vecs] + [[c for _, c in cmp_] for cmp_ in f.components], f.prime, precision)
+    w, winv = spectral._basis_change(vecs, s.winv, base + comp, ctx)
     tables = conjugate(f, winv, w, ctx)
     # off-diagonal linear blocks must vanish (aggregates are invariant)
     for i in range(d):
@@ -224,10 +223,9 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     for m in seen:
         vec = tuple(t.get(m, ctx.zero) for t in h)
         coeffs.append((m, vec))
-    base, comp = _mode_split(s, mode)
+    vecs = [*s.stable, *s.centre, *s.unstable]
     return GraphSeries(
-        p, a, mode,
-        tuple(tuple(v) for v in base), tuple(tuple(v) for v in comp),
+        p, a, mode, *(tuple(tuple(vecs[i]) for i in part) for part in _mode_split(s, mode)),
         tuple(coeffs), order,
         tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv),
     )

@@ -4,11 +4,12 @@ Matrices are lists of rows; vectors are lists.  Entries are Fractions or
 PadicNumbers, held in a ring context (field.RationalContext /
 PadicContext).  Over Q_p elimination and the charpoly pivot by least
 valuation, which keeps the precision.  Over Q, whose answers do not depend
-on the pivot order, row_reduce, kernel_basis, mat_inverse, charpoly and
+on the pivot order, row_reduce, mat_inverse, charpoly and
 invariant_unit_lattice run on plain integers (one Gauss-Jordan elimination,
 _zrow_reduce, with kernels and inverses read off it as (denominator,
 integer vector) pairs) and return the same Fractions; over Q_p they keep
-the ring path.
+the ring path.  kernel_basis has one path for both rings, through
+row_reduce.
 """
 
 from __future__ import annotations
@@ -303,13 +304,9 @@ def mat_inverse(m, ctx):
 
 
 def kernel_basis(mat, p: int, precision: int | None = None):
-    """Basis of the right kernel, one vector per free column: over Q read
-    off the integer elimination (_zkernel), over Q_p by valuation-pivoted
-    elimination."""
+    """Basis of the right kernel, one vector per free column, read off the
+    reduced echelon form of row_reduce (over Q its integer elimination)."""
     ctx = infer_context(mat, p, precision)
-    if isinstance(ctx, RationalContext):
-        return [[Fraction(x, den) for x in u]
-                for den, u in _zkernel([_zscale(list(r))[1] for r in mat])]
     m = cmat(mat, ctx)
     ncols = len(m[0]) if m else 0
     rows, pivots, _ = row_reduce(m, ctx)
@@ -772,16 +769,17 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     return ks, w, winv
 
 
-def _zunit_lattice(dr, a, p, n, e):
+def _zunit_lattice(dr, a, p, n, e, pairs=False):
     """invariant_unit_lattice for rational R = A / dr, A integral, on
     integers.  Each Krylov vector is kept as (k, den, u) with u / den the
     vector, u integral and gcd(content u, den) = 1: R v is A u / (dr den).  A
     Hermite step on w = U / den by the pivot P / den' is
     ((P_r/g) U - (U_r/g) P) / (den (P_r/g)), g = gcd(U_r, P_r), the
     pivot chosen by v(U_r) - v(den) + k/e as over Q_p.  W^-1 comes from the
-    (den, u) basis by one integer elimination (_zinverse), and only W and
-    W^-1 leave as Fractions; the certificate takes p-adic valuations of
-    integer dot products of the integer rows of W^-1 with R^d e_i."""
+    (den, u) basis by one integer elimination (_zinverse); the certificate
+    takes p-adic valuations of integer dot products of the integer rows of
+    W^-1 with R^d e_i.  W and W^-1 leave as Fractions or, with pairs, as the
+    (D, integer vector) pairs of W's columns and W^-1's rows."""
     d = len(a)
 
     def reduced(k, den, u):
@@ -821,5 +819,7 @@ def _zunit_lattice(dr, a, p, n, e):
             t = sum(map(mul, zrow, u))
             if t and e * (_ival(t, p) - _ival(rden * den, p)) < d * n + k:
                 raise PreconditionViolated("B maps the Krylov lattice outside itself")
+    if pairs:
+        return ks, basis, zinv
     w = [[Fraction(u[i], den) for den, u in basis] for i in range(d)]
     return ks, w, [[Fraction(x, den) for x in row] for den, row in zinv]

@@ -85,14 +85,18 @@ class SpectralData(_Record):
     _zm: object = None  # over Q, (D_M, D_M M) for adapted_norm (_zmat)
 
     @cached_property
-    def _winv(self):
-        """Over Q, W^-1 for W the block bases side by side, from the blocks'
-        integer vectors by one integer elimination (_zinverse); kept outside
-        == and repr(), None if a block is p-adic."""
+    def _zwinv(self):
+        """Over Q, W^-1 for W the block bases side by side, as (D, row)
+        pairs from the blocks' integer vectors by one integer elimination
+        (_zinverse); kept outside == and repr(), None if a block is p-adic."""
         if any(b._zbasis is None for b in self.blocks):
             return None
-        return [[Fraction(x, den) for x in row]
-                for den, row in _zinverse([z for b in self.blocks for z in b._zbasis])]
+        return _zinverse([z for b in self.blocks for z in b._zbasis])
+
+    @cached_property
+    def _winv(self):
+        """_zwinv as Fraction rows, None if a block is p-adic."""
+        return self._zwinv and [[Fraction(x, den) for x in row] for den, row in self._zwinv]
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +241,15 @@ def splitting_at(m, p: int, a, precision: int = DEFAULT_PRECISION) -> Splitting:
     return _analysis(m, p, precision).splitting(a)
 
 
+def _basis_change(vecs, winv, order, ctx):
+    """(W, W^-1) over ctx for W with columns vecs[j], j in order: over Q the
+    rows of winv (the vecs' inverse) in that order, else mat_inverse of W."""
+    w = [[coerce(vecs[j][i], ctx) for j in order] for i in range(len(order))]
+    if winv is not None and isinstance(ctx, RationalContext):
+        return w, [winv[j] for j in order]
+    return w, mat_inverse(w, ctx)
+
+
 # --------------------------------------------------------------------------
 # adapted norms
 # --------------------------------------------------------------------------
@@ -303,28 +316,32 @@ def _nilpotent_chains(n, ctx):
 
 
 def _pi_power(x, k, p, ram):
-    """The record of pi^k x, pi^ram = p, for x over the base field:
-    x p^(k // ram) in slot k mod ram, exact zeros of x's own ring elsewhere."""
-    q, r = divmod(k, ram)
+    """The record of pi^k x, 0 <= k < ram, pi^ram = p, for x over the base
+    field: x in slot k, exact zeros of x's own ring elsewhere."""
     coeffs = [PadicNumber.zero(p) if isinstance(x, PadicNumber) else Fraction(0)] * ram
-    coeffs[r] = x * Fraction(p) ** q if q else x
+    coeffs[k] = x
     return ExtElement(p, ram, tuple(coeffs))
 
 
-def _pi_split(rows):
-    """(s, base) with row i of rows equal to pi^(s_i) base[i], base over the
-    base field: the entries of a row are base-field values or ExtElements
-    with one common nonzero pi-slot, as adapted_norm builds them."""
-    exps, base = [], []
-    for row in rows:
-        xs = [x.coeffs if isinstance(x, ExtElement) else (x,) for x in row]
-        slots = {j for c in xs for j, y in enumerate(c)
-                 if (y.val != INF if isinstance(y, PadicNumber) else y != 0)} or {0}
-        if len(slots) > 1:
-            raise PreconditionViolated("a transform row is not one pi-power")
-        exps.append(slots.pop())
-        base.append([c[exps[-1]] for c in xs])
-    return exps, base
+def _pi_piece(e, v, p, ram):
+    """(k, p^q v) with pi^e v = pi^k p^q v, e = q ram + k, 0 <= k < ram."""
+    q, k = divmod(e, ram)
+    return k, [x * Fraction(p) ** q if q else x for x in v]
+
+
+def _zpieces(pieces, pairs, p, ram):
+    """Over Q, (z / g, e + ram v(g / (D L))) for each (e, D, u) of pieces:
+    pi^e sum_j (u_j / D) (y_j / D_j) over the (D_j, y_j) of pairs is
+    pi^e z / (D L), L the lcm of the D_j, and the content g of z is divided
+    out, as the pairs come unreduced, to keep every query's integers small."""
+    dl = lcm(*[dj for dj, _ in pairs])
+    cols = list(zip(*[[x * (dl // dj) for x in y] for dj, y in pairs]))
+    out = []
+    for e, den, u in pieces:
+        z = [sum(map(mul, u, c)) for c in cols]
+        g = gcd(*z)
+        out.append(([x // g for x in z], e + ram * (_ival(g, p) - _ival(den * dl, p))))
+    return out
 
 
 class NormBlock(_Record):
@@ -332,6 +349,9 @@ class NormBlock(_Record):
     t: tuple  # block coords -> norm coords (rows)
     tinv: tuple  # t^-1: norm coords -> block coords (rows)
     weights: tuple  # per-coordinate valuation offsets (Fractions)
+    # (s, T_0, s', T'_0), 0 <= s_i, s'_j < ram: t = diag(pi^s) T_0 and tinv =
+    # T'_0 diag(pi^s'), T_0 (rows) and T'_0 (columns) over the base field
+    _pi: object = None
 
 
 class AdaptedNorm(_Record):
@@ -340,23 +360,20 @@ class AdaptedNorm(_Record):
 
     norm_exp(x) = min_i ( v((T Winv x)_i) + q_i ) over the global basis; the
     norm itself is p^(-norm_exp(x)).  T is block diagonal, with entries in
-    Q_p(pi), pi^ram = p; adapted_norm builds each row of a block's t, and
-    each column of its tinv, as one pi-power times a base-field vector, held
-    as ExtElement records (pi-slot coefficients, no arithmetic), so
+    Q_p(pi), pi^ram = p.  adapted_norm forms each row of a block's t, and
+    each column of its tinv, as one pi-power times a base-field vector,
+    keeps those pieces (NormBlock._pi) and writes t and tinv from them as
+    ExtElement records (pi-slot coefficients, no arithmetic), so
     v((T Winv x)_i) = v(row_i . x) + s_i/ram with row_i over the base field.
-    The rows are built on first use and then kept (outside repr() and ==),
-    as is the hash; adapted_norm(m, p) returns one interned norm per matrix
-    and eps.  Over Q the norm is built on integers, from the blocks' integer
-    kernel vectors (SpectralBlock._zbasis) to Fractions only in its records:
-    Winv (the analysis's, SpectralData._winv), the block restrictions, the
-    Jordan chains and lattices with their inverses, and _zrows and _zcols
-    straight from T_0, Winv, W and T'_0.  Every query reads the norm
-    through one read-out (_readout): the rows of T Winv and the columns of
-    its inverse as (vector, offset) pairs, the integer _zrows and _zcols
-    over Q, and the base-field T_0 Winv (_pi_rows) and W T'_0 (_pi_cols)
-    when the norm or the query (x for norm_exp, M for operator_norm, the
-    map for the remainder bounds of dynamics) holds a PadicNumber; those
-    two are otherwise built only for transform()."""
+    Over Q it also forms, from the integer pairs of its build, the integer
+    rows of T Winv and columns of its inverse with their offsets (_zrows,
+    _zcols).  Every query reads the norm through one read-out (_readout):
+    those over Q, or the base-field T_0 Winv (_pi_rows) and W T'_0
+    (_pi_cols) when the norm or the query (x for norm_exp, M for
+    operator_norm, the map for the remainder bounds of dynamics) holds a
+    PadicNumber; those two are built on first use, or for transform(), and
+    kept (outside repr() and ==), as is the hash.  adapted_norm(m, p)
+    returns one interned norm per matrix and eps."""
 
     prime: int
     ram: int
@@ -364,22 +381,17 @@ class AdaptedNorm(_Record):
     w: tuple
     blocks: tuple  # NormBlocks in stacking order
     eps_exp: object = None  # nilpotent contraction exponent j, if any
+    _zrows: object = None  # over Q, (z_i, offset_i) per row of T Winv
+    _zcols: object = None  # over Q, (z_j, offset_j) per column of its inverse
 
     __hash__ = _hash_once
-
-    @cached_property
-    def _pi_blocks(self):
-        """(s, T_0, s', T'_0) for each block: t = diag(pi^s) T_0 and
-        tinv = T'_0 diag(pi^s'), with T_0 and T'_0 over the base field, T_0
-        as its rows and T'_0 as its columns."""
-        return [(*_pi_split(b.t), *_pi_split(zip(*b.tinv))) for b in self.blocks]
 
     @cached_property
     def _pi_rows(self):
         """(s, T_0 Winv): row i of T Winv is pi^(s_i) times row i of the
         base-field T_0 Winv."""
         s, rows, off = [], [], 0
-        for sb, t0, _, _ in self._pi_blocks:
+        for sb, t0, _, _ in (b._pi for b in self.blocks):
             s += sb
             rows += mat_mul(t0, self.winv[off:off + len(t0)])
             off += len(t0)
@@ -390,7 +402,7 @@ class AdaptedNorm(_Record):
         """(s', the columns of W T'_0): column j of (T Winv)^-1 = W T^-1 is
         pi^(s'_j) times column j of the base-field W T'_0."""
         s, cols, off = [], [], 0
-        for _, _, sb, t0cols in self._pi_blocks:
+        for _, _, sb, t0cols in (b._pi for b in self.blocks):
             wb = [r[off:off + len(sb)] for r in self.w]
             s += sb
             cols += [mat_vec(wb, c) for c in t0cols]
@@ -406,36 +418,6 @@ class AdaptedNorm(_Record):
     @property
     def weights(self):
         return [q for b in self.blocks for q in b.weights]
-
-    def _zproducts(self, y, blocks, sign):
-        """Over Q, (z_i, s_i + ram (sign q_i - v(E_i D))) for each vector u_i
-        of blocks, (s, vectors) over consecutive row spans y_b of y, with
-        z_i = (E_i u_i)(D y_b) the integer form of u_i y_b, and E_i and D the
-        lcms of the denominators of u_i and of y.  None if one is p-adic."""
-        p, ram = self.prime, self.ram
-        if any(isinstance(x, PadicNumber) for v in (*y, *(u for _, us in blocks for u in us))
-               for x in v):
-            return None
-        dy, zy = _zmat(y)
-        out, off, qs = [], 0, iter(self.weights)
-        for s, us in blocks:
-            cols = list(zip(*zy[off:off + len(s)]))
-            off += len(s)
-            for si, u in zip(s, us):
-                den, zu = _zscale(u)
-                out.append(([sum(map(mul, zu, c)) for c in cols],
-                            si + sign * int(next(qs) * ram) - ram * _ival(den * dy, p)))
-        return out
-
-    @cached_property
-    def _zrows(self):
-        """Integer rows of T_0 Winv (_zproducts, with +q_i), without _pi_rows."""
-        return self._zproducts(self.winv, [(s, t0) for s, t0, _, _ in self._pi_blocks], 1)
-
-    @cached_property
-    def _zcols(self):
-        """Integer columns of W T'_0 (_zproducts, with -q_j), without _pi_cols."""
-        return self._zproducts(list(zip(*self.w)), [b[2:] for b in self._pi_blocks], -1)
 
     def _readout(self, p, sizes, rational, cols=False):
         """(exact, pairs): the rows of T Winv, or with cols the columns of
@@ -514,13 +496,10 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
             raise PreconditionViolated("eps must be positive")
     finite = [b for b in data.blocks if b.rho != INF]
     ram = lcm(1, *(Fraction(b.rho).denominator for b in finite)) if finite else 1
-    cols = [list(v) for b in data.blocks for v in b.basis]
-    wctx = infer_context(cols, p, precision)
-    d = len(m)
-    w = [[coerce(cols[j][i], wctx) for j in range(d)] for i in range(d)]
-    winv = data._winv if data._winv is not None else mat_inverse(w, wctx)
-
-    blocks, eps_exp = [], None
+    vecs = [v for b in data.blocks for v in b.basis]
+    w, winv = _basis_change(vecs, data._winv, range(len(m)), infer_context(vecs, p, precision))
+    blocks, eps_exp, off = [], None, 0
+    zrows, zcols = ([], []) if data._zwinv is not None else (None, None)
     for b in data.blocks:
         rational = b._zbasis is not None  # and then so is m, and data._zm is set
         if rational:
@@ -529,6 +508,8 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
         else:
             bctx = infer_context([m] + [list(v) for v in b.basis], p, precision)
             rest = _restrict(m, [list(v) for v in b.basis], bctx)
+        # row i of t is pi^es_i rows_i and column i of tinv pi^-es_i cols_i, rows
+        # and cols over the base field, as (D, integer vector) pairs over Q
         if b.rho == INF:
             if eps is None:
                 # default: subordinate to the smallest nonzero |eigenvalue|
@@ -540,32 +521,35 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
                     j += 1  # smallest j with p^-j < eps
             eps_exp = j
             chains = _nilpotent_chains(rest, bctx)
-            cvecs, weights = [], []
-            for chain in chains:
-                for k, v in enumerate(chain):
-                    cvecs.append(v)
-                    weights.append(Fraction(-k * j))
-            if rational:  # (E, u) pairs: t by _zinverse
-                t = [[Fraction(x, den) for x in row] for den, row in _zinverse(cvecs)]
-                cvecs = [[Fraction(x, den) for x in u] for den, u in cvecs]
-            cw = [[cvecs[jj][ii] for jj in range(b.dim)] for ii in range(b.dim)]
-            if not rational:
-                t = mat_inverse(cw, bctx)
-            blocks.append(NormBlock(INF, tuple(tuple(r) for r in t),
-                                    tuple(tuple(r) for r in cw), tuple(weights)))
+            cols = [v for chain in chains for v in chain]
+            weights = [Fraction(-k * j) for chain in chains for k in range(len(chain))]
+            rows = _zinverse(cols) if rational else mat_inverse([*map(list, zip(*cols))], bctx)
+            es = [0] * b.dim
         else:
-            ks, lat, linv = (_zunit_lattice(*rest, p, *Fraction(b.rho).as_integer_ratio())
-                             if rational else invariant_unit_lattice(rest, p, b.rho, precision))
+            ks, cols, rows = (_zunit_lattice(*rest, p, *Fraction(b.rho).as_integer_ratio(), True)
+                              if rational else invariant_unit_lattice(rest, p, b.rho, precision))
+            if not rational:
+                cols = [list(c) for c in zip(*cols)]
             s = ram // Fraction(b.rho).denominator  # pi_b = pi^s
-            blocks.append(NormBlock(
-                b.rho,
-                tuple(tuple(_pi_power(x, -k * s, p, ram) for x in row)
-                      for k, row in zip(ks, linv)),
-                tuple(tuple(_pi_power(x, k * s, p, ram) for x, k in zip(row, ks))
-                      for row in lat),
-                tuple(Fraction(0) for _ in range(b.dim))))
-    return AdaptedNorm(p, ram, tuple(tuple(r) for r in winv),
-                       tuple(tuple(r) for r in w), tuple(blocks), eps_exp)
+            es = [-k * s for k in ks]
+            weights = [Fraction(0)] * b.dim
+        if zrows is not None:  # over Q, and then every block is rational
+            zrows += _zpieces([(e + int(q * ram), *r) for e, r, q in zip(es, rows, weights)],
+                              data._zwinv[off:off + b.dim], p, ram)
+            zcols += _zpieces([(-e - int(q * ram), *c) for e, c, q in zip(es, cols, weights)],
+                              b._zbasis, p, ram)
+        if rational:
+            rows, cols = ([[Fraction(x, den) for x in u] for den, u in vs] for vs in (rows, cols))
+        slots, t0 = zip(*[_pi_piece(e, r, p, ram) for e, r in zip(es, rows)])
+        cslots, t0cols = zip(*[_pi_piece(-e, c, p, ram) for e, c in zip(es, cols)])
+        put = (lambda x, k: x) if b.rho == INF else (lambda x, k: _pi_power(x, k, p, ram))
+        blocks.append(NormBlock(
+            b.rho, tuple(tuple(put(x, k) for x in row) for k, row in zip(slots, t0)),
+            tuple(tuple(put(c[i], k) for k, c in zip(cslots, t0cols)) for i in range(b.dim)),
+            tuple(weights), (slots, t0, cslots, t0cols)))
+        off += b.dim
+    return AdaptedNorm(p, ram, tuple(tuple(r) for r in winv), tuple(tuple(r) for r in w),
+                       tuple(blocks), eps_exp, zrows, zcols)
 
 
 def operator_norm(m, p: int, norm: AdaptedNorm):
@@ -631,22 +615,14 @@ class LinearAnalysis(_Record):
     def splitting(self, a) -> Splitting:
         """The spectral blocks grouped by |eigenvalue| against a, built once
         per a."""
-        a, p = Fraction(a), self.p
-        groups, order, off = {1: [], 0: [], -1: []}, {1: [], 0: [], -1: []}, 0
-        for b in self.data.blocks:
-            side = compare_threshold(a, b.rho, p)
-            groups[side].extend(b.basis)
-            order[side].extend(range(off, off + b.dim))
-            off += b.dim
-        parts = groups[1], groups[0], groups[-1]  # stable, centre, unstable
-        cols = [v for part in parts for v in part]
-        ctx = infer_context(cols, p, self.precision)
-        d = len(self.m)
-        w = [[coerce(cols[j][i], ctx) for j in range(d)] for i in range(d)]
-        winv = self.data._winv  # over Q: permute the rows as W's columns
-        winv = (mat_inverse(w, ctx) if winv is None
-                else [winv[i] for i in order[1] + order[0] + order[-1]])
-        return Splitting(p, a, *(tuple(part) for part in parts),
+        a, p, data = Fraction(a), self.p, self.data
+        sides = [compare_threshold(a, b.rho, p) for b in data.blocks for _ in b.basis]
+        # the positions of the stable, centre and unstable block vectors
+        parts = [[j for j, side in enumerate(sides) if side == want] for want in (1, 0, -1)]
+        vecs = [v for b in data.blocks for v in b.basis]
+        w, winv = _basis_change(vecs, data._winv, [j for part in parts for j in part],
+                                infer_context(vecs, p, self.precision))
+        return Splitting(p, a, *(tuple(vecs[j] for j in part) for part in parts),
                          tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv))
 
     @_kept()

@@ -146,16 +146,31 @@ def test_help_exits_0(capsys):
 
 
 def test_prime_past_trial_division(tmp_path, capsys):
-    """The prime check goes past trial division by the primes up to 37:
-    10007 is accepted, and 1763 = 41 * 43 and the strong pseudoprime to
-    the bases 2, 3, 5 and 7, 3215031751 = 151 * 751 * 28351, are refused."""
+    """The prime check goes past trial division by the primes up to 41:
+    10007 is accepted, and 1763 = 41 * 43, the strong pseudoprime to the
+    bases 2, 3, 5 and 7, 3215031751 = 151 * 751 * 28351, and psi_12 =
+    399165290221 * 798330580441, a strong pseudoprime to every base 2..37,
+    are refused."""
     doc = {"prime": 10007, "matrix": [["10007", "0"], ["1", "1/10007"]]}
     code, out, err = run(capsys, ["spectrum", "--input", write(tmp_path, doc)])
     assert code == 0 and err == ""
     assert json.loads(out) == {"entries": [{"m": 1, "v": "1"}, {"m": 1, "v": "-1"}]}
-    for p in (1763, 3215031751):
+    for p in (1763, 3215031751, 318665857834031151167461):
         code, out, err = run(capsys, ["spectrum", "--input", write(tmp_path, dict(doc, prime=p))])
-        assert code == 4 and out == "" and "schema error" in err, p
+        assert code == 4 and out == "" and "must be a prime integer" in err, p
+
+
+def test_prime_at_or_above_psi13_refused(tmp_path, capsys):
+    """Miller-Rabin on the bases up to 41 is proven only below psi_13 =
+    3317044064679887385961981, itself a strong pseudoprime to all of them:
+    psi_13 and a prime above it are refused with their own schema error."""
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    for p in (psi13, 2**89 - 1):  # 2^89 - 1 is a Mersenne prime
+        doc = {"prime": p, "matrix": [["1"]]}
+        code, out, err = run(capsys, ["spectrum", "--input", write(tmp_path, doc)])
+        assert code == 4 and out == "", p
+        assert err == f"schema error: 'prime' must be below {psi13} to be proven prime, got {p}\n"
 
 
 GRAPH = dict(BENCH_MAP, a="1", mode="Stable")

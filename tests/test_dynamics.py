@@ -301,6 +301,21 @@ def test_membership_expanding_map_small_points():
     assert stable_membership(f, F(1), [F(0)]).verdict == CERTIFIED_MEMBER
 
 
+def test_membership_orbit_reaching_the_fixed_point_exactly():
+    """An orbit that lands on 0 exactly is certified a member by both
+    branches that look for it.  F(x) = 2x - 2x^2 over Q_2 at a = 1/8, below
+    the one |eigenvalue| |2| = 1/2, maps x = 1 to 0; F(x, y) = (2x - 2x^2,
+    y/2 - y^2/2) at a = 1, hyperbolic, maps x = (1, 1), which is off the
+    stable graph, to 0."""
+    f = pmap([{(1,): F(2), (2,): F(-2)}], 2)
+    v = stable_membership(f, F(1, 8), [F(1)])
+    assert v.verdict == CERTIFIED_MEMBER
+    assert v.justification == ("F^1(x) = 0 exactly; the orbit is eventually the fixed point",)
+    g = pmap([{(1, 0): F(2), (2, 0): F(-2)}, {(0, 1): F(1, 2), (0, 2): F(-1, 2)}], 2)
+    v = stable_membership(g, F(1), [F(1), F(1)])
+    assert v.verdict == CERTIFIED_MEMBER and v.justification == ("F^1(x) = 0 exactly",)
+
+
 def test_membership_verdicts_certified_on_random_linear(seed=123):
     rng = random.Random(seed)
     for p in (2, 3):

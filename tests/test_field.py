@@ -35,10 +35,11 @@ primes = st.sampled_from(PRIMES)
 
 
 def test_is_prime_past_trial_division():
-    """Miller-Rabin past trial division by the primes up to 37: a sieve
-    below 10^4, the Mersenne prime 2^61 - 1, and two composites with no
-    factor up to 37, 1763 = 41 * 43 and 3215031751 = 151 * 751 * 28351,
-    a strong pseudoprime to the bases 2, 3, 5 and 7."""
+    """Miller-Rabin past trial division by the primes up to 41: a sieve
+    below 10^4, the Mersenne prime 2^61 - 1, and three composites with no
+    factor up to 37, 1763 = 41 * 43, 3215031751 = 151 * 751 * 28351, a
+    strong pseudoprime to the bases 2, 3, 5 and 7, and psi_12 =
+    399165290221 * 798330580441, a strong pseudoprime to every base 2..37."""
     n = 10**4
     sieve = [False, False] + [True] * (n - 2)
     for i in range(2, 100):
@@ -48,6 +49,8 @@ def test_is_prime_past_trial_division():
     assert _is_prime(2**61 - 1) and _is_prime(10007)
     assert 41 * 43 == 1763 and 151 * 751 * 28351 == 3215031751
     assert not _is_prime(1763) and not _is_prime(3215031751)
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 and not _is_prime(psi12)
 
 
 # -- valuation of rationals --------------------------------------------------

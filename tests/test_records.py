@@ -6,13 +6,16 @@ hash."""
 import copy
 import dataclasses
 import pickle
+import random
 from fractions import Fraction as F
 from functools import cached_property
+from math import inf as INF
 
 import pytest
 
+from helpers import rand_vector, unimodular
 from ultradyn import dynamics, field, manifolds, polyalg, spectral  # noqa: F401 (loads them all)
-from ultradyn.field import PadicNumber, _Record
+from ultradyn.field import PadicNumber, RationalContext, _Record
 from ultradyn.spectral import LinearAnalysis, SpectralBlock
 
 RECORDS = sorted(_Record.__subclasses__(), key=lambda cls: cls.__name__)
@@ -116,14 +119,33 @@ def test_record_survives_copy_and_pickle(cls):
 
 
 def test_padic_values_survive_copy_and_pickle():
-    """A PadicNumber, and a record holding them (x^2 + x + 3 splits only
-    3-adically, so the norm's w holds PadicNumbers)."""
+    """A PadicNumber, and the norms of two matrices over Q_3: one holding
+    PadicNumbers (x^2 + x + 3 splits only 3-adically, so the norm's w holds
+    them) and a rational one with a ram-2 block and a nilpotent block, whose
+    integer read-out (_zrows, _zcols) and pieces (NormBlock._pi) are private
+    fields.  Every copy, deep copy and pickled twin equals its original and
+    gives the same norm_exp on seeded vectors and the same operator norm."""
     x = PadicNumber.from_rational(F(7, 3), 3)
-    n = spectral.adapted_norm([[F(0), F(-3)], [F(1), F(-1)]], 3)
-    assert any(isinstance(c, PadicNumber) for row in n.w for c in row)
-    for obj in (x, n):
+    s = unimodular(random.Random(3), 4)
+    blocks = [[F(0), F(3), F(0), F(0)], [F(1), F(0), F(0), F(0)],
+              [F(0), F(0), F(0), F(1)], [F(0)] * 4]  # t^2 - 3 beside a nilpotent 2x2
+    ctx = RationalContext(3)
+    rational = polyalg.mat_mul(polyalg.mat_mul(s, blocks), polyalg.mat_inverse(s, ctx))
+    ms = [[[F(0), F(-3)], [F(1), F(-1)]], rational]
+    norms = [spectral.adapted_norm(m, 3) for m in ms]
+    assert any(isinstance(c, PadicNumber) for row in norms[0].w for c in row)
+    assert norms[1].ram == 2 and norms[1].blocks[-1].rho == INF and norms[1]._zrows
+    for obj in (x, *norms):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+    rng = random.Random(118)
+    for m, n in zip(ms, norms):
+        xs = [rand_vector(rng, 3, len(m)) for _ in range(8)]
+        want = [n.norm_exp(v) for v in xs], spectral.operator_norm(m, 3, n)
+        for twin in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+            assert (twin._zrows, twin._zcols) == (n._zrows, n._zcols)
+            assert [b._pi for b in twin.blocks] == [b._pi for b in n.blocks]
+            assert ([twin.norm_exp(v) for v in xs], spectral.operator_norm(m, 3, twin)) == want
 
 
 def test_defaults_and_linear_analysis_rows():

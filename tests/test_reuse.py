@@ -21,6 +21,7 @@ norm build, takes no ring product."""
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -327,8 +328,8 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
         lattices.append((rho, out))
         return out
 
-    def zspy(dr, a, p, n, e):  # adapted_norm's rational blocks
-        out = zlattice(dr, a, p, n, e)
+    def zspy(dr, a, p, n, e, pairs=False):  # adapted_norm's rational blocks, as (D, u) pairs
+        out = zlattice(dr, a, p, n, e, pairs)
         lattices.append((F(n, e), out))
         return out
 
@@ -340,7 +341,7 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
     assert len(lattices) == 2
     for rho, (_, w, winv) in lattices:
         assert rho.denominator == 1
-        assert all(type(c) is F for mat in (w, winv) for row in mat for c in row)
+        assert all(type(x) is int for mat in (w, winv) for den, u in mat for x in (den, *u))
     # ram 6, and the p-adic companion block of t^2 + t + 3 beside 9
     rng = random.Random(6)
     cases = [(5, conjugated(rng, [frac_block(5, 1, 2), frac_block(5, 2, 3), int_block(5, 1, 1)]), 6),
@@ -883,6 +884,50 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     certify(PolyMap.from_tables(tables, 2), F(1), [F(4), F(8)], dynamics.CERTIFIED_MEMBER,
             "Contracting certificate")
     assert set(calls) == {"_mmul", "_meval", "_pi_rows", "_pi_cols"}, calls
+
+
+def test_rational_norm_and_graphs_reuse_their_build(monkeypatch):
+    """Over Q the adapted norm keeps what its build held.  Building the norm
+    of INTEGRAL (a ram-2 block and a nilpotent block), reading norm_exp and
+    operator_norm through it and splitting the matrix never hand _zmat or
+    _zscale the norm's winv, its w (or W^T) or a row of a block's T_0 (or a
+    column of T'_0): the integer rows and columns come from the integer
+    pairs of the build.  And graph_series of a rational map inverts no
+    matrix in the Stable and CentreStable modes and, in the Unstable mode,
+    only F'(0) in formal_inverse: every W^-1 is the analysis's, permuted."""
+    spectral._interned.cache_clear()  # the norm and splittings are built here
+    scaled = []
+    for module in (spectral, polyalg):
+        for name, arg in (("_zmat", lambda a: [list(r) for r in a]), ("_zscale", list)):
+            orig = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, orig=orig, arg=arg:
+                                scaled.append(arg(a)) or orig(a))
+    rng = random.Random(28)
+    p, d = 3, len(INTEGRAL)
+    n = spectral.adapted_norm(INTEGRAL, p)
+    for _ in range(20):
+        n.norm_exp(rand_vector(rng, p, d))
+    spectral.operator_norm(INTEGRAL, p, n)
+    splits = [spectral.splitting_at(INTEGRAL, p, a) for a in (F(1, 3), F(1), F(3))]
+    assert n.ram == 2 and n.blocks[-1].rho == INF and n._zrows is not None
+    assert all(isinstance(c, F) for s in splits for row in s.winv for c in row)
+    held = [[list(r) for r in m] for m in (n.winv, n.w, zip(*n.w))]
+    held += [list(v) for b in n.blocks for v in (*b._pi[1], *b._pi[3])]
+    assert scaled and not [a for a in scaled if a in held]
+    inverted = Counter()
+    for module in (spectral, manifolds):
+        orig = module.mat_inverse
+        monkeypatch.setattr(module, "mat_inverse", lambda *a, orig=orig: inverted.update(
+            [sys._getframe(1).f_code.co_name]) or orig(*a))
+    s, ctx = unimodular(random.Random(28), 2), RationalContext(2)
+    f = PolyMap.from_tables(dynamics.conjugate(GAP_MAP, s, mat_inverse(s, ctx), ctx), 2, 2)
+    assert dynamics.linear_part(f) != dynamics.linear_part(GAP_MAP)  # so W is not I
+    for mode, want in ((manifolds.STABLE, {}), (manifolds.CENTRE_STABLE, {}),
+                       (manifolds.UNSTABLE, {"formal_inverse": 1})):
+        inverted.clear()
+        gs = manifolds.graph_series(f, F(1), mode, order=4)
+        assert inverted == Counter(want), (mode, inverted)
+        assert not any(manifolds.residual(f, gs)), mode
 
 
 @pytest.fixture
