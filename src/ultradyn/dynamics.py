@@ -3,14 +3,15 @@ Lipschitz bounds, certified invariant balls, fixed-point classification and
 a-stable set membership.
 
 Polynomials are stored as multi-index tables {(m_1,...,m_d): coeff}; all
-radii and norms are handled as valuation exponents (r = p^-k).  Each ring
-has one arithmetic path, picked by the ring context as in polyalg.row_reduce:
-over Q series composition (_msubst) and evaluation (_zeval) run on integers
-with one denominator per table; over Q_p the same tables run in the ring
-(_mmul, _mpow, _meval).  Remainder bounds conjugate F by the rows and
-columns of the adapted norm's one read-out (AdaptedNorm._readout), on
-integers over Q and in the ring when the norm or F holds a PadicNumber.
-Spectral is imported by the functions that use it, so an orbit loads none.
+radii and norms are handled as valuation exponents (r = p^-k).  Series
+composition (_msubst, conjugate) is one kernel (_mpow, _mmul, _madd) over a
+ring context: over Q_p the ring itself, over Q the integer context, on
+tables scaled to integers with one denominator each and one Fraction per
+output term.  Evaluation at a rational point (_zeval) runs on integers too.
+Remainder bounds conjugate F by the rows and columns of the adapted norm's
+one read-out (AdaptedNorm._readout), on integers over Q and in the ring
+when the norm or F holds a PadicNumber.  Spectral is imported by the
+functions that use it, so an orbit loads none.
 """
 
 from __future__ import annotations
@@ -28,25 +29,35 @@ from .errors import (
     UltradynError,
 )
 from .field import (
-    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _Record, _ival,
-    compare_threshold)
+    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _IntegerContext, _Record,
+    _ival, compare_threshold)
 from .polyalg import (
     _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
 
 # --------------------------------------------------------------------------
-# monomial-table polynomials: over Q on integers, over Q_p in the ring
+# monomial-table polynomials: one kernel, in the ring over Q_p, on ints over Q
 # --------------------------------------------------------------------------
 
+_INTEGERS = _IntegerContext()
 
-def _madd(a, b, ctx):
-    out = dict(a)
+
+def _madd(out, b, ctx, s=None):
+    """out += b, or out += s b with s on the left, in place, keeping no term
+    the ring calls zero: a sum that cancels leaves out, and re-enters at the
+    end.  Returns out."""
+    zeroness = ctx.zeroness
     for m, c in b.items():
-        out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if ctx.zeroness(c) != ZERO}
-
-
-def _mscale(a, s):
-    return {m: s * c for m, c in a.items()}
+        if s is not None:
+            c = s * c
+        if m in out:
+            c = out[m] + c
+            if zeroness(c) == ZERO:
+                del out[m]
+                continue
+        elif zeroness(c) == ZERO:
+            continue
+        out[m] = c
+    return out
 
 
 def _mmul(a, b, ctx, max_deg=INF):
@@ -57,10 +68,11 @@ def _mmul(a, b, ctx, max_deg=INF):
         room = max_deg - sum(m1)
         for m2, c2, d2 in bs:
             if d2 <= room:
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 t = c1 * c2
                 out[m] = out[m] + t if m in out else t
-    return {m: c for m, c in out.items() if ctx.zeroness(c) != ZERO}
+    zeroness = ctx.zeroness
+    return {m: c for m, c in out.items() if zeroness(c) != ZERO}
 
 
 def _mpow(a, k, nvars, ctx, max_deg=INF):
@@ -83,84 +95,43 @@ def _meval(a, x, ctx):
     return acc
 
 
+def _zscaled(a, polys):
+    """(N, A, P) for rational tables: a(polys) = A(P) / N with A and P
+    integer tables.  With E a and D polys[i] integral (E and D the lcms of
+    the denominators) and K the top degree of a, x_i -> D polys[i] / D
+    turns the term c x^m into E c D^(K-|m|) P^m over N = E D^K."""
+    e, za = _zscale(list(a.values()))
+    d, flat = _zscale([c for q in polys for c in q.values()])
+    it = iter(flat)
+    top = max(map(sum, a), default=0)
+    return (e * d ** top, {m: c * d ** (top - sum(m)) for m, c in zip(a, za) if c},
+            [{m: next(it) for m in q} for q in polys])
+
+
 def _msubst(a, polys, nvars_out, ctx, max_deg=INF):
     """Substitute variable i -> polys[i] (a table over nvars_out vars),
     dropping the terms of total degree above max_deg.  Each power of
     polys[i] is built once, from the one below, and truncated as well.
-    Over Q it runs on integers (_zsubst), with one Fraction per term."""
+    Over Q the tables are scaled to integers (_zscaled) and the kernel runs
+    on _INTEGERS, with one Fraction per term."""
     if isinstance(ctx, RationalContext):
-        den, out = _zsubst(a, polys, nvars_out, max_deg)
-        return {m: Fraction(c, den) for m, c in out.items()}
+        n, za, zpolys = _zscaled(a, polys)
+        return {m: Fraction(c, n) for m, c in _msubst(za, zpolys, nvars_out, _INTEGERS,
+                                                      max_deg).items()}
     pows = [_mpow(polys[i], max(col), nvars_out, ctx, max_deg)
             for i, col in enumerate(zip(*a))]
+    zero = tuple([0] * nvars_out)
     out = {}
     for m, c in a.items():
-        term = {tuple([0] * nvars_out): c}
+        # Over Q_p c enters first: capped precision depends on the order of
+        # the products (c (x + y) (x + y) keeps a digit of 2c xy fewer than
+        # c (x + y)^2).  Integers take c as the term is added: smaller products.
+        term, s = (None, c) if ctx is _INTEGERS else ({zero: c}, None)
         for i, e in enumerate(m):
             if e:
-                term = _mmul(term, pows[i][e], ctx, max_deg)
-        out = _madd(out, term, ctx)
+                term = pows[i][e] if term is None else _mmul(term, pows[i][e], ctx, max_deg)
+        _madd(out, {zero: ctx.one} if term is None else term, ctx, s)
     return out
-
-
-def _zadd(out, b, s=1):
-    """out += s b for integer tables, in place and in the order of _madd:
-    a sum that cancels leaves out, and re-enters at the end."""
-    for m, c in b.items():
-        c *= s
-        if m in out:
-            c += out[m]
-            if not c:
-                del out[m]
-                continue
-        elif not c:
-            continue
-        out[m] = c
-
-
-def _zmmul(a, b, max_deg):
-    """_mmul of integer tables."""
-    out = {}
-    bs = [(m, c, sum(m)) for m, c in b.items()]
-    for m1, c1 in a.items():
-        room = max_deg - sum(m1)
-        for m2, c2, d2 in bs:
-            if d2 <= room:
-                m = tuple(map(add, m1, m2))
-                t = c1 * c2
-                out[m] = out[m] + t if m in out else t
-    return {m: c for m, c in out.items() if c}
-
-
-def _zsubst(a, polys, nvars_out, max_deg):
-    """_msubst over Q on integers: (N, table) with table / N the result.
-    With E a and D polys[i] = P_i integral (E and D the lcms of the
-    denominators), x_i -> P_i / D turns the term c x^m into
-    E c P^m D^(K-|m|) over N = E D^K, K the top degree of a.  Every product
-    and sum is that of the ring path times N, so the same terms survive, in
-    the same order: scaling by c commutes with every product and moves no
-    term, so P^m is built unscaled and scaled as it is added."""
-    e, za = _zscale(list(a.values()))
-    d, flat = _zscale([c for q in polys for c in q.values()])
-    it = iter(flat)
-    zpolys = [{m: next(it) for m in q} for q in polys]
-    top = max(map(sum, a), default=0)
-    zero = tuple([0] * nvars_out)
-    pows = []
-    for q, col in zip(zpolys, zip(*a)):
-        pows.append([{zero: 1}])
-        for _ in range(max(col)):
-            pows[-1].append(_zmmul(pows[-1][-1], q, max_deg))
-    out = {}
-    for m, c in zip(a, za):
-        if not c:
-            continue
-        term = None  # P^m, scaled by c as it enters out
-        for i, k in enumerate(m):
-            if k:
-                term = pows[i][k] if term is None else _zmmul(term, pows[i][k], max_deg)
-        _zadd(out, {zero: 1} if term is None else term, c * d ** (top - sum(m)))
-    return e * d ** top, out
 
 
 def _ztable(table):
@@ -326,33 +297,30 @@ def _linear_tables(a, ctx):
 
 
 def conjugate(f: PolyMap, t, tinv, ctx) -> list:
-    """Tables of T o F o T^-1 over ctx (T given as matrix rows).  Over Q
-    the rows of T combine the integer _zsubst tables, over one denominator."""
+    """Tables of T o F o T^-1 over ctx (T given as matrix rows): row i is
+    sum_j t_ij F_j(T^-1 x).  Over Q each F_j(T^-1 x) is an integer table
+    over N_j (_zscaled), and the rows of T, scaled to integers, combine them
+    over one denominator."""
     tinv_polys = _linear_tables(tinv, ctx)
     if isinstance(ctx, RationalContext):
-        inner = [_zsubst(dict(comp), tinv_polys, f.nvars, INF) for comp in f.components]
-        den = lcm(*[n for n, _ in inner])
+        scaled = [_zscaled(dict(comp), tinv_polys) for comp in f.components]
+        den, k = lcm(*[n for n, _, _ in scaled]), len(scaled)
         dt, zt = _zscale([c for row in t for c in row])
-        out = []
-        for i in range(len(t)):
-            acc = {}
-            for c, (n, table) in zip(zt[i * len(inner):(i + 1) * len(inner)], inner):
-                if c:
-                    _zadd(acc, table, c * (den // n))
-            out.append({m: Fraction(c, dt * den) for m, c in acc.items()})
-        return out
-    inner = [
-        _msubst({m: coerce(c, ctx) for m, c in comp}, tinv_polys, f.nvars, ctx)
-        for comp in f.components
-    ]
+        t = [[c * (den // n) for c, (n, _, _) in zip(zt[i * k:(i + 1) * k], scaled)]
+             for i in range(len(t))]
+        ring, den = _INTEGERS, dt * den
+        inner = [_msubst(za, zpolys, f.nvars, ring) for _, za, zpolys in scaled]
+    else:
+        ring, den = ctx, None
+        inner = [_msubst({m: coerce(c, ctx) for m, c in comp}, tinv_polys, f.nvars, ctx)
+                 for comp in f.components]
     out = []
-    for i in range(len(t)):
+    for row in t:
         acc = {}
-        for j in range(len(inner)):
-            c = t[i][j]
-            if ctx.zeroness(c) != ZERO:
-                acc = _madd(acc, _mscale(inner[j], c), ctx)
-        out.append(acc)
+        for c, table in zip(row, inner):
+            if ring.zeroness(c) != ZERO:
+                _madd(acc, table, ring, c)
+        out.append(acc if den is None else {m: Fraction(c, den) for m, c in acc.items()})
     return out
 
 
@@ -686,11 +654,11 @@ def _component_exps(norm, a, z):
     return out[1], out[0], out[-1]
 
 
-def _linear_membership(f, a, x, horizon):
+def _linear_membership(f, a, x, horizon, precision):
     from .spectral import splitting_at
     p = f.prime
-    s = splitting_at(linear_part(f), p, a)
-    ctx = infer_context([list(s.winv), list(x)], p)
+    s = splitting_at(linear_part(f), p, a, precision)
+    ctx = infer_context([list(s.winv), list(x)], p, precision)
     coords = mat_vec(cmat(s.winv, ctx), cvec(x, ctx))
     ds, dc, du = s.dims()
     zness = [ctx.zeroness(coords[i]) for i in range(ds, ds + dc + du)]
@@ -729,7 +697,7 @@ def _try_graph_reduction(an, a, x, horizon):
     if not all(ctx.zeroness(coerce(cv, ctx) - coerce(hv, ctx)) == ZERO
                for cv, hv in zip(comp_x, hval)):
         return None
-    sub = stable_membership(base_map, a, base_x, horizon)
+    sub = stable_membership(base_map, a, base_x, horizon, an.precision)
     if sub.verdict != CERTIFIED_MEMBER:
         return None
     just = (
@@ -755,7 +723,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
         return MembershipVerdict(CERTIFIED_MEMBER, (INF,),
                                  ("x is the fixed point itself",))
     if f.is_linear():
-        return _linear_membership(f, a, x, horizon)
+        return _linear_membership(f, a, x, horizon, precision)
 
     an = _map_analysis(f, precision)
     analysis = an.linear

@@ -373,7 +373,8 @@ class ExtElement(_Record):
 
 
 # --------------------------------------------------------------------------
-# Ring contexts used by the generic linear algebra
+# Ring contexts of the generic linear algebra and the series kernel: Q, Q_p
+# and the integers that dynamics scales a rational table to (_IntegerContext)
 # --------------------------------------------------------------------------
 
 
@@ -412,3 +413,12 @@ class PadicContext:
 
     def zeroness(self, x):
         return _bzeroness(x, self.precision)
+
+
+class _IntegerContext:
+    """Plain ints.  Zeroness is the truth value: bool(x) is ZERO (0) or
+    NONZERO (1)."""
+
+    zero = 0
+    one = 1
+    zeroness = staticmethod(bool)

@@ -28,7 +28,6 @@ from .dynamics import (
     _linear_tables,
     _madd,
     _meval,
-    _mscale,
     _msubst,
     _zeval,
     _ztable,
@@ -89,7 +88,7 @@ def formal_inverse(f: PolyMap, order: int = 6) -> PolyMap:
     g = ainv
     for k in range(2, order + 1):
         minus_rg = [_msubst(r, g, n, ctx, k) for r in minus_r]
-        g = [_madd(ai, _msubst(ai, minus_rg, n, ctx), ctx) for ai in ainv]
+        g = [_madd(dict(ai), _msubst(ai, minus_rg, n, ctx), ctx) for ai in ainv]
     return PolyMap.from_tables(g, f.prime, n)
 
 
@@ -192,12 +191,9 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
     if mode == UNSTABLE and a < 1:
         raise PreconditionViolated("Unstable mode requires a >= 1")
-    if mode == CENTRE:  # UNSTABLE: formal_inverse raises the same
-        ctx = infer_context(lin, p)
-        try:
-            mat_inverse(cmat(lin, ctx), ctx)
-        except PreconditionViolated as exc:
-            raise JacobianSingular("derivative at 0 is singular") from exc
+    # an eigenvalue 0 (root valuation INF); Unstable: formal_inverse raises the same
+    if mode == CENTRE and any(v == INF for v, _ in analysis.spectrum):
+        raise JacobianSingular("derivative at 0 is singular")
     solve_map = f
     if mode == UNSTABLE:
         solve_map = formal_inverse(f, order)
@@ -214,7 +210,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         lhs = [_msubst(h[i], fb_h, db, ctx, k) for i in range(dc)]
         known = []
         for i in range(dc):
-            diff = _madd(fc_h[i], _mscale(lhs[i], ctx.zero - ctx.one), ctx)
+            diff = _madd(fc_h[i], lhs[i], ctx, ctx.zero - ctx.one)
             known.append({m: c for m, c in diff.items() if sum(m) == k})
         hk = _solve_degree(ab, acc, known, db, dc, k, ctx)
         h = [_madd(h[i], hk[i], ctx) for i in range(dc)]
@@ -265,8 +261,7 @@ def _on_graph(f: PolyMap, gs: GraphSeries):
 def _residual_of(fb, fc, h, ctx, max_deg=INF):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) through total degree max_deg,
     from compose(cap) of _on_graph with cap >= max_deg."""
-    return [_madd(_msubst(hi, fb, len(fb), ctx, max_deg),
-                  _mscale(fci, ctx.zero - ctx.one), ctx)
+    return [_madd(_msubst(hi, fb, len(fb), ctx, max_deg), fci, ctx, ctx.zero - ctx.one)
             for hi, fci in zip(h, fc)]
 
 

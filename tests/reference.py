@@ -379,9 +379,10 @@ def _expand(a, polys, nvars_out):
 
 
 def reference_msubst(a, polys, nvars_out, max_deg=INF):
-    """dynamics._msubst over Q by plain Fraction products: the whole
-    substitution expanded (_expand), then the zero terms and those of total
-    degree above max_deg dropped."""
+    """dynamics._msubst over Q, whose kernel runs on tables scaled to
+    integers, computed instead by plain Fraction products with no scaling
+    and no truncation inside: the whole substitution expanded (_expand),
+    then the zero terms and those of total degree above max_deg dropped."""
     full = _expand({m: Fraction(c) for m, c in a.items()},
                    [{m: Fraction(c) for m, c in q.items()} for q in polys], nvars_out)
     return {m: c for m, c in full.items() if c != 0 and sum(m) <= max_deg}

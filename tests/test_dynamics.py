@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultradyn import dynamics, spectral
 from ultradyn.dynamics import (
     CERTIFIED_MEMBER,
     CERTIFIED_NON_MEMBER,
@@ -18,6 +19,7 @@ from ultradyn.dynamics import (
     ISOMETRIC,
     PolyMap,
     STABLY_NEUTRAL,
+    UNDECIDED,
     UNIFORMLY_ATTRACTIVE,
     classify_fixed_point,
     invariant_ball,
@@ -32,8 +34,8 @@ from ultradyn.dynamics import (
 )
 from ultradyn.dynamics import _mpow, _msubst  # noqa: the series kernel under test
 from ultradyn.dynamics import ORBIT_BIT_CAP, _orbit, _rat_bits  # noqa: the orbit cut
-from ultradyn.errors import NotAFixedPoint, PreconditionViolated
-from ultradyn.field import (ZERO, PadicContext, PadicNumber, RationalContext,
+from ultradyn.errors import JacobianSingular, NotAFixedPoint, PreconditionViolated
+from ultradyn.field import (DEFAULT_PRECISION, ZERO, PadicContext, PadicNumber, RationalContext,
                            valuation_of_rational)
 from ultradyn.spectral import adapted_norm
 
@@ -191,6 +193,36 @@ def test_invariant_ball_contraction_verified_pointwise():
         assert n.norm_exp(f(x)) >= n.norm_exp(x) + c.contraction_exp
 
 
+def contracting_1d():
+    """F(x) = 2x + x^2 over Q_2: ||A|| = 1/2."""
+    return pmap([{(1,): F(2), (2,): F(1)}], 2)
+
+
+def singular():
+    """F(x, y) = (x + y^2, x^2) over Q_2: F'(0) = diag(1, 0)."""
+    return pmap([{(1, 0): F(1), (0, 2): F(1)}, {(2, 0): F(1)}], 2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: invariant_ball(contracting_1d(), CONTRACTING, adapted_norm([[F(2)]], 2),
+                            rate_below=F(1, 2)),
+     PreconditionViolated, "||A|| not below rate 1/2"),
+    (lambda: invariant_ball(contracting_1d(), "Expanding", adapted_norm([[F(2)]], 2)),
+     PreconditionViolated, "unknown mode 'Expanding'"),
+    (lambda: linearization_radius(singular(), adapted_norm(linear_part(singular()), 2)),
+     JacobianSingular, "derivative at 0 is singular"),
+    (lambda: stable_membership(bench(), 0, [F(1), F(0)]),
+     PreconditionViolated, "threshold must be positive"),
+    (lambda: stable_membership(bench(), F(-1, 2), [F(1), F(0)]),
+     PreconditionViolated, "threshold must be positive"),
+], ids=["rate-not-above-norm", "unknown-mode", "singular-radius", "zero-threshold",
+        "negative-threshold"])
+def test_ball_radius_and_membership_refusals(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert (type(e.value), str(e.value)) == (error, message)
+
+
 # -- orbits ------------------------------------------------------------------
 
 
@@ -314,6 +346,28 @@ def test_membership_orbit_reaching_the_fixed_point_exactly():
     g = pmap([{(1, 0): F(2), (2, 0): F(-2)}, {(0, 1): F(1, 2), (0, 2): F(-1, 2)}], 2)
     v = stable_membership(g, F(1), [F(1), F(1)])
     assert v.verdict == CERTIFIED_MEMBER and v.justification == ("F^1(x) = 0 exactly",)
+
+
+def test_membership_keeps_the_callers_precision(monkeypatch):
+    """stable_membership at precision 128 splits a linear map's F'(0) at
+    128 and reads x's coordinates at 128: an O(2^100) unstable coordinate is
+    zero at 64 digits but not at 128.  On an invariant graph it hands 128 on
+    to the membership of the base map."""
+    splits, members = [], []
+    split, member = spectral.splitting_at, dynamics.stable_membership
+    monkeypatch.setattr(spectral, "splitting_at", lambda m, p, a, precision=DEFAULT_PRECISION:
+                        splits.append(precision) or split(m, p, a, precision))
+    monkeypatch.setattr(dynamics, "stable_membership",
+                        lambda f, a, x, horizon=64, precision=DEFAULT_PRECISION:
+                        members.append(precision) or member(f, a, x, horizon, precision))
+    linear = pmap([{(1, 0): F(2)}, {(0, 1): F(1, 2)}], 2)
+    x = [F(1), PadicNumber.o_term(2, 100)]
+    assert member(linear, F(1), x, precision=128).verdict == UNDECIDED
+    assert member(linear, F(1), x).verdict == CERTIFIED_MEMBER
+    assert splits == [128, DEFAULT_PRECISION]
+    v = member(bench(), F(1), [F(1), F(2, 7)], precision=128)  # on the graph y = 2x^2/7
+    assert v.verdict == CERTIFIED_MEMBER and "exactly invariant" in v.justification[0]
+    assert members == [128] and splits[2:] == [128]
 
 
 def test_membership_verdicts_certified_on_random_linear(seed=123):

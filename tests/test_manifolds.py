@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ultradyn.dynamics import PolyMap, jacobian
-from ultradyn.errors import PreconditionViolated, ResonanceDetected
+from ultradyn.errors import JacobianSingular, PreconditionViolated, ResonanceDetected
 from ultradyn.field import PadicNumber
 from ultradyn.manifolds import (
     CENTRE,
@@ -84,6 +84,31 @@ def test_graph_evaluation_consistency():
 def test_graph_requires_hyperbolicity():
     with pytest.raises(PreconditionViolated):
         graph_series(bench(), F(1, 2), STABLE, order=4)
+
+
+def singular():
+    """F(x, y) = (x + y^2, x^2): F'(0) = diag(1, 0), with a Centre part at a = 1."""
+    return pmap([{(1, 0): F(1), (0, 2): F(1)}, {(2, 0): F(1)}], 2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: graph_series(bench(), 0, STABLE), PreconditionViolated,
+     "threshold must be positive"),
+    (lambda: graph_series(bench(), F(-1), CENTRE_STABLE), PreconditionViolated,
+     "threshold must be positive"),
+    (lambda: graph_series(bench(), F(1, 4), UNSTABLE), PreconditionViolated,
+     "Unstable mode requires a >= 1"),
+    (lambda: graph_series(bench(), F(1), CENTRE), PreconditionViolated,
+     "Centre base subspace is zero"),
+    (lambda: graph_series(singular(), F(1), CENTRE), JacobianSingular,
+     "derivative at 0 is singular"),
+    (lambda: formal_inverse(singular()), JacobianSingular, "derivative at 0 is singular"),
+], ids=["zero-threshold", "negative-threshold", "unstable-below-1", "empty-centre-base",
+        "singular-centre", "singular-inverse"])
+def test_graph_and_inverse_refusals(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert (type(e.value), str(e.value)) == (error, message)
 
 
 def test_centre_graph_resonance_detected():

@@ -850,20 +850,38 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     """Over Q a map's certification runs on integers: classification, the
     linearization radius, membership below and above the spectrum and in a
     gap (by the dominance ball and by graph reduction), and a graph series
-    with its residual call neither the ring kernels _mmul and _meval nor
-    the Fraction rows and columns _pi_rows and _pi_cols of a norm, so a
-    silent fallback to Fraction products fails.  One PadicNumber
-    coefficient keeps the ring path, and the spies see all four."""
+    with its residual hand the series kernel nothing but ints (it runs on
+    the integer context): not _mmul, not _meval, and not the sums, with
+    their scales, that _msubst and conjugate make with _madd.  They read
+    neither of the Fraction rows and columns _pi_rows and _pi_cols of a
+    norm.  So a silent fallback to Fraction products fails.  One PadicNumber
+    coefficient keeps the ring path, and the spies see PadicNumbers reach
+    all three and both readers read."""
     dynamics._map_analysis.cache_clear()  # every remainder bound is built here
-    calls = Counter()
+    calls = Counter()  # (name, type of a coefficient or point entry it was handed)
+
+    def handed(args):
+        for arg in args:
+            if isinstance(arg, (dict, list)):
+                yield from map(type, arg.values() if isinstance(arg, dict) else arg)
+
     for module, name in ((dynamics, "_mmul"), (dynamics, "_meval"), (manifolds, "_meval")):
         orig = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *a, orig=orig, name=name: calls.update([name]) or orig(*a))
+        monkeypatch.setattr(module, name, lambda *a, orig=orig, name=name: calls.update(
+            (name, kind) for kind in handed(a)) or orig(*a))
+    add = dynamics._madd
+
+    def kernel_add(out, b, ctx, s=None):  # the sums of the two kernel bodies, with their scales
+        if sys._getframe(1).f_code.co_name in ("_msubst", "conjugate"):
+            scale = [] if s is None else [s]
+            calls.update(("_madd", kind) for kind in handed([out, b, scale]))
+        return add(out, b, ctx, s)
+
+    monkeypatch.setattr(dynamics, "_madd", kernel_add)
     for name in ("_pi_rows", "_pi_cols"):
         orig = getattr(spectral.AdaptedNorm, name)
         monkeypatch.setattr(spectral.AdaptedNorm, name, property(
-            lambda self, orig=orig, name=name: calls.update([name]) or orig.__get__(self)))
+            lambda self, orig=orig, name=name: calls.update([(name, None)]) or orig.__get__(self)))
 
     def certify(f, a, x, verdict, why):
         dynamics.classify_fixed_point(f)
@@ -878,12 +896,15 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     for f in (GAP_MAP, SERIES_GRAPH_MAP):
         gs = manifolds.graph_series(f, F(1), manifolds.STABLE, order=6)
         assert not any(manifolds.residual(f, gs))
-    assert not calls, calls
+    assert set(calls) == {("_mmul", int), ("_madd", int)}, calls
+    calls.clear()
     tables = CONTRACTING.tables()
     tables[0][0, 2] = PadicNumber.from_rational(1, 2, 20)
     certify(PolyMap.from_tables(tables, 2), F(1), [F(4), F(8)], dynamics.CERTIFIED_MEMBER,
             "Contracting certificate")
-    assert set(calls) == {"_mmul", "_meval", "_pi_rows", "_pi_cols"}, calls
+    assert {(name, PadicNumber) for name in ("_mmul", "_meval", "_madd")} <= set(calls), calls
+    assert {name for name, kind in calls if kind is not int} == {
+        "_mmul", "_meval", "_madd", "_pi_rows", "_pi_cols"}, calls
 
 
 def test_rational_norm_and_graphs_reuse_their_build(monkeypatch):
@@ -893,7 +914,8 @@ def test_rational_norm_and_graphs_reuse_their_build(monkeypatch):
     _zscale the norm's winv, its w (or W^T) or a row of a block's T_0 (or a
     column of T'_0): the integer rows and columns come from the integer
     pairs of the build.  And graph_series of a rational map inverts no
-    matrix in the Stable and CentreStable modes and, in the Unstable mode,
+    matrix in the Stable, CentreStable and Centre modes (the Centre mode
+    reads a singular F'(0) off the spectrum) and, in the Unstable mode,
     only F'(0) in formal_inverse: every W^-1 is the analysis's, permuted."""
     spectral._interned.cache_clear()  # the norm and splittings are built here
     scaled = []
@@ -922,10 +944,11 @@ def test_rational_norm_and_graphs_reuse_their_build(monkeypatch):
     s, ctx = unimodular(random.Random(28), 2), RationalContext(2)
     f = PolyMap.from_tables(dynamics.conjugate(GAP_MAP, s, mat_inverse(s, ctx), ctx), 2, 2)
     assert dynamics.linear_part(f) != dynamics.linear_part(GAP_MAP)  # so W is not I
-    for mode, want in ((manifolds.STABLE, {}), (manifolds.CENTRE_STABLE, {}),
-                       (manifolds.UNSTABLE, {"formal_inverse": 1})):
+    # at a = 2 the eigenvalue 1/2 (|1/2| = 2) is the Centre mode's base
+    for mode, a, want in ((manifolds.STABLE, 1, {}), (manifolds.CENTRE_STABLE, 1, {}),
+                          (manifolds.CENTRE, 2, {}), (manifolds.UNSTABLE, 1, {"formal_inverse": 1})):
         inverted.clear()
-        gs = manifolds.graph_series(f, F(1), mode, order=4)
+        gs = manifolds.graph_series(f, F(a), mode, order=4)
         assert inverted == Counter(want), (mode, inverted)
         assert not any(manifolds.residual(f, gs)), mode
 
