@@ -166,6 +166,11 @@ def _check_point(f, x):
             f"point has {len(x)} coordinates, the map {f.nvars} variables")
 
 
+def _check_horizon(n):
+    if n < 0:
+        raise PreconditionViolated(f"horizon must be >= 0, got {n}")
+
+
 class PolyMap(_Record):
     """nvars -> len(components) polynomial map.
 
@@ -438,6 +443,7 @@ def standard_norm_exp(x, p: int):
 def orbit(f: PolyMap, x, n: int):
     """[(point, sup-norm exponent)] for x, F(x), ..., F^n(x), exact."""
     _check_point(f, x)
+    _check_horizon(n)
     return _orbit(f, x, n, INF)
 
 
@@ -474,9 +480,9 @@ class MapAnalysis(_Record):
     """One map F at its fixed point 0, each part built on first use and kept:
     A = F'(0) and its LinearAnalysis; per adapted norm, the remainder bound
     and linearization radius; per (point, horizon), the orbit (the ORBITS
-    latest); per threshold a, the stable-graph reduction.  All are pure
-    functions of (f, precision) and the key; the free functions share one
-    interned analysis per map (_map_analysis)."""
+    latest); per gap of the spectrum's absolute values, the stable-graph
+    reduction.  All are pure functions of (f, precision) and the key; the
+    free functions share one interned analysis per map (_map_analysis)."""
 
     f: PolyMap
     precision: int = DEFAULT_PRECISION
@@ -531,13 +537,21 @@ class MapAnalysis(_Record):
     def orbit(self, x: tuple, horizon: int):
         return _orbit(self.f, x, horizon, ORBIT_BIT_CAP)
 
-    @_kept()
     def stable_graph(self, a):
         """(gs, restricted base map, ctx) if the a-stable graph gs of order
-        max(6, deg F^2) is an exactly invariant polynomial graph, else None.
+        max(6, deg F^2) is an exactly invariant polynomial graph, else None;
+        kept per gap (each a on the same side of every root valuation splits
+        F'(0) alike; gs.a is the first a asked, and no answer reads it).
         graph_series zeroes the residual through the order, and its degree
         order + 1 terms are exact from a composition truncated there (see
         manifolds._on_graph); only a graph they pass is composed in full."""
+        gap = tuple(compare_threshold(a, v, self.f.prime) for v, _ in self.linear.spectrum)
+        kept = self.__dict__.setdefault("_stable_graph", {})
+        if gap not in kept:
+            kept[gap] = self._graph_reduction(a)
+        return kept[gap]
+
+    def _graph_reduction(self, a):
         from . import manifolds  # deferred: manifolds imports this module
 
         f = self.f
@@ -719,6 +733,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
     _check_point(f, x)
+    _check_horizon(horizon)
     if _is_exact_zero_vec(x, p, precision):
         return MembershipVerdict(CERTIFIED_MEMBER, (INF,),
                                  ("x is the fixed point itself",))
@@ -730,6 +745,11 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     spec = analysis.spectrum
     below = all(compare_threshold(a, v, p) == 1 for v, _ in spec)
     above = all(compare_threshold(a, v, p) == -1 for v, _ in spec)
+    gap = not (below or above) and analysis.is_hyperbolic(a)
+    # a graph reduction answers with the base map's trace: x's orbit only after
+    red = _try_graph_reduction(an, a, x, horizon) if gap else None
+    if red is not None:
+        return red
     pts = [(e, list(z)) for z, e in an.orbit(tuple(x), horizon)]
     trace = tuple(e for e, _ in pts)
 
@@ -770,10 +790,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                         "leaves the chart ball and never returns to decay",
                     )
                     return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
-    elif analysis.is_hyperbolic(a):
-        red = _try_graph_reduction(an, a, x, horizon)
-        if red is not None:
-            return red
+    elif gap:
         # dominant-unstable certificate: inside a ball where the remainder's
         # Lipschitz bound is beaten by the slowest unstable expansion rate
         # p^-ru (ru = largest unstable valuation), unstable dominance

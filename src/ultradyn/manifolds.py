@@ -38,7 +38,8 @@ from .dynamics import (
 
 class GraphSeries(_Record):
     """h: base -> complement with h(0) = 0, Dh(0) = 0; the manifold is
-    {W.(xi, h(xi))} in ambient coordinates."""
+    {W.(xi, h(xi))} in ambient coordinates.  _build keeps, outside repr, ==
+    and hash, what graph_series held, which _on_graph reuses for that map."""
 
     prime: int
     a: Fraction
@@ -49,6 +50,7 @@ class GraphSeries(_Record):
     order: int
     w: tuple  # ambient basis matrix, columns = base then complement
     winv: tuple
+    _build: object = None  # (f, conjugated tables, ctx) of graph_series
 
     def _ctx(self):
         return infer_context(
@@ -223,7 +225,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     return GraphSeries(
         p, a, mode, *(tuple(tuple(vecs[i]) for i in part) for part in _mode_split(s, mode)),
         tuple(coeffs), order,
-        tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv),
+        tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv), (f, tables, ctx),
     )
 
 
@@ -238,19 +240,21 @@ def _compose_with_graph(tables, h, db, dc, max_deg, ctx):
 
 def _on_graph(f: PolyMap, gs: GraphSeries):
     """(compose, h, ctx), with F conjugated into the graph's coordinates
-    once: compose(cap) gives F_base(xi, h(xi)) and F_comp(xi, h(xi)) as
-    tables over the base variables, truncated at total degree cap (INF
-    truncates nothing), and h is the graph's tables over ctx.
+    once (by graph_series, for the map it was built from): compose(cap)
+    gives F_base(xi, h(xi)) and F_comp(xi, h(xi)) as tables over the base
+    variables, truncated at total degree cap (INF truncates nothing), and h
+    is the graph's tables over ctx.
 
     The degree <= k part of either, and of the residual built from them,
     depends only on the terms of degree <= k: h has no term below degree 2
     and F_base(xi, h(xi)) has no constant term.  So a small cap gives the
     exact low-degree residual, and only an all-zero one needs cap INF."""
-    solve_map = f
-    if gs.mode == UNSTABLE:
-        solve_map = formal_inverse(f, gs.order)
-    ctx = gs._ctx()
-    tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
+    if gs._build is not None and gs._build[0] == f:
+        _, tables, ctx = gs._build
+    else:
+        solve_map = formal_inverse(f, gs.order) if gs.mode == UNSTABLE else f
+        ctx = gs._ctx()
+        tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
     h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
 
     def compose(cap):

@@ -233,6 +233,11 @@ def test_orbit_oracle():
     assert [e for _, e in pts] == [F(0), F(1), F(2)]
 
 
+def test_orbit_refuses_a_negative_step_count():
+    with pytest.raises(PreconditionViolated, match=r"^horizon must be >= 0, got -3$"):
+        orbit(bench(), [F(1), F(2, 7)], -3)
+
+
 def test_standard_norm_exp_reads_rational_valuations():
     """Over Q the sup-norm exponent is min v_p(num) - v_p(den) over the
     nonzero coordinates, a Fraction as valuation_of_rational gives it (INF
@@ -287,6 +292,12 @@ def test_points_of_the_wrong_length_are_rejected(x):
 
 
 # -- stable-set membership ---------------------------------------------------
+
+
+def test_membership_refuses_a_negative_horizon():
+    """Refused before any analysis, as the CLI refuses it (exit 4)."""
+    with pytest.raises(PreconditionViolated, match=r"^horizon must be >= 0, got -1$"):
+        stable_membership(bench(), 1, [F(1024), F(1024)], horizon=-1)
 
 
 def test_membership_bench_on_graph():

@@ -1,7 +1,7 @@
 """Reuse of spectral work: one LinearAnalysis per matrix, interned by
 content and bounded across calls, no Fraction T Winv for a rational adapted
 norm and one for a p-adic one, one
-conjugation per radius search (which finds the same k as a scan) and two
+conjugation per radius search (which finds the same k as a scan) and one
 per graph reduction, which composes a non-invariant graph
 only up to its first nonzero residual degree; exactness of the
 per-pi-power norm_exp kernel against the Q_p(pi) product of
@@ -13,8 +13,9 @@ own ring, while ExtElement has no arithmetic at all; over Q, the whole
 norm build and its queries on plain integers, with no ring product at all;
 and one
 MapAnalysis per map, interned by content and bounded, that conjugates F once
-per norm, builds each stable graph once per threshold and each orbit once
-per point and horizon, and whose warm answers equal cold ones; norms and
+per norm, builds each stable graph once per gap of the spectrum, and each
+orbit once per point and horizon and only when a verdict reads it, and
+whose warm answers equal cold ones; norms and
 maps hash once, by content; and over Q a map's certification, like the
 norm build, takes no ring product."""
 
@@ -732,9 +733,9 @@ def test_radius_scans_conjugate_once(monkeypatch):
         assert checked[key] >= 3, checked
 
 
-def test_graph_reduction_conjugates_twice(monkeypatch):
-    """graph_series conjugates F once; the residual and the restricted base
-    map share one further conjugation."""
+def test_graph_reduction_conjugates_once(monkeypatch):
+    """graph_series conjugates F once, and the residual and the restricted
+    base map reuse that conjugation, kept in the graph's build."""
     calls = []
     orig = dynamics.conjugate
 
@@ -747,7 +748,7 @@ def test_graph_reduction_conjugates_twice(monkeypatch):
     v = dynamics.stable_membership(GAP_MAP, F(1), [F(1), F(2, 7)])
     assert v.verdict == dynamics.CERTIFIED_MEMBER
     assert "untruncated invariance residual == 0" in v.justification[0]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # (2x + x^2, y/2 + x^2): a polynomial h of degree n >= 2 would give degree 2n
@@ -821,10 +822,9 @@ def test_map_analysis_conjugates_once_per_norm(conjugations):
     assert conjugations == Counter({CONTRACTING: 1, EXPANDING: 1})
 
 
-def test_stable_graph_built_once_per_threshold(monkeypatch, conjugations):
-    """Points on and off the graph, each asked twice at two thresholds of
-    one gap: one graph_series (and one further conjugation, for the
-    untruncated residual) per (map, a, order)."""
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts of manifolds.graph_series per (map, a, mode, order)."""
     calls = Counter()
     orig = manifolds.graph_series
 
@@ -833,17 +833,80 @@ def test_stable_graph_built_once_per_threshold(monkeypatch, conjugations):
         return orig(f, a, mode, order, precision)
 
     monkeypatch.setattr(manifolds, "graph_series", counted)
+    return calls
+
+
+def test_stable_graph_built_once_per_gap(monkeypatch, graph_builds, conjugations):
+    """Points on and off the graph, each asked twice at two thresholds of
+    one gap: one graph_series per (map, gap, order), whose build the
+    untruncated residual reuses."""
     monkeypatch.setattr(manifolds, "conjugate", dynamics.conjugate)
     on, off = [F(1), F(2, 7)], [F(1024), F(1024)]
     for a in (F(1), F(3, 2), F(1)):
         for x, verdict in ((on, dynamics.CERTIFIED_MEMBER), (off, dynamics.CERTIFIED_NON_MEMBER),
                            (on, dynamics.CERTIFIED_MEMBER)):
             assert dynamics.stable_membership(GAP_MAP, a, x).verdict == verdict
-    assert calls == Counter({(GAP_MAP, F(1), manifolds.STABLE, 6): 1,
-                             (GAP_MAP, F(3, 2), manifolds.STABLE, 6): 1})
-    # graph_series and the residual per threshold, and the dominance
-    # ball's remainder bound once
-    assert conjugations == Counter({GAP_MAP: 2 * 2 + 1})
+    assert graph_builds == Counter({(GAP_MAP, F(1), manifolds.STABLE, 6): 1})
+    # graph_series once, and the dominance ball's remainder bound once
+    assert conjugations == Counter({GAP_MAP: 2})
+
+
+# (4x, y + x^2, z/4 + xy) over Q_2: |lambda| in {1/4, 1, 4}, so 1/2, 3/4
+# and 2, 3 are two thresholds in each of two gaps, with two stable graphs
+THREE_GAPS = PolyMap.from_tables([{(1, 0, 0): F(4)}, {(0, 1, 0): F(1), (2, 0, 0): F(1)},
+                                  {(0, 0, 1): F(1, 4), (1, 1, 0): F(1)}], p=2)
+GAPS = ((F(1, 2), F(3, 4)), (F(2), F(3)))
+# on the stable graph (y, z) = (x^2/15, 4x^3/3825) of the gap below 1, and off it
+THREE_GAP_POINTS = ([F(2), F(4, 15), F(32, 3825)], [F(2), F(4, 15), F(1)],
+                    [F(4), F(2), F(0)])
+
+
+def test_stable_graph_built_once_per_gap_of_two(graph_builds):
+    """Thresholds in different gaps split F'(0) differently and build one
+    graph each, at the first threshold asked; a second threshold of a gap
+    builds none."""
+    for gap in GAPS:
+        for a in gap + gap:
+            for x in THREE_GAP_POINTS:
+                dynamics.stable_membership(THREE_GAPS, a, x)
+    assert graph_builds == Counter({(THREE_GAPS, a, manifolds.STABLE, 6): 1
+                                    for a in (F(1, 2), F(2))})
+
+
+def test_gap_answers_do_not_depend_on_the_threshold_asked_first():
+    """Verdict, trace and justification at each threshold of a gap are the
+    same whichever threshold of the gap built the kept graph, and the same
+    as from an empty map intern."""
+    cold = {}
+    for a in (a for gap in GAPS for a in gap):
+        for x in THREE_GAP_POINTS:
+            dynamics._map_analysis.cache_clear()
+            cold[a, tuple(x)] = dynamics.stable_membership(THREE_GAPS, a, x)
+    for first in (0, 1):
+        dynamics._map_analysis.cache_clear()
+        for gap in GAPS:
+            for a in (gap[first], gap[1 - first]):
+                for x in THREE_GAP_POINTS:
+                    v = dynamics.stable_membership(THREE_GAPS, a, x)
+                    assert v == cold[a, tuple(x)] and repr(v) == repr(cold[a, tuple(x)])
+    on = tuple(THREE_GAP_POINTS[0])
+    for a in GAPS[0]:  # the kept graph's a is 1/2 or 3/4, the answer's is a
+        assert "untruncated invariance" in cold[a, on].justification[0]
+        assert cold[a, on].verdict == dynamics.CERTIFIED_MEMBER
+
+
+def test_graph_reduction_builds_no_orbit_of_x(orbits):
+    """A verdict by graph reduction carries the base map's trace, so the
+    orbit of x itself is never built; a point off the graph builds its
+    orbit once for both thresholds of the gap."""
+    on, off = (F(1), F(2, 7)), (F(1024), F(1024))
+    for a in (F(1), F(3, 2)):
+        assert dynamics.stable_membership(GAP_MAP, a, list(on)).verdict == \
+            dynamics.CERTIFIED_MEMBER
+        assert dynamics.stable_membership(GAP_MAP, a, list(off)).verdict == \
+            dynamics.CERTIFIED_NON_MEMBER
+    assert [key for key in orbits if key[0] == GAP_MAP] == [(GAP_MAP, off, 64)]
+    assert orbits[GAP_MAP, off, 64] == 1
 
 
 def test_rational_maps_take_no_ring_products(monkeypatch):
