@@ -29,16 +29,14 @@ from .errors import (
     UltradynError,
 )
 from .field import (
-    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _IntegerContext, _Record,
-    _ival, compare_threshold)
+    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _INTEGERS, _Record,
+    compare_threshold)
 from .polyalg import (
     _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
 
 # --------------------------------------------------------------------------
 # monomial-table polynomials: one kernel, in the ring over Q_p, on ints over Q
 # --------------------------------------------------------------------------
-
-_INTEGERS = _IntegerContext()
 
 
 def _madd(out, b, ctx, s=None):
@@ -341,7 +339,7 @@ def remainder_lipschitz(f: PolyMap, radius_exp, norm: AdaptedNorm):
     Per monomial c x^m (|m| >= 2) of component i in norm coordinates the
     contribution is v(c) + q_i + sum_l m_l (k - q_l) - k; the bound is the
     min over monomials and grows without bound as k -> infinity.  INF means
-    R = 0 (Lipschitz constant 0).
+    R = 0 (Lipschitz constant 0).  F's analysis is taken at DEFAULT_PRECISION.
     """
     return _map_analysis(f, DEFAULT_PRECISION).lipschitz(norm)(Fraction(radius_exp))
 
@@ -370,7 +368,8 @@ def _least_k(ok):
 
 def linearization_radius(f: PolyMap, norm: AdaptedNorm):
     """Smallest k (largest ball p^-k) with Lip(R|B) < 1 / ||A^-1||; on that
-    ball ||F(z) - F(y)|| = ||A (z - y)|| exactly."""
+    ball ||F(z) - F(y)|| = ||A (z - y)|| exactly.  F's analysis is taken at
+    DEFAULT_PRECISION."""
     return _map_analysis(f, DEFAULT_PRECISION).radius(norm)[1]
 
 
@@ -394,33 +393,10 @@ class BallCertificate(_Record):
 
 def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
                    rate_below=None) -> BallCertificate:
-    """Certified ball for the given mode; rate_below (a rational) optionally
-    strengthens Contracting to demand c < rate_below."""
-    from .spectral import operator_norm
-    p = f.prime
-    an = _map_analysis(f, DEFAULT_PRECISION)
-    op_a = operator_norm(an.lin, p, norm)
-    if mode == INVARIANT:
-        if op_a < 0:
-            raise PreconditionViolated(f"||A|| = p^{-op_a} > 1")
-    elif mode == ISOMETRIC:
-        if op_a != 0 or an.radius(norm)[0] != 0:
-            raise PreconditionViolated("A is not an isometry in this norm")
-    elif mode == CONTRACTING:
-        if op_a <= 0:
-            raise PreconditionViolated(f"||A|| = p^{-op_a} not < 1")
-        if rate_below is not None and compare_threshold(rate_below, op_a, p) <= 0:
-            raise PreconditionViolated(f"||A|| not below rate {rate_below}")
-    else:
-        raise PreconditionViolated(f"unknown mode {mode!r}")
-    lipschitz = an.lipschitz(norm)
-    if mode == INVARIANT:
-        k = _least_k(lambda k: lipschitz(k) >= 0)
-    else:  # Isometric: op_a == 0, so c == 0 below
-        k = _least_k(lambda k: lipschitz(k) > 0 and (
-            mode == ISOMETRIC or rate_below is None
-            or compare_threshold(rate_below, min(op_a, lipschitz(k)), p) > 0))
-    return BallCertificate(mode, k, min(op_a, lipschitz(k)), norm)
+    """Certified ball for the given mode, from F's analysis at
+    DEFAULT_PRECISION; rate_below (a rational) optionally strengthens
+    Contracting to demand c < rate_below."""
+    return _map_analysis(f, DEFAULT_PRECISION).ball(mode, norm, rate_below)
 
 
 # --------------------------------------------------------------------------
@@ -429,14 +405,8 @@ def invariant_ball(f: PolyMap, mode: str, norm: AdaptedNorm,
 
 
 def standard_norm_exp(x, p: int):
-    """Exponent of the sup norm max |x_i| (INF for the zero vector).  Over
-    Q each v(x_i) is v_p(numerator) - v_p(denominator), read directly."""
-    if not any(isinstance(c, PadicNumber) for c in x):
-        vals = [_ival(c.numerator, p) - _ival(c.denominator, p) for c in x if c]
-        return Fraction(min(vals)) if vals else INF
-    ctx = infer_context(list(x), p)
-    vals = [ctx.val(coerce(c, ctx)) for c in x]
-    vals = [v for v in vals if v != INF]
+    """Exponent of the sup norm max |x_i| (INF for the zero vector)."""
+    vals = [v for v in map(infer_context(x, p).val, x) if v != INF]
     return Fraction(min(vals)) if vals else INF
 
 
@@ -482,7 +452,8 @@ class MapAnalysis(_Record):
     and linearization radius; per (point, horizon), the orbit (the ORBITS
     latest); per gap of the spectrum's absolute values, the stable-graph
     reduction.  All are pure functions of (f, precision) and the key; the
-    free functions share one interned analysis per map (_map_analysis)."""
+    free functions share one interned analysis per map (_map_analysis) and,
+    at their own precision, take their ball certificates from it (ball)."""
 
     f: PolyMap
     precision: int = DEFAULT_PRECISION
@@ -532,6 +503,34 @@ class MapAnalysis(_Record):
         einv = operator_norm(ainv, self.f.prime, norm)
         lipschitz = self.lipschitz(norm)
         return einv, _least_k(lambda k: lipschitz(k) + einv > 0)
+
+    def ball(self, mode: str, norm: AdaptedNorm, rate_below=None) -> BallCertificate:
+        """invariant_ball(f, mode, norm, rate_below) at this analysis's
+        precision."""
+        from .spectral import operator_norm
+        p = self.f.prime
+        op_a = operator_norm(self.lin, p, norm)
+        if mode == INVARIANT:
+            if op_a < 0:
+                raise PreconditionViolated(f"||A|| = p^{-op_a} > 1")
+        elif mode == ISOMETRIC:
+            if op_a != 0 or self.radius(norm)[0] != 0:
+                raise PreconditionViolated("A is not an isometry in this norm")
+        elif mode == CONTRACTING:
+            if op_a <= 0:
+                raise PreconditionViolated(f"||A|| = p^{-op_a} not < 1")
+            if rate_below is not None and compare_threshold(rate_below, op_a, p) <= 0:
+                raise PreconditionViolated(f"||A|| not below rate {rate_below}")
+        else:
+            raise PreconditionViolated(f"unknown mode {mode!r}")
+        lipschitz = self.lipschitz(norm)
+        if mode == INVARIANT:
+            k = _least_k(lambda k: lipschitz(k) >= 0)
+        else:  # Isometric: op_a == 0, so c == 0 below
+            k = _least_k(lambda k: lipschitz(k) > 0 and (
+                mode == ISOMETRIC or rate_below is None
+                or compare_threshold(rate_below, min(op_a, lipschitz(k)), p) > 0))
+        return BallCertificate(mode, k, min(op_a, lipschitz(k)), norm)
 
     @_kept(ORBITS)
     def orbit(self, x: tuple, horizon: int):
@@ -624,7 +623,7 @@ def classify_fixed_point(f: PolyMap, pt=None,
     if mode is not None:
         norm = analysis.norm()
         try:
-            cert = invariant_ball(g, mode, norm)
+            cert = an.ball(mode, norm)
         except PreconditionViolated:
             cert = None
     return FixedPointReport(
@@ -756,7 +755,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     if below:
         norm = analysis.norm()
         try:
-            cert = invariant_ball(f, CONTRACTING, norm, rate_below=a)
+            cert = an.ball(CONTRACTING, norm, rate_below=a)
         except PreconditionViolated:
             cert = None
         if cert is not None:

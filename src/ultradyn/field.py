@@ -2,7 +2,8 @@
 precision p-adic numbers, and a print-only record (ExtElement) of values of
 the totally ramified Eisenstein extensions pi^e = p.
 
-A PadicNumber's valuation is an int (math.inf for exact zero), since every
+Inside the library every base-field valuation is an int (math.inf for exact
+zero), of a PadicNumber as of an int or a Fraction (_bval), since every
 value held is in Q_p itself; valuation_of_rational and the library's public
 readers (spectra, norm exponents, operator norms) give Fractions.  Absolute
 values are never materialised as floats; all order comparisons against a
@@ -72,10 +73,8 @@ def _ival(n: int, p: int) -> int:
 
 def valuation_of_rational(q, p: int):
     """Exact p-adic valuation of a rational; INF for zero."""
-    q = Fraction(q)
-    if q == 0:
-        return INF
-    return Fraction(_ival(q.numerator, p) - _ival(q.denominator, p))
+    v = _bval(Fraction(q), p)
+    return v if v == INF else Fraction(v)
 
 
 def compare_threshold(a, v, p: int) -> int:
@@ -343,9 +342,12 @@ class PadicNumber(_Record):
 
 
 def _bval(c, p):
+    """v_p(c) as an int (INF for 0) of a PadicNumber, an int or a Fraction."""
+    if c.__class__ is int:  # the integer rows of an adapted norm read ints
+        return _ival(c, p) if c else INF
     if isinstance(c, PadicNumber):
         return c.val
-    return valuation_of_rational(c, p)
+    return _ival(c.numerator, p) - _ival(c.denominator, p) if c else INF
 
 
 def _bzeroness(c, threshold):
@@ -374,7 +376,7 @@ class ExtElement(_Record):
 
 # --------------------------------------------------------------------------
 # Ring contexts of the generic linear algebra and the series kernel: Q, Q_p
-# and the integers that dynamics scales a rational table to (_IntegerContext)
+# and the integers that Q's products are scaled to (_INTEGERS)
 # --------------------------------------------------------------------------
 
 
@@ -391,7 +393,7 @@ class RationalContext:
         return q if type(q) is Fraction else Fraction(q)  # no copy of a Fraction
 
     def val(self, x):
-        return valuation_of_rational(x, self.p)
+        return _bval(x, self.p)
 
     def zeroness(self, x):
         return ZERO if x == 0 else NONZERO
@@ -422,3 +424,6 @@ class _IntegerContext:
     zero = 0
     one = 1
     zeroness = staticmethod(bool)
+
+
+_INTEGERS = _IntegerContext()

@@ -36,7 +36,6 @@ from .field import (
     _bval,
     _bzeroness,
     _ival,
-    valuation_of_rational,
 )
 
 # --------------------------------------------------------------------------
@@ -117,11 +116,9 @@ def mat_vec(m, v):
 
 
 def _dot(row, v):
-    acc = None
-    for a, b in zip(row, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
+    """The left fold of the products from the first (0 + x would promote 0)."""
+    terms = map(mul, row, v)
+    return sum(terms, next(terms))
 
 
 def mat_mul(a, b):
@@ -370,9 +367,11 @@ def _pmul(a, b, ctx):
 
 
 def poly_eval_matrix(coeffs, m, ctx):
-    n = len(m)
-    acc = [[ctx.zero] * n for _ in range(n)]
-    for c in reversed(list(coeffs)):
+    """g(M) by Horner for g = coeffs, ascending, started at g_n I (= 0 M + g_n I
+    in every ring)."""
+    n, cs = len(m), list(coeffs)
+    acc = [[ctx.zero + cs[-1] if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    for c in reversed(cs[:-1]):
         acc = mat_mul(acc, m)
         for i in range(n):
             acc[i][i] = acc[i][i] + c
@@ -480,16 +479,11 @@ def newton_polygon(f: Polynomial) -> NewtonPolygon:
     raises."""
     p = f.prime
     ctx = infer_context(list(f.coeffs), p)
-    pts, vague, rational = [], [], isinstance(ctx, RationalContext)
-    if rational:  # v_p(num) - v_p(den) as ints, read directly
-        pts = [(i, _ival(c.numerator, p) - _ival(c.denominator, p))
-               for i, c in enumerate(f.coeffs) if c]
-    else:
-        for i, c in enumerate(f.coeffs):
-            cc = coerce(c, ctx)
-            z = ctx.zeroness(cc)
-            if z != ZERO:
-                (pts if z == NONZERO else vague).append((i, ctx.val(cc)))
+    pts, vague = [], []
+    for i, c in enumerate(f.coeffs):
+        z = ctx.zeroness(c)
+        if z != ZERO:
+            (pts if z == NONZERO else vague).append((i, ctx.val(c)))
     if vague and not pts:
         raise PrecisionExhausted(f"coefficient {vague[0][0]} has uncertain valuation")
     if not pts:
@@ -683,7 +677,7 @@ def slope_factorization(f: Polynomial, precision: int = DEFAULT_PRECISION) -> li
         l = len(part) - 1
         for i, x in enumerate(part):
             x, a = Fraction(x, d ** (l - i)), digits - j * (l - i)
-            part[i] = (PadicNumber.from_rational(x, p, a - int(valuation_of_rational(x, p)))
+            part[i] = (PadicNumber.from_rational(x, p, a - _bval(x, p))
                        if x else PadicNumber.o_term(p, a))
     ctx = PadicContext(p, work)
     product = [ctx.one]
@@ -792,7 +786,7 @@ def _zunit_lattice(dr, a, p, n, e, pairs=False):
         for _ in range(d):
             vecs.append(v)
             k, den, u = v
-            v = reduced(k - n, den * dr, [sum(map(mul, row, u)) for row in a])
+            v = reduced(k - n, den * dr, mat_vec(a, u))
         tops.append(v[1:])  # R^d e_i = u / den
     ks, basis = [], []
     for row in range(d):
@@ -816,7 +810,7 @@ def _zunit_lattice(dr, a, p, n, e, pairs=False):
     zinv = _zinverse(basis)
     for den, u in tops:
         for (rden, zrow), k in zip(zinv, ks):
-            t = sum(map(mul, zrow, u))
+            t = _dot(zrow, u)
             if t and e * (_ival(t, p) - _ival(rden * den, p)) < d * n + k:
                 raise PreconditionViolated("B maps the Krylov lattice outside itself")
     if pairs:

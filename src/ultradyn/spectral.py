@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, inf as INF, isqrt, lcm
-from operator import mul
 
 from .errors import PreconditionViolated
 from .field import (
@@ -20,6 +19,7 @@ from .field import (
     NONZERO,
     PadicNumber,
     RationalContext,
+    _INTEGERS,
     _Record,
     _bval,
     _ival,
@@ -141,22 +141,6 @@ def _rational_factors(cp: Polynomial):
     return out
 
 
-def _integral_eval(cs, dm, mi):
-    """E D^n g(M) by Horner over plain ints, for g = cs of degree n and M
-    rational, given as D M = mi, D = dm the lcm of its denominators, and E
-    the lcm of those of g.  It has the kernel of g(M)."""
-    n, k = len(cs) - 1, len(mi)
-    cols = list(zip(*mi))
-    gi = _zscale(cs)[1]
-    acc = [[0] * k for _ in range(k)]
-    for i in range(n, -1, -1):
-        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
-        c = gi[i] * dm ** (n - i)
-        for j in range(k):
-            acc[j][j] += c
-    return acc
-
-
 def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
                   cp: Polynomial = None) -> SpectralData:
     """Group the spectrum of m by eigenvalue valuation and compute the
@@ -166,9 +150,11 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
     Both kinds of slope factor come from the one integer slope splitter,
     polyalg._slope_split.  A valuation whose whole slope factor is rational
     (_rational_factors) keeps an exact rational basis, read as integer
-    vectors off the integer kernel of _integral_eval (_zkernel) and kept so
-    in the block; the rest of the charpoly is split by slope_factorization,
-    and its blocks get capped-precision p-adic bases.
+    vectors off the integer kernel (_zkernel) of E D^n g(M), evaluated by
+    poly_eval_matrix on plain ints as sum_i E g_i D^(n-i) (D M)^i for g of
+    degree n, D M = D_M M integral and E the lcm of the denominators of g,
+    and kept so in the block; the rest of the charpoly is split by
+    slope_factorization, and its blocks get capped-precision p-adic bases.
     """
     ctx = infer_context(m, p, precision)
     d = len(m)
@@ -190,7 +176,9 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
     for rho, cs in sorted(tagged, key=lambda t: (t[0] == INF, t[0])):
         fctx = infer_context(cs, p, precision) if isinstance(ctx, RationalContext) else ctx
         if isinstance(fctx, RationalContext):
-            zbasis = _zkernel(_integral_eval(cs, *zm))
+            n, (dm, mi) = len(cs) - 1, zm
+            zg = [c * dm ** (n - i) for i, c in enumerate(_zscale(cs)[1])]
+            zbasis = _zkernel(poly_eval_matrix(zg, mi, _INTEGERS))
             basis = [[Fraction(x, den) for x in u] for den, u in zbasis]
         else:
             zbasis = None
@@ -268,7 +256,7 @@ def _restrict(m, basis, ctx):
     dm, a = m
     k, ld = len(basis), lcm(*[den for den, _ in basis])
     vs = [[x * (ld // den) for x in u] for den, u in basis]
-    rows = [[v[i] for v in vs] + [sum(map(mul, row, v)) for v in vs] for i, row in enumerate(a)]
+    rows = [[v[i] for v in vs] + [_dot(row, v) for v in vs] for i, row in enumerate(a)]
     if len(_zrow_reduce(rows, k)) < k or any(x for row in rows[k:] for x in row[k:]):
         raise PreconditionViolated("basis not independent or its span not invariant")
     lp = lcm(*[rows[r][r] for r in range(k)])
@@ -284,23 +272,20 @@ def _nilpotent_chains(n, ctx):
     the vectors are (E, u) pairs: the powers A^i have the kernels of N^i
     (_zkernel), N^i v is (D^i E, A^i u), and independence is the rank of the
     integer vectors (_zrow_reduce)."""
+    ring = ctx
     if isinstance(ctx, RationalContext):
-        den, zn = n
-        d = len(zn)
-        powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
-        for _ in range(d):
-            powers.append([[sum(map(mul, row, c)) for c in zip(*powers[-1])] for row in zn])
+        (den, n), ring = n, _INTEGERS
         kernel = lambda a: _zkernel([list(r) for r in a])
-        image = lambda i, v: (v[0] * den**i, [sum(map(mul, row, v[1])) for row in powers[i]])
+        image = lambda i, v: (v[0] * den**i, mat_vec(powers[i], v[1]))
         rank = lambda vs: len(_zrow_reduce([list(u) for _, u in vs], d))
     else:
-        d = len(n)
-        powers = [identity(d, ctx)]
-        for _ in range(d):
-            powers.append(mat_mul(n, powers[-1]))
         kernel = lambda a: kernel_basis(a, ctx.p, ctx.precision)
         image = lambda i, v: mat_vec(powers[i], v)
         rank = lambda vs: len(row_reduce(vs, ctx)[1])
+    d = len(n)
+    powers = [identity(d, ring)]
+    for _ in range(d):
+        powers.append(mat_mul(n, powers[-1]))
     s = next(i for i in range(d + 1) if all(
         ctx.zeroness(x) != NONZERO for row in powers[i] for x in row))
     kernels = [kernel(powers[i]) if i else [] for i in range(s + 1)]
@@ -338,7 +323,7 @@ def _zpieces(pieces, pairs, p, ram):
     cols = list(zip(*[[x * (dl // dj) for x in y] for dj, y in pairs]))
     out = []
     for e, den, u in pieces:
-        z = [sum(map(mul, u, c)) for c in cols]
+        z = mat_vec(cols, u)
         g = gcd(*z)
         out.append(([x // g for x in z], e + ram * (_ival(g, p) - _ival(den * dl, p))))
     return out
@@ -425,7 +410,8 @@ class AdaptedNorm(_Record):
         v((T Winv)_il) + q_i = v(row_il) + off_i/ram and
         v(((T Winv)^-1)_lj) - q_j = v(col_jl) + coff_j/ram.  Over Q, when the
         query's vector, matrix or map holds no PadicNumber (rational), the
-        integer _zrows or _zcols; else _pi_rows or _pi_cols with offsets
+        integer _zrows or _zcols (exact is True: the caller scales its data
+        to integers); else _pi_rows or _pi_cols with offsets
         s_i + ram q_i or s'_j - ram q_j.  p must be the norm's prime, and
         sizes, the set of the query's sizes, {d} for its dimension d."""
         if p != self.prime or sizes != {len(self.w)}:
@@ -437,13 +423,11 @@ class AdaptedNorm(_Record):
         sign, (s, vs) = (-1, self._pi_cols) if cols else (1, self._pi_rows)
         return False, [(v, si + sign * int(q * self.ram)) for si, v, q in zip(s, vs, self.weights)]
 
-    def _read(self, rows, exact, y):
+    def _read(self, rows, y):
         """ram v(row . y) + off for each (row, off) of rows from _readout,
-        INF where it is zero: integer dot products if exact, else ring ones."""
+        INF where it is zero: one dot product and one int valuation per row,
+        for integer, rational and p-adic rows alike."""
         p, ram = self.prime, self.ram
-        if exact:
-            return [ram * _ival(t, p) + off if (t := sum(map(mul, row, y))) else INF
-                    for row, off in rows]
         return [ram * _bval(_dot(row, y), p) + off for row, off in rows]
 
     def _units(self, x):
@@ -456,9 +440,9 @@ class AdaptedNorm(_Record):
         if (rows is not None and len(x) == len(rows)
                 and not any(isinstance(c, PadicNumber) for c in x)):
             den, y = _zscale(x)
-            return self._read(rows, True, y), self.ram * _ival(den, self.prime)
+            return self._read(rows, y), self.ram * _ival(den, self.prime)
         infer_context(x, self.prime)  # refuses a PadicNumber of another prime
-        return self._read(self._readout(self.prime, {len(x)}, False)[1], False, x), 0
+        return self._read(self._readout(self.prime, {len(x)}, False)[1], x), 0
 
     def _coord_exps(self, x):
         """v((T Winv x)_i) + q_i for each norm coordinate i (INF where it is
@@ -559,19 +543,18 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
     min_{i,j} ( v(A'_ij) + q_i - q_j ) with A' = (T Winv) M (T Winv)^-1 the
     matrix of M in the norm basis, that is min_ij v(P_i M R_j) +
     (off_i + coff_j)/ram over the norm's rows P_i and columns R_j with
-    their offsets (AdaptedNorm._readout).  Over Q, with M rational, each
-    entry is an integer dot product of P_i with (D_M M) R_j, less v(D_M);
-    a PadicNumber in M or in the norm takes ring dot products instead
-    (AdaptedNorm._read).  An exact zero entry is skipped; an O-term still
-    enters.
+    their offsets (AdaptedNorm._readout), each read by AdaptedNorm._read.
+    Over Q, with M rational, each entry is an integer dot product of P_i
+    with (D_M M) R_j, less v(D_M); a PadicNumber in M or in the norm reads
+    the base-field rows and columns instead.  An exact zero entry is
+    skipped; an O-term still enters.
     """
     sizes, rational = {len(m), *map(len, m)}, isinstance(infer_context(m, p), RationalContext)
     exact, rows = norm._readout(p, sizes, rational)
     dm, a = _zmat(m) if exact else (1, m)
     best = INF
     for c, coff in norm._readout(p, sizes, rational, cols=True)[1]:
-        y = [sum(map(mul, row, c)) for row in a] if exact else mat_vec(a, c)
-        best = min(best, coff + min(norm._read(rows, exact, y)))
+        best = min(best, coff + min(norm._read(rows, mat_vec(a, c))))
     return best if best == INF else Fraction(best - norm.ram * _ival(dm, p), norm.ram)
 
 

@@ -3,6 +3,7 @@ ExtElement record, and the Q_p(pi) ring of tests/reference.py that the
 adapted-norm oracles compute in."""
 
 from fractions import Fraction
+from functools import reduce
 from math import inf as INF
 from operator import add, mul, sub, truediv
 
@@ -15,11 +16,14 @@ from ultradyn.field import (
     ExtElement,
     PadicContext,
     PadicNumber,
+    RationalContext,
+    _bval,
     _is_prime,
     compare_threshold,
     valuation_of_rational,
 )
 from ultradyn.errors import DivisionByZero, PrecisionExhausted, PreconditionViolated
+from ultradyn.polyalg import _dot
 
 from reference import PiElement, PiRing
 
@@ -300,6 +304,49 @@ def test_padic_valuations_are_ints_and_results_match_the_reference(data, p):
                 _check_op(op, r, x, up, x)
 
 
+@given(st.one_of(st.integers(-10**6, 10**6), rationals), primes)
+@example(0, 2)
+@example(Fraction(0), 3)
+@example(Fraction(-250, 9), 5)
+def test_rational_valuations_are_ints_inside_the_library(q, p):
+    """_bval and RationalContext.val give v_p(numerator) - v_p(denominator)
+    of an int or a Fraction as an int, INF for 0, equal to the Fraction of
+    valuation_of_rational."""
+    want = valuation_of_rational(q, p)
+    assert type(want) is Fraction or (q == 0 and want == INF)
+    for got in (_bval(q, p), RationalContext(p).val(q)):
+        assert got == want and (type(got) is int or (q == 0 and got == INF)), (q, p, got)
+
+
+def _fold(row, v):
+    """repr of the left fold of the products, or the error it raises."""
+    try:
+        return repr(reduce(add, map(mul, row, v)))
+    except (DivisionByZero, PrecisionExhausted) as exc:
+        return type(exc).__name__
+
+
+@given(st.data(), primes)
+@example(None, 2)
+def test_dot_is_the_left_fold_of_its_products(data, p):
+    """_dot matches functools.reduce(add, map(mul, row, v)) in repr (the
+    same PadicNumber bytes, or the same error) on rows that mix ints,
+    Fractions and PadicNumbers with exact zeros, O-terms and mixed
+    precisions."""
+    if data is None:  # an exact zero first, an O-term, then 4 and 10 digits
+        row = [PadicNumber.zero(p), 3, Fraction(1, p), PadicNumber.from_rational(5, p, 4)]
+        v = [PadicNumber.o_term(p, 3), PadicNumber.from_rational(7, p, 10), 0, Fraction(2, 3)]
+    else:
+        n = data.draw(st.integers(1, 6))
+        entry = st.one_of(st.integers(-50, 50), rationals, padics(p))
+        row, v = ([data.draw(entry) for _ in range(n)] for _ in range(2))
+    try:
+        got = repr(_dot(row, v))
+    except (DivisionByZero, PrecisionExhausted) as exc:
+        got = type(exc).__name__
+    assert got == _fold(row, v), (row, v)
+
+
 def test_o_term_takes_the_ceiling_of_its_bound():
     assert PadicNumber.o_term(3, Fraction(3, 2)) == PadicNumber.o_term(3, 2)
     assert type(PadicNumber.o_term(3, Fraction(-4, 2)).val) is int
@@ -322,8 +369,11 @@ def test_padic_build_holds_int_valuations_and_reads_fractions():
     """Over Q_3 the companion of t^2 + t + 3 (roots of valuation 0 and 1)
     beside a ram 2 block and a nilpotent one: every PadicNumber of the
     spectral data, the splitting and the adapted norm has an int valuation,
-    and the public readers still give Fractions."""
-    from ultradyn import dynamics, spectral
+    and the public readers still give Fractions, as they do over Q (where
+    the library reads int valuations too): newton_polygon's vertices and
+    segments, norm_exp, operator_norm, standard_norm_exp and
+    remainder_lipschitz."""
+    from ultradyn import dynamics, polyalg, spectral
     from helpers import _embed, companion, frac_block, nilp_block
 
     p, d = 3, 5
@@ -343,6 +393,26 @@ def test_padic_build_holds_int_valuations_and_reads_fractions():
     assert type(spectral.operator_norm(m, p, norm)) is Fraction
     assert type(dynamics.standard_norm_exp(xs[1], p)) is Fraction
     assert type(valuation_of_rational(9, p)) is Fraction
+    # the same readers over Q, and of a PadicNumber vector or map coefficient
+    ctx = PadicContext(p)
+    diag = [[Fraction(p), Fraction(0)], [Fraction(0), Fraction(1, p)]]
+    cps = [an.charpoly, polyalg.charpoly(diag, p)]
+    for cp in cps + [polyalg.Polynomial(tuple(map(ctx.from_rational, c.coeffs)), p) for c in cps]:
+        poly = polyalg.newton_polygon(cp)
+        assert all(type(v) is Fraction for _, v in poly.vertices), poly
+        assert all(type(r) is Fraction for r, _ in poly.segments), poly
+    x = [Fraction(p, 2), Fraction(1, p * p)]
+    for a, n in ((diag, spectral.adapted_norm(diag, p)), (m, norm)):
+        for y in (x, [ctx.from_rational(c) for c in x]):
+            y = y + [Fraction(0)] * (len(a) - 2)
+            assert type(n.norm_exp(y)) is Fraction
+            assert type(dynamics.standard_norm_exp(y, p)) is Fraction
+            f = dynamics.PolyMap.from_tables(
+                [{**{tuple(int(l == j) for l in range(len(a))): c for j, c in enumerate(row) if c},
+                  tuple(2 * int(l == i) for l in range(len(a))): y[i]}
+                 for i, row in enumerate(a)], p)
+            assert type(dynamics.remainder_lipschitz(f, 1, n)) is Fraction
+        assert type(spectral.operator_norm(a, p, n)) is Fraction
 
 
 # -- Eisenstein extension elements ------------------------------------------

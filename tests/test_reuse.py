@@ -10,7 +10,8 @@ inverses against an inversion of the whole transform; and each finite
 block's lattice, built over the base field as pi-powers times base-field
 vectors, against a reference build with Q_p(pi) arithmetic over the norm's
 own ring, while ExtElement has no arithmetic at all; over Q, the whole
-norm build and its queries on plain integers, with no ring product at all;
+norm build and its queries on plain integers, whose products reach the
+ring helpers with ints only;
 and one
 MapAnalysis per map, interned by content and bounded, that conjugates F once
 per norm, builds each stable graph once per gap of the spectrum, and each
@@ -366,22 +367,38 @@ def test_rational_lattices_and_operator_norms_take_no_ring_products(monkeypatch)
     """Over Q the whole build from the matrix (the spectral data, each
     splitting, the adapted norm with its block restrictions, Jordan chains
     and lattices, the integer rows and columns) and the queries norm_exp and
-    operator_norm run on plain integers: they call none of the ring helpers
-    kernel_basis, mat_inverse, solve, mat_vec, mat_mul and _dot, so a silent
-    fallback to Fraction arithmetic fails.  A block or a norm holding
-    PadicNumbers (the companion of t^2 + t + 3) keeps the ring path, and the
-    spy sees it."""
+    operator_norm run on plain integers: they call none of the ring solvers
+    kernel_basis, mat_inverse and solve, and the product helpers mat_vec,
+    mat_mul, _dot and poly_eval_matrix, which they do call, are handed
+    nothing but ints, so a silent fallback to Fraction arithmetic fails (a
+    forced one is caught).  A block or a norm holding PadicNumbers (the
+    companion of t^2 + t + 3) keeps the ring path, and the spy sees
+    PadicNumbers reach the product helpers."""
     cases = [(3, conjugated(random.Random(5), [int_block(3, 1, 2), int_block(3, -1, 1),
                                               nilp_block(2)])),
              (5, conjugated(random.Random(6), [frac_block(5, 1, 2), frac_block(5, 2, 3),
                                               int_block(5, 1, 1)])),
              (3, block_diag([companion([3, 1, 1]), [[F(9)]]]))]
-    calls = []
+    products, solvers = ("mat_vec", "mat_mul", "_dot", "poly_eval_matrix"), (
+        "kernel_basis", "mat_inverse", "solve")
+    calls = []  # (name, the types of the matrix and vector entries it was handed)
+
+    def entries(arg):
+        if isinstance(arg, (list, tuple)):
+            for x in arg:
+                yield from entries(x) if isinstance(x, (list, tuple)) else [type(x)]
+
     for module in (polyalg, spectral):
-        for name in ("kernel_basis", "mat_inverse", "solve", "mat_vec", "mat_mul", "_dot"):
+        for name in products + solvers:
             f = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, f=f, name=name, **k:
-                                calls.append(name) or f(*a, **k))
+            monkeypatch.setattr(module, name, lambda *a, f=f, name=name, **k: calls.append(
+                (name, {t for arg in a for t in entries(arg)})) or f(*a, **k))
+
+    def on_integers():
+        """True if no solver ran and products ran, on ints only."""
+        return (bool(calls) and all(name in products for name, _ in calls)
+                and set().union(*(kinds for _, kinds in calls)) == {int})
+
     kinds = Counter()
     rng = random.Random(4)
     for p, m in cases:
@@ -396,7 +413,12 @@ def test_rational_lattices_and_operator_norms_take_no_ring_products(monkeypatch)
         rational = all(b._zbasis is not None for b in data.blocks)
         assert rational == (n._zrows is not None)
         assert rational == all(isinstance(c, F) for s in splits for row in s.winv for c in row)
-        assert bool(calls) != rational, (m, calls)
+        assert on_integers() == rational, (m, calls)
+        assert rational or any(PadicNumber in k for name, k in calls if name in products)
+        if rational:  # the same reads on the Fraction rows of _pi_rows
+            calls.clear()
+            n._read(n._readout(p, {len(m)}, False)[1], xs[0])
+            assert not on_integers() and {F} <= calls[-1][1], calls
         kinds["norm", rational] += 1
         for b in data.blocks:
             if b.rho != INF:
@@ -410,7 +432,7 @@ def test_rational_lattices_and_operator_norms_take_no_ring_products(monkeypatch)
                     spectral._zunit_lattice(*rest, p, *F(b.rho).as_integer_ratio())
                 else:
                     spectral.invariant_unit_lattice(rest, p, b.rho)
-                assert bool(calls) != block_rational, (m, b.rho)
+                assert on_integers() == block_rational, (m, b.rho, calls)
                 kinds["lattice", block_rational] += 1
     assert kinds[("norm", True)] == 2
     assert set(kinds) == {(f, r) for f in ("lattice", "norm") for r in (True, False)}
@@ -484,6 +506,27 @@ def test_classify_analyses_its_jacobian_once(spectral_calls):
     assert r.label == dynamics.UNIFORMLY_ATTRACTIVE and r.certificate is not None
     for calls in spectral_calls:
         assert list(calls.values()) == [1]
+
+
+def test_ball_certificates_come_from_the_callers_analysis(monkeypatch):
+    """classify_fixed_point and stable_membership at precision 128 take
+    their ball certificate from the map's analysis at 128, and build none at
+    DEFAULT_PRECISION; over Q the report and the verdict are those at 64."""
+    x = [F(1, 4), F(1, 2)]
+    at_64 = repr((dynamics.classify_fixed_point(CONTRACTING),
+                  dynamics.stable_membership(CONTRACTING, F(1), x)))
+    asked, interned = [], dynamics._map_analysis
+    monkeypatch.setattr(dynamics, "_map_analysis",
+                        lambda f, precision: asked.append(precision) or interned(f, precision))
+    report = dynamics.classify_fixed_point(CONTRACTING, precision=128)
+    assert asked == [128]
+    verdict = dynamics.stable_membership(CONTRACTING, F(1), x, precision=128)
+    assert asked == [128, 128]
+    cert = report.certificate
+    assert (cert.mode, cert.radius_exp, cert.contraction_exp) == (dynamics.CONTRACTING, 1, 1)
+    assert verdict.verdict == dynamics.HEURISTIC_NON_MEMBER
+    assert verdict.trace == tuple(F(-2**k) for k in range(1, 13))
+    assert repr((report, verdict)) == at_64
 
 
 @pytest.mark.parametrize("f,x,verdict", [

@@ -1,7 +1,8 @@
-"""Source hygiene: no dead private helpers in the library, one place that
-builds a LinearAnalysis and one that builds a MapAnalysis, every name the
-benchmark's tracer rebinds still resolves, no Q_p(pi) ring context left in
-the library, no dataclasses, and the public names all import, on first use."""
+"""Source hygiene: no dead private helpers and no unused imports in the
+library, one place that builds a LinearAnalysis and one that builds a
+MapAnalysis, every name the benchmark's tracer rebinds still resolves, no
+Q_p(pi) ring context left in the library, no dataclasses, and the public
+names all import, on first use."""
 
 import ast
 import importlib
@@ -35,6 +36,26 @@ def test_private_helpers_are_used():
     dead = [f"{mod}:{node.name}" for mod, node in helpers
             if used[node.name] == list(_names(node)).count(node.name)]
     assert not dead, f"private helpers with no caller: {dead}"
+
+
+# imported names a module does not use itself, with who reads them there
+IMPORTED_FOR_OTHERS = {("dynamics.py", "RadiusNotFound")}  # bench/workloads.py
+
+
+def test_imported_names_are_used():
+    """Every name a module of src/ultradyn imports (from __future__ aside)
+    is used in that module outside its import statements."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        imported = {(a.asname or a.name).split(".")[0] for node in imports for a in node.names}
+        used = set(_names(tree))
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert imported, "no imports found: wrong source path?"
+    assert set(unused) == IMPORTED_FOR_OTHERS, unused
 
 
 def test_analysis_built_only_by_the_intern():
