@@ -449,11 +449,12 @@ def _orbit(f: PolyMap, x, n: int, bit_cap):
 class MapAnalysis(_Record):
     """One map F at its fixed point 0, each part built on first use and kept:
     A = F'(0) and its LinearAnalysis; per adapted norm, the remainder bound
-    and linearization radius; per (point, horizon), the orbit (the ORBITS
-    latest); per gap of the spectrum's absolute values, the stable-graph
-    reduction.  All are pure functions of (f, precision) and the key; the
-    free functions share one interned analysis per map (_map_analysis) and,
-    at their own precision, take their ball certificates from it (ball)."""
+    and linearization radius; per (norm, ru), the dominance radius; per
+    (point, horizon), the orbit (the ORBITS latest); per gap of the
+    spectrum's absolute values, the stable-graph reduction.  All are pure
+    functions of (f, precision) and the key; the free functions share one
+    interned analysis per map (_map_analysis) and, at their own precision,
+    take their ball certificates from it (ball)."""
 
     f: PolyMap
     precision: int = DEFAULT_PRECISION
@@ -503,6 +504,13 @@ class MapAnalysis(_Record):
         einv = operator_norm(ainv, self.f.prime, norm)
         lipschitz = self.lipschitz(norm)
         return einv, _least_k(lambda k: lipschitz(k) + einv > 0)
+
+    @_kept()
+    def dominance(self, norm: AdaptedNorm, ru):
+        """k: the least with Lip(R | B_{p^-k}) < p^-ru, the slowest unstable
+        expansion rate (stable_membership's dominance ball)."""
+        lipschitz = self.lipschitz(norm)
+        return _least_k(lambda k: lipschitz(k) > ru)
 
     def ball(self, mode: str, norm: AdaptedNorm, rate_below=None) -> BallCertificate:
         """invariant_ball(f, mode, norm, rate_below) at this analysis's
@@ -667,6 +675,29 @@ def _component_exps(norm, a, z):
     return out[1], out[0], out[-1]
 
 
+def _dominant_unstable(an, norm, a, ru, n, z):
+    """The dominant-unstable certificate that x is a non-member, read at
+    z = F^n(x): z's E_(a,u) component strictly dominates and z lies inside
+    the dominance ball, in which the remainder's Lipschitz bound is beaten
+    by the slowest unstable expansion rate p^-ru (ru = largest unstable
+    valuation), so unstable dominance propagates exactly and the unstable
+    norm grows by > a each step.  Its justification, else None.  The
+    components come first: they need no remainder bound."""
+    es, ec, eu = _component_exps(norm, a, z)
+    if eu < min(es, ec):  # so ||z|| = p^-eu
+        k = an.dominance(norm, ru)
+        if eu >= k:
+            return (
+                f"F^{n}(x) lies inside the dominance ball p^-{k} "
+                f"with strictly dominant E_(a,u) component "
+                f"(exp {eu} < {min(es, ec)})",
+                "dominance propagates exactly (ultrametric dominated "
+                "sum, Lip(R) < expansion factor), so a^-m ||F^m(x)|| "
+                "grows strictly inside the chart ball",
+            )
+    return None
+
+
 def _linear_membership(f, a, x, horizon, precision):
     from .spectral import splitting_at
     p = f.prime
@@ -726,7 +757,17 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                       precision: int = DEFAULT_PRECISION) -> MembershipVerdict:
     """Verdict on x in W_a^s = {z : a^-n ||F^n(z)|| -> 0} for the fixed
     point 0 (chart-local semantics: certificates reason inside certified
-    balls around 0)."""
+    balls around 0).
+
+    Certificates, cheapest first: x = 0; a linear F by its splitting.  With
+    every |lambda| < a, an orbit point inside a Contracting ball at a rate
+    below a, or, for a > 1 when ||A|| = 1 refuses Contracting, inside an
+    Invariant ball.  With every |lambda| > a, an orbit point that is 0 or
+    lies inside the linearization ball.  In a hyperbolic gap, x's own
+    dominant unstable component inside the dominance ball (no graph is
+    built then), else x on the exactly invariant stable graph (the base
+    map's verdict), else an orbit point that is 0 or has that dominance.
+    Otherwise the orbit's trend gives a heuristic verdict."""
     p = f.prime
     a = Fraction(a)
     if a <= 0:
@@ -745,10 +786,18 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     below = all(compare_threshold(a, v, p) == 1 for v, _ in spec)
     above = all(compare_threshold(a, v, p) == -1 for v, _ in spec)
     gap = not (below or above) and analysis.is_hyperbolic(a)
-    # a graph reduction answers with the base map's trace: x's orbit only after
-    red = _try_graph_reduction(an, a, x, horizon) if gap else None
-    if red is not None:
-        return red
+    at_x = None
+    if gap:
+        norm = analysis.norm()
+        ru = max(v for v, _ in spec if compare_threshold(a, v, p) == -1)
+        # cheapest first: x's own position, then the graph; a point on an
+        # exactly invariant stable graph has no strictly dominant unstable
+        # part inside the dominance ball, so the two exclude each other
+        at_x = _dominant_unstable(an, norm, a, ru, 0, x)
+        # a graph reduction answers with the base map's trace: x's orbit only after
+        red = None if at_x else _try_graph_reduction(an, a, x, horizon)
+        if red is not None:
+            return red
     pts = [(e, list(z)) for z, e in an.orbit(tuple(x), horizon)]
     trace = tuple(e for e, _ in pts)
 
@@ -758,14 +807,29 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
             cert = an.ball(CONTRACTING, norm, rate_below=a)
         except PreconditionViolated:
             cert = None
+        if cert is None and a > 1:
+            # ||A|| = 1 refuses Contracting; above 1, an Invariant ball still
+            # takes a^-m ||F^m(x)|| to 0
+            try:
+                cert = an.ball(INVARIANT, norm)
+            except PreconditionViolated:
+                pass
         if cert is not None:
             for n, (_, z) in enumerate(pts):
                 if norm.norm_exp(z) >= cert.radius_exp:
-                    just = (
-                        f"F^{n}(x) lies in the ball p^-{cert.radius_exp} with a "
-                        f"Contracting certificate at rate c = p^-{cert.contraction_exp} < a",
-                        "hence a^-m ||F^m(x)|| <= (c/a)^m const -> 0",
-                    )
+                    if cert.mode == CONTRACTING:
+                        just = (
+                            f"F^{n}(x) lies in the ball p^-{cert.radius_exp} with a "
+                            f"Contracting certificate at rate c = p^-{cert.contraction_exp} < a",
+                            "hence a^-m ||F^m(x)|| <= (c/a)^m const -> 0",
+                        )
+                    else:
+                        just = (
+                            f"F^{n}(x) lies in the ball p^-{cert.radius_exp} with an "
+                            "Invariant certificate (||F(z)|| <= ||z|| there)",
+                            f"hence a^-m ||F^m(x)|| <= a^-m ||F^{n}(x)|| for m >= {n}, "
+                            "which tends to 0 as a > 1",
+                        )
                     return MembershipVerdict(CERTIFIED_MEMBER, trace, just)
     elif above:
         # ]0, a] misses the spectrum entirely: W_a^s is locally just {0}.
@@ -790,31 +854,14 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                     )
                     return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
     elif gap:
-        # dominant-unstable certificate: inside a ball where the remainder's
-        # Lipschitz bound is beaten by the slowest unstable expansion rate
-        # p^-ru (ru = largest unstable valuation), unstable dominance
-        # propagates exactly and the unstable norm grows by > a each step
-        norm = analysis.norm()
-        ru = max(v for v, _ in spec if compare_threshold(a, v, p) == -1)
-        lipschitz = an.lipschitz(norm)
-        k = _least_k(lambda k: lipschitz(k) > ru)
         for n, (_, z) in enumerate(pts):
             if _is_exact_zero_vec(z, p, precision):
                 return MembershipVerdict(
                     CERTIFIED_MEMBER, trace,
                     (f"F^{n}(x) = 0 exactly",))
-            if norm.norm_exp(z) >= k:
-                es, ec, eu = _component_exps(norm, a, z)
-                if eu < min(es, ec):
-                    just = (
-                        f"F^{n}(x) lies inside the dominance ball p^-{k} "
-                        f"with strictly dominant E_(a,u) component "
-                        f"(exp {eu} < {min(es, ec)})",
-                        "dominance propagates exactly (ultrametric dominated "
-                        "sum, Lip(R) < expansion factor), so a^-m ||F^m(x)|| "
-                        "grows strictly inside the chart ball",
-                    )
-                    return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
+            just = at_x if n == 0 else _dominant_unstable(an, norm, a, ru, n, z)
+            if just is not None:
+                return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
 
     # heuristics: trend of a^-n ||F^n(x)|| as exponents e_n - n * v_a where
     # a-comparisons stay exact: use t_n = trace[n] and compare consecutive

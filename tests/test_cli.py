@@ -314,6 +314,16 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, doc):
         *(f"ultradyn.{m}" for m in LOADS[argv[0]].split())}
 
 
+def test_member_on_a_dominant_gap_point_loads_no_manifolds(tmp_path):
+    """A gap point that its own position certifies a non-member is answered
+    before any stable graph is built, so member loads no manifolds."""
+    argv = ["member", "--a", "1", "--input", write(tmp_path, dict(BENCH_MAP, point=["0", "1024"]))]
+    mods = _modules_after(tmp_path, f"from ultradyn import cli\nassert cli.main({argv!r}) == 0")
+    assert {m for m in mods if m.split(".")[0] == "ultradyn"} == {
+        "ultradyn", "ultradyn.cli", "ultradyn.errors", "ultradyn.field",
+        "ultradyn.polyalg", "ultradyn.spectral", "ultradyn.dynamics"}
+
+
 # a document per command that fails the last check the command makes
 REJECTED = [
     (["spectrum"], {"prime": 2, "matrix": [["1", "0"], ["0", "x"]]}, "bad matrix entry: 'x'"),

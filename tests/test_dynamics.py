@@ -4,7 +4,7 @@ orbits, stable-set membership."""
 import random
 from collections import Counter
 from fractions import Fraction
-from math import inf as INF
+from math import ceil, inf as INF
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +359,24 @@ def test_membership_orbit_reaching_the_fixed_point_exactly():
     assert v.verdict == CERTIFIED_MEMBER and v.justification == ("F^1(x) = 0 exactly",)
 
 
+def test_membership_invariant_ball_above_one():
+    """(4x, y + x^2) over Q_2 at a = 2: every |lambda| (1/4 and 1) lies
+    below a, but ||A|| = 1 refuses a Contracting ball.  The Invariant ball
+    p^0 (||F(z)|| <= ||z||) certifies each orbit point in it a member, as
+    2^-n ||F^n(x)|| <= 2^-n ||x|| -> 0."""
+    f = pmap([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)}], 2)
+    assert classify_fixed_point(f).certificate.mode == dynamics.INVARIANT
+    for x, e in (([F(4), F(2)], 1), ([F(64), F(64)], 6), ([F(0), F(8)], 3)):
+        v = stable_membership(f, F(2), x)
+        assert v.verdict == CERTIFIED_MEMBER, (x, v)
+        assert v.trace[0] == e and v.justification == (
+            "F^0(x) lies in the ball p^-0 with an Invariant certificate "
+            "(||F(z)|| <= ||z|| there)",
+            "hence a^-m ||F^m(x)|| <= a^-m ||F^0(x)|| for m >= 0, which tends to 0 as a > 1")
+    # at a = 1 the orbit's norm stays 2^-1, so (4, 2) is no member there
+    assert stable_membership(f, F(1), [F(4), F(2)]).verdict != CERTIFIED_MEMBER
+
+
 def test_membership_keeps_the_callers_precision(monkeypatch):
     """stable_membership at precision 128 splits a linear map's F'(0) at
     128 and reads x's coordinates at 128: an O(2^100) unstable coordinate is
@@ -391,6 +409,56 @@ def test_membership_verdicts_certified_on_random_linear(seed=123):
                      for _ in range(2)]
                 v = stable_membership(f, F(1), x)
                 assert v.verdict in (CERTIFIED_MEMBER, CERTIFIED_NON_MEMBER)
+
+
+def family_maps(rng, p):
+    """(lam x, mu y + c x^2) and (lam x, mu y + c x^2, nu z + c2 x y), |lam| < 1
+    < |mu|, |nu|, with points on their exact stable graphs at a = 1:
+    y = alpha x^2 and z = beta x^3."""
+    lam, mu, nu = F(p) ** rng.randint(1, 2), F(1, p ** rng.randint(1, 2)), F(1, p)
+    c, c2 = rand_unit(rng, p), rand_unit(rng, p)
+    alpha = c / (lam ** 2 - mu)
+    beta = c2 * alpha / (lam ** 3 - nu)
+    xs = [rand_unit(rng, p) * F(p) ** rng.randint(0, 3) for _ in range(3)]
+    return [(pmap([{(1, 0): lam}, {(0, 1): mu, (2, 0): c}], p),
+             [[x, alpha * x ** 2] for x in xs]),
+            (pmap([{(1, 0, 0): lam}, {(0, 1, 0): mu, (2, 0, 0): c},
+                   {(0, 0, 1): nu, (1, 1, 0): c2}], p),
+             [[x, alpha * x ** 2, beta * x ** 3] for x in xs])]
+
+
+def test_dominance_at_x_excludes_the_graph_reduction():
+    """Where x's own position certifies it a non-member (strictly dominant
+    unstable component inside the dominance ball), x lies on no exactly
+    invariant stable graph, so stable_membership may skip the graph
+    reduction there.  Seeded gap maps at a = 1, d = 2 and 3, p = 2, 3, 5,
+    with unstable basis vectors pushed into the dominance ball, points on
+    exact family graphs and small random points."""
+    rng, a = random.Random(32), F(1)
+    maps = []
+    for p in (2, 3, 5):
+        maps += [(rand_poly_map(rng, p, d, 2, require_mixed=True), []) for d in (2, 3, 3)]
+        maps += family_maps(rng, p)
+    seen = Counter()
+    for f, on_graph in maps:
+        p, d = f.prime, f.nvars
+        an = dynamics._map_analysis(f, DEFAULT_PRECISION)
+        norm = an.linear.norm()
+        ru = max(v for v, _ in an.linear.spectrum if v < 0)
+        k = an.dominance(norm, ru)
+        pushed = [[c * F(p) ** max(0, ceil(k - norm.norm_exp(u))) for c in u]
+                  for u in an.linear.splitting(a).unstable]
+        small = [[rand_unit(rng, p) * F(p) ** rng.randint(0, 4) for _ in range(d)]
+                 for _ in range(4)]
+        for kind, points in (("unstable", pushed), ("graph", on_graph), ("small", small)):
+            for x in points:
+                dominant = dynamics._dominant_unstable(an, norm, a, ru, 0, x) is not None
+                reduced = dynamics._try_graph_reduction(an, a, x, 64) is not None
+                assert not (dominant and reduced), (f, x)
+                seen[kind, dominant, reduced] += 1
+    assert seen["unstable", True, False] == sum(n for key, n in seen.items() if key[0] == "unstable")
+    assert seen["graph", False, True] == 3 * 6
+    assert seen["small", True, False] >= 5, seen
 
 
 # -- truncated series kernel -------------------------------------------------

@@ -916,6 +916,22 @@ def test_stable_graph_built_once_per_gap_of_two(graph_builds):
                                     for a in (F(1, 2), F(2))})
 
 
+def test_dominant_point_builds_no_graph(graph_builds):
+    """A point whose own position certifies it a non-member (strictly
+    dominant unstable component inside the dominance ball) is answered
+    before any stable graph is built, with the trace and justification of
+    the orbit loop's n = 0."""
+    v = dynamics.stable_membership(GAP_MAP, F(1), [F(0), F(1024)])
+    assert graph_builds == Counter()
+    assert v.verdict == dynamics.CERTIFIED_NON_MEMBER
+    assert v.trace == tuple(F(10 - n) for n in range(65))
+    assert v.justification == (
+        "F^0(x) lies inside the dominance ball p^-0 with strictly dominant "
+        "E_(a,u) component (exp 10 < inf)",
+        "dominance propagates exactly (ultrametric dominated sum, Lip(R) < "
+        "expansion factor), so a^-m ||F^m(x)|| grows strictly inside the chart ball")
+
+
 def test_gap_answers_do_not_depend_on_the_threshold_asked_first():
     """Verdict, trace and justification at each threshold of a gap are the
     same whichever threshold of the gap built the kept graph, and the same
