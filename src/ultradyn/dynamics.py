@@ -551,10 +551,7 @@ class MapAnalysis(_Record):
         F'(0) alike; gs.a is the first a asked, and no answer reads it).
         graph_series zeroes the residual through the order, and its degree
         order + 1 terms are exact from a composition truncated there (see
-        manifolds._on_graph); a rational graph whose residual is nonzero at
-        one point modulo a prime is refused before them
-        (manifolds._refuted_at_a_point), and only a graph that passes is
-        composed in full."""
+        manifolds._on_graph); only a graph they pass is composed in full."""
         gap = tuple(compare_threshold(a, v, self.f.prime) for v, _ in self.linear.spectrum)
         kept = self.__dict__.setdefault("_stable_graph", {})
         if gap not in kept:
@@ -570,13 +567,9 @@ class MapAnalysis(_Record):
                                         precision=self.precision)
         except UltradynError:
             return None
-        compose, h, ctx, tables = manifolds._on_graph(f, gs)
+        compose, h, ctx = manifolds._on_graph(f, gs)
         for cap in (gs.order + 1, INF):
             fb, fc = compose(cap)
-            # h(F_base) is the costly part of a residual (h's degree reaches
-            # deg(F)^2), so a graph that a read at one point refutes stops here
-            if cap < INF and manifolds._refuted_at_a_point(tables, h, ctx):
-                return None
             if any(manifolds._residual_of(fb, fc, h, ctx, cap)):  # zero terms are dropped
                 return None
         return gs, PolyMap.from_tables(fb, f.prime, len(fb)), ctx

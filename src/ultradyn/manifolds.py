@@ -239,11 +239,11 @@ def _compose_with_graph(tables, h, db, dc, max_deg, ctx):
 
 
 def _on_graph(f: PolyMap, gs: GraphSeries):
-    """(compose, h, ctx, tables), with F conjugated into the graph's
-    coordinates once (by graph_series, for the map it was built from) as
-    tables: compose(cap) gives F_base(xi, h(xi)) and F_comp(xi, h(xi)) as
-    tables over the base variables, truncated at total degree cap (INF
-    truncates nothing), and h is the graph's tables over ctx.
+    """(compose, h, ctx), with F conjugated into the graph's coordinates
+    once (by graph_series, for the map it was built from): compose(cap)
+    gives F_base(xi, h(xi)) and F_comp(xi, h(xi)) as tables over the base
+    variables, truncated at total degree cap (INF truncates nothing), and h
+    is the graph's tables over ctx.
 
     The degree <= k part of either, and of the residual built from them,
     depends only on the terms of degree <= k: h has no term below degree 2
@@ -259,43 +259,7 @@ def _on_graph(f: PolyMap, gs: GraphSeries):
 
     def compose(cap):
         return _compose_with_graph(tables, h, len(gs.base_basis), len(h), cap, ctx)
-    return compose, h, ctx, tables
-
-
-_RESIDUE_PRIME = 2 ** 61 - 1
-
-
-def _refuted_at_a_point(tables, h, ctx):
-    """True if the residual h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) of the
-    tables of _on_graph is nonzero at xi = (2, 3, ...) modulo the prime
-    _RESIDUE_PRIME: reduction modulo it maps the rationals whose denominators
-    it does not divide to a field, so the residual is not the zero
-    polynomial.  False proves nothing (a chance zero, a denominator that
-    _RESIDUE_PRIME divides, or a p-adic ring).  The read costs a pass over
-    the terms, where the residual's own tables need the powers of
-    F_base(xi, h(xi)) up to h's degree, which reaches deg(F)^2."""
-    if not isinstance(ctx, RationalContext):
-        return False
-    q = _RESIDUE_PRIME
-
-    def at(table, z):
-        acc = 0
-        for m, c in table.items():
-            c = Fraction(c)
-            t = c.numerator * pow(c.denominator, -1, q)  # ValueError if q | denominator
-            for zi, e in zip(z, m):
-                t = t * pow(zi, e, q) % q
-            acc += t
-        return acc % q
-
-    db = len(tables) - len(h)
-    try:
-        xi = list(range(2, 2 + db))
-        on_graph = xi + [at(hi, xi) for hi in h]
-        y = [at(t, on_graph) for t in tables]
-        return any(at(hi, y[:db]) != y[db + i] for i, hi in enumerate(h))
-    except ValueError:
-        return False
+    return compose, h, ctx
 
 
 def _residual_of(fb, fc, h, ctx, max_deg=INF):
@@ -309,7 +273,7 @@ def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) as complement-coordinate
     tables; all-zero (through the order, if truncate) iff the graph is
     invariant."""
-    compose, h, ctx, _ = _on_graph(f, gs)
+    compose, h, ctx = _on_graph(f, gs)
     cap = gs.order if truncate else INF
     return _residual_of(*compose(cap), h, ctx, cap)
 

@@ -835,77 +835,6 @@ def test_invariant_graph_checked_untruncated(composed_caps):
     assert composed_caps[-2:] == [7, INF]
 
 
-# degree 8 over Q_5, so the graph is solved to order 64, in two base
-# variables (F'(0) has eigenvalues 0, 0 and -1, and 0 < 1/3 < |-1|).  Its
-# residual is nonzero, and h(F_base) through degree 65 ran for minutes
-HIGH_DEGREE_GAP_MAP = PolyMap.from_tables(
-    [{(3, 3, 2): F(444, 11), (0, 3, 3): F(91, 2), (2, 0, 1): F(157, 9)},
-     {(0, 0, 2): F(6), (0, 1, 0): F(-1)}, {(3, 0, 3): F(3)}], p=5)
-
-
-@pytest.fixture
-def residuals(monkeypatch):
-    """Calls of manifolds._residual_of, and the answers of
-    manifolds._refuted_at_a_point."""
-    calls = Counter()
-    orig_read, orig_residual = manifolds._refuted_at_a_point, manifolds._residual_of
-
-    def read(*args):
-        refuted = orig_read(*args)
-        calls["_refuted_at_a_point", refuted] += 1
-        return refuted
-
-    def residual_of(*args):
-        calls["_residual_of"] += 1
-        return orig_residual(*args)
-
-    monkeypatch.setattr(manifolds, "_refuted_at_a_point", read)
-    monkeypatch.setattr(manifolds, "_residual_of", residual_of)
-    return calls
-
-
-def test_high_degree_graph_refuted_at_a_point(residuals):
-    """A rational graph whose residual is nonzero at one point modulo a
-    prime is refused before h(F_base) is built: the map of degree 8 above
-    answers at once, with no residual table formed."""
-    x = [F(-198, 5), F(4), F(-125, 2)]
-    v = dynamics.stable_membership(HIGH_DEGREE_GAP_MAP, F(1, 3), x, 2, 15)
-    assert residuals == Counter({("_refuted_at_a_point", True): 1})
-    assert (v.verdict, v.trace) == (dynamics.UNDECIDED, (-1, 0, 0))
-
-
-def test_point_read_refutes_only_nonzero_residuals():
-    """The point read is sound: over seeded gap maps over Q, a graph it
-    refutes has a nonzero untruncated residual, and the exactly invariant
-    graphs of GAP_MAP and THREE_GAPS are never refuted.  Verdicts are the
-    same with the read as without it."""
-    rng, seen = random.Random(33), Counter()
-    maps = [(GAP_MAP, F(1)), (THREE_GAPS, F(1, 2)), (THREE_GAPS, F(2)), (SERIES_GRAPH_MAP, F(1))]
-    maps += [(rand_poly_map(rng, p, d, deg, require_mixed=True), F(1))
-             for p in (2, 3, 5) for d in (2, 3) for deg in (2, 3)]
-    for f, a in maps:
-        gs = manifolds.graph_series(f, a, manifolds.STABLE, order=max(6, f.degree() ** 2))
-        compose, h, ctx, tables = manifolds._on_graph(f, gs)
-        refuted = manifolds._refuted_at_a_point(tables, h, ctx)
-        # the terms through degree order + 1 settle most; the rest composes in full
-        nonzero = any(manifolds._residual_of(*compose(gs.order + 1), h, ctx, gs.order + 1)) \
-            or any(manifolds.residual(f, gs, truncate=False))
-        assert nonzero or not refuted, f
-        seen[isinstance(ctx, RationalContext), nonzero, refuted] += 1
-    assert seen[True, False, False] >= 3 and seen[True, True, True] >= 5, seen
-    assert seen[True, True, False] == 0, seen
-    points = [[F(1), F(2, 7)], [F(4), F(8)], [F(3), F(5)], [F(2), F(4, 15), F(32, 3825)]]
-    verdicts = {}
-    for read in (True, False):
-        dynamics._map_analysis.cache_clear()
-        with pytest.MonkeyPatch.context() as mp:
-            if not read:
-                mp.setattr(manifolds, "_refuted_at_a_point", lambda *a: False)
-            verdicts[read] = [repr(dynamics.stable_membership(f, a, x))
-                              for f, a in maps for x in points if len(x) == f.nvars]
-    assert verdicts[True] == verdicts[False]
-
-
 # -- one analysis per map -----------------------------------------------------
 
 
