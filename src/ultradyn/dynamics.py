@@ -7,7 +7,7 @@ radii and norms are handled as valuation exponents (r = p^-k).  Series
 composition (_msubst, conjugate) is one kernel (_mpow, _mmul, _madd) over a
 ring context: over Q_p the ring itself, over Q the integer context, on
 tables scaled to integers with one denominator each and one Fraction per
-output term.  Evaluation at a rational point (_zeval) runs on integers too.
+output term.  Evaluation at a rational point (_zeval) is _meval on ints too.
 Remainder bounds conjugate F by the rows and columns of the adapted norm's
 one read-out (AdaptedNorm._readout), on integers over Q and in the ring
 when the norm or F holds a PadicNumber.  Spectral is imported by the
@@ -133,29 +133,19 @@ def _msubst(a, polys, nvars_out, ctx, max_deg=INF):
 
 
 def _ztable(table):
-    """A rational table on integers: (E, [(m, E c_m, K - |m|)], K), with E
-    the lcm of its denominators and K its top degree."""
+    """A rational table on integers, homogenized: (E, {m + (K - |m|,): E c_m},
+    K), E the lcm of its denominators and K its top degree."""
     e, zc = _zscale(list(table.values()))
     top = max(map(sum, table), default=0)
-    return e, [(m, c, top - sum(m)) for m, c in zip(table, zc) if c], top
+    return e, {(*m, top - sum(m)): c for m, c in zip(table, zc) if c}, top
 
 
 def _zeval(ztables, x):
-    """Each _ztable at the rational point x = X / D, as a Fraction:
-    sum E c_m X^m D^(K-|m|) over E D^K."""
+    """Each _ztable at the rational point x = X / D, as a Fraction: _meval
+    on the integer context at (X, D), over E D^K."""
     d, zx = _zscale(list(x))
-    out = []
-    for e, items, top in ztables:
-        dpow = [d ** k for k in range(top + 1)]
-        acc = 0
-        for m, c, k in items:
-            t = c * dpow[k]
-            for xi, mi in zip(zx, m):
-                if mi:
-                    t *= xi ** mi
-            acc += t
-        out.append(Fraction(acc, e * dpow[top]))
-    return out
+    zx.append(d)
+    return [Fraction(_meval(t, zx, _INTEGERS), e * d ** top) for e, t, top in ztables]
 
 
 def _check_point(f, x):
@@ -186,6 +176,9 @@ class PolyMap(_Record):
         nvars = nvars if nvars is not None else len(tables)
         comps = []
         for t in tables:
+            for m in t:
+                if len(m) != nvars or not all(type(e) is int and e >= 0 for e in m):
+                    raise PreconditionViolated(f"bad multi-index {m!r}")
             items = []
             for m, c in sorted(t.items()):
                 if isinstance(c, int):
@@ -276,6 +269,7 @@ def jacobian(f: PolyMap, pt=None):
     ctx = f.coeff_context()
     if pt is None:
         pt = [Fraction(0)] * n
+    _check_point(f, pt)
     pt = cvec(pt, ctx)
     rows = []
     for comp in f.components:

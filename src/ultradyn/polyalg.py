@@ -4,12 +4,11 @@ Matrices are lists of rows; vectors are lists.  Entries are Fractions or
 PadicNumbers, held in a ring context (field.RationalContext /
 PadicContext).  Over Q_p elimination and the charpoly pivot by least
 valuation, which keeps the precision.  Over Q, whose answers do not depend
-on the pivot order, row_reduce, mat_inverse, charpoly and
-invariant_unit_lattice run on plain integers (one Gauss-Jordan elimination,
-_zrow_reduce, with kernels and inverses read off it as (denominator,
-integer vector) pairs) and return the same Fractions; over Q_p they keep
-the ring path.  kernel_basis has one path for both rings, through
-row_reduce.
+on the pivot order, row_reduce and charpoly run on plain integers (one
+Gauss-Jordan elimination, _zrow_reduce, with kernels and inverses read off
+it as (denominator, integer vector) pairs) and return the same Fractions;
+over Q_p they keep the ring path.  kernel_basis and mat_inverse go through
+row_reduce in both rings; invariant_unit_lattice is one ring builder too.
 """
 
 from __future__ import annotations
@@ -293,10 +292,7 @@ def solve(a, b, ctx):
 
 
 def mat_inverse(m, ctx):
-    """m^-1; over Q on integers (_zinverse of m's columns)."""
-    if isinstance(ctx, RationalContext):
-        return [[Fraction(x, den) for x in row]
-                for den, row in _zinverse([_zscale(list(c)) for c in zip(*m)])]
+    """m^-1 = solve(m, I), over Q by row_reduce's integer elimination."""
     return solve(m, identity(len(m), ctx), ctx)
 
 
@@ -712,12 +708,10 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     v((W^-1 R^d e_i)_j) >= (d n + k_j)/e, an O-term counting by its bound;
     else PreconditionViolated.  B L = L then needs det B to be a unit:
     adapted_norm passes ker g_rho(M) for a certified slope factor g_rho.
-    Over Q the Krylov vectors, the Hermite steps and the certificate run on
-    plain integers (_zunit_lattice); over Q_p they keep the ring arithmetic.
+    One builder for both rings, exact on Fractions over Q: adapted_norm's
+    integer builder over Q (_zunit_lattice) gives the same (k, W, W^-1).
     """
     n, e = Fraction(rho).as_integer_ratio()
-    if isinstance(infer_context(r, p), RationalContext):
-        return _zunit_lattice(*_zmat(r), p, n, e)
 
     def zeroness(x, k):  # of pi^k x, by its pi-slot coefficient x p^(k // e)
         return _bzeroness(x, precision - k // e)
@@ -763,7 +757,7 @@ def invariant_unit_lattice(r, p: int, rho=0, precision: int = DEFAULT_PRECISION)
     return ks, w, winv
 
 
-def _zunit_lattice(dr, a, p, n, e, pairs=False):
+def _zunit_lattice(dr, a, p, n, e):
     """invariant_unit_lattice for rational R = A / dr, A integral, on
     integers.  Each Krylov vector is kept as (k, den, u) with u / den the
     vector, u integral and gcd(content u, den) = 1: R v is A u / (dr den).  A
@@ -772,8 +766,8 @@ def _zunit_lattice(dr, a, p, n, e, pairs=False):
     pivot chosen by v(U_r) - v(den) + k/e as over Q_p.  W^-1 comes from the
     (den, u) basis by one integer elimination (_zinverse); the certificate
     takes p-adic valuations of integer dot products of the integer rows of
-    W^-1 with R^d e_i.  W and W^-1 leave as Fractions or, with pairs, as the
-    (D, integer vector) pairs of W's columns and W^-1's rows."""
+    W^-1 with R^d e_i.  W and W^-1 leave as the (D, integer vector) pairs of
+    W's columns and W^-1's rows, invariant_unit_lattice's W and W^-1."""
     d = len(a)
 
     def reduced(k, den, u):
@@ -813,7 +807,4 @@ def _zunit_lattice(dr, a, p, n, e, pairs=False):
             t = _dot(zrow, u)
             if t and e * (_ival(t, p) - _ival(rden * den, p)) < d * n + k:
                 raise PreconditionViolated("B maps the Krylov lattice outside itself")
-    if pairs:
-        return ks, basis, zinv
-    w = [[Fraction(u[i], den) for den, u in basis] for i in range(d)]
-    return ks, w, [[Fraction(x, den) for x in row] for den, row in zinv]
+    return ks, basis, zinv

@@ -510,7 +510,7 @@ def adapted_norm(m, p: int, eps=None, precision: int = DEFAULT_PRECISION,
             rows = _zinverse(cols) if rational else mat_inverse([*map(list, zip(*cols))], bctx)
             es = [0] * b.dim
         else:
-            ks, cols, rows = (_zunit_lattice(*rest, p, *Fraction(b.rho).as_integer_ratio(), True)
+            ks, cols, rows = (_zunit_lattice(*rest, p, *Fraction(b.rho).as_integer_ratio())
                               if rational else invariant_unit_lattice(rest, p, b.rho, precision))
             if not rational:
                 cols = [list(c) for c in zip(*cols)]
@@ -650,6 +650,8 @@ def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
     first basis vector v0 of the centre block, with norm_exp(m^n v0) for
     n = 0..horizon.  Over Q the orbit runs on integers, as D^n E m^n v0;
     p-adic data keeps the ring arithmetic."""
+    if horizon < 0:  # dynamics._check_horizon's message; spectral loads no dynamics
+        raise PreconditionViolated(f"horizon must be >= 0, got {horizon}")
     a = Fraction(a)
     analysis = _analysis(m, p, precision)
     centre = next(

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -442,9 +443,25 @@ def _problem(d):
         optional=_OPTIONAL)
 
 
-@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+FUZZ_BUDGET_S = 10  # wall clock per example; the slowest drawn documents take under 1 s
+
+
+@settings(max_examples=150, print_blob=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cmd=st.sampled_from(sorted(cli.COMMANDS)), doc=st.integers(1, 3).flatmap(_problem))
 def test_schema_fuzz_exit_codes(tmp_path, capsys, cmd, doc):
-    code, out, err = run(capsys, [cmd, "--input", write(tmp_path, doc)])
+    """Every drawn document exits 0, 2, 3 or 4 with no traceback, within
+    FUZZ_BUDGET_S: a slow document fails with its command and JSON instead
+    of timing the job out."""
+    def overrun(signum, frame):
+        pytest.fail(f"{cmd} ran past {FUZZ_BUDGET_S} s on {json.dumps(doc)}")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_BUDGET_S)
+    try:
+        code, out, err = run(capsys, [cmd, "--input", write(tmp_path, doc)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err

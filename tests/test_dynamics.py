@@ -2,6 +2,7 @@
 orbits, stable-set membership."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import ceil, inf as INF
@@ -89,6 +90,17 @@ def test_jacobian_oracle():
 def test_jacobian_at_point():
     f = pmap([{(2,): F(1)}], 2)
     assert jacobian(f, [F(3)]) == [[F(6)]]
+
+
+def test_jacobian_refuses_a_point_of_the_wrong_length():
+    """A point with fewer or more coordinates than the map has variables is
+    refused, as orbit and stable_membership refuse it, not indexed past its
+    end or cut short."""
+    f = pmap([{(1, 0): F(2)}, {(0, 1): F(1, 2), (2, 0): F(1), (0, 2): F(3)}], 2)
+    assert jacobian(f, [1, 1]) == [[F(2), F(0)], [F(2), F(13, 2)]]
+    for pt in ([1], [1, 1, 1]):
+        with pytest.raises(PreconditionViolated, match="coordinates"):
+            jacobian(f, pt)
 
 
 # -- Lipschitz data of the remainder ----------------------------------------
@@ -590,6 +602,53 @@ def test_call_matches_fraction_reference():
             assert all(type(c) is F for c in got)
     g = pmap([{}, {(1, 0): F(3, 4)}], 3)
     assert g([2, F(1, 3)]) == [F(0), F(3, 2)]
+
+
+def test_call_matches_fraction_reference_to_degree_nine():
+    """F(x) over Q, _meval on the integer context over the map's tables
+    homogenized once, equals the plain Fraction sum: degrees up to 9,
+    constant terms, coefficients and coordinates with denominators
+    divisible by p, zero coordinates and components with no terms."""
+    rng = random.Random(33)
+
+    def rational(p):
+        return F(rng.randint(-30, 30), rng.choice((1, 7, p, p ** 2, 3 * p ** 3)))
+
+    for p in (2, 3, 5):
+        for _ in range(12):
+            d, deg = rng.randint(1, 3), rng.randint(1, 9)
+            tables = []
+            for _ in range(d):
+                t = {}
+                for _ in range(rng.randint(0, 5)):
+                    m = [0] * d
+                    for _ in range(rng.randint(0, deg)):
+                        m[rng.randrange(d)] += 1
+                    t[tuple(m)] = rational(p)
+                tables.append(t)
+            f = pmap(tables, p)
+            for _ in range(4):
+                x = [rng.choice((0, F(0), rational(p))) for _ in range(d)]
+                got = f(x)
+                assert got == reference_call(f, x), (f, x)
+                assert all(type(c) is F for c in got)
+
+
+def test_from_tables_refuses_a_bad_multi_index():
+    """A multi-index of the wrong length, or holding an exponent that is
+    not a non-negative int, is refused as the CLI refuses it, not read as a
+    monomial in the first variables."""
+    for tables in ([{(1,): 2}, {(0, 1): F(1, 2), (2, 0): 1}],
+                   [{(1, 0, 0): 2}, {(0, 1): 1}],
+                   [{(1, -1): 2}, {(0, 1): 1}],
+                   [{(1, True): 2}, {(0, 1): 1}],
+                   [{(1, 1.0): 2}, {(0, 1): 1}]):
+        bad = next(m for t in tables for m in t if len(m) != 2 or not all(
+            type(e) is int and e >= 0 for e in m))
+        with pytest.raises(PreconditionViolated, match=re.escape(f"bad multi-index {bad!r}")):
+            PolyMap.from_tables(tables, 2)
+    with pytest.raises(PreconditionViolated, match="bad multi-index"):
+        PolyMap.from_tables([{(1, 0): 2}], 2, 1)
 
 
 def test_remainder_bound_matches_fraction_reference():

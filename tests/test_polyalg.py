@@ -276,12 +276,22 @@ def test_integer_kernels_match_fraction_references():
     assert {1, 2} <= singular
 
 
+def _lattice_fractions(lattice):
+    """_zunit_lattice's (k, W's column pairs, W^-1's row pairs) as
+    invariant_unit_lattice's (k, W, W^-1) over Fractions."""
+    ks, cols, rows = lattice
+    return (ks, [[F(u[i], den) for den, u in cols] for i in range(len(cols))],
+            [[F(x, den) for x in row] for den, row in rows])
+
+
 def test_integer_restrictions_and_inverses_match_fraction_references():
     """Over Q each block restriction, from the block's integer kernel
     vectors with denominators not in lowest terms, is (den, A) with
     A / den the Fraction reference restriction and den the lcm of its
-    denominators; each lattice's W^-1 and each nilpotent block's t equal
-    the Fraction inverses of the W and the chains they come with."""
+    denominators; each integer lattice, read as Fractions, is the ring
+    builder's (k, W, W^-1) on A / den, and its W^-1 and each nilpotent
+    block's t equal the Fraction inverses of the W and the chains they come
+    with."""
     rng = random.Random(23)
     seen = set()
     for p in (2, 3, 5):
@@ -294,7 +304,10 @@ def test_integer_restrictions_and_inverses_match_fraction_references():
                 assert rest == _zmat(reference_restrict(m, basis)), (m, b.rho)
                 seen.add(b.dim)
                 if b.rho != INF:
-                    _, w, winv = _zunit_lattice(*rest, p, *F(b.rho).as_integer_ratio())
+                    ks, w, winv = _lattice_fractions(
+                        _zunit_lattice(*rest, p, *F(b.rho).as_integer_ratio()))
+                    r = [[F(x, rest[0]) for x in row] for row in rest[1]]
+                    assert (ks, w, winv) == invariant_unit_lattice(r, p, b.rho), (m, b.rho)
                     assert winv == _fraction_inverse(w), (m, b.rho)
             for nb in spectral.adapted_norm(m, p, data=data).blocks:
                 if nb.rho == INF:
@@ -711,3 +724,54 @@ def test_invariant_lattice_property():
         # B maps lattice basis vectors into the lattice (integral coords)
         for row in mat_mul(linv, mat_mul(b, lat)):
             assert all(ring.val(x) >= 0 for x in row), (r, rho)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PreconditionViolated as exc:
+        return str(exc)
+
+
+def test_integer_lattice_matches_ring_lattice():
+    """Over seeded rational blocks, d <= 6, the integer builder
+    (_zunit_lattice, which adapted_norm runs over Q) and the ring builder
+    (invariant_unit_lattice on the same Fractions) give the same k, W and
+    W^-1, or refuse with the same message.  The blocks are S B S^-1 for
+    unimodular S and one or two blocks B of integral or fractional slope
+    rho, passed at rho (built) or past it (refused: B maps the Krylov
+    lattice outside itself), beside generic matrices with denominators p.
+    "Krylov span not full rank" cannot arise over Q, as the Krylov vectors
+    include every e_i; both builders meet it on no input here."""
+    rng = random.Random(33)
+    seen = set()
+    for p in (2, 3, 5):
+        for _ in range(40):
+            if rng.random() < 0.25:
+                d = rng.randint(1, 6)
+                r = [[F(rng.randint(-9, 9), rng.choice((1, 1, p))) for _ in range(d)]
+                     for _ in range(d)]
+                rho = F(rng.randint(-1, 2), rng.choice((1, 2, 3)))
+            else:
+                j, k = rng.randint(-1, 4), rng.randint(1, 3)
+                rho = F(j, k)  # integral when k = 1 (or k divides j)
+                blocks = [int_block(p, j, rng.randint(1, 3)) if k == 1 else frac_block(p, j, k)
+                          for _ in range(rng.randint(1, 2))]
+                d = sum(map(len, blocks))
+                b = [[F(0)] * d for _ in range(d)]
+                off = 0
+                for blk in blocks:
+                    for i, row in enumerate(blk):
+                        b[off + i][off:off + len(row)] = row
+                    off += len(blk)
+                s = unimodular(rng, d)
+                r = mat_mul(mat_mul(s, b), mat_inverse(s, RationalContext(p)))
+                if rng.random() < 0.3:
+                    rho += F(1, rho.denominator)
+            ring = _outcome(lambda: invariant_unit_lattice(r, p, rho))
+            integer = _outcome(lambda: _lattice_fractions(
+                _zunit_lattice(*_zmat(r), p, *rho.as_integer_ratio())))
+            assert integer == ring, (p, r, rho)
+            seen.add(ring if isinstance(ring, str) else ("built", rho.denominator == 1))
+    assert seen == {("built", True), ("built", False),
+                    "B maps the Krylov lattice outside itself"}, seen

@@ -330,8 +330,8 @@ def test_norms_use_no_extension_arithmetic(monkeypatch):
         lattices.append((rho, out))
         return out
 
-    def zspy(dr, a, p, n, e, pairs=False):  # adapted_norm's rational blocks, as (D, u) pairs
-        out = zlattice(dr, a, p, n, e, pairs)
+    def zspy(dr, a, p, n, e):  # adapted_norm's rational blocks, as (D, u) pairs
+        out = zlattice(dr, a, p, n, e)
         lattices.append((F(n, e), out))
         return out
 
@@ -973,8 +973,9 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     linearization radius, membership below and above the spectrum and in a
     gap (by the dominance ball and by graph reduction), and a graph series
     with its residual hand the series kernel nothing but ints (it runs on
-    the integer context): not _mmul, not _meval, and not the sums, with
-    their scales, that _msubst and conjugate make with _madd.  They read
+    the integer context): _mmul, _meval (the evaluation at a rational
+    point) and the sums, with their scales, that _msubst and conjugate make
+    with _madd all see ints and nothing else.  They read
     neither of the Fraction rows and columns _pi_rows and _pi_cols of a
     norm.  So a silent fallback to Fraction products fails.  One PadicNumber
     coefficient keeps the ring path, and the spies see PadicNumbers reach
@@ -1018,7 +1019,7 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     for f in (GAP_MAP, SERIES_GRAPH_MAP):
         gs = manifolds.graph_series(f, F(1), manifolds.STABLE, order=6)
         assert not any(manifolds.residual(f, gs))
-    assert set(calls) == {("_mmul", int), ("_madd", int)}, calls
+    assert set(calls) == {("_mmul", int), ("_madd", int), ("_meval", int)}, calls
     calls.clear()
     tables = CONTRACTING.tables()
     tables[0][0, 2] = PadicNumber.from_rational(1, 2, 20)

@@ -549,6 +549,16 @@ def test_witness_unipotent():
     assert w.constant is True
 
 
+def test_witness_refuses_a_negative_horizon():
+    """A negative horizon is refused with dynamics' message, not answered
+    with no exponents and a constancy claim; horizon 0 reads one."""
+    m = _mat([[1, 0], [0, 2]])
+    with pytest.raises(PreconditionViolated, match=r"^horizon must be >= 0, got -1$"):
+        nonhyperbolicity_witness(m, 2, F(1), horizon=-1)
+    w = nonhyperbolicity_witness(m, 2, F(1), horizon=0)
+    assert w.exponents == (F(0),) and w.constant
+
+
 def test_witness_requires_nonhyperbolic():
     with pytest.raises(PreconditionViolated):
         nonhyperbolicity_witness(BENCH, 2, F(1))
