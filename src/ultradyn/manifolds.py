@@ -283,8 +283,14 @@ def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
 # --------------------------------------------------------------------------
 
 
+def _check_length(x, n, space):
+    if len(x) != n:
+        raise PreconditionViolated(f"point has {len(x)} coordinates, the {space} {n}")
+
+
 def split_point(gs: GraphSeries, x):
     """(base coords, complement coords) of an ambient point."""
+    _check_length(x, len(gs.winv), "ambient space")
     ctx = infer_context([list(r) for r in gs.winv] + [list(x)], gs.prime)
     y = mat_vec(cmat(gs.winv, ctx), cvec(x, ctx))
     db = len(gs.base_basis)
@@ -293,6 +299,7 @@ def split_point(gs: GraphSeries, x):
 
 def evaluate_graph(gs: GraphSeries, xi):
     """h(xi) in complement coordinates (over Q on integers, _zeval)."""
+    _check_length(xi, len(gs.base_basis), "graph's base")
     ctx = gs._ctx()
     if isinstance(ctx, RationalContext) and isinstance(infer_context(list(xi), gs.prime),
                                                        RationalContext):

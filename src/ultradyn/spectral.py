@@ -566,8 +566,10 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
 class LinearAnalysis(_Record):
     """Spectral analysis of one matrix m over Q_p.  Each part is computed on
     first use and kept, so whoever holds the analysis pays once for the
-    charpoly, the blocks and each adapted norm; the spectrum needs only the
-    charpoly.  The free functions share an interned one per matrix (_analysis)."""
+    charpoly, the blocks, the splitting at each a, each adapted norm and the
+    non-hyperbolicity witness at each (a, horizon); the spectrum needs only
+    the charpoly.  The free functions share an interned one per matrix
+    (_analysis)."""
 
     m: tuple
     p: int
@@ -613,6 +615,37 @@ class LinearAnalysis(_Record):
         """The adapted norm of m for eps, built once per eps."""
         return adapted_norm(self.m, self.p, eps, self.precision, data=self.data)
 
+    @_kept()
+    def _witness(self, a, horizon):
+        """nonhyperbolicity_witness of m at a, built once per (a, horizon).
+        Over Q the orbit runs on integers, as D^n E m^n v0; p-adic data
+        keeps the ring arithmetic."""
+        m, p = self.m, self.p
+        centre = next(
+            (b for b in self.data.blocks if compare_threshold(a, b.rho, p) == 0), None
+        )
+        if centre is None:
+            raise PreconditionViolated(f"map is hyperbolic at {a}: no witness")
+        v0 = list(centre.basis[0])
+        norm = self.norm()
+        ctx = infer_context([m, v0], p, self.precision)
+        if isinstance(ctx, RationalContext):
+            # the orbit V_n = D^n E m^n v0 over Z, for D and E the lcms of the
+            # denominators of m and v0: norm_exp is linear in its argument, so
+            # norm_exp(m^n v0) = norm_exp(V_n) - n v(D) - v(E)
+            dm, mm = _zmat(m)
+            den, v = _zscale(v0)
+            vd, ve = _ival(dm, p), _ival(den, p)
+        else:
+            mm, v, vd, ve = cmat(m, ctx), cvec(v0, ctx), 0, 0
+        exps = []
+        for n in range(horizon + 1):
+            exps.append(norm.norm_exp(v) - (n * vd + ve))
+            v = mat_vec(mm, v)
+        rho = Fraction(centre.rho)
+        constant = all(e == exps[0] + n * rho for n, e in enumerate(exps))
+        return Witness(tuple(v0), a, rho, tuple(exps), constant)
+
 
 @lru_cache(maxsize=16)
 def _interned(key, d, p, precision):
@@ -648,33 +681,9 @@ def nonhyperbolicity_witness(m, p: int, a, horizon: int = 20,
                              precision: int = DEFAULT_PRECISION):
     """Witness vector showing a is in the spectrum of absolute values: the
     first basis vector v0 of the centre block, with norm_exp(m^n v0) for
-    n = 0..horizon.  Over Q the orbit runs on integers, as D^n E m^n v0;
-    p-adic data keeps the ring arithmetic."""
+    n = 0..horizon.  The witness at each (a, horizon) is a kept part of m's
+    interned analysis, so a repeated query returns the same record."""
     if horizon < 0:  # dynamics._check_horizon's message; spectral loads no dynamics
         raise PreconditionViolated(f"horizon must be >= 0, got {horizon}")
     a = Fraction(a)
-    analysis = _analysis(m, p, precision)
-    centre = next(
-        (b for b in analysis.data.blocks if compare_threshold(a, b.rho, p) == 0), None
-    )
-    if centre is None:
-        raise PreconditionViolated(f"map is hyperbolic at {a}: no witness")
-    v0 = list(centre.basis[0])
-    norm = analysis.norm()
-    ctx = infer_context([m, v0], p, precision)
-    if isinstance(ctx, RationalContext):
-        # the orbit V_n = D^n E m^n v0 over Z, for D and E the lcms of the
-        # denominators of m and v0: norm_exp is linear in its argument, so
-        # norm_exp(m^n v0) = norm_exp(V_n) - n v(D) - v(E)
-        dm, mm = _zmat(m)
-        den, v = _zscale(v0)
-        vd, ve = _ival(dm, p), _ival(den, p)
-    else:
-        mm, v, vd, ve = cmat(m, ctx), cvec(v0, ctx), 0, 0
-    exps = []
-    for n in range(horizon + 1):
-        exps.append(norm.norm_exp(v) - (n * vd + ve))
-        v = mat_vec(mm, v)
-    rho = Fraction(centre.rho)
-    constant = all(e == exps[0] + n * rho for n, e in enumerate(exps))
-    return Witness(tuple(v0), a, rho, tuple(exps), constant)
+    return _analysis(m, p, precision)._witness(a, horizon)

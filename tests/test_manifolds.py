@@ -81,6 +81,24 @@ def test_graph_evaluation_consistency():
     assert list(base) == [F(4)]
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda gs: evaluate_graph(gs, [F(1), F(5)]),
+     r"^point has 2 coordinates, the graph's base 1$"),
+    (lambda gs: split_point(gs, [F(1), F(2), F(3)]),
+     r"^point has 3 coordinates, the ambient space 2$"),
+    (lambda gs: split_point(gs, [F(1)]),
+     r"^point has 1 coordinates, the ambient space 2$"),
+])
+def test_graph_points_of_the_wrong_length_are_refused(call, message):
+    """A point is neither cut to the graph's dimension nor padded with 0;
+    of the right length it keeps its answer."""
+    gs = graph_series(bench(), F(1), STABLE, order=6)
+    with pytest.raises(PreconditionViolated, match=message):
+        call(gs)
+    assert evaluate_graph(gs, [F(1)]) == [F(2, 7)]
+    assert split_point(gs, [F(1), F(2)]) == ([F(1)], [F(2)])
+
+
 def test_graph_requires_hyperbolicity():
     with pytest.raises(PreconditionViolated):
         graph_series(bench(), F(1, 2), STABLE, order=4)

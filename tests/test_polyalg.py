@@ -242,8 +242,9 @@ def test_integer_kernels_match_fraction_references():
     deficiency, and on 0 x 0, 1 x 1 and zero matrices.  The column-scaled
     inverse of the analysis, W^-1 = diag(D_j) U^-1 read off _zkernel, equals
     the Fraction inverse of W for (D_j, u_j) columns whose D_j are not in
-    lowest terms (_zinverse, and mat_inverse over Q through it); a singular
-    square matrix raises."""
+    lowest terms (_zinverse), and so does mat_inverse over Q, which is
+    solve(m, I) by row_reduce's integer elimination; a singular square
+    matrix raises."""
     rng = random.Random(22)
     cases = [[], [[F(0)]], [[F(-3, 4)]], [[F(0), F(0)], [F(0), F(0)]],
              [[F(-2), F(4), F(1, 3)], [F(1), F(-2), F(5)]]] + list(_seeded_matrices(rng, 150))

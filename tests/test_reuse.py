@@ -16,7 +16,9 @@ and one
 MapAnalysis per map, interned by content and bounded, that conjugates F once
 per norm, builds each stable graph once per gap of the spectrum, and each
 orbit once per point and horizon and only when a verdict reads it, and
-whose warm answers equal cold ones; norms and
+whose warm answers equal cold ones; each
+non-hyperbolicity witness kept per (a, horizon) in the interned analysis,
+so that an equal query returns the same record and steps no orbit; norms and
 maps hash once, by content; and over Q a map's certification, like the
 norm build, takes no ring product."""
 
@@ -556,6 +558,57 @@ def test_norm_then_witness_analyses_its_matrix_once(spectral_calls):
 # integral entries, ram 2 and a nilpotent block
 INTEGRAL = conjugated(random.Random(3), [frac_block(3, 1, 2), int_block(3, 0, 1),
                                          nilp_block(2)])
+
+
+def test_a_repeated_witness_is_the_kept_record(monkeypatch):
+    """The witness at (a, horizon) is a kept part of the interned analysis:
+    an equal second query returns the same record and steps no orbit."""
+    first = spectral.nonhyperbolicity_witness(DIAG, 2, F(1))
+    steps = count_calls(monkeypatch, spectral, "mat_vec")
+    reads = []
+    orig = spectral.AdaptedNorm.norm_exp
+    monkeypatch.setattr(spectral.AdaptedNorm, "norm_exp",
+                        lambda self, x: reads.append(x) or orig(self, x))
+    assert spectral.nonhyperbolicity_witness(DIAG, 2, F(1)) is first
+    assert spectral.nonhyperbolicity_witness(DIAG, 2, 1, 20, DEFAULT_PRECISION) is first
+    assert not steps and not reads
+
+
+def test_each_a_horizon_and_precision_gets_its_own_witness():
+    kept = {(a, horizon, precision): spectral.nonhyperbolicity_witness(DIAG, 2, a, horizon,
+                                                                       precision)
+            for a in (F(2), F(1), F(1, 2)) for horizon in (0, 20)
+            for precision in (DEFAULT_PRECISION, 128)}
+    assert len({id(w) for w in kept.values()}) == len(kept)
+    for (a, horizon, precision), w in kept.items():
+        assert w.a == a and len(w.exponents) == horizon + 1 and w.constant
+        assert F(2) ** -w.rho == a
+        assert spectral.nonhyperbolicity_witness(DIAG, 2, a, horizon, precision) is w
+
+
+@pytest.mark.parametrize("m,p,a,precision", [
+    (DIAG, 2, F(1, 2), DEFAULT_PRECISION),
+    ([[int(x) for x in r] for r in INTEGRAL], 3, F(1), DEFAULT_PRECISION),
+    ([[F(0), F(1)], [F(-5), F(-1)]], 5, F(1), 3),  # a p-adic centre basis
+    ([[PadicNumber.from_rational(x, 3, DEFAULT_PRECISION) for x in r]
+      for r in ((1, 1), (0, 1))], 3, F(1), DEFAULT_PRECISION),  # a unipotent over Q_3
+])
+def test_interned_witness_matches_a_direct_analysis(m, p, a, precision):
+    """The kept record reads as the witness of a LinearAnalysis built
+    directly from the caller's entries, over Q and with PadicNumbers."""
+    w = spectral.nonhyperbolicity_witness(m, p, a, precision=precision)
+    assert repr(w) == repr(spectral.LinearAnalysis(m, p, precision)._witness(a, 20))
+
+
+def test_a_negative_horizon_is_refused_before_any_analysis(monkeypatch):
+    asked, interned = [], spectral._analysis
+    monkeypatch.setattr(spectral, "_analysis",
+                        lambda *args: asked.append(args) or interned(*args))
+    with pytest.raises(PreconditionViolated, match=r"^horizon must be >= 0, got -1$"):
+        spectral.nonhyperbolicity_witness(DIAG, 2, F(1), horizon=-1)
+    assert asked == []
+    assert spectral.nonhyperbolicity_witness(DIAG, 2, F(1), horizon=0).exponents == (F(0),)
+    assert len(asked) == 1
 
 
 def interned_outputs(m, p):
