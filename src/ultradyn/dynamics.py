@@ -32,7 +32,7 @@ from .field import (
     DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _INTEGERS, _Record,
     compare_threshold)
 from .polyalg import (
-    _hash_once, _kept, _zscale, cmat, coerce, cvec, infer_context, mat_inverse, mat_vec)
+    _hash_once, _kept, _zscale, cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec)
 
 # --------------------------------------------------------------------------
 # monomial-table polynomials: one kernel, in the ring over Q_p, on ints over Q
@@ -148,10 +148,14 @@ def _zeval(ztables, x):
     return [Fraction(_meval(t, zx, _INTEGERS), e * d ** top) for e, t, top in ztables]
 
 
-def _check_point(f, x):
-    if len(x) != f.nvars:
-        raise PreconditionViolated(
-            f"point has {len(x)} coordinates, the map {f.nvars} variables")
+def _check_length(x, n, space="map {} variables"):
+    if len(x) != n:
+        raise PreconditionViolated(f"point has {len(x)} coordinates, the {space.format(n)}")
+
+
+def _check_self_map(f):
+    if f.dim != f.nvars:
+        raise PreconditionViolated(f"map K^{f.nvars} -> K^{f.dim} is not a self-map")
 
 
 def _check_horizon(n):
@@ -176,9 +180,11 @@ class PolyMap(_Record):
         nvars = nvars if nvars is not None else len(tables)
         comps = []
         for t in tables:
-            for m in t:
+            for m, c in t.items():
                 if len(m) != nvars or not all(type(e) is int and e >= 0 for e in m):
                     raise PreconditionViolated(f"bad multi-index {m!r}")
+                if not isinstance(c, (int, Fraction, PadicNumber)):
+                    raise PreconditionViolated(f"bad coefficient {c!r}")
             items = []
             for m, c in sorted(t.items()):
                 if isinstance(c, int):
@@ -202,9 +208,8 @@ class PolyMap(_Record):
     def is_linear(self) -> bool:
         return all(sum(m) <= 1 for comp in self.components for m, _ in comp)
 
-    def coeff_context(self, precision: int = DEFAULT_PRECISION):
-        return infer_context([[c for _, c in comp] for comp in self.components],
-                             self.prime, precision)
+    def coeff_context(self):
+        return infer_context([[c for _, c in comp] for comp in self.components], self.prime)
 
     @cached_property
     def _ztables(self):
@@ -215,7 +220,7 @@ class PolyMap(_Record):
         return None
 
     def __call__(self, x):
-        _check_point(self, x)
+        _check_length(x, self.nvars)
         if self._ztables is not None and not any(isinstance(c, PadicNumber) for c in x):
             return _zeval(self._ztables, x)
         ctx = infer_context(
@@ -249,17 +254,10 @@ def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
             raise NotAFixedPoint(f"F([{x}]) = [{y}] != [{x}]")
     if not any(pt):
         return f
-    n = f.nvars
-    shift_polys = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        shift_polys.append({e: ctx.one, tuple([0] * n): coerce(pt[i], ctx)})
-    tables = []
-    for i, comp in enumerate(f.components):
-        t = _msubst({m: coerce(c, ctx) for m, c in comp}, shift_polys, n, ctx)
-        zero_m = tuple([0] * n)
-        t = _madd(t, {zero_m: -coerce(pt[i], ctx)}, ctx)
-        tables.append(t)
+    n, zero = f.nvars, tuple([0] * f.nvars)  # kinv: the tables of kappa^-1, x_i + pt_i
+    kinv = [{**t, zero: coerce(c, ctx)} for t, c in zip(_linear_tables(identity(n, ctx), ctx), pt)]
+    tables = [_madd(_msubst({m: coerce(c, ctx) for m, c in comp}, kinv, n, ctx),
+                    {zero: -coerce(pt[i], ctx)}, ctx) for i, comp in enumerate(f.components)]
     return PolyMap.from_tables(tables, f.prime, n)
 
 
@@ -269,7 +267,7 @@ def jacobian(f: PolyMap, pt=None):
     ctx = f.coeff_context()
     if pt is None:
         pt = [Fraction(0)] * n
-    _check_point(f, pt)
+    _check_length(pt, n)
     pt = cvec(pt, ctx)
     rows = []
     for comp in f.components:
@@ -406,7 +404,8 @@ def standard_norm_exp(x, p: int):
 
 def orbit(f: PolyMap, x, n: int):
     """[(point, sup-norm exponent)] for x, F(x), ..., F^n(x), exact."""
-    _check_point(f, x)
+    _check_self_map(f)
+    _check_length(x, f.nvars)
     _check_horizon(n)
     return _orbit(f, x, n, INF)
 
@@ -546,7 +545,7 @@ class MapAnalysis(_Record):
         graph_series zeroes the residual through the order, and its degree
         order + 1 terms are exact from a composition truncated there (see
         manifolds._on_graph); only a graph they pass is composed in full."""
-        gap = tuple(compare_threshold(a, v, self.f.prime) for v, _ in self.linear.spectrum)
+        gap = self.linear.sides(a)
         kept = self.__dict__.setdefault("_stable_graph", {})
         if gap not in kept:
             kept[gap] = self._graph_reduction(a)
@@ -601,6 +600,7 @@ def classify_fixed_point(f: PolyMap, pt=None,
     all <= 1 -> NonExpanding; otherwise (or singular) HasExpansion.  Attaches
     the matching ball certificate when one exists."""
     p = f.prime
+    _check_self_map(f)
     if pt is None:
         pt = [Fraction(0)] * f.nvars
     pt = [Fraction(x) for x in pt]
@@ -656,20 +656,19 @@ def _is_exact_zero_vec(x, p, precision):
     return all(ctx.zeroness(coerce(c, ctx)) == ZERO for c in x)
 
 
-def _component_exps(norm, a, z):
+def _component_exps(norm, sides, z):
     """(stable_exp, centre_exp, unstable_exp) of z: norm exponents of the
-    components of z in the spectral blocks grouped by |.| vs a."""
+    components of z in the spectral blocks grouped by their sides of a."""
     exps = norm._coord_exps(z)
     out = {1: INF, 0: INF, -1: INF}
     off = 0
-    for b in norm.blocks:
-        side = compare_threshold(a, b.rho, norm.prime)
+    for side, b in zip(sides, norm.blocks, strict=True):
         out[side] = min([out[side]] + exps[off:off + len(b.t)])
         off += len(b.t)
     return out[1], out[0], out[-1]
 
 
-def _dominant_unstable(an, norm, a, ru, n, z):
+def _dominant_unstable(an, norm, sides, ru, n, z):
     """The dominant-unstable certificate that x is a non-member, read at
     z = F^n(x): z's E_(a,u) component strictly dominates and z lies inside
     the dominance ball, in which the remainder's Lipschitz bound is beaten
@@ -677,7 +676,7 @@ def _dominant_unstable(an, norm, a, ru, n, z):
     valuation), so unstable dominance propagates exactly and the unstable
     norm grows by > a each step.  Its justification, else None.  The
     components come first: they need no remainder bound."""
-    es, ec, eu = _component_exps(norm, a, z)
+    es, ec, eu = _component_exps(norm, sides, z)
     if eu < min(es, ec):  # so ||z|| = p^-eu
         k = an.dominance(norm, ru)
         if eu >= k:
@@ -766,7 +765,8 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
-    _check_point(f, x)
+    _check_self_map(f)
+    _check_length(x, f.nvars)
     _check_horizon(horizon)
     if _is_exact_zero_vec(x, p, precision):
         return MembershipVerdict(CERTIFIED_MEMBER, (INF,),
@@ -776,18 +776,17 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
 
     an = _map_analysis(f, precision)
     analysis = an.linear
-    spec = analysis.spectrum
-    below = all(compare_threshold(a, v, p) == 1 for v, _ in spec)
-    above = all(compare_threshold(a, v, p) == -1 for v, _ in spec)
-    gap = not (below or above) and analysis.is_hyperbolic(a)
+    sides = analysis.sides(a)
+    below, above = all(s == 1 for s in sides), all(s == -1 for s in sides)
+    gap = not (below or above) and 0 not in sides
     at_x = None
     if gap:
         norm = analysis.norm()
-        ru = max(v for v, _ in spec if compare_threshold(a, v, p) == -1)
+        ru = max(v for (v, _), s in zip(analysis.spectrum, sides, strict=True) if s == -1)
         # cheapest first: x's own position, then the graph; a point on an
         # exactly invariant stable graph has no strictly dominant unstable
         # part inside the dominance ball, so the two exclude each other
-        at_x = _dominant_unstable(an, norm, a, ru, 0, x)
+        at_x = _dominant_unstable(an, norm, sides, ru, 0, x)
         # a graph reduction answers with the base map's trace: x's orbit only after
         red = None if at_x else _try_graph_reduction(an, a, x, horizon)
         if red is not None:
@@ -853,7 +852,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                 return MembershipVerdict(
                     CERTIFIED_MEMBER, trace,
                     (f"F^{n}(x) = 0 exactly",))
-            just = at_x if n == 0 else _dominant_unstable(an, norm, a, ru, n, z)
+            just = at_x if n == 0 else _dominant_unstable(an, norm, sides, ru, n, z)
             if just is not None:
                 return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
 

@@ -25,6 +25,8 @@ from .polyalg import (
 from . import spectral
 from .dynamics import (
     PolyMap,
+    _check_length,
+    _check_self_map,
     _linear_tables,
     _madd,
     _meval,
@@ -59,12 +61,8 @@ class GraphSeries(_Record):
 
     def tables(self):
         """One monomial table per complement coordinate."""
-        dc = len(self.complement_basis)
-        out = [{} for _ in range(dc)]
-        for m, vec in self.coefficients:
-            for i, c in enumerate(vec):
-                out[i][m] = c
-        return out
+        return [{m: vec[i] for m, vec in self.coefficients}
+                for i in range(len(self.complement_basis))]
 
 
 # --------------------------------------------------------------------------
@@ -79,6 +77,7 @@ def formal_inverse(f: PolyMap, order: int = 6) -> PolyMap:
     below degree 2, so step k, which composes only R with G truncated at
     degree k, leaves G exact through degree k.  A formal inverse is
     two-sided, so F(G(x)) = x as well."""
+    _check_self_map(f)
     n = f.nvars
     a = linear_part(f)
     ctx = infer_context([a] + [[c for _, c in comp] for comp in f.components], f.prime)
@@ -158,7 +157,7 @@ def _solve_degree(ab, acc_mat, known, db, dc, k, ctx):
 
 def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
     """F in splitting coordinates with the mode's base block first.
-    Returns (tables, db, dc, ctx, w, winv)."""
+    Returns (tables, db, dc, ctx, w, winv, lin), lin its linear part."""
     base, comp = _mode_split(s, mode)
     db, dc = len(base), len(comp)
     if db == 0:
@@ -169,15 +168,13 @@ def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
         [vecs] + [[c for _, c in cmp_] for cmp_ in f.components], f.prime, precision)
     w, winv = spectral._basis_change(vecs, s.winv, base + comp, ctx)
     tables = conjugate(f, winv, w, ctx)
+    lin = [[t.get(tuple(int(q == j) for q in range(d)), ctx.zero) for j in range(d)]
+           for t in tables]
     # off-diagonal linear blocks must vanish (aggregates are invariant)
-    for i in range(d):
-        for m, c in tables[i].items():
-            if sum(m) == 1:
-                j = m.index(1)
-                if (i < db) != (j < db) and ctx.zeroness(c) != ZERO:
-                    raise PreconditionViolated(
-                        "splitting blocks are not invariant at working precision")
-    return tables, db, dc, ctx, w, winv
+    if any(ctx.zeroness(lin[i][j]) != ZERO
+           for i in range(d) for j in range(d) if (i < db) != (j < db)):
+        raise PreconditionViolated("splitting blocks are not invariant at working precision")
+    return tables, db, dc, ctx, w, winv, lin
 
 
 def graph_series(f: PolyMap, a, mode: str, order: int = 6,
@@ -187,6 +184,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
+    _check_self_map(f)
     lin = linear_part(f)
     analysis = spectral._analysis(lin, p, precision)
     if mode in (STABLE, UNSTABLE) and not analysis.is_hyperbolic(a):
@@ -200,12 +198,8 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     if mode == UNSTABLE:
         solve_map = formal_inverse(f, order)
     s = analysis.splitting(a)
-    tables, db, dc, ctx, w, winv = _conjugated_split_map(solve_map, s, mode, precision)
-    ab = [[tables[i].get(tuple(1 if q == j else 0 for q in range(f.nvars)), ctx.zero)
-           for j in range(db)] for i in range(db)]
-    acc = [[tables[db + i].get(
-        tuple(1 if q == db + j else 0 for q in range(f.nvars)), ctx.zero)
-        for j in range(dc)] for i in range(dc)]
+    tables, db, dc, ctx, w, winv, lin = _conjugated_split_map(solve_map, s, mode, precision)
+    ab, acc = [r[:db] for r in lin[:db]], [r[db:] for r in lin[db:]]
     h = [{} for _ in range(dc)]  # tables over db variables
     for k in range(2, order + 1):
         fb_h, fc_h = _compose_with_graph(tables, h, db, dc, k, ctx)
@@ -216,11 +210,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
             known.append({m: c for m, c in diff.items() if sum(m) == k})
         hk = _solve_degree(ab, acc, known, db, dc, k, ctx)
         h = [_madd(h[i], hk[i], ctx) for i in range(dc)]
-    coeffs = []
-    seen = sorted({m for t in h for m in t})
-    for m in seen:
-        vec = tuple(t.get(m, ctx.zero) for t in h)
-        coeffs.append((m, vec))
+    coeffs = [(m, tuple(t.get(m, ctx.zero) for t in h)) for m in sorted({m for t in h for m in t})]
     vecs = [*s.stable, *s.centre, *s.unstable]
     return GraphSeries(
         p, a, mode, *(tuple(tuple(vecs[i]) for i in part) for part in _mode_split(s, mode)),
@@ -283,14 +273,9 @@ def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
 # --------------------------------------------------------------------------
 
 
-def _check_length(x, n, space):
-    if len(x) != n:
-        raise PreconditionViolated(f"point has {len(x)} coordinates, the {space} {n}")
-
-
 def split_point(gs: GraphSeries, x):
     """(base coords, complement coords) of an ambient point."""
-    _check_length(x, len(gs.winv), "ambient space")
+    _check_length(x, len(gs.winv), "ambient space {}")
     ctx = infer_context([list(r) for r in gs.winv] + [list(x)], gs.prime)
     y = mat_vec(cmat(gs.winv, ctx), cvec(x, ctx))
     db = len(gs.base_basis)
@@ -299,7 +284,7 @@ def split_point(gs: GraphSeries, x):
 
 def evaluate_graph(gs: GraphSeries, xi):
     """h(xi) in complement coordinates (over Q on integers, _zeval)."""
-    _check_length(xi, len(gs.base_basis), "graph's base")
+    _check_length(xi, len(gs.base_basis), "graph's base {}")
     ctx = gs._ctx()
     if isinstance(ctx, RationalContext) and isinstance(infer_context(list(xi), gs.prime),
                                                        RationalContext):

@@ -31,6 +31,7 @@ from .field import (
     PadicContext,
     PadicNumber,
     RationalContext,
+    _INTEGERS,
     _Record,
     _bval,
     _bzeroness,
@@ -147,56 +148,46 @@ def _pivot(col, start, ctx, message):
 def row_reduce(mat, ctx, rhs=None):
     """Reduced echelon form of mat, with the same row operations on rhs.
 
-    Returns (rows, pivot_cols, rhs_rows).  Over Q_p the pivot of each
-    column has least valuation, and RankUncertified is raised when
-    the rank depends on an entry that is indistinguishable from zero.  Over
-    Q the rows of [mat | rhs], scaled to integers, go through _zrow_reduce
-    and are divided by their pivots only at the end.  The reduced echelon
-    form does not depend on the pivot order, and neither do the pivot rows'
-    right-hand sides when the system is consistent.  Rows past the rank are
-    zero; only whether all their right-hand sides are zero is fixed, so
-    callers read them as zero or nonzero and nothing more.
+    Returns (rows, pivot_cols, rhs_rows).  In both rings [mat | rhs] is
+    reduced as one matrix, with pivots in mat's columns only, and split at
+    the end.  Over Q_p the pivot of each column has least valuation, and
+    RankUncertified is raised when the rank depends on an entry that is
+    indistinguishable from zero.  Over Q the rows, scaled to integers, go
+    through _zrow_reduce and are divided by their pivots only at the end.
+    The reduced echelon form does not depend on the pivot order, and neither
+    do the pivot rows' right-hand sides when the system is consistent.  Rows
+    past the rank are zero; only whether all their right-hand sides are zero
+    is fixed, so callers read them as zero or nonzero and nothing more.
     """
     n = len(mat)
     m = len(mat[0]) if n else 0
+    rows = [list(mat[i]) + (list(rhs[i]) if rhs is not None else []) for i in range(n)]
     if isinstance(ctx, RationalContext):
-        rows = [_zscale(list(mat[i]) + (list(rhs[i]) if rhs is not None else []))[1]
-                for i in range(n)]
+        rows = [_zscale(row)[1] for row in rows]
         pivots = _zrow_reduce(rows, m)
-        out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-        out += [[Fraction(x) for x in row] for row in rows[len(pivots):]]
-        return [r[:m] for r in out], pivots, None if rhs is None else [r[m:] for r in out]
-    rows = [list(r) for r in mat]
-    aug = [list(r) for r in rhs] if rhs is not None else None
-    pivots = []
-    r = 0
-    for c in range(m):
-        if r >= n:
-            break
-        best = _pivot([row[c] for row in rows], r, ctx,
-                      f"pivot in column {c} indistinguishable from zero")
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        if aug is not None:
-            aug[r], aug[best] = aug[best], aug[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        if aug is not None:
-            aug[r] = [x / piv for x in aug[r]]
-        for i in range(n):
-            if i == r:
+        rows = ([[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+                + [[Fraction(x) for x in row] for row in rows[len(pivots):]])
+    else:
+        pivots = []
+        for c in range(m):
+            r = len(pivots)
+            if r >= n:
+                break
+            best = _pivot([row[c] for row in rows], r, ctx,
+                          f"pivot in column {c} indistinguishable from zero")
+            if best is None:
                 continue
-            f = rows[i][c]
-            # skip exact zeros; an O-term still enters the bookkeeping
-            if ctx.zeroness(f) == ZERO and ctx.val(f) == INF:
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            if aug is not None:
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots, aug
+            rows[r], rows[best] = rows[best], rows[r]
+            piv = rows[r][c]
+            rows[r] = [x / piv for x in rows[r]]
+            for i in range(n):
+                f = rows[i][c]
+                # skip exact zeros; an O-term still enters the bookkeeping
+                if i == r or ctx.zeroness(f) == ZERO and ctx.val(f) == INF:
+                    continue
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            pivots.append(c)
+    return [r[:m] for r in rows], pivots, None if rhs is None else [r[m:] for r in rows]
 
 
 def _zscale(v):
@@ -334,22 +325,10 @@ class Polynomial(_Record):
         return len(self.coeffs) - 1
 
 
-def _padd(a, b, ctx):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ctx.zero
-        y = b[i] if i < len(b) else ctx.zero
-        out.append(x + y)
-    return out
-
-
-def _pneg(a):
-    return [-x for x in a]
-
-
 def _psub(a, b, ctx):
-    return _padd(a, _pneg(b), ctx)
+    """a - b, the shorter padded with ctx.zero."""
+    n = max(len(a), len(b))
+    return [x - y for x, y in zip(a + [ctx.zero] * (n - len(a)), b + [ctx.zero] * (n - len(b)))]
 
 
 def _pmul(a, b, ctx):
@@ -358,7 +337,7 @@ def _pmul(a, b, ctx):
     out = [ctx.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+            out[i + j] += x * y
     return out
 
 
@@ -379,10 +358,16 @@ def poly_eval_matrix(coeffs, m, ctx):
 # --------------------------------------------------------------------------
 
 
+def _check_square(mat):
+    if any(len(row) != len(mat) for row in mat):
+        raise PreconditionViolated(f"matrix is not square: row lengths {[*map(len, mat)]}")
+
+
 def charpoly(mat, p: int, precision: int | None = None) -> Polynomial:
     """det(tI - M): exact over Q by Berkowitz's division-free recurrence on
     integers (_zcharpoly); capped-precision over Q_p by reduction
     to Hessenberg form with valuation pivoting."""
+    _check_square(mat)
     ctx = infer_context(mat, p, precision)
     if isinstance(ctx, RationalContext):
         return Polynomial(_zcharpoly(mat), p)
@@ -404,9 +389,9 @@ def _zcharpoly(mat):
     for k in range(n):
         col, t = [a[i][k] for i in range(k)], [1, -a[k][k]]
         for _ in range(k):
-            t.append(-sum(x * y for x, y in zip(a[k], col)))
-            col = [sum(x * y for x, y in zip(a[i], col)) for i in range(k)]
-        cs = [sum(t[i - j] * cs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+            t.append(-_dot(a[k], col))
+            col = mat_vec(a[:k], col)
+        cs = _pmul(t, cs, _INTEGERS)[:k + 2]
     return tuple(Fraction(c, den**i) for i, c in enumerate(cs))[::-1]
 
 
@@ -440,8 +425,7 @@ def _charpoly_hessenberg(m, p: int, ctx) -> Polynomial:
             term = _pmul([h[mrow - 1 - k][mrow - 1] * beta], polys[mrow - 1 - k], ctx)
             pm = _psub(pm, term, ctx)
         polys.append(pm)
-    cs = polys[n] + [ctx.zero] * (n + 1 - len(polys[n]))
-    return Polynomial(tuple(cs[: n + 1]), p)
+    return Polynomial(tuple(polys[n]), p)
 
 
 # --------------------------------------------------------------------------
@@ -533,11 +517,7 @@ def _zdivmod(a, b, mod=None):
 
 def _zmulrem(a, b, h, mod):
     """a b rem h (h monic) over Z/mod."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _zdivmod(out, h, mod)[1]
+    return _zdivmod(_pmul(a, b, _INTEGERS), h, mod)[1]
 
 
 def _monic_scale(cs):
@@ -641,12 +621,8 @@ def slope_factorization(f: Polynomial, precision: int = DEFAULT_PRECISION) -> li
     k = 0
     while k < len(cs) and qctx.zeroness(cs[k]) == ZERO:
         k += 1
-    factors = []
-    if k:
-        tk = [Fraction(0)] * k + [Fraction(1)]
-        factors.append(
-            SlopeFactor(INF, k, Polynomial.from_rationals(tk, p), precision)
-        )
+    factors = ([SlopeFactor(INF, k, Polynomial.from_rationals([0] * k + [1], p), precision)]
+               if k else [])
     core = cs[k:]
     poly_core = Polynomial(tuple(core), p)
     np_ = newton_polygon(poly_core)
@@ -763,11 +739,13 @@ def _zunit_lattice(dr, a, p, n, e):
     vector, u integral and gcd(content u, den) = 1: R v is A u / (dr den).  A
     Hermite step on w = U / den by the pivot P / den' is
     ((P_r/g) U - (U_r/g) P) / (den (P_r/g)), g = gcd(U_r, P_r), the
-    pivot chosen by v(U_r) - v(den) + k/e as over Q_p.  W^-1 comes from the
-    (den, u) basis by one integer elimination (_zinverse); the certificate
-    takes p-adic valuations of integer dot products of the integer rows of
-    W^-1 with R^d e_i.  W and W^-1 leave as the (D, integer vector) pairs of
-    W's columns and W^-1's rows, invariant_unit_lattice's W and W^-1."""
+    pivot chosen by v(U_r) - v(den) + k/e as over Q_p; the steps keep the
+    span of the e_i, so some vector left is nonzero at each row.  W^-1 comes
+    from the (den, u) basis by one integer elimination (_zinverse); the
+    certificate takes p-adic valuations of integer dot products of the
+    integer rows of W^-1 with R^d e_i.  W and W^-1 leave as the (D, integer
+    vector) pairs of W's columns and W^-1's rows, invariant_unit_lattice's W
+    and W^-1."""
     d = len(a)
 
     def reduced(k, den, u):
@@ -790,8 +768,6 @@ def _zunit_lattice(dr, a, p, n, e):
                 v = e * (_ival(u[row], p) - _ival(den, p)) + k  # e times v(w_r) + k/e
                 if best is None or v < best_v:
                     best, best_v = idx, v
-        if best is None:
-            raise PreconditionViolated("Krylov span not full rank")
         k, pden, pu = vecs.pop(best)
         pr = pu[row]
         for idx, (kw, den, u) in enumerate(vecs):

@@ -28,6 +28,7 @@ from .field import (
 )
 from .polyalg import (
     Polynomial,
+    _check_square,
     _dot,
     _hash_once,
     _kept,
@@ -566,10 +567,10 @@ def operator_norm(m, p: int, norm: AdaptedNorm):
 class LinearAnalysis(_Record):
     """Spectral analysis of one matrix m over Q_p.  Each part is computed on
     first use and kept, so whoever holds the analysis pays once for the
-    charpoly, the blocks, the splitting at each a, each adapted norm and the
-    non-hyperbolicity witness at each (a, horizon); the spectrum needs only
-    the charpoly.  The free functions share an interned one per matrix
-    (_analysis)."""
+    charpoly, the blocks, the sides of the spectrum and the splitting at each
+    a, each adapted norm and the non-hyperbolicity witness at each (a,
+    horizon); the spectrum and its sides need only the charpoly.  The free
+    functions share an interned one per matrix (_analysis)."""
 
     m: tuple
     p: int
@@ -592,16 +593,23 @@ class LinearAnalysis(_Record):
     def data(self) -> SpectralData:
         return spectral_data(self.m, self.p, self.precision, cp=self.charpoly)
 
+    @_kept()
+    def sides(self, a) -> tuple:
+        """compare_threshold(a, rho, p) per root valuation rho, once per a, in
+        the spectrum's order, which is the blocks' (one block per rho)."""
+        return tuple(compare_threshold(a, rho, self.p) for rho, _ in self.spectrum)
+
     def is_hyperbolic(self, a) -> bool:
         """True iff no eigenvalue has absolute value exactly a."""
-        return all(compare_threshold(a, rho, self.p) != 0 for rho, _ in self.spectrum)
+        return 0 not in self.sides(a)
 
     @_kept()
     def splitting(self, a) -> Splitting:
         """The spectral blocks grouped by |eigenvalue| against a, built once
         per a."""
         a, p, data = Fraction(a), self.p, self.data
-        sides = [compare_threshold(a, b.rho, p) for b in data.blocks for _ in b.basis]
+        sides = [side for side, b in zip(self.sides(a), data.blocks, strict=True)
+                 for _ in b.basis]
         # the positions of the stable, centre and unstable block vectors
         parts = [[j for j, side in enumerate(sides) if side == want] for want in (1, 0, -1)]
         vecs = [v for b in data.blocks for v in b.basis]
@@ -621,9 +629,8 @@ class LinearAnalysis(_Record):
         Over Q the orbit runs on integers, as D^n E m^n v0; p-adic data
         keeps the ring arithmetic."""
         m, p = self.m, self.p
-        centre = next(
-            (b for b in self.data.blocks if compare_threshold(a, b.rho, p) == 0), None
-        )
+        centre = next((b for side, b in zip(self.sides(a), self.data.blocks, strict=True)
+                       if side == 0), None)
         if centre is None:
             raise PreconditionViolated(f"map is hyperbolic at {a}: no witness")
         v0 = list(centre.basis[0])
@@ -633,7 +640,7 @@ class LinearAnalysis(_Record):
             # the orbit V_n = D^n E m^n v0 over Z, for D and E the lcms of the
             # denominators of m and v0: norm_exp is linear in its argument, so
             # norm_exp(m^n v0) = norm_exp(V_n) - n v(D) - v(E)
-            dm, mm = _zmat(m)
+            dm, mm = self.data._zm
             den, v = _zscale(v0)
             vd, ve = _ival(dm, p), _ival(den, p)
         else:
@@ -656,7 +663,9 @@ def _interned(key, d, p, precision):
 def _analysis(m, p, precision=DEFAULT_PRECISION) -> LinearAnalysis:
     """m's LinearAnalysis, interned by content for the 16 most recent: equal
     entries (a PadicNumber with its prec, a rational as its integer ratio,
-    which hashes faster than a Fraction), p and precision share one."""
+    which hashes faster than a Fraction), p and precision share one; a
+    matrix that is not square is refused before."""
+    _check_square(m)
     return _interned(tuple([x if isinstance(x, PadicNumber) else x.as_integer_ratio()
                             for r in m for x in r]), len(m), p, precision)
 

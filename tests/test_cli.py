@@ -25,8 +25,9 @@ BENCH_MAP = {"prime": 2,
 
 
 def write(tmp_path, doc, name="in.json"):
+    """Write doc as JSON, or a string doc as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -118,9 +119,14 @@ def test_exit_3_on_precision_exhaustion(tmp_path, capsys, monkeypatch):
     {"prime": 2, "map": [[[[1], "1"]]], "a": "0.5.1"},
     {"prime": 2, "matrix": [[True, False], [False, True]]},  # booleans
     {"prime": 2, "map": [[[[True], "1"]]], "a": "1", "point": ["1"]},
+    {"prime": 2, "map": [[[[1], "2"]]], "a": "1", "mode": "Sideways"},  # unknown mode
+    {"prime": 2, "map": [[[[1], "2"]]], "point": ["1"]},  # no threshold a
+    '{"prime": 2, "matrix": [["1"]]',                   # not valid JSON
+    [{"prime": 2, "matrix": [["1"]]}],                  # an array, not an object
 ])
 def test_exit_4_on_schema_error(tmp_path, capsys, doc):
-    cmd = "member" if "map" in doc else "spectrum"
+    keys = doc if isinstance(doc, dict) else {}
+    cmd = "graph" if "mode" in keys else "member" if "map" in keys else "spectrum"
     code, out, err = run(capsys, [cmd, "--input", write(tmp_path, doc)])
     assert code == 4
     assert out == "" and "schema error" in err

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultradyn import dynamics, spectral
+from ultradyn import dynamics, manifolds, spectral
 from ultradyn.dynamics import (
     CERTIFIED_MEMBER,
     CERTIFIED_NON_MEMBER,
@@ -35,7 +35,8 @@ from ultradyn.dynamics import (
 )
 from ultradyn.dynamics import _mpow, _msubst  # noqa: the series kernel under test
 from ultradyn.dynamics import ORBIT_BIT_CAP, _orbit, _rat_bits  # noqa: the orbit cut
-from ultradyn.errors import JacobianSingular, NotAFixedPoint, PreconditionViolated
+from ultradyn.errors import (JacobianSingular, NotAFixedPoint, PreconditionViolated,
+                             ResonanceDetected)
 from ultradyn.field import (DEFAULT_PRECISION, ZERO, PadicContext, PadicNumber, RationalContext,
                            valuation_of_rational)
 from ultradyn.spectral import adapted_norm
@@ -101,6 +102,31 @@ def test_jacobian_refuses_a_point_of_the_wrong_length():
     for pt in ([1], [1, 1, 1]):
         with pytest.raises(PreconditionViolated, match="coordinates"):
             jacobian(f, pt)
+
+
+def test_a_map_that_is_not_a_self_map_is_refused():
+    """(2x, y/2, xy): K^2 -> K^3 over Q_2 evaluates and has a Jacobian, but
+    every function that iterates it or reads F'(0) as an endomorphism
+    refuses it, rather than failing inside or reading a part of it."""
+    f = PolyMap.from_tables([{(1, 0): F(2)}, {(0, 1): F(1, 2)}, {(1, 1): F(1)}], 2, 2)
+    assert f([1, 1]) == [F(2), F(1, 2), F(1)]
+    assert jacobian(f) == [[F(2), F(0)], [F(0), F(1, 2)], [F(0), F(0)]]
+    for call in (lambda: orbit(f, [1, 1], 3), lambda: classify_fixed_point(f),
+                 lambda: stable_membership(f, 1, [1, 1]),
+                 lambda: manifolds.graph_series(f, 1, manifolds.STABLE),
+                 lambda: manifolds.formal_inverse(f, 3)):
+        with pytest.raises(PreconditionViolated) as exc:
+            call()
+        assert str(exc.value) == "map K^2 -> K^3 is not a self-map"
+
+
+@pytest.mark.parametrize("c", [0.5, "1/2"], ids=["float", "str"])
+def test_from_tables_refuses_a_coefficient_of_another_type(c):
+    """A coefficient must be an int, a Fraction or a PadicNumber: a float
+    or a string is refused when the map is built, not when it is first
+    evaluated."""
+    with pytest.raises(PreconditionViolated, match="^bad coefficient"):
+        PolyMap.from_tables([{(1,): c, (2,): F(1)}], 2)
 
 
 # -- Lipschitz data of the remainder ----------------------------------------
@@ -464,13 +490,28 @@ def test_dominance_at_x_excludes_the_graph_reduction():
                  for _ in range(4)]
         for kind, points in (("unstable", pushed), ("graph", on_graph), ("small", small)):
             for x in points:
-                dominant = dynamics._dominant_unstable(an, norm, a, ru, 0, x) is not None
+                dominant = dynamics._dominant_unstable(
+                    an, norm, an.linear.sides(a), ru, 0, x) is not None
                 reduced = dynamics._try_graph_reduction(an, a, x, 64) is not None
                 assert not (dominant and reduced), (f, x)
                 seen[kind, dominant, reduced] += 1
     assert seen["unstable", True, False] == sum(n for key, n in seen.items() if key[0] == "unstable")
     assert seen["graph", False, True] == 3 * 6
     assert seen["small", True, False] >= 5, seen
+
+
+def test_no_stable_graph_where_graph_series_refuses():
+    """(x/2, y/8 + x^2) over Q_2 at a = 4 (|lambda| = 2 and 8) has the
+    resonance (1/2)^3 = 1/8 at degree 3, so graph_series refuses the stable
+    graph, and the gap keeps None for every threshold in it: membership
+    goes on without a graph."""
+    f = pmap([{(1, 0): F(1, 2)}, {(0, 1): F(1, 8), (2, 0): F(1)}], 2)
+    with pytest.raises(ResonanceDetected):
+        manifolds.graph_series(f, 4, manifolds.STABLE)
+    an = dynamics._map_analysis(f, DEFAULT_PRECISION)
+    assert an._graph_reduction(F(4)) is None
+    assert an.stable_graph(F(4)) is None and an.stable_graph(F(5)) is None
+    assert stable_membership(f, 4, [0, 1]).verdict == CERTIFIED_NON_MEMBER
 
 
 # -- truncated series kernel -------------------------------------------------

@@ -181,6 +181,48 @@ def test_solve_rational_matches_fraction_gauss_jordan(system, p):
     assert got == x == want[:len(x)] and all(type(c) is F for row in got for c in row)
 
 
+@pytest.mark.parametrize("a,rhs", [
+    ([[3, 1, 2, 5], [1, 9, 4, 7]], None),
+    ([[3, 1, 2, 5], [1, 9, 4, 7]], [[1, 0], [F(2, 3), 5]]),
+    ([[0, 6, 1], [9, 3, F(1, 3)], [3, 1, 4]], [[1], [F(1, 3)], [0]]),
+    ([[3, 6, 9, 1], [1, 2, 3, 4], [2, 4, 6, 0]], [[4], [5], [2]]),
+], ids=["wide", "wide-rhs", "square-rhs", "rank-2-rhs"])
+def test_row_reduce_padic_matches_rational(a, rhs):
+    """Over Q_p, [A | rhs] is reduced as one matrix with pivots in A's
+    columns: on PadicNumbers of the same entries it gives the pivots, the
+    reduced echelon form and the right-hand sides of the exact elimination
+    over Q, to the working precision, with valuation pivots that are not
+    the first candidate row; a wide matrix stops once every row has its
+    pivot, and a consistent rank-deficient system has zero rows past its
+    rank."""
+    p, ctx = 3, PadicContext(3, 40)
+    a, rhs = _mat(a), rhs and _mat(rhs)
+    rows, pivots, aug = row_reduce(cmat(a, ctx), ctx, rhs and cmat(rhs, ctx))
+    want_rows, want_pivots, want_aug = row_reduce(a, RationalContext(p), rhs)
+    assert pivots == want_pivots
+    assert (aug is None) == (rhs is None)
+    got = [x for r in rows + (aug or []) for x in r]
+    want = [x for r in want_rows + (want_aug or []) for x in r]
+    assert len(got) == len(want) and all(type(x) is PadicNumber for x in got)
+    for x, y in zip(got, want):
+        diff = x - ctx.from_rational(y)
+        assert diff.is_exact_zero or diff.val >= 32, (x, y)
+
+
+def test_integer_inverse_refuses_dependent_columns():
+    """W with columns (1, 2) and (2, 4)/3 is singular: its integer inverse
+    refuses it."""
+    with pytest.raises(PreconditionViolated, match="^matrix not invertible$"):
+        _zinverse([(1, [1, 2]), (3, [2, 4])])
+
+
+@pytest.mark.parametrize("m", [[[2, 1, 0], [0, 3, 1]], [[2, 1], [0, 3], [1, 1]], [[2, 1], [3]]],
+                         ids=["2x3", "3x2", "ragged"])
+def test_charpoly_refuses_a_matrix_that_is_not_square(m):
+    with pytest.raises(PreconditionViolated, match="^matrix is not square"):
+        charpoly(m, 2)
+
+
 # -- integer kernels, inverses and restrictions against Fraction references --
 
 

@@ -47,6 +47,19 @@ DIAG = _mat([[2, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
 # -- spectrum ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("m", [[[2, 1, 0], [0, 3, 1]], [[2, 1], [0, 3], [1, 1]], [[2, 1], [3]]],
+                         ids=["2x3", "3x2", "ragged"])
+def test_analysis_refuses_a_matrix_that_is_not_square(m):
+    """A matrix that is not square is refused before any analysis is
+    interned or built, not read as the square matrix of its first entries."""
+    before = spectral._interned.cache_info()
+    for call in (spectrum_abs, lambda m, p: is_hyperbolic(m, p, 1),
+                 lambda m, p: splitting_at(m, p, 1), adapted_norm):
+        with pytest.raises(PreconditionViolated, match="^matrix is not square"):
+            call(m, 2)
+    assert spectral._interned.cache_info() == before
+
+
 def test_spectrum_oracle_bench():
     assert spectrum_abs(BENCH, 2) == [(F(1), 1), (F(2), 1)]
 
