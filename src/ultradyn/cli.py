@@ -19,8 +19,6 @@ from math import inf as INF
 
 from .errors import (
     DivisionByZero,
-    JacobianSingular,
-    NotAFixedPoint,
     PrecisionExhausted,
     PreconditionViolated,
     RankUncertified,
@@ -31,9 +29,7 @@ from .field import (
     DEFAULT_PRECISION, MODES, PRIME_LIMIT, STABLE, PadicNumber, ExtElement, _is_prime)
 
 CERTIFIED_FAILURES = (
-    PreconditionViolated,
-    NotAFixedPoint,
-    JacobianSingular,
+    PreconditionViolated,  # NotAFixedPoint and JacobianSingular too
     ResonanceDetected,
     RankUncertified,
     DivisionByZero,
@@ -62,9 +58,7 @@ def fmt(x) -> str:
         return "none"
     if x == INF:
         return "inf"
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int)):
         return str(x)
     if isinstance(x, PadicNumber):
         if x.is_exact_zero:

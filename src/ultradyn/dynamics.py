@@ -244,7 +244,8 @@ def linear_part(f: PolyMap):
 
 def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
     """G = kappa o F o kappa^-1 for kappa(x) = x - pt (F itself at pt = 0);
-    requires F(pt) = pt."""
+    requires a self-map with F(pt) = pt."""
+    _check_self_map(f)
     pt = [Fraction(x) for x in pt]
     ctx = f.coeff_context()
     val = f(pt)
@@ -539,9 +540,10 @@ class MapAnalysis(_Record):
 
     def stable_graph(self, a):
         """(gs, restricted base map, ctx) if the a-stable graph gs of order
-        max(6, deg F^2) is an exactly invariant polynomial graph, else None;
-        kept per gap (each a on the same side of every root valuation splits
-        F'(0) alike; gs.a is the first a asked, and no answer reads it).
+        max(6, deg F^2) is an exactly invariant polynomial graph, else the
+        reason it is not; kept per gap (each a on the same side of every
+        root valuation splits F'(0) alike; gs.a is the first a asked, and no
+        answer reads it).
         graph_series zeroes the residual through the order, and its degree
         order + 1 terms are exact from a composition truncated there (see
         manifolds._on_graph); only a graph they pass is composed in full."""
@@ -558,19 +560,24 @@ class MapAnalysis(_Record):
         try:
             gs = manifolds.graph_series(f, a, manifolds.STABLE, order=max(6, f.degree() ** 2),
                                         precision=self.precision)
-        except UltradynError:
-            return None
+        except UltradynError as exc:
+            return f"no stable graph: {type(exc).__name__}: {exc}"
         compose, h, ctx = manifolds._on_graph(f, gs)
         for cap in (gs.order + 1, INF):
             fb, fc = compose(cap)
             if any(manifolds._residual_of(fb, fc, h, ctx, cap)):  # zero terms are dropped
-                return None
+                return (f"the stable graph of order {gs.order} is not exactly invariant "
+                        f"(nonzero residual through degree {cap})")
         return gs, PolyMap.from_tables(fb, f.prime, len(fb)), ctx
 
 
-# f's MapAnalysis, interned by content (PolyMap hashes by value) for the 16
-# most recent (f, precision); call it with both arguments positional
-_map_analysis = lru_cache(maxsize=16)(MapAnalysis)
+@lru_cache(maxsize=16)
+def _map_analysis(f, precision):
+    """f's MapAnalysis, interned by content (PolyMap hashes by value) for the
+    16 most recent (f, precision), both positional.  Each entry point reads
+    F'(0) as an endomorphism, so a map that is not a self-map is refused."""
+    _check_self_map(f)
+    return MapAnalysis(f, precision)
 
 
 # --------------------------------------------------------------------------
@@ -591,6 +598,15 @@ class FixedPointReport(_Record):
     degenerate: bool  # singular jacobian
     certificate: object  # BallCertificate or None
     norm: object  # AdaptedNorm or None
+    _reason: str = None  # why no certificate is attached (outside ==, hash and repr())
+
+
+def _ball_or_reason(an, mode, norm, rate_below=None):
+    """(an.ball(mode, norm, rate_below), None), or (None, why it is refused)."""
+    try:
+        return an.ball(mode, norm, rate_below), None
+    except PreconditionViolated as exc:
+        return None, f"{mode}: {exc}"
 
 
 def classify_fixed_point(f: PolyMap, pt=None,
@@ -598,14 +614,11 @@ def classify_fixed_point(f: PolyMap, pt=None,
     """Label the fixed point purely from the spectrum of the derivative:
     all |lambda| < 1 -> UniformlyAttractive; all = 1 -> StablyNeutral;
     all <= 1 -> NonExpanding; otherwise (or singular) HasExpansion.  Attaches
-    the matching ball certificate when one exists."""
-    p = f.prime
-    _check_self_map(f)
+    the matching ball certificate when one exists, else keeps why not."""
     if pt is None:
         pt = [Fraction(0)] * f.nvars
     pt = [Fraction(x) for x in pt]
-    g = shift_to_fixed_point(f, pt)
-    an = _map_analysis(g, precision)
+    an = _map_analysis(shift_to_fixed_point(f, pt), precision)
     a, analysis = an.lin, an.linear
     spec = analysis.spectrum
     degenerate = any(v == INF for v, _ in spec)
@@ -619,18 +632,15 @@ def classify_fixed_point(f: PolyMap, pt=None,
         label = NON_EXPANDING
     else:
         label = HAS_EXPANSION
-    cert, norm = None, None
+    cert, norm, reason = None, None, f"{label} has no ball mode"
     mode = {UNIFORMLY_ATTRACTIVE: CONTRACTING, STABLY_NEUTRAL: ISOMETRIC,
             NON_EXPANDING: INVARIANT}.get(label)
     if mode is not None:
         norm = analysis.norm()
-        try:
-            cert = an.ball(mode, norm)
-        except PreconditionViolated:
-            cert = None
+        cert, reason = _ball_or_reason(an, mode, norm)
     return FixedPointReport(
         tuple(pt), tuple(tuple(r) for r in a), tuple(spec), label, degenerate,
-        cert, norm,
+        cert, norm, reason,
     )
 
 
@@ -649,6 +659,7 @@ class MembershipVerdict(_Record):
     verdict: str
     trace: tuple  # sup-norm exponents of the orbit prefix
     justification: tuple  # human-readable inequality chain
+    _reasons: tuple = ()  # (rule, why it did not apply) per rule tried; outside ==, hash, repr()
 
 
 def _is_exact_zero_vec(x, p, precision):
@@ -656,225 +667,224 @@ def _is_exact_zero_vec(x, p, precision):
     return all(ctx.zeroness(coerce(c, ctx)) == ZERO for c in x)
 
 
-def _component_exps(norm, sides, z):
-    """(stable_exp, centre_exp, unstable_exp) of z: norm exponents of the
-    components of z in the spectral blocks grouped by their sides of a."""
-    exps = norm._coord_exps(z)
-    out = {1: INF, 0: INF, -1: INF}
-    off = 0
-    for side, b in zip(sides, norm.blocks, strict=True):
-        out[side] = min([out[side]] + exps[off:off + len(b.t)])
-        off += len(b.t)
-    return out[1], out[0], out[-1]
+def _trace(an, x, horizon):
+    """The sup-norm exponents of x's orbit, kept in an."""
+    return tuple(e for _, e in an.orbit(tuple(x), horizon))
 
 
-def _dominant_unstable(an, norm, sides, ru, n, z):
-    """The dominant-unstable certificate that x is a non-member, read at
-    z = F^n(x): z's E_(a,u) component strictly dominates and z lies inside
-    the dominance ball, in which the remainder's Lipschitz bound is beaten
-    by the slowest unstable expansion rate p^-ru (ru = largest unstable
-    valuation), so unstable dominance propagates exactly and the unstable
-    norm grows by > a each step.  Its justification, else None.  The
-    components come first: they need no remainder bound."""
-    es, ec, eu = _component_exps(norm, sides, z)
-    if eu < min(es, ec):  # so ||z|| = p^-eu
-        k = an.dominance(norm, ru)
-        if eu >= k:
-            return (
-                f"F^{n}(x) lies inside the dominance ball p^-{k} "
-                f"with strictly dominant E_(a,u) component "
-                f"(exp {eu} < {min(es, ec)})",
-                "dominance propagates exactly (ultrametric dominated "
-                "sum, Lip(R) < expansion factor), so a^-m ||F^m(x)|| "
-                "grows strictly inside the chart ball",
-            )
-    return None
+def _fixed_point(an, a, x, horizon):
+    if not _is_exact_zero_vec(x, an.f.prime, an.precision):
+        return "x is not exactly 0"
+    return CERTIFIED_MEMBER, (INF,), ("x is the fixed point itself",)
 
 
-def _linear_membership(f, a, x, horizon, precision):
-    from .spectral import splitting_at
-    p = f.prime
-    s = splitting_at(linear_part(f), p, a, precision)
-    ctx = infer_context([list(s.winv), list(x)], p, precision)
+def _linear_map(an, a, x, horizon):
+    """A linear F by its splitting at a: x's centre and unstable
+    coordinates, read at the analysis's precision.  It always answers."""
+    f = an.f
+    if not f.is_linear():
+        return f"F has degree {f.degree()}"
+    s = an.linear.splitting(a)
+    ctx = infer_context([list(s.winv), list(x)], f.prime, an.precision)
     coords = mat_vec(cmat(s.winv, ctx), cvec(x, ctx))
     ds, dc, du = s.dims()
     zness = [ctx.zeroness(coords[i]) for i in range(ds, ds + dc + du)]
     trace = tuple(e for _, e in orbit(f, x, min(horizon, 8)))
     if any(z not in (ZERO, NONZERO) for z in zness):
-        return MembershipVerdict(
-            UNDECIDED, trace,
-            ("a centre/unstable coordinate of x is indistinguishable from "
-             "zero at working precision",))
+        return UNDECIDED, trace, ("a centre/unstable coordinate of x is indistinguishable "
+                                  "from zero at working precision",)
     bad = [ds + i for i, z in enumerate(zness) if z == NONZERO]
     if not bad:
         # certified: x lies in E_{a,s}; every eigenvalue there has |.| < a
-        return MembershipVerdict(
-            CERTIFIED_MEMBER, trace,
-            ("x in E_{a,s} exactly (centre/unstable coordinates all zero)",
-             "all stable eigenvalue absolute values < a, so a^-n ||A^n x|| -> 0"))
+        return CERTIFIED_MEMBER, trace, (
+            "x in E_{a,s} exactly (centre/unstable coordinates all zero)",
+            "all stable eigenvalue absolute values < a, so a^-n ||A^n x|| -> 0")
     kind = "centre" if bad[0] < ds + dc else "unstable"
-    return MembershipVerdict(
-        CERTIFIED_NON_MEMBER, trace,
-        (f"x has a nonzero {kind} coordinate (index {bad[0]})",
-         "that coordinate's norm is multiplied by exactly |lambda| >= a each "
-         "step in the adapted norm, so a^-n ||A^n x|| does not tend to 0"))
+    return CERTIFIED_NON_MEMBER, trace, (
+        f"x has a nonzero {kind} coordinate (index {bad[0]})",
+        "that coordinate's norm is multiplied by exactly |lambda| >= a each "
+        "step in the adapted norm, so a^-n ||A^n x|| does not tend to 0")
 
 
-def _try_graph_reduction(an, a, x, horizon):
-    """If x lies on an's exactly invariant a-stable graph, reduce to the
-    restricted map on the base coordinates."""
+def _ball_below(an, a, x, horizon):
+    """Every |lambda| < a: an orbit point inside a Contracting ball at a
+    rate below a or, for a > 1 when ||A|| = 1 refuses Contracting, inside
+    an Invariant ball, which takes a^-m ||F^m(x)|| to 0 all the same."""
+    norm = an.linear.norm()
+    cert, reason = _ball_or_reason(an, CONTRACTING, norm, a)
+    if cert is None and a > 1:
+        cert, invariant = _ball_or_reason(an, INVARIANT, norm)
+        reason = f"{reason}; {invariant}"
+    if cert is None:
+        return reason
+    k = cert.radius_exp
+    for n, (z, _) in enumerate(an.orbit(tuple(x), horizon)):
+        if norm.norm_exp(z) >= k:
+            if cert.mode == CONTRACTING:
+                just = (f"F^{n}(x) lies in the ball p^-{k} with a Contracting certificate "
+                        f"at rate c = p^-{cert.contraction_exp} < a",
+                        "hence a^-m ||F^m(x)|| <= (c/a)^m const -> 0")
+            else:
+                just = (f"F^{n}(x) lies in the ball p^-{k} with an Invariant certificate "
+                        "(||F(z)|| <= ||z|| there)",
+                        f"hence a^-m ||F^m(x)|| <= a^-m ||F^{n}(x)|| for m >= {n}, "
+                        "which tends to 0 as a > 1")
+            return CERTIFIED_MEMBER, _trace(an, x, horizon), just
+    return f"no orbit point within the horizon lies in the {cert.mode} ball p^-{k}"
+
+
+def _linearization_ball(an, a, x, horizon):
+    """Every |lambda| > a, so ]0, a] misses the spectrum and W_a^s is
+    locally {0}: an orbit point that is 0, or one inside the linearization
+    ball, where ||F(z)|| >= p^einv ||z|| (no eigenvalue is 0, so A is
+    invertible)."""
+    p, norm = an.f.prime, an.linear.norm()
+    einv, k = an.radius(norm)
+    if compare_threshold(a, -einv, p) != -1:
+        return f"the expansion p^{einv} of ||A^-1|| = p^{-einv} is not certified above a"
+    for n, (z, _) in enumerate(an.orbit(tuple(x), horizon)):
+        if _is_exact_zero_vec(z, p, an.precision):
+            return CERTIFIED_MEMBER, _trace(an, x, horizon), (
+                f"F^{n}(x) = 0 exactly; the orbit is eventually the fixed point",)
+        if norm.norm_exp(z) >= k:
+            return CERTIFIED_NON_MEMBER, _trace(an, x, horizon), (
+                f"F^{n}(x) != 0 lies inside the linearization ball p^-{k}",
+                f"there ||F(z)|| >= p^{einv} ||z|| with p^{einv} > a "
+                "(every eigenvalue absolute value exceeds a)",
+                "so a^-m ||F^m(x)|| grows strictly until the orbit "
+                "leaves the chart ball and never returns to decay")
+    return f"no orbit point within the horizon is 0 or inside the linearization ball p^-{k}"
+
+
+def _dominant_unstable(an, a, x, horizon, n=0, z=None):
+    """In a gap, the dominant-unstable certificate that x is a non-member,
+    read at z = F^n(x), x itself by default: z's E_(a,u) component strictly
+    dominates its E_(a,s) one and z lies inside the dominance ball, in
+    which the remainder's Lipschitz bound is beaten by the slowest unstable
+    expansion rate p^-ru (ru = largest unstable valuation), so unstable
+    dominance propagates exactly and the unstable norm grows by > a each
+    step.  The components come first: they need no remainder bound.  At x
+    itself no graph is built: a point on an exactly invariant stable graph
+    has no such component, so this rule and the next exclude each other."""
+    lin, z = an.linear, x if z is None else z
+    norm, sides = lin.norm(), lin.sides(a)
+    coord_sides = [s for s, b in zip(sides, norm.blocks, strict=True) for _ in b.t]
+    exps = norm._coord_exps(z)
+    es, eu = (min((e for e, s in zip(exps, coord_sides) if s == side), default=INF)
+              for side in (1, -1))
+    if eu >= es:
+        return f"F^{n}(x) has no strictly dominant E_(a,u) component (exp {eu} >= {es})"
+    k = an.dominance(norm, max(v for (v, _), s in zip(lin.spectrum, sides, strict=True)
+                              if s == -1))
+    if eu < k:
+        return f"F^{n}(x) lies outside the dominance ball p^-{k} (exp {eu} < {k})"
+    return CERTIFIED_NON_MEMBER, _trace(an, x, horizon), (
+        f"F^{n}(x) lies inside the dominance ball p^-{k} with strictly dominant "
+        f"E_(a,u) component (exp {eu} < {es})",
+        "dominance propagates exactly (ultrametric dominated sum, Lip(R) < "
+        "expansion factor), so a^-m ||F^m(x)|| grows strictly inside the chart ball")
+
+
+def _on_stable_graph(an, a, x, horizon):
+    """x on the exactly invariant a-stable graph, a member if the base
+    map's verdict on its base coordinates is; the answer carries the base
+    map's trace, so x's own orbit is not built."""
     from . import manifolds
 
     reduction = an.stable_graph(a)
-    if reduction is None:
-        return None
+    if isinstance(reduction, str):
+        return reduction
     gs, base_map, ctx = reduction
     base_x, comp_x = manifolds.split_point(gs, x)
     hval = manifolds.evaluate_graph(gs, base_x)
-    if not all(ctx.zeroness(coerce(cv, ctx) - coerce(hv, ctx)) == ZERO
-               for cv, hv in zip(comp_x, hval)):
-        return None
+    if any(ctx.zeroness(coerce(cv, ctx) - coerce(hv, ctx)) != ZERO
+           for cv, hv in zip(comp_x, hval)):
+        return "x is not on the stable graph"
     sub = stable_membership(base_map, a, base_x, horizon, an.precision)
     if sub.verdict != CERTIFIED_MEMBER:
-        return None
-    just = (
+        return f"x is on the stable graph, but the base map's verdict is {sub.verdict}"
+    return CERTIFIED_MEMBER, sub.trace, (
         "the a-stable graph h is an exactly invariant polynomial graph "
         "(untruncated invariance residual == 0)",
         "x lies on the graph exactly, so its orbit stays on it and "
         "||F^n(x)|| <= C ||base orbit|| near 0",
     ) + sub.justification
-    return MembershipVerdict(CERTIFIED_MEMBER, sub.trace, just)
+
+
+def _orbit_point(an, a, x, horizon):
+    """An orbit point F^n(x), n >= 1, that is 0 or has the dominance of
+    _dominant_unstable (n = 0 is x, which the rules before it read)."""
+    for n, (z, _) in enumerate(an.orbit(tuple(x), horizon)[1:], 1):
+        if _is_exact_zero_vec(z, an.f.prime, an.precision):
+            return CERTIFIED_MEMBER, _trace(an, x, horizon), (f"F^{n}(x) = 0 exactly",)
+        out = _dominant_unstable(an, a, x, horizon, n, z)
+        if not isinstance(out, str):
+            return out
+    return "no orbit point F^n(x), n >= 1, within the horizon is 0 or has that dominance"
+
+
+def _trend(an, a, x, horizon):
+    """The trend of a^-n ||F^n(x)|| over the last half of the horizon, by
+    consecutive exponents compared against a exactly: heuristic, and it
+    always answers."""
+    trace = _trace(an, x, horizon)
+    if sum(t != INF for t in trace) >= 4:
+        cmps = [compare_threshold(a, t1 - t0, an.f.prime)
+                for t0, t1 in zip(trace, trace[1:]) if INF not in (t0, t1)]
+        window = cmps[-(len(cmps) // 2 or 1):]
+        for side, verdict, trend in ((1, HEURISTIC_MEMBER, "decreasing"),
+                                     (-1, HEURISTIC_NON_MEMBER, "increasing")):
+            if all(c == side for c in window):
+                return verdict, trace, (f"a^-n ||F^n(x)|| strictly {trend} over the last "
+                                        "half of the horizon (no certificate applies)",)
+    return UNDECIDED, trace, ("no certificate applies and the orbit trend is "
+                              "not monotone over the horizon",)
+
+
+# the certificate rules of each regime, keyed by the sides of a the spectrum
+# lies on (1: |lambda| < a, -1: > a); with some |lambda| = a only the trend answers
+_REGIME_RULES = {frozenset({1}): (_ball_below,), frozenset({-1}): (_linearization_ball,),
+                 frozenset({1, -1}): (_dominant_unstable, _on_stable_graph, _orbit_point)}
+
+
+def _rules(an, a):
+    """The rules in order, each called as rule(an, a, x, horizon) to give
+    (verdict, trace, justification) or the one-line reason it did not apply
+    (x's orbit is kept in an); the regime is read once x = 0 and a linear F
+    are ruled out."""
+    yield from (_fixed_point, _linear_map)
+    yield from _REGIME_RULES.get(frozenset(an.linear.sides(a)), ())
+    yield _trend
 
 
 def stable_membership(f: PolyMap, a, x, horizon: int = 64,
                       precision: int = DEFAULT_PRECISION) -> MembershipVerdict:
     """Verdict on x in W_a^s = {z : a^-n ||F^n(z)|| -> 0} for the fixed
     point 0 (chart-local semantics: certificates reason inside certified
-    balls around 0).
+    balls around 0).  The first of these rules that applies answers, and
+    the verdict keeps why each one before it did not (_reasons):
 
-    Certificates, cheapest first: x = 0; a linear F by its splitting.  With
-    every |lambda| < a, an orbit point inside a Contracting ball at a rate
-    below a, or, for a > 1 when ||A|| = 1 refuses Contracting, inside an
-    Invariant ball.  With every |lambda| > a, an orbit point that is 0 or
-    lies inside the linearization ball.  In a hyperbolic gap, x's own
-    dominant unstable component inside the dominance ball (no graph is
-    built then), else x on the exactly invariant stable graph (the base
-    map's verdict), else an orbit point that is 0 or has that dominance.
-    Otherwise the orbit's trend gives a heuristic verdict."""
-    p = f.prime
+    1. x = 0;
+    2. a linear F, by its splitting at a;
+    3. every |lambda| < a: an orbit point inside a Contracting ball at a
+       rate below a, or, for a > 1 when ||A|| = 1 refuses Contracting,
+       inside an Invariant ball;
+    4. every |lambda| > a: an orbit point that is 0 or lies inside the
+       linearization ball;
+    5. in a hyperbolic gap: x's own dominant unstable component inside
+       the dominance ball (no graph is built then), else x on the exactly
+       invariant stable graph (the base map's verdict), else an orbit
+       point that is 0 or has that dominance;
+    6. the orbit's trend, a heuristic verdict, which always answers."""
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
-    _check_self_map(f)
+    an = _map_analysis(f, precision)  # refuses a map that is not a self-map
     _check_length(x, f.nvars)
     _check_horizon(horizon)
-    if _is_exact_zero_vec(x, p, precision):
-        return MembershipVerdict(CERTIFIED_MEMBER, (INF,),
-                                 ("x is the fixed point itself",))
-    if f.is_linear():
-        return _linear_membership(f, a, x, horizon, precision)
-
-    an = _map_analysis(f, precision)
-    analysis = an.linear
-    sides = analysis.sides(a)
-    below, above = all(s == 1 for s in sides), all(s == -1 for s in sides)
-    gap = not (below or above) and 0 not in sides
-    at_x = None
-    if gap:
-        norm = analysis.norm()
-        ru = max(v for (v, _), s in zip(analysis.spectrum, sides, strict=True) if s == -1)
-        # cheapest first: x's own position, then the graph; a point on an
-        # exactly invariant stable graph has no strictly dominant unstable
-        # part inside the dominance ball, so the two exclude each other
-        at_x = _dominant_unstable(an, norm, sides, ru, 0, x)
-        # a graph reduction answers with the base map's trace: x's orbit only after
-        red = None if at_x else _try_graph_reduction(an, a, x, horizon)
-        if red is not None:
-            return red
-    pts = [(e, list(z)) for z, e in an.orbit(tuple(x), horizon)]
-    trace = tuple(e for e, _ in pts)
-
-    if below:
-        norm = analysis.norm()
-        try:
-            cert = an.ball(CONTRACTING, norm, rate_below=a)
-        except PreconditionViolated:
-            cert = None
-        if cert is None and a > 1:
-            # ||A|| = 1 refuses Contracting; above 1, an Invariant ball still
-            # takes a^-m ||F^m(x)|| to 0
-            try:
-                cert = an.ball(INVARIANT, norm)
-            except PreconditionViolated:
-                pass
-        if cert is not None:
-            for n, (_, z) in enumerate(pts):
-                if norm.norm_exp(z) >= cert.radius_exp:
-                    if cert.mode == CONTRACTING:
-                        just = (
-                            f"F^{n}(x) lies in the ball p^-{cert.radius_exp} with a "
-                            f"Contracting certificate at rate c = p^-{cert.contraction_exp} < a",
-                            "hence a^-m ||F^m(x)|| <= (c/a)^m const -> 0",
-                        )
-                    else:
-                        just = (
-                            f"F^{n}(x) lies in the ball p^-{cert.radius_exp} with an "
-                            "Invariant certificate (||F(z)|| <= ||z|| there)",
-                            f"hence a^-m ||F^m(x)|| <= a^-m ||F^{n}(x)|| for m >= {n}, "
-                            "which tends to 0 as a > 1",
-                        )
-                    return MembershipVerdict(CERTIFIED_MEMBER, trace, just)
-    elif above:
-        # ]0, a] misses the spectrum entirely: W_a^s is locally just {0}.
-        # No eigenvalue is 0 here, so A is invertible; inside the
-        # linearization ball ||F(z)|| >= p^einv ||z||
-        norm = analysis.norm()
-        einv, k = an.radius(norm)
-        if compare_threshold(a, -einv, p) == -1:  # expansion certified above a
-            for n, (_, z) in enumerate(pts):
-                if _is_exact_zero_vec(z, p, precision):
-                    return MembershipVerdict(
-                        CERTIFIED_MEMBER, trace,
-                        (f"F^{n}(x) = 0 exactly; the orbit is eventually the "
-                         "fixed point",))
-                if norm.norm_exp(z) >= k:
-                    just = (
-                        f"F^{n}(x) != 0 lies inside the linearization ball p^-{k}",
-                        f"there ||F(z)|| >= p^{einv} ||z|| with p^{einv} > a "
-                        "(every eigenvalue absolute value exceeds a)",
-                        "so a^-m ||F^m(x)|| grows strictly until the orbit "
-                        "leaves the chart ball and never returns to decay",
-                    )
-                    return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
-    elif gap:
-        for n, (_, z) in enumerate(pts):
-            if _is_exact_zero_vec(z, p, precision):
-                return MembershipVerdict(
-                    CERTIFIED_MEMBER, trace,
-                    (f"F^{n}(x) = 0 exactly",))
-            just = at_x if n == 0 else _dominant_unstable(an, norm, sides, ru, n, z)
-            if just is not None:
-                return MembershipVerdict(CERTIFIED_NON_MEMBER, trace, just)
-
-    # heuristics: trend of a^-n ||F^n(x)|| as exponents e_n - n * v_a where
-    # a-comparisons stay exact: use t_n = trace[n] and compare consecutive
-    # a^-n p^-t_n ratios p^(t_{n+1} - t_n) vs a
-    tail = [t for t in trace if t != INF]
-    if len(tail) >= 4:
-        cmps = [compare_threshold(a, trace[i + 1] - trace[i], p)
-                for i in range(len(trace) - 1)
-                if trace[i] != INF and trace[i + 1] != INF]
-        window = cmps[-(len(cmps) // 2 or 1):]
-        if all(c == 1 for c in window):
-            return MembershipVerdict(
-                HEURISTIC_MEMBER, trace,
-                ("a^-n ||F^n(x)|| strictly decreasing over the last half of "
-                 "the horizon (no certificate applies)",))
-        if all(c == -1 for c in window):
-            return MembershipVerdict(
-                HEURISTIC_NON_MEMBER, trace,
-                ("a^-n ||F^n(x)|| strictly increasing over the last half of "
-                 "the horizon (no certificate applies)",))
-    return MembershipVerdict(UNDECIDED, trace,
-                             ("no certificate applies and the orbit trend is "
-                              "not monotone over the horizon",))
+    reasons = []
+    for rule in _rules(an, a):
+        out = rule(an, a, x, horizon)
+        if not isinstance(out, str):
+            return MembershipVerdict(*out, tuple(reasons))
+        reasons.append((rule.__name__.lstrip("_"), out))

@@ -26,15 +26,14 @@ from . import spectral
 from .dynamics import (
     PolyMap,
     _check_length,
-    _check_self_map,
     _linear_tables,
+    _map_analysis,
     _madd,
     _meval,
     _msubst,
     _zeval,
     _ztable,
     conjugate,
-    linear_part,
 )
 
 
@@ -77,9 +76,8 @@ def formal_inverse(f: PolyMap, order: int = 6) -> PolyMap:
     below degree 2, so step k, which composes only R with G truncated at
     degree k, leaves G exact through degree k.  A formal inverse is
     two-sided, so F(G(x)) = x as well."""
-    _check_self_map(f)
     n = f.nvars
-    a = linear_part(f)
+    a = _map_analysis(f, DEFAULT_PRECISION).lin  # refuses a map that is not a self-map
     ctx = infer_context([a] + [[c for _, c in comp] for comp in f.components], f.prime)
     try:
         ainv = _linear_tables(mat_inverse(cmat(a, ctx), ctx), ctx)
@@ -184,9 +182,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     a = Fraction(a)
     if a <= 0:
         raise PreconditionViolated("threshold must be positive")
-    _check_self_map(f)
-    lin = linear_part(f)
-    analysis = spectral._analysis(lin, p, precision)
+    analysis = _map_analysis(f, precision).linear  # refuses a map that is not a self-map
     if mode in (STABLE, UNSTABLE) and not analysis.is_hyperbolic(a):
         raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
     if mode == UNSTABLE and a < 1:

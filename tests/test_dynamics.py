@@ -120,6 +120,26 @@ def test_a_map_that_is_not_a_self_map_is_refused():
         assert str(exc.value) == "map K^2 -> K^3 is not a self-map"
 
 
+def test_a_map_to_fewer_coordinates_is_refused_as_not_a_self_map():
+    """(2x, y/2 + z): K^3 -> K^2 over Q_2 is refused by name by every
+    function that takes the map's interned analysis, and by
+    shift_to_fixed_point at a point other than 0, rather than as a
+    singular derivative (the inverse of the non-square F'(0)), as a query
+    of the wrong size for a 3-dimensional adapted norm, or as a point that
+    is not fixed."""
+    f = PolyMap.from_tables([{(1, 0, 0): F(2)}, {(0, 1, 0): F(1, 2), (0, 0, 1): F(1)}], 2, 3)
+    norm = adapted_norm([[F(2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1)]], 2)
+    calls = [lambda: linearization_radius(f, norm), lambda: remainder_lipschitz(f, 1, norm),
+             lambda: classify_fixed_point(f, [1, 0, 0]), lambda: shift_to_fixed_point(f, [1, 0, 0]),
+             lambda: classify_fixed_point(f), lambda: stable_membership(f, 1, [1, 1, 1])]
+    calls += [lambda mode=mode: invariant_ball(f, mode, norm)
+              for mode in (dynamics.INVARIANT, ISOMETRIC, CONTRACTING)]
+    for call in calls:
+        with pytest.raises(PreconditionViolated) as exc:
+            call()
+        assert str(exc.value) == "map K^3 -> K^2 is not a self-map"
+
+
 @pytest.mark.parametrize("c", [0.5, "1/2"], ids=["float", "str"])
 def test_from_tables_refuses_a_coefficient_of_another_type(c):
     """A coefficient must be an int, a Fraction or a PadicNumber: a float
@@ -419,11 +439,12 @@ def test_membership_keeps_the_callers_precision(monkeypatch):
     """stable_membership at precision 128 splits a linear map's F'(0) at
     128 and reads x's coordinates at 128: an O(2^100) unstable coordinate is
     zero at 64 digits but not at 128.  On an invariant graph it hands 128 on
-    to the membership of the base map."""
+    to the membership of the base map, and the graph is split at 128 too.
+    The spy records the precision of each analysis that splits F'(0)."""
     splits, members = [], []
-    split, member = spectral.splitting_at, dynamics.stable_membership
-    monkeypatch.setattr(spectral, "splitting_at", lambda m, p, a, precision=DEFAULT_PRECISION:
-                        splits.append(precision) or split(m, p, a, precision))
+    split, member = spectral.LinearAnalysis.splitting, dynamics.stable_membership
+    monkeypatch.setattr(spectral.LinearAnalysis, "splitting",
+                        lambda self, a: splits.append(self.precision) or split(self, a))
     monkeypatch.setattr(dynamics, "stable_membership",
                         lambda f, a, x, horizon=64, precision=DEFAULT_PRECISION:
                         members.append(precision) or member(f, a, x, horizon, precision))
@@ -434,7 +455,7 @@ def test_membership_keeps_the_callers_precision(monkeypatch):
     assert splits == [128, DEFAULT_PRECISION]
     v = member(bench(), F(1), [F(1), F(2, 7)], precision=128)  # on the graph y = 2x^2/7
     assert v.verdict == CERTIFIED_MEMBER and "exactly invariant" in v.justification[0]
-    assert members == [128] and splits[2:] == [128]
+    assert members == [128] and splits[2:] == [128, 128]
 
 
 def test_membership_verdicts_certified_on_random_linear(seed=123):
@@ -468,8 +489,8 @@ def family_maps(rng, p):
 def test_dominance_at_x_excludes_the_graph_reduction():
     """Where x's own position certifies it a non-member (strictly dominant
     unstable component inside the dominance ball), x lies on no exactly
-    invariant stable graph, so stable_membership may skip the graph
-    reduction there.  Seeded gap maps at a = 1, d = 2 and 3, p = 2, 3, 5,
+    invariant stable graph, so stable_membership may skip the graph rule
+    there: the two rules never both answer.  Seeded gap maps at a = 1, d = 2 and 3, p = 2, 3, 5,
     with unstable basis vectors pushed into the dominance ball, points on
     exact family graphs and small random points."""
     rng, a = random.Random(32), F(1)
@@ -490,9 +511,9 @@ def test_dominance_at_x_excludes_the_graph_reduction():
                  for _ in range(4)]
         for kind, points in (("unstable", pushed), ("graph", on_graph), ("small", small)):
             for x in points:
-                dominant = dynamics._dominant_unstable(
-                    an, norm, an.linear.sides(a), ru, 0, x) is not None
-                reduced = dynamics._try_graph_reduction(an, a, x, 64) is not None
+                dominant = not isinstance(dynamics._dominant_unstable(an, a, x, 64),
+                                          str)
+                reduced = not isinstance(dynamics._on_stable_graph(an, a, x, 64), str)
                 assert not (dominant and reduced), (f, x)
                 seen[kind, dominant, reduced] += 1
     assert seen["unstable", True, False] == sum(n for key, n in seen.items() if key[0] == "unstable")
@@ -503,15 +524,19 @@ def test_dominance_at_x_excludes_the_graph_reduction():
 def test_no_stable_graph_where_graph_series_refuses():
     """(x/2, y/8 + x^2) over Q_2 at a = 4 (|lambda| = 2 and 8) has the
     resonance (1/2)^3 = 1/8 at degree 3, so graph_series refuses the stable
-    graph, and the gap keeps None for every threshold in it: membership
-    goes on without a graph."""
+    graph, and the gap keeps that refusal as its reason for every threshold
+    in it: membership goes on without a graph."""
     f = pmap([{(1, 0): F(1, 2)}, {(0, 1): F(1, 8), (2, 0): F(1)}], 2)
-    with pytest.raises(ResonanceDetected):
+    with pytest.raises(ResonanceDetected) as exc:
         manifolds.graph_series(f, 4, manifolds.STABLE)
     an = dynamics._map_analysis(f, DEFAULT_PRECISION)
-    assert an._graph_reduction(F(4)) is None
-    assert an.stable_graph(F(4)) is None and an.stable_graph(F(5)) is None
-    assert stable_membership(f, 4, [0, 1]).verdict == CERTIFIED_NON_MEMBER
+    reason = f"no stable graph: ResonanceDetected: {exc.value}"
+    assert an._graph_reduction(F(4)) == reason
+    assert an.stable_graph(F(4)) == reason and an.stable_graph(F(5)) is an.stable_graph(F(4))
+    v = stable_membership(f, 4, [0, 1])
+    assert v.verdict == CERTIFIED_NON_MEMBER and ("on_stable_graph", reason) not in v._reasons
+    v = stable_membership(f, 4, [F(1, 2), 0])
+    assert dict(v._reasons)["on_stable_graph"] == reason
 
 
 # -- truncated series kernel -------------------------------------------------

@@ -1007,6 +1007,81 @@ def test_gap_answers_do_not_depend_on_the_threshold_asked_first():
         assert cold[a, on].verdict == dynamics.CERTIFIED_MEMBER
 
 
+# -- membership rules: each refusal kept with its reason ---------------------
+
+NOT_ZERO, NONLINEAR = ("fixed_point", "x is not exactly 0"), ("linear_map", "F has degree 2")
+# (4x, y + x^2) over Q_2 at a = 2: ||A|| = 1 refuses Contracting, so the
+# below-the-spectrum rule takes the Invariant ball
+INVARIANT_MAP = PolyMap.from_tables([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)}], p=2)
+
+
+@pytest.mark.parametrize("f,a,x,verdict,reasons", [
+    (LINEAR, F(1), [F(1), F(0)], dynamics.CERTIFIED_MEMBER, [NOT_ZERO]),
+    (CONTRACTING, F(1), [F(4), F(8)], dynamics.CERTIFIED_MEMBER, [NOT_ZERO, NONLINEAR]),
+    (CONTRACTING, F(1), [F(1, 4), F(1, 2)], dynamics.HEURISTIC_NON_MEMBER, [
+        NOT_ZERO, NONLINEAR,
+        ("ball_below", "no orbit point within the horizon lies in the Contracting ball p^-1")]),
+    (INVARIANT_MAP, F(2), [F(1, 2), F(1, 2)], dynamics.HEURISTIC_MEMBER, [
+        NOT_ZERO, NONLINEAR,
+        ("ball_below", "no orbit point within the horizon lies in the Invariant ball p^-0")]),
+    (EXPANDING, F(1), [F(1, 64), F(1, 64)], dynamics.HEURISTIC_NON_MEMBER, [
+        NOT_ZERO, NONLINEAR, ("linearization_ball", "no orbit point within the horizon is 0 "
+                              "or inside the linearization ball p^-0")]),
+    (GAP_MAP, F(1), [F(1), F(2, 7)], dynamics.CERTIFIED_MEMBER, [
+        NOT_ZERO, NONLINEAR,
+        ("dominant_unstable", "F^0(x) has no strictly dominant E_(a,u) component (exp 1 >= 0)")]),
+    (SERIES_GRAPH_MAP, F(1), [F(4), F(8)], dynamics.CERTIFIED_NON_MEMBER, [
+        NOT_ZERO, NONLINEAR,
+        ("dominant_unstable", "F^0(x) has no strictly dominant E_(a,u) component (exp 3 >= 2)"),
+        ("on_stable_graph", "the stable graph of order 6 is not exactly invariant "
+                            "(nonzero residual through degree 7)")]),
+    (GAP_MAP, F(1), [F(0), F(1, 8)], dynamics.HEURISTIC_NON_MEMBER, [
+        NOT_ZERO, NONLINEAR,
+        ("dominant_unstable", "F^0(x) lies outside the dominance ball p^-0 (exp -3 < 0)"),
+        ("on_stable_graph", "x is not on the stable graph"),
+        ("orbit_point", "no orbit point F^n(x), n >= 1, within the horizon is 0 or has "
+                        "that dominance")]),
+    (THREE_GAPS, F(1), THREE_GAP_POINTS[1], dynamics.HEURISTIC_NON_MEMBER,
+     [NOT_ZERO, NONLINEAR]),  # |lambda| = 1 = a: no certificate rule runs
+], ids=["fixed_point", "linear_map", "ball_below-contracting", "ball_below-invariant",
+        "linearization_ball", "dominant_unstable", "on_stable_graph", "orbit_point", "centre"])
+def test_membership_keeps_why_each_rule_did_not_apply(f, a, x, verdict, reasons):
+    """stable_membership keeps, in order, (rule, reason) for each rule it
+    tried before the one that answered; the regime of a picks the rules
+    tried after x = 0 and a linear F."""
+    v = dynamics.stable_membership(f, a, x)
+    assert v.verdict == verdict and list(v._reasons) == reasons
+
+
+def test_verdicts_past_different_refusals_are_equal():
+    """(0, 1/8) has the same orbit under GAP_MAP and SERIES_GRAPH_MAP (x
+    stays 0), and gets the same verdict from the trend, past a refused
+    graph rule whose reasons differ: the reasons stay outside ==, hash and
+    repr()."""
+    x = [F(0), F(1, 8)]
+    on, off = (dynamics.stable_membership(f, F(1), x) for f in (GAP_MAP, SERIES_GRAPH_MAP))
+    assert dict(on._reasons)["on_stable_graph"] != dict(off._reasons)["on_stable_graph"]
+    assert on == off and hash(on) == hash(off) and repr(on) == repr(off)
+
+
+def test_classification_keeps_why_no_ball_is_attached(monkeypatch):
+    """classify_fixed_point keeps why it attaches no certificate: the label
+    has no ball mode, or the ball's refusal; outside ==, hash and repr()."""
+    r = dynamics.classify_fixed_point(GAP_MAP)
+    assert r.certificate is None and r._reason == "HasExpansion has no ball mode"
+    r = dynamics.classify_fixed_point(CONTRACTING)
+    assert r.certificate is not None and r._reason is None
+
+    def refuse(self, mode, norm, rate_below=None):
+        raise PreconditionViolated("refused here")
+
+    monkeypatch.setattr(dynamics.MapAnalysis, "ball", refuse)
+    refused = dynamics.classify_fixed_point(CONTRACTING)
+    assert refused.certificate is None and refused._reason == "Contracting: refused here"
+    twin = dynamics.FixedPointReport(*(getattr(refused, f) for f in refused._shown), "other")
+    assert twin == refused and hash(twin) == hash(refused) and repr(twin) == repr(refused)
+
+
 def test_graph_reduction_builds_no_orbit_of_x(orbits):
     """A verdict by graph reduction carries the base map's trace, so the
     orbit of x itself is never built; a point off the graph builds its

@@ -73,9 +73,9 @@ def test_analysis_built_only_by_the_intern():
 
 
 def test_map_analysis_built_only_by_the_intern():
-    """MapAnalysis is named only where dynamics._map_analysis wraps it in
-    its LRU cache, and called nowhere: every entry point takes the interned
-    analysis of its map."""
+    """MapAnalysis is named only in dynamics._map_analysis, which builds it
+    behind its LRU cache once the map passes the self-map check: every
+    entry point takes the interned analysis of its map."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
