@@ -4,10 +4,11 @@ a-stable set membership.
 
 Polynomials are stored as multi-index tables {(m_1,...,m_d): coeff}; all
 radii and norms are handled as valuation exponents (r = p^-k).  Series
-composition (_msubst, conjugate) is one kernel (_mpow, _mmul, _madd) over a
-ring context: over Q_p the ring itself, over Q the integer context, on
-tables scaled to integers with one denominator each and one Fraction per
-output term.  Evaluation at a rational point (_zeval) is _meval on ints too.
+composition (_msubst, conjugate) is one batched kernel (_mpow, _mmul, _madd)
+over a ring context: over Q_p the ring itself, over Q the integer context,
+on a batch of tables scaled to integers with one denominator and one
+Fraction per output term.  Evaluation at a rational point (_zeval) and an
+orbit step over Q run on ints too (_zhom).
 Remainder bounds conjugate F by the rows and columns of the adapted norm's
 one read-out (AdaptedNorm._readout), on integers over Q and in the ring
 when the norm or F holds a PadicNumber.  Spectral is imported by the
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import inf as INF, lcm
+from itertools import accumulate
+from math import gcd, inf as INF
 from operator import add, mul
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     UltradynError,
 )
 from .field import (
-    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _INTEGERS, _Record,
+    DEFAULT_PRECISION, NONZERO, ZERO, PadicNumber, RationalContext, _INTEGERS, _Record, _ival,
     compare_threshold)
 from .polyalg import (
     _hash_once, _kept, _zscale, cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec)
@@ -93,59 +95,84 @@ def _meval(a, x, ctx):
     return acc
 
 
-def _zscaled(a, polys):
-    """(N, A, P) for rational tables: a(polys) = A(P) / N with A and P
-    integer tables.  With E a and D polys[i] integral (E and D the lcms of
-    the denominators) and K the top degree of a, x_i -> D polys[i] / D
+def _zsubst(tables, polys, nvars_out, max_deg=INF):
+    """(N, [A(P)]) for rational tables, a(polys) = A(P) / N for each table
+    a: with E every a and D polys integral (E and D the lcms of all their
+    denominators) and K the top degree of all tables, x_i -> D polys[i] / D
     turns the term c x^m into E c D^(K-|m|) P^m over N = E D^K."""
-    e, za = _zscale(list(a.values()))
-    d, flat = _zscale([c for q in polys for c in q.values()])
-    it = iter(flat)
-    top = max(map(sum, a), default=0)
-    return (e * d ** top, {m: c * d ** (top - sum(m)) for m, c in zip(a, za) if c},
-            [{m: next(it) for m in q} for q in polys])
+    e, za = _zscale([c for a in tables for c in a.values()])
+    d, zp = _zscale([c for q in polys for c in q.values()])
+    top = max((sum(m) for a in tables for m in a), default=0)
+    za, zp = iter(za), iter(zp)
+    return e * d ** top, _msubst(
+        [{m: c * d ** (top - sum(m)) for m, c in zip(a, za) if c} for a in tables],
+        [dict(zip(q, zp)) for q in polys], nvars_out, _INTEGERS, max_deg)
 
 
-def _msubst(a, polys, nvars_out, ctx, max_deg=INF):
-    """Substitute variable i -> polys[i] (a table over nvars_out vars),
-    dropping the terms of total degree above max_deg.  Each power of
-    polys[i] is built once, from the one below, and truncated as well.
-    Over Q the tables are scaled to integers (_zscaled) and the kernel runs
-    on _INTEGERS, with one Fraction per term."""
+def _msubst(tables, polys, nvars_out, ctx, max_deg=INF):
+    """[a(polys) for a in tables]: variable i -> polys[i] (a table over
+    nvars_out vars), dropping the terms of total degree above max_deg.
+    Each power of polys[i] is built once for the batch, from the one below,
+    and truncated as well.  Over Q the tables are scaled to integers once
+    (_zsubst), the kernel runs on _INTEGERS, each monomial's product of
+    powers is shared by the tables, and each term gives one Fraction."""
     if isinstance(ctx, RationalContext):
-        n, za, zpolys = _zscaled(a, polys)
-        return {m: Fraction(c, n) for m, c in _msubst(za, zpolys, nvars_out, _INTEGERS,
-                                                      max_deg).items()}
-    pows = [_mpow(polys[i], max(col), nvars_out, ctx, max_deg)
-            for i, col in enumerate(zip(*a))]
-    zero = tuple([0] * nvars_out)
-    out = {}
-    for m, c in a.items():
-        # Over Q_p c enters first: capped precision depends on the order of
-        # the products (c (x + y) (x + y) keeps a digit of 2c xy fewer than
-        # c (x + y)^2).  Integers take c as the term is added: smaller products.
-        term, s = (None, c) if ctx is _INTEGERS else ({zero: c}, None)
-        for i, e in enumerate(m):
-            if e:
-                term = pows[i][e] if term is None else _mmul(term, pows[i][e], ctx, max_deg)
-        _madd(out, {zero: ctx.one} if term is None else term, ctx, s)
+        n, outs = _zsubst(tables, polys, nvars_out, max_deg)
+        return [{m: Fraction(c, n) for m, c in out.items()} for out in outs]
+    top = [max(col) for col in zip(*(m for a in tables for m in a))]
+    pows = [_mpow(q, k, nvars_out, ctx, max_deg) for q, k in zip(polys, top)]
+    zero, ints, terms, outs = tuple([0] * nvars_out), ctx is _INTEGERS, {}, []
+    for a in tables:
+        outs.append({})
+        for m, c in a.items():
+            # Over Q_p c enters first: capped precision depends on the order
+            # of the products (c (x + y) (x + y) keeps a digit of 2c xy fewer
+            # than c (x + y)^2).  Integers take c as the term is added.
+            if not ints or m not in terms:
+                term = None if ints else {zero: c}
+                for i, e in enumerate(m):
+                    if e:
+                        term = pows[i][e] if term is None else _mmul(term, pows[i][e], ctx, max_deg)
+                terms[m] = {zero: ctx.one} if term is None else term
+            _madd(outs[-1], terms[m], ctx, c if ints else None)
+    return outs
+
+
+def _ztable(tables):
+    """Rational tables on integers, homogenized to their top degree K:
+    (E, K, {i: largest e_i}, [[(E c_m, ((i, e_i) for e_i of m + (K - |m|,)
+    nonzero))]]), E the lcm of all their denominators."""
+    e, zc = _zscale([c for t in tables for c in t.values()])
+    top, zc, tops = max((sum(m) for t in tables for m in t), default=0), iter(zc), {}
+    out = [[(c, tuple((i, k) for i, k in enumerate((*m, top - sum(m))) if k))
+            for m, c in zip(t, zc) if c] for t in tables]
+    for i, k in (ik for t in out for _, m in t for ik in m):
+        tops[i] = max(k, tops.get(i, 0))
+    return e, top, tops, out
+
+
+def _zhom(ztables, zx):
+    """The numerators of a _ztable at the integer point zx (homogenizing
+    coordinate last): each coordinate's powers are built once, up to the
+    largest exponent it has, and shared by the tables."""
+    pows = [list(accumulate([c] * ztables[2].get(i, 1), mul, initial=1))
+            for i, c in enumerate(zx)]
+    out = []
+    for t in ztables[3]:
+        acc = 0
+        for c, m in t:
+            for i, k in m:
+                c *= pows[i][k]
+            acc += c
+        out.append(acc)
     return out
 
 
-def _ztable(table):
-    """A rational table on integers, homogenized: (E, {m + (K - |m|,): E c_m},
-    K), E the lcm of its denominators and K its top degree."""
-    e, zc = _zscale(list(table.values()))
-    top = max(map(sum, table), default=0)
-    return e, {(*m, top - sum(m)): c for m, c in zip(table, zc) if c}, top
-
-
 def _zeval(ztables, x):
-    """Each _ztable at the rational point x = X / D, as a Fraction: _meval
-    on the integer context at (X, D), over E D^K."""
+    """A _ztable at the rational point x = X / D, as Fractions over E D^K."""
     d, zx = _zscale(list(x))
-    zx.append(d)
-    return [Fraction(_meval(t, zx, _INTEGERS), e * d ** top) for e, t, top in ztables]
+    den = ztables[0] * d ** ztables[1]
+    return [Fraction(c, den) for c in _zhom(ztables, zx + [d])]
 
 
 def _check_length(x, n, space="map {} variables"):
@@ -213,10 +240,10 @@ class PolyMap(_Record):
 
     @cached_property
     def _ztables(self):
-        """The components as _ztables, kept outside == and repr(); None if
-        a coefficient is a PadicNumber."""
+        """The components as one _ztable, kept outside == and repr(); None
+        if a coefficient is a PadicNumber."""
         if isinstance(self.coeff_context(), RationalContext):
-            return [_ztable(dict(comp)) for comp in self.components]
+            return _ztable(self.tables())
         return None
 
     def __call__(self, x):
@@ -257,8 +284,9 @@ def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
         return f
     n, zero = f.nvars, tuple([0] * f.nvars)  # kinv: the tables of kappa^-1, x_i + pt_i
     kinv = [{**t, zero: coerce(c, ctx)} for t, c in zip(_linear_tables(identity(n, ctx), ctx), pt)]
-    tables = [_madd(_msubst({m: coerce(c, ctx) for m, c in comp}, kinv, n, ctx),
-                    {zero: -coerce(pt[i], ctx)}, ctx) for i, comp in enumerate(f.components)]
+    comps = [{m: coerce(c, ctx) for m, c in comp} for comp in f.components]
+    tables = [_madd(t, {zero: -coerce(c, ctx)}, ctx)
+              for t, c in zip(_msubst(comps, kinv, n, ctx), pt)]
     return PolyMap.from_tables(tables, f.prime, n)
 
 
@@ -294,22 +322,19 @@ def _linear_tables(a, ctx):
 
 def conjugate(f: PolyMap, t, tinv, ctx) -> list:
     """Tables of T o F o T^-1 over ctx (T given as matrix rows): row i is
-    sum_j t_ij F_j(T^-1 x).  Over Q each F_j(T^-1 x) is an integer table
-    over N_j (_zscaled), and the rows of T, scaled to integers, combine them
-    over one denominator."""
+    sum_j t_ij F_j(T^-1 x), the F_j(T^-1 x) one batch of _msubst.  Over Q
+    they are integer tables over one N (_zsubst), and the rows of T, scaled
+    to integers, combine them over one denominator."""
     tinv_polys = _linear_tables(tinv, ctx)
     if isinstance(ctx, RationalContext):
-        scaled = [_zscaled(dict(comp), tinv_polys) for comp in f.components]
-        den, k = lcm(*[n for n, _, _ in scaled]), len(scaled)
+        n, inner = _zsubst(f.tables(), tinv_polys, f.nvars)
         dt, zt = _zscale([c for row in t for c in row])
-        t = [[c * (den // n) for c, (n, _, _) in zip(zt[i * k:(i + 1) * k], scaled)]
-             for i in range(len(t))]
-        ring, den = _INTEGERS, dt * den
-        inner = [_msubst(za, zpolys, f.nvars, ring) for _, za, zpolys in scaled]
+        ring, den, k = _INTEGERS, dt * n, len(inner)
+        t = [zt[i * k:(i + 1) * k] for i in range(len(t))]
     else:
         ring, den = ctx, None
-        inner = [_msubst({m: coerce(c, ctx) for m, c in comp}, tinv_polys, f.nvars, ctx)
-                 for comp in f.components]
+        inner = _msubst([{m: coerce(c, ctx) for m, c in comp} for comp in f.components],
+                        tinv_polys, f.nvars, ctx)
     out = []
     for row in t:
         acc = {}
@@ -408,7 +433,8 @@ def orbit(f: PolyMap, x, n: int):
     _check_self_map(f)
     _check_length(x, f.nvars)
     _check_horizon(n)
-    return _orbit(f, x, n, INF)
+    exps, point = _orbit(f, x, n, INF)
+    return [(point(i), e) for i, e in enumerate(exps)]
 
 
 def _rat_bits(x) -> int:
@@ -423,16 +449,32 @@ ORBIT_BIT_CAP = 8192  # total bits of exact-rational coordinates
 
 
 def _orbit(f: PolyMap, x, n: int, bit_cap):
-    """orbit(f, x, n), cut after the first point whose exact-rational
-    coordinates pass bit_cap bits in all (a quadratic F squares them)."""
-    out = []
-    z = list(x)
-    for _ in range(n + 1):
-        out.append((tuple(z), standard_norm_exp(z, f.prime)))
-        if bit_cap < INF and sum(_rat_bits(c) for c in z) > bit_cap:
-            break
-        z = f(z)
-    return out
+    """(sup-norm exponents, point) of x, F(x), ..., F^n(x), point(i) the
+    i-th point, cut after the first point whose exact-rational coordinates
+    pass bit_cap bits in all (a quadratic F squares them).  Over Q, F^i(x)
+    is integers X over one D, stepped by f._ztables and divided by gcd(D, X),
+    and point(i) makes Fractions when read.  X_j / D reduced has at most its
+    bits and at least those of X_j past D's: gcd(X_j, D) counts them only
+    when the two bounds straddle the cap."""
+    p, zt, points, bits = f.prime, f._ztables, [tuple(x)], sum(map(_rat_bits, x))
+    if zt is None or any(isinstance(c, PadicNumber) for c in x):
+        while len(points) <= n and bits <= bit_cap:
+            points.append(tuple(f(points[-1])))
+            bits = sum(map(_rat_bits, points[-1]))
+        return tuple(standard_norm_exp(z, p) for z in points), points.__getitem__
+    (d, zx), exps = _zscale(list(x)), [standard_norm_exp(x, p)]
+    while len(points) <= n and bits <= bit_cap:
+        zx, d = _zhom(zt, zx + [d]), zt[0] * d ** zt[1]
+        if (g := gcd(d, *zx)) > 1:
+            zx, d = [c // g for c in zx], d // g
+        vals = [_ival(c, p) for c in zx if c]
+        exps.append(Fraction(min(vals) - _ival(d, p)) if vals else INF)
+        points.append((zx, d))
+        bits = bit_cap < INF and sum(map(int.bit_length, zx)) + len(zx) * d.bit_length()
+        if bits > bit_cap >= sum(max(c.bit_length() - d.bit_length(), 0) + 1 for c in zx):
+            bits = sum((c // (g := gcd(c, d))).bit_length() + (d // g).bit_length() for c in zx)
+    return tuple(exps), lambda i: points[0] if i == 0 else tuple(
+        Fraction(c, points[i][1]) for c in points[i][0])
 
 
 # --------------------------------------------------------------------------
@@ -444,6 +486,7 @@ class MapAnalysis(_Record):
     """One map F at its fixed point 0, each part built on first use and kept:
     A = F'(0) and its LinearAnalysis; per adapted norm, the remainder bound
     and linearization radius; per (norm, ru), the dominance radius; per
+    (norm, a), the Contracting ball below a or why it is refused; per
     (point, horizon), the orbit (the ORBITS latest); per gap of the
     spectrum's absolute values, the stable-graph reduction.  All are pure
     functions of (f, precision) and the key; the free functions share one
@@ -533,6 +576,11 @@ class MapAnalysis(_Record):
                 mode == ISOMETRIC or rate_below is None
                 or compare_threshold(rate_below, min(op_a, lipschitz(k)), p) > 0))
         return BallCertificate(mode, k, min(op_a, lipschitz(k)), norm)
+
+    @_kept()
+    def contracting_ball(self, norm: AdaptedNorm, a):
+        """(Contracting ball at a rate below a, None), or (None, why not)."""
+        return _ball_or_reason(self, CONTRACTING, norm, a)
 
     @_kept(ORBITS)
     def orbit(self, x: tuple, horizon: int):
@@ -669,7 +717,7 @@ def _is_exact_zero_vec(x, p, precision):
 
 def _trace(an, x, horizon):
     """The sup-norm exponents of x's orbit, kept in an."""
-    return tuple(e for _, e in an.orbit(tuple(x), horizon))
+    return an.orbit(tuple(x), horizon)[0]
 
 
 def _fixed_point(an, a, x, horizon):
@@ -689,7 +737,7 @@ def _linear_map(an, a, x, horizon):
     coords = mat_vec(cmat(s.winv, ctx), cvec(x, ctx))
     ds, dc, du = s.dims()
     zness = [ctx.zeroness(coords[i]) for i in range(ds, ds + dc + du)]
-    trace = tuple(e for _, e in orbit(f, x, min(horizon, 8)))
+    trace = _orbit(f, x, min(horizon, 8), INF)[0]
     if any(z not in (ZERO, NONZERO) for z in zness):
         return UNDECIDED, trace, ("a centre/unstable coordinate of x is indistinguishable "
                                   "from zero at working precision",)
@@ -706,20 +754,19 @@ def _linear_map(an, a, x, horizon):
         "step in the adapted norm, so a^-n ||A^n x|| does not tend to 0")
 
 
-def _ball_below(an, a, x, horizon):
-    """Every |lambda| < a: an orbit point inside a Contracting ball at a
-    rate below a or, for a > 1 when ||A|| = 1 refuses Contracting, inside
-    an Invariant ball, which takes a^-m ||F^m(x)|| to 0 all the same."""
-    norm = an.linear.norm()
-    cert, reason = _ball_or_reason(an, CONTRACTING, norm, a)
-    if cert is None and a > 1:
-        cert, invariant = _ball_or_reason(an, INVARIANT, norm)
-        reason = f"{reason}; {invariant}"
-    if cert is None:
-        return reason
+def _points(an, x, horizon, start=0):
+    """(n, F^n(x)) for n >= start along x's kept orbit, each point made as
+    it is read."""
+    exps, point = an.orbit(tuple(x), horizon)
+    return ((n, point(n)) for n in range(start, len(exps)))
+
+
+def _ball_member(an, cert, x, horizon):
+    """CertifiedMember by the first orbit point inside cert's ball, or why
+    no point within the horizon is."""
     k = cert.radius_exp
-    for n, (z, _) in enumerate(an.orbit(tuple(x), horizon)):
-        if norm.norm_exp(z) >= k:
+    for n, z in _points(an, x, horizon):
+        if cert.norm.norm_exp(z) >= k:
             if cert.mode == CONTRACTING:
                 just = (f"F^{n}(x) lies in the ball p^-{k} with a Contracting certificate "
                         f"at rate c = p^-{cert.contraction_exp} < a",
@@ -733,6 +780,26 @@ def _ball_below(an, a, x, horizon):
     return f"no orbit point within the horizon lies in the {cert.mode} ball p^-{k}"
 
 
+def _contracting_ball(an, a, x, horizon):
+    """Every |lambda| < a: an orbit point inside a Contracting ball at a
+    rate below a (the ball, or why it is refused, kept per (norm, a))."""
+    cert, reason = an.contracting_ball(an.linear.norm(), a)
+    return reason or _ball_member(an, cert, x, horizon)
+
+
+def _invariant_ball(an, a, x, horizon):
+    """Every |lambda| < a, a > 1 and the Contracting ball refused (||A|| =
+    1): an orbit point inside an Invariant ball, which takes
+    a^-m ||F^m(x)|| to 0 all the same."""
+    norm = an.linear.norm()
+    if an.contracting_ball(norm, a)[0] is not None:
+        return "the Contracting ball was built"
+    if a <= 1:
+        return f"a = {a} is not > 1"
+    cert, reason = _ball_or_reason(an, INVARIANT, norm)
+    return reason or _ball_member(an, cert, x, horizon)
+
+
 def _linearization_ball(an, a, x, horizon):
     """Every |lambda| > a, so ]0, a] misses the spectrum and W_a^s is
     locally {0}: an orbit point that is 0, or one inside the linearization
@@ -742,7 +809,7 @@ def _linearization_ball(an, a, x, horizon):
     einv, k = an.radius(norm)
     if compare_threshold(a, -einv, p) != -1:
         return f"the expansion p^{einv} of ||A^-1|| = p^{-einv} is not certified above a"
-    for n, (z, _) in enumerate(an.orbit(tuple(x), horizon)):
+    for n, z in _points(an, x, horizon):
         if _is_exact_zero_vec(z, p, an.precision):
             return CERTIFIED_MEMBER, _trace(an, x, horizon), (
                 f"F^{n}(x) = 0 exactly; the orbit is eventually the fixed point",)
@@ -814,7 +881,7 @@ def _on_stable_graph(an, a, x, horizon):
 def _orbit_point(an, a, x, horizon):
     """An orbit point F^n(x), n >= 1, that is 0 or has the dominance of
     _dominant_unstable (n = 0 is x, which the rules before it read)."""
-    for n, (z, _) in enumerate(an.orbit(tuple(x), horizon)[1:], 1):
+    for n, z in _points(an, x, horizon, 1):
         if _is_exact_zero_vec(z, an.f.prime, an.precision):
             return CERTIFIED_MEMBER, _trace(an, x, horizon), (f"F^{n}(x) = 0 exactly",)
         out = _dominant_unstable(an, a, x, horizon, n, z)
@@ -843,7 +910,8 @@ def _trend(an, a, x, horizon):
 
 # the certificate rules of each regime, keyed by the sides of a the spectrum
 # lies on (1: |lambda| < a, -1: > a); with some |lambda| = a only the trend answers
-_REGIME_RULES = {frozenset({1}): (_ball_below,), frozenset({-1}): (_linearization_ball,),
+_REGIME_RULES = {frozenset({1}): (_contracting_ball, _invariant_ball),
+                 frozenset({-1}): (_linearization_ball,),
                  frozenset({1, -1}): (_dominant_unstable, _on_stable_graph, _orbit_point)}
 
 
@@ -868,7 +936,7 @@ def stable_membership(f: PolyMap, a, x, horizon: int = 64,
     2. a linear F, by its splitting at a;
     3. every |lambda| < a: an orbit point inside a Contracting ball at a
        rate below a, or, for a > 1 when ||A|| = 1 refuses Contracting,
-       inside an Invariant ball;
+       inside an Invariant ball (two rules);
     4. every |lambda| > a: an orbit point that is 0 or lies inside the
        linearization ball;
     5. in a hyperbolic gap: x's own dominant unstable component inside

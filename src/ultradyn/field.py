@@ -63,11 +63,25 @@ def _is_prime(n: int) -> bool:
 
 
 def _ival(n: int, p: int) -> int:
-    """v_p of a nonzero integer."""
+    """v_p of a nonzero integer: the lowest set bit for p = 2; for odd p
+    one division per unit up to v = 4, then by p^2, p^4, ... (squaring) and
+    back down, in O(log v) big divisions."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while not n % p:
         n //= p
         v += 1
+        if v == 4:
+            qs, q = [p], p * p
+            while not (m := divmod(n, q))[1]:
+                n, v = m[0], v + (2 << len(qs) - 1)
+                qs.append(q)
+                q *= q
+            for i in range(len(qs) - 1, -1, -1):
+                if not (m := divmod(n, qs[i]))[1]:
+                    n, v = m[0], v + (1 << i)
+            break
     return v
 
 

@@ -86,8 +86,8 @@ def formal_inverse(f: PolyMap, order: int = 6) -> PolyMap:
     minus_r = [{m: -coerce(c, ctx) for m, c in comp if sum(m) >= 2} for comp in f.components]
     g = ainv
     for k in range(2, order + 1):
-        minus_rg = [_msubst(r, g, n, ctx, k) for r in minus_r]
-        g = [_madd(dict(ai), _msubst(ai, minus_rg, n, ctx), ctx) for ai in ainv]
+        minus_rg = _msubst(minus_r, g, n, ctx, k)
+        g = [_madd(dict(ai), t, ctx) for ai, t in zip(ainv, _msubst(ainv, minus_rg, n, ctx))]
     return PolyMap.from_tables(g, f.prime, n)
 
 
@@ -125,13 +125,12 @@ def _solve_degree(ab, acc_mat, known, db, dc, k, ctx):
     monos = _degree_monomials(db, k)
     nm = len(monos)
     pos = {m: j for j, m in enumerate(monos)}
-    ab_polys = _linear_tables(ab, ctx)
+    shifted = _msubst([{m: ctx.one} for m in monos], _linear_tables(ab, ctx), db, ctx)
     # unknowns and equations indexed (complement coordinate i, monomial m)
     mat = [[ctx.zero] * (dc * nm) for _ in range(dc * nm)]
     for j, m in enumerate(monos):
-        shifted = _msubst({m: ctx.one}, ab_polys, db, ctx)
         for i in range(dc):
-            for mm, c in shifted.items():
+            for mm, c in shifted[j].items():
                 mat[i * nm + pos[mm]][i * nm + j] = c
             for ii in range(dc):
                 if ctx.zeroness(acc_mat[ii][i]) != ZERO:
@@ -199,7 +198,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     h = [{} for _ in range(dc)]  # tables over db variables
     for k in range(2, order + 1):
         fb_h, fc_h = _compose_with_graph(tables, h, db, dc, k, ctx)
-        lhs = [_msubst(h[i], fb_h, db, ctx, k) for i in range(dc)]
+        lhs = _msubst(h, fb_h, db, ctx, k)
         known = []
         for i in range(dc):
             diff = _madd(fc_h[i], lhs[i], ctx, ctx.zero - ctx.one)
@@ -218,10 +217,8 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
 def _compose_with_graph(tables, h, db, dc, max_deg, ctx):
     """(F_base(xi, h(xi)), F_comp(xi, h(xi))) as tables over the db base
     variables, truncated at max_deg."""
-    subs = _linear_tables(identity(db, ctx), ctx) + list(h)
-    fb = [_msubst(tables[i], subs, db, ctx, max_deg) for i in range(db)]
-    fc = [_msubst(tables[db + i], subs, db, ctx, max_deg) for i in range(dc)]
-    return fb, fc
+    out = _msubst(tables, _linear_tables(identity(db, ctx), ctx) + list(h), db, ctx, max_deg)
+    return out[:db], out[db:db + dc]
 
 
 def _on_graph(f: PolyMap, gs: GraphSeries):
@@ -251,8 +248,8 @@ def _on_graph(f: PolyMap, gs: GraphSeries):
 def _residual_of(fb, fc, h, ctx, max_deg=INF):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) through total degree max_deg,
     from compose(cap) of _on_graph with cap >= max_deg."""
-    return [_madd(_msubst(hi, fb, len(fb), ctx, max_deg), fci, ctx, ctx.zero - ctx.one)
-            for hi, fci in zip(h, fc)]
+    return [_madd(hfb, fci, ctx, ctx.zero - ctx.one)
+            for hfb, fci in zip(_msubst(h, fb, len(fb), ctx, max_deg), fc)]
 
 
 def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
@@ -284,7 +281,7 @@ def evaluate_graph(gs: GraphSeries, xi):
     ctx = gs._ctx()
     if isinstance(ctx, RationalContext) and isinstance(infer_context(list(xi), gs.prime),
                                                        RationalContext):
-        return _zeval([_ztable(t) for t in gs.tables()], xi)
+        return _zeval(_ztable(gs.tables()), xi)
     xi = cvec(xi, ctx)
     return [_meval({m: coerce(c, ctx) for m, c in t.items()}, xi, ctx)
             for t in gs.tables()]

@@ -395,6 +395,22 @@ def reference_call(f, x):
                 Fraction(0)) for comp in f.components]
 
 
+def reference_orbit(f, x, n, bit_cap):
+    """dynamics._orbit the plain way: [(point, sup-norm exponent)] for x,
+    F(x), ..., F^n(x), each point a list stepped by PolyMap.__call__ and
+    read by standard_norm_exp, cut after the first point whose coordinates
+    pass bit_cap bits in all (dynamics._rat_bits)."""
+    from ultradyn.dynamics import _rat_bits, standard_norm_exp
+
+    out, z = [], list(x)
+    for _ in range(n + 1):
+        out.append((tuple(z), standard_norm_exp(z, f.prime)))
+        if bit_cap < INF and sum(map(_rat_bits, z)) > bit_cap:
+            break
+        z = f(z)
+    return out
+
+
 def reference_lipschitz(f, n):
     """k -> the remainder bound of dynamics.remainder_lipschitz, from the
     conjugate G = (T Winv) F (T Winv)^-1 of the rational map F expanded over

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import ceil, inf as INF
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultradyn import dynamics, manifolds, spectral
@@ -42,7 +42,7 @@ from ultradyn.field import (DEFAULT_PRECISION, ZERO, PadicContext, PadicNumber, 
 from ultradyn.spectral import adapted_norm
 
 from helpers import rand_conjugated, rand_poly_map, rand_unit
-from reference import reference_call, reference_lipschitz, reference_msubst
+from reference import reference_call, reference_lipschitz, reference_msubst, reference_orbit
 
 F = Fraction
 
@@ -331,9 +331,57 @@ def test_rat_bits_counts_integer_bits():
     assert _rat_bits(big) == big.bit_length() > ORBIT_BIT_CAP
     assert _rat_bits(F(-3, 4)) == 2 + 3
     f = bench()
-    assert len(_orbit(f, [big, 0], 5, ORBIT_BIT_CAP)) == 1
-    assert len(_orbit(f, [F(big), F(0)], 5, ORBIT_BIT_CAP)) == 1
-    assert len(_orbit(f, [F(1, 2), 3], 5, ORBIT_BIT_CAP)) == 6
+    assert len(_orbit(f, [big, 0], 5, ORBIT_BIT_CAP)[0]) == 1
+    assert len(_orbit(f, [F(big), F(0)], 5, ORBIT_BIT_CAP)[0]) == 1
+    assert len(_orbit(f, [F(1, 2), 3], 5, ORBIT_BIT_CAP)[0]) == 6
+
+
+_COORD = st.one_of(st.just(0), st.just(F(0)), st.integers(-40, 40),
+                   st.fractions(min_value=-40, max_value=40, max_denominator=60))
+NEAR_CAP = F(3 ** 5000 + 1, 1024)  # 7937 bits: under ORBIT_BIT_CAP, its square over it
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), p=st.sampled_from((2, 3, 5)), d=st.integers(1, 3),
+       deg=st.integers(1, 3), n=st.integers(0, 8), data=st.data())
+@example(seed=7, p=2, d=1, deg=2, n=3, data=None)
+def test_rational_orbit_matches_stepping_the_map(seed, p, d, deg, n, data):
+    """The orbit over Q, one integer vector over a common denominator per
+    point, has the exponents, the cut and, read back, the points of the
+    plain orbit that steps PolyMap.__call__ and reads standard_norm_exp,
+    under ORBIT_BIT_CAP and uncapped: points mixing ints, Fractions and
+    zeros, and the point NEAR_CAP, whose orbit is cut after its first step
+    under the cap when the map squares it."""
+    f = rand_poly_map(random.Random(seed), p, d, deg)
+    x = [NEAR_CAP] if data is None else data.draw(st.lists(_COORD, min_size=d, max_size=d))
+    for cap in (ORBIT_BIT_CAP, INF):
+        want = reference_orbit(f, x, n, cap)
+        exps, point = _orbit(f, x, n, cap)
+        assert exps == tuple(e for _, e in want), (f, x, cap)
+        assert [[(type(c), c) for c in point(i)] for i in range(len(exps))] == \
+            [[(type(c), c) for c in z] for z, _ in want]
+        if data is None:  # the map's x^2 term squares NEAR_CAP: cut after F(x) under the cap
+            assert (2,) in f.tables()[0] and len(exps) == (2 if cap < INF else n + 1)
+
+
+def test_orbit_cut_counts_reduced_fractions():
+    """The cut reads each point's reduced fraction, as the plain orbit does:
+    x/2 + x^2 at (2^3000 + 1)/3^3000 (3001 + 4755 bits) is cut after F(x),
+    whose denominator holds most of its bits; (x, y/2^3000) at (3^1600, 1)
+    is cut after F^2(x), not F(x): over the common denominator 2^3000, F(x)
+    has 11539 bits, but 5539 reduced; and (x, y, z/2^3000) at (3^946,
+    3^946, 1) is cut after F^2(x) too: F(x) has numerators of 9001 bits
+    over 2^3000, but 6004 bits reduced."""
+    cases = ((pmap([{(1,): F(1, 2), (2,): F(1)}], 3), [F(2 ** 3000 + 1, 3 ** 3000)], 2),
+             (pmap([{(1, 0): F(1)}, {(0, 1): F(1, 2 ** 3000)}], 2), [3 ** 1600, 1], 3),
+             (pmap([{(1, 0, 0): F(1)}, {(0, 1, 0): F(1)}, {(0, 0, 1): F(1, 2 ** 3000)}], 2),
+              [3 ** 946, 3 ** 946, 1], 3))
+    for f, x, points in cases:
+        want = reference_orbit(f, x, 3, ORBIT_BIT_CAP)
+        exps, point = _orbit(f, x, 3, ORBIT_BIT_CAP)
+        assert len(exps) == len(want) == points
+        assert exps == tuple(e for _, e in want)
+        assert [point(i) for i in range(points)] == [z for z, _ in want]
 
 
 @pytest.mark.parametrize("x", [[F(1), F(2), F(3)], [F(1)], [0, 0, 0], []])
@@ -577,10 +625,12 @@ def _upto(table, k):
 
 
 @st.composite
-def series_cases(draw):
+def series_cases(draw, batch=0):
     """(a, polys, nvars_out, ctx, k): a over len(polys) variables, polys over
     nvars_out, rational or p-adic coefficients (exact zeros and O-terms
-    included), and a degree cap k."""
+    included), and a degree cap k; with batch, a is a list of 1 to batch
+    such tables, their monomials drawn from one pool of at most 4, so that
+    tables of one batch share monomials."""
     p = draw(st.sampled_from((2, 3, 5)))
     q = st.fractions(min_value=-20, max_value=20, max_denominator=20)
     if draw(st.booleans()):
@@ -595,12 +645,17 @@ def series_cases(draw):
                       q.filter(bool), st.sampled_from((8, 16))))
     nin, nout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
 
-    def table(nvars, top):
+    def table(nvars, top, pool=None):
         monos = st.tuples(*[st.integers(0, top)] * nvars)
-        return draw(st.dictionaries(monos, coeff, max_size=4))
+        return draw(st.dictionaries(monos if pool is None else st.sampled_from(pool), coeff,
+                                    max_size=4))
 
-    return table(nin, 3), [table(nout, 2) for _ in range(nin)], nout, ctx, \
-        draw(st.integers(0, 6))
+    if batch:
+        pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nin), min_size=1, max_size=4))
+        a = [table(nin, 3, pool) for _ in range(draw(st.integers(1, batch)))]
+    else:
+        a = table(nin, 3)
+    return a, [table(nout, 2) for _ in range(nin)], nout, ctx, draw(st.integers(0, 6))
 
 
 @settings(max_examples=80, deadline=None)
@@ -610,11 +665,27 @@ def test_msubst_truncates_inside_the_product(case):
     full = _ref_subst(a, polys, nout, ctx)
     powers = [[_ref_pow(q, e, nout, ctx) for e in range(4)] for q in polys]
     # same terms, coefficients and term order as truncating afterwards
-    assert list(_msubst(a, polys, nout, ctx, max_deg=k).items()) == _upto(full, k)
-    assert list(_msubst(a, polys, nout, ctx).items()) == list(full.items())
+    assert list(_msubst([a], polys, nout, ctx, max_deg=k)[0].items()) == _upto(full, k)
+    assert list(_msubst([a], polys, nout, ctx)[0].items()) == list(full.items())
     for q, want in zip(polys, powers):
         got = _mpow(q, 3, nout, ctx, max_deg=k)
         assert [list(t.items()) for t in got] == [_upto(t, k) for t in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_cases(batch=4))
+def test_batched_msubst_matches_one_table_at_a_time(case):
+    """One batch, its powers built once (over Q its tables scaled once and
+    each monomial's product shared), gives each table what substituting it
+    alone gives: the same terms in the same order, each coefficient of the
+    same type and value, a PadicNumber with the same digits and precision
+    (PadicNumber == compares all four fields)."""
+    tables, polys, nout, ctx, k = case
+    for cap in (k, INF):
+        got = _msubst(tables, polys, nout, ctx, cap)
+        alone = [_msubst([a], polys, nout, ctx, cap)[0] for a in tables]
+        assert [[(m, type(c), c) for m, c in t.items()] for t in got] == \
+            [[(m, type(c), c) for m, c in t.items()] for t in alone], (tables, polys, cap)
 
 
 def _rational_maps():
@@ -647,10 +718,10 @@ def test_msubst_matches_fraction_reference():
             a = {m: _mixed(rng, c) for m, c in comp.items()}
             for polys in (shift, linear, mixed, [{}] * d):
                 for k in (1, 2, 3, 5, INF):
-                    got = _msubst(a, polys, d, ctx, k)
+                    got, = _msubst([a], polys, d, ctx, k)
                     assert got == reference_msubst(a, polys, d, k), (f, polys, k)
                     assert all(type(c) is F for c in got.values())
-        assert _msubst({}, shift, d, ctx) == {}
+        assert _msubst([{}], shift, d, ctx) == [{}]
 
 
 def test_call_matches_fraction_reference():

@@ -19,6 +19,7 @@ from ultradyn.field import (
     RationalContext,
     _bval,
     _is_prime,
+    _ival,
     compare_threshold,
     valuation_of_rational,
 )
@@ -83,6 +84,26 @@ def test_valuation_ultrametric(a, b, p):
     assert vs >= min(va, vb)
     if va != vb:
         assert vs == min(va, vb)
+
+
+def _plain_ival(n, p):
+    """v_p(n) by one division per unit of valuation."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7, 10007)), st.integers(0, 500), st.integers(1, 10 ** 40),
+       st.sampled_from((1, -1)))
+def test_ival_matches_the_division_loop(p, v, u, sign):
+    """_ival (the lowest set bit for p = 2, a squaring ladder past v = 4
+    for odd p) equals the plain loop, for v up to 500 and both signs; u
+    may hold p itself."""
+    n = sign * u * p ** v
+    assert _ival(n, p) == _plain_ival(n, p) >= v
 
 
 # -- threshold comparison ----------------------------------------------------

@@ -246,7 +246,7 @@ def test_formal_inverse_composes_to_identity():
                 ctx = f.coeff_context()
                 for outer, inner in ((g, f), (f, g)):
                     for i, t in enumerate(outer.tables()):
-                        comp = _msubst(t, inner.tables(), d, ctx, order)
+                        comp, = _msubst([t], inner.tables(), d, ctx, order)
                         e = tuple(int(j == i) for j in range(d))
                         assert comp == {e: F(1)}, (f.tables(), i, comp)
 

@@ -125,7 +125,7 @@ def test_padic_coefficient_enters_before_the_powers():
     ctx = PadicContext(2)
     c = PadicNumber.from_rational(1, 2, 4)
     x_plus_y = {(1, 0): ctx.one, (0, 1): ctx.one}
-    got = _msubst({(1, 1): c}, [x_plus_y, x_plus_y], 2, ctx)
+    got, = _msubst([{(1, 1): c}], [x_plus_y, x_plus_y], 2, ctx)
     assert repr(got[1, 1]) == "1*2^1+O(2^4)"
     assert [repr(got[m]) for m in ((2, 0), (0, 2))] == ["1*2^0+O(2^4)"] * 2
 

@@ -1011,7 +1011,8 @@ def test_gap_answers_do_not_depend_on_the_threshold_asked_first():
 
 NOT_ZERO, NONLINEAR = ("fixed_point", "x is not exactly 0"), ("linear_map", "F has degree 2")
 # (4x, y + x^2) over Q_2 at a = 2: ||A|| = 1 refuses Contracting, so the
-# below-the-spectrum rule takes the Invariant ball
+# Invariant ball rule runs, and the verdict keeps the Contracting refusal
+REFUSED = ("contracting_ball", "Contracting: ||A|| = p^0 not < 1")
 INVARIANT_MAP = PolyMap.from_tables([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)}], p=2)
 
 
@@ -1020,10 +1021,14 @@ INVARIANT_MAP = PolyMap.from_tables([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)
     (CONTRACTING, F(1), [F(4), F(8)], dynamics.CERTIFIED_MEMBER, [NOT_ZERO, NONLINEAR]),
     (CONTRACTING, F(1), [F(1, 4), F(1, 2)], dynamics.HEURISTIC_NON_MEMBER, [
         NOT_ZERO, NONLINEAR,
-        ("ball_below", "no orbit point within the horizon lies in the Contracting ball p^-1")]),
+        ("contracting_ball", "no orbit point within the horizon lies in the Contracting ball "
+                             "p^-1"),
+        ("invariant_ball", "the Contracting ball was built")]),
     (INVARIANT_MAP, F(2), [F(1, 2), F(1, 2)], dynamics.HEURISTIC_MEMBER, [
-        NOT_ZERO, NONLINEAR,
-        ("ball_below", "no orbit point within the horizon lies in the Invariant ball p^-0")]),
+        NOT_ZERO, NONLINEAR, REFUSED,
+        ("invariant_ball", "no orbit point within the horizon lies in the Invariant ball p^-0")]),
+    (INVARIANT_MAP, F(2), [F(4), F(2)], dynamics.CERTIFIED_MEMBER, [
+        NOT_ZERO, NONLINEAR, REFUSED]),
     (EXPANDING, F(1), [F(1, 64), F(1, 64)], dynamics.HEURISTIC_NON_MEMBER, [
         NOT_ZERO, NONLINEAR, ("linearization_ball", "no orbit point within the horizon is 0 "
                               "or inside the linearization ball p^-0")]),
@@ -1043,8 +1048,9 @@ INVARIANT_MAP = PolyMap.from_tables([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)
                         "that dominance")]),
     (THREE_GAPS, F(1), THREE_GAP_POINTS[1], dynamics.HEURISTIC_NON_MEMBER,
      [NOT_ZERO, NONLINEAR]),  # |lambda| = 1 = a: no certificate rule runs
-], ids=["fixed_point", "linear_map", "ball_below-contracting", "ball_below-invariant",
-        "linearization_ball", "dominant_unstable", "on_stable_graph", "orbit_point", "centre"])
+], ids=["fixed_point", "linear_map", "contracting_ball", "invariant_ball",
+        "invariant_ball-member", "linearization_ball", "dominant_unstable", "on_stable_graph",
+        "orbit_point", "centre"])
 def test_membership_keeps_why_each_rule_did_not_apply(f, a, x, verdict, reasons):
     """stable_membership keeps, in order, (rule, reason) for each rule it
     tried before the one that answered; the regime of a picks the rules
@@ -1101,13 +1107,13 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     linearization radius, membership below and above the spectrum and in a
     gap (by the dominance ball and by graph reduction), and a graph series
     with its residual hand the series kernel nothing but ints (it runs on
-    the integer context): _mmul, _meval (the evaluation at a rational
-    point) and the sums, with their scales, that _msubst and conjugate make
-    with _madd all see ints and nothing else.  They read
-    neither of the Fraction rows and columns _pi_rows and _pi_cols of a
-    norm.  So a silent fallback to Fraction products fails.  One PadicNumber
+    the integer context): _mmul, _zhom (the evaluation at a rational
+    point, an orbit step among them) and the sums, with their scales, that
+    _msubst and conjugate make with _madd all see ints and nothing else.
+    They read neither of the Fraction rows and columns _pi_rows and _pi_cols
+    of a norm.  So a silent fallback to Fraction products fails.  One PadicNumber
     coefficient keeps the ring path, and the spies see PadicNumbers reach
-    all three and both readers read."""
+    _mmul, _meval (the ring's evaluation) and _madd, and both readers read."""
     dynamics._map_analysis.cache_clear()  # every remainder bound is built here
     calls = Counter()  # (name, type of a coefficient or point entry it was handed)
 
@@ -1116,7 +1122,8 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
             if isinstance(arg, (dict, list)):
                 yield from map(type, arg.values() if isinstance(arg, dict) else arg)
 
-    for module, name in ((dynamics, "_mmul"), (dynamics, "_meval"), (manifolds, "_meval")):
+    for module, name in ((dynamics, "_mmul"), (dynamics, "_meval"), (manifolds, "_meval"),
+                         (dynamics, "_zhom")):
         orig = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, orig=orig, name=name: calls.update(
             (name, kind) for kind in handed(a)) or orig(*a))
@@ -1147,7 +1154,7 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
     for f in (GAP_MAP, SERIES_GRAPH_MAP):
         gs = manifolds.graph_series(f, F(1), manifolds.STABLE, order=6)
         assert not any(manifolds.residual(f, gs))
-    assert set(calls) == {("_mmul", int), ("_madd", int), ("_meval", int)}, calls
+    assert set(calls) == {("_mmul", int), ("_madd", int), ("_zhom", int)}, calls
     calls.clear()
     tables = CONTRACTING.tables()
     tables[0][0, 2] = PadicNumber.from_rational(1, 2, 20)

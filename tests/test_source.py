@@ -1,8 +1,8 @@
 """Source hygiene: no dead private helpers and no unused imports in the
 library, one place that builds a LinearAnalysis and one that builds a
 MapAnalysis, every name the benchmark's tracer rebinds still resolves, no
-Q_p(pi) ring context left in the library, no dataclasses, and the public
-names all import, on first use."""
+Q_p(pi) ring context left in the library, no dataclasses, no private
+internals of fractions, and the public names all import, on first use."""
 
 import ast
 import importlib
@@ -182,3 +182,15 @@ def test_no_dataclasses_in_the_library():
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert not imported & {"dataclasses", "inspect"}, path.name
+
+
+def test_no_private_fraction_internals():
+    """No module of the library reaches into the private internals of
+    fractions (a _normalize= keyword, Fraction._from_coprime_ints): they
+    change across Python 3.10 to 3.14 (_normalize is gone in 3.12), so
+    every Fraction is made through the public constructor."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                for kw in node.keywords} | set(_names(tree))
+        assert not used & {"_normalize", "_from_coprime_ints"}, path.name
