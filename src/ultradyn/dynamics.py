@@ -592,9 +592,9 @@ class MapAnalysis(_Record):
         reason it is not; kept per gap (each a on the same side of every
         root valuation splits F'(0) alike; gs.a is the first a asked, and no
         answer reads it).
-        graph_series zeroes the residual through the order, and its degree
-        order + 1 terms are exact from a composition truncated there (see
-        manifolds._on_graph); only a graph they pass is composed in full."""
+        graph_series zeroes the residual through the order; the untruncated
+        residual read at one exact point can refute the graph, and only a
+        graph it does not refute is composed with F, in full, once."""
         gap = self.linear.sides(a)
         kept = self.__dict__.setdefault("_stable_graph", {})
         if gap not in kept:
@@ -610,13 +610,15 @@ class MapAnalysis(_Record):
                                         precision=self.precision)
         except UltradynError as exc:
             return f"no stable graph: {type(exc).__name__}: {exc}"
-        compose, h, ctx = manifolds._on_graph(f, gs)
-        for cap in (gs.order + 1, INF):
-            fb, fc = compose(cap)
-            if any(manifolds._residual_of(fb, fc, h, ctx, cap)):  # zero terms are dropped
-                return (f"the stable graph of order {gs.order} is not exactly invariant "
-                        f"(nonzero residual through degree {cap})")
-        return gs, PolyMap.from_tables(fb, f.prime, len(fb)), ctx
+        tables, h, ctx = manifolds._on_graph(f, gs)
+        if any(ctx.zeroness(r) == NONZERO for r in manifolds._residual_at_point(gs, tables)):
+            why = "residual at one exact point"
+        else:
+            fb, fc = manifolds._compose_with_graph(tables, h, len(gs.base_basis), INF, ctx)
+            if not any(manifolds._residual_of(fb, fc, h, ctx)):  # zero terms are dropped
+                return gs, PolyMap.from_tables(fb, f.prime, len(fb)), ctx
+            why = "untruncated residual"
+        return f"the stable graph of order {gs.order} is not exactly invariant (nonzero {why})"
 
 
 @lru_cache(maxsize=16)

@@ -18,10 +18,6 @@ from operator import attrgetter
 
 from .errors import DivisionByZero, PrecisionExhausted, PreconditionViolated
 
-# Honest relative precision below which known (non O-term) results refuse to
-# exist.  O-terms (valuation lower bounds) are always allowed.
-MIN_PRECISION = 1
-
 DEFAULT_PRECISION = 64
 
 # The graph modes of manifolds.graph_series, defined here so that the CLI
@@ -233,9 +229,8 @@ class PadicNumber(_Record):
 
     @staticmethod
     def _known(p, val, unit, prec):
-        """Normalise a candidate known value, stripping p factors of unit."""
-        if prec <= 0:
-            return PadicNumber.o_term(p, val)
+        """Normalise a candidate known value (prec >= 1), stripping p factors
+        of unit: unit is not 0 mod p^prec, so fewer than prec are stripped."""
         m = p**prec
         unit %= m
         if unit == 0:
@@ -245,10 +240,6 @@ class PadicNumber(_Record):
             unit //= p
             k += 1
         prec -= k
-        if prec < MIN_PRECISION:
-            raise PrecisionExhausted(
-                f"result precision {prec} below floor {MIN_PRECISION}"
-            )
         return PadicNumber(p, val + k, unit % p**prec, prec)
 
     def _sum(self, y, sign):
@@ -320,18 +311,14 @@ class PadicNumber(_Record):
         unit = self.unit * pow(other.unit % m, -1, m) % m
         return PadicNumber(p, self.val - other.val, unit, prec)
 
-    # int or Fraction on the left: promote it, then operate in its place
-    def __radd__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else other + self
+    # + and * commute; for - and / an int or Fraction on the left is
+    # promoted, then operates in its place
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def __rsub__(self, other):
         other = self._operand(other)
         return NotImplemented if other is None else other - self
-
-    def __rmul__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else other * self
 
     def __rtruediv__(self, other):
         other = self._operand(other)

@@ -197,7 +197,7 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     ab, acc = [r[:db] for r in lin[:db]], [r[db:] for r in lin[db:]]
     h = [{} for _ in range(dc)]  # tables over db variables
     for k in range(2, order + 1):
-        fb_h, fc_h = _compose_with_graph(tables, h, db, dc, k, ctx)
+        fb_h, fc_h = _compose_with_graph(tables, h, db, k, ctx)
         lhs = _msubst(h, fb_h, db, ctx, k)
         known = []
         for i in range(dc):
@@ -214,51 +214,55 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
     )
 
 
-def _compose_with_graph(tables, h, db, dc, max_deg, ctx):
+def _compose_with_graph(tables, h, db, max_deg, ctx):
     """(F_base(xi, h(xi)), F_comp(xi, h(xi))) as tables over the db base
     variables, truncated at max_deg."""
     out = _msubst(tables, _linear_tables(identity(db, ctx), ctx) + list(h), db, ctx, max_deg)
-    return out[:db], out[db:db + dc]
+    return out[:db], out[db:]
 
 
 def _on_graph(f: PolyMap, gs: GraphSeries):
-    """(compose, h, ctx), with F conjugated into the graph's coordinates
-    once (by graph_series, for the map it was built from): compose(cap)
-    gives F_base(xi, h(xi)) and F_comp(xi, h(xi)) as tables over the base
-    variables, truncated at total degree cap (INF truncates nothing), and h
-    is the graph's tables over ctx.
-
-    The degree <= k part of either, and of the residual built from them,
-    depends only on the terms of degree <= k: h has no term below degree 2
-    and F_base(xi, h(xi)) has no constant term.  So a small cap gives the
-    exact low-degree residual, and only an all-zero one needs cap INF."""
+    """(tables, h, ctx): F conjugated into the graph's coordinates once (by
+    graph_series, for the map it was built from), and the graph's tables h,
+    both over ctx.  _compose_with_graph(tables, h, ...) composes them."""
     if gs._build is not None and gs._build[0] == f:
         _, tables, ctx = gs._build
     else:
         solve_map = formal_inverse(f, gs.order) if gs.mode == UNSTABLE else f
         ctx = gs._ctx()
         tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
-    h = [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()]
-
-    def compose(cap):
-        return _compose_with_graph(tables, h, len(gs.base_basis), len(h), cap, ctx)
-    return compose, h, ctx
+    return tables, [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()], ctx
 
 
 def _residual_of(fb, fc, h, ctx, max_deg=INF):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) through total degree max_deg,
-    from compose(cap) of _on_graph with cap >= max_deg."""
+    from _compose_with_graph with a cap >= max_deg.  Its degree <= k part
+    depends only on the terms of degree <= k: h has no term below degree 2
+    and F_base(xi, h(xi)) has no constant term."""
     return [_madd(hfb, fci, ctx, ctx.zero - ctx.one)
             for hfb, fci in zip(_msubst(h, fb, len(fb), ctx, max_deg), fc)]
+
+
+def _residual_at_point(gs: GraphSeries, tables):
+    """The untruncated residual h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) at
+    the exact point xi = (1, ..., db), F given by its tables in the graph's
+    coordinates: F through PolyMap evaluation, h through evaluate_graph.
+    A value the ring certifies nonzero shows the residual polynomial is
+    nonzero (J. T. Schwartz, J. ACM 27, 1980); a zero or an O-term shows
+    nothing."""
+    db = len(gs.base_basis)
+    xi = [Fraction(i) for i in range(1, db + 1)]
+    fx = PolyMap.from_tables(tables, gs.prime, len(tables))(xi + evaluate_graph(gs, xi))
+    return [hv - fv for hv, fv in zip(evaluate_graph(gs, fx[:db]), fx[db:])]
 
 
 def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
     """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) as complement-coordinate
     tables; all-zero (through the order, if truncate) iff the graph is
     invariant."""
-    compose, h, ctx = _on_graph(f, gs)
+    tables, h, ctx = _on_graph(f, gs)
     cap = gs.order if truncate else INF
-    return _residual_of(*compose(cap), h, ctx, cap)
+    return _residual_of(*_compose_with_graph(tables, h, len(gs.base_basis), cap, ctx), h, ctx, cap)
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import random
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ultradyn import cli, spectral
@@ -452,22 +453,76 @@ def _problem(d):
 FUZZ_BUDGET_S = 10  # wall clock per example; the slowest drawn documents take under 1 s
 
 
-@settings(max_examples=150, print_blob=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cmd=st.sampled_from(sorted(cli.COMMANDS)), doc=st.integers(1, 3).flatmap(_problem))
-def test_schema_fuzz_exit_codes(tmp_path, capsys, cmd, doc):
-    """Every drawn document exits 0, 2, 3 or 4 with no traceback, within
-    FUZZ_BUDGET_S: a slow document fails with its command and JSON instead
-    of timing the job out."""
+class _Overrun(BaseException):
+    """Raised by _within_budget's SIGALRM handler; a BaseException, so that
+    no except Exception on the way up takes it for an answer."""
+
+
+def _within_budget(seconds, call):
+    """call(), or _Overrun once it has run for seconds of wall clock."""
     def overrun(signum, frame):
-        pytest.fail(f"{cmd} ran past {FUZZ_BUDGET_S} s on {json.dumps(doc)}")
+        raise _Overrun
 
     previous = signal.signal(signal.SIGALRM, overrun)
-    signal.setitimer(signal.ITIMER_REAL, FUZZ_BUDGET_S)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        code, out, err = run(capsys, [cmd, "--input", write(tmp_path, doc)])
+        return call()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _run_within_budget(capsys, cmd, doc, tmp_path):
+    """run() on doc, or this test fails with the command and the JSON once
+    it has run for FUZZ_BUDGET_S; pytest.fail is called here, outside the
+    signal handler and outside the except clause."""
+    argv = [cmd, "--input", write(tmp_path, doc)]
+    try:
+        return _within_budget(FUZZ_BUDGET_S, lambda: run(capsys, argv))
+    except _Overrun:
+        pass
+    pytest.fail(f"{cmd} ran past {FUZZ_BUDGET_S} s on {json.dumps(doc)}")
+
+
+def test_within_budget_raises_on_overrun():
+    with pytest.raises(_Overrun):
+        _within_budget(0.01, lambda: time.sleep(5))
+    assert _within_budget(5, lambda: 7) == 7
+
+
+# member documents that once ran past the budget: the stable graph of order
+# 64 is refused by its residual at one exact point, where composing F with
+# it in full ran for minutes
+SLOW_GRAPH_DOCS = [
+    {"prime": 5, "a": "1/3", "point": ["-198/5", "4", "-125/2"], "horizon": 2,
+     "precision": 15,
+     "map": [[[[3, 3, 2], "444/11"], [[0, 3, 3], "91/2"], [[2, 0, 1], "157/9"]],
+             [[[0, 0, 2], "6"], [[0, 1, 0], "-1"]], [[[3, 0, 3], "3"]]]},
+    {"horizon": 2, "a": "1/3", "point": ["8", "-8", "8"], "prime": 5, "order": 3,
+     "steps": -1, "eps": "31", "matrix": [["-3", "-4", "5"], ["-1", -4, "30"],
+                                          ["-148/3", "5", 0]],
+     "map": [[[[3, 3, 2], "-76/7"], [[3, 3, 1], -7]], [[[1, 3, 2], "22/5"]],
+             [[[0, 2, 1], "6"], [[2, 2, 0], "3"], [[2, 2, 2], "-5"], [[0, 0, 1], 4]]]},
+]
+
+
+@settings(max_examples=150, print_blob=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(sorted(cli.COMMANDS)), doc=st.integers(1, 3).flatmap(_problem))
+@example(cmd="member", doc=SLOW_GRAPH_DOCS[0])
+@example(cmd="member", doc=SLOW_GRAPH_DOCS[1])
+def test_schema_fuzz_exit_codes(tmp_path, capsys, cmd, doc):
+    """Every drawn document exits 0, 2, 3 or 4 with no traceback, within
+    FUZZ_BUDGET_S: a slow document fails this one test with its command and
+    JSON instead of timing the job out."""
+    code, out, err = _run_within_budget(capsys, cmd, doc, tmp_path)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", SLOW_GRAPH_DOCS, ids=["order-64-graph", "fuzz-draw"])
+def test_slow_graph_documents_answer_undecided(tmp_path, capsys, doc):
+    """The residual read at one exact point refutes the stable graph, so the
+    rules after it answer: Undecided, as after the full composition."""
+    code, out, err = _run_within_budget(capsys, "member", doc, tmp_path)
+    assert (code, err) == (0, "") and json.loads(out)["verdict"] == "Undecided"

@@ -325,6 +325,36 @@ def test_padic_valuations_are_ints_and_results_match_the_reference(data, p):
                 _check_op(op, r, x, up, x)
 
 
+@given(st.data(), st.sampled_from((2, 3, 5, 7)))
+def test_reflected_operators_are_the_forward_ones(data, p):
+    """q + x and q * x, with an int or a Fraction q (0 included) on the
+    left, equal x + q and x * q in (val, unit, prec), and what promoting q
+    at x's precision and operating in its place gives, for known values,
+    O-terms and exact zeros x."""
+    x = data.draw(padics(p))
+    q = data.draw(st.one_of(st.integers(-10**6, 10**6), rationals))
+    up = x._operand(q)
+    for op in (add, mul):
+        assert op(q, x) == op(x, q) == op(up, x)
+
+
+@given(st.data(), st.sampled_from((2, 3, 5, 7)))
+@example(None, 2)
+def test_sums_are_o_terms_zeros_or_keep_a_digit(data, p):
+    """A sum or difference of two PadicNumbers is an exact zero, an O-term,
+    or a known value with prec >= 1 and a unit not divisible by p: no sum
+    reaches prec <= 0, so _known needs no floor."""
+    if data is None:  # full cancellation of two known values
+        x = PadicNumber.from_rational(Fraction(5, 4), p, 6)
+        pairs = [(x, -x), (x, x)]
+    else:
+        pairs = [(data.draw(padics(p)), data.draw(padics(p))) for _ in range(8)]
+    for x, y in pairs:
+        for s in (x + y, x - y):
+            assert (s.val == INF or (s.prec, s.unit) == (0, 0)
+                    or (s.prec >= 1 and s.unit % p and s.unit < p**s.prec)), (x, y, s)
+
+
 @given(st.one_of(st.integers(-10**6, 10**6), rationals), primes)
 @example(0, 2)
 @example(Fraction(0), 3)

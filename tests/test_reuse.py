@@ -861,7 +861,7 @@ def composed_caps(monkeypatch):
     orig = manifolds._compose_with_graph
 
     def spy(*args):
-        caps.append(args[4])
+        caps.append(args[3])
         return orig(*args)
 
     monkeypatch.setattr(manifolds, "_compose_with_graph", spy)
@@ -874,8 +874,10 @@ def test_series_graph_rejected_at_first_residual_degree(composed_caps):
     assert v.justification[0] == (
         "F^1(x) lies inside the dominance ball p^-0 with strictly dominant "
         "E_(a,u) component (exp 2 < 3)")
-    # graph order max(6, 2^2) = 6: composed up to order + 1, never untruncated
-    assert max(composed_caps) == 7
+    # graph order max(6, 2^2) = 6: graph_series composes through degree 6,
+    # and the residual read at one exact point refutes the graph before any
+    # residual composition
+    assert composed_caps == [*range(2, 7)]
     gs = manifolds.graph_series(SERIES_GRAPH_MAP, F(1), manifolds.STABLE, order=6)
     full = manifolds.residual(SERIES_GRAPH_MAP, gs, truncate=False)
     assert min(sum(m) for m in full[0]) == 7
@@ -885,7 +887,53 @@ def test_invariant_graph_checked_untruncated(composed_caps):
     v = dynamics.stable_membership(GAP_MAP, F(1), [F(1), F(2, 7)])
     assert v.verdict == dynamics.CERTIFIED_MEMBER
     assert "untruncated invariance residual == 0" in v.justification[0]
-    assert composed_caps[-2:] == [7, INF]
+    # graph_series through degree 6, then the residual once, untruncated
+    assert composed_caps == [*range(2, 7), INF]
+
+
+def test_inconclusive_point_read_leaves_the_refusal_to_the_composition(
+        monkeypatch, composed_caps):
+    """With the residual at the point read as exact zeros (a zero or an
+    O-term shows nothing), the one untruncated composition still refuses
+    SERIES_GRAPH_MAP's graph, and the verdict is the same."""
+    monkeypatch.setattr(manifolds, "_residual_at_point",
+                        lambda gs, tables: [F(0)] * len(gs.complement_basis))
+    v = dynamics.stable_membership(SERIES_GRAPH_MAP, F(1), [F(4), F(8)])
+    assert v.verdict == dynamics.CERTIFIED_NON_MEMBER
+    assert dict(v._reasons)["on_stable_graph"] == (
+        "the stable graph of order 6 is not exactly invariant (nonzero untruncated residual)")
+    assert composed_caps == [*range(2, 7), INF]
+
+
+def _padic_terms(f, prec):
+    """f with its terms of degree >= 2 as PadicNumbers of prec digits; the
+    linear part stays rational."""
+    return PolyMap.from_tables(
+        [{m: PadicNumber.from_rational(c, f.prime, prec) if sum(m) >= 2 else c
+          for m, c in t.items()} for t in f.tables()], f.prime)
+
+
+@pytest.mark.parametrize("f,prec,x,verdict,why", [
+    # 64 digits: the residual is zero to working precision, so the graph is
+    # kept and (1, 2/7) is on it
+    (GAP_MAP, 64, [F(1), F(2, 7)], dynamics.CERTIFIED_MEMBER, None),
+    # 20 digits: the point read gives an O-term, and the composition refuses
+    (GAP_MAP, 20, [F(1), F(2, 7)], dynamics.CERTIFIED_NON_MEMBER, "untruncated residual"),
+    # a genuine power series: a certified digit at the point refutes it
+    (SERIES_GRAPH_MAP, 64, [F(1), F(2, 7)], dynamics.HEURISTIC_NON_MEMBER,
+     "residual at one exact point"),
+], ids=["kept", "o-term-read", "refuted-at-point"])
+def test_padic_gap_membership_keeps_its_verdict(f, prec, x, verdict, why):
+    """Over Q_p the stable graph is kept iff its untruncated residual is
+    zero to working precision, so these verdicts are those of composing F
+    with h in full alone; the refusal says which check refused it."""
+    v = dynamics.stable_membership(_padic_terms(f, prec), F(1), x, 16)
+    assert v.verdict == verdict
+    if why is None:
+        assert "untruncated invariance residual == 0" in v.justification[0]
+    else:
+        assert dict(v._reasons)["on_stable_graph"] == (
+            f"the stable graph of order 6 is not exactly invariant (nonzero {why})")
 
 
 # -- one analysis per map -----------------------------------------------------
@@ -1039,7 +1087,7 @@ INVARIANT_MAP = PolyMap.from_tables([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)
         NOT_ZERO, NONLINEAR,
         ("dominant_unstable", "F^0(x) has no strictly dominant E_(a,u) component (exp 3 >= 2)"),
         ("on_stable_graph", "the stable graph of order 6 is not exactly invariant "
-                            "(nonzero residual through degree 7)")]),
+                            "(nonzero residual at one exact point)")]),
     (GAP_MAP, F(1), [F(0), F(1, 8)], dynamics.HEURISTIC_NON_MEMBER, [
         NOT_ZERO, NONLINEAR,
         ("dominant_unstable", "F^0(x) lies outside the dominance ball p^-0 (exp -3 < 0)"),

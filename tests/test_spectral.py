@@ -450,6 +450,75 @@ def test_operator_norm_oracle_padic_norms():
 # -- a query over another prime or dimension is refused ----------------------
 
 
+# -- tidy balls: the unit ball of an adapted norm is tidy for m -------------
+# For invertible m, ||m x|| = |lambda_b| ||x|| on each block, so the unit ball
+# B is tidy for m in Willis's sense (Math. Ann. 300, 1994), and the index
+# [mB : mB n B] = [mB + B : B] is the scale s(m) = prod_{|lambda| > 1}
+# |lambda| = p^(-sum_{rho < 0} rho m_rho), and likewise for m^-1 (Gloeckner,
+# Manuscripta Math. 97, 1998).  The index checks the whole lattice at once.
+
+
+def _lattice_val(cols, p):
+    """v(det) of a basis of the Z_(p)-lattice the nonzero rational columns
+    span (rank = their length): row by row, the column of least valuation
+    there is a pivot and clears that row of the others with Z_(p)
+    multipliers, so the pivots are triangular and the rest end at zero."""
+    cols, total = [list(c) for c in cols], 0
+    for i in range(len(cols[0])):
+        piv = min((c for c in cols if c[i]), key=lambda c: valuation_of_rational(c[i], p))
+        total += valuation_of_rational(piv[i], p)
+        cols = [[x - c[i] / piv[i] * y for x, y in zip(c, piv)] for c in cols if c is not piv]
+    assert not any(map(any, cols))
+    return total
+
+
+def _scale_exp(m, ball, p):
+    """e with [mB + B : B] = p^e, B the lattice with basis columns ball."""
+    image = list(zip(*mat_mul(m, [list(r) for r in zip(*ball)])))
+    return _lattice_val(ball, p) - _lattice_val(image + list(ball), p)
+
+
+def _unit_ball(n, p, d):
+    """Basis columns of B = {x : v(row_i . x) + off_i/ram >= 0}, from the
+    rows and offsets of n's one read-out: R^-1 diag(p^c_i), with R the rows
+    and c_i = ceil(-off_i/ram)."""
+    rows = n._readout(p, {d}, True)[1]
+    ctx = RationalContext(p)
+    rinv = mat_inverse(cmat([[F(c) for c in r] for r, _ in rows], ctx), ctx)
+    c = [-(off // n.ram) for _, off in rows]  # ceil(-off/ram)
+    return [[rinv[i][j] * F(p) ** c[j] for i in range(d)] for j in range(d)]
+
+
+def _tidy_draws():
+    """(m, p, spectrum) for seeded invertible rand_conjugated m, d = 2..4, as
+    drawn (unimodular conjugates) and conjugated again by an upper
+    triangular S with p-power diagonal (not unimodular)."""
+    for seed in range(90):
+        rng = random.Random(seed)
+        p, d = (2, 3, 5)[seed % 3], 2 + seed // 3 % 3
+        m, spec, _ = rand_conjugated(rng, p, d, allow_nilpotent=False)
+        yield m, p, spec
+        s = [[F(p) ** rng.randint(0, 2) if i == j else F(rng.randint(-3, 3) * (i < j))
+              for j in range(d)] for i in range(d)]
+        ctx = RationalContext(p)
+        yield mat_mul(mat_mul(s, m), mat_inverse(cmat(s, ctx), ctx)), p, spec
+
+
+def test_adapted_unit_ball_is_tidy():
+    """[mB : mB n B] = s(m) and [m^-1 B : m^-1 B n B] = s(m^-1) for the unit
+    ball B of adapted_norm(m), on seeded invertible matrices with ramified
+    blocks, as drawn and conjugated by non-unimodular S."""
+    ramified = 0
+    for m, p, spec in _tidy_draws():
+        n, d, ctx = adapted_norm(m, p), len(m), RationalContext(p)
+        ball = _unit_ball(n, p, d)
+        minv = mat_inverse(cmat(m, ctx), ctx)
+        assert _scale_exp(m, ball, p) == -sum(v * k for v, k in spec if v < 0), (m, p)
+        assert _scale_exp(minv, ball, p) == sum(v * k for v, k in spec if v > 0), (m, p)
+        ramified += n.ram > 1
+    assert ramified >= 10
+
+
 def test_operator_norm_refuses_another_prime():
     """A 3-adic valuation of M is not read against the 2-adic offsets of a
     norm over Q_2."""
