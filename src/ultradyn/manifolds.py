@@ -1,8 +1,8 @@
 """Truncated power-series graphs of local invariant manifolds (stable,
-centre-stable, centre, unstable) solved order by order from the invariance
-equation h(F_base(x, h(x))) = F_comp(x, h(x)), plus formal inversion.
-The unstable graph is solved for the formal inverse of F, found as a fixed
-point that composes only the remainder F - F'(0) with it.
+centre-stable, centre, unstable), each solved order by order for F itself
+from the invariance equation h(F_base(x, h(x))) = F_comp(x, h(x)), plus
+formal inversion, a tool no graph calls: F's inverse as a fixed point that
+composes only the remainder F - F'(0) with it.
 
 All series arithmetic reuses the monomial tables of the dynamics module, and
 a linear map enters as one table per row (dynamics._linear_tables); the
@@ -186,14 +186,11 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
     if mode == UNSTABLE and a < 1:
         raise PreconditionViolated("Unstable mode requires a >= 1")
-    # an eigenvalue 0 (root valuation INF); Unstable: formal_inverse raises the same
-    if mode == CENTRE and any(v == INF for v, _ in analysis.spectrum):
+    # an eigenvalue 0 (root valuation INF)
+    if mode in (CENTRE, UNSTABLE) and any(v == INF for v, _ in analysis.spectrum):
         raise JacobianSingular("derivative at 0 is singular")
-    solve_map = f
-    if mode == UNSTABLE:
-        solve_map = formal_inverse(f, order)
     s = analysis.splitting(a)
-    tables, db, dc, ctx, w, winv, lin = _conjugated_split_map(solve_map, s, mode, precision)
+    tables, db, dc, ctx, w, winv, lin = _conjugated_split_map(f, s, mode, precision)
     ab, acc = [r[:db] for r in lin[:db]], [r[db:] for r in lin[db:]]
     h = [{} for _ in range(dc)]  # tables over db variables
     for k in range(2, order + 1):
@@ -228,9 +225,8 @@ def _on_graph(f: PolyMap, gs: GraphSeries):
     if gs._build is not None and gs._build[0] == f:
         _, tables, ctx = gs._build
     else:
-        solve_map = formal_inverse(f, gs.order) if gs.mode == UNSTABLE else f
         ctx = gs._ctx()
-        tables = conjugate(solve_map, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
+        tables = conjugate(f, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
     return tables, [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()], ctx
 
 

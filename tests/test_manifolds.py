@@ -7,7 +7,7 @@ import pytest
 
 from ultradyn.dynamics import PolyMap, jacobian
 from ultradyn.errors import JacobianSingular, PreconditionViolated, ResonanceDetected
-from ultradyn.field import PadicNumber
+from ultradyn.field import ZERO, PadicNumber, RationalContext
 from ultradyn.manifolds import (
     CENTRE,
     CENTRE_STABLE,
@@ -20,6 +20,7 @@ from ultradyn.manifolds import (
     residual,
     split_point,
 )
+from ultradyn.polyalg import mat_inverse, mat_mul
 
 from helpers import rand_poly_map
 
@@ -120,9 +121,11 @@ def singular():
      "Centre base subspace is zero"),
     (lambda: graph_series(singular(), F(1), CENTRE), JacobianSingular,
      "derivative at 0 is singular"),
+    (lambda: graph_series(pmap([{(1, 0): F(1, 3)}, {(2, 0): F(1)}], 3), F(1), UNSTABLE),
+     JacobianSingular, "derivative at 0 is singular"),
     (lambda: formal_inverse(singular()), JacobianSingular, "derivative at 0 is singular"),
 ], ids=["zero-threshold", "negative-threshold", "unstable-below-1", "empty-centre-base",
-        "singular-centre", "singular-inverse"])
+        "singular-centre", "singular-unstable", "singular-inverse"])
 def test_graph_and_inverse_refusals(call, error, message):
     with pytest.raises(error) as e:
         call()
@@ -177,16 +180,16 @@ def test_centre_graph_oracle(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_unstable_graph_residual(p):
     """F = (p x + y^2, y/p) at a = 1: the unstable graph over y is x = c y^2
-    with c/p^2 = p c + 1, so c = p^2/(1 - p^3).  Its residual, taken through
-    the formal inverse G = ((x - p^2 y^2)/p, p y), vanishes; for the graph
-    x = y^2 it is h(p y) - (y^2 - p^2 y^2)/p = (p^3 + p^2 - 1)/p y^2."""
+    with c/p^2 = p c + 1, so c = p^2/(1 - p^3).  Its residual against F
+    vanishes; for the graph x = y^2 it is h(y/p) - (p y^2 + y^2)
+    = (1 - p^2 - p^3)/p^2 y^2."""
     f = pmap([{(1, 0): F(p), (0, 2): F(1)}, {(0, 1): F(1, p)}], p)
     gs = graph_series(f, F(1), UNSTABLE, order=5)
     assert gs.base_basis == ((0, 1),) and gs.complement_basis == ((1, 0),)
     assert gs.coefficients == (((2,), (F(p * p, 1 - p**3),)),)
     assert residual(f, gs) == [{}]
     bad = _with_coefficients(gs, (((2,), (F(1),)),))
-    assert residual(f, bad) == [{(2,): F(p**3 + p**2 - 1, p)}]
+    assert residual(f, bad) == [{(2,): F(1 - p**2 - p**3, p**2)}]
 
 
 def test_graph_evaluation_over_qp():
@@ -251,9 +254,65 @@ def test_formal_inverse_composes_to_identity():
                         assert comp == {e: F(1)}, (f.tables(), i, comp)
 
 
+def _graph_in_coordinates_of(gs, ref):
+    """ref's graph as tables over gs's base coordinates.  The two graphs
+    share their base and complement subspaces, so B = gs.winv ref.w is
+    block diagonal, and W_ref (eta, h_ref(eta)) = W_gs (xi, h(xi)) gives
+    h(xi) = B_c h_ref(B_b^-1 xi)."""
+    from ultradyn.dynamics import _linear_tables, _msubst  # noqa: test-only import
+    db, ctx = len(gs.base_basis), RationalContext(gs.prime)
+    b = mat_mul(gs.winv, ref.w)
+    assert all(b[i][j] == 0 for i in range(len(b)) for j in range(len(b)) if (i < db) != (j < db))
+    bb_inv = mat_inverse([r[:db] for r in b[:db]], ctx)
+    h = _msubst(ref.tables(), _linear_tables(bb_inv, ctx), db, ctx)
+    return _msubst(_linear_tables([r[db:] for r in b[db:]], ctx), h, db, ctx)
+
+
+def _padic_copy(f):
+    """f with every coefficient of degree >= 2 a 64-digit PadicNumber."""
+    p = f.prime
+    return pmap([{m: PadicNumber.from_rational(c, p, 64) if sum(m) > 1 else c
+                  for m, c in t.items()} for t in f.tables()], p)
+
+
 def test_unstable_graph_matches_stable_graph_of_inverse():
+    """W^u of F is W^s of F^-1: the Unstable graph that graph_series solves
+    for F itself equals, through the order, the Stable graph at 1/a of the
+    reference formal_inverse(F, order).  Exactly over Q, on seeded maps with
+    an a >= 1 gap and both blocks nonempty; over Q_p, on copies of the maps
+    with 64-digit terms of degree >= 2 where the graph builds, every
+    coefficient differs from the rational reference by a ring zero.  (On
+    this family a PadicNumber linear part, as in a full copy or in the
+    inverse of a copy, has its slope factorization refused, so neither
+    builds a graph.)  Each graph's residual against F vanishes through the
+    order."""
     f = pmap([{(1, 0): F(2)}, {(0, 1): F(1, 2), (0, 2): F(1)}], 2)
-    # unstable graph over y: x = h(y); equivalently the stable graph of f^-1
-    gu = graph_series(f, F(1), UNSTABLE, order=4)
-    ginv = graph_series(formal_inverse(f, 4), F(1), STABLE, order=4)
-    assert gu.coefficients == ginv.coefficients
+    cases = [(f, F(1), 4)]
+    rng = random.Random(41)
+    for p in (2, 3, 5):
+        for d in (2, 3):
+            for _ in range(10):
+                a = rng.choice([F(1), F(p)])  # valuation -2 is the only unstable one at a = p
+                vals = (-2, -1, 1, 2) if a == 1 else (-2, 1, 2)
+                cases.append((rand_poly_map(rng, p, d, 3, valuations=vals, require_mixed=True),
+                              a, rng.choice([4, 5])))
+    padic_built = 0
+    for f, a, order in cases:
+        gu = graph_series(f, a, UNSTABLE, order)
+        want = _graph_in_coordinates_of(gu, graph_series(formal_inverse(f, order), 1 / a,
+                                                         STABLE, order))
+        assert gu.tables() == want, (f.tables(), a)
+        assert residual(f, gu) == [{}] * len(want)
+        fp = _padic_copy(f)
+        try:
+            pu = graph_series(fp, a, UNSTABLE, order)
+        except PreconditionViolated:
+            continue  # most copies refuse: "splitting blocks are not invariant"
+        padic_built += 1
+        ctx = pu._ctx()
+        assert (pu.base_basis, pu.complement_basis) == (gu.base_basis, gu.complement_basis)
+        for got, ref in zip(pu.tables(), want):
+            assert all(ctx.zeroness(got.get(m, ctx.zero) - ref.get(m, ctx.zero)) == ZERO
+                       for m in {*got, *ref}), (f.tables(), a, got, ref)
+        assert residual(fp, pu) == [{}] * len(want)
+    assert padic_built >= 2
