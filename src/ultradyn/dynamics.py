@@ -85,14 +85,15 @@ def _mpow(a, k, nvars, ctx, max_deg=INF):
 
 
 def _meval(a, x, ctx):
-    acc = ctx.zero
-    for m, c in a.items():
-        t = c
+    """The table a at the point x, its terms summed from the first as _dot
+    sums (ctx.zero for a table with none)."""
+    acc = None
+    for m, t in a.items():
         for i, e in enumerate(m):
             for _ in range(e):
                 t = t * x[i]
-        acc = acc + t
-    return acc
+        acc = t if acc is None else acc + t
+    return ctx.zero if acc is None else acc
 
 
 def _zsubst(tables, polys, nvars_out, max_deg=INF):
@@ -247,14 +248,15 @@ class PolyMap(_Record):
         return None
 
     def __call__(self, x):
+        """F(x): over Q at a rational point on integers (_zeval), else in the
+        coefficients' ring, so a rational F keeps a p-adic point's digits."""
         _check_length(x, self.nvars)
-        if self._ztables is not None and not any(isinstance(c, PadicNumber) for c in x):
+        at_rational = isinstance(infer_context(list(x), self.prime), RationalContext)
+        if at_rational and self._ztables is not None:
             return _zeval(self._ztables, x)
-        ctx = infer_context(
-            [[c for _, c in comp] for comp in self.components] + [list(x)],
-            self.prime)
-        xx = cvec(x, ctx)
-        return [_meval({m: coerce(c, ctx) for m, c in comp}, xx, ctx)
+        ctx = self.coeff_context()
+        x = cvec(x, ctx)
+        return [_meval({m: coerce(c, ctx) for m, c in comp}, x, ctx)
                 for comp in self.components]
 
 
@@ -291,26 +293,14 @@ def shift_to_fixed_point(f: PolyMap, pt) -> PolyMap:
 
 
 def jacobian(f: PolyMap, pt=None):
-    """Exact matrix of partial derivatives at pt (default 0)."""
-    n = f.nvars
-    ctx = f.coeff_context()
-    if pt is None:
-        pt = [Fraction(0)] * n
-    _check_length(pt, n)
-    pt = cvec(pt, ctx)
-    rows = []
-    for comp in f.components:
-        row = []
-        for j in range(n):
-            dj = {}
-            for m, c in comp:
-                if m[j]:
-                    dm = tuple(e - (1 if l == j else 0) for l, e in enumerate(m))
-                    t = coerce(c, ctx) * ctx.from_rational(m[j])
-                    dj[dm] = dj[dm] + t if dm in dj else t
-            row.append(_meval(dj, pt, ctx))
-        rows.append(row)
-    return rows
+    """Exact matrix of partial derivatives at pt (default 0), the d n
+    partials evaluated as one PolyMap."""
+    n, ctx = f.nvars, f.coeff_context()
+    partials = PolyMap.from_tables(
+        [{tuple(e - (l == j) for l, e in enumerate(m)): coerce(c, ctx) * ctx.from_rational(m[j])
+          for m, c in comp if m[j]} for comp in f.components for j in range(n)], f.prime, n)
+    flat = partials([Fraction(0)] * n if pt is None else pt)
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
 def _linear_tables(a, ctx):
@@ -872,9 +862,10 @@ def _on_stable_graph(an, a, x, horizon):
     sub = stable_membership(base_map, a, base_x, horizon, an.precision)
     if sub.verdict != CERTIFIED_MEMBER:
         return f"x is on the stable graph, but the base map's verdict is {sub.verdict}"
+    digits = "" if isinstance(ctx, RationalContext) else " to working precision"
     return CERTIFIED_MEMBER, sub.trace, (
         "the a-stable graph h is an exactly invariant polynomial graph "
-        "(untruncated invariance residual == 0)",
+        f"(untruncated invariance residual == 0{digits})",
         "x lies on the graph exactly, so its orbit stays on it and "
         "||F^n(x)|| <= C ||base orbit|| near 0",
     ) + sub.justification

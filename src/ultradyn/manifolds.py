@@ -11,6 +11,7 @@ graph is computed in splitting coordinates (base block first)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import inf as INF
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     ResonanceDetected,
 )
 from .field import (
-    CENTRE, CENTRE_STABLE, DEFAULT_PRECISION, STABLE, UNSTABLE, ZERO, RationalContext, _Record)
+    CENTRE, CENTRE_STABLE, DEFAULT_PRECISION, STABLE, UNSTABLE, ZERO, _Record)
 from .polyalg import (
     cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
 from . import spectral
@@ -29,10 +30,7 @@ from .dynamics import (
     _linear_tables,
     _map_analysis,
     _madd,
-    _meval,
     _msubst,
-    _zeval,
-    _ztable,
     conjugate,
 )
 
@@ -40,7 +38,8 @@ from .dynamics import (
 class GraphSeries(_Record):
     """h: base -> complement with h(0) = 0, Dh(0) = 0; the manifold is
     {W.(xi, h(xi))} in ambient coordinates.  _build keeps, outside repr, ==
-    and hash, what graph_series held, which _on_graph reuses for that map."""
+    and hash, what graph_series held, which _on_graph reuses for that map;
+    _h is h as a PolyMap over the base coordinates, built on first use."""
 
     prime: int
     a: Fraction
@@ -51,7 +50,7 @@ class GraphSeries(_Record):
     order: int
     w: tuple  # ambient basis matrix, columns = base then complement
     winv: tuple
-    _build: object = None  # (f, conjugated tables, ctx) of graph_series
+    _build: object = None  # (f, conjugated tables, h as tables() gives it, ctx) of graph_series
 
     def _ctx(self):
         return infer_context(
@@ -62,6 +61,14 @@ class GraphSeries(_Record):
         """One monomial table per complement coordinate."""
         return [{m: vec[i] for m, vec in self.coefficients}
                 for i in range(len(self.complement_basis))]
+
+    @cached_property
+    def _h(self):
+        # tables() as they stand, not PolyMap.from_tables: a table's ring
+        # zeros stay, so at a p-adic point a component that is all zeros
+        # reads as its ring's zero, as the zeros of the solve do
+        return PolyMap(self.prime, len(self.base_basis),
+                       tuple(tuple(t.items()) for t in self.tables()))
 
 
 # --------------------------------------------------------------------------
@@ -203,11 +210,13 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         hk = _solve_degree(ab, acc, known, db, dc, k, ctx)
         h = [_madd(h[i], hk[i], ctx) for i in range(dc)]
     coeffs = [(m, tuple(t.get(m, ctx.zero) for t in h)) for m in sorted({m for t in h for m in t})]
+    # h in the sorted key order of tables(), which orders the residual's terms
+    h = [{m: vec[i] for m, vec in coeffs} for i in range(dc)]
     vecs = [*s.stable, *s.centre, *s.unstable]
     return GraphSeries(
         p, a, mode, *(tuple(tuple(vecs[i]) for i in part) for part in _mode_split(s, mode)),
         tuple(coeffs), order,
-        tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv), (f, tables, ctx),
+        tuple(tuple(r) for r in w), tuple(tuple(r) for r in winv), (f, tables, h, ctx),
     )
 
 
@@ -219,15 +228,14 @@ def _compose_with_graph(tables, h, db, max_deg, ctx):
 
 
 def _on_graph(f: PolyMap, gs: GraphSeries):
-    """(tables, h, ctx): F conjugated into the graph's coordinates once (by
-    graph_series, for the map it was built from), and the graph's tables h,
-    both over ctx.  _compose_with_graph(tables, h, ...) composes them."""
+    """(tables, h, ctx): F conjugated into the graph's coordinates and the
+    graph's tables h, both over ctx, as graph_series built them for the map
+    it was built from.  _compose_with_graph(tables, h, ...) composes them."""
     if gs._build is not None and gs._build[0] == f:
-        _, tables, ctx = gs._build
-    else:
-        ctx = gs._ctx()
-        tables = conjugate(f, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx)
-    return tables, [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()], ctx
+        return gs._build[1:]
+    ctx = gs._ctx()
+    return (conjugate(f, cmat(gs.winv, ctx), cmat(gs.w, ctx), ctx),
+            [{m: coerce(c, ctx) for m, c in t.items()} for t in gs.tables()], ctx)
 
 
 def _residual_of(fb, fc, h, ctx, max_deg=INF):
@@ -242,23 +250,23 @@ def _residual_of(fb, fc, h, ctx, max_deg=INF):
 def _residual_at_point(gs: GraphSeries, tables):
     """The untruncated residual h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) at
     the exact point xi = (1, ..., db), F given by its tables in the graph's
-    coordinates: F through PolyMap evaluation, h through evaluate_graph.
+    coordinates, F and h (gs._h) both through PolyMap evaluation.
     A value the ring certifies nonzero shows the residual polynomial is
     nonzero (J. T. Schwartz, J. ACM 27, 1980); a zero or an O-term shows
     nothing."""
     db = len(gs.base_basis)
     xi = [Fraction(i) for i in range(1, db + 1)]
-    fx = PolyMap.from_tables(tables, gs.prime, len(tables))(xi + evaluate_graph(gs, xi))
-    return [hv - fv for hv, fv in zip(evaluate_graph(gs, fx[:db]), fx[db:])]
+    fx = PolyMap.from_tables(tables, gs.prime, len(tables))(xi + gs._h(xi))
+    return [hv - fv for hv, fv in zip(gs._h(fx[:db]), fx[db:])]
 
 
-def residual(f: PolyMap, gs: GraphSeries, truncate: bool = True):
-    """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) as complement-coordinate
-    tables; all-zero (through the order, if truncate) iff the graph is
-    invariant."""
+def residual(f: PolyMap, gs: GraphSeries):
+    """h(F_base(xi, h(xi))) - F_comp(xi, h(xi)) through the graph's order,
+    as complement-coordinate tables; all-zero iff the graph is invariant
+    through its order."""
     tables, h, ctx = _on_graph(f, gs)
-    cap = gs.order if truncate else INF
-    return _residual_of(*_compose_with_graph(tables, h, len(gs.base_basis), cap, ctx), h, ctx, cap)
+    fb, fc = _compose_with_graph(tables, h, len(gs.base_basis), gs.order, ctx)
+    return _residual_of(fb, fc, h, ctx, gs.order)
 
 
 # --------------------------------------------------------------------------
@@ -276,12 +284,6 @@ def split_point(gs: GraphSeries, x):
 
 
 def evaluate_graph(gs: GraphSeries, xi):
-    """h(xi) in complement coordinates (over Q on integers, _zeval)."""
+    """h(xi) in complement coordinates, through the graph's PolyMap gs._h."""
     _check_length(xi, len(gs.base_basis), "graph's base {}")
-    ctx = gs._ctx()
-    if isinstance(ctx, RationalContext) and isinstance(infer_context(list(xi), gs.prime),
-                                                       RationalContext):
-        return _zeval(_ztable(gs.tables()), xi)
-    xi = cvec(xi, ctx)
-    return [_meval({m: coerce(c, ctx) for m, c in t.items()}, xi, ctx)
-            for t in gs.tables()]
+    return gs._h(xi)

@@ -1,28 +1,37 @@
 """Invariant graphs over spectral subspaces and formal inverses."""
 
+import functools
 import random
 from fractions import Fraction
+from math import inf as INF
 
 import pytest
 
-from ultradyn.dynamics import PolyMap, jacobian
-from ultradyn.errors import JacobianSingular, PreconditionViolated, ResonanceDetected
-from ultradyn.field import ZERO, PadicNumber, RationalContext
+from ultradyn import dynamics, manifolds
+from ultradyn.dynamics import PolyMap, jacobian, orbit
+from ultradyn.errors import (JacobianSingular, PreconditionViolated, ResonanceDetected,
+                             UltradynError)
+from ultradyn.field import MODES, ZERO, PadicNumber, RationalContext
 from ultradyn.manifolds import (
     CENTRE,
     CENTRE_STABLE,
     STABLE,
     GraphSeries,
     UNSTABLE,
+    _compose_with_graph,
+    _on_graph,
+    _residual_at_point,
+    _residual_of,
     evaluate_graph,
     formal_inverse,
     graph_series,
     residual,
     split_point,
 )
-from ultradyn.polyalg import mat_inverse, mat_mul
+from ultradyn.polyalg import mat_inverse, mat_mul, mat_vec
 
 from helpers import rand_poly_map
+from test_padic_maps_golden import padic_map
 
 F = Fraction
 
@@ -36,6 +45,14 @@ def bench(p=2):
     return pmap([{(1, 0): F(2)}, {(0, 1): F(1, 2), (2, 0): F(1)}], p)
 
 
+def untruncated_residual(f, gs):
+    """The residual of gs against f composed in full, with no cap on the
+    degree (the one composition of a kept stable graph)."""
+    tables, h, ctx = _on_graph(f, gs)
+    fb, fc = _compose_with_graph(tables, h, len(gs.base_basis), INF, ctx)
+    return _residual_of(fb, fc, h, ctx)
+
+
 # -- stable graph of the benchmark map ---------------------------------------
 
 
@@ -47,7 +64,7 @@ def test_graph_oracle_bench():
 def test_graph_residual_vanishes():
     gs = graph_series(bench(), F(1), STABLE, order=6)
     assert residual(bench(), gs) == [{}]
-    assert residual(bench(), gs, truncate=False) == [{}]
+    assert untruncated_residual(bench(), gs) == [{}]
 
 
 def _with_coefficients(gs, coefficients):
@@ -147,7 +164,7 @@ def test_graph_oracle_two_complement_coordinates():
     gs = graph_series(f, F(1), STABLE, order=6)
     assert gs.complement_basis == ((0, 0, 1), (0, 1, 0))
     assert gs.coefficients == (((2,), (F(4, 3), F(6, 7))),)
-    assert residual(f, gs, truncate=False) == [{}, {}]
+    assert untruncated_residual(f, gs) == [{}, {}]
 
 
 # -- centre-stable, centre and unstable graphs with nonzero terms ------------
@@ -161,7 +178,7 @@ def test_centre_stable_graph_oracle(p):
     gs = graph_series(f, F(1), CENTRE_STABLE, order=5)
     assert gs.base_basis == ((1, 0, 0), (0, 1, 0)) and gs.complement_basis == ((0, 0, 1),)
     assert gs.coefficients == (((2, 0), (F(p, p**3 - 1),)),)
-    assert residual(f, gs, truncate=False) == [{}]
+    assert untruncated_residual(f, gs) == [{}]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -174,7 +191,7 @@ def test_centre_graph_oracle(p):
     gs = graph_series(f, F(1), CENTRE, order=5)
     assert gs.base_basis == ((0, 1, 0),) and gs.complement_basis == ((1, 0, 0), (0, 0, 1))
     assert gs.coefficients == (((2,), (F(1, 1 - p), F(p, p - 1))),)
-    assert residual(f, gs, truncate=False) == [{}, {}]
+    assert untruncated_residual(f, gs) == [{}, {}]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -215,6 +232,120 @@ def test_graph_residual_vanishes_random():
             gs = graph_series(f, F(1), STABLE, order=4)
             for table in residual(f, gs):
                 assert all(sum(m) > 4 for m in table), (f.tables(), table)
+
+
+# -- one kept h per graph, read through one evaluator ------------------------
+
+
+def _foreign(gs):
+    """gs with no build kept: every read takes the path of a foreign map."""
+    return GraphSeries(*(getattr(gs, name) for name in GraphSeries._shown))
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_graph_family():
+    """(f, its stable graph at a = 1 of order 6) for seeded rand_poly_map gap
+    maps, p in {2, 3, 5} and d = 2, 3: six over Q, and every 64-digit Q_p
+    copy (_padic_copy) among 300 draws whose graph builds (most are refused
+    as "splitting blocks are not invariant at working precision"); and to
+    the Q_p ones, the graphs of order 4 in every mode that builds of the
+    p-adic-maps golden's maps with p = 2, d = 3, degree 2 and a rational
+    linear part, whose Centre graph orders its residual's terms as h's."""
+    rng, rational, padic = random.Random(5), [], []
+    for i in range(300):
+        f = rand_poly_map(rng, (2, 3, 5)[i % 3], 2 + i % 2, 2, require_mixed=True)
+        if i < 6:
+            rational.append((f, graph_series(f, F(1), STABLE, 6)))
+        try:
+            padic.append((_padic_copy(f), graph_series(_padic_copy(f), F(1), STABLE, 6)))
+        except PreconditionViolated:
+            pass
+    for seed in (1, 3):
+        f = padic_map(2, 3, 2, seed)[0]
+        for mode in MODES:
+            try:
+                padic.append((f, graph_series(f, F(1), mode, 4)))
+            except UltradynError:
+                pass
+    return rational, padic
+
+
+def test_kept_graph_reads_as_a_foreign_one(monkeypatch):
+    """The h that graph_series keeps, in the order of tables(), and the graph
+    read back from its coefficients give the same evaluate_graph,
+    _residual_at_point, residual and stable_membership, as repr, over Q and
+    over Q_p, on graphs with terms and on flat ones; a flat Q_p graph reads
+    as exact rational zeros."""
+    rational, padic = _kept_graph_family()
+    flat = [(f, gs) for f, gs in padic if not gs.coefficients]
+    assert {gs.prime for _, gs in padic} == {2, 3, 5} and 2 <= len(flat) < len(padic)
+    assert {len(gs.w) for _, gs in padic} == {2, 3}
+    unpatched = manifolds.graph_series
+    for f, gs in rational + padic:
+        twin = _foreign(gs)
+        assert twin == gs and twin._build is None and gs._build[0] == f
+        p, db = gs.prime, len(gs.base_basis)
+        xi = [F(i + 2, 3) for i in range(db)]
+        for x in (xi, [PadicNumber.from_rational(c, p, 100) for c in xi]):
+            assert repr(evaluate_graph(gs, x)) == repr(evaluate_graph(twin, x))
+        assert repr(_residual_at_point(gs, _on_graph(f, gs)[0])) == repr(
+            _residual_at_point(twin, _on_graph(f, twin)[0]))
+        assert repr(residual(f, gs)) == repr(residual(f, twin))
+        if gs.mode != STABLE:
+            continue
+        on = mat_vec(gs.w, [p * c for c in xi] + evaluate_graph(gs, [p * c for c in xi]))
+        off = xi + [F(1)] * (len(on) - db)
+        verdicts = []
+        for build in (unpatched, lambda *a, **k: _foreign(unpatched(*a, **k))):
+            monkeypatch.setattr(manifolds, "graph_series", build)
+            dynamics._map_analysis.cache_clear()
+            verdicts.append([(repr(v), v._reasons) for v in (
+                dynamics.stable_membership(f, F(1), x, 16) for x in (on, off))])
+        assert verdicts[0] == verdicts[1], (f.tables(), verdicts)
+    dynamics._map_analysis.cache_clear()  # no analysis keeps a foreign graph
+    for _, gs in flat:
+        assert evaluate_graph(gs, [F(1)] * len(gs.base_basis)) == [F(0)] * len(gs.complement_basis)
+
+
+def test_membership_builds_the_kept_graphs_polymap_once(monkeypatch):
+    """Two points on one kept graph: the point read of the residual and
+    both points read h, and its PolyMap is built once."""
+    builds = []
+    orig = GraphSeries._h.func
+
+    def counted(gs):
+        builds.append(gs)
+        return orig(gs)
+
+    h = functools.cached_property(counted)
+    h.__set_name__(GraphSeries, "_h")
+    monkeypatch.setattr(GraphSeries, "_h", h)
+    dynamics._map_analysis.cache_clear()
+    for x in ([F(1), F(2, 7)], [F(4), F(32, 7)]):
+        v = dynamics.stable_membership(bench(), F(1), x)
+        assert v.verdict == dynamics.CERTIFIED_MEMBER
+        assert v.justification[0].endswith("(untruncated invariance residual == 0)")
+    assert len(builds) == 1 and builds[0].coefficients == (((2,), (F(2, 7),)),)
+
+
+def test_rational_maps_keep_the_digits_of_a_padic_point():
+    """A rational map, its Jacobian and its stable graph at 100-digit
+    p-adic points: the map and its orbit keep every digit of the point (64
+    digits of the working precision before the map kept its coefficients
+    exact), and the Jacobian and the graph read as they did."""
+    f = bench()
+    x = [PadicNumber.from_rational(F(3, 7), 2, 100), PadicNumber.from_rational(5, 2, 100)]
+    assert repr(f(x)) == "[5*2^1+O(2^101), 7*2^-1+O(2^99)]"
+    assert repr(jacobian(f, x)) == (
+        "[[Fraction(2, 1), Fraction(0, 1)], [5*2^1+O(2^101), Fraction(1, 2)]]")
+    gs = graph_series(f, F(1), STABLE, order=6)
+    assert repr(evaluate_graph(gs, [PadicNumber.from_rational(3, 2, 100)])) == "[15*2^1+O(2^101)]"
+    g = pmap([{(1, 0): F(5), (0, 2): F(1, 3)}, {(0, 1): F(1, 5), (1, 1): F(2)}], 5)
+    y = [PadicNumber.from_rational(F(2, 3), 5, 100), PadicNumber.from_rational(7, 5, 100)]
+    assert [v.prec for v in g(y)] == [100, 100]
+    assert [v.prec for z, _ in orbit(g, y, 3) for v in z] == [100] * 8
+    assert repr(jacobian(g, y)) == (
+        "[[Fraction(5, 1), 213*5^0+O(5^100)], [14*5^0+O(5^100), 216*5^-1+O(5^99)]]")
 
 
 # -- formal inverses ---------------------------------------------------------

@@ -879,7 +879,8 @@ def test_series_graph_rejected_at_first_residual_degree(composed_caps):
     # residual composition
     assert composed_caps == [*range(2, 7)]
     gs = manifolds.graph_series(SERIES_GRAPH_MAP, F(1), manifolds.STABLE, order=6)
-    full = manifolds.residual(SERIES_GRAPH_MAP, gs, truncate=False)
+    tables, h, ctx = manifolds._on_graph(SERIES_GRAPH_MAP, gs)
+    full = manifolds._residual_of(*manifolds._compose_with_graph(tables, h, 1, INF, ctx), h, ctx)
     assert min(sum(m) for m in full[0]) == 7
 
 
@@ -926,11 +927,14 @@ def _padic_terms(f, prec):
 def test_padic_gap_membership_keeps_its_verdict(f, prec, x, verdict, why):
     """Over Q_p the stable graph is kept iff its untruncated residual is
     zero to working precision, so these verdicts are those of composing F
-    with h in full alone; the refusal says which check refused it."""
+    with h in full alone; a kept graph says so, and the refusal says which
+    check refused it."""
     v = dynamics.stable_membership(_padic_terms(f, prec), F(1), x, 16)
     assert v.verdict == verdict
     if why is None:
-        assert "untruncated invariance residual == 0" in v.justification[0]
+        assert v.justification[0] == (
+            "the a-stable graph h is an exactly invariant polynomial graph "
+            "(untruncated invariance residual == 0 to working precision)")
     else:
         assert dict(v._reasons)["on_stable_graph"] == (
             f"the stable graph of order 6 is not exactly invariant (nonzero {why})")
@@ -1170,10 +1174,9 @@ def test_rational_maps_take_no_ring_products(monkeypatch):
             if isinstance(arg, (dict, list)):
                 yield from map(type, arg.values() if isinstance(arg, dict) else arg)
 
-    for module, name in ((dynamics, "_mmul"), (dynamics, "_meval"), (manifolds, "_meval"),
-                         (dynamics, "_zhom")):
-        orig = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, orig=orig, name=name: calls.update(
+    for name in ("_mmul", "_meval", "_zhom"):
+        orig = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, orig=orig, name=name: calls.update(
             (name, kind) for kind in handed(a)) or orig(*a))
     add = dynamics._madd
 
