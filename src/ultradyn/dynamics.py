@@ -799,6 +799,8 @@ def _linearization_ball(an, a, x, horizon):
     invertible)."""
     p, norm = an.f.prime, an.linear.norm()
     einv, k = an.radius(norm)
+    # a soundness guard: an exact norm (all blocks rational) scales each block
+    # by |lambda|, so p^einv = min |lambda| > a; only an O-term can refuse here
     if compare_threshold(a, -einv, p) != -1:
         return f"the expansion p^{einv} of ||A^-1|| = p^{-einv} is not certified above a"
     for n, z in _points(an, x, horizon):

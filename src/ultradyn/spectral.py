@@ -69,8 +69,8 @@ class SpectralBlock(_Record):
 
     |eigenvalue| = p^-rho; rho == INF is the nilpotent part.  The basis is
     exact rational whenever the corresponding charpoly factor is rational,
-    and is then also kept as the integer kernel vectors it came from, (D, u)
-    pairs with u / D the vector (_zbasis, outside ==, hash and repr()).
+    and is then also kept as the integer vectors it came from (_zeigenspace),
+    (D, u) pairs with u / D the vector (_zbasis, outside ==, hash and repr()).
     """
 
     rho: object  # Fraction or INF
@@ -106,28 +106,30 @@ class SpectralData(_Record):
 
 
 def _rational_factors(cp: Polynomial):
-    """{rho: monic coefficients} for every root valuation rho whose whole
-    Q_p slope factor g_rho (the roots of valuation rho, with multiplicity)
-    lies in Q[t]; such a block gets an exact rational basis.
+    """(s, f, {rho: g}): f = s^N cp(t/s) is cp made monic in Z[t], s from
+    _monic_scale of its core (cp without its t^k factor), and g = s^n
+    g_rho(t/s) for every root valuation rho whose whole Q_p slope factor
+    g_rho (its n roots of valuation rho, with multiplicity) lies in Q[t];
+    such a block gets an exact rational basis.
 
-    The monic core of cp is scaled to f in Z[t] by _monic_scale and split at
-    its slopes by _slope_split, mod p^N with p^N > 2 B and B Mignotte's bound
-    (Math. Comp. 28, 1974) on the coefficients of a monic factor of f in
-    Z[t].  Each factor g is read in symmetric residues and kept when it
-    divides f exactly and its Newton polygon is the one segment of its slope,
-    which proves g = g_rho.  By Gauss's lemma a rational g_rho lies in Z[t]
-    within the bound, so it is always found."""
+    The core of f is split at its slopes by _slope_split, mod p^N with
+    p^N > 2 B and B Mignotte's bound (Math. Comp. 28, 1974) on the
+    coefficients of a monic factor of f in Z[t].  Each factor g is read in
+    symmetric residues and kept when it divides f exactly and its Newton
+    polygon is the one segment of its slope, which proves g = g_rho.  By
+    Gauss's lemma a rational g_rho lies in Z[t] within the bound, so it is
+    always found."""
     p = cp.prime
     k = next(i for i, c in enumerate(cp.coeffs) if c)
-    out = {INF: [Fraction(0)] * k + [Fraction(1)]} if k else {}
-    core = [Fraction(c) for c in cp.coeffs[k:]]
-    segs = newton_polygon(Polynomial(tuple(core), p)).segments
+    core = cp.coeffs[k:]
+    n, s = len(core) - 1, _monic_scale(core)
+    f = [c.numerator * (s ** (n - i) // c.denominator) for i, c in enumerate(core)]
+    out = {INF: [0] * k + [1]} if k else {}
+    segs = newton_polygon(Polynomial(core, p)).segments
     if len(segs) <= 1:
-        out.update((rho, core) for rho, _ in segs)
-        return out
-    n, d = len(core) - 1, _monic_scale(core)
-    f = [int(c * d ** (n - i)) for i, c in enumerate(core)]
-    shift = valuation_of_rational(d, p)
+        out.update((rho, f) for rho, _ in segs)
+        return s, [0] * k + f, out
+    shift = valuation_of_rational(s, p)
     bound = 2 * comb(n, n // 2) * (isqrt(sum(c * c for c in f)) + 1)
     digits = 1
     while p**digits <= bound:
@@ -138,7 +140,45 @@ def _rational_factors(cp: Polynomial):
         g = [x - mod if 2 * x > mod else x for x in g]
         if (not any(_zdivmod(f, g)[1])
                 and newton_polygon(Polynomial.from_rationals(g, p)).segments == ((r, mult),)):
-            out[r - shift] = [Fraction(c, d ** (mult - i)) for i, c in enumerate(g)]
+            out[r - shift] = g
+    return s, [0] * k + f, out
+
+
+def _zeigenspace(zm, s, f, g):
+    """ker g_rho(M) as _zkernel's basis of it, in (D, u) pairs, for M given
+    as zm = (D_M, A), A = D_M M integral, and f and g = s^n g_rho(t/s) from
+    _rational_factors.  Since sum_i q_i s^i D_M^(deg q - i) A^i is a
+    multiple of q(M) for q = s^deg q q_rho(t/s), the Krylov vectors
+    A^j w, j < n, of w = h(M) e_i, h = f quo g, lie in the kernel, which
+    each start vector's A^n w confirms, and are taken for i = 1, 2, ...
+    until they reach rank n: all of them span image h(M) = ker g(M).
+    Reduced from the last column back (_zrow_reduce), with each pivot
+    scaled to 1 and the rows ordered by pivot column, they are the identity
+    on the free columns of g(M), which is _zkernel's basis; each is kept
+    over its least denominator."""
+    (dm, a), n, d = zm, len(g) - 1, len(zm[1])
+    hc, gc = ([c * s**i * dm ** (len(q) - 1 - i) for i, c in enumerate(q)]
+              for q in (_zdivmod(f, g)[0], g))
+    rows, pivots = [], []
+    for i in range(d):
+        w = [hc[-1] if j == i else 0 for j in range(d)]
+        for c in reversed(hc[:-1]):
+            w = mat_vec(a, w)
+            w[i] += c
+        ks = [w]
+        for _ in range(n):
+            ks.append(mat_vec(a, ks[-1]))
+        if any(_dot(gc, col) for col in zip(*ks)):
+            raise PreconditionViolated("a Krylov vector is not in the kernel of its factor")
+        rows += [v[::-1] for v in ks[:n]]
+        pivots = _zrow_reduce(rows, d)
+        del rows[len(pivots):]
+        if len(pivots) >= n:
+            break
+    out = []  # each u / D in lowest terms, D > 0
+    for c, row in zip(reversed(pivots), reversed(rows)):
+        k = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append((row[c] // k, [x // k for x in reversed(row)]))
     return out
 
 
@@ -149,40 +189,38 @@ def spectral_data(m, p: int, precision: int = DEFAULT_PRECISION,
     the caller already has it.
 
     Both kinds of slope factor come from the one integer slope splitter,
-    polyalg._slope_split.  A valuation whose whole slope factor is rational
-    (_rational_factors) keeps an exact rational basis, read as integer
-    vectors off the integer kernel (_zkernel) of E D^n g(M), evaluated by
-    poly_eval_matrix on plain ints as sum_i E g_i D^(n-i) (D M)^i for g of
-    degree n, D M = D_M M integral and E the lcm of the denominators of g,
-    and kept so in the block; the rest of the charpoly is split by
-    slope_factorization, and its blocks get capped-precision p-adic bases.
+    polyalg._slope_split.  _rational_factors gives the monic integer form f
+    of the charpoly, and a valuation whose whole slope factor g is rational
+    keeps an exact rational basis of ker g(M), read off the Krylov vectors
+    of h(M), h = f quo g, with no g(M) formed (_zeigenspace), and its
+    integer vectors are kept in the block.  What is left of f once every
+    rational factor is divided out on plain ints is split by
+    slope_factorization, and its blocks get capped-precision p-adic bases,
+    the kernels of their g(M).
     """
     ctx = infer_context(m, p, precision)
     d = len(m)
     cp = cp or charpoly(m, p, precision)
-    rest, tagged, zm = cp, [], None  # (rho, slope factor coefficients)
+    rest, tagged, zm = cp.coeffs, [], None  # (rho, slope factor, integer basis if rational)
     if isinstance(ctx, RationalContext):
         zm = _zmat(m)
-        tagged = list(_rational_factors(cp).items())
-        cs = list(cp.coeffs)
-        for _, g in tagged:
-            cs, r = _zdivmod(cs, g)
+        s, f, rational = _rational_factors(cp)
+        rest = f
+        for rho, g in rational.items():
+            rest, r = _zdivmod(rest, g)
             if any(r):
                 raise PreconditionViolated("inexact polynomial division")
-        rest = Polynomial(tuple(cs), p)
-    if rest.degree:
-        tagged += [(sf.root_valuation, list(sf.factor.coeffs))
-                   for sf in slope_factorization(rest, precision)]
+            tagged.append((rho, g, _zeigenspace(zm, s, f, g)))
+        rest = [Fraction(c, s ** (len(rest) - 1 - i)) for i, c in enumerate(rest)]
+    if len(rest) > 1:
+        tagged += [(sf.root_valuation, list(sf.factor.coeffs), None)
+                   for sf in slope_factorization(Polynomial(tuple(rest), p), precision)]
     blocks = []
-    for rho, cs in sorted(tagged, key=lambda t: (t[0] == INF, t[0])):
-        fctx = infer_context(cs, p, precision) if isinstance(ctx, RationalContext) else ctx
-        if isinstance(fctx, RationalContext):
-            n, (dm, mi) = len(cs) - 1, zm
-            zg = [c * dm ** (n - i) for i, c in enumerate(_zscale(cs)[1])]
-            zbasis = _zkernel(poly_eval_matrix(zg, mi, _INTEGERS))
+    for rho, cs, zbasis in sorted(tagged, key=lambda t: (t[0] == INF, t[0])):
+        if zbasis is not None:
             basis = [[Fraction(x, den) for x in u] for den, u in zbasis]
         else:
-            zbasis = None
+            fctx = infer_context(cs, p, precision)
             basis = kernel_basis(poly_eval_matrix(cvec(cs, fctx), cmat(m, fctx), fctx),
                                  p, precision)
         if len(basis) != len(cs) - 1:

@@ -18,6 +18,13 @@ from ultradyn.field import RationalContext
 from ultradyn.dynamics import PolyMap
 
 
+def unscaled(g, s):
+    """The monic rational factor g_rho of an integer factor g = s^n
+    g_rho(t/s) of spectral._rational_factors: coefficient i is
+    g_i / s^(n - i)."""
+    return [Fraction(c, s ** (len(g) - 1 - i)) for i, c in enumerate(g)]
+
+
 def unimodular(rng: random.Random, d: int, bound: int = 3):
     """Random determinant-one integer matrix (unit lower x unit upper)."""
     low = [[Fraction(1 if i == j else (rng.randint(-bound, bound) if i > j else 0))

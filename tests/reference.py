@@ -311,6 +311,28 @@ def fraction_row_reduce(mat, rhs=None):
     return [r[:m] for r in rows], pivots, None if rhs is None else [r[m:] for r in rows]
 
 
+def reference_eigenspace(m, g):
+    """ker g(M) for a rational M and a monic rational g (ascending), over
+    plain Fractions: g(M) by Horner with schoolbook products, then the
+    Fraction Gauss-Jordan (fraction_row_reduce), one vector per free column
+    in ascending order, with 1 there and 0 at the other free columns."""
+    d = len(m)
+    mm = [[Fraction(x) for x in row] for row in m]
+    acc = [[Fraction(g[-1]) * (i == j) for j in range(d)] for i in range(d)]
+    for c in reversed(g[:-1]):
+        acc = [[sum(acc[i][k] * mm[k][j] for k in range(d)) + c * (i == j) for j in range(d)]
+               for i in range(d)]
+    rows, pivots, _ = fraction_row_reduce(acc)
+    out = []
+    for fc in (c for c in range(d) if c not in pivots):
+        v = [Fraction(0)] * d
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][fc]
+        out.append(v)
+    return out
+
+
 def reference_restrict(m, basis):
     """Matrix of the rational m on span(basis) in the coordinates of basis:
     every image M v by Fraction mat_vec, then one Fraction Gauss-Jordan of

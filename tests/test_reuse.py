@@ -44,7 +44,7 @@ from ultradyn.polyalg import (_zmat, cmat, infer_context, kernel_basis, mat_inve
                               poly_eval_matrix)
 
 from helpers import (_embed, block_restriction, frac_block, int_block, nilp_block, rand_vector,
-                     unimodular)
+                     unimodular, unscaled)
 from helpers import companion, conjugated_companion, rand_conjugated, rand_poly_map
 from reference import (PiElement, PiRing, ext_operator_norm, reference_exps, reference_transform,
                        reference_unit_lattice)
@@ -224,14 +224,14 @@ def test_smallest_ring_blocks_match_full_ring_build():
     for p, m in smallest_ring_cases():
         an = spectral.LinearAnalysis(m, p)
         n, qctx = an.norm(), RationalContext(p)
-        factors = spectral._rational_factors(an.charpoly)
+        s, _, factors = spectral._rational_factors(an.charpoly)
         for b, nb in zip(an.data.blocks, n.blocks):
             rational = all(isinstance(c, F) for v in b.basis for c in v)
             if b.rho != INF:
                 assert nb == norm_block_over_full_ring(m, p, b, n.ram), (m, b.rho)
                 kinds[rational, Fraction(b.rho).denominator < n.ram] += 1
             if rational:
-                g = poly_eval_matrix(factors[b.rho], cmat(m, qctx), qctx)
+                g = poly_eval_matrix(unscaled(factors[b.rho], s), cmat(m, qctx), qctx)
                 assert [list(v) for v in b.basis] == kernel_basis(g, p)
     # rational and p-adic blocks, each both in the norm's ring and lifted
     assert set(kinds) == {(True, True), (True, False), (False, True), (False, False)}
@@ -1100,9 +1100,20 @@ INVARIANT_MAP = PolyMap.from_tables([{(1, 0): F(4)}, {(0, 1): F(1), (2, 0): F(1)
                         "that dominance")]),
     (THREE_GAPS, F(1), THREE_GAP_POINTS[1], dynamics.HEURISTIC_NON_MEMBER,
      [NOT_ZERO, NONLINEAR]),  # |lambda| = 1 = a: no certificate rule runs
+    # on the exact stable graph z = 4xy/15 - 64x^3/3825 of the gap above 1,
+    # whose base map (4x, y + x^2) is INVARIANT_MAP, and x's base orbit does
+    # not enter its Invariant ball within the horizon, as in the
+    # invariant_ball case
+    (THREE_GAPS, F(2), [F(1, 2), F(1, 2), F(247, 3825)], dynamics.HEURISTIC_MEMBER, [
+        NOT_ZERO, NONLINEAR,
+        ("dominant_unstable", "F^0(x) has no strictly dominant E_(a,u) component (exp 0 >= -1)"),
+        ("on_stable_graph", "x is on the stable graph, but the base map's verdict is "
+                            "HeuristicMember"),
+        ("orbit_point", "no orbit point F^n(x), n >= 1, within the horizon is 0 or has "
+                        "that dominance")]),
 ], ids=["fixed_point", "linear_map", "contracting_ball", "invariant_ball",
         "invariant_ball-member", "linearization_ball", "dominant_unstable", "on_stable_graph",
-        "orbit_point", "centre"])
+        "orbit_point", "centre", "on_stable_graph-base-verdict"])
 def test_membership_keeps_why_each_rule_did_not_apply(f, a, x, verdict, reasons):
     """stable_membership keeps, in order, (rule, reason) for each rule it
     tried before the one that answered; the regime of a picks the rules

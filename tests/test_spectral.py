@@ -3,13 +3,13 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import inf as INF
+from math import gcd, inf as INF
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ultradyn import spectral
+from ultradyn import polyalg, spectral
 from ultradyn.dynamics import MapAnalysis, PolyMap
 from ultradyn.errors import PreconditionViolated, RankUncertified
 from ultradyn.field import (PadicNumber, RationalContext, compare_threshold,
@@ -28,9 +28,10 @@ from ultradyn.spectral import (
     splitting_at,
 )
 
-from helpers import (ONE_BAND, block_restriction, conjugated_companion, rand_conjugated,
-                     rand_vector, unimodular)
-from reference import (PiRing, ext_operator_norm, reference_exps, reference_restrict,
+from helpers import (ONE_BAND, block_restriction, conjugated_companion, int_block,
+                     nilp_block, rand_conjugated, rand_unit, rand_vector, unimodular, unscaled)
+from reference import (PiRing, ext_operator_norm, reference_eigenspace, reference_exps,
+                       reference_restrict,
                        reference_transform, reference_zcols, reference_zrows, residual_in_span)
 
 F = Fraction
@@ -701,8 +702,9 @@ RATIONAL_SLOPE_CASES = [
 
 @pytest.mark.parametrize("p,factors,want", RATIONAL_SLOPE_CASES)
 def test_rational_factors_oracle(p, factors, want):
-    got = _rational_factors(Polynomial(tuple(_product(p, factors)), p))
-    assert got == {rho: [F(c) for c in cs] for rho, cs in want.items()}
+    s, _, got = _rational_factors(Polynomial(tuple(_product(p, factors)), p))
+    assert {rho: unscaled(g, s) for rho, g in got.items()} == {
+        rho: [F(c) for c in cs] for rho, cs in want.items()}
 
 
 def test_monic_scale_is_minimal():
@@ -730,3 +732,153 @@ def test_shared_band_blocks_rational_and_padic():
     assert all(isinstance(x, F) for v in blocks[F(1, 2)].basis for x in v)
     for rho in (F(2, 3), F(3)):
         assert any(isinstance(x, PadicNumber) for v in blocks[rho].basis for x in v)
+
+
+# -- rational blocks from Krylov vectors -------------------------------------
+
+
+def _pure_factor(rng, p, k):
+    """t^k - c for a random rational c = +-p^v u: its k roots all have
+    valuation v/k, so it lies in one slope factor.  (slope, coefficients)"""
+    v = rng.randint(-2, 3)
+    c = F(p) ** v * rand_unit(rng, p, 6)
+    return F(v, k), [-c] + [F(0)] * (k - 1) + [F(1)]
+
+
+def _eigenspace_draws():
+    """(p, M, {rho: g_rho}) for seeded rational M = S D S^-1, S unimodular,
+    whose slope factors g_rho are known by construction, d = 1..8.  D holds
+    companion blocks of pure-slope t^k - c, some of them twice, scalar
+    blocks a I_k and one or two nilpotent Jordan blocks; the last draws are
+    I and 0.  A repeated block, a scalar block of size 2 or more and two
+    Jordan blocks make M non-cyclic."""
+    rng = random.Random(43)
+    draws = [(p, d) for d in range(1, 9) for p in (2, 3, 5)] * 2
+    for p, d in draws:
+        blocks, left = [], d  # (slope, charpoly, block)
+        while left:
+            kind, k = rng.random(), rng.randint(1, min(3, left))
+            if kind < 0.5:
+                rho, g = _pure_factor(rng, p, k)
+                for _ in range(2 if kind < 0.2 and 2 * k <= left else 1):
+                    blocks.append((rho, g, _companion(g)))
+                    left -= k
+            elif kind < 0.75:
+                rho, g = _pure_factor(rng, p, 1)  # t - a, and the block a I_k
+                blocks.append((rho, _product(p, [g] * k),
+                               [[-g[0] * (r == j) for j in range(k)] for r in range(k)]))
+                left -= k
+            else:
+                for size in ([k] if k < 2 or kind < 0.9 else [1, k - 1]):
+                    blocks.append((INF, [F(0)] * size + [F(1)], nilp_block(size)))
+                left -= k
+        s = unimodular(rng, d)
+        ctx = RationalContext(p)
+        m = mat_mul(mat_mul(s, _block_diag(*[b for _, _, b in blocks])),
+                    mat_inverse(cmat(s, ctx), ctx))
+        factors = {}
+        for rho, g, _ in blocks:
+            factors[rho] = _product(p, [factors.get(rho, [1]), g])
+        yield p, m, factors
+    for d in (1, 4, 8):
+        yield 3, _block_diag(*[[[F(1)]]] * d), {F(0): _product(3, [[-1, 1]] * d)}
+        yield 5, _block_diag(*[[[F(0)]]] * d), {INF: [F(0)] * d + [F(1)]}
+
+
+def test_rational_blocks_match_fraction_nullspace(monkeypatch):
+    """Every rational block's basis, and u / D of each of its integer pairs
+    (in lowest terms, D > 0), equal the Fraction Gauss-Jordan nullspace of g_rho(M)
+    with its free columns ascending (reference_eigenspace), for slope
+    factors g_rho known by construction, on cyclic and non-cyclic M.  Each
+    Krylov start vector costs one _zrow_reduce, so the count past one per
+    block is the start vectors a non-cyclic M needed beyond e_1: I_d and
+    0_d need d, and other draws need more than one too."""
+    reductions = []
+    reduce = spectral._zrow_reduce
+    monkeypatch.setattr(spectral, "_zrow_reduce",
+                        lambda rows, m: reductions.append(1) or reduce(rows, m))
+    extra = []  # (d, start vectors past the first)
+    for p, m, factors in _eigenspace_draws():
+        reductions.clear()
+        blocks = spectral_data(m, p).blocks
+        assert [b.rho for b in blocks] == sorted(factors, key=lambda r: (r == INF, r))
+        for b in blocks:
+            want = reference_eigenspace(m, factors[b.rho])
+            assert [list(v) for v in b.basis] == want
+            assert all(den > 0 and gcd(den, *u) == 1 for den, u in b._zbasis)
+            assert [[F(x, den) for x in u] for den, u in b._zbasis] == want
+        extra.append((len(m), len(reductions) - len(blocks)))
+    assert [e for _, e in extra[-6:]] == [0, 0, 3, 3, 7, 7]
+    assert sum(e > 0 for _, e in extra[:-6]) >= 10
+    assert sum(e == 0 and d > 1 for d, e in extra) >= 10
+
+
+def _with_factor(monkeypatch, rho, g):
+    """_rational_factors, with the integer factor of rho replaced by g."""
+    real = spectral._rational_factors
+
+    def wrong(cp):
+        s, f, factors = real(cp)
+        return s, f, {**factors, rho: g}
+    monkeypatch.setattr(spectral, "_rational_factors", wrong)
+
+
+@pytest.mark.parametrize("m,cp,wrong,message", [
+    # t - 4 does not divide (t - 1)(t - 2)
+    ([[1, 0], [0, 2]], None, {F(1): [-4, 1]}, "inexact polynomial division"),
+    # (t - 1)(t - 2) and t - 1 divide (t - 1)^2 (t - 2), but the image of
+    # (M - 1) holds only e_3
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], None, {F(0): [2, -3, 1], F(1): [-1, 1]},
+     "eigenspace dimension 1 != multiplicity 2"),
+    # a wrong charpoly (t - 1)(t - 4): (M - 1) e_2 is not in ker (M - 4)
+    ([[1, 0], [0, 2]], [4, -5, 1], {}, "a Krylov vector is not in the kernel of its factor"),
+    # a wrong charpoly of too low a degree
+    ([[1, 0], [0, 2]], [-1, 1], {}, "eigenspace dimensions do not sum to dim"),
+], ids=["inexact-division", "dimension", "krylov-check", "dimension-sum"])
+def test_wrong_rational_factor_is_refused(monkeypatch, m, cp, wrong, message):
+    """A wrong factor of the right degree, or a wrong charpoly, raises
+    PreconditionViolated instead of giving a wrong basis: at the integer
+    division of the charpoly, at the check g(M) w = 0 of a start vector, or
+    at a dimension check."""
+    for rho, g in wrong.items():
+        _with_factor(monkeypatch, rho, g)
+    cp = cp and Polynomial.from_rationals(cp, 2)
+    with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+        spectral_data(_mat(m), 2, cp=cp)
+
+
+def _slope_mixed_d8():
+    """The first d = 8, p = 2 slope-mixed matrix of the linear-build
+    benchmark (slope_mixed_conjugated in bench/workloads.py, key
+    "mixed/0/5"): the companion of t^2 + t + 2, whose roots have
+    valuations 0 and 1, beside integral blocks, conjugated by a unimodular
+    S."""
+    rng, p, left = random.Random("mixed/0/5"), 2, 6
+    blocks, pool = [_mat([[0, -2], [1, -1]])], [F(v) for v in (-3, -2, -1, 2, 3)]
+    while left > 0:
+        size = rng.randint(1, left)
+        blocks.append(int_block(p, int(pool.pop(rng.randrange(len(pool)))), size))
+        left -= size
+    s, ctx = unimodular(rng, 8), RationalContext(p)
+    return mat_mul(mat_mul(s, _block_diag(*blocks)), mat_inverse(cmat(s, ctx), ctx))
+
+
+def test_only_padic_factors_evaluate_g_of_m(monkeypatch):
+    """Over Q no rational slope factor calls poly_eval_matrix, _zkernel or
+    kernel_basis; a p-adic one, the slope-mixed factor of the benchmark's
+    d = 8 draw, still calls poly_eval_matrix and kernel_basis, and fails
+    with the known slope-mixed-kernel message."""
+    calls = []
+    for module in (polyalg, spectral):
+        for name in ("poly_eval_matrix", "_zkernel", "kernel_basis"):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=f, name=name, **k: calls.append(
+                name) or f(*a, **k))
+    for p, m, _ in list(_eigenspace_draws())[::5]:
+        calls.clear()
+        spectral_data(m, p)
+        assert not calls
+    calls.clear()
+    with pytest.raises(RankUncertified, match="^pivot in column 7 indistinguishable from zero$"):
+        spectral_data(_slope_mixed_d8(), 2)
+    assert calls == ["poly_eval_matrix", "kernel_basis"]
