@@ -457,8 +457,9 @@ def _orbit(f: PolyMap, x, n: int, bit_cap):
         zx, d = _zhom(zt, zx + [d]), zt[0] * d ** zt[1]
         if (g := gcd(d, *zx)) > 1:
             zx, d = [c // g for c in zx], d // g
-        vals = [_ival(c, p) for c in zx if c]
-        exps.append(Fraction(min(vals) - _ival(d, p)) if vals else INF)
+        # gcd(D, X) = 1 now: if p | D, some X_j is a p-unit; else v(D) = 0
+        exps.append(Fraction(-_ival(d, p)) if d % p == 0 else
+                    Fraction(_ival(g, p)) if (g := gcd(*zx)) else INF)
         points.append((zx, d))
         bits = bit_cap < INF and sum(map(int.bit_length, zx)) + len(zx) * d.bit_length()
         if bits > bit_cap >= sum(max(c.bit_length() - d.bit_length(), 0) + 1 for c in zx):

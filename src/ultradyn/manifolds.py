@@ -6,13 +6,17 @@ composes only the remainder F - F'(0) with it.
 
 All series arithmetic reuses the monomial tables of the dynamics module, and
 a linear map enters as one table per row (dynamics._linear_tables); the
-graph is computed in splitting coordinates (base block first)."""
+graph is computed in splitting coordinates (base block first).  The solve
+forms each degree's terms once (_Online), composing F with h at no degree;
+residual and formal_inverse stay independent compositions, one per call."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import inf as INF
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate
+from math import gcd, inf as INF, lcm
+from operator import add, itemgetter
 
 from .errors import (
     JacobianSingular,
@@ -20,9 +24,10 @@ from .errors import (
     ResonanceDetected,
 )
 from .field import (
-    CENTRE, CENTRE_STABLE, DEFAULT_PRECISION, STABLE, UNSTABLE, ZERO, _Record)
+    CENTRE, CENTRE_STABLE, DEFAULT_PRECISION, STABLE, UNSTABLE, ZERO, RationalContext, _INTEGERS,
+    _Record)
 from .polyalg import (
-    cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
+    _zscale, cmat, coerce, cvec, identity, infer_context, mat_inverse, mat_vec, solve)
 from . import spectral
 from .dynamics import (
     PolyMap,
@@ -126,18 +131,17 @@ def _degree_monomials(nvars, k):
     return out
 
 
-def _solve_degree(ab, acc_mat, known, db, dc, k, ctx):
-    """Solve h_k(A_b xi) - A_cc h_k(xi) = known for the degree-k coefficient
-    tables of h; raises ResonanceDetected when the operator is singular."""
-    monos = _degree_monomials(db, k)
+def _solve_degree(shifted, acc_mat, known, dc, ctx):
+    """Solve h_k(A_b xi) - A_cc h_k(xi) = known for h's degree-k tables, with
+    shifted {m: (A_b xi)^m}; raises ResonanceDetected if it is singular."""
+    monos = list(shifted)
     nm = len(monos)
     pos = {m: j for j, m in enumerate(monos)}
-    shifted = _msubst([{m: ctx.one} for m in monos], _linear_tables(ab, ctx), db, ctx)
     # unknowns and equations indexed (complement coordinate i, monomial m)
     mat = [[ctx.zero] * (dc * nm) for _ in range(dc * nm)]
     for j, m in enumerate(monos):
         for i in range(dc):
-            for mm, c in shifted[j].items():
+            for mm, c in shifted[m].items():
                 mat[i * nm + pos[mm]][i * nm + j] = c
             for ii in range(dc):
                 if ctx.zeroness(acc_mat[ii][i]) != ZERO:
@@ -149,7 +153,7 @@ def _solve_degree(ab, acc_mat, known, db, dc, k, ctx):
     try:
         x = solve(mat, [[b] for b in rhs], ctx)
     except PreconditionViolated as exc:
-        raise ResonanceDetected(f"degree-{k} coefficient operator is singular") from exc
+        raise ResonanceDetected(f"degree-{sum(monos[0])} coefficient operator is singular") from exc
     tables = [{} for _ in range(dc)]
     for i in range(dc):
         for jm, m in enumerate(monos):
@@ -181,9 +185,44 @@ def _conjugated_split_map(f: PolyMap, s, mode: str, precision: int):
     return tables, db, dc, ctx, w, winv, lin
 
 
+class _Online(dict):
+    """A series over the base variables as {k: (n, n times its degree-k part)}
+    with n an int (1 over Q_p): empty below low, and from there formed by
+    term(k) when first read, then kept in lowest terms."""
+
+    def __init__(self, low, term=None):
+        self.low, self.term = low, term
+
+    def __missing__(self, k):
+        n, t = self.term(k) if k >= self.low else (1, {})
+        if n != 1 and (g := gcd(n, *t.values())) > 1:
+            n, t = n // g, {m: c // g for m, c in t.items()}
+        return self.setdefault(k, (n, t))
+
+
+def _online_mul(u, v, ctx):
+    """u * v as an online product (J. van der Hoeven, "Relax, but don't be
+    too lazy", J. Symb. Comput. 34, 2002): part k is formed once, when read,
+    from lower parts over their lcm, its terms summed as _mmul sums them."""
+    def term(k):
+        pairs = [(u[j], v[k - j]) for j in range(u.low, k - v.low + 1)]
+        n, out = lcm(*[a * b for (a, _), (b, _) in pairs]), {}
+        for (a, p), (b, q) in pairs:
+            s = n // (a * b)
+            for m1, c1 in p.items():
+                c1 = c1 * s if s != 1 else c1
+                for m2, c2 in q.items():
+                    m, t = tuple(map(add, m1, m2)), c1 * c2
+                    out[m] = out[m] + t if m in out else t
+        return n, {m: c for m, c in out.items() if ctx.zeroness(c) != ZERO}
+    return _Online(u.low + v.low, term)
+
+
 def graph_series(f: PolyMap, a, mode: str, order: int = 6,
                  precision: int = DEFAULT_PRECISION) -> GraphSeries:
-    """Solve the invariance equation order by order for the mode's graph."""
+    """Solve the invariance equation order by order for the mode's graph:
+    step k forms only the degree-k terms of F(xi, h(xi)) and of h(y), y =
+    F_base(xi, h(xi)), from h's terms of lower degree, and solves for h_k."""
     p = f.prime
     a = Fraction(a)
     if a <= 0:
@@ -198,18 +237,48 @@ def graph_series(f: PolyMap, a, mode: str, order: int = 6,
         raise JacobianSingular("derivative at 0 is singular")
     s = analysis.splitting(a)
     tables, db, dc, ctx, w, winv, lin = _conjugated_split_map(f, s, mode, precision)
-    ab, acc = [r[:db] for r in lin[:db]], [r[db:] for r in lin[db:]]
-    h = [{} for _ in range(dc)]  # tables over db variables
+    # over Q each part, and each coefficient c as zc(c), is on ints over one
+    # denominator, as _zsubst keeps a batch; val(part) is a table over ctx
+    exact, acc = isinstance(ctx, RationalContext), [r[db:] for r in lin[db:]]
+    mul = partial(_online_mul, ctx=(zctx := _INTEGERS if exact else ctx))
+    zc = (lambda c: (c.numerator, c.denominator)) if exact else (lambda c: (c, 1))
+    val = (lambda t: {m: Fraction(c, t[0]) for m, c in t[1].items()}) if exact else itemgetter(1)
+
+    def monomials(qs, tops):
+        """(x, term): x(m) the series q^m, each power of q_l the one below
+        times q_l, as _mpow builds them, and term(c, m) c q^m as (c, q^m)."""
+        pows = [list(accumulate([q] * e, mul)) for q, e in zip(qs, tops)]
+        x = lru_cache(maxsize=None)(
+            lambda m: reduce(mul, [pows[l][e - 1] for l, e in enumerate(m) if e]))
+        return x, lambda c, m: (zc(c), x(m))
+
+    def part(terms, k):  # their sum's degree-k part, term by term in order, as _msubst adds
+        ts = [(c, d * q[k][0], q[k][1]) for (c, d), q in terms]
+        n = lcm(*[d for _, d, _ in ts])
+        return n, reduce(
+            lambda o, t: _madd(o, t[2], zctx, t[0] if t[1] == n else t[0] * (n // t[1])), ts, {})
+
+    # F(xi, eta), eta = h taking each part of h as it is solved; the bare
+    # linear eta terms (A_cc eta) stay in the operator of _solve_degree
+    xi = [_Online(1, lambda k, t=t: (1, t if k == 1 else {}))
+          for t in _linear_tables(identity(db, zctx), zctx)]
+    eta = [_Online(2) for _ in range(dc)]
+    _, fterm = monomials(xi + eta, [max(col) for col in zip(*(m for t in tables for m in t))])
+    fx = [[fterm(c, m) for m, c in t.items() if sum(m) != 1 or m.index(1) < db] for t in tables]
+    y = [_Online(1, partial(part, terms)) for terms in fx[:db]]  # F_base(xi, h(xi))
+    ym, yterm = monomials(y, [order] * db)
+    hks, hy = [], [[] for _ in range(dc)]  # hy[i]: h_i's terms c y^m
     for k in range(2, order + 1):
-        fb_h, fc_h = _compose_with_graph(tables, h, db, k, ctx)
-        lhs = _msubst(h, fb_h, db, ctx, k)
-        known = []
+        # F_comp's degree-k part minus h(y)'s; (A_b xi)^m, |m| = k, is y^m's lowest part
+        known = [_madd(val(part(fx[db + i], k)), val(part(hy[i], k)), ctx, ctx.zero - ctx.one)
+                 for i in range(dc)]
+        hks.append(hk := _solve_degree(
+            {m: val(ym(m)[k]) for m in _degree_monomials(db, k)}, acc, known, dc, ctx))
         for i in range(dc):
-            diff = _madd(fc_h[i], lhs[i], ctx, ctx.zero - ctx.one)
-            known.append({m: c for m, c in diff.items() if sum(m) == k})
-        hk = _solve_degree(ab, acc, known, db, dc, k, ctx)
-        h = [_madd(h[i], hk[i], ctx) for i in range(dc)]
-    coeffs = [(m, tuple(t.get(m, ctx.zero) for t in h)) for m in sorted({m for t in h for m in t})]
+            n, zt = _zscale(list(hk[i].values())) if exact else (1, list(hk[i].values()))
+            eta[i][k] = n, dict(zip(hk[i], zt))
+            hy[i] += [yterm(c, m) for m, c in hk[i].items()]
+    coeffs = sorted((m, tuple(t.get(m, ctx.zero) for t in hk)) for hk in hks for m in set().union(*hk))
     # h in the sorted key order of tables(), which orders the residual's terms
     h = [{m: vec[i] for m, vec in coeffs} for i in range(dc)]
     vecs = [*s.stable, *s.centre, *s.unstable]

@@ -454,3 +454,40 @@ def reference_lipschitz(f, n):
         terms += [(ring.val(c) + q[i] - sum(ml * ql for ml, ql in zip(m, q)), sum(m))
                   for m, c in g.items() if sum(m) >= 2 and ring.val(c) != INF]
     return lambda k: min((b + (deg - 1) * k for b, deg in terms), default=INF)
+
+
+def reference_graph_coefficients(f, a, mode, order=6, precision=DEFAULT_PRECISION):
+    """The coefficients of manifolds.graph_series(f, a, mode, order,
+    precision), or its refusal raised, from the per-degree loop: step k
+    composes F with the whole truncated h, composes h with F_base(xi, h(xi))
+    in full again, and substitutes A_b xi into the degree-k monomials."""
+    from ultradyn import manifolds as mf
+    from ultradyn.dynamics import _linear_tables, _madd, _map_analysis, _msubst
+
+    a = Fraction(a)
+    if a <= 0:
+        raise PreconditionViolated("threshold must be positive")
+    analysis = _map_analysis(f, precision).linear
+    if mode in (mf.STABLE, mf.UNSTABLE) and not analysis.is_hyperbolic(a):
+        raise PreconditionViolated(f"{mode} graph needs a-hyperbolicity")
+    if mode == mf.UNSTABLE and a < 1:
+        raise PreconditionViolated("Unstable mode requires a >= 1")
+    if mode in (mf.CENTRE, mf.UNSTABLE) and any(v == INF for v, _ in analysis.spectrum):
+        raise mf.JacobianSingular("derivative at 0 is singular")
+    tables, db, dc, ctx, _, _, lin = mf._conjugated_split_map(
+        f, analysis.splitting(a), mode, precision)
+    ab, acc = [r[:db] for r in lin[:db]], [r[db:] for r in lin[db:]]
+    h = [{} for _ in range(dc)]
+    for k in range(2, order + 1):
+        fb_h, fc_h = mf._compose_with_graph(tables, h, db, k, ctx)
+        lhs = _msubst(h, fb_h, db, ctx, k)
+        known = []
+        for i in range(dc):
+            diff = _madd(fc_h[i], lhs[i], ctx, ctx.zero - ctx.one)
+            known.append({m: c for m, c in diff.items() if sum(m) == k})
+        shifted = _msubst([{m: ctx.one} for m in mf._degree_monomials(db, k)],
+                          _linear_tables(ab, ctx), db, ctx)
+        hk = mf._solve_degree(dict(zip(mf._degree_monomials(db, k), shifted)), acc, known, dc, ctx)
+        h = [_madd(h[i], hk[i], ctx) for i in range(dc)]
+    return tuple((m, tuple(t.get(m, ctx.zero) for t in h))
+                 for m in sorted({m for t in h for m in t}))

@@ -30,7 +30,9 @@ from ultradyn.manifolds import (
 )
 from ultradyn.polyalg import mat_inverse, mat_mul, mat_vec
 
+from graph_probe import probe_map
 from helpers import rand_poly_map
+from reference import reference_graph_coefficients
 from test_padic_maps_golden import padic_map
 
 F = Fraction
@@ -232,6 +234,78 @@ def test_graph_residual_vanishes_random():
             gs = graph_series(f, F(1), STABLE, order=4)
             for table in residual(f, gs):
                 assert all(sum(m) > 4 for m in table), (f.tables(), table)
+
+
+# -- the online solve against the per-degree loop ----------------------------
+
+
+def _outcome(solve):
+    """repr() of what solve() returns, or its refusal."""
+    try:
+        return repr(solve())
+    except UltradynError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("ring", ["rational", "padic", "padic-terms"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_online_solve_matches_the_per_degree_loop(p, ring):
+    """graph_series gives the coefficients of reference_graph_coefficients,
+    the loop that composes F with the whole truncated h at every degree, by
+    repr(), or the same refusal: seeded rand_poly_map maps with d = 2, 3 and
+    degree 2, 3, in every mode, at a in {1, 1/p, p}, to orders 4-9; over Q,
+    as Q_p maps (a 64-digit linear part, higher terms of 8, 16 or 40
+    digits), and with a rational linear part and Q_p higher terms."""
+    rng, built = random.Random(f"online-{p}-{ring}"), 0
+    for _ in range(40):
+        f = rand_poly_map(rng, p, rng.choice([2, 3]), rng.choice([2, 3]))
+        if ring != "rational":
+            prec = rng.choice([8, 16, 40])
+            f = pmap([{m: c if sum(m) == 1 and ring == "padic-terms" else
+                       PadicNumber.from_rational(c, p, 64 if sum(m) == 1 else prec)
+                       for m, c in t.items()} for t in f.tables()], p)
+        mode, a, order = rng.choice(MODES), rng.choice([F(1), F(1, p), F(p)]), rng.randint(4, 9)
+        got = _outcome(lambda: graph_series(f, a, mode, order).coefficients)
+        assert got == _outcome(lambda: reference_graph_coefficients(f, a, mode, order)), (
+            f, mode, a, order)
+        built += got.startswith("(")
+    assert built >= 3
+
+
+def test_probe_map_matches_the_per_degree_loop():
+    """The probe map of tests/graph_probe.py, whose Stable graph is a power
+    series with coefficients of growing size, to order 24."""
+    f = probe_map(PolyMap)
+    gs = graph_series(f, F(1), STABLE, 24)
+    assert len(gs.coefficients) > 20
+    assert repr(gs.coefficients) == repr(reference_graph_coefficients(f, F(1), STABLE, 24))
+
+
+def test_graph_series_composes_nothing_per_degree(monkeypatch):
+    """graph_series calls _msubst as often at order 12 as at order 6 (once,
+    to conjugate F), and never _compose_with_graph: each degree forms only
+    its own terms."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return msubst(*args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("graph_series composed F with h")
+
+    msubst = dynamics._msubst
+    monkeypatch.setattr(dynamics, "_msubst", spy)
+    monkeypatch.setattr(manifolds, "_msubst", spy)
+    monkeypatch.setattr(manifolds, "_compose_with_graph", refuse)
+    f = probe_map(PolyMap)
+    graph_series(f, F(1), STABLE, 2)  # the map's analysis, built once
+    counts = []
+    for order in (6, 12):
+        calls.clear()
+        graph_series(f, F(1), STABLE, order)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
 
 
 # -- one kept h per graph, read through one evaluator ------------------------

@@ -874,10 +874,10 @@ def test_series_graph_rejected_at_first_residual_degree(composed_caps):
     assert v.justification[0] == (
         "F^1(x) lies inside the dominance ball p^-0 with strictly dominant "
         "E_(a,u) component (exp 2 < 3)")
-    # graph order max(6, 2^2) = 6: graph_series composes through degree 6,
-    # and the residual read at one exact point refutes the graph before any
-    # residual composition
-    assert composed_caps == [*range(2, 7)]
+    # graph order max(6, 2^2) = 6: graph_series forms each degree's terms
+    # once and composes nothing, and the residual read at one exact point
+    # refutes the graph before any residual composition
+    assert composed_caps == []
     gs = manifolds.graph_series(SERIES_GRAPH_MAP, F(1), manifolds.STABLE, order=6)
     tables, h, ctx = manifolds._on_graph(SERIES_GRAPH_MAP, gs)
     full = manifolds._residual_of(*manifolds._compose_with_graph(tables, h, 1, INF, ctx), h, ctx)
@@ -888,8 +888,8 @@ def test_invariant_graph_checked_untruncated(composed_caps):
     v = dynamics.stable_membership(GAP_MAP, F(1), [F(1), F(2, 7)])
     assert v.verdict == dynamics.CERTIFIED_MEMBER
     assert "untruncated invariance residual == 0" in v.justification[0]
-    # graph_series through degree 6, then the residual once, untruncated
-    assert composed_caps == [*range(2, 7), INF]
+    # graph_series composes nothing, then the residual once, untruncated
+    assert composed_caps == [INF]
 
 
 def test_inconclusive_point_read_leaves_the_refusal_to_the_composition(
@@ -903,7 +903,7 @@ def test_inconclusive_point_read_leaves_the_refusal_to_the_composition(
     assert v.verdict == dynamics.CERTIFIED_NON_MEMBER
     assert dict(v._reasons)["on_stable_graph"] == (
         "the stable graph of order 6 is not exactly invariant (nonzero untruncated residual)")
-    assert composed_caps == [*range(2, 7), INF]
+    assert composed_caps == [INF]
 
 
 def _padic_terms(f, prec):
